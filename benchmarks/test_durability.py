@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core.sid import SensorId
-from repro.storage.durable import DurableBackend, DurableNode
+from repro.storage.durable import DurableNode
 from repro.storage.memory import MemoryBackend
 
 SIDS = [SensorId.from_codes([1, i]) for i in range(1, 51)]
@@ -84,8 +84,8 @@ class TestDurableIngest:
         fresh = itertools.count()
 
         def run_durable():
-            backend = DurableBackend(
-                tmp_path / f"run{next(fresh)}", fsync="interval"
+            backend = DurableNode(
+                data_dir=tmp_path / f"run{next(fresh)}", fsync="interval"
             )
             count = backend.insert_batch(BATCH)
             backend.commit_durable()
@@ -122,9 +122,9 @@ class TestCompressionRatio:
         fresh = itertools.count()
 
         def seal():
-            backend = DurableBackend(
-                tmp_path / f"ratio{next(fresh)}",
-                name="ratio",
+            backend = DurableNode(
+                "ratio",
+                data_dir=tmp_path / f"ratio{next(fresh)}",
                 fsync="off",
                 flush_threshold=10**9,
             )
@@ -154,7 +154,7 @@ COLD_FILES = 16
 def _build_cold_store(data_dir):
     """A reopened store whose rows live only in segment files — every
     read goes through the disk block path."""
-    backend = DurableBackend(data_dir, fsync="off", max_segment_files=1_000)
+    backend = DurableNode(data_dir=data_dir, fsync="off", max_segment_files=1_000)
     for b in range(COLD_FILES):
         backend.insert_batch(
             [

@@ -32,11 +32,13 @@ class StorageError(DCDBError):
 class NodeDownError(StorageError):
     """Raised when an operation reaches a storage node that is down.
 
-    Emitted by the fault-injection layer's flaky node proxy
-    (:class:`repro.faults.FlakyNode`) while the node is killed.  The
-    cluster treats it like any other :class:`StorageError` — retry,
-    failover to another replica, or queue a hinted handoff — but tests
-    can match it to assert *why* an operation failed.
+    Emitted by the fault-injection proxy
+    (:class:`repro.faults.FaultyBackend`) between ``kill()`` and
+    ``restart()``.  The cluster treats it like any other
+    :class:`StorageError` — failover to another replica, or queue a
+    hinted handoff — except that the failure detector condemns the
+    node at once instead of accruing suspicion, and tests can match it
+    to assert *why* an operation failed.
     """
 
 

@@ -401,14 +401,7 @@ class CollectAgent:
         exposes (a :class:`~repro.storage.cluster.StorageCluster`
         contributes one per node).
         """
-        registries = [self.metrics]
-        backend_regs = getattr(self.backend, "metrics_registries", None)
-        if backend_regs is not None:
-            registries.extend(backend_regs())
-        else:
-            backend_reg = getattr(self.backend, "metrics", None)
-            if backend_reg is not None:
-                registries.append(backend_reg)
+        registries = [self.metrics, *self.backend.metrics_registries()]
         seen: set[int] = set()
         return [r for r in registries if not (id(r) in seen or seen.add(id(r)))]
 

@@ -390,9 +390,7 @@ class BatchingWriter:
                 # before the batch is acknowledged as flushed.  One
                 # fsync covers the whole coalesced batch; a failed sync
                 # re-queues the batch like any storage error.
-                commit = getattr(self.backend, "commit_durable", None)
-                if commit is not None:
-                    commit()
+                self.backend.commit_durable()
         except Exception:
             self._flush_errors.inc()
             logger.exception("batch flush of %d readings failed", count)

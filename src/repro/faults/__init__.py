@@ -8,11 +8,10 @@ claims: a seedable :class:`FaultPlan` (scheduled kill/restart events +
 named probabilistic substreams) and wrappers that inject its decisions
 at each layer of the stack:
 
-* :class:`FaultyBackend` — any :class:`~repro.storage.backend.StorageBackend`,
-  failing whole operations;
-* :class:`FlakyNode` — one :class:`~repro.storage.node.StorageNode`
-  with kill/restart state, driving the cluster's hinted handoff and
-  read failover;
+* :class:`FaultyBackend` — any :class:`~repro.storage.backend.StorageBackend`
+  (a node inside a cluster, or the whole store behind the writer):
+  kill/restart state driving the cluster's hinted handoff and read
+  failover, plus armed and probabilistic per-operation failures;
 * :class:`BrokerFaultInjector` — socket-level drop/disconnect inside
   the MQTT brokers;
 * :class:`DiskFaultInjector` — the durable engine's disk seam (torn
@@ -28,7 +27,6 @@ always reproduces the same fault schedule.  See ``docs/resilience.md``.
 from repro.faults.backend import FaultyBackend
 from repro.faults.disk import DiskFaultInjector
 from repro.faults.network import BrokerFaultInjector
-from repro.faults.node import FlakyNode
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.rebalance import RebalanceFaultInjector
 
@@ -38,6 +36,5 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultyBackend",
-    "FlakyNode",
     "RebalanceFaultInjector",
 ]

@@ -1,12 +1,30 @@
-"""A fault-injecting wrapper around any :class:`StorageBackend`.
+"""The fault-injecting proxy over any :class:`StorageBackend`.
 
-``FaultyBackend`` sits between a producer (the batching writer, the
-Collect Agent, a test) and a real backend and fails operations on
-purpose: probabilistically from a :class:`~repro.faults.plan.FaultPlan`
-substream, for an exact armed count (``fail_next``), or wholesale
-while ``set_down(True)``.  With ``fault_rate=0`` and nothing armed it
-is transparent — the backend contract suite runs against the wrapper
-to prove that (``tests/storage/test_backends_contract.py``).
+``FaultyBackend`` sits between a caller (the batching writer, the
+Collect Agent, a cluster coordinator, a test) and a real store —
+a node, a cluster, the memory or SQLite backend — and fails
+operations on purpose:
+
+* ``kill()`` models a crashed server: until ``restart()`` every
+  guarded operation raises :class:`~repro.common.errors.NodeDownError`
+  and ``is_up`` reads False, which is what drives a cluster's hinted
+  handoff and read failover.  The wrapped store keeps the data it held
+  (a process restart over durable storage, the paper's Cassandra
+  deployment model); writes that arrived while it was down live in the
+  cluster's hint queue and land on replay.
+* ``fail_next(n)`` arms exactly ``n`` failures, and ``fault_rate``
+  fails the operations named in ``fail_ops`` probabilistically from a
+  :class:`~repro.faults.plan.FaultPlan` substream; both raise
+  :class:`~repro.common.errors.FaultInjectedError`.
+
+With nothing armed and ``fault_rate=0`` the proxy is transparent — the
+backend contract suite runs against it, over a memory backend and over
+a node, to prove that (``tests/storage/test_backends_contract.py``).
+Introspection (``row_count``, ``metrics``, ``recovery_info``…) is
+never guarded, so tests can inspect a "down" store.  When the wrapped
+store has a registry the proxy adds a ``dcdb_storage_node_up`` gauge
+to it, so liveness shows up on ``/metrics`` next to the store's other
+instruments.
 """
 
 from __future__ import annotations
@@ -16,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.common.errors import FaultInjectedError
+from repro.common.errors import FaultInjectedError, NodeDownError
 from repro.core.sid import SensorId
 from repro.faults.plan import FaultPlan
 from repro.storage.backend import InsertItem, StorageBackend
@@ -28,9 +46,23 @@ __all__ = ["FaultyBackend"]
 #: target the data plane without breaking topic->SID bookkeeping.
 DEFAULT_FAIL_OPS = ("insert", "insert_batch", "query", "query_many", "query_prefix")
 
+#: Every guarded operation: ``fail_ops=ALL_OPS`` makes a cluster member
+#: flaky across its whole surface (a bad disk or NIC spares nothing).
+ALL_OPS = DEFAULT_FAIL_OPS + (
+    "sids",
+    "stream_rows",
+    "delete_before",
+    "put_metadata",
+    "get_metadata",
+    "metadata_keys",
+    "compact",
+    "flush",
+    "commit_durable",
+)
+
 
 class FaultyBackend(StorageBackend):
-    """Delegate everything; sometimes raise :class:`FaultInjectedError`.
+    """Delegate everything; fail on demand.
 
     Parameters
     ----------
@@ -64,16 +96,43 @@ class FaultyBackend(StorageBackend):
         self.fault_rate = fault_rate
         self.stream = stream
         self.fail_ops = frozenset(fail_ops)
-        self._down = False
+        self._up = True
         self._armed = 0  # fail exactly this many guarded ops, then recover
         self._lock = threading.Lock()
         self.faults_injected = 0
+        self.kills = 0
+        # Membership-epoch awareness: the cluster binds its epoch
+        # source here so chaos tests can assert *when* (in membership
+        # time) a node died — e.g. "killed during the transfer epoch".
+        self._epoch_source = None
+        self.killed_at_epoch: int | None = None
+        if backend.metrics is not None:
+            backend.metrics.gauge(
+                "dcdb_storage_node_up", "1 while the node serves requests", ("node",)
+            ).labels(node=backend.name).set_function(lambda: 1 if self._up else 0)
 
     # -- fault control -------------------------------------------------------
 
-    def set_down(self, down: bool) -> None:
-        """Hard-fail every guarded operation while down."""
-        self._down = down
+    @property
+    def is_up(self) -> bool:
+        return self._up
+
+    def bind_epoch(self, epoch_source) -> None:
+        """Record the cluster's epoch callable for kill stamping."""
+        self._epoch_source = epoch_source
+
+    def kill(self) -> None:
+        """Take the store down; the state it holds is kept."""
+        with self._lock:
+            if self._up:
+                self._up = False
+                self.kills += 1
+                if self._epoch_source is not None:
+                    self.killed_at_epoch = self._epoch_source()
+
+    def restart(self) -> None:
+        """Bring the store back with the data it held before the kill."""
+        self._up = True
 
     def fail_next(self, count: int = 1) -> None:
         """Arm exactly ``count`` deterministic failures (FIFO with ops)."""
@@ -82,9 +141,9 @@ class FaultyBackend(StorageBackend):
 
     def _guard(self, op: str) -> None:
         with self._lock:
-            if self._down:
+            if not self._up:
                 self.faults_injected += 1
-                raise FaultInjectedError(f"injected fault: backend down during {op}")
+                raise NodeDownError(f"node {self.name} is down during {op}")
             if self._armed > 0:
                 self._armed -= 1
                 self.faults_injected += 1
@@ -96,7 +155,9 @@ class FaultyBackend(StorageBackend):
         ):
             with self._lock:
                 self.faults_injected += 1
-            raise FaultInjectedError(f"injected fault: {op} (rate {self.fault_rate})")
+            raise FaultInjectedError(
+                f"injected fault on {self.name}: {op} (rate {self.fault_rate})"
+            )
 
     # -- data plane ----------------------------------------------------------
 
@@ -128,6 +189,15 @@ class FaultyBackend(StorageBackend):
         self._guard("sids")
         return self.backend.sids()
 
+    def stream_rows(self, sid: SensorId, chunk_rows: int = 4096):
+        """Guarded rebalance stream: a kill mid-iteration aborts the
+        stream with :class:`NodeDownError`, exactly like a streaming
+        source crashing between chunks."""
+        self._guard("stream_rows")
+        for chunk in self.backend.stream_rows(sid, chunk_rows):
+            self._guard("stream_rows")
+            yield chunk
+
     def delete_before(self, sid: SensorId, cutoff: int) -> int:
         self._guard("delete_before")
         return self.backend.delete_before(sid, cutoff)
@@ -157,23 +227,29 @@ class FaultyBackend(StorageBackend):
         self.backend.flush()
 
     def commit_durable(self) -> bool:
-        """Durable group-commit barrier; transparent over memory backends."""
         self._guard("commit_durable")
-        commit = getattr(self.backend, "commit_durable", None)
-        return commit() if commit is not None else False
+        return self.backend.commit_durable()
 
     def close(self) -> None:
+        # Unguarded: shutdown must release files even on a "down" store.
         self.backend.close()
 
-    # -- observability passthrough ------------------------------------------
+    # -- unguarded introspection ---------------------------------------------
+
+    @property
+    def name(self) -> str:
+        return self.backend.name
 
     @property
     def metrics(self):
-        return getattr(self.backend, "metrics", None)
+        return self.backend.metrics
 
-    def metrics_registries(self):
-        inner = getattr(self.backend, "metrics_registries", None)
-        if inner is not None:
-            return inner()
-        registry = getattr(self.backend, "metrics", None)
-        return [registry] if registry is not None else []
+    def metrics_registries(self) -> list:
+        return self.backend.metrics_registries()
+
+    def __getattr__(self, attr: str):
+        # Only reached for names the contract does not declare
+        # (row_count, recovery_info, state_fingerprint, ...).
+        if attr == "backend":  # not yet assigned: no self-recursion
+            raise AttributeError(attr)
+        return getattr(self.backend, attr)

@@ -10,7 +10,6 @@ every fault a test or simulation injects.  It combines:
 * **probabilistic faults** — named substreams derived from one seed via
   :class:`repro.common.rng.RngFactory`, drawn by the wrapper classes
   (:class:`~repro.faults.backend.FaultyBackend`,
-  :class:`~repro.faults.node.FlakyNode`,
   :class:`~repro.faults.network.BrokerFaultInjector`).
 
 Determinism contract: the same ``(seed, stream name)`` pair always

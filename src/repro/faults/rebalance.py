@@ -60,7 +60,7 @@ class RebalanceFaultInjector:
         """Kill the streaming *source* once it has shipped ``chunks``.
 
         ``proxies`` maps node index -> kill()-able proxy (the sim's
-        FlakyNode list).  The stream then aborts with NodeDownError and
+        ``flaky_nodes`` list).  The stream then aborts with NodeDownError and
         the cluster re-streams from the next live old replica.
         """
 

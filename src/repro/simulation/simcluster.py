@@ -10,7 +10,7 @@ reproduction itself.
 Fault injection: give the config a
 :class:`~repro.faults.FaultPlan` (or a nonzero ``node_fault_rate``)
 and every storage node is wrapped in a
-:class:`~repro.faults.FlakyNode`; scheduled kill/restart events fire
+:class:`~repro.faults.FaultyBackend`; scheduled kill/restart events fire
 on the simulated clock as :meth:`SimulatedCluster.run` advances it,
 and the cluster's retry backoff becomes a no-op sleep so chaos runs
 are instant and fully deterministic per seed.
@@ -19,16 +19,19 @@ are instant and fully deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent, RollupConfig, WriterConfig
 from repro.core.pusher import Pusher, PusherConfig
-from repro.faults import FaultPlan, FlakyNode
+from repro.faults import FaultPlan, FaultyBackend
+from repro.faults.backend import ALL_OPS
 from repro.faults.plan import KILL, RESTART
 from repro.mqtt.transport import get_transport
 from repro.observability import SpanRecorder
 from repro.storage import FailureDetector, MemoryBackend, StorageCluster, StorageNode
 from repro.storage.backend import StorageBackend
+from repro.storage.durable import DurableNode
 
 
 @dataclass
@@ -50,7 +53,7 @@ class SimClusterConfig:
     #: tiers (stored as ordinary series, so replication and hinted
     #: handoff cover them like any reading).
     rollup_config: RollupConfig | None = None
-    #: Seeded fault schedule; enables FlakyNode wrapping and lets
+    #: Seeded fault schedule; wraps every node in a fault proxy and lets
     #: run() fire scheduled kill/restart events on the sim clock.
     fault_plan: FaultPlan | None = None
     #: Probabilistic per-operation node failure rate (needs fault_plan
@@ -99,47 +102,17 @@ class SimulatedCluster:
         if self.fault_plan is None and self.config.node_fault_rate > 0.0:
             self.fault_plan = FaultPlan()
         faulty = self.fault_plan is not None
-        #: FlakyNode proxies by index when fault injection is on.
-        self.flaky_nodes: list[FlakyNode] = []
+        #: Fault proxies by node index when fault injection is on.
+        self.flaky_nodes: list[FaultyBackend] = []
         self.backend: StorageBackend
         if self.config.use_memory_backend:
             self.backend = MemoryBackend(clock=self.clock)
         else:
-            if self.config.data_dir is not None:
-                from pathlib import Path
-
-                from repro.storage.durable import DurableNode
-
-                root = Path(self.config.data_dir)
-                nodes = [
-                    DurableNode(
-                        f"node{i}",
-                        data_dir=root / f"node{i}",
-                        fsync=self.config.fsync,
-                        clock=self.clock,
-                    )
-                    for i in range(max(1, self.config.storage_nodes))
-                ]
-            else:
-                nodes = [
-                    StorageNode(f"node{i}", clock=self.clock)
-                    for i in range(max(1, self.config.storage_nodes))
-                ]
-            if faulty:
-                self.flaky_nodes = [
-                    FlakyNode(
-                        node,
-                        plan=self.fault_plan,
-                        fault_rate=self.config.node_fault_rate,
-                    )
-                    for node in nodes
-                ]
-                nodes = self.flaky_nodes
+            nodes = [
+                self._make_node(i) for i in range(max(1, self.config.storage_nodes))
+            ]
             self.backend = StorageCluster(
-                # A copy: add_storage_node appends to flaky_nodes AND
-                # to the cluster (via add_node) — sharing one list
-                # object would register the new member twice.
-                list(nodes),
+                nodes,
                 replication=self.config.replication if len(nodes) > 1 else 1,
                 # Simulated chaos must not wall-clock-sleep between
                 # write retries; determinism comes from the plan.
@@ -197,7 +170,33 @@ class SimulatedCluster:
 
     # -- fault control -------------------------------------------------------
 
-    def _flaky(self, idx: int) -> FlakyNode:
+    def _make_node(self, idx: int) -> StorageBackend:
+        """Storage node ``idx`` in this simulation's flavor: durable
+        when the config has a ``data_dir``, behind a fault proxy
+        (recorded in ``flaky_nodes``) when fault injection is on."""
+        name = f"node{idx}"
+        node: StorageBackend
+        if self.config.data_dir is not None:
+            node = DurableNode(
+                name,
+                data_dir=Path(self.config.data_dir) / name,
+                fsync=self.config.fsync,
+                clock=self.clock,
+            )
+        else:
+            node = StorageNode(name, clock=self.clock)
+        if self.fault_plan is not None:
+            node = FaultyBackend(
+                node,
+                plan=self.fault_plan,
+                fault_rate=self.config.node_fault_rate,
+                stream=f"flaky-node-{name}",
+                fail_ops=ALL_OPS,
+            )
+            self.flaky_nodes.append(node)
+        return node
+
+    def _flaky(self, idx: int) -> FaultyBackend:
         if not self.flaky_nodes:
             raise RuntimeError(
                 "fault injection is off; construct with SimClusterConfig("
@@ -253,8 +252,7 @@ class SimulatedCluster:
     def add_storage_node(self, *, wait: bool = True) -> int:
         """Join a new storage node to the running cluster, live.
 
-        The node matches the cluster's flavor (durable when the sim has
-        a ``data_dir``, FlakyNode-wrapped when fault injection is on)
+        The node matches the cluster's flavor (see :meth:`_make_node`)
         and partition history streams to it per
         :meth:`StorageCluster.add_node`; with ``wait=False`` ingest can
         continue while streaming runs in the background.  Returns the
@@ -262,27 +260,7 @@ class SimulatedCluster:
         """
         if not isinstance(self.backend, StorageCluster):
             raise RuntimeError("elastic membership needs a StorageCluster backend")
-        idx = len(self.backend.nodes)
-        if self.config.data_dir is not None:
-            from pathlib import Path
-
-            from repro.storage.durable import DurableNode
-
-            node = DurableNode(
-                f"node{idx}",
-                data_dir=Path(self.config.data_dir) / f"node{idx}",
-                fsync=self.config.fsync,
-                clock=self.clock,
-            )
-        else:
-            node = StorageNode(f"node{idx}", clock=self.clock)
-        if self.fault_plan is not None:
-            node = FlakyNode(
-                node,
-                plan=self.fault_plan,
-                fault_rate=self.config.node_fault_rate,
-            )
-            self.flaky_nodes.append(node)
+        node = self._make_node(len(self.backend.nodes))
         result = self.backend.add_node(node, wait=wait)
         self.probe_liveness()
         return result

@@ -8,9 +8,18 @@ keys so a sensor subtree lands on the nearest database server.
 This package is a from-scratch reproduction of the storage semantics
 DCDB relies on:
 
+* :mod:`repro.storage.backend` — the backend-independent API
+  (libDCDB's storage abstraction, paper section 5.1); every store
+  below implements it, so any of them can stand behind the Collect
+  Agent — or inside a cluster — unchanged.
 * :mod:`repro.storage.node` — one storage server: an append-optimized
   memtable flushed into immutable sorted segments (SSTable analogue),
-  background-free compaction, TTL expiry and range scans.
+  compaction, TTL expiry and range scans; also the home of the one
+  last-write-wins merge kernel.
+* :mod:`repro.storage.durable` — the same server made crash-safe: a
+  write-ahead log with group commit, compressed columnar segment
+  files, tiered background compaction and recovery
+  (:class:`~repro.storage.durable.DurableNode`).
 * :mod:`repro.storage.partitioner` — partition-key policies: the
   paper's hierarchical SID-prefix partitioner and a hash partitioner
   used as the ablation baseline.
@@ -20,10 +29,12 @@ DCDB relies on:
 * :mod:`repro.storage.membership` — elastic membership: the
   epoch-versioned partition ownership table and the phi-accrual
   failure detector behind live ``add_node``/``remove_node``.
-* :mod:`repro.storage.backend` — the backend-independent API
-  (libDCDB's storage abstraction, paper section 5.1) plus simple
+* :mod:`repro.storage.memory`, :mod:`repro.storage.sqlite` — simple
   alternative implementations (:class:`~repro.storage.memory.MemoryBackend`,
   :class:`~repro.storage.sqlite.SqliteBackend`) proving the swap works.
+* :mod:`repro.storage.rollup` — continuous aggregation: rollup tiers
+  stored as ordinary series, plus the retention policy that demotes
+  raw data behind them.
 * :mod:`repro.storage.csv_io` — CSV import/export used by the
   ``dcdb-csvimport`` and ``dcdb-query`` tools.
 """
@@ -44,13 +55,7 @@ from repro.storage.membership import (
 from repro.storage.memory import MemoryBackend
 from repro.storage.sqlite import SqliteBackend
 from repro.storage.csv_io import export_csv, import_csv
-from repro.storage.durable import DurableBackend, DurableNode
-from repro.storage.persistence import (
-    load_cluster,
-    load_node,
-    save_cluster,
-    save_node,
-)
+from repro.storage.durable import DurableNode
 from repro.storage.rollup import (
     ROLLUP_TIERS,
     RetentionPolicy,
@@ -63,11 +68,6 @@ from repro.storage.rollup import (
 )
 
 __all__ = [
-    "save_node",
-    "load_node",
-    "save_cluster",
-    "load_cluster",
-    "DurableBackend",
     "DurableNode",
     "ROLLUP_TIERS",
     "RetentionPolicy",

@@ -6,19 +6,26 @@ database implementation ... this abstraction allows for easily
 swapping it against a different database solution without any changes
 in the upstream components."*
 
-:class:`StorageBackend` is that API.  Three implementations ship with
-this reproduction:
+:class:`StorageBackend` is that API, and the *only* storage surface:
+everything the writer, the agent, libDCDB and the cluster coordinator
+call on a store is declared here.  Implementations:
 
+* :class:`~repro.storage.node.StorageNode` — one log-structured
+  storage server (memtable + sorted segments), in memory;
+* :class:`~repro.storage.durable.DurableNode` — the same server with a
+  write-ahead log and compressed segment files (``durable:`` URIs);
 * :class:`~repro.storage.cluster.StorageCluster` — the distributed
-  wide-column store modelling Cassandra (the paper's choice);
+  wide-column store modelling Cassandra (the paper's choice); its
+  members are themselves ``StorageBackend`` s, normally nodes;
 * :class:`~repro.storage.memory.MemoryBackend` — a minimal in-process
-  store for unit tests and short-lived analyses;
+  store, the oracle of the equivalence tests;
 * :class:`~repro.storage.sqlite.SqliteBackend` — a file-backed store
   demonstrating that the swap really requires no upstream changes.
 
-:class:`~repro.faults.FaultyBackend` wraps any implementation with
-deterministic fault injection and honours the same contract when no
-faults fire — the contract suite runs against the wrapper to prove it.
+:class:`~repro.faults.FaultyBackend` wraps any of them with
+deterministic fault injection (kill/restart, armed and probabilistic
+failures) and honours the same contract when no faults fire — the
+contract suite runs against the wrapper to prove it.
 
 Error contract: data/metadata operations raise
 :class:`~repro.common.errors.StorageError` (or a subclass) on failure;
@@ -48,6 +55,15 @@ InsertItem = tuple[SensorId, int, int, int]
 
 class StorageBackend(abc.ABC):
     """Abstract persistent store for sensor time series and metadata."""
+
+    #: Label of this store in logs, spans and per-node metric labels.
+    name: str = "backend"
+    #: Heartbeat channel the cluster's failure detector reads; only
+    #: the fault-injection proxy ever reports False.
+    is_up: bool = True
+    #: The store's own :class:`~repro.observability.MetricsRegistry`,
+    #: or None when it keeps no instruments.
+    metrics = None
 
     # -- data plane -----------------------------------------------------
 
@@ -92,16 +108,24 @@ class StorageBackend(abc.ABC):
         """
         return {sid: self.query(sid, start, end) for sid in sids}
 
-    @abc.abstractmethod
     def query_prefix(
         self, prefix: int, levels: int, start: int, end: int
     ) -> Iterator[tuple[SensorId, np.ndarray, np.ndarray]]:
         """Scan every sensor under a SID prefix (hierarchy subtree).
 
-        Yields ``(sid, timestamps, values)`` per sensor.  This is the
-        operation behind Grafana's hierarchy drill-down and virtual
-        sensors aggregating a subtree.
+        Yields ``(sid, timestamps, values)`` per sensor with data in
+        range, in SID order.  This is the operation behind Grafana's
+        hierarchy drill-down and virtual sensors aggregating a subtree.
+        The default filters :meth:`sids` and reads the subtree with one
+        :meth:`query_many`; only the cluster overrides it (to route a
+        subtree to its owning node).
         """
+        matching = [sid for sid in self.sids() if sid.prefix(levels) == prefix]
+        series = self.query_many(matching, start, end)
+        for sid in matching:
+            timestamps, values = series[sid]
+            if timestamps.size:
+                yield sid, timestamps, values
 
     @abc.abstractmethod
     def sids(self) -> list[SensorId]:
@@ -141,8 +165,21 @@ class StorageBackend(abc.ABC):
     def flush(self) -> None:
         """Make all accepted writes durable/visible; default no-op."""
 
+    def commit_durable(self) -> bool:
+        """Group-commit barrier: make every accepted write crash-safe.
+
+        The batching writer calls this once per flushed batch before
+        acknowledging it.  Returns True when something was synced;
+        stores without a write-ahead log have nothing to sync.
+        """
+        return False
+
     def close(self) -> None:
         """Release resources; default no-op."""
+
+    def metrics_registries(self) -> list:
+        """Every registry behind this store's ``/metrics`` exposition."""
+        return [self.metrics] if self.metrics is not None else []
 
     # -- conveniences -----------------------------------------------------
 

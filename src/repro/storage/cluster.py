@@ -1,12 +1,14 @@
 """The distributed storage cluster.
 
-Composes :class:`~repro.storage.node.StorageNode` servers behind the
-:class:`~repro.storage.backend.StorageBackend` API with a pluggable
-:class:`~repro.storage.partitioner.Partitioner` and synchronous
-replication.  Any node "may be used to insert or query data" (paper
-section 4.3); in our reproduction the cluster object is that
-coordinator role, and it records how many operations had to leave the
-contact node — the locality metric that motivates hierarchical
+Composes member stores — any
+:class:`~repro.storage.backend.StorageBackend`, normally
+:class:`~repro.storage.node.StorageNode` or
+:class:`~repro.storage.durable.DurableNode` servers — behind that same
+API with a pluggable :class:`~repro.storage.partitioner.Partitioner`
+and synchronous replication.  Any node "may be used to insert or query
+data" (paper section 4.3); in our reproduction the cluster object is
+that coordinator role, and it records how many operations had to leave
+the contact node — the locality metric that motivates hierarchical
 partitioning.
 
 Availability under node churn follows the Cassandra playbook the
@@ -25,7 +27,9 @@ paper relies on:
 
 Replay is idempotent because the node read/compaction paths dedup on
 timestamp (last write wins), so a hint that races a writer retry never
-produces duplicate readings.
+produces duplicate readings.  Retention deletes a down replica missed
+are hinted too, in order with the writes, so a restart cannot bring
+deleted rows back.
 
 Metadata (sensor properties, virtual sensor definitions) is replicated
 to every node, mirroring Cassandra system tables: it is tiny, read
@@ -47,7 +51,7 @@ import numpy as np
 
 from repro.common.errors import NodeDownError, StorageError
 from repro.common.timeutil import now_ns
-from repro.core.sid import SID_LEVELS, SID_BITS_PER_LEVEL, SensorId
+from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
 from repro.observability.spans import SpanRecorder, current_trace, default_recorder
 from repro.storage.backend import InsertItem, StorageBackend
@@ -89,12 +93,6 @@ def _shared_pool() -> ThreadPoolExecutor:
     return pool
 
 
-def _node_up(node) -> bool:
-    """Liveness of a member: plain nodes are always up; fault proxies
-    (``repro.faults.FlakyNode``) expose ``is_up``."""
-    return getattr(node, "is_up", True)
-
-
 # Below this many SIDs a bulk read runs its per-node groups serially:
 # submitting a future costs ~tens of microseconds and small in-memory
 # groups hold the GIL anyway, so the fan-out only pays for itself on
@@ -118,7 +116,7 @@ class StorageCluster(StorageBackend):
     Parameters
     ----------
     nodes:
-        The member servers; at least one.
+        The member stores (any :class:`StorageBackend`); at least one.
     partitioner:
         Placement policy; defaults to the paper's hierarchical
         SID-prefix partitioner over two levels.
@@ -148,7 +146,7 @@ class StorageCluster(StorageBackend):
 
     def __init__(
         self,
-        nodes: list[StorageNode] | None = None,
+        nodes: list[StorageBackend] | None = None,
         partitioner: Partitioner | None = None,
         replication: int = 1,
         contact_node: int = 0,
@@ -237,12 +235,15 @@ class StorageCluster(StorageBackend):
             raise StorageError("slow_query_s must be >= 0")
         self.slow_query_s = slow_query_s
         self.spans = spans if spans is not None else default_recorder()
-        # Hinted handoff state: per-node FIFO of writes the node missed
-        # while unreachable.  Entries are ("data", [InsertItem...]) or
-        # ("meta", key, value); _hints_pending counts queued readings
-        # (the gauge) and doubles as the cheap are-there-hints test on
-        # the hot paths.
+        # Hinted handoff state: per-node FIFO of what the node missed
+        # while unreachable.  Entries are ("data", [InsertItem...]),
+        # ("meta", key, value) or ("cutoff", sid, cutoff).  Only
+        # non-empty queues are kept, so the dict's truthiness is the
+        # cheap are-there-hints test on the hot paths;
+        # _hints_pending_count (the gauge) and its per-node breakdown
+        # _hint_readings count queued *readings*.
         self._hints: dict[int, deque] = {}
+        self._hint_readings: dict[int, int] = {}
         self._hints_lock = threading.Lock()
         self._hints_pending_count = 0
         self._hints_hwm = 0
@@ -332,8 +333,8 @@ class StorageCluster(StorageBackend):
 
     def _register_node_liveness(self, idx: int, node) -> None:
         """Track a member in the failure detector + state gauges."""
-        name = str(getattr(node, "name", idx))
-        self.detector.register(name, lambda n=node: getattr(n, "is_up", True))
+        name = node.name
+        self.detector.register(name, lambda n=node: n.is_up)
         bind_epoch = getattr(node, "bind_epoch", None)
         if bind_epoch is not None:
             bind_epoch(lambda: self.membership.epoch)
@@ -358,7 +359,9 @@ class StorageCluster(StorageBackend):
     def metrics_registries(self) -> list[MetricsRegistry]:
         """This cluster's registry plus every member node's."""
         seen: set[int] = set()
-        registries = [self.metrics] + [node.metrics for node in self.nodes]
+        registries = [self.metrics]
+        for node in self.nodes:
+            registries.extend(node.metrics_registries())
         return [r for r in registries if not (id(r) in seen or seen.add(id(r)))]
 
     def node_liveness(self) -> tuple[int, int]:
@@ -371,7 +374,7 @@ class StorageCluster(StorageBackend):
         """
         self.detector.probe()
         members = self.membership.member_indices()
-        live = sum(1 for i in members if _node_up(self.nodes[i]))
+        live = sum(1 for i in members if self.nodes[i].is_up)
         return live, len(members)
 
     def node_states(self) -> list[dict[str, object]]:
@@ -430,7 +433,7 @@ class StorageCluster(StorageBackend):
         """
         node = self.nodes[node_idx]
         detector = self.detector
-        replica = str(getattr(node, "name", node_idx))
+        replica = node.name
         start_ns = now_ns() if trace_id is not None else 0
         last_error: StorageError = StorageError(f"node {replica} is down")
         # The heartbeat channel (is_up) is read alongside the accrued
@@ -438,10 +441,10 @@ class StorageCluster(StorageBackend):
         # without burning the retry budget, and a node the detector has
         # condemned (repeated failures without a heartbeat) is skipped
         # even if it still answers the channel.
-        fault = not _node_up(node) or not detector.is_alive(node_idx)
+        fault = not node.is_up or not detector.is_alive(node_idx)
         attempts_made = 0
         for attempt in range(self.max_retries + 1):
-            if not _node_up(node) or not detector.is_alive(node_idx):
+            if not node.is_up or not detector.is_alive(node_idx):
                 fault = True
                 break
             attempts_made = attempt + 1
@@ -466,7 +469,7 @@ class StorageCluster(StorageBackend):
                 last_error = exc
                 fault = True
                 detector.report_failure(node_idx, hard=isinstance(exc, NodeDownError))
-                if attempt >= self.max_retries or not _node_up(node):
+                if attempt >= self.max_retries or not node.is_up:
                     logger.warning(
                         "replica %s failed %d attempts (%s); hinting %d readings",
                         replica,
@@ -509,13 +512,14 @@ class StorageCluster(StorageBackend):
             # replica down for longer than the budget loses its oldest
             # hints (bounded memory beats unbounded growth — the gap is
             # visible in dcdb_storage_hints_dropped_total).
-            pending_here = sum(self._entry_size(e) for e in dq)
+            pending_here = self._hint_readings.get(node_idx, 0) + readings
             while pending_here > self.hint_capacity and len(dq) > 1:
                 evicted = dq.popleft()
                 size = self._entry_size(evicted)
                 pending_here -= size
                 self._hints_pending_count -= size
                 self._hints_dropped.inc(size)
+            self._hint_readings[node_idx] = pending_here
 
     @staticmethod
     def _entry_size(entry: tuple) -> int:
@@ -536,7 +540,7 @@ class StorageCluster(StorageBackend):
             if self.membership.slot_state(idx) == NODE_REMOVED:
                 self._drop_hints(idx)
                 continue
-            if not _node_up(node):
+            if not node.is_up:
                 continue
             landed = False
             while True:
@@ -548,8 +552,10 @@ class StorageCluster(StorageBackend):
                 try:
                     if entry[0] == "data":
                         node.insert_batch(entry[1])
-                    else:
+                    elif entry[0] == "meta":
                         node.put_metadata(entry[1], entry[2])
+                    else:
+                        node.delete_before(entry[1], entry[2])
                 except StorageError:
                     break  # node flapped again; keep the hint for later
                 landed = True
@@ -562,27 +568,33 @@ class StorageCluster(StorageBackend):
                     if dq and dq[0] is entry:
                         dq.popleft()
                         self._hints_pending_count -= size
+                        self._hint_readings[idx] -= size
                         self._hints_replayed.inc(size)
                         replayed += size
+                        if not dq:
+                            self._forget_hints_locked(idx)
             if landed:
                 # A successful replay is proof of life — resurrect the
                 # node in the detector without waiting for a probe.
                 self.detector.report_success(idx)
         return replayed
 
+    def _forget_hints_locked(self, node_idx: int) -> int:
+        """Drop a node's (drained or abandoned) queue; returns the
+        readings that were still in it."""
+        self._hints.pop(node_idx, None)
+        return self._hint_readings.pop(node_idx, 0)
+
     def _drop_hints(self, node_idx: int) -> None:
         """Discard all hints queued for a node that left the cluster."""
         with self._hints_lock:
-            dq = self._hints.pop(node_idx, None)
-            if not dq:
-                return
-            dropped = sum(self._entry_size(e) for e in dq)
+            dropped = self._forget_hints_locked(node_idx)
             self._hints_pending_count -= dropped
             if dropped:
                 self._hints_dropped.inc(dropped)
 
     def _repair_before_read(self) -> None:
-        if self._hints_pending_count:
+        if self._hints:
             self.replay_hints()
         if self._pending_cleanup:
             self._retry_cleanup()
@@ -598,7 +610,7 @@ class StorageCluster(StorageBackend):
             if self.membership.slot_state(node_idx) == NODE_REMOVED:
                 continue
             node = self.nodes[node_idx]
-            if not _node_up(node):
+            if not node.is_up:
                 self._pending_cleanup.append((node_idx, sid))
                 continue
             try:
@@ -747,7 +759,7 @@ class StorageCluster(StorageBackend):
         suspected: list[int] = []
         for node_idx in replicas:
             node = self.nodes[node_idx]
-            if not _node_up(node) or not self.detector.is_alive(node_idx):
+            if not node.is_up or not self.detector.is_alive(node_idx):
                 self._read_failovers.inc()
                 suspected.append(node_idx)
                 continue
@@ -769,7 +781,7 @@ class StorageCluster(StorageBackend):
         # fail a read on suspicion alone.
         for node_idx in suspected:
             node = self.nodes[node_idx]
-            if not _node_up(node):
+            if not node.is_up:
                 continue
             try:
                 result = node.query(sid, start, end)
@@ -834,18 +846,11 @@ class StorageCluster(StorageBackend):
         if not per_node:
             return {}
 
-        def read_group(node_idx: int, group: list[SensorId]):
-            node = self.nodes[node_idx]
-            bulk = getattr(node, "query_many", None)
-            if bulk is not None:
-                return bulk(group, start, end)
-            return {sid: node.query(sid, start, end) for sid in group}
-
         outcomes: dict[int, dict | StorageError] = {}
         if len(per_node) == 1 or len(unique) < _PARALLEL_READ_MIN_SIDS:
             for node_idx, group in per_node.items():
                 try:
-                    outcomes[node_idx] = read_group(node_idx, group)
+                    outcomes[node_idx] = self.nodes[node_idx].query_many(group, start, end)
                 except StorageError as exc:
                     outcomes[node_idx] = exc
         else:
@@ -856,11 +861,13 @@ class StorageCluster(StorageBackend):
             ordered = sorted(per_node.items(), key=lambda kv: len(kv[1]))
             inline_idx, inline_group = ordered[-1]
             futures = [
-                (node_idx, pool.submit(read_group, node_idx, group))
+                (node_idx, pool.submit(self.nodes[node_idx].query_many, group, start, end))
                 for node_idx, group in ordered[:-1]
             ]
             try:
-                outcomes[inline_idx] = read_group(inline_idx, inline_group)
+                outcomes[inline_idx] = self.nodes[inline_idx].query_many(
+                    inline_group, start, end
+                )
             except StorageError as exc:
                 outcomes[inline_idx] = exc
             for node_idx, future in futures:
@@ -901,12 +908,6 @@ class StorageCluster(StorageBackend):
         """
         t0 = time.perf_counter()
         self._repair_before_read()
-        keep_bits = SID_BITS_PER_LEVEL * levels
-        mask = (
-            ((1 << keep_bits) - 1) << (SID_LEVELS * SID_BITS_PER_LEVEL - keep_bits)
-            if keep_bits
-            else 0
-        )
         single = None
         if self.membership.elastic:
             # Post-elasticity the ownership table is authoritative; it
@@ -921,7 +922,7 @@ class StorageCluster(StorageBackend):
             if node_for_prefix is not None:
                 single = node_for_prefix(prefix, levels)
         if single is not None and (
-            not _node_up(self.nodes[single]) or not self.detector.is_alive(single)
+            not self.nodes[single].is_up or not self.detector.is_alive(single)
         ):
             # Owner down: replicas of its sensors live on other nodes,
             # so fall back to the full fan-out rather than erroring.
@@ -934,17 +935,13 @@ class StorageCluster(StorageBackend):
         def scan(node_idx: int):
             """One node's subtree: (matching sids, per-sid series)."""
             node = self.nodes[node_idx]
-            if not _node_up(node) or not self.detector.is_alive(node_idx):
+            if not node.is_up or not self.detector.is_alive(node_idx):
                 return None  # down: skip, replicas cover its sensors
             try:
                 matching = [
-                    sid for sid in node.sids() if (sid.value & mask) == prefix
+                    sid for sid in node.sids() if sid.prefix(levels) == prefix
                 ]
-                bulk = getattr(node, "query_many", None)
-                if bulk is not None:
-                    series = bulk(matching, start, end)
-                else:
-                    series = {sid: node.query(sid, start, end) for sid in matching}
+                series = node.query_many(matching, start, end)
             except StorageError:
                 return "failed"
             return matching, series
@@ -1023,7 +1020,7 @@ class StorageCluster(StorageBackend):
         merged: set[SensorId] = set()
         for node_idx in self.membership.member_indices():
             node = self.nodes[node_idx]
-            if not _node_up(node):
+            if not node.is_up:
                 continue
             try:
                 merged.update(node.sids())
@@ -1032,17 +1029,18 @@ class StorageCluster(StorageBackend):
         return sorted(merged)
 
     def delete_before(self, sid: SensorId, cutoff: int) -> int:
-        """Best-effort on live replicas; a down replica catches up via
-        TTL/compaction rather than a replayed delete."""
+        """Delete on every live replica; an unreachable one gets the
+        cutoff as a hint, replayed in order with the writes it missed,
+        so its restart cannot resurrect the deleted rows."""
         removed = 0
         for node_idx in self._replicas(sid):
             node = self.nodes[node_idx]
-            if not _node_up(node):
-                continue
             try:
+                if not node.is_up:
+                    raise StorageError(f"node {node_idx} down")
                 removed = max(removed, node.delete_before(sid, cutoff))
             except StorageError:
-                continue
+                self._queue_hint(node_idx, ("cutoff", sid, cutoff), 0)
         return removed
 
     # -- metadata (replicated everywhere) -----------------------------------
@@ -1052,7 +1050,7 @@ class StorageCluster(StorageBackend):
         for node_idx in self.membership.member_indices():
             node = self.nodes[node_idx]
             try:
-                if not _node_up(node):
+                if not node.is_up:
                     raise StorageError(f"node {node_idx} down")
                 node.put_metadata(key, value)
                 ok += 1
@@ -1078,7 +1076,7 @@ class StorageCluster(StorageBackend):
             if node_idx not in members:
                 continue
             node = self.nodes[node_idx]
-            if not _node_up(node):
+            if not node.is_up:
                 self._read_failovers.inc()
                 continue
             try:
@@ -1093,75 +1091,34 @@ class StorageCluster(StorageBackend):
     def compact(self) -> None:
         for node_idx in self.membership.member_indices():
             node = self.nodes[node_idx]
-            if _node_up(node):
+            if node.is_up:
                 node.compact()
 
     def flush(self) -> None:
         for node_idx in self.membership.member_indices():
             node = self.nodes[node_idx]
-            if _node_up(node):
+            if node.is_up:
                 node.flush()
 
     def commit_durable(self) -> bool:
         """Group-commit barrier across durable members.
 
-        Forwards to every live node that implements ``commit_durable``
-        (the :class:`~repro.storage.durable.DurableNode` WAL sync);
-        in-memory members ignore it.  Returns True if any node synced.
+        Forwards to every live member (the
+        :class:`~repro.storage.durable.DurableNode` WAL sync; in-memory
+        members have nothing to sync).  Returns True if any node synced.
         """
         synced = False
         for node_idx in self.membership.member_indices():
             node = self.nodes[node_idx]
-            commit = getattr(node, "commit_durable", None)
-            if commit is not None and _node_up(node):
-                synced = commit() or synced
+            if node.is_up:
+                synced = node.commit_durable() or synced
         return synced
 
     def close(self) -> None:
         self.detector.stop()
         self.rebalance_wait(timeout=self.rebalance_timeout_s)
         for node in self.nodes:
-            close = getattr(node, "close", None)
-            if close is not None:
-                close()
-
-    @classmethod
-    def open_durable(
-        cls,
-        data_dir,
-        num_nodes: int = 1,
-        *,
-        fsync: str = "interval",
-        fsync_interval_s: float = 0.05,
-        flush_threshold: int = 100_000,
-        clock=None,
-        metrics: MetricsRegistry | None = None,
-        **cluster_kwargs,
-    ) -> "StorageCluster":
-        """Build a cluster of durable nodes under one data directory.
-
-        Each replica gets its own subdirectory (``<data_dir>/node<i>``)
-        so per-node WALs and segment files never interleave — reopening
-        the same directory recovers every member independently.
-        """
-        from pathlib import Path
-
-        from repro.storage.durable import DurableNode
-
-        root = Path(data_dir)
-        nodes = [
-            DurableNode(
-                f"node{i}",
-                data_dir=root / f"node{i}",
-                fsync=fsync,
-                fsync_interval_s=fsync_interval_s,
-                flush_threshold=flush_threshold,
-                clock=clock,
-                metrics=metrics,
-            )
-            for i in range(num_nodes)
-        ]
-        return cls(nodes, metrics=metrics, **cluster_kwargs)
+            node.close()
 
     # -- elastic membership --------------------------------------------------
 
@@ -1308,7 +1265,7 @@ class StorageCluster(StorageBackend):
         """Sensors of the moving partition, listed from a live old owner."""
         for src in move.old_replicas:
             node = self.nodes[src]
-            if not _node_up(node):
+            if not node.is_up:
                 continue
             try:
                 return [
@@ -1356,7 +1313,7 @@ class StorageCluster(StorageBackend):
                 continue  # a leaving node's copy dies with the node
             node = self.nodes[loser]
             for sid in sids:
-                if _node_up(node):
+                if node.is_up:
                     try:
                         node.delete_before(sid, _FAR_FUTURE)
                         continue
@@ -1383,7 +1340,7 @@ class StorageCluster(StorageBackend):
         while True:
             for src in attempt_sources:
                 node = self.nodes[src]
-                if not _node_up(node):
+                if not node.is_up:
                     continue
                 if not first_try:
                     self._m_source_failovers.inc()
@@ -1452,9 +1409,13 @@ class StorageCluster(StorageBackend):
                         kept.append(("data", rest))
                     moved_items.extend(mine)
                 if moved_items:
-                    self._hints[loser] = kept
                     self._hints_pending_count -= len(moved_items)
+                    self._hint_readings[loser] -= len(moved_items)
                     self._hints_replayed.inc(len(moved_items))
+                    if kept:
+                        self._hints[loser] = kept
+                    else:
+                        self._forget_hints_locked(loser)
             if moved_items:
                 for target in move.gaining:
                     self._try_write(target, moved_items)

@@ -19,7 +19,7 @@ from repro.storage.durable.codec import (
     encode_timestamps,
     encode_values,
 )
-from repro.storage.durable.node import DurableBackend, DurableNode
+from repro.storage.durable.node import DurableNode
 from repro.storage.durable.segment import SegmentFile, write_segment
 from repro.storage.durable.wal import (
     FSYNC_POLICIES,
@@ -30,7 +30,6 @@ from repro.storage.durable.wal import (
 __all__ = [
     "BitReader",
     "BitWriter",
-    "DurableBackend",
     "DurableNode",
     "FSYNC_POLICIES",
     "SegmentFile",

@@ -46,22 +46,21 @@ import struct
 import threading
 from pathlib import Path
 from time import monotonic, perf_counter, sleep
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.common.errors import StorageError
-from repro.core.sid import SID_BITS_PER_LEVEL, SID_LEVELS, SensorId
+from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
-from repro.storage.backend import InsertItem, StorageBackend
-from repro.storage.node import StorageNode, _Segment, _SensorData
+from repro.storage.backend import InsertItem
+from repro.storage.node import StorageNode, _Segment, _SensorData, merge_lww
 
-from . import wal as walmod
 from .blockcache import BlockCache
 from .segment import SegmentFile, segment_path, write_segment
 from .wal import CUTOFF, DATA, META, WriteAheadLog, scan_wal_file, wal_path
 
-__all__ = ["DurableBackend", "DurableNode"]
+__all__ = ["DurableNode"]
 
 _MANIFEST_FORMAT = 1
 _M64 = (1 << 64) - 1
@@ -131,33 +130,6 @@ def _encode_cutoff(sid: SensorId, cutoff: int) -> bytes:
 def _decode_cutoff(payload: bytes) -> tuple[SensorId, int]:
     hi, lo, cutoff = struct.unpack("<QQq", payload)
     return SensorId((hi << 64) | lo), cutoff
-
-
-def _merge_lww(
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], now: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate (older parts first), stable-sort, keep last per ts.
-
-    The flush-time dedup invariant: a stable sort preserves part order
-    within equal timestamps, so keeping the final occurrence keeps the
-    *newest* write.  ``now`` additionally drops expired rows.
-    """
-    ts = np.concatenate([p[0] for p in parts])
-    vals = np.concatenate([p[1] for p in parts])
-    exp = np.concatenate([p[2] for p in parts])
-    if now is not None:
-        live = exp > now
-        if not live.all():
-            ts, vals, exp = ts[live], vals[live], exp[live]
-    order = np.argsort(ts, kind="stable")
-    ts, vals, exp = ts[order], vals[order], exp[order]
-    if ts.size > 1:
-        keep = np.empty(ts.size, dtype=bool)
-        keep[:-1] = ts[1:] != ts[:-1]
-        keep[-1] = True
-        if not keep.all():
-            ts, vals, exp = ts[keep], vals[keep], exp[keep]
-    return ts, vals, exp
 
 
 def _atomic_json(path: Path, doc: dict) -> None:
@@ -607,14 +579,10 @@ class DurableNode(StorageNode):
     def _persist_unsealed_locked(self) -> None:
         def sensors() -> Iterator[tuple[SensorId, np.ndarray, np.ndarray, np.ndarray]]:
             for sid in sorted(self._unsealed):
-                segments = self._unsealed[sid]
-                if len(segments) == 1:
-                    seg = segments[0]
-                    yield sid, seg.timestamps, seg.values, seg.expiries
-                else:
-                    yield sid, *_merge_lww(
-                        [(s.timestamps, s.values, s.expiries) for s in segments]
-                    )
+                yield sid, *merge_lww(
+                    [(s.timestamps, s.values, s.expiries) for s in self._unsealed[sid]],
+                    ascending=True,
+                )
 
         fileno = self._next_fileno
         stats = write_segment(
@@ -726,9 +694,7 @@ class DurableNode(StorageNode):
         def sensors() -> Iterator[tuple[SensorId, np.ndarray, np.ndarray, np.ndarray]]:
             for sid in run_sids:
                 parts = [sf.read(sid) for _, sf in victims if sid in sf]
-                ts, vals, exp = (
-                    parts[0] if len(parts) == 1 else _merge_lww(parts, now=None)
-                )
+                ts, vals, exp = merge_lww(parts, ascending=True)
                 cutoff = cutoffs.get(sid)
                 live = exp > now
                 if cutoff is not None:
@@ -1035,128 +1001,3 @@ class DurableNode(StorageNode):
             for _, sf in self._seg_files:
                 sf.close()
             self._block_cache.clear()
-
-
-class DurableBackend(StorageBackend):
-    """Single-node durable :class:`StorageBackend` over a data directory.
-
-    The file-backed sibling of :class:`~repro.storage.memory.MemoryBackend`:
-    same contract (the suite in ``tests/storage/test_backends_contract.py``
-    runs against it, including a reopen-between-write-and-read variant),
-    plus ``commit_durable()`` — the group-commit barrier the batching
-    writer invokes before acknowledging a batch.
-    """
-
-    def __init__(
-        self,
-        data_dir: str | Path,
-        *,
-        name: str = "durable0",
-        fsync: str = "interval",
-        fsync_interval_s: float = 0.05,
-        flush_threshold: int = 100_000,
-        max_segment_files: int = 8,
-        compact_min_run: int = 4,
-        compaction: str = "background",
-        compact_min_interval_s: float = 0.0,
-        block_cache_bytes: int = 64 * 1024 * 1024,
-        clock=None,
-        metrics: MetricsRegistry | None = None,
-        disk=None,
-    ) -> None:
-        self.node = DurableNode(
-            name=name,
-            data_dir=data_dir,
-            fsync=fsync,
-            fsync_interval_s=fsync_interval_s,
-            flush_threshold=flush_threshold,
-            max_segment_files=max_segment_files,
-            compact_min_run=compact_min_run,
-            compaction=compaction,
-            compact_min_interval_s=compact_min_interval_s,
-            block_cache_bytes=block_cache_bytes,
-            clock=clock,
-            metrics=metrics,
-            disk=disk,
-        )
-
-    # -- data plane --------------------------------------------------------
-
-    def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
-        self.node.insert(sid, timestamp, value, ttl_s)
-
-    def insert_batch(self, items: Iterable[InsertItem]) -> int:
-        return self.node.insert_batch(items)
-
-    def commit_durable(self) -> bool:
-        return self.node.commit_durable()
-
-    def query(self, sid: SensorId, start: int, end: int):
-        return self.node.query(sid, start, end)
-
-    def query_many(self, sids, start: int, end: int):
-        return self.node.query_many(sids, start, end)
-
-    def query_prefix(
-        self, prefix: int, levels: int, start: int, end: int
-    ) -> Iterator[tuple[SensorId, np.ndarray, np.ndarray]]:
-        keep_bits = SID_BITS_PER_LEVEL * levels
-        mask = (
-            ((1 << keep_bits) - 1) << (SID_LEVELS * SID_BITS_PER_LEVEL - keep_bits)
-            if keep_bits
-            else 0
-        )
-        candidates = [sid for sid in self.node.sids() if (sid.value & mask) == prefix]
-        results = self.node.query_many(candidates, start, end)
-        for sid in candidates:
-            ts, vals = results[sid]
-            if ts.size:
-                yield sid, ts, vals
-
-    def sids(self) -> list[SensorId]:
-        return self.node.sids()
-
-    def delete_before(self, sid: SensorId, cutoff: int) -> int:
-        return self.node.delete_before(sid, cutoff)
-
-    # -- metadata plane ----------------------------------------------------
-
-    def put_metadata(self, key: str, value: str) -> None:
-        self.node.put_metadata(key, value)
-
-    def get_metadata(self, key: str) -> str | None:
-        return self.node.get_metadata(key)
-
-    def metadata_keys(self, prefix: str = "") -> list[str]:
-        return self.node.metadata_keys(prefix)
-
-    # -- maintenance -------------------------------------------------------
-
-    def compact(self) -> None:
-        self.node.compact()
-
-    def flush(self) -> None:
-        self.node.flush()
-
-    def close(self) -> None:
-        self.node.close()
-
-    # -- observability -----------------------------------------------------
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.node.metrics
-
-    def metrics_registries(self) -> list[MetricsRegistry]:
-        return [self.node.metrics]
-
-    @property
-    def recovery_info(self) -> dict:
-        return self.node.recovery_info
-
-    def state_fingerprint(self) -> str:
-        return self.node.state_fingerprint()
-
-
-# Re-exported for introspection/tooling convenience.
-FSYNC_POLICIES = walmod.FSYNC_POLICIES

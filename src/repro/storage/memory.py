@@ -10,11 +10,10 @@ exercise storage internals.
 from __future__ import annotations
 
 import threading
-from typing import Iterator
 
 import numpy as np
 
-from repro.core.sid import SID_BITS_PER_LEVEL, SID_LEVELS, SensorId
+from repro.core.sid import SensorId
 from repro.storage.backend import StorageBackend
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -82,22 +81,6 @@ class MemoryBackend(StorageBackend):
             order = np.argsort(ts)
             out[sid] = (ts[order], vals[order])
         return out
-
-    def query_prefix(
-        self, prefix: int, levels: int, start: int, end: int
-    ) -> Iterator[tuple[SensorId, np.ndarray, np.ndarray]]:
-        keep_bits = SID_BITS_PER_LEVEL * levels
-        mask = (
-            ((1 << keep_bits) - 1) << (SID_LEVELS * SID_BITS_PER_LEVEL - keep_bits)
-            if keep_bits
-            else 0
-        )
-        with self._lock:
-            candidates = [sid for sid in self._data if (sid.value & mask) == prefix]
-        for sid in sorted(candidates):
-            ts, vals = self.query(sid, start, end)
-            if ts.size:
-                yield sid, ts, vals
 
     def sids(self) -> list[SensorId]:
         with self._lock:

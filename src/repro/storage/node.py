@@ -27,13 +27,54 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
+from repro.storage.backend import StorageBackend
 
 _INT64_MAX = (1 << 63) - 1
+
+
+def merge_lww(
+    parts: list[tuple[np.ndarray, ...]],
+    now: int | None = None,
+    ascending: bool = False,
+) -> Sequence[np.ndarray]:
+    """Last-write-wins merge of column runs into one strictly
+    ascending, timestamp-deduplicated run — the one place the rule is
+    written down.
+
+    ``parts`` are ``(timestamps, values[, expiries])`` column tuples,
+    oldest write first.  A stable sort keeps part (and insertion)
+    order within equal timestamps, so keeping the final occurrence
+    keeps the *newest* write — Cassandra semantics: the later upsert
+    replaces the earlier value *and* its TTL.  ``now`` additionally
+    drops rows whose expiry has passed.  ``ascending`` promises every
+    part already is such a run (a sealed segment, a disk block): a
+    lone part then comes back as the views it went in as, which is
+    what keeps the single-segment read path zero-copy.
+    """
+    lone = len(parts) == 1
+    cols = parts[0] if lone else [np.concatenate(col) for col in zip(*parts)]
+    if now is not None:
+        live = cols[2] > now
+        if not live.all():
+            cols = [col[live] for col in cols]
+    if lone and ascending:
+        return cols
+    order = np.argsort(cols[0], kind="stable")
+    cols = [col[order] for col in cols]
+    ts = cols[0]
+    if ts.size > 1:
+        keep = np.empty(ts.size, dtype=bool)
+        keep[:-1] = ts[1:] != ts[:-1]
+        keep[-1] = True
+        if not keep.all():
+            cols = [col[keep] for col in cols]
+    return cols
 
 
 @dataclass(slots=True)
@@ -113,7 +154,7 @@ class _SensorData:
     segments: list[_Segment] = field(default_factory=list)
 
 
-class StorageNode:
+class StorageNode(StorageBackend):
     """One storage server of the distributed store.
 
     ``flush_threshold`` is the per-node memtable row budget before an
@@ -272,24 +313,20 @@ class StorageNode:
         for sid, data in self._data.items():
             if not data.mem_ts:
                 continue
-            ts = np.asarray(data.mem_ts, dtype=np.int64)
-            vals = np.asarray(data.mem_val, dtype=np.int64)
-            exp = np.asarray(data.mem_exp, dtype=np.int64)
-            order = np.argsort(ts, kind="stable")
-            ts, vals, exp = ts[order], vals[order], exp[order]
-            # Deduplicate duplicate timestamps last-write-wins at freeze
-            # time (the stable sort kept insertion order within equal
-            # keys).  Cassandra semantics: the later upsert replaces the
-            # earlier value *and* its TTL.  This establishes the
+            # Sorting and deduplicating at freeze time establishes the
             # strictly-ascending segment invariant the zero-copy query
             # fast path relies on.
-            if ts.size > 1:
-                keep = np.empty(ts.size, dtype=bool)
-                keep[:-1] = ts[1:] != ts[:-1]
-                keep[-1] = True
-                if not keep.all():
-                    ts, vals, exp = ts[keep], vals[keep], exp[keep]
-            segment = _Segment(ts, vals, exp)
+            segment = _Segment(
+                *merge_lww(
+                    [
+                        (
+                            np.asarray(data.mem_ts, dtype=np.int64),
+                            np.asarray(data.mem_val, dtype=np.int64),
+                            np.asarray(data.mem_exp, dtype=np.int64),
+                        )
+                    ]
+                )
+            )
             data.mem_ts.clear()
             data.mem_val.clear()
             data.mem_exp.clear()
@@ -330,23 +367,12 @@ class StorageNode:
                     self._compact_sensor(data)
 
     def _compact_sensor(self, data: _SensorData) -> None:
-        now = self._clock()
-        all_ts = np.concatenate([seg.timestamps for seg in data.segments])
-        all_vals = np.concatenate([seg.values for seg in data.segments])
-        all_exp = np.concatenate([seg.expiries for seg in data.segments])
-        live = all_exp > now
-        all_ts, all_vals, all_exp = all_ts[live], all_vals[live], all_exp[live]
-        order = np.argsort(all_ts, kind="stable")
-        all_ts, all_vals, all_exp = all_ts[order], all_vals[order], all_exp[order]
-        # Last-write-wins on duplicate timestamps: keep the final
-        # occurrence of each timestamp (stable sort preserved insertion
-        # order within equal keys).
-        if all_ts.size > 1:
-            keep = np.empty(all_ts.size, dtype=bool)
-            keep[:-1] = all_ts[1:] != all_ts[:-1]
-            keep[-1] = True
-            all_ts, all_vals, all_exp = all_ts[keep], all_vals[keep], all_exp[keep]
-        data.segments = [_Segment(all_ts, all_vals, all_exp)]
+        merged = merge_lww(
+            [(seg.timestamps, seg.values, seg.expiries) for seg in data.segments],
+            now=self._clock(),
+            ascending=True,
+        )
+        data.segments = [_Segment(*merged)]
         self._compactions.inc()
 
     # -- read path ----------------------------------------------------------
@@ -386,39 +412,24 @@ class StorageNode:
         now: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Merge staged segments + memtable snapshot into one series."""
-        parts_ts: list[np.ndarray] = []
-        parts_val: list[np.ndarray] = []
+        parts: list[tuple[np.ndarray, ...]] = []
         for seg in segments:
-            ts, vals = seg.slice(start, end, now)
-            if ts.size:
-                parts_ts.append(ts)
-                parts_val.append(vals)
+            part = seg.slice(start, end, now)
+            if part[0].size:
+                parts.append(part)
         mem_contributed = False
         if mem is not None:
             mts, mvals, mexp = mem
             mask = (mts >= start) & (mts <= end) & (mexp > now)
             if mask.any():
-                parts_ts.append(mts[mask])
-                parts_val.append(mvals[mask])
+                parts.append((mts[mask], mvals[mask]))
                 mem_contributed = True
-        if not parts_ts:
+        if not parts:
             return _EMPTY, _EMPTY
-        if len(parts_ts) == 1 and not mem_contributed:
-            # Zero-copy fast path: a single segment slice is already
-            # sorted and timestamp-deduplicated (the segment invariant),
-            # so the views from slice() are the final answer — no
-            # concatenate, no argsort, no fancy-index copy.
-            return parts_ts[0], parts_val[0]
-        ts = np.concatenate(parts_ts)
-        vals = np.concatenate(parts_val)
-        order = np.argsort(ts, kind="stable")
-        ts, vals = ts[order], vals[order]
-        if ts.size > 1:
-            keep = np.empty(ts.size, dtype=bool)
-            keep[:-1] = ts[1:] != ts[:-1]
-            keep[-1] = True
-            ts, vals = ts[keep], vals[keep]
-        return ts, vals
+        # A single segment slice is already sorted and deduplicated
+        # (the segment invariant), so merge_lww hands the views from
+        # slice() back untouched; memtable rows are in arrival order.
+        return merge_lww(parts, ascending=not mem_contributed)
 
     def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """Time-ordered readings of ``sid`` in [start, end]."""

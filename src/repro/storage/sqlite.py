@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Iterator
 
 import numpy as np
 
-from repro.core.sid import SID_BITS_PER_LEVEL, SID_LEVELS, SensorId
+from repro.core.sid import SensorId
 from repro.storage.backend import StorageBackend
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -136,22 +135,6 @@ class SqliteBackend(StorageBackend):
                     out[by_hex[rows[run_start][0]]] = (arr[:, 0], arr[:, 1])
                     run_start = i
         return out
-
-    def query_prefix(
-        self, prefix: int, levels: int, start: int, end: int
-    ) -> Iterator[tuple[SensorId, np.ndarray, np.ndarray]]:
-        keep_bits = SID_BITS_PER_LEVEL * levels
-        mask = (
-            ((1 << keep_bits) - 1) << (SID_LEVELS * SID_BITS_PER_LEVEL - keep_bits)
-            if keep_bits
-            else 0
-        )
-        for sid in self.sids():
-            if (sid.value & mask) != prefix:
-                continue
-            ts, vals = self.query(sid, start, end)
-            if ts.size:
-                yield sid, ts, vals
 
     def sids(self) -> list[SensorId]:
         with self._lock:

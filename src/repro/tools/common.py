@@ -34,7 +34,7 @@ def open_backend(uri: str) -> StorageBackend:
     if scheme == "memory":
         return MemoryBackend()
     if scheme == "durable":
-        from repro.storage.durable import DurableBackend
+        from repro.storage.durable import DurableNode
 
         path, _, query = rest.partition("?")
         if not path:
@@ -55,7 +55,7 @@ def open_backend(uri: str) -> StorageBackend:
                 f"unknown durable URI option(s): {', '.join(sorted(options))}"
             )
         try:
-            return DurableBackend(path, **kwargs)
+            return DurableNode("durable0", data_dir=path, **kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     raise ConfigError(

@@ -40,7 +40,7 @@ from repro.observability import (
     PIPELINE_METRIC,
     parse_prometheus_text,
 )
-from repro.storage import DurableBackend, MemoryBackend, StorageCluster, StorageNode
+from repro.storage import DurableNode, MemoryBackend, StorageCluster, StorageNode
 from repro.storage.rollup import is_rollup_sid
 
 TESTER_CONFIG = "group g0 { interval 1000\n numSensors 16 }"
@@ -139,7 +139,7 @@ def _runtime_families() -> set[str]:
         [StorageNode("drift-node", metrics=registry)], metrics=registry
     )
     with tempfile.TemporaryDirectory(prefix="dcdb-drift-") as tmp:
-        DurableBackend(tmp, name="drift-durable", metrics=registry).close()
+        DurableNode("drift-durable", data_dir=tmp, metrics=registry).close()
     backend = MemoryBackend()
     agent = CollectAgent(
         backend,
@@ -171,8 +171,8 @@ def _pruning_exercise(failures: list[str]) -> None:
     print("durable read path: block pruning + cache")
     sid = SensorId.from_codes([9, 9])
     with tempfile.TemporaryDirectory(prefix="dcdb-prune-") as tmp:
-        seed = DurableBackend(
-            tmp, name="prune", fsync="off", max_segment_files=100
+        seed = DurableNode(
+            "prune", data_dir=tmp, fsync="off", max_segment_files=100
         )
         for block in range(4):
             seed.insert_batch(
@@ -180,8 +180,8 @@ def _pruning_exercise(failures: list[str]) -> None:
             )
             seed.flush()
         seed.close()
-        store = DurableBackend(
-            tmp, name="prune", fsync="off", max_segment_files=100
+        store = DurableNode(
+            "prune", data_dir=tmp, fsync="off", max_segment_files=100
         )
         label = {"node": "prune"}
         ts, _ = store.query(sid, 0, 99 * NS_PER_SEC)  # first file only
@@ -311,7 +311,7 @@ def _run(data_dir: str) -> int:
     hub = InProcHub(allow_subscribe=False, metrics=registry)
     # The smoke pipeline ingests into the durable engine so the
     # WAL/segment instruments carry real traffic on both endpoints.
-    backend = DurableBackend(data_dir, name="smoke-durable", metrics=registry)
+    backend = DurableNode("smoke-durable", data_dir=data_dir, metrics=registry)
     agent = CollectAgent(
         backend,
         broker=hub,

@@ -250,11 +250,11 @@ class TestFlushFailure:
     def test_retries_exhausted_counts_lost(self):
         inner = MemoryBackend()
         backend = FaultyBackend(inner)
-        backend.set_down(True)
+        backend.kill()
         writer = self.make_writer(backend, retries=2)
         writer.put(items(*range(5)))
         assert wait_for(lambda: writer.lost == 5)
-        backend.set_down(False)
+        backend.restart()
         writer.stop()
         assert inner.count(SID, 0, 100) == 0  # abandoned after the cap
         assert writer.requeued == 2 * 5  # each retry re-stages the batch

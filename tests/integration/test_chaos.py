@@ -87,7 +87,7 @@ class TestKillRestartMidIngest:
         # Every replica holds every sensor's complete series — read the
         # raw nodes underneath the fault proxies so verification itself
         # cannot fail over and mask a hole.
-        raw_nodes = [proxy.node for proxy in sim.flaky_nodes]
+        raw_nodes = [proxy.backend for proxy in sim.flaky_nodes]
         sids = raw_nodes[0].sids()
         for node in raw_nodes[1:]:
             sids = sorted(set(sids) | set(node.sids()))
@@ -134,7 +134,7 @@ class TestKillRestartMidIngest:
                 cluster.metrics.value("dcdb_storage_hints_queued_total"),
                 cluster.metrics.value("dcdb_storage_hints_replayed_total"),
                 cluster.metrics.value("dcdb_storage_write_retries_total"),
-                tuple(proxy.node.row_count for proxy in sim.flaky_nodes),
+                tuple(proxy.backend.row_count for proxy in sim.flaky_nodes),
                 tuple(proxy.kills for proxy in sim.flaky_nodes),
             )
 
@@ -193,7 +193,7 @@ class TestRollupSurvivesNodeOutage:
                 assert got_vals.tolist() == expect.tolist()
         # Both replicas of a rollup series hold it fully after replay —
         # read the raw nodes underneath the fault proxies directly.
-        raw_nodes = [proxy.node for proxy in sim.flaky_nodes]
+        raw_nodes = [proxy.backend for proxy in sim.flaky_nodes]
         fsid = rollup_sid(raw_sids[0], 0, 3)
         replicas = cluster.partitioner.replicas_for(fsid, cluster.replication)
         sizes = [
@@ -242,12 +242,12 @@ class TestFlakyBackendDuringFlush:
             ),
         )
         sid = SensorId.from_codes([1, 2, 3])
-        backend.set_down(True)
+        backend.kill()
         for t in range(100):
             writer.put([(sid, t, t, 0)])
         time.sleep(0.05)  # flush loop spins against the dead backend
         assert inner.count(sid, 0, 1000) == 0
-        backend.set_down(False)
+        backend.restart()
         assert writer.drain(10.0)
         assert inner.count(sid, 0, 1000) == 100
         writer.stop()

@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.faults import FaultPlan, FlakyNode, RebalanceFaultInjector
+from repro.faults import FaultPlan, FaultyBackend, RebalanceFaultInjector
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
 from repro.storage.membership import NODE_DOWN, NODE_REMOVED, NODE_UP
 from repro.storage.node import StorageNode
@@ -96,7 +96,7 @@ class TestGrowClusterMidIngest:
         injector = RebalanceFaultInjector(cluster)
         injector.kill_source_after(chunks=1, proxies=sim.flaky_nodes)
         idx3 = len(cluster.nodes)
-        node3 = FlakyNode(
+        node3 = FaultyBackend(
             StorageNode(f"node{idx3}", clock=sim.clock), plan=sim.fault_plan
         )
         sim.flaky_nodes.append(node3)

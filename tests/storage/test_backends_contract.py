@@ -4,10 +4,11 @@ This is the executable form of the paper's section 5.1 claim — the
 storage API is backend-independent, so Cassandra (here: the
 wide-column cluster) can be swapped for another database "without any
 changes in the upstream components".  Each test runs against the
-cluster, the in-memory store, the SQLite store, a quiescent
-:class:`~repro.faults.FaultyBackend` (proving the fault-injection
-wrapper is fully transparent when no faults fire) — and the durable
-WAL+segment store, both live and through a reopen-between-write-and-
+cluster, the in-memory store, the SQLite store, a bare storage node (a
+node *is* a backend), a quiescent :class:`~repro.faults.FaultyBackend`
+over the memory store and over a node (proving the fault-injection
+proxy is fully transparent when no faults fire) — and the durable
+WAL+segment node, both live and through a reopen-between-write-and-
 read proxy that forces every read to come off the on-disk files.
 """
 
@@ -17,7 +18,7 @@ import pytest
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
 from repro.storage.cluster import StorageCluster
-from repro.storage.durable import DurableBackend
+from repro.storage.durable import DurableNode
 from repro.storage.memory import MemoryBackend
 from repro.storage.node import StorageNode
 from repro.storage.sqlite import SqliteBackend
@@ -28,7 +29,7 @@ SID_OTHER = SensorId.from_codes([2, 1, 1])
 
 
 class ReopeningDurable:
-    """Durable backend that cold-starts before every read.
+    """Durable node that cold-starts before every read.
 
     Each read-side call seals the memtable (``flush``), closes the
     backend and reopens the data directory, so the answer can only
@@ -43,6 +44,7 @@ class ReopeningDurable:
             "query_prefix",
             "sids",
             "latest",
+            "oldest",
             "count",
             "get_metadata",
             "metadata_keys",
@@ -51,12 +53,12 @@ class ReopeningDurable:
 
     def __init__(self, path):
         self._path = path
-        self._backend = DurableBackend(path, name="contract-reopen")
+        self._backend = DurableNode("contract-reopen", data_dir=path)
 
     def _reopen(self):
         self._backend.flush()
         self._backend.close()
-        self._backend = DurableBackend(self._path, name="contract-reopen")
+        self._backend = DurableNode("contract-reopen", data_dir=self._path)
 
     def __getattr__(self, name):
         if name in self._READS:
@@ -68,18 +70,31 @@ class ReopeningDurable:
 
 
 @pytest.fixture(
-    params=["cluster", "memory", "sqlite", "faulty", "durable", "durable_reopen"]
+    params=[
+        "cluster",
+        "memory",
+        "sqlite",
+        "node",
+        "faulty",
+        "faulty_node",
+        "durable",
+        "durable_reopen",
+    ]
 )
 def backend(request):
     if request.param == "cluster":
         b = StorageCluster([StorageNode("a"), StorageNode("b")], replication=2)
     elif request.param == "memory":
         b = MemoryBackend()
+    elif request.param == "node":
+        b = StorageNode("contract-node")
     elif request.param == "faulty":
         b = FaultyBackend(MemoryBackend(), fault_rate=0.0)
+    elif request.param == "faulty_node":
+        b = FaultyBackend(StorageNode("contract-node"), fault_rate=0.0)
     elif request.param == "durable":
         tmp_path = request.getfixturevalue("tmp_path")
-        b = DurableBackend(tmp_path / "durable", name="contract-durable")
+        b = DurableNode("contract-durable", data_dir=tmp_path / "durable")
     elif request.param == "durable_reopen":
         tmp_path = request.getfixturevalue("tmp_path")
         b = ReopeningDurable(tmp_path / "durable")
@@ -133,6 +148,7 @@ class TestDataContract:
         backend.insert(SID, 1, 10)
         backend.insert(SID, 9, 90)
         assert backend.latest(SID) == (9, 90)
+        assert backend.oldest(SID) == (1, 10)
 
     def test_delete_before(self, backend):
         for t in range(10):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import NodeDownError, StorageError
 from repro.core.sid import SensorId
-from repro.faults import FlakyNode
+from repro.faults import FaultyBackend
 from repro.storage.cluster import StorageCluster
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import HashPartitioner, HierarchicalPartitioner
@@ -22,7 +22,7 @@ def make_cluster(n=3, replication=1, partitioner=None):
 
 def make_flaky_cluster(n=3, replication=2, **kwargs):
     """A cluster whose members can be killed/restarted, no retry sleeps."""
-    nodes = [FlakyNode(StorageNode(f"node{i}")) for i in range(n)]
+    nodes = [FaultyBackend(StorageNode(f"node{i}")) for i in range(n)]
     part = HierarchicalPartitioner(n, levels=2)
     cluster = StorageCluster(
         nodes, partitioner=part, replication=replication,

@@ -17,7 +17,7 @@ from repro.common.errors import StorageError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.sid import SensorId
 from repro.faults import DiskFaultInjector
-from repro.storage.durable import DurableBackend, DurableNode, scan_wal_file
+from repro.storage.durable import DurableNode, scan_wal_file
 from repro.storage.durable.segment import SegmentFile, segment_path, write_segment
 from repro.storage.durable.wal import DATA, META, WriteAheadLog, wal_path
 
@@ -593,32 +593,32 @@ class TestTieredCompaction:
         node.close()
 
 
-# -- backend wrapper / metrics -------------------------------------------
+# -- the node as a backend / metrics --------------------------------------
 
 
-class TestDurableBackend:
+class TestNodeAsBackend:
     def test_fingerprint_stable_across_reopen_chain(self, tmp_path):
-        b = DurableBackend(tmp_path / "d", fsync="always")
+        b = DurableNode(data_dir=tmp_path / "d", fsync="always")
         b.insert_batch([(SID, t, t, 0) for t in range(250)])
         b.put_metadata("k", "v")
         fp = b.state_fingerprint()
         b.close()
         for _ in range(3):
-            b = DurableBackend(tmp_path / "d", fsync="always")
+            b = DurableNode(data_dir=tmp_path / "d", fsync="always")
             assert b.state_fingerprint() == fp
             b.close()
 
     def test_commit_durable_is_group_commit(self, tmp_path):
-        b = DurableBackend(tmp_path / "d", fsync="interval", fsync_interval_s=3600.0)
+        b = DurableNode(data_dir=tmp_path / "d", fsync="interval", fsync_interval_s=3600.0)
         b.insert_batch([(SID, t, t, 0) for t in range(10)])
-        assert b.node.wal.syncs == 0  # interval far away: nothing synced
-        b.node.wal._last_sync = -(10**9)  # make the interval due
+        assert b.wal.syncs == 0  # interval far away: nothing synced
+        b.wal._last_sync = -(10**9)  # make the interval due
         assert b.commit_durable() is True
-        assert b.node.wal.syncs == 1
+        assert b.wal.syncs == 1
         b.close()
 
     def test_wal_and_segment_metrics_advance(self, tmp_path):
-        b = DurableBackend(tmp_path / "d", name="m0", fsync="always")
+        b = DurableNode("m0", data_dir=tmp_path / "d", fsync="always")
         b.insert_batch([(SID, t, t, 0) for t in range(100)])
         b.flush()
         m = b.metrics
@@ -635,4 +635,4 @@ class TestDurableBackend:
 
     def test_rejects_bad_fsync_policy(self, tmp_path):
         with pytest.raises(ValueError):
-            DurableBackend(tmp_path / "d", fsync="never")
+            DurableNode(data_dir=tmp_path / "d", fsync="never")

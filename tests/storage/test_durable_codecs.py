@@ -226,7 +226,7 @@ class TestLwwDedupThenEncode:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_dedup_then_round_trip(self, seed):
-        from repro.storage.durable.node import _merge_lww
+        from repro.storage.node import merge_lww
 
         rng = random.Random(seed)
         n = rng.randint(10, 300)
@@ -240,7 +240,7 @@ class TestLwwDedupThenEncode:
                 np.array(exp, dtype=np.int64),
             )
         ]
-        mts, mvals, mexp = _merge_lww(parts)
+        mts, mvals, mexp = merge_lww(parts)
         # Post-merge invariant: strictly increasing timestamps.
         assert np.all(np.diff(mts) > 0), f"seed={seed}"
         assert decode_timestamps(encode_timestamps(mts), mts.size).tolist() == mts.tolist()

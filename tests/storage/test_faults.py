@@ -12,7 +12,7 @@ import pytest
 
 from repro.common.errors import FaultInjectedError, NodeDownError, StorageError
 from repro.core.sid import SensorId
-from repro.faults import BrokerFaultInjector, FaultPlan, FaultyBackend, FlakyNode
+from repro.faults import BrokerFaultInjector, FaultPlan, FaultyBackend
 from repro.storage import MemoryBackend, StorageCluster, StorageNode
 from repro.storage.partitioner import HierarchicalPartitioner
 
@@ -26,7 +26,7 @@ def sid(*codes):
 
 
 def flaky_cluster(n=3, replication=2, **kwargs):
-    nodes = [FlakyNode(StorageNode(f"node{i}")) for i in range(n)]
+    nodes = [FaultyBackend(StorageNode(f"node{i}")) for i in range(n)]
     cluster = StorageCluster(
         nodes,
         partitioner=HierarchicalPartitioner(n, levels=2),
@@ -103,12 +103,12 @@ class TestFaultyBackend:
 
     def test_down_mode_fails_everything_until_up(self):
         backend = FaultyBackend(MemoryBackend())
-        backend.set_down(True)
-        with pytest.raises(FaultInjectedError):
+        backend.kill()
+        with pytest.raises(NodeDownError):
             backend.query(sid(1, 1, 1), 0, 10)
-        with pytest.raises(FaultInjectedError):
+        with pytest.raises(NodeDownError):
             backend.put_metadata("k", "v")
-        backend.set_down(False)
+        backend.restart()
         backend.put_metadata("k", "v")
         assert backend.get_metadata("k") == "v"
 
@@ -136,9 +136,9 @@ class TestFaultyBackend:
             FaultyBackend(MemoryBackend(), fault_rate=1.5)
 
 
-class TestFlakyNode:
+class TestFaultyNode:
     def test_kill_restart_cycle(self):
-        node = FlakyNode(StorageNode("n0"))
+        node = FaultyBackend(StorageNode("n0"))
         node.insert(sid(1, 1, 1), 1, 10)
         node.kill()
         assert not node.is_up
@@ -150,14 +150,14 @@ class TestFlakyNode:
         assert node.kills == 1
 
     def test_up_gauge_on_node_registry(self):
-        node = FlakyNode(StorageNode("n7"))
+        node = FaultyBackend(StorageNode("n7"))
         assert node.metrics.value("dcdb_storage_node_up", {"node": "n7"}) == 1
         node.kill()
         assert node.metrics.value("dcdb_storage_node_up", {"node": "n7"}) == 0
 
     def test_probabilistic_faults_deterministic(self):
         def run():
-            node = FlakyNode(StorageNode("n0"), plan=FaultPlan(7), fault_rate=0.4)
+            node = FaultyBackend(StorageNode("n0"), plan=FaultPlan(7), fault_rate=0.4)
             out = []
             for t in range(60):
                 try:
@@ -263,11 +263,51 @@ class TestHintedHandoff:
     def test_hint_capacity_evicts_oldest(self):
         cluster, nodes = flaky_cluster(2, replication=2, hint_capacity=10)
         nodes[1].kill()
+        measured = []
+        cluster._entry_size = lambda entry: measured.append(entry) or len(entry[1])
         s = sid(1, 1, 1)
         for t in range(25):
             cluster.insert(s, t, t)
         assert cluster.hints_pending <= 11  # capacity + at most one entry
-        assert cluster.metrics.value("dcdb_storage_hints_dropped_total") >= 14
+        dropped = cluster.metrics.value("dcdb_storage_hints_dropped_total")
+        assert dropped >= 14
+        # Queueing measures only what it evicts (a running per-node
+        # count, not a re-scan of the queue per hint) ...
+        assert len(measured) == dropped
+        # ... and the counts still balance after overflow: every queued
+        # reading is pending, dropped, or (after the restart) replayed.
+        assert cluster.metrics.value("dcdb_storage_hints_queued_total") == 25
+        assert cluster.hints_pending + dropped == 25
+        nodes[1].restart()
+        assert cluster.replay_hints() == 25 - dropped
+        assert cluster.hints_pending == 0
+        assert cluster.metrics.value("dcdb_storage_hints_replayed_total") == 25 - dropped
+
+    def test_delete_reaches_a_replica_that_was_down(self):
+        # Without the hinted cutoff the restarted replica still holds
+        # timestamps 0-4 and serves them once its peer is gone.
+        cluster, nodes = flaky_cluster(2, replication=2)
+        s = sid(1, 1, 1)
+        for t in range(10):
+            cluster.insert(s, t, t)
+        first, second = cluster.partitioner.replicas_for(s, 2)
+        nodes[second].kill()
+        assert cluster.delete_before(s, 5) == 5
+        nodes[second].restart()
+        nodes[first].kill()
+        ts, _ = cluster.query(s, 0, 100)
+        assert ts.tolist() == [5, 6, 7, 8, 9]
+        # FIFO with data hints: a late reading written *after* a delete
+        # survives it on the replica that missed both.
+        nodes[first].restart()
+        nodes[second].kill()
+        cluster.delete_before(s, 8)
+        cluster.insert(s, 6, 66)
+        nodes[second].restart()
+        nodes[first].kill()
+        ts, vals = cluster.query(s, 0, 100)
+        assert ts.tolist() == [6, 8, 9] and vals.tolist() == [66, 8, 9]
+        assert cluster.hints_pending == 0
 
     def test_metadata_hinted_and_replayed(self):
         cluster, nodes = flaky_cluster(2, replication=2)
@@ -286,7 +326,7 @@ class TestHintedHandoff:
         cluster.insert(s, 1, 10)
         nodes[1].kill()
         cluster.insert(s, 2, 20)
-        nodes[1].node.insert(s, 2, 20)  # sneak the write in behind the proxy
+        nodes[1].backend.insert(s, 2, 20)  # sneak the write in behind the proxy
         nodes[1].restart()
         cluster.replay_hints()
         ts, vals = nodes[1].query(s, 0, 10)

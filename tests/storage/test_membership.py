@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.core.sid import SensorId
-from repro.faults import FlakyNode
+from repro.faults import FaultyBackend
 from repro.storage.cluster import StorageCluster
 from repro.storage.membership import (
     NODE_DOWN,
@@ -369,7 +369,7 @@ class TestClusterWiring:
         cluster.close()
 
     def test_node_states_reports_detector_detail(self):
-        nodes = [FlakyNode(StorageNode(f"node{i}")) for i in range(3)]
+        nodes = [FaultyBackend(StorageNode(f"node{i}")) for i in range(3)]
         part = HierarchicalPartitioner(3, levels=2)
         cluster = StorageCluster(
             nodes, partitioner=part, replication=2, sleep=lambda _s: None
