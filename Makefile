@@ -154,11 +154,25 @@ bench-rebalance:
 # time plus the machine-independent *_x / *_ratio extra_info values)
 # against the committed BENCH_*.json baselines; fails on any >25%
 # regression.  Refresh the baselines with `make bench-baseline`.
+#
+# With PARENT=<checkout of the parent commit> it runs the paired
+# end-to-end protocol instead: benchmarks/e2e/run.py of PARENT and of
+# this tree alternately (PAIRS pairs per workload, seed k for pair k,
+# sides alternating who goes first), one table per workload; fails if
+# an end-to-end metric is worse by more than its BENCHMARK.json bound.
+#   git clone . ../parent && git -C ../parent checkout HEAD~1
+#   make bench-compare PARENT=../parent [PAIRS=10] [WORKLOADS="ingest_grid mixed_rw"]
+PAIRS ?= 10
 bench-compare:
+ifdef PARENT
+	PYTHONPATH=src $(PYTHON) -m repro.tools.bench_compare pairs $(PARENT) . \
+		--pairs $(PAIRS) $(foreach w,$(WORKLOADS),--workload $(w))
+else
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only \
 		--benchmark-json=.bench_fresh.json
 	PYTHONPATH=src $(PYTHON) -m repro.tools.bench_compare .bench_fresh.json
 	rm -f .bench_fresh.json
+endif
 
 # Structural smoke over the committed baselines (they parse, carry
 # stats, and name only benchmarks that still collect) — rides along

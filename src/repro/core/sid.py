@@ -306,19 +306,14 @@ class PersistentSidMapper(SidMapper):
         )
         return int(text) if text else None
 
-    def _allocate_component(self, level_idx: int, component: str) -> int:
-        next_key = f"{self._NEXT_PREFIX}/{level_idx}"
-        text = self._backend.get_metadata(next_key)
+    def _next_code(self, level_idx: int) -> int:
+        text = self._backend.get_metadata(f"{self._NEXT_PREFIX}/{level_idx}")
         code = int(text) if text else 1
         limit = _level_code_limit(level_idx)
         if code > limit:
             raise StorageError(
                 f"SID level {level_idx} exhausted ({limit} components)"
             )
-        self._backend.put_metadata(next_key, str(code + 1))
-        self._backend.put_metadata(
-            f"{self._COMP_PREFIX}/{level_idx}/{component}", str(code)
-        )
         return code
 
     def sid_for_topic(self, topic: str) -> SensorId:
@@ -334,17 +329,27 @@ class PersistentSidMapper(SidMapper):
                 f"topic {topic!r} has {len(levels)} levels, max is {SID_LEVELS}"
             )
         codes: list[int] = []
+        allocated: list[tuple[str, str]] = []
         with self._lock:
             for level_idx, component in enumerate(levels):
-                forward = self._forward[level_idx]
-                code = forward.get(component)
+                code = self._forward[level_idx].get(component)
                 if code is None:
                     code = self._load_component(level_idx, component)
-                    if code is None:
-                        code = self._allocate_component(level_idx, component)
-                    forward[component] = code
-                    self._reverse[level_idx][code] = component
+                if code is None:
+                    code = self._next_code(level_idx)
+                    allocated += [
+                        (f"{self._NEXT_PREFIX}/{level_idx}", str(code + 1)),
+                        (f"{self._COMP_PREFIX}/{level_idx}/{component}", str(code)),
+                    ]
                 codes.append(code)
+            # Every component this topic introduced, in one metadata
+            # write — and before any is installed, so a failed write
+            # leaves the mapper as it was.
+            if allocated:
+                self._backend.put_metadata_many(allocated)
+            for level_idx, (component, code) in enumerate(zip(levels, codes)):
+                self._forward[level_idx][component] = code
+                self._reverse[level_idx][code] = component
             sid = SensorId.from_codes(codes)
             self._topic_cache[topic] = sid
         return sid

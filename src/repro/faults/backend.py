@@ -208,6 +208,12 @@ class FaultyBackend(StorageBackend):
         self._guard("put_metadata")
         self.backend.put_metadata(key, value)
 
+    def put_metadata_many(self, pairs) -> None:
+        # Same op name as put_metadata: a batch is one metadata write,
+        # so seeded schedules keep drawing from the stream they did.
+        self._guard("put_metadata")
+        self.backend.put_metadata_many(pairs)
+
     def get_metadata(self, key: str) -> str | None:
         self._guard("get_metadata")
         return self.backend.get_metadata(key)

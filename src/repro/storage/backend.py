@@ -145,6 +145,16 @@ class StorageBackend(abc.ABC):
         """Store one metadata entry (sensor properties, virtual-sensor
         definitions, publication lists)."""
 
+    def put_metadata_many(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Store ``(key, value)`` entries, applied in order (``""``
+        deletes).  Same outcome as one :meth:`put_metadata` per pair —
+        the keys are independent, so a failure may leave a prefix
+        applied — but stores with a per-call cost (a lock, a WAL
+        commit, a replica round-trip) override it to pay that once.
+        """
+        for key, value in pairs:
+            self.put_metadata(key, value)
+
     @abc.abstractmethod
     def get_metadata(self, key: str) -> str | None:
         """Fetch one metadata entry, or None."""

@@ -1046,18 +1046,33 @@ class StorageCluster(StorageBackend):
     # -- metadata (replicated everywhere) -----------------------------------
 
     def put_metadata(self, key: str, value: str) -> None:
+        self.put_metadata_many([(key, value)])
+
+    def put_metadata_many(self, pairs) -> None:
+        """One call per member; a member that misses the batch gets
+        every pair hinted, in order with the writes around it."""
+        pairs = list(pairs)
+        if not pairs:
+            return
         ok = 0
         for node_idx in self.membership.member_indices():
-            node = self.nodes[node_idx]
-            try:
-                if not node.is_up:
-                    raise StorageError(f"node {node_idx} down")
-                node.put_metadata(key, value)
-                ok += 1
-            except StorageError:
-                self._queue_hint(node_idx, ("meta", key, value), 0)
+            ok += self._put_metadata_on(node_idx, pairs)
         if ok == 0:
-            raise StorageError(f"metadata write {key!r} failed on every node")
+            raise StorageError(
+                f"metadata write {pairs[0][0]!r} (+{len(pairs) - 1} more) failed on every node"
+            )
+
+    def _put_metadata_on(self, node_idx: int, pairs: list[tuple[str, str]]) -> bool:
+        node = self.nodes[node_idx]
+        try:
+            if not node.is_up:
+                raise StorageError(f"node {node_idx} down")
+            node.put_metadata_many(pairs)
+            return True
+        except StorageError:
+            for key, value in pairs:
+                self._queue_hint(node_idx, ("meta", key, value), 0)
+            return False
 
     def get_metadata(self, key: str) -> str | None:
         return self._metadata_read(lambda node: node.get_metadata(key))
@@ -1202,18 +1217,19 @@ class StorageCluster(StorageBackend):
 
     def _seed_metadata(self, new_idx: int) -> None:
         """Copy replicated metadata onto a joining node (hint on failure)."""
-        node = self.nodes[new_idx]
         try:
             keys = self._metadata_read(lambda n: n.metadata_keys(""))
         except StorageError:
             return  # nothing readable anywhere; nothing to seed
+        pairs = []
         for key in keys:
             try:
                 value = self._metadata_read(lambda n, k=key: n.get_metadata(k))
-                if value is not None:
-                    node.put_metadata(key, value)
             except StorageError:
-                self._queue_hint(new_idx, ("meta", key, value), 0)
+                continue  # readable nowhere right now: nothing to copy
+            if value is not None:
+                pairs.append((key, value))
+        self._put_metadata_on(new_idx, pairs)
 
     def _drain_inflight_writes(self, timeout: float = 5.0) -> None:
         """Wait out writes routed under the pre-bump epoch.

@@ -177,67 +177,116 @@ def _small_int(bb: bytes, off: int, width: int) -> int:
     return value
 
 
+# -- batched block layout ---------------------------------------------------
+#
+# Both encoders take one concatenated column plus the row bounds of the
+# series in it and emit every series' byte-aligned block from a single
+# vector pass; a lone column is a batch of one.  A block is a 64-bit
+# head (the first row verbatim) followed by one variable-width token
+# per further row; an empty series is an empty block.
+
+
+def _split_series(values, offsets):
+    """``(column, rows per series, token rows, first-token flags)``.
+
+    Token rows are the global indices of every row but each series'
+    first; a token is *first* when the row before it is a head, which
+    is where the per-series predictor state (previous delta, XOR
+    window) starts from scratch.
+    """
+    column = _as_i64_column(values)
+    if offsets is None:
+        bounds = np.array([0, column.size], dtype=np.int64)
+    else:
+        bounds = np.asarray(offsets, dtype=np.int64)
+    sizes = np.diff(bounds)
+    is_token = np.ones(column.size, dtype=bool)
+    is_token[bounds[:-1][sizes > 0]] = False
+    tok = np.flatnonzero(is_token)
+    return column, sizes, tok, ~is_token[tok - 1]
+
+
+def _lay_out(column: np.ndarray, sizes: np.ndarray, widths: np.ndarray):
+    """Allocate the shared bit plane and place every head in it.
+
+    Returns ``(bits, bit offset of every token, series byte bounds)``: series
+    ``i`` owns bytes ``bounds[i]:bounds[i + 1]`` of the packed plane,
+    so every block starts byte-aligned and its zero padding is just
+    the untouched tail of its last byte.
+    """
+    tokens = np.maximum(sizes - 1, 0)
+    run = np.concatenate(([0], np.cumsum(widths)))
+    first = np.concatenate(([0], np.cumsum(tokens)))[:-1]
+    series_bits = np.where(sizes > 0, 64 + run[first + tokens] - run[first], 0)
+    bounds = np.concatenate(([0], np.cumsum((series_bits + 7) >> 3)))
+    starts = bounds[:-1] << 3
+    offsets = np.repeat(starts + 64 - run[first], tokens) + run[:-1]
+    bits = np.zeros(int(bounds[-1]) << 3, dtype=np.uint8)
+    live = sizes > 0
+    heads = column.view(np.uint64)[(np.cumsum(sizes) - sizes)[live]]
+    _scatter_bits(bits, starts[live], heads, 64)
+    return bits, offsets, bounds
+
+
+def _blocks(bits: np.ndarray, bounds: np.ndarray, batched: bool):
+    packed = np.packbits(bits).tobytes()
+    if not batched:
+        return packed
+    cuts = bounds.tolist()
+    return [packed[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 # -- delta-of-delta timestamp codec ---------------------------------------
 
 
-def encode_timestamps(values) -> bytes:
-    """Delta-of-delta encode an int64 column (timestamps, expiries).
+def encode_timestamps(values, offsets=None):
+    """Delta-of-delta encode int64 columns (timestamps, expiries).
+
+    ``values`` alone is one series and the result its block;  with
+    ``offsets`` (``S + 1`` ascending row bounds) it is the
+    concatenation of ``S`` series and the result the list of their
+    blocks, each identical to encoding that series alone.
 
     Bucket codes: ``0`` dod=0; ``10``+7 bits; ``110``+16; ``1110``+32;
     ``1111``+68 (zigzag; 68 bits covers the worst-case second
     difference of two int64 extremes).
     """
-    ts = _as_i64_column(values)
-    n = int(ts.size)
-    if n == 0:
-        return b""
-    head = int(ts[0]) & _M64
-    if n == 1:
-        return head.to_bytes(8, "big")
+    ts, sizes, tok, first = _split_series(values, offsets)
     u = ts.view(np.uint64)
-    m = n - 1
     # True deltas are 65-bit quantities: carry the wrapped int64 value
     # plus a ±2^64 correction term so classification stays exact.
-    a, b = ts[1:], ts[:-1]
-    d = (u[1:] - u[:-1]).view(np.int64)
+    a, b = ts[tok], ts[tok - 1]
+    d = (u[tok] - u[tok - 1]).view(np.int64)
     ovf = ((a < 0) != (b < 0)) & ((d < 0) != (a < 0))
     c = np.where(a >= 0, 1, -1) * ovf
-    sd = np.empty(m, dtype=np.int64)
-    sd[0] = d[0]
-    du = d.view(np.uint64)
-    sd[1:] = (du[1:] - du[:-1]).view(np.int64)
-    k = np.empty(m, dtype=np.int64)
-    k[0] = c[0]
-    ovf2 = ((d[1:] < 0) != (d[:-1] < 0)) & ((sd[1:] < 0) != (d[1:] < 0))
-    k[1:] = np.where(d[1:] >= 0, 1, -1) * ovf2 + c[1:] - c[:-1]
+    # The delta (and carry) before each series' first token is zero.
+    d_prev = np.zeros_like(d)
+    c_prev = np.zeros_like(c)
+    d_prev[1:] = d[:-1]
+    c_prev[1:] = c[:-1]
+    d_prev[first] = 0
+    c_prev[first] = 0
+    sd = (d.view(np.uint64) - d_prev.view(np.uint64)).view(np.int64)
+    ovf2 = ((d < 0) != (d_prev < 0)) & ((sd < 0) != (d < 0))
+    k = np.where(d >= 0, 1, -1) * ovf2 + c - c_prev
     # dod_i = sd_i + (k_i << 64); k != 0 always lands in the 68-bit
     # bucket because |dod| >= 2^63 then.
     zz = (sd.view(np.uint64) << _U1) ^ np.right_shift(sd, 63).view(np.uint64)
-    bucket = np.full(m, 4, dtype=np.uint8)
-    small = k == 0
-    cls_small = np.where(
-        sd == 0,
-        0,
-        np.where(zz < 128, 1, np.where(zz < (1 << 16), 2, np.where(zz < (1 << 32), 3, 4))),
-    ).astype(np.uint8)
-    bucket[small] = cls_small[small]
-
-    widths = _DOD_TOKEN_BITS[bucket]
-    ends = np.cumsum(widths)
-    offsets = np.empty(m, dtype=np.int64)
-    offsets[0] = 64
-    offsets[1:] = 64 + ends[:-1]
-    total = 64 + int(ends[-1])
-    bits = np.zeros(total, dtype=np.uint8)
-    _scatter_bits(
-        bits, np.zeros(1, dtype=np.int64), np.array([head], dtype=np.uint64), 64
+    bucket = np.where(
+        k != 0,
+        4,
+        np.where(
+            sd == 0,
+            0,
+            np.where(zz < 128, 1, np.where(zz < (1 << 16), 2, np.where(zz < (1 << 32), 3, 4))),
+        ),
     )
+    bits, at, bounds = _lay_out(ts, sizes, _DOD_TOKEN_BITS[bucket])
     # Bucket 0 is the single '0' bit — already zeroed.
     for cls, ctl, pay in ((1, 0b10, 7), (2, 0b110, 16), (3, 0b1110, 32)):
         idx = np.flatnonzero(bucket == cls)
         if idx.size:
-            vals = np.uint64(ctl << pay) | zz[idx]
-            _scatter_bits(bits, offsets[idx], vals, 2 + pay if cls == 1 else (3 + pay if cls == 2 else 4 + pay))
+            _scatter_bits(bits, at[idx], np.uint64(ctl << pay) | zz[idx], cls + 1 + pay)
     idx4 = np.flatnonzero(bucket == 4)
     if idx4.size:
         hi = np.empty(idx4.size, dtype=np.uint64)
@@ -247,9 +296,9 @@ def encode_timestamps(values) -> bytes:
             z = (dod << 1) ^ (dod >> 127)
             hi[i] = (0b1111 << 4) | (z >> 64)
             lo[i] = z & _M64
-        _scatter_bits(bits, offsets[idx4], hi, 8)
-        _scatter_bits(bits, offsets[idx4] + 8, lo, 64)
-    return np.packbits(bits).tobytes()
+        _scatter_bits(bits, at[idx4], hi, 8)
+        _scatter_bits(bits, at[idx4] + 8, lo, 64)
+    return _blocks(bits, bounds, offsets is not None)
 
 
 def decode_timestamps(data, count: int) -> np.ndarray:
@@ -328,44 +377,37 @@ def decode_timestamps(data, count: int) -> np.ndarray:
 # -- Gorilla XOR value codec ----------------------------------------------
 
 
-def encode_values(values) -> bytes:
-    """Gorilla-style XOR encode an int64 value column.
+def encode_values(values, offsets=None):
+    """Gorilla-style XOR encode int64 value columns.
 
-    Per value: ``0`` if the XOR with the previous value is zero;
-    ``10`` + meaningful bits reusing the previous leading/trailing-zero
-    window; ``11`` + 6-bit leading count + 6-bit (length-1) + bits for
-    a fresh window.
+    One series or, with ``offsets``, a batch of them — see
+    :func:`encode_timestamps`.  Per value: ``0`` if the XOR with the
+    previous value is zero; ``10`` + meaningful bits reusing the
+    previous leading/trailing-zero window; ``11`` + 6-bit leading
+    count + 6-bit (length-1) + bits for a fresh window.
     """
-    vals = _as_i64_column(values)
-    n = int(vals.size)
-    if n == 0:
-        return b""
+    vals, sizes, tok, first = _split_series(values, offsets)
     u = vals.view(np.uint64)
-    head = int(u[0])
-    if n == 1:
-        return head.to_bytes(8, "big")
-    x = u[1:] ^ u[:-1]
-    m = n - 1
+    x = u[tok] ^ u[tok - 1]
     nz_idx = np.flatnonzero(x)
-    widths = np.ones(m, dtype=np.int64)
-    kind = win = sh = lead_v = None
+    widths = np.ones(tok.size, dtype=np.int64)
     if nz_idx.size:
         xs = x[nz_idx]
-        bl = _bit_length_u64(xs)
-        lead_v = 64 - bl
+        lead_v = 64 - _bit_length_u64(xs)
         tz = _bit_length_u64(xs & (_U0 - xs)) - 1
+        series = np.cumsum(first)[nz_idx]
+        fresh = np.ones(nz_idx.size, dtype=bool)
+        fresh[1:] = series[1:] != series[:-1]
         # The window state machine is inherently sequential, but only
         # over rows whose XOR is non-zero — everything around it
         # (leading/trailing-zero counts, payload shifts, bit packing)
-        # is vectorized.
+        # is vectorized.  It starts over with every series.
         kind_l: list[bool] = []
         win_l: list[int] = []
         sh_l: list[int] = []
-        lead_s = -1
-        trail_s = 0
-        win_s = 0
-        for l, t in zip(lead_v.tolist(), tz.tolist()):
-            if lead_s >= 0 and l >= lead_s and t >= trail_s:
+        lead_s = trail_s = win_s = 0
+        for l, t, new in zip(lead_v.tolist(), tz.tolist(), fresh.tolist()):
+            if not new and l >= lead_s and t >= trail_s:
                 kind_l.append(False)
                 win_l.append(win_s)
                 sh_l.append(trail_s)
@@ -380,18 +422,10 @@ def encode_values(values) -> bytes:
         win = np.array(win_l, dtype=np.int64)
         sh = np.array(sh_l, dtype=np.uint64)
         widths[nz_idx] = np.where(kind, 14 + win, 2 + win)
-    ends = np.cumsum(widths)
-    offsets = np.empty(m, dtype=np.int64)
-    offsets[0] = 64
-    offsets[1:] = 64 + ends[:-1]
-    total = 64 + int(ends[-1])
-    bits = np.zeros(total, dtype=np.uint8)
-    _scatter_bits(
-        bits, np.zeros(1, dtype=np.int64), np.array([head], dtype=np.uint64), 64
-    )
+    bits, at, bounds = _lay_out(vals, sizes, widths)
     if nz_idx.size:
-        payload = x[nz_idx] >> sh
-        off_nz = offsets[nz_idx]
+        payload = xs >> sh
+        off_nz = at[nz_idx]
         reuse = ~kind
         if reuse.any():
             _scatter_bits(
@@ -411,7 +445,7 @@ def encode_values(values) -> bytes:
         for w in np.unique(win):
             sel = win == w
             _scatter_bits(bits, pay_off[sel], payload[sel], int(w))
-    return np.packbits(bits).tobytes()
+    return _blocks(bits, bounds, offsets is not None)
 
 
 def decode_values(data, count: int) -> np.ndarray:

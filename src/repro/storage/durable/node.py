@@ -520,13 +520,19 @@ class DurableNode(StorageNode):
             self._m_wal_syncs.inc()
         return synced
 
-    def put_metadata(self, key: str, value: str) -> None:
+    def put_metadata_many(self, pairs) -> None:
+        """One ``META`` frame per pair, one commit for the batch.  The
+        frames are independent keys, so a torn tail that replays only a
+        prefix leaves what separate calls cut short would have left."""
+        pairs = list(pairs)
         with self._lock:
             if not self._replaying:
-                nbytes = self._wal.append(META, _encode_meta(key, value))
-                self._m_wal_appends.inc()
+                nbytes = sum(
+                    self._wal.append(META, _encode_meta(key, value)) for key, value in pairs
+                )
+                self._m_wal_appends.inc(len(pairs))
                 self._m_wal_bytes.inc(nbytes)
-            super().put_metadata(key, value)
+            super().put_metadata_many(pairs)
             if not self._replaying:
                 self._commit_locked()
 

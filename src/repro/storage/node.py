@@ -575,11 +575,15 @@ class StorageNode(StorageBackend):
     # -- metadata -------------------------------------------------------------
 
     def put_metadata(self, key: str, value: str) -> None:
+        self.put_metadata_many([(key, value)])
+
+    def put_metadata_many(self, pairs) -> None:
         with self._lock:
-            if value == "":
-                self._metadata.pop(key, None)
-            else:
-                self._metadata[key] = value
+            for key, value in pairs:
+                if value == "":
+                    self._metadata.pop(key, None)
+                else:
+                    self._metadata[key] = value
 
     def get_metadata(self, key: str) -> str | None:
         with self._lock:

@@ -20,16 +20,28 @@ needs no storage-layer support beyond ``insert_batch``.
 Sealing follows the same rule as the streaming
 :class:`~repro.analytics.operators.Aggregator`: a bucket is complete
 once a reading with a *later* timestamp arrives (sensors are
-synchronized in DCDB).  Sealed buckets are recomputed **from the raw
-series just written** — the engine observes batches only after the
-backend accepted them — so rollup values inherit storage's
-last-write-wins timestamp dedup and are bit-identical to aggregating
-the raw rows at query time.  Late readings that land below a sealed
-watermark trigger a recompute of the affected buckets (LWW overwrite
-on re-insert).  Per-sensor/per-tier coverage windows are persisted as
-backend metadata, so the query planner knows exactly which span a tier
-can serve and falls back to raw outside it, and the engine resumes
-after a restart without double-counting.
+synchronized in DCDB).  Buckets seal **from running aggregates**: the
+engine keeps, per sensor and tier, the min/max/sum/count of the open
+bucket in columnar state, folds each observed batch into the finest
+tier and every sealed bucket into the next coarser one (the four
+statistics are decomposable), and writes everything that became due
+with one ``insert_batch`` and one ``put_metadata_many`` per batch.
+Rollup rows stay bit-identical to aggregating the last-write-wins raw
+series because the running aggregates are used only while a sensor's
+readings are strictly newer than everything seen for it; otherwise
+the affected tiers are **read back** — recomputed from the raw series
+the backend holds (the engine observes batches only after the backend
+accepted them) and their open buckets re-seeded from the same read.
+The read-back triggers: a reading at or below the newest one seen
+(late below a watermark — the buckets from the one holding it are
+re-sealed, LWW overwrite on re-insert — or a duplicate timestamp); the
+first seal of each tier after the engine met the sensor (a restart
+mid-bucket, history stored before the engine existed); a failed
+rollup write; stored rows newer than any observed.  Per-sensor/
+per-tier coverage windows are persisted as backend metadata, so the
+query planner knows exactly which span a tier can serve and falls
+back to raw outside it, and the engine resumes after a restart
+without double-counting.
 
 Retention (:class:`RetentionPolicy`) demotes raw data to its rollups
 via the vectorized ``delete_before`` path: the effective cutoff is
@@ -45,7 +57,8 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -240,16 +253,39 @@ class RollupConfig:
             raise ValueError("retention_check_every_s must be positive")
 
 
-@dataclass(slots=True)
-class _SidState:
-    """Per-sensor rollup bookkeeping (guarded by the engine lock)."""
+#: ``_redo_from`` of a sensor with nothing to recompute.
+_NEVER = np.iinfo(np.int64).max
+#: Upper bound of the read-back: everything stored, also rows newer
+#: than any the engine has observed.
+_FOREVER = 1 << 62
+#: Sensors recomputed from raw per ``query_many`` (bounds the read).
+_REDO_CHUNK = 256
+#: Row of the per-tier open-bucket table (start, min, max, sum,
+#: count) that says whether a bucket is open at all.
+_COUNT = 4
 
-    coverage: list[list[int]]  # per tier: [lo, hi) sealed span, ns
-    high: int  # newest raw timestamp observed
-    dirty_min: int | None = None  # oldest unprocessed observation
-    dirty: bool = False  # has unprocessed observations
-    pending: bool = False  # last advance failed; retry on next chance
-    field_sids: list[SensorId] = field(default_factory=list)
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first row of every run of equal ``keys``."""
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(head)
+
+
+class _Pass:
+    """What one engine pass is about to write, as lists of column
+    tuples: sealed buckets ``(tier, slot, start, min, max, sum,
+    count)`` and moved coverage ``(tier, slot, lo, hi)``."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple] = []
+        self.spans: list[tuple] = []
+
+    @staticmethod
+    def columns(parts: list[tuple], width: int) -> list[np.ndarray]:
+        if not parts:
+            return [np.empty(0, dtype=np.int64)] * width
+        return [np.concatenate(column) for column in zip(*parts)]
 
 
 class RollupEngine:
@@ -275,9 +311,25 @@ class RollupEngine:
         self.config = config if config is not None else RollupConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock if clock is not None else now_ns
+        #: Serializes passes (observe, flush, backfill), backend I/O
+        #: included; ``coverage()``/``status()`` read without it.
         self._lock = threading.Lock()
-        self._states: dict[SensorId, _SidState] = {}
-        self._skip: set[SensorId] = set()  # rollup sids / no spare level
+        tiers = len(self.config.tiers)
+        self._widths = np.array([tier.bucket_ns for tier in self.config.tiers])[:, None]
+        #: sid -> slot; -1 for series that stay raw-only (rollup series
+        #: themselves, sensors with no spare SID level).
+        self._slot_of: dict[SensorId, int] = {}
+        self._sids: list[SensorId] = []  # slot -> sid
+        self._pending: set[int] = set()  # slots whose last write failed
+        self._field_sids = np.empty((tiers * len(FIELDS), 64), dtype=object)
+        self._high = np.zeros(64, dtype=np.int64)  # newest timestamp observed
+        self._cov = np.zeros((tiers, 2, 64), dtype=np.int64)  # sealed [lo, hi)
+        self._open = np.zeros((tiers, 5, 64), dtype=np.int64)
+        self._depth = np.zeros(64, dtype=np.int64)
+        #: Oldest reading since the last pass that did not simply
+        #: extend its series (late, duplicate): sealed buckets from the
+        #: one holding it onward no longer match the raw rows.
+        self._redo_from = np.full(64, _NEVER, dtype=np.int64)
         self._last_retention_ns: int | None = None
         self._observed = self.metrics.counter(
             "dcdb_rollup_readings_observed_total",
@@ -290,7 +342,7 @@ class RollupEngine:
         )
         self._flushes = self.metrics.counter(
             "dcdb_rollup_flushes_total",
-            "Engine passes that sealed and wrote at least one bucket",
+            "Sensor seals: per engine pass, the sensors it wrote at least one bucket for",
         )
         self._errors = self.metrics.counter(
             "dcdb_rollup_write_errors_total",
@@ -312,201 +364,282 @@ class RollupEngine:
         """Fold one durably-inserted batch into the rollup state.
 
         Must be called only after ``insert_batch`` succeeded for
-        ``items`` — sealing reads the raw series back, so observing
+        ``items`` — a recompute reads the raw series back, so observing
         unpersisted readings would roll up data that may not exist.
         Never raises; failures are counted and retried.
         """
+        self._pass(items)
+        self._maybe_retention()
+
+    def flush(self) -> None:
+        """Retry every sensor whose last rollup write failed.
+
+        Called on agent shutdown and by tests.  Observed readings are
+        folded as they arrive, so nothing else is ever outstanding;
+        sealing still requires a later reading, so the open bucket
+        stays open (the planner's raw tail covers it).
+        """
+        self._pass([])
+
+    def _pass(self, items: list[InsertItem]) -> None:
         try:
-            self._observe(items)
+            with self._lock:
+                self._observe(items)
         except Exception:  # noqa: BLE001 - derived data must not break ingest
             self._errors.inc()
             logger.exception("rollup observe failed for %d readings", len(items))
-        self._maybe_retention()
 
     def _observe(self, items: list[InsertItem]) -> None:
-        touched: list[tuple[SensorId, _SidState]] = []
-        observed = 0
-        late = 0
-        with self._lock:
-            for sid, timestamp, _value, _ttl in items:
-                state = self._states.get(sid)
-                if state is None:
-                    if sid in self._skip:
-                        continue
-                    state = self._new_state(sid, timestamp)
-                    if state is None:
-                        # No room for a rollup suffix, or itself a
-                        # rollup series: stays raw-only.
-                        self._skip.add(sid)
-                        continue
-                observed += 1
-                if timestamp > state.high:
-                    state.high = timestamp
-                if state.dirty_min is None or timestamp < state.dirty_min:
-                    state.dirty_min = timestamp
-                if timestamp < state.coverage[0][1]:
-                    late += 1
-                if not state.dirty:
-                    state.dirty = True
-                    touched.append((sid, state))
-            # Give previously failed sids another chance on any traffic.
-            for sid, state in self._states.items():
-                if state.pending and not state.dirty:
-                    state.dirty = True
-                    touched.append((sid, state))
-        if observed:
-            self._observed.inc(observed)
-        if late:
-            self._late.inc(late)
-        for sid, state in touched:
-            self._advance(sid, state)
+        slot, ts, values = self._columns(items)
+        out = _Pass()
+        touched = slot[:0]
+        if slot.size:
+            self._observed.inc(int(slot.size))
+            late = int((ts < self._cov[0, 1, slot]).sum())
+            if late:
+                self._late.inc(late)
+            first = _group_starts(slot)
+            touched = slot[first]
+            # A sensor's rows extend its series when each is newer than
+            # the one before, the first newer than anything seen.
+            before = np.empty_like(ts)
+            before[1:] = ts[:-1]
+            before[first] = self._high[touched]
+            odd = np.logical_or.reduceat(ts <= before, first)
+            if odd.any():
+                self._depth[touched[odd]] = 0
+                self._redo_from[touched[odd]] = np.minimum(
+                    self._redo_from[touched[odd]], np.minimum.reduceat(ts, first)[odd]
+                )
+            self._high[touched] = np.maximum(before[first], np.maximum.reduceat(ts, first))
+            self._fold(out, slot, ts, values, values, values, np.ones_like(ts))
+        redo = self._due(np.union1d(touched, np.array(sorted(self._pending), dtype=np.intp)))
+        try:
+            self._recompute(out, redo)
+            self._write(out)
+        except Exception:  # noqa: BLE001 - retried on the next observation
+            # Nothing was committed: coverage stays behind, and what the
+            # running aggregates already absorbed is rebuilt from raw.
+            failed = np.union1d(_Pass.columns(out.spans, 4)[1], redo)
+            self._depth[failed] = 0
+            self._pending.update(failed.tolist())
+            self._errors.inc()
+            logger.exception("rollup write failed for %d sensors", failed.size)
+            return
+        self._redo_from[redo] = _NEVER
+        self._pending.difference_update(redo.tolist())
 
-    def _new_state(self, sid: SensorId, first_ts: int) -> _SidState | None:
-        """Create (or restore from metadata) the state of a new sid."""
+    def _columns(self, items: list[InsertItem]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slot, timestamp, value)`` columns of the rows of tracked
+        sensors, grouped by slot in arrival order."""
+        if not items:
+            empty = np.empty(0, dtype=np.int64)
+            return empty.astype(np.intp), empty, empty
+        sids, timestamps, values, _ttls = zip(*items)
+        slots = list(map(self._slot_of.get, sids))
+        if None in slots:
+            slots = [
+                self._register(sid, timestamp) if slot is None else slot
+                for slot, sid, timestamp in zip(slots, sids, timestamps)
+            ]
+        slot = np.array(slots, dtype=np.intp)
+        ts = np.array(timestamps, dtype=np.int64)
+        vals = np.array(values, dtype=np.int64)
+        order = np.argsort(slot, kind="stable")
+        slot = slot[order]
+        tracked = slice(int(np.searchsorted(slot, 0)), None)  # past the -1s
+        return slot[tracked], ts[order][tracked], vals[order][tracked]
+
+    def _register(self, sid: SensorId, first_ts: int) -> int:
+        """Slot of a sensor not seen before (restoring its coverage
+        from metadata), or -1 when it stays raw-only."""
+        slot = self._slot_of.get(sid)  # an earlier row of the same batch
+        if slot is not None:
+            return slot
         if is_rollup_sid(sid) or sid.level_code(_ROLLUP_LEVEL) != 0:
-            return None
-        coverage: list[list[int]] = []
-        field_sids: list[SensorId] = []
+            self._slot_of[sid] = -1
+            return -1
+        slot = len(self._sids)
+        if slot == self._high.size:
+            # Double every column; the copied half is overwritten slot
+            # by slot, here and (open buckets) on the first re-seed.
+            for name in ("_field_sids", "_high", "_cov", "_open", "_depth", "_redo_from"):
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate((column, column), axis=-1))
         for tier_index, tier in enumerate(self.config.tiers):
-            span = None
-            text = self.backend.get_metadata(coverage_key(sid, tier.label))
-            if text:
-                try:
-                    doc = json.loads(text)
-                    span = [int(doc["lo"]), int(doc["hi"])]
-                except (ValueError, KeyError, TypeError):
-                    span = None
-            if span is None:
+            try:
+                doc = json.loads(self.backend.get_metadata(coverage_key(sid, tier.label)) or "")
+                span = int(doc["lo"]), int(doc["hi"])
+            except (ValueError, KeyError, TypeError):
                 # Fresh sensor: coverage starts at the bucket holding
                 # the first observed reading — earlier data (ingested
                 # before the engine existed) stays raw-only and the
                 # planner serves it from raw, until the retention
                 # lifecycle backfills it ahead of demotion.
                 aligned = (first_ts // tier.bucket_ns) * tier.bucket_ns
-                span = [aligned, aligned]
-            coverage.append(span)
+                span = aligned, aligned
+            self._cov[tier_index, :, slot] = span
             for field_index in range(len(FIELDS)):
-                fsid = rollup_sid(sid, tier_index, field_index)
-                assert fsid is not None
-                field_sids.append(fsid)
-        state = _SidState(
-            coverage=coverage, high=max(first_ts, coverage[0][1]), field_sids=field_sids
-        )
-        self._states[sid] = state
-        return state
-
-    def _advance(self, sid: SensorId, state: _SidState) -> None:
-        """Seal every bucket the newest observation completed.
-
-        Recomputes each pending tier region from the raw series (one
-        backend read covering the union of regions), inserts the
-        rollup rows, then persists the advanced coverage documents.
-        Watermarks move only after the rollup write succeeded.
-        """
-        with self._lock:
-            if not state.dirty:
-                return
-            high = state.high
-            dirty_min = state.dirty_min
-            regions: list[tuple[int, int, int]] = []  # (tier_index, lo, hi)
-            for tier_index, tier in enumerate(self.config.tiers):
-                cov_lo, cov_hi = state.coverage[tier_index]
-                seal_end = (high // tier.bucket_ns) * tier.bucket_ns
-                lo = cov_hi
-                if dirty_min is not None and dirty_min < cov_hi:
-                    # Late arrival below a sealed watermark: recompute
-                    # from the bucket holding it (LWW overwrite).
-                    aligned = (dirty_min // tier.bucket_ns) * tier.bucket_ns
-                    lo = max(cov_lo, aligned)
-                if seal_end > lo:
-                    regions.append((tier_index, lo, seal_end))
-            state.dirty = False
-            state.dirty_min = None
-            if not regions:
-                state.pending = False
-                return
-        raw_lo = min(lo for _, lo, _ in regions)
-        raw_hi = max(hi for _, _, hi in regions)
-        try:
-            timestamps, values = self.backend.query(sid, raw_lo, raw_hi - 1)
-            rollup_items: list[InsertItem] = []
-            written_per_tier: list[tuple[str, int]] = []
-            ttl = self.config.ttl_s
-            for tier_index, lo, hi in regions:
-                tier = self.config.tiers[tier_index]
-                left = int(np.searchsorted(timestamps, lo, side="left"))
-                right = int(np.searchsorted(timestamps, hi, side="left"))
-                starts, mins, maxs, sums, counts = aggregate_buckets(
-                    timestamps[left:right], values[left:right], tier.bucket_ns
+                self._field_sids[tier_index * len(FIELDS) + field_index, slot] = rollup_sid(
+                    sid, tier_index, field_index
                 )
-                base = tier_index * len(FIELDS)
-                for field_index, column in enumerate((mins, maxs, sums, counts)):
-                    fsid = state.field_sids[base + field_index]
-                    rollup_items.extend(
-                        (fsid, int(t), int(v), ttl)
-                        for t, v in zip(starts.tolist(), column.tolist())
-                    )
-                written_per_tier.append((tier.label, int(starts.size)))
-            if rollup_items:
-                self.backend.insert_batch(rollup_items)
-            # Advance + persist coverage only now: a failed write above
-            # leaves the watermark behind, so the region is retried.
-            with self._lock:
-                for tier_index, lo, hi in regions:
-                    cov = state.coverage[tier_index]
-                    if lo < cov[0]:
-                        cov[0] = lo
-                    if hi > cov[1]:
-                        cov[1] = hi
-                payloads = [
-                    (
-                        coverage_key(sid, self.config.tiers[tier_index].label),
-                        json.dumps(
-                            {
-                                "lo": state.coverage[tier_index][0],
-                                "hi": state.coverage[tier_index][1],
-                            }
-                        ),
-                    )
-                    for tier_index, _, _ in regions
-                ]
-                state.pending = False
-            for key, payload in payloads:
-                self.backend.put_metadata(key, payload)
-            for label, buckets in written_per_tier:
-                if buckets:
-                    self._buckets_written.labels(tier=label).inc(buckets)
-            if any(buckets for _, buckets in written_per_tier):
-                self._flushes.inc()
-        except Exception:  # noqa: BLE001 - retried on the next observation
-            with self._lock:
-                state.pending = True
-                # Coverage was not advanced, so the sealed region is
-                # retried wholesale; restore the late-arrival floor too.
-                if dirty_min is not None and (
-                    state.dirty_min is None or dirty_min < state.dirty_min
-                ):
-                    state.dirty_min = dirty_min
-            self._errors.inc()
-            logger.exception("rollup advance failed for sid %s", sid.hex())
+        # Nothing is known about the rows already stored (a restart, or
+        # history from before the engine): the first seal of every tier
+        # reads them back.
+        self._high[slot] = max(first_ts, int(self._cov[0, 1, slot]))
+        self._depth[slot] = 0
+        self._redo_from[slot] = _NEVER
+        self._sids.append(sid)
+        self._slot_of[sid] = slot
+        return slot
 
-    def flush(self) -> None:
-        """Process every sid with unsealed or previously failed work.
+    def _fold(self, out: _Pass, slot, start, mins, maxs, sums, counts) -> None:
+        """Fold rows (grouped by slot, ascending in time) into the
+        running aggregates, finest tier first; what seals in one tier
+        is the input of the next."""
+        for tier_index, tier in enumerate(self.config.tiers):
+            live = self._depth[slot] > tier_index
+            if not live.all():
+                slot, start, mins, maxs, sums, counts = (
+                    column[live] for column in (slot, start, mins, maxs, sums, counts)
+                )
+            if slot.size == 0:
+                return
+            width = tier.bucket_ns
+            opened = self._open[tier_index]
+            first = _group_starts(slot)
+            sensors = slot[first]
+            # Each sensor's open bucket goes in as a row ahead of its input.
+            carried = opened[:, sensors]
+            has = carried[_COUNT] > 0
+            at = first[has]
+            slot = np.insert(slot, at, sensors[has])
+            start, mins, maxs, sums, counts = (
+                np.insert(column, at, carried[row, has])
+                for column, row in zip((start, mins, maxs, sums, counts), range(5))
+            )
+            bucket = start // width * width
+            edge = np.ones(slot.size, dtype=bool)
+            edge[1:] = (slot[1:] != slot[:-1]) | (bucket[1:] != bucket[:-1])
+            runs = np.flatnonzero(edge)
+            slot, start = slot[runs], bucket[runs]
+            mins = np.minimum.reduceat(mins, runs)
+            maxs = np.maximum.reduceat(maxs, runs)
+            sums = np.add.reduceat(sums, runs)
+            counts = np.add.reduceat(counts, runs)
+            # Everything below the bucket holding the newest reading
+            # has sealed; that bucket (one per sensor) stays open.
+            sealed = start < self._high[slot] // width * width
+            opened[_COUNT, sensors] = 0
+            opened[:, slot[~sealed]] = np.stack((start, mins, maxs, sums, counts))[:, ~sealed]
+            slot, start, mins, maxs, sums, counts = (
+                column[sealed] for column in (slot, start, mins, maxs, sums, counts)
+            )
+            tier_column = np.full(slot.size, tier_index)
+            out.rows.append((tier_column, slot, start, mins, maxs, sums, counts))
+            seal_end = self._high[sensors] // width * width
+            moved = seal_end > self._cov[tier_index, 1, sensors]
+            sensors, seal_end = sensors[moved], seal_end[moved]
+            tier_column = np.full(sensors.size, tier_index)
+            out.spans.append((tier_column, sensors, self._cov[tier_index, 0, sensors], seal_end))
 
-        Called on agent shutdown and by tests; sealing still requires a
-        later reading, so the open bucket stays open (the planner's raw
-        tail covers it).
-        """
-        with self._lock:
-            todo = [
-                (sid, state)
-                for sid, state in self._states.items()
-                if state.dirty or state.pending
-            ]
-            for _, state in todo:
-                state.dirty = True
-        for sid, state in todo:
-            self._advance(sid, state)
+    def _due(self, slots: np.ndarray) -> np.ndarray:
+        """Those of ``slots`` with a region to seal (or re-seal) in a
+        tier whose running aggregates cannot be used."""
+        widths, sealed_to = self._widths, self._cov[:, 1, slots]
+        due = self._high[slots] // widths * widths > sealed_to
+        due |= self._redo_from[slots] < sealed_to
+        due &= np.arange(len(widths))[:, None] >= self._depth[slots]
+        return slots[due.any(axis=0)]
+
+    def _recompute(self, out: _Pass, slots: np.ndarray) -> None:
+        """Seal the due regions of ``slots`` from the stored raw series
+        (one ``query_many`` per chunk of sensors) and re-seed their open
+        buckets; a late arrival re-seals from the bucket holding it."""
+        tiers = self.config.tiers
+        for at in range(0, slots.size, _REDO_CHUNK):
+            plans = []
+            for slot in slots[at : at + _REDO_CHUNK].tolist():
+                high, redo_from = int(self._high[slot]), int(self._redo_from[slot])
+                regions = []
+                for tier_index in range(int(self._depth[slot]), len(tiers)):
+                    width = tiers[tier_index].bucket_ns
+                    cov_lo, cov_hi = self._cov[tier_index, :, slot].tolist()
+                    lo = max(cov_lo, redo_from // width * width) if redo_from < cov_hi else cov_hi
+                    if high // width * width > lo:
+                        regions.append((tier_index, lo, high // width * width, cov_lo, cov_hi))
+                if regions:
+                    plans.append((slot, regions))
+            if not plans:
+                continue
+            raw_lo = min(region[1] for _, regions in plans for region in regions)
+            sids = [self._sids[slot] for slot, _ in plans]
+            series = self.backend.query_many(sids, raw_lo, _FOREVER)
+            for slot, regions in plans:
+                ts, values = series[self._sids[slot]]
+                for tier_index, lo, hi, cov_lo, cov_hi in regions:
+                    left, right = np.searchsorted(ts, (lo, hi))
+                    self._seal_raw(out, slot, tier_index, ts[left:right], values[left:right])
+                    span = [min(cov_lo, lo)], [max(cov_hi, hi)]
+                    out.spans.append(([tier_index], [slot], *span))
+                self._reseed(slot, ts, values, raw_lo)
+
+    def _seal_raw(self, out: _Pass, slot: int, tier_index: int, ts, values) -> np.ndarray:
+        """Queue the buckets of one raw slice; returns their starts."""
+        starts, *stats = aggregate_buckets(ts, values, self.config.tiers[tier_index].bucket_ns)
+        tier, slots = np.full(starts.size, tier_index), np.full(starts.size, slot)
+        out.rows.append((tier, slots, starts, *stats))
+        return starts
+
+    def _reseed(self, slot: int, ts: np.ndarray, values: np.ndarray, raw_lo: int) -> None:
+        """Rebuild the open buckets of ``slot`` from the raw rows at and
+        after ``raw_lo``, as far up the tiers as those reach back."""
+        high = int(self._high[slot])
+        if ts.size and ts[-1] > high:
+            return  # stored rows newer than any observed: keep reading back
+        depth = int(self._depth[slot])
+        widths = [tier.bucket_ns for tier in self.config.tiers]
+        # A coarser open bucket holds sealed finer buckets only.
+        upper = high // widths[depth - 1] * widths[depth - 1] if depth else high + 1
+        for tier_index in range(depth, len(widths)):
+            start = high // widths[tier_index] * widths[tier_index]
+            if start < raw_lo:
+                break
+            left, right = np.searchsorted(ts, (start, upper))
+            part = values[left:right]
+            self._open[tier_index, :, slot] = (
+                (start, part.min(), part.max(), part.sum(), part.size) if part.size else 0
+            )
+            upper = start
+            depth = tier_index + 1
+        self._depth[slot] = depth
+
+    def _write(self, out: _Pass) -> None:
+        """Write a pass: one ``insert_batch``, one ``put_metadata_many``,
+        and only then the coverage they stand for."""
+        labels = [tier.label for tier in self.config.tiers]
+        tier, slot, start, *stats = _Pass.columns(out.rows, 7)
+        starts, ttl = start.tolist(), repeat(self.config.ttl_s)
+        items: list[InsertItem] = []
+        for field_index, column in enumerate(stats):
+            field_sids = self._field_sids[tier * len(FIELDS) + field_index, slot]
+            items.extend(zip(field_sids.tolist(), starts, column.tolist(), ttl))
+        moved_tier, moved, lo, hi = _Pass.columns(out.spans, 4)
+        docs = [
+            (coverage_key(self._sids[s], labels[k]), json.dumps({"lo": a, "hi": b}))
+            for k, s, a, b in zip(moved_tier.tolist(), moved.tolist(), lo.tolist(), hi.tolist())
+        ]
+        if items:
+            self.backend.insert_batch(items)
+        if docs:
+            self.backend.put_metadata_many(docs)
+        self._cov[moved_tier, 0, moved] = lo
+        self._cov[moved_tier, 1, moved] = hi
+        for label, buckets in zip(labels, np.bincount(tier, minlength=len(labels)).tolist()):
+            if buckets:
+                self._buckets_written.labels(tier=label).inc(buckets)
+        if slot.size:
+            self._flushes.inc(int(np.unique(slot).size))
 
     # -- retention lifecycle -------------------------------------------------
 
@@ -546,53 +679,44 @@ class RollupEngine:
             now = self._clock()
         tiers = self.config.tiers
         removed = {"raw": 0, **{tier.label: 0 for tier in tiers}}
-        with self._lock:
-            snapshot = [
-                (sid, state, [list(span) for span in state.coverage])
-                for sid, state in self._states.items()
-            ]
+        sids = list(self._sids)
+        sealed_to = self._cov[:, 1, : len(sids)].copy()
         horizons = list(policy.tier_horizons_s)
         horizons += [0] * (len(tiers) - len(horizons))
-        for sid, state, coverage in snapshot:
-            with self._lock:
-                field_sids = list(state.field_sids)
-            # Sealed watermark of the coarsest tier kept forever (the
-            # last tier always survives: its horizon guards only finer
-            # series, never itself without a coarser successor).
-            surviving = [
-                index
-                for index in range(len(tiers))
-                if horizons[index] == 0 or index == len(tiers) - 1
-            ]
-            guard_all = min(coverage[index][1] for index in surviving)
+        # Sealed watermark of the coarsest tier kept forever (the last
+        # tier always survives: its horizon guards only finer series,
+        # never itself without a coarser successor).
+        surviving = [
+            index
+            for index in range(len(tiers))
+            if horizons[index] == 0 or index == len(tiers) - 1
+        ]
+        for slot, sid in enumerate(sids):
             if policy.raw_horizon_s > 0:
+                guard_all = int(sealed_to[surviving, slot].min())
                 cutoff = min(now - policy.raw_horizon_s * NS_PER_SEC, guard_all)
-                if cutoff > 0 and self._backfill(sid, state):
+                if cutoff > 0 and self._backfill(slot):
                     removed["raw"] += int(self.backend.delete_before(sid, cutoff))
             for tier_index, tier in enumerate(tiers[:-1]):
                 horizon = horizons[tier_index]
                 if horizon <= 0:
                     continue
-                coarser_guard = min(
-                    coverage[index][1]
-                    for index in surviving
-                    if index > tier_index
-                )
-                cutoff = min(now - horizon * NS_PER_SEC, coarser_guard)
+                coarser = [index for index in surviving if index > tier_index]
+                cutoff = min(now - horizon * NS_PER_SEC, int(sealed_to[coarser, slot].min()))
                 if cutoff <= 0:
                     continue
                 base = tier_index * len(FIELDS)
-                count = 0
-                for fsid in field_sids[base : base + len(FIELDS)]:
-                    count += int(self.backend.delete_before(fsid, cutoff))
-                removed[tier.label] += count
+                removed[tier.label] += sum(
+                    int(self.backend.delete_before(fsid, cutoff))
+                    for fsid in self._field_sids[base : base + len(FIELDS), slot]
+                )
         for label, count in removed.items():
             if count:
                 self._retention_deleted.labels(tier=label).inc(count)
         return removed
 
-    def _backfill(self, sid: SensorId, state: _SidState) -> bool:
-        """Fold pre-coverage raw history of ``sid`` into every tier.
+    def _backfill(self, slot: int) -> bool:
+        """Fold pre-coverage raw history of a sensor into every tier.
 
         Raw readings ingested before the engine first tracked a sensor
         sit below the tiers' coverage lo watermarks and were never
@@ -605,65 +729,26 @@ class RollupEngine:
         must then skip raw demotion for this sensor.  Cheap when there
         is nothing to do: one bounded backend read per pass.
         """
-        with self._lock:
-            spans = [list(span) for span in state.coverage]
-        ceiling = max(span[0] for span in spans)
-        if ceiling <= 0:
-            return True
+        sid = self._sids[slot]
         try:
-            timestamps, values = self.backend.query(sid, 0, ceiling - 1)
-            if timestamps.size == 0:
-                return True
-            rollup_items: list[InsertItem] = []
-            written_per_tier: list[tuple[str, int]] = []
-            new_lo: list[int] = []
-            ttl = self.config.ttl_s
-            for tier_index, tier in enumerate(self.config.tiers):
-                cov_lo = spans[tier_index][0]
-                # Buckets below cov_lo end exactly at the (aligned)
-                # watermark, and a reading at or above it exists — the
-                # one the coverage was anchored on — so every
-                # backfilled bucket is complete by the sealing rule.
-                right = int(np.searchsorted(timestamps, cov_lo, side="left"))
-                if right == 0:
-                    new_lo.append(cov_lo)
-                    written_per_tier.append((tier.label, 0))
-                    continue
-                starts, mins, maxs, sums, counts = aggregate_buckets(
-                    timestamps[:right], values[:right], tier.bucket_ns
-                )
-                base = tier_index * len(FIELDS)
-                for field_index, column in enumerate((mins, maxs, sums, counts)):
-                    fsid = state.field_sids[base + field_index]
-                    rollup_items.extend(
-                        (fsid, int(t), int(v), ttl)
-                        for t, v in zip(starts.tolist(), column.tolist())
-                    )
-                new_lo.append(min(cov_lo, int(starts[0])))
-                written_per_tier.append((tier.label, int(starts.size)))
-            if rollup_items:
-                self.backend.insert_batch(rollup_items)
             with self._lock:
-                for tier_index, lo in enumerate(new_lo):
-                    if lo < state.coverage[tier_index][0]:
-                        state.coverage[tier_index][0] = lo
-                payloads = [
-                    (
-                        coverage_key(sid, self.config.tiers[tier_index].label),
-                        json.dumps(
-                            {
-                                "lo": state.coverage[tier_index][0],
-                                "hi": state.coverage[tier_index][1],
-                            }
-                        ),
-                    )
-                    for tier_index in range(len(self.config.tiers))
-                ]
-            for key, payload in payloads:
-                self.backend.put_metadata(key, payload)
-            for label, buckets in written_per_tier:
-                if buckets:
-                    self._buckets_written.labels(tier=label).inc(buckets)
+                ceiling = int(self._cov[:, 0, slot].max())
+                if ceiling <= 0:
+                    return True
+                ts, values = self.backend.query(sid, 0, ceiling - 1)
+                out = _Pass()
+                for tier_index in range(len(self.config.tiers)):
+                    cov_lo, cov_hi = self._cov[tier_index, :, slot].tolist()
+                    # Buckets below cov_lo end exactly at the (aligned)
+                    # watermark, and a reading at or above it exists — the
+                    # one the coverage was anchored on — so every
+                    # backfilled bucket is complete by the sealing rule.
+                    right = int(np.searchsorted(ts, cov_lo))
+                    if right:
+                        starts = self._seal_raw(out, slot, tier_index, ts[:right], values[:right])
+                        lo = min(cov_lo, int(starts[0]))
+                        out.spans.append(([tier_index], [slot], [lo], [cov_hi]))
+                self._write(out)
             return True
         except Exception:  # noqa: BLE001 - caller skips demotion instead
             self._errors.inc()
@@ -674,25 +759,21 @@ class RollupEngine:
 
     def coverage(self, sid: SensorId, tier_index: int) -> tuple[int, int] | None:
         """Sealed [lo, hi) span of one tier of ``sid`` (None if untracked)."""
-        with self._lock:
-            state = self._states.get(sid)
-            if state is None:
-                return None
-            lo, hi = state.coverage[tier_index]
-            return lo, hi
+        slot = self._slot_of.get(sid, -1)
+        if slot < 0:
+            return None
+        lo, hi = self._cov[tier_index, :, slot].tolist()
+        return lo, hi
 
     def status(self) -> dict:
         """JSON-friendly snapshot for the REST ``/status`` document."""
-        with self._lock:
-            tracked = len(self._states)
-            pending = sum(1 for s in self._states.values() if s.pending)
         return {
             "tiers": [
                 {"label": tier.label, "bucketNs": tier.bucket_ns}
                 for tier in self.config.tiers
             ],
-            "trackedSensors": tracked,
-            "pendingSensors": pending,
+            "trackedSensors": len(self._sids),
+            "pendingSensors": len(self._pending),
             "observed": int(self._observed.value),
             "flushes": int(self._flushes.value),
             "writeErrors": int(self._errors.value),

@@ -19,6 +19,15 @@ up as a reviewable diff.  This tool closes the loop in CI:
   deleted benchmark cannot leave a silently stale baseline.  Cheap
   enough to ride along with every ``make test``.
 
+* **Pairs mode** (``pairs PARENT CHANGE``): the paired protocol for
+  a change that claims (or must not cost) end-to-end speed.  Runs
+  ``benchmarks/e2e/run.py`` of two checkouts alternately — pair ``k``
+  uses seed ``k`` on both sides and alternates which side goes first —
+  and prints, per end-to-end metric, both medians with quartiles,
+  wins/ties/losses of the change, and the ratio of the medians with
+  its base; fails when a median is worse than the parent's by more
+  than the metric's ``BENCHMARK.json`` bound, or a run fails.
+
 Exit status is non-zero on any regression or staleness, with one
 ``[FAIL]`` line per finding.
 """
@@ -28,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -186,14 +196,82 @@ def check(baseline_dir: Path, benchmarks_dir: Path) -> list[str]:
     return failures
 
 
+def _e2e_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run of ``root``'s own benchmark over ``root``'s own
+    source; returns its ``@report`` (empty if the run died)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    for line in done.stdout.splitlines():
+        if line.startswith("@report "):
+            return json.loads(line[len("@report "):])
+    print(done.stdout + done.stderr)
+    return {}
+
+
+def _quartiles(sample: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(sample, n=4) if len(sample) > 1 else sample * 3
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def pairs(parent: Path, change: Path, workloads: list[str] | None, count: int) -> list[str]:
+    contract = _load(change / "BENCHMARK.json")
+    seconds = contract["run_seconds"]  # the run length the benchmark fixes
+    roots = {"parent": parent, "change": change}
+    failures: list[str] = []
+    for workload in workloads or [w["name"] for w in contract["workloads"]]:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for k in range(count):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                report = _e2e_run(roots[side], workload, k + 1, seconds)
+                if not report or report.get("failed", 1):
+                    failures.append(f"{workload}: {side} run with seed {k + 1} failed")
+                runs[side].append(report.get("metrics", {}))
+            print(f"{workload}: pair {k + 1}/{count} done", file=sys.stderr)
+        print(f"== {workload}: {count} pairs, seeds 1..{count}, {seconds:g} s, alternating order")
+        print("| metric | unit | parent median [q1, q3] | change median [q1, q3] "
+              "| W/T/L | change/parent | bound | |")
+        print("|---|---|---|---|---|---|---|---|")
+        for metric in contract["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1 if metric["better"] == "lower" else -1
+            both = [
+                (p[name], c[name])
+                for p, c in zip(runs["parent"], runs["change"])
+                if name in p and name in c
+            ]
+            if not both:
+                continue
+            old, new = [p for p, _ in both], [c for _, c in both]
+            wins = sum(sign * (c - p) < 0 for p, c in both)
+            ties = sum(c == p for p, c in both)
+            base, median = statistics.median(old), statistics.median(new)
+            worse = sign * (median - base) / base if base else 0.0
+            if worse > bound:
+                failures.append(f"{workload}: {name} worse by {worse:.1%} (bound {bound:.0%})")
+            print(
+                f"| {name} | {metric['unit']} | {_quartiles(old)} | {_quartiles(new)} "
+                f"| {wins}/{ties}/{len(both) - wins - ties} "
+                f"| {median / base if base else 0:.3f}x of {base:.4g} "
+                f"| {bound:.0%} | {'OVER' if worse > bound else 'ok'} |"
+            )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "fresh",
         nargs="*",
         type=Path,
-        help="fresh --benchmark-json file(s) to diff against the baselines",
+        help="fresh --benchmark-json file(s) to diff against the baselines, "
+        "or: pairs PARENT CHANGE (two checkouts)",
     )
+    parser.add_argument("--workload", action="append", help="pairs: run only this workload")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs: pairs per workload")
     parser.add_argument(
         "--baseline-dir",
         type=Path,
@@ -215,7 +293,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     baseline_dir = args.baseline_dir.resolve()
-    if args.check:
+    if args.fresh[:1] == [Path("pairs")]:
+        if len(args.fresh) != 3:
+            parser.error("pairs takes two checkouts: PARENT CHANGE")
+        parent, change = (path.resolve() for path in args.fresh[1:])
+        failures = pairs(parent, change, args.workload, args.pairs)
+    elif args.check:
         print(f"bench baselines check: {baseline_dir}")
         failures = check(baseline_dir, baseline_dir / "benchmarks")
     elif not args.fresh:

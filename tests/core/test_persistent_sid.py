@@ -44,6 +44,39 @@ class TestPersistentSidMapper:
         fresh = PersistentSidMapper(backend)
         assert fresh.sid_for_topic("/x/y/z") == sid
 
+    def test_new_topic_is_one_metadata_write(self):
+        class Counting(MemoryBackend):
+            def __init__(self):
+                super().__init__()
+                self.batches = []
+                self.fail = False
+
+            def put_metadata_many(self, pairs):
+                pairs = list(pairs)
+                if self.fail:
+                    raise StorageError("injected metadata failure")
+                self.batches.append([key for key, _ in pairs])
+                super().put_metadata_many(pairs)
+
+        backend = Counting()
+        mapper = PersistentSidMapper(backend)
+        mapper.sid_for_topic("/rack0/node0/cpu0/temp")
+        assert [len(batch) for batch in backend.batches] == [8]  # next + comp, four levels
+        mapper.sid_for_topic("/rack0/node0/cpu1/temp")  # one new component
+        assert backend.batches[1] == ["sidnext/2", "sidcomp/2/cpu1"]
+        mapper.sid_for_topic("/rack0/node0/cpu1/temp")  # known: no write at all
+        assert len(backend.batches) == 2
+        # A failed write installs nothing: the retry allocates the very
+        # codes the failed attempt picked, and a second mapper agrees.
+        backend.fail = True
+        with pytest.raises(StorageError):
+            mapper.sid_for_topic("/rack1/node0/cpu0/temp")
+        assert mapper.lookup_topic("/rack1/node0/cpu0/temp") is None
+        backend.fail = False
+        sid = mapper.sid_for_topic("/rack1/node0/cpu0/temp")
+        assert sid.level_code(0) == 2 and sid.level_code(1) == 1
+        assert PersistentSidMapper(backend).sid_for_topic("/rack1/node0/cpu0/temp") == sid
+
     def test_deepest_level_allocation_capped_below_rollup_range(self):
         backend = MemoryBackend()
         mapper = PersistentSidMapper(backend)

@@ -232,6 +232,28 @@ class TestMetadataContract:
         backend.delete_metadata("k")
         assert backend.get_metadata("k") is None
 
+    def test_put_many_equals_the_loop(self, backend):
+        # Applied in order: a later pair of the same batch wins, ""
+        # deletes, and what was stored before is overwritten.
+        backend.put_metadata("m/old", "0")
+        backend.put_metadata("m/gone", "0")
+        pairs = [("m/a", "1"), ("m/old", "2"), ("m/a", "3"), ("m/gone", ""), ("m/b", "4")]
+        backend.put_metadata_many(pairs)
+        expected: dict[str, str] = {"m/old": "0", "m/gone": "0"}
+        for key, value in pairs:
+            if value == "":
+                expected.pop(key, None)
+            else:
+                expected[key] = value
+        assert backend.metadata_keys("m/") == sorted(expected)
+        assert {k: backend.get_metadata(k) for k in expected} == expected
+        assert backend.get_metadata("m/gone") is None
+
+    def test_put_many_accepts_any_iterable_and_nothing(self, backend):
+        backend.put_metadata_many([])
+        backend.put_metadata_many((f"g/{i}", str(i)) for i in range(3))
+        assert backend.metadata_keys("g/") == ["g/0", "g/1", "g/2"]
+
 
 class TestSqliteSpecific:
     def test_persistence_across_reopen(self, tmp_path):

@@ -8,22 +8,29 @@ extra dependency) covering each regime, with the seed in the failure
 message so any counterexample reproduces.
 """
 
+import hashlib
 import math
 import random
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.common.errors import StorageError
+from repro.core.sid import SensorId
 from repro.storage.durable import (
     BitReader,
     BitWriter,
+    DurableNode,
+    SegmentFile,
     decode_timestamps,
     decode_values,
     encode_timestamps,
     encode_values,
 )
+from repro.storage.durable import segment as segment_mod
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -381,3 +388,116 @@ class TestGoldenVectors:
         ts_hex, val_hex = GOLDEN_VECTORS[name]
         assert decode_timestamps(bytes.fromhex(ts_hex), len(col)).tolist() == col
         assert decode_values(bytes.fromhex(val_hex), len(col)).tolist() == col
+
+
+# -- batched encoders: byte identity ---------------------------------------
+#
+# A memtable seal hands the codecs every series at once.  The batched
+# call must produce, per series, exactly the block that series gets
+# when it is encoded alone — and the segment files built from those
+# blocks must not have changed by a byte.
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _random_series(rng, count):
+    """``count`` columns of mixed regimes; sizes 0, 1 and 2 always occur."""
+    sizes = [0, 1, 2] + [rng.choice([0, 1, 2, 3, rng.randint(4, 40), rng.randint(41, 400)]) for _ in range(count - 3)]
+    rng.shuffle(sizes)
+    return [np.array(rng.choice(GENERATORS)(rng, n), dtype=np.int64) for n in sizes]
+
+
+def _batched(encode, columns):
+    offsets = np.concatenate(([0], np.cumsum([c.size for c in columns])))
+    return encode(np.concatenate(columns), offsets)
+
+
+class TestBatchedEncoders:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "encode,decode", [(encode_timestamps, decode_timestamps), (encode_values, decode_values)]
+    )
+    def test_blocks_equal_series_encoded_alone(self, encode, decode, seed):
+        rng = random.Random(seed)
+        columns = _random_series(rng, rng.randint(3, 24))
+        blocks = _batched(encode, columns)
+        assert len(blocks) == len(columns)
+        for column, block in zip(columns, blocks):
+            assert block == encode(column), f"seed={seed} rows={column.size}"
+            assert decode(block, column.size).tolist() == column.tolist(), f"seed={seed}"
+
+    @pytest.mark.parametrize("encode", [encode_timestamps, encode_values])
+    def test_degenerate_batches(self, encode):
+        empty = np.empty(0, dtype=np.int64)
+        assert _batched(encode, [empty]) == [b""]
+        assert _batched(encode, [empty, empty]) == [b"", b""]
+        assert encode(empty, np.array([0])) == []
+        one = np.array([-7], dtype=np.int64)
+        assert _batched(encode, [empty, one, empty]) == [b"", encode(one), b""]
+
+    def test_golden_vectors_survive_batching(self):
+        columns = [np.array(col, dtype=np.int64) for col in golden_columns().values()]
+        expected = list(GOLDEN_VECTORS.values())
+        assert [b.hex() for b in _batched(encode_timestamps, columns)] == [e[0] for e in expected]
+        assert [b.hex() for b in _batched(encode_values, columns)] == [e[1] for e in expected]
+
+
+def pinned_series():
+    """Seeded segment input: sizes 0/1/2 and mixed, every value regime,
+    constant and per-row expiries.  Do not change — the digest below
+    was computed from it on the commit before the batched encoders."""
+    rng = random.Random(20260521)
+    sizes = [1, 2, 3, 0, 17, 200, 1, 64, 0, 2, 333, 9]
+    series = []
+    for i, n in enumerate(sizes):
+        ts = np.array(sorted(set(gen_monitoring_timestamps(rng, n))), dtype=np.int64)
+        vals = np.array(GENERATORS[i % len(GENERATORS)](rng, ts.size), dtype=np.int64)
+        exp = np.full(ts.size, I64_MAX, dtype=np.int64)
+        if i % 4 == 1:
+            exp = ts + rng.randint(1, 1000) * 1_000_000_000
+        series.append((SensorId.from_codes([7, i + 1]), ts, vals, exp))
+    return series
+
+
+PINNED_SEGMENT_SHA256 = "be9edf1a6cbbbd50b444b68b4035504add6a4977cb2a0acecfc3ce32a2a416df"
+PINNED_FINGERPRINT = "896df70e90df943184a8e2b7d15db4ba4e38d999a21ad2dc05b558a9f1cbc549"
+
+
+class TestSegmentBytesUnchanged:
+    def test_pinned_segment_digest(self, tmp_path):
+        path = tmp_path / "pinned.seg"
+        segment_mod.write_segment(path, pinned_series())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SEGMENT_SHA256
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 19, 201, 600])
+    def test_chunk_boundaries_never_show(self, tmp_path, monkeypatch, chunk_rows):
+        # 1-3: a cut after nearly every series; 19 and 201: the cut
+        # would fall inside the 200- and 333-row series, which go whole
+        # into a chunk of their own; 600: a cut between two series.
+        monkeypatch.setattr(segment_mod, "_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "chunked.seg"
+        stats = segment_mod.write_segment(path, pinned_series())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SEGMENT_SHA256
+        assert stats.sensors == 10 and stats.rows == sum(s[1].size for s in pinned_series())
+        seg = SegmentFile(path)
+        for sid, ts, vals, exp in pinned_series():
+            if ts.size:
+                got = seg.read(sid)
+                assert [g.tolist() for g in got] == [ts.tolist(), vals.tolist(), exp.tolist()]
+        seg.close()
+
+    def test_data_dir_written_before_the_change_reopens_identically(self, tmp_path):
+        # fixtures/parent_datadir: two segment files, a WAL tail with
+        # rows and metadata, written by the previous commit's code from
+        # pinned_series() (flush_threshold=150, see the digest above).
+        data_dir = tmp_path / "node"
+        shutil.copytree(FIXTURES / "parent_datadir", data_dir)
+        node = DurableNode("fixture", data_dir=data_dir, compaction="inline", clock=lambda: 0)
+        try:
+            assert node.state_fingerprint() == PINNED_FINGERPRINT
+            assert node.get_metadata("sidmap/fixture/a") == "0007" and node.get_metadata("gone") is None
+            # Rewriting every block with the batched encoders changes nothing.
+            node.compact()
+            assert node.state_fingerprint() == PINNED_FINGERPRINT
+        finally:
+            node.close()

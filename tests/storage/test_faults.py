@@ -318,6 +318,36 @@ class TestHintedHandoff:
         cluster.replay_hints()
         assert nodes[1].get_metadata("k") == "v"
 
+    def test_metadata_batch_reaches_a_replica_that_was_down(self):
+        # One call per member: the live node gets the batch, the dead
+        # one a hint per pair — queued behind the data hint it already
+        # has and replayed in that order, so within the batch (and
+        # against the single put that follows) the last write wins.
+        cluster, nodes = flaky_cluster(2, replication=2)
+        s = sid(1, 1, 1)
+        nodes[1].kill()
+        cluster.insert(s, 1, 10)
+        cluster.put_metadata_many([("cov/a", "1"), ("cov/b", "2"), ("cov/a", "3"), ("cov/c", "4")])
+        cluster.put_metadata("cov/c", "")
+        cluster.insert(s, 2, 20)
+        assert nodes[0].metadata_keys("cov/") == ["cov/a", "cov/b"]
+        with cluster._hints_lock:
+            kinds = [entry[0] for entry in cluster._hints[1]]
+        assert kinds == ["data", "meta", "meta", "meta", "meta", "meta", "data"]
+        nodes[1].restart()
+        assert cluster.replay_hints() == 2
+        assert cluster.hints_pending == 0
+        assert {k: nodes[1].get_metadata(k) for k in nodes[1].metadata_keys("cov/")} == {
+            "cov/a": "3",
+            "cov/b": "2",
+        }
+        assert nodes[1].query(s, 0, 10)[1].tolist() == [10, 20]
+        # Down everywhere: the batch fails like the single put does.
+        nodes[0].kill()
+        nodes[1].kill()
+        with pytest.raises(StorageError):
+            cluster.put_metadata_many([("cov/d", "5")])
+
     def test_replay_is_idempotent_with_partial_success(self):
         # A replica that accepted the write but whose ack was "lost":
         # the hint replays the same timestamps; dedup keeps one copy.

@@ -397,6 +397,30 @@ class TestClusterWiring:
         assert families[("node2", "suspect")] == 0.0
         cluster.close()
 
+    def test_joiner_metadata_seeded_in_one_batch(self):
+        class CountingNode(StorageNode):
+            batches = 0
+
+            def put_metadata_many(self, pairs):
+                CountingNode.batches += 1
+                super().put_metadata_many(pairs)
+
+        cluster = make_cluster(n=2, replication=2)
+        expected = {f"sidmap/t{i}": str(i) for i in range(40)}
+        cluster.put_metadata_many(expected.items())
+        joiner = CountingNode("joiner")
+        cluster.add_node(joiner)
+        assert CountingNode.batches == 1  # not one commit per key
+        assert {k: joiner.get_metadata(k) for k in joiner.metadata_keys("")} == expected
+        # A joiner that is down when it joins gets every key hinted.
+        late = FaultyBackend(StorageNode("late"))
+        late.kill()
+        idx = cluster.add_node(late)
+        late.restart()
+        cluster.replay_hints(idx)
+        assert {k: late.get_metadata(k) for k in late.metadata_keys("")} == expected
+        cluster.close()
+
     def test_mixed_durability_add_remove_round_trip(self):
         """End-to-end sanity on plain nodes: grow then shrink, data and
         placement stay consistent throughout."""

@@ -8,6 +8,8 @@ storage backend — the contract that tier-served aggregates are
 bit-identical to aggregating the raw rows at query time.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -479,3 +481,193 @@ class TestPlannerFallbacks:
             RollupConfig(tiers=(RollupTier("7s", 7), RollupTier("10s", 10)))
         with pytest.raises(ValueError):
             RetentionPolicy(raw_horizon_s=-1)
+
+
+# -- running aggregates == raw, under every fallback ------------------------
+
+#: A ladder in plain ticks keeps a property run to a few thousand rows
+#: while still crossing hundreds of boundaries of every tier.
+SMALL_TIERS = (RollupTier("t10", 10), RollupTier("t60", 60), RollupTier("t360", 360))
+SENSORS = [SensorId.from_codes([9, 1, i + 1]) for i in range(5)]
+
+
+class _Flaky(_FailingInserts):
+    """Also fails metadata batches on demand and counts series reads."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.fail_meta = False
+        self.reads = 0
+
+    def put_metadata_many(self, pairs):
+        if self.fail_meta:
+            raise OSError("injected coverage write failure")
+        return self.inner.put_metadata_many(pairs)
+
+    def query(self, sid, start, end):
+        self.reads += 1
+        return self.inner.query(sid, start, end)
+
+    def query_many(self, sids, start, end):
+        self.reads += 1
+        return self.inner.query_many(sids, start, end)
+
+
+def assert_tiers_equal_raw(inner, engine, sids=SENSORS, tiers=SMALL_TIERS):
+    """Inside every persisted coverage window the stored tier rows are
+    exactly ``aggregate_buckets`` of the stored raw series, and the
+    persisted window is the engine's."""
+    for sid in sids:
+        raw_ts, raw_vals = inner.query(sid, 0, 1 << 62)
+        for tier_index, tier in enumerate(tiers):
+            text = inner.get_metadata(coverage_key(sid, tier.label))
+            span = engine.coverage(sid, tier_index)
+            if text is None:
+                assert span is None or span[0] == span[1], (sid, tier.label)
+                continue
+            doc = json.loads(text)
+            lo, hi = doc["lo"], doc["hi"]
+            # (A restarted engine has no window before the sensor's next reading.)
+            assert span in (None, (lo, hi)), (sid, tier.label)
+            left, right = np.searchsorted(raw_ts, (lo, hi))
+            expect = aggregate_buckets(raw_ts[left:right], raw_vals[left:right], tier.bucket_ns)
+            for field_index, column in enumerate(expect[1:]):
+                ts, vals = inner.query(rollup_sid(sid, tier_index, field_index), lo, hi - 1)
+                assert ts.tolist() == expect[0].tolist(), (sid, tier.label, FIELDS[field_index])
+                assert vals.tolist() == column.tolist(), (sid, tier.label, FIELDS[field_index])
+
+
+class TestRunningAggregatesProperty:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tiers_equal_raw_after_every_step(self, seed):
+        rng = np.random.default_rng(seed)
+        inner = MemoryBackend()
+        backend = _Flaky(inner)
+        config = RollupConfig(tiers=SMALL_TIERS)
+        # History from before the engine, reaching into the bucket the
+        # first observed reading of two sensors will land in.
+        clocks = {sid: int(rng.integers(0, 40)) for sid in SENSORS}
+        for sid in SENSORS[:2]:
+            times = np.unique(rng.integers(max(0, clocks[sid] - 30), clocks[sid] + 1, 12))
+            inner.insert_batch([(sid, int(t), int(rng.integers(-99, 99)), 0) for t in times])
+        engine = RollupEngine(backend, config)
+
+        def fresh(sid, count):
+            """``count`` in-order readings, newer than everything stored."""
+            out = []
+            for _ in range(count):
+                clocks[sid] += int(rng.integers(1, 9))
+                out.append((sid, clocks[sid], int(rng.integers(-(10**6), 10**6)), 0))
+            return out
+
+        def stored(sid):
+            ts, _ = inner.query(sid, 0, 1 << 62)
+            return ts
+
+        for _step in range(80):
+            kind = rng.choice(
+                ["grid", "burst", "late", "duplicate", "fail", "fail_meta", "restart"],
+                p=[0.3, 0.25, 0.12, 0.12, 0.07, 0.07, 0.07],
+            )
+            sid = SENSORS[int(rng.integers(len(SENSORS)))]
+            if kind == "grid":  # one reading each, many sensors
+                items = [item for s in SENSORS if rng.random() < 0.8 for item in fresh(s, 1)]
+            elif kind == "burst":  # many readings, one sensor
+                items = fresh(sid, int(rng.integers(5, 120)))
+            elif kind == "late" and stored(sid).size:  # below (or inside) what is sealed
+                old = int(rng.integers(0, int(stored(sid)[-1]) + 1))
+                items = [(sid, old, int(rng.integers(-99, 99)), 0)] + fresh(sid, int(rng.integers(0, 3)))
+            elif kind == "duplicate" and stored(sid).size:  # same timestamp, other value
+                ts = stored(sid)
+                # Of any stored reading, or of the very newest — first
+                # across batches, then within one.
+                again = int(ts[-1] if rng.random() < 0.5 else ts[int(rng.integers(ts.size))])
+                items = [(sid, again, 12345, 0)] + fresh(sid, 2)
+                items.append((sid, clocks[sid], -54321, 0))
+            elif kind == "restart":
+                engine = RollupEngine(backend, config)
+                continue
+            else:
+                items = fresh(sid, int(rng.integers(1, 40)))
+            failing = kind in ("fail", "fail_meta")
+            backend.fail = kind == "fail"
+            backend.fail_meta = kind == "fail_meta"
+            if items:
+                inner.insert_batch(items)
+                engine.observe(items)
+            if failing:
+                # What failed is retried, in full, once writes work again.
+                backend.fail = backend.fail_meta = False
+                engine.flush()
+                assert engine.status()["pendingSensors"] == 0
+            assert_tiers_equal_raw(inner, engine)
+        # The run got as far as sealing the coarsest tier.
+        docs = [inner.get_metadata(coverage_key(sid, "t360")) for sid in SENSORS]
+        assert any(doc and json.loads(doc)["hi"] > json.loads(doc)["lo"] for doc in docs), seed
+
+    @pytest.mark.parametrize("shape", ["grid", "burst"])
+    def test_in_order_ingest_never_reads_back(self, shape):
+        rng = np.random.default_rng(5)
+        inner = MemoryBackend()
+        backend = _Flaky(inner)
+        engine = RollupEngine(backend, RollupConfig(tiers=SMALL_TIERS))
+        clock = 0
+
+        def step():
+            nonlocal clock
+            if shape == "grid":
+                clock += int(rng.integers(1, 9))
+                return [(sid, clock, int(rng.integers(-999, 999)), 0) for sid in SENSORS]
+            sid = SENSORS[int(rng.integers(len(SENSORS)))]
+            ts, _ = inner.query(sid, 0, 1 << 62)
+            base = int(ts[-1]) if ts.size else 0
+            return [(sid, base + 1 + 3 * i, int(rng.integers(-999, 999)), 0) for i in range(150)]
+
+        def run(steps):
+            for _ in range(steps):
+                items = step()
+                inner.insert_batch(items)
+                engine.observe(items)
+
+        # Until every tier of every sensor has sealed once the engine
+        # cannot know what was stored before it: those seals read back.
+        run(400 if shape == "grid" else 30)
+        assert all(engine.coverage(sid, 2)[1] > engine.coverage(sid, 2)[0] for sid in SENSORS)
+        backend.reads = 0
+        sealed = engine.metrics.counter("dcdb_rollup_flushes_total").value
+        run(400 if shape == "grid" else 30)
+        assert backend.reads == 0
+        assert engine.metrics.counter("dcdb_rollup_flushes_total").value > sealed
+        assert engine.metrics.counter("dcdb_rollup_write_errors_total").value == 0
+        assert_tiers_equal_raw(inner, engine)
+
+    def test_one_write_per_pass_and_exact_counters(self):
+        inner = MemoryBackend()
+        calls = {"insert_batch": 0, "put_metadata_many": 0}
+
+        class Counting(_FailingInserts):
+            def insert_batch(self, items):
+                calls["insert_batch"] += 1
+                return super().insert_batch(items)
+
+            def put_metadata_many(self, pairs):
+                calls["put_metadata_many"] += 1
+                return self.inner.put_metadata_many(pairs)
+
+        engine = RollupEngine(Counting(inner), RollupConfig(tiers=SMALL_TIERS))
+        for now in (1, 4, 12, 15, 23, 61, 64):
+            items = [(sid, now, now, 0) for sid in SENSORS]
+            inner.insert_batch(items)
+            before = dict(calls)
+            engine.observe(items)
+            # However many sensors sealed: at most one write of each kind.
+            assert calls["insert_batch"] - before["insert_batch"] <= 1
+            assert calls["put_metadata_many"] - before["put_metadata_many"] <= 1
+        value = engine.metrics.value
+        # Buckets [0,10) [10,20) [20,30) [60,70)-open: 3 sealed t10 buckets
+        # and one t60 bucket per sensor; seals at 12, 23 and 61.
+        assert value("dcdb_rollup_buckets_written_total", {"tier": "t10"}) == 3 * len(SENSORS)
+        assert value("dcdb_rollup_buckets_written_total", {"tier": "t60"}) == len(SENSORS)
+        assert value("dcdb_rollup_flushes_total") == 3 * len(SENSORS)
+        assert engine.status()["pendingSensors"] == 0
+        assert_tiers_equal_raw(inner, engine)
