@@ -42,11 +42,13 @@ chaos:
 
 # Durability chaos battery: kill -9 mid-ingest under fsync=always
 # (zero acked-write loss, bit-identical recovery fingerprints per
-# seed), torn WAL tails, flipped CRC bytes, disk-fault injection.
-# See docs/durability.md.
+# seed), torn WAL tails, flipped CRC bytes, disk-fault injection, plus
+# the engine suites that run the durable node against the oracle (the
+# contract cases and the model test).  See docs/durability.md.
 chaos-durability:
 	PYTHONPATH=src CHAOS_SEEDS=$(CHAOS_SEEDS) $(PYTHON) -m pytest \
 		tests/storage/test_durable.py tests/storage/test_durable_codecs.py \
+		tests/storage/test_node.py tests/storage/test_backends_contract.py \
 		tests/integration/test_chaos_durability.py
 
 # Elastic-membership chaos battery: double/drain a cluster mid-ingest

@@ -190,7 +190,7 @@ class TestColdWindowQuery:
 
         assert benchmark(windowed) == 501
         if benchmark.enabled:
-            refs = list(node._disk_refs[COLD_SID])
+            refs = [table for table in node._tables if COLD_SID in table]
 
             def materialize_all():
                 parts = [sf.read(COLD_SID) for sf in refs]

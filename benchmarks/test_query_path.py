@@ -52,8 +52,8 @@ def legacy_node_query(node, sid, start, end):
         if data is None:
             return _EMPTY, _EMPTY
         parts_ts, parts_val = [], []
-        for seg in data.segments:
-            ts, vals = seg.slice(start, end, now)
+        for table in data.runs:
+            ts, vals = table.block(sid).slice(start, end, now)
             if ts.size:
                 parts_ts.append(ts)
                 parts_val.append(vals)

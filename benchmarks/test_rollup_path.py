@@ -58,7 +58,7 @@ def dataset(request):
     cadence_s = 40 if smoke else 20
     queries = 200 if smoke else 1000
     nodes = [
-        StorageNode(f"node{i}", flush_threshold=10**9, max_segments_per_sensor=64)
+        StorageNode(f"node{i}", flush_threshold=10**9, max_segment_files=64)
         for i in range(2)
     ]
     cluster = StorageCluster(nodes, replication=1)

@@ -2,10 +2,11 @@
 
 The durable read path decodes a sensor's on-disk block only when a
 query window overlaps it (footer ``[min_ts, max_ts]`` pruning) and
-parks the decoded columns here instead of permanently prepending them
-into the memtable: a dashboard sweep over a store larger than RAM
-re-reads cold blocks through a fixed byte budget instead of growing
-the process without bound.
+parks the decoded columns here instead of keeping sealed data
+resident: a dashboard sweep over a store larger than RAM re-reads
+cold blocks through a fixed byte budget instead of growing the process
+without bound.  Blocks are cached as written; retention cutoffs are
+applied by the engine as a slice on every read.
 
 Entries are keyed ``(segment file name, sid)`` — segment file numbers
 are monotonic and never reused, so a key can never alias a different
@@ -14,7 +15,7 @@ whose arrays are marked read-only; the query path hands out views of
 them, so a cached block must never be written through.
 
 The cache itself does no locking: every access happens under the
-owning node's lock (queries stage under it, compaction invalidates
+owning node's lock (queries stage under it, merges invalidate
 under it).  A budget of 0 disables caching — every lookup misses and
 ``put`` is a no-op — which keeps the decode-per-query behaviour
 available for parity testing and memory-austere deployments.
@@ -84,14 +85,6 @@ class BlockCache:
     def invalidate_file(self, file_key: str) -> int:
         """Drop every block decoded from one segment file."""
         doomed = [key for key in self._entries if key[0] == file_key]
-        for key in doomed:
-            del self._entries[key]
-            self.bytes -= self._sizes.pop(key)
-        return len(doomed)
-
-    def invalidate_sid(self, sid) -> int:
-        """Drop every cached block of one sensor (retention cutoff moved)."""
-        doomed = [key for key in self._entries if key[1] == sid]
         for key in doomed:
             del self._entries[key]
             self.bytes -= self._sizes.pop(key)

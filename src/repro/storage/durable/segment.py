@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.common.errors import StorageError
 from repro.core.sid import SensorId
+from repro.storage.node import RAW_BYTES_PER_ROW
 
 from .codec import (
     decode_timestamps,
@@ -56,10 +57,6 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHH")
 _ENTRY = struct.Struct("<QQQIIIIqqI")
 _TAIL = struct.Struct("<QIII")
-
-#: Uncompressed cost of one reading in the memtable representation
-#: (ts + value + expiry, int64 each) — the compression-ratio baseline.
-RAW_BYTES_PER_ROW = 24
 
 #: Rows handed to one encoder call: enough to amortize the call (a
 #: 100 000-row seal of 11-row series is no faster at 64 k), few enough

@@ -1,14 +1,29 @@
-"""A single storage server: memtable, sorted segments, compaction.
+"""The storage engine: memtable, sealed tables of sorted runs, compaction.
 
 Models the write path that makes wide-column stores "a perfect fit"
 for monitoring data (paper section 3.1): inserts land in an in-memory
-*memtable* (append, no sorting on the hot path); when it fills up it
-is frozen into an immutable, time-sorted *segment* (the SSTable
-analogue, held as numpy arrays); reads merge the memtable and every
-overlapping segment; *compaction* merges segments to bound read
-amplification.  TTL expiry happens lazily on read and permanently on
-compaction — the same life cycle as Cassandra's tombstone-free TTL
-columns.
+*memtable* (append, no sorting on the hot path); when it fills up a
+*seal* freezes it into an immutable *table* holding one time-sorted,
+deduplicated *run* per sensor (the SSTable analogue); reads merge the
+memtable and every overlapping run; *compaction* merges contiguous
+tables to bound read amplification.  TTL expiry happens lazily on read
+and permanently on compaction — the same life cycle as Cassandra's
+tombstone-free TTL columns.
+
+This is the only engine.  Where a table's runs live is decided by the
+store seams (``_write_table``, ``_sealed``, ``_schedule_merge_locked``,
+``_tables_changed_locked``): :class:`StorageNode` keeps them resident
+as numpy arrays; :class:`~repro.storage.durable.DurableNode` writes
+every seal and merge as one segment file and reads its runs back
+through a bounded block cache.  The table list (LWW order), each
+sensor's run list, the seal, retention, the merge policy, the read
+merge, ``stream_rows`` and the counts exist once, here.
+
+Retention: ``delete_before`` removes matching memtable rows and covers
+every table stored when it is issued — each table carries a generation
+number, and a cutoff records the first generation it does not cover.
+Rows that arrive later stay visible.  Covered runs are sliced on read
+and filtered for good when a merge rewrites them.
 
 A node is thread-safe and single-process; distribution is layered on
 top by :mod:`repro.storage.cluster`.
@@ -23,6 +38,7 @@ keep it when changing the merge paths.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -36,6 +52,12 @@ from repro.observability import MetricsRegistry
 from repro.storage.backend import StorageBackend
 
 _INT64_MAX = (1 << 63) - 1
+#: Uncompressed cost of one reading in a resident run (ts + value +
+#: expiry, int64 each) — also the segment files' compression baseline.
+RAW_BYTES_PER_ROW = 24
+#: Tables one tiered merge consumes: the cheapest contiguous run of
+#: this many (fewer when fewer exist).
+COMPACT_MIN_RUN = 4
 
 
 def merge_lww(
@@ -53,9 +75,9 @@ def merge_lww(
     keeps the *newest* write — Cassandra semantics: the later upsert
     replaces the earlier value *and* its TTL.  ``now`` additionally
     drops rows whose expiry has passed.  ``ascending`` promises every
-    part already is such a run (a sealed segment, a disk block): a
-    lone part then comes back as the views it went in as, which is
-    what keeps the single-segment read path zero-copy.
+    part already is such a run (a sealed run, a disk block): a lone
+    part then comes back as the views it went in as, which is what
+    keeps the single-run read path zero-copy.
     """
     lone = len(parts) == 1
     cols = parts[0] if lone else [np.concatenate(col) for col in zip(*parts)]
@@ -77,16 +99,24 @@ def merge_lww(
     return cols
 
 
+def _cutoff_of(pairs, gen: int) -> int | None:
+    """The retention cutoff covering table generation ``gen``: the
+    highest of the ``(cutoff, first generation not covered)`` pairs
+    issued while the table existed."""
+    if not pairs:
+        return None
+    return max((cutoff for cutoff, below in pairs if gen < below), default=None)
+
+
 @dataclass(slots=True)
 class _Segment:
     """An immutable, time-sorted, timestamp-deduplicated run of readings.
 
-    Invariants (established at flush/compaction time): ``timestamps``
-    is strictly ascending — sorted AND deduplicated last-write-wins —
-    and ``min_ts``/``max_ts`` cache the bounds so a query can prune a
-    non-overlapping segment without touching its arrays.  The read
-    path's zero-copy fast path returns views into these arrays, which
-    is only sound because both invariants hold.
+    Invariants (established at seal/merge time): ``timestamps`` is
+    strictly ascending — sorted AND deduplicated last-write-wins — and
+    ``min_ts``/``max_ts`` cache the bounds.  The read path's zero-copy
+    fast path returns views into these arrays, which is only sound
+    because both invariants hold.
     """
 
     timestamps: np.ndarray  # int64, strictly ascending
@@ -106,18 +136,15 @@ class _Segment:
     def size(self) -> int:
         return int(self.timestamps.size)
 
-    def overlaps(self, start: int, end: int) -> bool:
-        return self.max_ts >= start and self.min_ts <= end
-
     def slice(self, start: int, end: int, now: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows with start <= t <= end that have not expired at ``now``.
 
         Binary-searches the sorted timestamps (no boolean mask over the
-        whole segment) and returns *views* when every row is live.
+        whole run) and returns *views* when every row is live.
         ``min_expiry`` (cached at freeze time) lets the common all-live
-        segment skip the expiry mask entirely, and a window covering
-        the whole segment skips the binary search too — the full arrays
-        come back untouched.
+        run skip the expiry mask entirely, and a window covering the
+        whole run skips the binary search too — the full arrays come
+        back untouched.
         """
         if self.min_expiry > now:
             if start <= self.min_ts and end >= self.max_ts:
@@ -144,30 +171,73 @@ class _Segment:
         return ts[live], vals[live]
 
 
+class _ResidentTable:
+    """A table whose runs are held in memory, one :class:`_Segment` per
+    sensor.  Shares the read interface of a segment file (``sids``,
+    ``bounds_for``, ``rows_for``, ``read``) so the engine never asks
+    where a table lives — only whether it is still ``resident``."""
+
+    resident = True
+    __slots__ = ("gen", "blocks", "size_bytes")
+
+    def __init__(self, gen: int, blocks: dict[SensorId, _Segment]) -> None:
+        self.gen = gen
+        self.blocks = blocks
+        self.size_bytes = RAW_BYTES_PER_ROW * sum(b.size for b in blocks.values())
+
+    def sids(self):
+        return self.blocks.keys()
+
+    def __contains__(self, sid: SensorId) -> bool:
+        return sid in self.blocks
+
+    def bounds_for(self, sid: SensorId) -> tuple[int, int]:
+        block = self.blocks[sid]
+        return block.min_ts, block.max_ts
+
+    def rows_for(self, sid: SensorId) -> int:
+        return self.blocks[sid].size
+
+    def block(self, sid: SensorId) -> _Segment:
+        return self.blocks[sid]
+
+    def read(self, sid: SensorId) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        block = self.blocks[sid]
+        return block.timestamps, block.values, block.expiries
+
+    def discard(self) -> None:
+        """Nothing to release: the arrays go with the last reference."""
+
+    close = discard
+
+
 @dataclass(slots=True)
 class _SensorData:
-    """Per-sensor storage state: live memtable rows plus segments."""
+    """Per-sensor storage state: live memtable rows plus the tables
+    holding a run of this sensor, oldest first (LWW order)."""
 
     mem_ts: list[int] = field(default_factory=list)
     mem_val: list[int] = field(default_factory=list)
     mem_exp: list[int] = field(default_factory=list)
-    segments: list[_Segment] = field(default_factory=list)
+    runs: list = field(default_factory=list)
 
 
 class StorageNode(StorageBackend):
     """One storage server of the distributed store.
 
     ``flush_threshold`` is the per-node memtable row budget before an
-    automatic flush; ``max_segments_per_sensor`` triggers compaction.
-    ``clock`` supplies "now" for TTL decisions and defaults to the
-    wall clock; simulations inject a :class:`~repro.common.timeutil.SimClock`.
+    automatic seal; once more than ``max_segment_files`` tables exist
+    the cheapest contiguous run of :data:`COMPACT_MIN_RUN` of them
+    merges into one.  ``clock`` supplies "now" for TTL decisions and
+    defaults to the wall clock; simulations inject a
+    :class:`~repro.common.timeutil.SimClock`.
     """
 
     def __init__(
         self,
         name: str = "node0",
         flush_threshold: int = 100_000,
-        max_segments_per_sensor: int = 8,
+        max_segment_files: int = 8,
         clock=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -175,12 +245,20 @@ class StorageNode(StorageBackend):
 
         self.name = name
         self.flush_threshold = flush_threshold
-        self.max_segments_per_sensor = max_segments_per_sensor
+        self.max_segment_files = max(1, max_segment_files)
         self._clock = clock if clock is not None else now_ns
         self._data: dict[SensorId, _SensorData] = {}
         self._metadata: dict[str, str] = {}
         self._lock = threading.RLock()
+        #: Serializes merge builds that run outside the node lock
+        #: against full compactions.
+        self._merge_mutex = threading.Lock()
         self._memtable_rows = 0
+        #: Every sealed table, oldest first: seal order == LWW order.
+        self._tables: list = []
+        self._next_gen = 1
+        #: Per sensor: (cutoff, first table generation not covered).
+        self._cutoffs: dict[SensorId, list[tuple[int, int]]] = {}
         # Sorted SID list served by sids(); rebuilt lazily after the
         # first insert of a previously-unseen sensor invalidates it.
         self._sids_cache: list[SensorId] | None = None
@@ -194,12 +272,14 @@ class StorageNode(StorageBackend):
         self._flushes = self.metrics.counter(
             "dcdb_storage_flushes_total", "Memtable freezes into segments", ("node",)
         ).labels(node=name)
-        self._compactions = self.metrics.counter(
-            "dcdb_storage_compactions_total", "Per-sensor segment merges", ("node",)
-        ).labels(node=name)
         self._segments_pruned = self.metrics.counter(
             "dcdb_storage_segments_pruned_total",
-            "Segments skipped by time-index pruning on the read path",
+            "Resident runs skipped by time-index pruning on the read path",
+            ("node",),
+        ).labels(node=name)
+        self._blocks_pruned = self.metrics.counter(
+            "dcdb_segment_blocks_pruned_total",
+            "On-disk blocks skipped via footer time-bounds on windowed reads",
             ("node",),
         ).labels(node=name)
         self._query_latency = self.metrics.histogram(
@@ -207,45 +287,42 @@ class StorageNode(StorageBackend):
             "Node-layer query latency (query and query_many calls)",
             ("node",),
         ).labels(node=name)
+        self._compaction_runs = self.metrics.counter(
+            "dcdb_compaction_runs_total",
+            "Table merges completed (tiered or full, either store)",
+            ("node",),
+        ).labels(node=name)
+        self._compaction_seconds = self.metrics.histogram(
+            "dcdb_compaction_seconds",
+            "Wall time of one table merge (build + swap)",
+            ("node",),
+        ).labels(node=name)
+        self.metrics.gauge(
+            "dcdb_compaction_backlog",
+            "Tables above the compaction trigger threshold",
+            ("node",),
+        ).labels(node=name).set_function(
+            lambda: max(0, len(self._tables) - self.max_segment_files)
+        )
         self.metrics.gauge(
             "dcdb_storage_memtable_rows", "Rows currently in the memtable", ("node",)
         ).labels(node=name).set_function(lambda: self._memtable_rows)
         self.metrics.gauge(
-            "dcdb_storage_segments", "Immutable segments held", ("node",)
+            "dcdb_storage_segments", "Sealed per-sensor runs held", ("node",)
         ).labels(node=name).set_function(lambda: self.segment_count)
-
-    # Backward-compatible counter views over the registry.
-
-    @property
-    def inserts(self) -> int:
-        return int(self._inserts.value)
-
-    @property
-    def flushes(self) -> int:
-        return int(self._flushes.value)
-
-    @property
-    def compactions(self) -> int:
-        return int(self._compactions.value)
 
     # -- write path -------------------------------------------------------
 
     def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
         """Append one reading to the memtable."""
-        expiry = _INT64_MAX if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
-        with self._lock:
-            data = self._data.get(sid)
-            if data is None:
-                data = _SensorData()
-                self._data[sid] = data
-                self._sids_cache = None
-            data.mem_ts.append(timestamp)
-            data.mem_val.append(value)
-            data.mem_exp.append(expiry)
-            self._memtable_rows += 1
-            self._inserts.inc()
-            if self._memtable_rows >= self.flush_threshold:
-                self._flush_locked()
+        self.insert_batch([(sid, timestamp, value, ttl_s)])
+
+    def _sensor_locked(self, sid: SensorId) -> _SensorData:
+        data = self._data.get(sid)
+        if data is None:
+            data = self._data[sid] = _SensorData()
+            self._sids_cache = None
+        return data
 
     def insert_batch(self, items) -> int:
         """Bulk append; one lock acquisition for the whole batch.
@@ -289,11 +366,7 @@ class StorageNode(StorageBackend):
                 )
         with self._lock:
             for sid, (col_ts, col_val, col_exp) in columns.items():
-                data = self._data.get(sid)
-                if data is None:
-                    data = _SensorData()
-                    self._data[sid] = data
-                    self._sids_cache = None
+                data = self._sensor_locked(sid)
                 data.mem_ts.extend(col_ts)
                 data.mem_val.extend(col_val)
                 data.mem_exp.extend(col_exp)
@@ -304,19 +377,30 @@ class StorageNode(StorageBackend):
         return count
 
     def flush(self) -> None:
-        """Freeze the memtable of every sensor into segments."""
+        """Seal the memtable of every sensor into one table."""
         with self._lock:
             self._flush_locked()
 
+    def _take_gen(self) -> int:
+        gen = self._next_gen
+        self._next_gen = gen + 1
+        return gen
+
+    def _add_table_locked(self, table) -> None:
+        """Append ``table`` as the newest in LWW order."""
+        self._tables.append(table)
+        for sid in table.sids():
+            self._sensor_locked(sid).runs.append(table)
+
     def _flush_locked(self) -> None:
-        frozen: dict[SensorId, _Segment] = {}
+        blocks: dict[SensorId, _Segment] = {}
         for sid, data in self._data.items():
             if not data.mem_ts:
                 continue
             # Sorting and deduplicating at freeze time establishes the
-            # strictly-ascending segment invariant the zero-copy query
-            # fast path relies on.
-            segment = _Segment(
+            # strictly-ascending run invariant the zero-copy query fast
+            # path relies on.
+            blocks[sid] = _Segment(
                 *merge_lww(
                     [
                         (
@@ -330,70 +414,176 @@ class StorageNode(StorageBackend):
             data.mem_ts.clear()
             data.mem_val.clear()
             data.mem_exp.clear()
-            data.segments.append(segment)
-            frozen[sid] = segment
         self._memtable_rows = 0
-        # Only count flushes that actually froze a segment: an empty
-        # memtable is a no-op and must not skew the Fig. 8 accounting.
-        if frozen:
+        # Only count seals that froze something: an empty memtable is
+        # a no-op and must not skew the Fig. 8 accounting.
+        if blocks:
             self._flushes.inc()
-            # Durability seam: a subclass persists the freshly frozen
-            # segments (and may truncate its WAL) before any in-memory
-            # compaction reshuffles them.  Still under the node lock.
-            self._sealed(frozen)
-            for data in self._data.values():
-                if len(data.segments) > self.max_segments_per_sensor:
-                    self._compact_sensor(data)
+            self._add_table_locked(_ResidentTable(self._take_gen(), blocks))
+        self._sealed()
+        self._schedule_merge_locked()
 
-    def _sealed(self, frozen: dict[SensorId, _Segment]) -> None:
-        """Hook called under the lock after a memtable seal.
+    # -- store seams ---------------------------------------------------------
 
-        ``frozen`` maps each sensor to the segment its memtable rows
-        froze into (sorted, LWW-deduplicated).  The in-memory node does
-        nothing; :class:`~repro.storage.durable.DurableNode` overrides
-        this to write a segment file and rotate its write-ahead log.
-        """
+    def _write_table(self, gen: int, sensors):
+        """Store seam: materialize ``(sid, ts, values, expiries)`` runs
+        as table ``gen`` (None when every run is empty).  Resident here."""
+        blocks = {sid: _Segment(ts, vals, exp) for sid, ts, vals, exp in sensors if ts.size}
+        return _ResidentTable(gen, blocks) if blocks else None
+
+    def _sealed(self) -> None:
+        """Store seam, called under the lock after every seal: resident
+        tables are final, so there is nothing to persist."""
+
+    def _schedule_merge_locked(self) -> None:
+        """Store seam: resident merges are cheap, so they run inline."""
+        while self._merge_once():
+            pass
+
+    def _tables_changed_locked(self) -> None:
+        """Store seam, called under the lock after a merge swap."""
 
     # -- compaction ---------------------------------------------------------
 
-    def compact(self) -> None:
-        """Merge all segments per sensor, dropping expired rows."""
-        with self._lock:
-            self._flush_locked()
-            for data in self._data.values():
-                if len(data.segments) > 1 or any(
-                    (seg.expiries <= self._clock()).any() for seg in data.segments
-                ):
-                    self._compact_sensor(data)
-
-    def _compact_sensor(self, data: _SensorData) -> None:
-        merged = merge_lww(
-            [(seg.timestamps, seg.values, seg.expiries) for seg in data.segments],
-            now=self._clock(),
-            ascending=True,
+    def _plan_merge_locked(self):
+        """The merge policy: once more than ``max_segment_files`` tables
+        exist, the cheapest contiguous run of :data:`COMPACT_MIN_RUN`
+        (contiguous, because table order is LWW order).  Reserves the
+        output's generation and snapshots what the build needs."""
+        tables = self._tables
+        if len(tables) <= self.max_segment_files:
+            return None
+        run = min(COMPACT_MIN_RUN, len(tables))
+        at = min(
+            range(len(tables) - run + 1),
+            key=lambda i: sum(t.size_bytes for t in tables[i : i + run]),
         )
-        data.segments = [_Segment(*merged)]
-        self._compactions.inc()
+        return tables[at : at + run], self._take_gen(), self._clock(), dict(self._cutoffs)
+
+    def _merge(self, victims: list, gen: int, now: int | None, cutoffs):
+        """Write the merge of ``victims`` (contiguous, LWW order) as table
+        ``gen`` with retention applied and, given ``now``, TTL too.
+        Needs no lock: tables are immutable and ``cutoffs`` a snapshot."""
+        run_sids = sorted({sid for table in victims for sid in table.sids()})
+
+        def sensors():
+            for sid in run_sids:
+                pairs = cutoffs.get(sid)
+                parts = []
+                for table in victims:
+                    if sid not in table:
+                        continue
+                    ts, vals, exp = table.read(sid)
+                    cutoff = _cutoff_of(pairs, table.gen)
+                    if cutoff is not None:
+                        lo = int(np.searchsorted(ts, cutoff, side="left"))
+                        ts, vals, exp = ts[lo:], vals[lo:], exp[lo:]
+                    parts.append((ts, vals, exp))
+                yield sid, *merge_lww(parts, now=now, ascending=True)
+
+        return self._write_table(gen, sensors())
+
+    def _swap_locked(self, victims: list, table) -> bool:
+        """Replace ``victims`` by ``table`` (None: nothing survived) in
+        the table list and in every affected sensor's run list; the
+        output takes the first victim's LWW position.  False when the
+        victims are no longer stored contiguously (a seal or a close
+        replaced them while a merge was building)."""
+        at = next((i for i, t in enumerate(self._tables) if t is victims[0]), None)
+        if at is None or self._tables[at : at + len(victims)] != victims:
+            return False
+        self._tables[at : at + len(victims)] = [] if table is None else [table]
+        doomed = set(victims)
+        for sid in {sid for victim in victims for sid in victim.sids()}:
+            data = self._data[sid]
+            placed = table is None or sid not in table
+            runs = []
+            for run in data.runs:
+                if run not in doomed:
+                    runs.append(run)
+                elif not placed:
+                    runs.append(table)
+                    placed = True
+            data.runs = runs
+        return True
+
+    def _merged_locked(self, victims: list, t0: float) -> None:
+        self._compaction_runs.inc()
+        self._tables_changed_locked()
+        for victim in victims:
+            victim.discard()
+        self._compaction_seconds.observe(perf_counter() - t0)
+
+    def _merge_once(self) -> bool:
+        """One tiered merge: plan and swap under the node lock, build in
+        between.  False when the policy finds nothing to merge."""
+        t0 = perf_counter()
+        with self._lock:
+            plan = self._plan_merge_locked()
+        if plan is None:
+            return False
+        victims, gen, now, cutoffs = plan
+        table = self._merge(victims, gen, now, cutoffs)
+        with self._lock:
+            if self._swap_locked(victims, table):
+                self._merged_locked(victims, t0)
+            elif table is not None:
+                table.discard()
+        return True
+
+    def compact(self) -> None:
+        """Seal, then merge every table into one, dropping expired and
+        retention-covered rows for good."""
+        with self._merge_mutex, self._lock:
+            self._flush_locked()
+            victims = list(self._tables)
+            if not victims:
+                return
+            t0 = perf_counter()
+            table = self._merge(victims, self._take_gen(), self._clock(), self._cutoffs)
+            self._swap_locked(victims, table)
+            self._merged_locked(victims, t0)
 
     # -- read path ----------------------------------------------------------
 
+    def _block_locked(self, sid: SensorId, table) -> _Segment:
+        """One sensor's run in one table, with the retention cutoff that
+        covers the table applied (a slice: runs are sorted)."""
+        block = table.block(sid)
+        cutoff = _cutoff_of(self._cutoffs.get(sid), table.gen)
+        if cutoff is not None and cutoff > block.min_ts:
+            lo = int(np.searchsorted(block.timestamps, cutoff, side="left"))
+            block = _Segment(block.timestamps[lo:], block.values[lo:], block.expiries[lo:])
+        return block
+
     def _stage_locked(
         self, sid: SensorId, data: _SensorData, start: int, end: int
-    ) -> tuple[list[_Segment], tuple[np.ndarray, np.ndarray, np.ndarray] | None, int]:
+    ) -> tuple[list[_Segment], tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
         """Snapshot one sensor's query inputs while holding the lock.
 
-        Segments are immutable, so overlapping ones are captured by
-        reference after min/max pruning; memtable columns (mutable
-        lists) are frozen into arrays.  Returns ``(segments, memtable
-        snapshot or None, segments pruned)`` — the expensive slicing
-        and merging then happens outside the lock.
-
-        ``sid`` identifies the sensor for subclasses that stage extra
-        sources (the durable node prepends footer-pruned disk blocks);
-        the base implementation does not need it.
+        Runs whose ``[min_ts, max_ts]`` misses the window are pruned on
+        their bounds alone (a footer entry for a file); the others are
+        captured by reference, a file's decoded through the block cache.
+        Memtable columns (mutable lists) are frozen into arrays.  The
+        expensive slicing and merging then happens outside the lock.
         """
-        segments = [seg for seg in data.segments if seg.overlaps(start, end)]
-        pruned = len(data.segments) - len(segments)
+        runs: list[_Segment] = []
+        pruned_resident = pruned_files = 0
+        for table in data.runs:
+            min_ts, max_ts = table.bounds_for(sid)
+            if max_ts < start or min_ts > end:
+                if table.resident:
+                    pruned_resident += 1
+                else:
+                    pruned_files += 1
+                continue
+            block = self._block_locked(sid, table)
+            if block.size:
+                runs.append(block)
+        if pruned_resident:
+            self._segments_pruned.inc(pruned_resident)
+        if pruned_files:
+            self._blocks_pruned.inc(pruned_files)
         mem = None
         if data.mem_ts:
             mem = (
@@ -401,20 +591,20 @@ class StorageNode(StorageBackend):
                 np.asarray(data.mem_val, dtype=np.int64),
                 np.asarray(data.mem_exp, dtype=np.int64),
             )
-        return segments, mem, pruned
+        return runs, mem
 
     @staticmethod
     def _merge_staged(
-        segments: list[_Segment],
+        runs: list[_Segment],
         mem: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
         start: int,
         end: int,
         now: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Merge staged segments + memtable snapshot into one series."""
+        """Merge staged runs + memtable snapshot into one series."""
         parts: list[tuple[np.ndarray, ...]] = []
-        for seg in segments:
-            part = seg.slice(start, end, now)
+        for run in runs:
+            part = run.slice(start, end, now)
             if part[0].size:
                 parts.append(part)
         mem_contributed = False
@@ -426,9 +616,9 @@ class StorageNode(StorageBackend):
                 mem_contributed = True
         if not parts:
             return _EMPTY, _EMPTY
-        # A single segment slice is already sorted and deduplicated
-        # (the segment invariant), so merge_lww hands the views from
-        # slice() back untouched; memtable rows are in arrival order.
+        # A single run slice is already sorted and deduplicated (the
+        # run invariant), so merge_lww hands the views from slice()
+        # back untouched; memtable rows are in arrival order.
         return merge_lww(parts, ascending=not mem_contributed)
 
     def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -439,10 +629,8 @@ class StorageNode(StorageBackend):
             data = self._data.get(sid)
             if data is None:
                 return _EMPTY, _EMPTY
-            segments, mem, pruned = self._stage_locked(sid, data, start, end)
-        if pruned:
-            self._segments_pruned.inc(pruned)
-        result = self._merge_staged(segments, mem, start, end, now)
+            runs, mem = self._stage_locked(sid, data, start, end)
+        result = self._merge_staged(runs, mem, start, end, now)
         self._query_latency.observe(perf_counter() - t0)
         return result
 
@@ -453,8 +641,7 @@ class StorageNode(StorageBackend):
 
         Semantically identical to calling :meth:`query` per SID, but
         amortizes a single lock acquisition across the whole batch:
-        inputs for all sensors are staged under the lock (cheap — the
-        segments are captured by reference after pruning), then sliced
+        inputs for all sensors are staged under the lock, then sliced
         and merged outside it.  Returns an entry for *every* requested
         SID, with empty arrays for sensors without data in range.
         """
@@ -462,24 +649,19 @@ class StorageNode(StorageBackend):
         now = self._clock()
         if not isinstance(sids, (list, tuple)):
             sids = list(sids)
-        staged: list[tuple[list[_Segment], tuple, int] | None] = []
+        staged: list[tuple[list[_Segment], tuple | None] | None] = []
         with self._lock:
             for sid in sids:
                 data = self._data.get(sid)
                 staged.append(
                     None if data is None else self._stage_locked(sid, data, start, end)
                 )
-        pruned_total = 0
         out: dict[SensorId, tuple[np.ndarray, np.ndarray]] = {}
         for sid, stage in zip(sids, staged):
             if stage is None:
                 out[sid] = (_EMPTY, _EMPTY)
                 continue
-            segments, mem, pruned = stage
-            pruned_total += pruned
-            out[sid] = self._merge_staged(segments, mem, start, end, now)
-        if pruned_total:
-            self._segments_pruned.inc(pruned_total)
+            out[sid] = self._merge_staged(*stage, start, end, now)
         self._query_latency.observe(perf_counter() - t0)
         return out
 
@@ -488,25 +670,22 @@ class StorageNode(StorageBackend):
 
         The rebalance path uses this to stream a partition's history to
         its new owner: each chunk feeds straight into ``insert_batch``
-        on the target.  Sources are emitted in last-write-wins order
-        (oldest segment first, memtable last) without a global merge,
-        so replaying the chunks in order reproduces the same LWW
-        outcome on the target; duplicate timestamps across sources are
+        on the target.  Runs are emitted in last-write-wins order
+        (oldest table first, memtable last) without a global merge, so
+        replaying the chunks in order reproduces the same LWW outcome
+        on the target; duplicate timestamps across runs are
         deduplicated there at read time exactly as they are here.  TTLs
         are reconstructed from the stored expiries so retention keeps
-        working on the new owner.  For durable nodes the staged sources
-        are footer-pruned disk blocks, making the stream block-granular
-        without materializing whole segment files.
+        working on the new owner.  A file's runs come block by block
+        through the cache, never whole files at once.
         """
         now = self._clock()
         with self._lock:
             data = self._data.get(sid)
             if data is None:
                 return
-            segments, mem, _ = self._stage_locked(
-                sid, data, -(1 << 62), _INT64_MAX
-            )
-        sources = [(seg.timestamps, seg.values, seg.expiries) for seg in segments]
+            runs, mem = self._stage_locked(sid, data, -(1 << 62), _INT64_MAX)
+        sources = [(run.timestamps, run.values, run.expiries) for run in runs]
         if mem is not None:
             sources.append(mem)
         for ts, vals, exp in sources:
@@ -537,39 +716,31 @@ class StorageNode(StorageBackend):
             return cache
 
     def delete_before(self, sid: SensorId, cutoff: int) -> int:
-        """Remove readings strictly older than ``cutoff``."""
+        """Remove readings strictly older than ``cutoff`` from the
+        memtable and from every table stored now; rows that arrive
+        later stay visible."""
         removed = 0
         with self._lock:
             data = self._data.get(sid)
             if data is None:
                 return 0
+            for table in data.runs:
+                if cutoff > table.bounds_for(sid)[0]:
+                    block = self._block_locked(sid, table)
+                    removed += int(np.searchsorted(block.timestamps, cutoff, side="left"))
+            if data.runs:
+                kept = [pair for pair in self._cutoffs.get(sid, ()) if pair[0] > cutoff]
+                self._cutoffs[sid] = kept + [(cutoff, self._next_gen)]
             if data.mem_ts:
                 mts = np.asarray(data.mem_ts, dtype=np.int64)
                 keep = mts >= cutoff
                 dropped = int(keep.size) - int(keep.sum())
                 if dropped:
                     removed += dropped
-                    mvals = np.asarray(data.mem_val, dtype=np.int64)
-                    mexp = np.asarray(data.mem_exp, dtype=np.int64)
+                    self._memtable_rows -= dropped
                     data.mem_ts = mts[keep].tolist()
-                    data.mem_val = mvals[keep].tolist()
-                    data.mem_exp = mexp[keep].tolist()
-            new_segments = []
-            for seg in data.segments:
-                mask = seg.timestamps >= cutoff
-                dropped = int((~mask).sum())
-                if dropped:
-                    removed += dropped
-                    if mask.any():
-                        new_segments.append(
-                            _Segment(
-                                seg.timestamps[mask], seg.values[mask], seg.expiries[mask]
-                            )
-                        )
-                else:
-                    new_segments.append(seg)
-            data.segments = new_segments
-            self._memtable_rows = sum(len(d.mem_ts) for d in self._data.values())
+                    data.mem_val = np.asarray(data.mem_val, dtype=np.int64)[keep].tolist()
+                    data.mem_exp = np.asarray(data.mem_exp, dtype=np.int64)[keep].tolist()
         return removed
 
     # -- metadata -------------------------------------------------------------
@@ -597,18 +768,43 @@ class StorageNode(StorageBackend):
 
     @property
     def row_count(self) -> int:
-        """Total stored rows (memtable + segments), pre-TTL."""
+        """Stored rows (memtable + runs), after retention, before TTL.
+
+        A run no cutoff covers is counted from its table's index (a
+        segment footer for a file) without being decoded."""
         with self._lock:
-            total = 0
-            for data in self._data.values():
-                total += len(data.mem_ts)
-                total += sum(seg.size for seg in data.segments)
+            total = self._memtable_rows
+            for sid, data in self._data.items():
+                pairs = self._cutoffs.get(sid)
+                for table in data.runs:
+                    if _cutoff_of(pairs, table.gen) is None:
+                        total += table.rows_for(sid)
+                    else:
+                        total += self._block_locked(sid, table).size
             return total
 
     @property
     def segment_count(self) -> int:
+        """Sealed per-sensor runs held."""
         with self._lock:
-            return sum(len(d.segments) for d in self._data.values())
+            return sum(len(d.runs) for d in self._data.values())
+
+    def state_fingerprint(self) -> str:
+        """Deterministic digest of all queryable state.
+
+        Two nodes answering every query identically produce the same
+        fingerprint — the chaos battery's bit-identical recovery check.
+        """
+        digest = hashlib.sha256()
+        for sid in self.sids():
+            ts, vals = self.query(sid, 0, _INT64_MAX)
+            digest.update(sid.hex().encode())
+            digest.update(ts.tobytes())
+            digest.update(vals.tobytes())
+        for key in self.metadata_keys():
+            digest.update(key.encode("utf-8"))
+            digest.update((self.get_metadata(key) or "").encode("utf-8"))
+        return digest.hexdigest()
 
 
 _EMPTY = np.empty(0, dtype=np.int64)

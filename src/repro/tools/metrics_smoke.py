@@ -97,7 +97,6 @@ DURABILITY_METRICS = (
     "dcdb_wal_replayed_records_total",
     "dcdb_wal_size_bytes",
     "dcdb_segment_files_written_total",
-    "dcdb_segment_compactions_total",
     "dcdb_segment_write_errors_total",
     "dcdb_segment_files",
     "dcdb_segment_disk_bytes",

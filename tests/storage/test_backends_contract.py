@@ -158,6 +158,17 @@ class TestDataContract:
         ts, _ = backend.query(SID, 0, 100)
         assert ts.tolist() == [5, 6, 7, 8, 9]
 
+    def test_cutoff_spares_rows_that_arrive_later(self, backend):
+        # A cutoff removes the rows stored when it is issued; a reading
+        # below it that arrives afterwards is new data and stays.
+        for t in range(10):
+            backend.insert(SID, t, t)
+        assert backend.delete_before(SID, 5) == 5
+        backend.insert(SID, 2, 22)
+        ts, vals = backend.query(SID, 0, 100)
+        assert ts.tolist() == [2, 5, 6, 7, 8, 9]
+        assert vals.tolist() == [22, 5, 6, 7, 8, 9]
+
     def test_query_prefix_selects_subtree(self, backend):
         backend.insert(SID, 1, 1)
         backend.insert(SID_SIBLING, 1, 2)

@@ -79,7 +79,7 @@ class TestBlockCacheUnit:
         assert cache.bytes == 0
         assert cache.get("f", SID) is None
 
-    def test_invalidate_file_and_sid(self):
+    def test_invalidate_file(self):
         cache = BlockCache(1 << 20)
         cache.put("f1", SID, _block(10))
         cache.put("f1", SID_B, _block(10))
@@ -87,7 +87,7 @@ class TestBlockCacheUnit:
         assert cache.invalidate_file("f1") == 2
         assert cache.get("f1", SID) is None
         assert cache.get("f2", SID) is not None
-        assert cache.invalidate_sid(SID) == 1
+        assert cache.invalidate_file("f2") == 1
         assert cache.bytes == 0
         assert len(cache) == 0
 
@@ -137,13 +137,11 @@ class TestNodeCacheIntegration:
         node.close()
 
     def test_compaction_swap_invalidates_victim_entries(self, tmp_path):
-        node = _reopened_with_files(tmp_path, compaction="inline")
+        node = _reopened_with_files(tmp_path)
         assert node.query(SID, 0, 1 << 62)[0].size == 400
         assert len(node._block_cache) == 4
         node.max_segment_files = 1
-        node.compact_min_run = 4
-        with node._lock:
-            node._schedule_compaction_locked()
+        assert node.wait_for_compaction(timeout_s=30.0)
         assert node.segment_file_count == 1
         assert len(node._block_cache) == 0, "swap left stale victim blocks cached"
         assert node.query(SID, 0, 1 << 62)[0].size == 400
@@ -197,7 +195,6 @@ class TestNodeCacheIntegration:
         node = make_node(
             tmp_path,
             max_segment_files=2,
-            compact_min_run=2,
             block_cache_bytes=4096,
         )
         expected = [b * 1000 + i for b in range(8) for i in range(100)]

@@ -70,7 +70,7 @@ class TestStorageNodeConcurrency:
         assert errors == []
 
     def test_concurrent_compaction_and_writes(self):
-        node = StorageNode(flush_threshold=200, max_segments_per_sensor=2)
+        node = StorageNode(flush_threshold=200, max_segment_files=2)
         sid = SIDS[0]
         stop = threading.Event()
 

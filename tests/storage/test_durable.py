@@ -9,6 +9,8 @@ acceptance scenarios live in ``tests/integration/test_chaos_durability.py``.
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -343,14 +345,13 @@ class TestDurableNodeRecovery:
         recovered = make_node(tmp_path)
         assert recovered.row_count == 500
         assert recovered.segment_count == 2
-        assert set(recovered._disk_refs) == {SID, SID_B}
         assert len(recovered._block_cache) == 0, "scrape decoded disk blocks"
         # Reads decode on demand through the block cache and agree with
-        # the footer counts; the refs stay put — a read never converts
-        # a disk block into permanent memtable residency.
+        # the footer counts; the runs stay file-backed — a read never
+        # converts a disk block into permanent residency.
         assert recovered.query(SID, 0, 1 << 62)[0].size == 300
         assert len(recovered._block_cache) == 1
-        assert set(recovered._disk_refs) == {SID, SID_B}
+        assert recovered.segment_count == 2 and recovered.segment_file_count == 1
         assert recovered.row_count == 500
         recovered.close()
 
@@ -534,13 +535,13 @@ class TestDiskFaultInjection:
 
 class TestTieredCompaction:
     def test_file_count_bounded_and_data_intact(self, tmp_path):
-        node = make_node(tmp_path, max_segment_files=4, compact_min_run=2)
+        node = make_node(tmp_path, max_segment_files=4)
         for b in range(12):
             node.insert_batch([(SID, b * 100 + i, b * 1000 + i, 0) for i in range(100)])
             node.flush()
         assert node.wait_for_compaction(timeout_s=30.0)
         assert node.segment_file_count <= 4
-        assert node.metrics.value("dcdb_segment_compactions_total", {"node": "n0"}) > 0
+        assert node.metrics.value("dcdb_compaction_runs_total", {"node": "n0"}) > 0
         ts, vals = node.query(SID, 0, 10**9)
         assert ts.size == 1200
         assert vals.tolist() == [b * 1000 + i for b in range(12) for i in range(100)]
@@ -553,7 +554,7 @@ class TestTieredCompaction:
         node.close()
 
     def test_lww_preserved_across_merges(self, tmp_path):
-        node = make_node(tmp_path, max_segment_files=2, compact_min_run=2)
+        node = make_node(tmp_path, max_segment_files=2)
         for round_no in range(8):
             node.insert_batch([(SID, t, round_no, 0) for t in range(100)])
             node.flush()
@@ -567,7 +568,7 @@ class TestTieredCompaction:
         recovered.close()
 
     def test_delete_before_filtered_during_merge(self, tmp_path):
-        node = make_node(tmp_path, max_segment_files=2, compact_min_run=2)
+        node = make_node(tmp_path, max_segment_files=2)
         for b in range(4):
             node.insert_batch([(SID, b * 10 + i, 1, 0) for i in range(10)])
             node.flush()
@@ -580,6 +581,67 @@ class TestTieredCompaction:
         ts, _ = recovered.query(SID, 0, 1000)
         assert ts.tolist() == list(range(20, 80))
         recovered.close()
+
+    def test_seals_racing_background_merges_lose_nothing(self, tmp_path):
+        """Writers sealing every few batches while the worker merges and
+        readers read: every row stays visible, in order, exactly once."""
+        node = make_node(tmp_path, fsync="off", flush_threshold=50, max_segment_files=2)
+        writers, batches = 4, 40
+        errors: list[str] = []
+
+        def writer(w: int) -> None:
+            for b in range(batches):
+                base = (w * batches + b) * 10
+                node.insert_batch([(SID, base + i, base + i, 0) for i in range(10)])
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(writers)]
+
+        def reader() -> None:
+            while any(t.is_alive() for t in threads):
+                ts, vals = node.query(SID, 0, 1 << 62)
+                if (np.diff(ts) <= 0).any() or (ts != vals).any():
+                    errors.append(f"bad read of {ts.size} rows")
+                    return
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads + readers:
+                t.start()
+            for t in threads + readers:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads + readers)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors
+        assert node.wait_for_compaction(timeout_s=30.0)
+        assert node.metrics.value("dcdb_compaction_runs_total", {"node": "n0"}) > 0
+        expected = list(range(writers * batches * 10))
+        assert node.query(SID, 0, 1 << 62)[0].tolist() == expected
+        node.close()
+        reopened = make_node(tmp_path, fsync="off")
+        assert reopened.query(SID, 0, 1 << 62)[0].tolist() == expected
+        reopened.close()
+
+    def test_sealed_rows_are_read_from_files_not_memory(self, tmp_path):
+        """Rows sealed in this process lifetime live in their segment
+        files only: none stay resident, and the first read of them is a
+        block-cache miss (a decode), the repeat a hit."""
+        node = make_node(tmp_path, fsync="off", flush_threshold=100, max_segment_files=100)
+        for b in range(10):
+            node.insert_batch([(SID, b * 100 + i, i, 0) for i in range(100)])
+        labels = {"node": "n0"}
+        ts, _ = node.query(SID, 250, 349)
+        assert ts.tolist() == list(range(250, 350))
+        assert node.metrics.value("dcdb_segment_block_cache_misses_total", labels) == 2
+        node.query(SID, 250, 349)
+        assert node.metrics.value("dcdb_segment_block_cache_hits_total", labels) == 2
+        assert node.segment_file_count == 10
+        assert node.metrics.value("dcdb_storage_memtable_rows", labels) == 0
+        assert sum(t.rows_for(SID) for t in node._tables if t.resident) == 0
+        assert node.row_count == 1000
+        node.close()
 
     def test_full_compact_collapses_to_one_file(self, tmp_path):
         node = make_node(tmp_path, max_segment_files=100)

@@ -492,7 +492,7 @@ class TestSegmentBytesUnchanged:
         # pinned_series() (flush_threshold=150, see the digest above).
         data_dir = tmp_path / "node"
         shutil.copytree(FIXTURES / "parent_datadir", data_dir)
-        node = DurableNode("fixture", data_dir=data_dir, compaction="inline", clock=lambda: 0)
+        node = DurableNode("fixture", data_dir=data_dir, clock=lambda: 0)
         try:
             assert node.state_fingerprint() == PINNED_FINGERPRINT
             assert node.get_metadata("sidmap/fixture/a") == "0007" and node.get_metadata("gone") is None

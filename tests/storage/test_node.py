@@ -1,15 +1,26 @@
-"""Tests for the single storage node: memtable, segments, compaction."""
+"""Tests for the storage engine: memtable, sealed runs, compaction —
+and a model test running both stores against the MemoryBackend oracle."""
 
-import numpy as np
-import pytest
-from hypothesis import given, strategies as st
+import tempfile
+
+from hypothesis import given, settings, strategies as st
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.sid import SensorId
+from repro.storage.durable import DurableNode
+from repro.storage.memory import MemoryBackend
 from repro.storage.node import StorageNode
 
 SID_A = SensorId.from_codes([1, 1])
 SID_B = SensorId.from_codes([1, 2])
+
+
+def _flushes(node) -> int:
+    return int(node.metrics.value("dcdb_storage_flushes_total", {"node": node.name}))
+
+
+def _inserts(node) -> int:
+    return int(node.metrics.value("dcdb_storage_inserts_total", {"node": node.name}))
 
 
 class TestBasicOperations:
@@ -73,7 +84,7 @@ class TestFlushAndSegments:
         node = StorageNode(flush_threshold=10)
         for t in range(25):
             node.insert(SID_A, t, t)
-        assert node.flushes >= 2
+        assert _flushes(node) >= 2
         assert node.query(SID_A, 0, 100)[0].size == 25
 
     def test_query_merges_memtable_and_segments(self):
@@ -112,7 +123,7 @@ class TestCompaction:
         assert node.query(SID_A, 0, 100)[0].size == 5
 
     def test_auto_compaction_bounds_segments(self):
-        node = StorageNode(max_segments_per_sensor=3)
+        node = StorageNode(max_segment_files=3)
         for i in range(10):
             node.insert(SID_A, i, i)
             node.flush()
@@ -270,27 +281,82 @@ class TestQueryPath:
         assert vals.tolist() == [99]
 
 
-class TestPropertyBased:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1000),
-                st.integers(min_value=-(10**9), max_value=10**9),
-            ),
-            max_size=200,
+#: The model test's fixed "now" and per-timestamp TTLs: with a clock
+#: 20 s in, rows with a 1 s TTL below t=19 s are expired on arrival.
+#: A TTL is a function of the timestamp, so duplicates of one
+#: timestamp always share an expiry (different expiries for one
+#: timestamp would let "newest live write wins" and "newest write wins,
+#: then expires" disagree, which no single-version store can follow).
+_NOW = 20 * NS_PER_SEC
+_TTLS = (0, 0, 1, 30)
+_SIDS = (SID_A, SID_B)
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(_SIDS),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-1000, max_value=1000),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _ROWS),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("compact")),
+        st.tuples(
+            st.just("delete_before"),
+            st.sampled_from(_SIDS),
+            st.integers(min_value=0, max_value=40),
         ),
-        st.integers(min_value=1, max_value=50),
-    )
-    def test_node_matches_dict_oracle(self, inserts, flush_threshold):
-        node = StorageNode(flush_threshold=flush_threshold, max_segments_per_sensor=3)
-        oracle: dict[int, int] = {}
-        for t, v in inserts:
-            node.insert(SID_A, t, v)
-            oracle[t] = v  # last write wins
-        ts, vals = node.query(SID_A, 0, 2000)
-        expected = sorted(oracle.items())
-        assert ts.tolist() == [t for t, _ in expected]
-        assert vals.tolist() == [v for _, v in expected]
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=25,
+)
+
+
+class TestPropertyBased:
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS, st.integers(min_value=1, max_value=20))
+    def test_node_matches_dict_oracle(self, ops, flush_threshold):
+        """Both engines — in memory, and durable across close + reopen —
+        read exactly like the MemoryBackend oracle after every step of
+        a generated history of batches with late and duplicate
+        timestamps and TTLs, seals, merges and retention cutoffs."""
+        clock = lambda: _NOW  # noqa: E731
+        with tempfile.TemporaryDirectory(prefix="dcdb-model-") as tmp:
+
+            def durable() -> DurableNode:
+                return DurableNode(
+                    "model", data_dir=tmp, fsync="off", flush_threshold=flush_threshold, clock=clock
+                )
+
+            oracle = MemoryBackend(clock=clock)
+            engines = {"node": StorageNode(flush_threshold=flush_threshold, clock=clock), "durable": durable()}
+            try:
+                for step, op in enumerate(ops):
+                    if op[0] == "insert":
+                        items = [(sid, t * NS_PER_SEC, v, _TTLS[t % 4]) for sid, t, v in op[1]]
+                        for store in (oracle, *engines.values()):
+                            store.insert_batch(items)
+                    elif op[0] == "delete_before":
+                        for store in (oracle, *engines.values()):
+                            store.delete_before(op[1], op[2] * NS_PER_SEC)
+                    elif op[0] == "reopen":
+                        engines["durable"].close()
+                        engines["durable"] = durable()
+                    else:
+                        for store in engines.values():
+                            getattr(store, op[0])()
+                    expected = oracle.query_many(_SIDS, 0, 100 * NS_PER_SEC)
+                    for name, store in engines.items():
+                        got = store.query_many(_SIDS, 0, 100 * NS_PER_SEC)
+                        for sid in _SIDS:
+                            assert [a.tolist() for a in got[sid]] == [
+                                a.tolist() for a in expected[sid]
+                            ], f"{name} diverged at step {step}: {op}"
+            finally:
+                engines["durable"].close()
 
     @given(
         st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=50),
@@ -310,12 +376,12 @@ class TestFlushAccounting:
     def test_empty_flush_not_counted(self):
         node = StorageNode()
         node.flush()
-        assert node.flushes == 0
+        assert _flushes(node) == 0
         node.insert(SID_A, 1, 1)
         node.flush()
-        assert node.flushes == 1
+        assert _flushes(node) == 1
         node.flush()  # memtable empty again: no segment frozen
-        assert node.flushes == 1
+        assert _flushes(node) == 1
 
 
 class TestVectorizedBatch:
@@ -369,10 +435,10 @@ class TestVectorizedBatch:
     def test_empty_batch(self):
         node = StorageNode()
         assert node.insert_batch([]) == 0
-        assert node.inserts == 0
+        assert _inserts(node) == 0
 
     def test_batch_triggers_threshold_flush(self):
         node = StorageNode(flush_threshold=50)
         node.insert_batch([(SID_A, t, t, 0) for t in range(60)])
-        assert node.flushes == 1
+        assert _flushes(node) == 1
         assert node.query(SID_A, 0, 100)[0].size == 60
