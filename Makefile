@@ -6,12 +6,12 @@ PYTHON ?= python
 # failing schedule: make chaos CHAOS_SEEDS=42
 CHAOS_SEEDS ?= 101,202,303,404,505
 
-.PHONY: install test metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench bench-query bench-rollup bench-transport bench-durability bench-rebalance bench-baseline bench-compare bench-check experiments examples loc all
+.PHONY: install test metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench bench-query bench-tracing bench-rollup bench-transport bench-durability bench-rebalance bench-baseline bench-compare bench-check experiments examples loc all
 
 install:
 	pip install -e .
 
-test: metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench-query bench-rollup bench-transport bench-durability bench-rebalance bench-check
+test: metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench-query bench-tracing bench-rollup bench-transport bench-durability bench-rebalance bench-check
 	$(PYTHON) -m pytest tests/
 
 # Boot an in-process pusher->agent pipeline and validate the /metrics
@@ -70,6 +70,14 @@ bench:
 # enough to ride along with every `make test`.
 bench-query:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_query_path.py \
+		--benchmark-disable
+
+# Single-round smoke over the tracing-overhead decomposition: counts
+# every tracer primitive through a sampled simulated pipeline and
+# prices it (the <= 5% gate arms under `make bench`), so a change to
+# the tracer API it patches fails here rather than only at bench time.
+bench-tracing:
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_tracing_overhead.py \
 		--benchmark-disable
 
 # Single-round smoke over the transport fan-in benchmark (200 pushers

@@ -219,8 +219,7 @@ class TestPipeline:
         def blast(agent, client, payloads):
             for topic, payload in payloads:
                 client.publish(topic, payload)
-            if agent.writer is not None:
-                assert agent.writer.drain()
+            assert agent.writer.drain()
             return MESSAGES
 
         # Synchronous reference path: best of 3 after a warm-up round.

@@ -24,18 +24,27 @@ This bounds the marginal cost of every instruction tracing adds to
 the hot path; steady-state systemic effects were measured separately
 (blocked toggling, discarding post-switch slices) at ~1.5% and are
 covered by the budget's headroom.
+
+The primitives are the tracer's two calls — ``sample`` (the per-
+candidate sampling decision, which mints the trace ID) and ``hop``
+(histogram observation + span) — plus the storage layer's own span
+records, the ambient trace context of a traced flush and the broker's
+origin peek.  The 5% gate arms only when benchmarking is enabled; the
+``--benchmark-disable`` smoke (``make bench-tracing``) still runs the
+decomposition, so a tracer API change breaks it at once.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import time
+from collections import Counter
 
 from conftest import emit, format_table
-from repro.core.payload import encode_readings
+from repro.core.payload import encode_readings, payload_origin_ns
 from repro.core.sensor import SensorReading
-from repro.observability import MetricsRegistry, SpanRecorder, new_trace_id, trace_context
-from repro.observability.tracing import PipelineTracer, payload_origin_ns
+from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder, trace_context
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
 
 OVERHEAD_BUDGET = 0.05  # sampled tracing may cost at most 5%
@@ -61,13 +70,13 @@ def _count_primitive_calls() -> tuple[dict[str, int], int]:
     Counts are per the whole run; the second element is the number of
     readings ingested, for per-reading normalization.
     """
-    counts: dict[str, int] = {}
+    samples = Counter()
+    hops = Counter()
+    records = Counter()
 
-    def counted(name, fn):
-        counts[name] = 0
-
+    def counted(counter, fn, key=None):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counter[key if key is not None else args[0]] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -75,20 +84,30 @@ def _count_primitive_calls() -> tuple[dict[str, int], int]:
     sim = _make_sim(STRIDE)
     try:
         # Wrap the *instances* wired into this sim, so counting does
-        # not disturb other tests' module state.
+        # not disturb other tests' module state.  The writer shares the
+        # agent's tracer.
         tracers = [p.tracer for p in sim.pushers] + [sim.hub.tracer, sim.agent.tracer]
         for tracer in tracers:
-            tracer.should_sample = counted("should_sample", tracer.should_sample)
-            tracer.stamp = counted("stamp", tracer.stamp)
-            tracer.stamp_payload = counted("stamp_payload", tracer.stamp_payload)
-        sim.spans.record = counted("span_record", sim.spans.record)
+            tracer.sample = counted(samples, tracer.sample, "sample")
+            tracer.hop = counted(hops, tracer.hop)
+        sim.spans.record = counted(records, sim.spans.record, "span_record")
         stored = sim.run(COUNT_SIM_SECONDS)
         assert stored == sim.expected_readings(COUNT_SIM_SECONDS)
-        # stamp_payload delegates to stamp; do not double-charge.
-        counts["stamp"] -= counts.pop("stamp_payload")
-        return counts, stored
     finally:
         sim.stop()
+    assert set(hops) == {"collect", "publish", "dispatch", "insert", "commit"}
+    counts = {
+        "sample": samples["sample"],
+        "hop": sum(hops.values()),
+        # Each hop records its span itself; the rest are the storage
+        # layer's replica spans.
+        "span_record": records["span_record"] - sum(hops.values()),
+        # One ambient context per traced flush, one origin peek per
+        # traced dispatch.
+        "trace_context": hops["commit"],
+        "payload_origin_ns": hops["dispatch"],
+    }
+    return counts, stored
 
 
 def _unit_cost_s(fn, n: int = 20000, reps: int = 3) -> float:
@@ -125,39 +144,34 @@ class TestTracingOverhead:
 
         # Unit costs, measured adjacent to the baseline so machine
         # speed cancels in the final ratio.  Each priced at its
-        # worst case (exemplar attached, attributes recorded).
+        # worst case (exemplar attached, attributes recorded, a fresh
+        # trace per call so the span ring evicts as in steady state).
         registry = MetricsRegistry()
-        tracer_on = PipelineTracer(registry, sample_every=STRIDE)
-        tracer_off = PipelineTracer(registry, sample_every=0)
         recorder = SpanRecorder()
+        tracer_on = PipelineTracer(registry, sample_every=STRIDE, spans=recorder)
+        tracer_off = PipelineTracer(registry, sample_every=0, spans=recorder)
         payload = encode_readings([SensorReading(1_000, 1)], trace_id=0xAB)
+        ids = itertools.count(1)
 
-        def one_stamp():
-            tracer_on.stamp("insert", 1_000, trace_id=0xAB)
+        def one_hop():
+            tracer_on.hop("insert", "agent", next(ids), 1_000, 0, topic="/t", readings=1)
 
         def one_record():
-            recorder.record(0xAB, "insert", "agent", 0, 10, topic="/t", readings=1)
+            recorder.record(next(ids), "replica-write", "cluster", 0, 10, replica="n0", retries=0)
 
         def one_context():
             with trace_context(0xAB):
                 pass
 
         unit = {
-            # Sampling checks run at stride 0 too: charge the delta.
-            "should_sample": _unit_cost_s(tracer_on.should_sample)
-            - _unit_cost_s(tracer_off.should_sample),
-            "stamp": _unit_cost_s(one_stamp),
+            # Sampling decisions run at stride 0 too: charge the delta
+            # (which includes minting the ID for one in STRIDE).
+            "sample": _unit_cost_s(tracer_on.sample) - _unit_cost_s(tracer_off.sample),
+            "hop": _unit_cost_s(one_hop),
             "span_record": _unit_cost_s(one_record),
-            "new_trace_id": _unit_cost_s(new_trace_id),
             "trace_context": _unit_cost_s(one_context),
             "payload_origin_ns": _unit_cost_s(lambda: payload_origin_ns(payload)),
         }
-        # Primitives not wrapped in the counting run, with known
-        # per-traced-message multiplicity (1 each at the pusher/agent).
-        traced_messages = counts["span_record"] and counts.get("stamp", 0) // 5 or 0
-        counts.setdefault("new_trace_id", traced_messages)
-        counts.setdefault("trace_context", traced_messages)
-        counts.setdefault("payload_origin_ns", traced_messages)
 
         baseline = _baseline_per_reading_s()
         benchmark.pedantic(_baseline_per_reading_s, rounds=1, iterations=1)
@@ -182,10 +196,11 @@ class TestTracingOverhead:
             f"{readings} readings)",
             format_table(["Primitive", "Calls", "Unit cost", "Per reading"], rows),
         )
-        assert overhead <= OVERHEAD_BUDGET, (
-            f"sampled tracing costs {overhead:.1%} of the untraced ingest "
-            f"path (budget {OVERHEAD_BUDGET:.0%})"
-        )
+        if benchmark.enabled:
+            assert overhead <= OVERHEAD_BUDGET, (
+                f"sampled tracing costs {overhead:.1%} of the untraced ingest "
+                f"path (budget {OVERHEAD_BUDGET:.0%})"
+            )
 
     def test_traced_run_actually_recorded_spans(self):
         """Guard the gate itself: the sampled config must be tracing."""

@@ -9,7 +9,10 @@ Wires together three pieces:
 * the :class:`~repro.core.sid.SidMapper` translating topics into
   storage keys (1:1, hierarchical, paper section 4.2);
 * a :class:`~repro.storage.backend.StorageBackend` receiving the
-  readings, batched per MQTT message.
+  readings through a
+  :class:`~repro.core.collectagent.writer.BatchingWriter` — the one
+  ingest path, whether it coalesces on writer threads or writes each
+  message on the broker's thread (``writers=0``).
 
 The agent also keeps a per-topic :class:`~repro.core.sensor.SensorCache`
 ("gives access to the most recent readings of all Pushers connected",
@@ -23,7 +26,7 @@ import logging
 import threading
 import time
 
-from repro.common.errors import BackpressureError, StorageError, TransportError
+from repro.common.errors import BackpressureError, TransportError
 from repro.common.timeutil import NS_PER_SEC, now_ns
 from repro.core import payload as payload_mod
 from repro.core.collectagent.writer import BatchingWriter, WriterConfig
@@ -32,7 +35,7 @@ from repro.core.sid import PersistentSidMapper, SensorId
 from repro.mqtt.packets import Publish
 from repro.mqtt.transport import get_transport
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
-from repro.observability.spans import default_recorder, trace_context
+from repro.observability.spans import default_recorder
 from repro.storage.backend import StorageBackend
 from repro.storage.rollup import RollupConfig, RollupEngine
 
@@ -59,17 +62,20 @@ class CollectAgent:
     default_ttl_s:
         TTL applied to stored readings (0 = keep forever).
     writer_config:
-        When given, readings are staged in an asynchronous
-        :class:`~repro.core.collectagent.writer.BatchingWriter` that
-        coalesces writes across MQTT messages instead of hitting the
-        backend synchronously on the dispatch thread (paper section
+        Configuration of the
+        :class:`~repro.core.collectagent.writer.BatchingWriter` every
+        reading is staged in.  With writer threads it coalesces writes
+        across MQTT messages off the dispatch thread (paper section
         5.3: Cassandra inserts happen in large asynchronous batches).
-        ``None`` (the default) keeps the synchronous per-message path.
+        ``None`` (the default) builds ``WriterConfig(writers=0)``: each
+        message is written on the dispatch thread before the hook
+        returns, and a failed write stays staged for the next message
+        to retry.
     rollup_config:
         When given, a :class:`~repro.storage.rollup.RollupEngine`
         continuously maintains 10s/1m/1h min/max/sum/count rollup
         series per sensor, observed after each successful storage
-        flush (batched or synchronous).  ``None`` disables rollups.
+        flush.  ``None`` disables rollups.
     """
 
     def __init__(
@@ -139,33 +145,24 @@ class CollectAgent:
             "dcdb_agent_known_sensors", "Topics with an assigned storage SID"
         ).set_function(lambda: len(self.sid_mapper))
         self.tracer = PipelineTracer(
-            self.metrics, clock=clock, sample_every=trace_sample_every
+            self.metrics, clock=clock, sample_every=trace_sample_every, spans=self.spans
         )
         self.rollup = (
             RollupEngine(backend, rollup_config, metrics=self.metrics, clock=clock)
             if rollup_config is not None
             else None
         )
-        self.writer = (
-            BatchingWriter(
-                backend,
-                writer_config,
-                metrics=self.metrics,
-                clock=clock,
-                tracer=self.tracer,
-                spans=self.spans,
-                rollup=self.rollup,
-            )
-            if writer_config is not None
-            else None
+        self.writer = BatchingWriter(
+            backend,
+            writer_config if writer_config is not None else WriterConfig(writers=0),
+            metrics=self.metrics,
+            clock=clock,
+            tracer=self.tracer,
+            rollup=self.rollup,
         )
         self._backpressure_drops = self.metrics.counter(
             "dcdb_agent_backpressure_drops_total",
-            "Readings rejected because the staging queue was full (error policy)",
-        )
-        self._store_errors = self.metrics.counter(
-            "dcdb_agent_store_errors_total",
-            "Readings the storage backend refused on the synchronous path",
+            "Readings rejected because the staging queue was full",
         )
         self.broker.add_publish_hook(self._on_publish)
 
@@ -183,15 +180,10 @@ class CollectAgent:
     def metadata_announcements(self) -> int:
         return int(self._metadata_announcements.value)
 
-    @property
-    def store_errors(self) -> int:
-        return int(self._store_errors.value)
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        if self.writer is not None:
-            self.writer.start()
+        self.writer.start()
         start = getattr(self.broker, "start", None)
         if start is not None:
             start()
@@ -200,8 +192,7 @@ class CollectAgent:
         # Drain the staging queue BEFORE flushing the backend: every
         # accepted reading must reach the backend's write path first,
         # or flush() would freeze a memtable that is still missing them.
-        if self.writer is not None:
-            self.writer.stop()
+        self.writer.stop()
         if self.rollup is not None:
             # One last pass so every sealable bucket (and any batch a
             # transient fault left pending) lands before shutdown.
@@ -239,6 +230,11 @@ class CollectAgent:
             return
         if not readings:
             return
+        # Wire-traced messages were sampled at the pusher; a headerless
+        # one is sampled here, at this agent's own stride.
+        if trace_id is None:
+            trace_id = self.tracer.sample()
+        start_ns = self._clock() if trace_id is not None else 0
         known = self.sid_mapper.lookup_topic(packet.topic)
         try:
             sid = known if known is not None else self.sid_mapper.sid_for_topic(packet.topic)
@@ -250,88 +246,27 @@ class CollectAgent:
             # Persist the topic->SID mapping so query tools in other
             # processes can resolve topics (libDCDB reads these keys).
             self.backend.put_metadata(f"sidmap{packet.topic}", sid.hex())
-        # Wire-traced messages were sampled at the pusher; only
-        # trace-headerless traffic consults the local sampling knob.
-        traced = trace_id is not None or self.tracer.should_sample()
-        origin = readings[0].timestamp
-        start_ns = self._clock() if trace_id is not None else 0
-        if traced:
-            self.tracer.stamp("insert", origin, trace_id=trace_id)
         ttl = self.default_ttl_s
         items = [(sid, r.timestamp, r.value, ttl) for r in readings]
-        if self.writer is not None:
-            # Asynchronous path: stage and return; the writer stamps
-            # "commit" when the coalesced batch is durable, so the hop
-            # measures real durability latency rather than enqueue time.
-            try:
-                self.writer.put(items, origin if traced else None, trace_id=trace_id)
-            except BackpressureError as exc:
-                self._backpressure_drops.inc(len(items))
-                logger.warning("backpressure on %s: %s", packet.topic, exc)
-                return
-            if trace_id is not None:
-                self.spans.record(
-                    trace_id,
-                    "insert",
-                    "agent",
-                    start_ns,
-                    self._clock(),
-                    topic=packet.topic,
-                    readings=len(readings),
-                    staged=True,
-                )
-        else:
-            # A storage failure must not propagate into the broker's
-            # reader thread (it would tear down the MQTT connection of
-            # a Pusher whose publish was perfectly valid): count it,
-            # log it, and keep the pipeline flowing.  The replicated
-            # cluster only raises here when a reading landed on no
-            # replica at all.
-            try:
-                # The ambient trace context lets the storage layer
-                # record replica/retry spans without a signature
-                # change; untraced messages skip the context manager
-                # entirely (it is per-message hot-path cost).
-                if trace_id is not None:
-                    with trace_context(trace_id):
-                        self.backend.insert_batch(items)
-                else:
-                    self.backend.insert_batch(items)
-            except StorageError as exc:
-                self._store_errors.inc(len(items))
-                logger.warning(
-                    "storage rejected %d readings on %s: %s",
-                    len(items),
-                    packet.topic,
-                    exc,
-                )
-                return
-            if self.rollup is not None:
-                self.rollup.observe(items)
-            commit_ns = self._clock()
-            if traced:
-                # The batch is durably in the backend's write path: this
-                # stamp is the end-to-end pipeline latency.
-                self.tracer.stamp("commit", origin, trace_id=trace_id)
-            if trace_id is not None:
-                self.spans.record(
-                    trace_id,
-                    "insert",
-                    "agent",
-                    start_ns,
-                    commit_ns,
-                    topic=packet.topic,
-                    readings=len(readings),
-                    staged=False,
-                )
-                self.spans.record(
-                    trace_id,
-                    "commit",
-                    "agent",
-                    start_ns,
-                    commit_ns,
-                    backend=type(self.backend).__name__,
-                )
+        if trace_id is not None:
+            self.tracer.hop(
+                "insert",
+                "agent",
+                trace_id,
+                items[0][1],
+                start_ns,
+                topic=packet.topic,
+                readings=len(items),
+            )
+        # Stage and return: the writer records "commit" once the batch
+        # is durable, whether on its own thread or (writers=0) on this
+        # one before put() returns.
+        try:
+            self.writer.put(items, trace_id)
+        except BackpressureError as exc:
+            self._backpressure_drops.inc(len(items))
+            logger.warning("backpressure on %s: %s", packet.topic, exc)
+            return
         cache = self._cache_for(packet.topic)
         for reading in readings:
             cache.store(reading)
@@ -409,9 +344,10 @@ class CollectAgent:
         """Per-component readiness checks for the ``/health`` route.
 
         Components: the transport endpoint (loop thread alive for the
-        TCP broker; trivially ready in-proc), the batching writer
-        (queue below its high watermark, threads running) and storage
-        (live replica count when the backend is a cluster).
+        TCP broker; trivially ready in-proc), the writer (queue below
+        its high watermark, running — a zero-thread writer runs until
+        stopped) and storage (live replica count when the backend is a
+        cluster).
         """
         checks: dict[str, tuple[bool, dict]] = {}
         threads = getattr(self.broker, "transport_threads", None)
@@ -422,19 +358,18 @@ class CollectAgent:
             )
         else:
             checks["broker"] = (True, {"inproc": True})
-        if self.writer is not None:
-            wstatus = self.writer.status()
-            depth = wstatus.get("queueDepth", 0)
-            capacity = wstatus.get("queueCapacity", 0) or 1
-            below_watermark = depth < 0.9 * capacity
-            checks["writer"] = (
-                bool(wstatus.get("running")) and below_watermark,
-                {
-                    "queueDepth": depth,
-                    "queueCapacity": capacity,
-                    "belowWatermark": below_watermark,
-                },
-            )
+        wstatus = self.writer.status()
+        depth = wstatus["queueDepth"]
+        capacity = wstatus["queueCapacity"]
+        below_watermark = depth < 0.9 * capacity
+        checks["writer"] = (
+            wstatus["running"] and below_watermark,
+            {
+                "queueDepth": depth,
+                "queueCapacity": capacity,
+                "belowWatermark": below_watermark,
+            },
+        )
         liveness = getattr(self.backend, "node_liveness", None)
         if liveness is not None:
             live, total = liveness()
@@ -462,7 +397,6 @@ class CollectAgent:
             "defaultTtlSeconds": self.default_ttl_s,
             "readingsStored": self.readings_stored,
             "decodeErrors": self.decode_errors,
-            "storeErrors": self.store_errors,
             "knownSensors": len(self.sid_mapper),
             "connectedClients": int(
                 self.metrics.value("dcdb_broker_connected_clients")
@@ -474,9 +408,9 @@ class CollectAgent:
                 hop: self.tracer.percentiles(hop)
                 for hop in ("dispatch", "insert", "commit")
             },
-            # None on the synchronous path; queue/batch statistics of
-            # the asynchronous ingest path when batching is enabled.
-            "writer": self.writer.status() if self.writer is not None else None,
+            # Queue/flush statistics of the ingest path (writers: 0 when
+            # the agent writes synchronously).
+            "writer": self.writer.status(),
             # None when continuous aggregation is disabled.
             "rollup": self.rollup.status() if self.rollup is not None else None,
         }

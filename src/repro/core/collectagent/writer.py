@@ -1,4 +1,4 @@
-"""Asynchronous batched ingest: cross-message write coalescing.
+"""The Collect Agent's one ingest path: staged, batched writes.
 
 The paper's Collect Agent sustains millions of inserts per second
 because readings are staged and written to Cassandra in large
@@ -18,12 +18,19 @@ decoupling for any :class:`~repro.storage.backend.StorageBackend`:
   :meth:`stop` drains every accepted reading before returning, so
   enabling batching never loses data on a clean shutdown.
 
+``writers=0`` is the synchronous agent: no thread, and ``put()`` runs
+the same flush routine on the calling thread, one message per write
+(no coalescing, no sleep, no wait for capacity).  A write that fails
+stays staged and is retried first by the next ``put()``, ``drain()``
+or ``stop()``.
+
 Backpressure when the queue is full is explicit policy, not an
 accident of buffer growth:
 
 ``block``
     ``put()`` waits until writer threads free capacity (lossless,
-    propagates storage slowness to producers).
+    propagates storage slowness to producers); with ``writers=0`` it
+    raises like ``error``, as no thread would free capacity.
 ``drop-oldest``
     evict the oldest staged readings to make room, counting them in
     ``dcdb_writer_readings_dropped_total`` (freshest-data-wins, the
@@ -34,16 +41,17 @@ accident of buffer growth:
 
 A failed flush does **not** drop its batch: the entries are re-queued
 at the head of the staging queue (order preserved) and retried up to
-``flush_retries`` times with a capped-exponential pause, so transient
-storage faults — a replica restarting, a flaky disk — cost latency,
-not data.  Storage backends deduplicate re-applied timestamps
+``flush_retries`` times (a writer thread pauses, capped-exponentially,
+between attempts), so transient storage faults — a replica
+restarting, a flaky disk — cost latency, not data.  Storage backends deduplicate re-applied timestamps
 (last-write-wins), making a retry that races a partial success safe.
 
 Observability: queue depth gauge, batch-size and flush-latency
 histograms, dropped/requeued/lost/flushed counters, and — when a
 :class:`~repro.observability.PipelineTracer` is attached — the
-``commit`` trace hop stamped at *flush completion*, i.e. when the
-batch is really durable in the backend, not when it was enqueued.
+``commit`` hop of every traced message, recorded at *flush
+completion*, i.e. when the batch is really durable in the backend, not
+when it was enqueued.
 """
 
 from __future__ import annotations
@@ -55,8 +63,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.common.errors import BackpressureError, ConfigError
-from repro.observability import MetricsRegistry, SpanRecorder
-from repro.observability.spans import default_recorder, trace_context
+from repro.observability import MetricsRegistry
+from repro.observability.spans import trace_context
 from repro.storage.backend import InsertItem, StorageBackend
 
 logger = logging.getLogger(__name__)
@@ -88,7 +96,8 @@ class WriterConfig:
     ``policy``
         one of :data:`BACKPRESSURE_POLICIES`.
     ``writers``
-        number of dedicated flush threads.
+        number of dedicated flush threads; 0 runs every flush on the
+        thread that calls ``put()`` (the synchronous agent).
     ``poll_interval_s``
         real-time granularity at which idle writer threads re-check
         the age trigger; lets an injected
@@ -134,8 +143,8 @@ class WriterConfig:
                 f"unknown backpressure policy {self.policy!r}; "
                 f"choose one of {BACKPRESSURE_POLICIES}"
             )
-        if self.writers < 1:
-            raise ConfigError(f"writers must be >= 1, got {self.writers}")
+        if self.writers < 0:
+            raise ConfigError(f"writers must be >= 0, got {self.writers}")
         if self.poll_interval_s <= 0:
             raise ConfigError("poll_interval_s must be positive")
         if self.flush_retries < 0:
@@ -147,7 +156,8 @@ class WriterConfig:
 
 
 class BatchingWriter:
-    """Bounded staging queue + writer threads in front of a backend.
+    """Bounded staging queue + writer threads (zero or more) in front of
+    a backend.
 
     Queue entries are the per-message reading lists exactly as the
     agent decoded them (no per-reading copies); coalescing concatenates
@@ -162,7 +172,6 @@ class BatchingWriter:
         metrics: MetricsRegistry | None = None,
         clock=None,
         tracer=None,
-        spans: SpanRecorder | None = None,
         rollup=None,
     ) -> None:
         from repro.common.timeutil import now_ns
@@ -175,16 +184,12 @@ class BatchingWriter:
         self.config = config if config is not None else WriterConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self.spans = spans if spans is not None else default_recorder()
         self._clock = clock if clock is not None else now_ns
-        # Entries are (items, traced_origin_ns | None, enqueued_ns,
-        # flush_attempts, trace_id | None).  attempts > 0 marks a batch
-        # re-queued after a failed flush; it keeps its place at the
-        # queue head so the original arrival order is preserved across
-        # retries.
-        self._entries: deque[
-            tuple[list[InsertItem], int | None, int, int, int | None]
-        ] = deque()
+        # Entries are (items, enqueued_ns, flush_attempts, trace_id |
+        # None).  attempts > 0 marks a batch re-queued after a failed
+        # flush; it keeps its place at the queue head so the original
+        # arrival order is preserved across retries.
+        self._entries: deque[tuple[list[InsertItem], int, int, int | None]] = deque()
         self._depth = 0  # readings staged (not yet taken by a writer)
         self._inflight = 0  # readings taken but not yet durable
         self._stopping = False
@@ -270,22 +275,19 @@ class BatchingWriter:
         for thread in self._threads:
             thread.join()
         self._threads = []
+        # Writer threads exit only once the queue is empty, so this
+        # retries what is left only when there are none.
+        self._drain_inline()
 
     # -- producer side ------------------------------------------------------
 
-    def put(
-        self,
-        items: list[InsertItem],
-        origin_ns: int | None = None,
-        trace_id: int | None = None,
-    ) -> int:
+    def put(self, items: list[InsertItem], trace_id: int | None = None) -> int:
         """Stage one message's readings; returns the number accepted.
 
-        ``origin_ns`` marks the batch for a ``commit`` trace stamp at
-        flush completion (pass the traced reading's origin timestamp,
-        or None for unsampled messages).  ``trace_id`` additionally
-        attaches the wire trace: the flush records a ``commit`` span
-        and the stamp carries the exemplar.
+        A ``trace_id`` marks the message as traced: the flush that
+        makes it durable records its ``commit`` hop, measured from the
+        first reading's timestamp.  With ``writers=0`` the write
+        happens before this returns.
         """
         count = len(items)
         if count == 0:
@@ -296,7 +298,7 @@ class BatchingWriter:
                 raise BackpressureError("batching writer is stopped")
             if self._depth + count > capacity:
                 policy = self.config.policy
-                if policy == "error":
+                if policy == "error" or (policy == "block" and not self.config.writers):
                     raise BackpressureError(
                         f"staging queue full ({self._depth}/{capacity} readings)"
                     )
@@ -316,18 +318,21 @@ class BatchingWriter:
                         self._dropped.inc(count - capacity)
                         items = items[count - capacity :]
                         count = capacity
-            self._entries.append((items, origin_ns, self._clock(), 0, trace_id))
+            self._entries.append((items, self._clock(), 0, trace_id))
             self._depth += count
             if self._depth > self._queue_hwm:
                 self._queue_hwm = self._depth
             self._enqueued.inc(count)
             self._not_empty.notify()
+        if not self.config.writers:
+            self._flush_inline()
         return count
 
     # -- consumer side ------------------------------------------------------
 
     def _run(self) -> None:
         poll = self.config.poll_interval_s
+        backoff = self.config.retry_backoff_s
         while True:
             with self._lock:
                 while not self._flush_due_locked():
@@ -339,11 +344,46 @@ class BatchingWriter:
                 taken, count = self._take_locked()
                 self._inflight += count
                 self._not_full.notify_all()
-            self._write(taken, count)
+            if not self._write(taken, count) and backoff > 0:
+                # Capped-exponential pause after consecutive failures,
+                # so a writer thread probes a dead backend rather than
+                # busy-looping on it.
+                failures = self._consecutive_failures
+                time.sleep(min(0.1, backoff * (2.0 ** min(failures - 1, 6))))
+            self._settle(count)
+
+    def _flush_inline(self) -> None:
+        """Write staged entries on the calling thread (``writers=0``).
+
+        One entry per write, oldest first, so a write that failed
+        earlier is retried before anything staged after it.  The first
+        failure ends the pass; its entry stays staged for the next
+        ``put()``, ``drain()`` or ``stop()``.
+        """
+        while True:
             with self._lock:
-                self._inflight -= count
-                if not self._entries and self._inflight == 0:
-                    self._idle.notify_all()
+                if not self._entries:
+                    return
+                entry = self._entries.popleft()
+                count = len(entry[0])
+                self._depth -= count
+                self._inflight += count
+            written = self._write([entry], count)
+            self._settle(count)
+            if not written:
+                return
+
+    def _drain_inline(self) -> None:
+        """Flush inline until nothing is staged; each failed entry is
+        retried up to ``flush_retries`` times, then counted lost."""
+        while self._entries:
+            self._flush_inline()
+
+    def _settle(self, count: int) -> None:
+        with self._lock:
+            self._inflight -= count
+            if not self._entries and self._inflight == 0:
+                self._idle.notify_all()
 
     def _flush_due_locked(self) -> bool:
         if not self._entries:
@@ -352,13 +392,11 @@ class BatchingWriter:
             return True
         if self._depth >= self.config.max_batch:
             return True
-        oldest_enqueued = self._entries[0][2]
+        oldest_enqueued = self._entries[0][1]
         return self._clock() - oldest_enqueued >= self.config.max_delay_ns
 
-    def _take_locked(
-        self,
-    ) -> tuple[list[tuple[list[InsertItem], int | None, int, int, int | None]], int]:
-        taken: list[tuple[list[InsertItem], int | None, int, int, int | None]] = []
+    def _take_locked(self) -> tuple[list[tuple[list[InsertItem], int, int, int | None]], int]:
+        taken: list[tuple[list[InsertItem], int, int, int | None]] = []
         count = 0
         max_batch = self.config.max_batch
         while self._entries and count < max_batch:
@@ -370,20 +408,22 @@ class BatchingWriter:
             self._force_flush = False
         return taken, count
 
-    def _write(self, taken, count: int) -> None:
+    def _write(self, taken, count: int) -> bool:
+        """Flush ``taken`` entries as one batch; False if it failed (the
+        entries are then re-staged or, past ``flush_retries``, lost)."""
         if len(taken) == 1:
             items = taken[0][0]  # single staged message: no copy
         else:
             items = []
             for entry in taken:
                 items.extend(entry[0])
-        trace_ids = [entry[4] for entry in taken if entry[4] is not None]
+        first_trace = next((entry[3] for entry in taken if entry[3] is not None), None)
         started = time.perf_counter()
         start_ns = self._clock()
         try:
             # One ambient trace covers the whole coalesced flush; the
             # storage layer picks it up for replica/retry spans.
-            with trace_context(trace_ids[0] if trace_ids else None):
+            with trace_context(first_trace):
                 self.backend.insert_batch(items)
                 # Group-commit barrier: a durable backend must make the
                 # WAL records of this batch safe (per its fsync policy)
@@ -395,11 +435,10 @@ class BatchingWriter:
             self._flush_errors.inc()
             logger.exception("batch flush of %d readings failed", count)
             self._requeue(taken)
-            return
+            return False
         with self._lock:
             self._consecutive_failures = 0
         duration = time.perf_counter() - started
-        end_ns = self._clock()
         self._flush_duration.observe(duration)
         self._batch_size.observe(count)
         self._flushes.inc()
@@ -409,20 +448,19 @@ class BatchingWriter:
             # from readings the backend accepted, and the engine never
             # raises (a rollup failure costs freshness, not raw data).
             self.rollup.observe(items)
-        for _, origin_ns, _, attempts, trace_id in taken:
-            if origin_ns is not None and self.tracer is not None:
-                self.tracer.stamp("commit", origin_ns, trace_id=trace_id)
-            if trace_id is not None:
-                self.spans.record(
-                    trace_id,
-                    "commit",
-                    "writer",
-                    start_ns,
-                    end_ns,
-                    batch=count,
-                    attempts=attempts,
-                    flushSeconds=round(duration, 6),
-                )
+        if first_trace is not None and self.tracer is not None:
+            for entry_items, _, attempts, trace_id in taken:
+                if trace_id is not None:
+                    self.tracer.hop(
+                        "commit",
+                        "writer",
+                        trace_id,
+                        entry_items[0][1],
+                        start_ns,
+                        batch=count,
+                        attempts=attempts,
+                        flushSeconds=round(duration, 6),
+                    )
         slow = self.config.slow_flush_s
         if slow > 0 and duration >= slow:
             logger.warning(
@@ -430,28 +468,27 @@ class BatchingWriter:
                 count,
                 duration,
                 extra={
-                    "trace_id": trace_ids[0] if trace_ids else None,
+                    "trace_id": first_trace,
                     "duration_s": round(duration, 6),
                     "batch": count,
                 },
             )
+        return True
 
     def _requeue(self, taken) -> None:
         """Re-stage a failed batch at the queue head, oldest first.
 
-        Entries keep their enqueue timestamps and trace origins, so the
-        age trigger still sees the true staleness and a traced reading
-        still gets its ``commit`` stamp once the retry lands.  Entries
+        Entries keep their enqueue timestamps and trace IDs, so the age
+        trigger still sees the true staleness and a traced reading
+        still gets its ``commit`` hop once the retry lands.  Entries
         that have exhausted ``flush_retries`` are abandoned (the only
         point in the writer where accepted readings can be lost, and
         only after the backend refused them flush_retries + 1 times).
-        A capped-exponential pause after consecutive failures keeps a
-        writer thread from busy-looping on a dead backend.
         """
         retries = self.config.flush_retries
         with self._lock:
             requeued = 0
-            for items, origin_ns, enqueued_ns, attempts, trace_id in reversed(taken):
+            for items, enqueued_ns, attempts, trace_id in reversed(taken):
                 if attempts >= retries:
                     self._lost.inc(len(items))
                     logger.error(
@@ -461,27 +498,27 @@ class BatchingWriter:
                         extra={"trace_id": trace_id},
                     )
                     continue
-                self._entries.appendleft(
-                    (items, origin_ns, enqueued_ns, attempts + 1, trace_id)
-                )
+                self._entries.appendleft((items, enqueued_ns, attempts + 1, trace_id))
                 requeued += len(items)
             self._depth += requeued
             if requeued:
                 self._requeued.inc(requeued)
                 self._not_empty.notify()
             self._consecutive_failures += 1
-            failures = self._consecutive_failures
-        backoff = self.config.retry_backoff_s
-        if backoff > 0:
-            time.sleep(min(0.1, backoff * (2.0 ** min(failures - 1, 6))))
 
     # -- synchronization helpers -------------------------------------------
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Force-flush everything staged and wait until it is durable."""
-        with self._lock:
-            self._force_flush = True
-            self._not_empty.notify_all()
+        """Force-flush everything staged and wait until it is durable.
+
+        Without writer threads the flush runs here, on the caller.
+        """
+        if self.config.writers:
+            with self._lock:
+                self._force_flush = True
+                self._not_empty.notify_all()
+        else:
+            self._drain_inline()
         return self.wait_idle(timeout)
 
     def wait_idle(self, timeout: float = 10.0) -> bool:
@@ -525,7 +562,10 @@ class BatchingWriter:
             depth = self._depth
             inflight = self._inflight
         return {
-            "running": any(t.is_alive() for t in self._threads),
+            # A zero-thread writer runs until stopped.
+            "running": any(t.is_alive() for t in self._threads)
+            if self.config.writers
+            else not self._stopping,
             "policy": self.config.policy,
             "queueDepth": depth,
             "inFlight": inflight,

@@ -75,6 +75,33 @@ def trace_id_of(payload: bytes) -> int | None:
     return _TRACE_HEADER.unpack_from(payload)[3]
 
 
+_TS = struct.Struct("!q")
+
+#: Timestamps beyond ~2106 CE (2^62 ns) cannot be real reading origins;
+#: ASCII/JSON bytes reinterpreted as big-endian int64 land far above
+#: this (``{`` = 0x7B in the top byte ≈ 8.9e18), so the bound rejects
+#: textual payloads that happen to be 16-byte multiples.
+_MAX_PLAUSIBLE_ORIGIN_NS = 1 << 62
+
+
+def payload_origin_ns(payload: bytes) -> int | None:
+    """Origin timestamp of a reading payload, or None if it isn't one.
+
+    Peeks the first record's timestamp without copying or decoding the
+    rest, so brokers can trace a message in O(1) regardless of burst
+    size.  Trace-headered payloads peek past the header; payloads whose
+    leading 8 bytes do not look like a nanosecond timestamp (negative,
+    or beyond 2^62) are rejected as non-reading frames.
+    """
+    offset = TRACE_HEADER_SIZE if has_trace_header(payload) else 0
+    if (len(payload) - offset) % RECORD_SIZE or len(payload) - offset < RECORD_SIZE:
+        return None
+    origin = _TS.unpack_from(payload, offset)[0]
+    if not 0 <= origin < _MAX_PLAUSIBLE_ORIGIN_NS:
+        return None
+    return origin
+
+
 def decode_message(payload: bytes) -> tuple[list[SensorReading], int | None]:
     """Unpack a wire frame into (readings, trace_id-or-None)."""
     if has_trace_header(payload):

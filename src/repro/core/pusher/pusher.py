@@ -39,7 +39,7 @@ from repro.core.pusher.plugin import Plugin, PluginSensor, SensorGroup
 from repro.core.pusher.registry import create_configurator
 from repro.core.sensor import SensorReading
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
-from repro.observability.spans import default_recorder, new_trace_id
+from repro.observability.spans import default_recorder
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +67,9 @@ class PusherConfig:
     burst_interval_ns: int = 30 * NS_PER_SEC
     #: Sensor cache window (ms) applied to plugins loaded hereafter.
     cache_interval_ms: int = 120_000
-    #: Pipeline-trace sampling: stamp 1 of every N readings/messages
-    #: (1 = all, 0 = tracing off).  Bounds self-monitoring overhead.
+    #: Pipeline-trace sampling: trace 1 of every N collected readings,
+    #: and the message that carries it (1 = all, 0 = tracing off).
+    #: Bounds self-monitoring overhead.
     trace_sample_every: int = 1
 
     def __post_init__(self) -> None:
@@ -165,6 +166,7 @@ class Pusher:
             self.metrics,
             clock=self._clock,
             sample_every=self.config.trace_sample_every,
+            spans=self.spans,
         )
         self._last_reconnect_ns = -(10**18)
         self._started_monotonic = time.monotonic()
@@ -349,18 +351,14 @@ class Pusher:
         for sensor, reading in results:
             if sensor not in self._topics:
                 self._topics[sensor] = self.config.mqtt_prefix + sensor.mqtt_suffix
-            if self.tracer.should_sample():
-                trace_id = new_trace_id()
-                self.tracer.stamp("collect", reading.timestamp, trace_id=trace_id)
-                self.spans.record(
-                    trace_id,
+            trace_id = self.tracer.sample()
+            if trace_id is not None:
+                self.tracer.hop(
                     "collect",
                     "pusher",
+                    trace_id,
                     reading.timestamp,
-                    # In stepped (simulated) mode the clock lags the
-                    # group's due time until the step completes; clamp
-                    # so the span never ends before it starts.
-                    max(reading.timestamp, self._clock()),
+                    reading.timestamp,
                     sid=self._topics[sensor],
                 )
                 with self._pending_lock:
@@ -413,23 +411,16 @@ class Pusher:
             )
             self._messages_published.inc()
             if trace_id is not None:
-                # The message carries a trace: stamp the hop with the
-                # exemplar and record the publish span.
-                self.tracer.stamp(
-                    "publish", readings[0].timestamp, trace_id=trace_id
-                )
-                self.spans.record(
-                    trace_id,
+                self.tracer.hop(
                     "publish",
                     "pusher",
+                    trace_id,
+                    readings[0].timestamp,
                     start_ns,
-                    self._clock(),
                     topic=topic,
                     qos=self.config.qos,
                     readings=len(readings),
                 )
-            elif self.tracer.should_sample():
-                self.tracer.stamp("publish", readings[0].timestamp)
         except Exception as exc:  # noqa: BLE001 - transport errors must not kill sampling
             logger.warning("publish of %s failed: %s", topic, exc)
             self._publish_failures.inc()

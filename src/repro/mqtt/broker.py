@@ -39,7 +39,6 @@ import time
 from typing import Callable
 
 from repro.common.errors import TransportError
-from repro.common.timeutil import now_ns
 from repro.core import payload as payload_mod
 from repro.mqtt import packets as pkt
 from repro.mqtt.eventloop import Connection, EventLoop
@@ -50,12 +49,40 @@ from repro.observability import (
     PipelineTracer,
     SpanRecorder,
 )
-from repro.observability.spans import default_recorder
 
 logger = logging.getLogger(__name__)
 
 # Callback invoked for every accepted PUBLISH: (client_id, publish packet).
 PublishHook = Callable[[str, pkt.Publish], None]
+
+
+def trace_dispatch(tracer: PipelineTracer, client_id: str, packet: pkt.Publish) -> None:
+    """Record the ``dispatch`` hop of an accepted PUBLISH, if traced.
+
+    A wire-traced message keeps its Pusher's trace ID; a headerless one
+    is sampled at this broker's own stride.  ``$``-topics and payloads
+    that are not reading frames are never traced.  Shared by the TCP
+    broker and the in-process hub.
+    """
+    if packet.topic.startswith("$"):
+        return
+    trace_id = payload_mod.trace_id_of(packet.payload)
+    if trace_id is None:
+        trace_id = tracer.sample()
+        if trace_id is None:
+            return
+    origin = payload_mod.payload_origin_ns(packet.payload)
+    if origin is not None:
+        tracer.hop(
+            "dispatch",
+            "broker",
+            trace_id,
+            origin,
+            topic=packet.topic,
+            qos=packet.qos,
+            client=client_id,
+        )
+
 
 #: How often the keepalive sweep runs.  Bounded below the smallest
 #: useful grace period (keepalive=1 -> 1.5 s) so expiry lands close to
@@ -167,8 +194,9 @@ class MQTTBroker:
             "dcdb_broker_write_buffer_bytes",
             "Bytes queued in per-session outgoing write buffers",
         ).set_function(self._write_buffer_bytes)
-        self.tracer = PipelineTracer(self.metrics, sample_every=trace_sample_every)
-        self.spans = spans if spans is not None else default_recorder()
+        self.tracer = PipelineTracer(
+            self.metrics, sample_every=trace_sample_every, spans=spans
+        )
         self._lag_probe: EventLoopLagProbe | None = None
 
     # -- lifecycle --------------------------------------------------------
@@ -460,16 +488,7 @@ class MQTTBroker:
     def _handle_publish(self, session: _Session, packet: pkt.Publish) -> None:
         validate_topic(packet.topic)
         self._messages_received.inc()
-        trace_id = None
-        if not packet.topic.startswith("$"):
-            trace_id = payload_mod.trace_id_of(packet.payload)
-            if trace_id is not None:
-                # Wire-traced message: the sampling decision was made at
-                # the pusher; stamp with the exemplar unconditionally.
-                self.tracer.stamp_payload("dispatch", packet.payload, trace_id=trace_id)
-            elif self.tracer.should_sample():
-                self.tracer.stamp_payload("dispatch", packet.payload)
-        start_ns = now_ns() if trace_id is not None else 0
+        trace_dispatch(self.tracer, session.client_id or "", packet)
         if packet.retain:
             if packet.payload:
                 self._retained[packet.topic] = packet
@@ -482,17 +501,6 @@ class MQTTBroker:
         if packet.qos == 1:
             session.send(pkt.PubAck(packet_id=packet.packet_id).encode())
         self._route(packet)
-        if trace_id is not None:
-            self.spans.record(
-                trace_id,
-                "dispatch",
-                "broker",
-                start_ns,
-                now_ns(),
-                topic=packet.topic,
-                qos=packet.qos,
-                client=session.client_id or "",
-            )
 
     def _route(self, packet: pkt.Publish) -> None:
         with self._subs_lock:

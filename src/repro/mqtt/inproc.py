@@ -21,13 +21,10 @@ import threading
 from typing import Callable
 
 from repro.common.errors import TransportError
-from repro.common.timeutil import now_ns
-from repro.core import payload as payload_mod
 from repro.mqtt import packets as pkt
-from repro.mqtt.broker import PublishHook
+from repro.mqtt.broker import PublishHook, trace_dispatch
 from repro.mqtt.topics import SubscriptionTree, validate_filter, validate_topic
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
-from repro.observability.spans import default_recorder
 
 MessageCallback = Callable[[str, bytes], None]
 
@@ -79,8 +76,9 @@ class InProcHub:
             "dcdb_broker_write_buffer_bytes",
             "Bytes queued in per-session outgoing write buffers",
         )
-        self.tracer = PipelineTracer(self.metrics, sample_every=trace_sample_every)
-        self.spans = spans if spans is not None else default_recorder()
+        self.tracer = PipelineTracer(
+            self.metrics, sample_every=trace_sample_every, spans=spans
+        )
 
     #: TCP-broker parity: a hub has no listener, so its "port" is None
     #: and lifecycle calls are no-ops.  Lets transport-agnostic callers
@@ -137,16 +135,7 @@ class InProcHub:
     def _publish(self, client_id: str, packet: pkt.Publish) -> None:
         self._messages_received.inc()
         self._bytes_received.inc(len(packet.payload) + len(packet.topic))
-        trace_id = None
-        if not packet.topic.startswith("$"):
-            trace_id = payload_mod.trace_id_of(packet.payload)
-            if trace_id is not None:
-                # Wire-traced message: sampling was decided at the
-                # pusher; stamp with the exemplar unconditionally.
-                self.tracer.stamp_payload("dispatch", packet.payload, trace_id=trace_id)
-            elif self.tracer.should_sample():
-                self.tracer.stamp_payload("dispatch", packet.payload)
-        start_ns = now_ns() if trace_id is not None else 0
+        trace_dispatch(self.tracer, client_id, packet)
         with self._lock:
             targets = list(self._subs.match(packet.topic).items())
             clients = {k: self._clients.get(k) for k, _ in targets}
@@ -160,17 +149,6 @@ class InProcHub:
                 delivered += 1
         if delivered:
             self._messages_delivered.inc(delivered)
-        if trace_id is not None:
-            self.spans.record(
-                trace_id,
-                "dispatch",
-                "broker",
-                start_ns,
-                now_ns(),
-                topic=packet.topic,
-                qos=packet.qos,
-                client=client_id,
-            )
 
     def _subscribe(self, key: int, pattern: str, qos: int) -> int:
         if not self.allow_subscribe:

@@ -50,7 +50,6 @@ from repro.observability.tracing import (
     LATENCY_BUCKETS,
     PIPELINE_METRIC,
     PipelineTracer,
-    payload_origin_ns,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "merge_snapshots",
     "new_trace_id",
     "parse_prometheus_text",
-    "payload_origin_ns",
     "render_health",
     "render_json",
     "render_prometheus",

@@ -1,16 +1,18 @@
 """Span trees for sampled readings: who touched a reading, and when.
 
-The hop histograms (:mod:`repro.observability.tracing`) answer *how
-slow* each pipeline stage is in aggregate; spans answer *which*
-reading went where — which broker dispatched it, which flush batched
-it, which replica retried, whether a fault was injected.  Each sampled
-message carries a compact trace ID on the wire
-(:mod:`repro.core.payload`); every component that handles it records a
-:class:`Span` into a :class:`SpanRecorder`, a bounded lock-striped
-ring of recent traces served by the ``/traces`` REST route.
+The hop histograms answer *how slow* each pipeline stage is in
+aggregate; spans answer *which* reading went where — which broker
+dispatched it, which flush batched it, which replica retried, whether
+a fault was injected.  Each sampled message carries a compact trace ID
+on the wire (:mod:`repro.core.payload`); every component that handles
+it records a :class:`Span` into a :class:`SpanRecorder`, a bounded
+lock-striped ring of recent traces served by the ``/traces`` REST
+route.  Pipeline hops record theirs through
+:meth:`repro.observability.tracing.PipelineTracer.hop`, the one call
+that also observes the hop histogram; the storage layer records its
+replica spans here directly.
 
-Recording is strictly passive: components call
-:meth:`SpanRecorder.record` with explicit start/end timestamps, there
+Recording is strictly passive: spans carry explicit start/end timestamps, there
 is no context-manager timing machinery on the hot path, and an
 untraced message (no trace ID) costs one ``is None`` check.
 
@@ -115,7 +117,6 @@ class SpanRecorder:
         self._locks = [threading.Lock() for _ in range(stripes)]
         # Insertion-ordered dicts double as FIFO rings per stripe.
         self._rings: list[dict[int, _TraceSlot]] = [{} for _ in range(stripes)]
-        self._dropped_spans = 0
 
     def _stripe_of(self, trace_id: int) -> int:
         return trace_id % self._stripes
@@ -142,10 +143,8 @@ class SpanRecorder:
                     ring.pop(next(iter(ring)))
                 slot = _TraceSlot(trace_id)
                 ring[trace_id] = slot
-            if len(slot.spans) >= self._max_spans:
-                self._dropped_spans += 1
-                return
-            slot.spans.append(span)
+            if len(slot.spans) < self._max_spans:
+                slot.spans.append(span)
 
     def trace(self, trace_id: int) -> list[Span]:
         """Spans of one trace (copy), oldest first; [] if unknown."""

@@ -1,26 +1,33 @@
-"""End-to-end pipeline tracing: per-hop latency without payload copies.
+"""End-to-end pipeline tracing: one model, one call per hop.
 
-Every reading already carries its origin — the nanosecond collection
-timestamp that is the first 8 bytes of each wire record
-(:mod:`repro.core.payload`).  Aggregate tracing therefore needs no
-payload rewriting: each pipeline stage *stamps* the reading by
-observing ``now - origin`` into a shared latency histogram labelled
-with the hop name.  The cumulative-latency histograms that result give
+A message is traced exactly when it carries a trace ID.  The Pusher
+mints one for one of every ``trace_sample_every`` collected readings
+and sends it in the wire trace header (:mod:`repro.core.payload`); a
+broker, hub or Collect Agent that receives a *headerless* message
+samples it at its own stride by minting an ID there.  Each component
+that handles a traced message then makes exactly one
+:meth:`PipelineTracer.hop` call, which does both halves of the record:
+
+* it observes ``now - origin`` (the reading's collection timestamp)
+  into the shared ``dcdb_pipeline_latency_seconds{hop}`` histogram,
+  with the trace ID attached as the bucket's *exemplar*, and
+* it records the component's :class:`~repro.observability.spans.Span`
+  in the :class:`~repro.observability.spans.SpanRecorder` under the
+  same trace ID.
+
+So every histogram observation has a span, and every exemplar resolves
+to a trace on ``/traces``.  The cumulative-latency histograms give
 p50/p95/p99 per hop directly, and hop-to-hop deltas by subtraction.
-Sampled messages additionally carry a wire trace ID
-(:func:`repro.core.payload.trace_id_of`); pass it to :meth:`stamp` to
-attach it as a histogram *exemplar*, linking the bucket back to the
-concrete span tree in the :class:`~repro.observability.spans.SpanRecorder`.
 
 Hops, in pipeline order:
 
 ``collect``   sampling cycle done, readings queued (Pusher)
 ``publish``   MQTT message handed to the transport (Pusher)
 ``dispatch``  PUBLISH accepted by the broker/hub (Collect Agent side)
-``insert``    payload decoded, batch about to hit storage (Collect Agent)
+``insert``    payload decoded, batch about to be staged (Collect Agent)
 ``commit``    storage acknowledged the batch — end-to-end latency
 
-Overhead is bounded by the *sampling knob*: ``sample_every=N`` stamps
+Overhead is bounded by the *sampling knob*: ``sample_every=N`` traces
 one of every N candidates (a shared atomic cycle counter, no lock).
 ``sample_every=0`` disables tracing entirely.
 """
@@ -28,13 +35,13 @@ one of every N candidates (a shared atomic cycle counter, no lock).
 from __future__ import annotations
 
 import itertools
-import struct
 from typing import Callable
 
 from repro.common.timeutil import now_ns
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.spans import SpanRecorder, default_recorder, new_trace_id
 
-__all__ = ["HOPS", "LATENCY_BUCKETS", "PIPELINE_METRIC", "PipelineTracer", "payload_origin_ns"]
+__all__ = ["HOPS", "LATENCY_BUCKETS", "PIPELINE_METRIC", "PipelineTracer"]
 
 #: Pipeline stages in order; ``commit`` is end-to-end.
 HOPS = ("collect", "publish", "dispatch", "insert", "commit")
@@ -63,52 +70,15 @@ LATENCY_BUCKETS = (
     60.0,
 )
 
-_TS = struct.Struct("!q")
-_RECORD_SIZE = 16  # must match repro.core.payload.RECORD_SIZE
-_HEADER_SIZE = 12  # must match repro.core.payload.TRACE_HEADER_SIZE
-_TRACE_MAGIC = 0xD7  # must match repro.core.payload.TRACE_MAGIC
-
-#: Timestamps beyond ~2106 CE (2^62 ns) cannot be real reading origins;
-#: ASCII/JSON bytes reinterpreted as big-endian int64 land far above
-#: this (``{`` = 0x7B in the top byte ≈ 8.9e18), so the bound rejects
-#: textual metadata/announce payloads that happen to be 16-byte
-#: multiples instead of stamping garbage into the dispatch histogram.
-_MAX_PLAUSIBLE_ORIGIN_NS = 1 << 62
-
-
-def payload_origin_ns(payload: bytes) -> int | None:
-    """Origin timestamp of a reading payload, or None if it isn't one.
-
-    Peeks the first record's timestamp without copying or decoding the
-    rest — the property that keeps broker-side stamping O(1) per
-    message regardless of burst size.  Trace-headered payloads
-    (``len % 16 == 12``) peek past the header; payloads whose leading
-    8 bytes do not look like a nanosecond timestamp (negative, or
-    beyond 2^62) are rejected as non-reading frames.
-    """
-    offset = 0
-    remainder = len(payload) % _RECORD_SIZE
-    if remainder == _HEADER_SIZE and len(payload) > _HEADER_SIZE:
-        if payload[0] != _TRACE_MAGIC:
-            return None
-        offset = _HEADER_SIZE
-    elif remainder != 0:
-        return None
-    if len(payload) - offset < _RECORD_SIZE:
-        return None
-    origin = _TS.unpack_from(payload, offset)[0]
-    if not 0 <= origin < _MAX_PLAUSIBLE_ORIGIN_NS:
-        return None
-    return origin
-
 
 class PipelineTracer:
-    """Records per-hop cumulative latencies into a registry histogram.
+    """Per-hop latency histogram and span recorder behind one call.
 
-    All tracers stamping into the same :class:`MetricsRegistry` share
+    All tracers observing into the same :class:`MetricsRegistry` share
     one histogram family (get-or-create semantics), so a Pusher, a
     broker and a Collect Agent wired in-process produce a single
-    coherent per-hop distribution.
+    coherent per-hop distribution; ``spans`` defaults to the
+    process-global recorder.
     """
 
     def __init__(
@@ -116,66 +86,63 @@ class PipelineTracer:
         registry: MetricsRegistry,
         clock: Callable[[], int] | None = None,
         sample_every: int = 1,
-        metric: str = PIPELINE_METRIC,
+        spans: SpanRecorder | None = None,
     ) -> None:
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0 (0 disables tracing)")
         self.registry = registry
         self.sample_every = sample_every
+        self.spans = spans if spans is not None else default_recorder()
         self._clock = clock if clock is not None else now_ns
         self._cycle = itertools.count()
         self._hist = registry.histogram(
-            metric,
+            PIPELINE_METRIC,
             "Cumulative pipeline latency since collection, by hop",
             labelnames=("hop",),
             buckets=LATENCY_BUCKETS,
         )
         self._children = {hop: self._hist.labels(hop=hop) for hop in HOPS}
 
-    def should_sample(self) -> bool:
-        """Decide whether this reading/message is traced.
+    def sample(self) -> int | None:
+        """A fresh trace ID for one of every ``sample_every`` candidates.
 
+        Returns None for the candidates left untraced.
         ``itertools.count`` is a single C-level object: advancing it is
         atomic under the GIL, so sampling costs no lock.
         """
-        if self.sample_every == 0:
-            return False
-        if self.sample_every == 1:
-            return True
-        return next(self._cycle) % self.sample_every == 0
+        every = self.sample_every
+        if every == 0 or (every != 1 and next(self._cycle) % every):
+            return None
+        return new_trace_id()
 
-    def stamp(
+    def hop(
         self,
         hop: str,
+        component: str,
+        trace_id: int,
         origin_ns: int,
-        at_ns: int | None = None,
-        trace_id: int | None = None,
+        start_ns: int | None = None,
+        **attributes,
     ) -> None:
-        """Observe the latency from ``origin_ns`` to now at ``hop``.
+        """Record one component's handling of one traced message.
 
+        Observes the latency from ``origin_ns`` to now at ``hop`` with
+        ``trace_id`` as the exemplar, and records the span
+        ``[start_ns, now]`` (an instant when ``start_ns`` is None).
         Negative deltas (simulated clocks running behind aligned
         sampling timestamps) clamp to zero rather than corrupting the
-        distribution.  A ``trace_id`` is attached as the bucket's
-        exemplar, linking the observation to its span tree.
+        distribution; the span end clamps likewise.
         """
-        now = at_ns if at_ns is not None else self._clock()
-        child = self._children.get(hop)
-        if child is None:
-            child = self._hist.labels(hop=hop)
-            self._children[hop] = child
-        child.observe(
-            max(0, now - origin_ns) / 1e9,
-            f"{trace_id:016x}" if trace_id is not None else None,
-        )
-
-    def stamp_payload(self, hop: str, payload: bytes, trace_id: int | None = None) -> None:
-        """Stamp from a wire payload's embedded origin, if it has one."""
-        origin = payload_origin_ns(payload)
-        if origin is not None:
-            self.stamp(hop, origin, trace_id=trace_id)
+        end_ns = self._clock()
+        if start_ns is None:
+            start_ns = end_ns
+        elif start_ns > end_ns:
+            end_ns = start_ns
+        self._children[hop].observe(max(0, end_ns - origin_ns) / 1e9, f"{trace_id:016x}")
+        self.spans.record(trace_id, hop, component, start_ns, end_ns, **attributes)
 
     def percentiles(self, hop: str) -> dict | None:
-        """p50/p95/p99 summary of one hop, or None before any stamp."""
+        """p50/p95/p99 summary of one hop, or None before any observation."""
         labels = {"hop": hop}
         count = int(self.registry.value(self._hist.name, labels))
         if count == 0:

@@ -45,9 +45,9 @@ class SimClusterConfig:
     replication: int = 1
     topic_prefix: str = "/sim/cluster"
     use_memory_backend: bool = field(default=False)
-    #: When set, the agent ingests through an asynchronous
-    #: :class:`~repro.core.collectagent.writer.BatchingWriter` instead
-    #: of writing synchronously per MQTT message.
+    #: The agent's :class:`~repro.core.collectagent.writer.BatchingWriter`
+    #: configuration; None means ``writers=0`` (each MQTT message is
+    #: written on the publishing thread before ``run()`` moves on).
     writer_config: WriterConfig | None = None
     #: When set, the agent maintains continuous-aggregation rollup
     #: tiers (stored as ordinary series, so replication and hinted
@@ -277,8 +277,8 @@ class SimulatedCluster:
     def run(self, seconds: float) -> int:
         """Advance simulated time; returns readings stored in the step.
 
-        With batching enabled the staging queue is drained before
-        returning, so backend queries after ``run()`` observe every
+        The agent's staging queue is drained before returning, so
+        backend queries after ``run()`` observe every
         reading published during the step.  Scheduled faults fire both
         at the start and at the end of the step; for mid-step precision
         call ``run()`` with finer steps — the fault schedule itself is
@@ -298,9 +298,8 @@ class SimulatedCluster:
         return self.agent.readings_stored - before
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Force-flush the agent's staging queue (no-op when synchronous)."""
-        if self.agent.writer is None:
-            return True
+        """Force-flush the agent's staging queue (with ``writers=0`` it
+        holds only writes that failed, retried here)."""
         return self.agent.writer.drain(timeout)
 
     def expected_readings(self, seconds: float) -> int:

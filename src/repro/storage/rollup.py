@@ -291,8 +291,8 @@ class _Pass:
 class RollupEngine:
     """Maintains the rollup tiers of every sensor flowing through ingest.
 
-    ``observe()`` is called by the batching writer (and the agent's
-    synchronous path) with the exact item list a successful
+    ``observe()`` is called by the batching writer with the exact item
+    list a successful
     ``insert_batch`` just persisted; it advances sealed watermarks and
     writes rollup rows through the same backend.  It never raises —
     rollups are derived data, and a rollup failure must cost freshness,

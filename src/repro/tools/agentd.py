@@ -13,7 +13,9 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
                                  ; (WAL + segments, docs/durability.md)
         ttl        0             ; seconds, 0 = keep forever
         cacheInterval 120000     ; ms
-        batching      false      ; asynchronous batched ingest path
+        batching      false      ; true: coalesce on writer threads;
+                                 ; false: write each message on the
+                                 ; broker thread (writers=0)
         batchSize     4096       ; readings per coalesced flush
         batchDelayMs  50         ; max staging age before a flush
         queueCapacity 65536      ; staging queue bound (readings)
@@ -27,8 +29,8 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
         tierHorizons  0,0,0      ; per-tier horizons, finest first
     }
 
-Runs until interrupted; drains the staging queue (when batching) and
-flushes storage on shutdown.
+Runs until interrupted; drains the staging queue and flushes storage
+on shutdown.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def agent_from_config(tree: PropertyTree) -> tuple[CollectAgent, CollectAgentRes
         global_cfg = PropertyTree()
     configure_logging(global_cfg, "collectagent")
     backend = open_backend(global_cfg.get("db", "memory:"))
-    writer_config = None
+    writer_config = None  # the agent's default: writers=0
     if global_cfg.get_bool("batching", False):
         writer_config = WriterConfig(
             max_batch=global_cfg.get_int("batchSize", 4096),

@@ -21,6 +21,7 @@ from repro.core.payload import (
     encode_reading,
     encode_readings,
     has_trace_header,
+    payload_origin_ns,
     trace_id_of,
 )
 from repro.core.sensor import SensorReading
@@ -88,6 +89,26 @@ class TestHeaderedFrames:
     def test_truncated_frame_rejected(self):
         with pytest.raises(TransportError):
             decode_readings(b"\x00" * 17)
+
+
+class TestPayloadOrigin:
+    def test_single_record(self):
+        assert payload_origin_ns(encode_reading(123_456, 7)) == 123_456
+
+    def test_multi_record_returns_first(self):
+        assert payload_origin_ns(encode_readings(READINGS)) == 1_000
+
+    def test_headered_frame_peeks_past_header(self):
+        assert payload_origin_ns(encode_readings(READINGS, trace_id=9)) == 1_000
+        assert payload_origin_ns(encode_readings([], trace_id=9)) is None
+
+    def test_non_reading_payloads_rejected(self):
+        assert payload_origin_ns(b"") is None
+        assert payload_origin_ns(b"short") is None
+        assert payload_origin_ns(b"x" * 17) is None
+        # JSON that happens to be a 16-byte multiple is not a timestamp.
+        assert payload_origin_ns(b'{"json": "meta"}') is None
+        assert payload_origin_ns(encode_reading(-1, 0)) is None
 
 
 class TestOldNewMixThroughAgent:

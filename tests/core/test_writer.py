@@ -1,5 +1,6 @@
 """Edge cases of the asynchronous batching writer (ingest staging)."""
 
+import sys
 import threading
 import time
 
@@ -10,7 +11,7 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core import payload as payload_mod
 from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
 from repro.core.sid import SensorId
-from repro.faults import FaultyBackend
+from repro.faults import FaultPlan, FaultyBackend
 from repro.mqtt.inproc import InProcClient, InProcHub
 from repro.storage import MemoryBackend
 
@@ -396,8 +397,123 @@ class TestAgentIntegration:
         assert status["writer"]["flushed"] == 1
         assert status["writer"]["dropped"] == 0
 
-    def test_synchronous_agent_status_has_no_writer(self):
+    def test_synchronous_agent_status_has_zero_thread_writer(self):
         hub = InProcHub(allow_subscribe=False)
         agent = CollectAgent(MemoryBackend(), broker=hub)
-        assert agent.writer is None
-        assert agent.status()["writer"] is None
+        client = InProcClient("p", hub)
+        client.connect()
+        client.publish("/d/a", payload_mod.encode_reading(1, 1))
+        writer = agent.status()["writer"]
+        assert writer["writers"] == 0
+        assert writer["running"] is True
+        # Written before the publish returned: nothing staged or in flight.
+        assert (writer["enqueued"], writer["flushed"], writer["flushes"]) == (1, 1, 1)
+        assert (writer["queueDepth"], writer["inFlight"]) == (0, 0)
+        agent.stop()
+        assert agent.status()["writer"]["running"] is False
+
+
+class TestZeroThreadWriter:
+    """``writers=0``: the synchronous agent writes through the writer's
+    own flush routine, so a failed write is kept and retried, not lost."""
+
+    def make_agent(self):
+        hub = InProcHub(allow_subscribe=False)
+        inner = MemoryBackend()
+        backend = FaultyBackend(inner)
+        agent = CollectAgent(backend, broker=hub)
+        client = InProcClient("p", hub)
+        client.connect()
+        # Map the topic up front, so the armed failure hits the write
+        # rather than the topic's first metadata put.
+        sid = agent.sid_mapper.sid_for_topic("/d/a")
+        return agent, inner, backend, client, sid
+
+    def test_failed_write_is_retried_by_the_next_publish(self):
+        agent, inner, backend, client, sid = self.make_agent()
+        backend.fail_next(1)
+        client.publish("/d/a", payload_mod.encode_reading(100, 1))  # A: fails
+        assert inner.count(sid, 0, 1000) == 0
+        client.publish("/d/a", payload_mod.encode_reading(200, 2))  # B
+        ts, values = inner.query(sid, 0, 1000)
+        assert ts.tolist() == [100, 200]
+        assert values.tolist() == [1, 2]
+        assert agent.writer.lost == 0
+        assert agent.metrics.value("dcdb_writer_flush_errors_total") == 1
+        agent.stop()
+
+    def test_failed_last_write_is_recovered_by_stop(self):
+        agent, inner, backend, client, sid = self.make_agent()
+        client.publish("/d/a", payload_mod.encode_reading(100, 1))
+        backend.fail_next(1)
+        client.publish("/d/a", payload_mod.encode_reading(200, 2))  # fails
+        assert inner.count(sid, 0, 1000) == 1
+        # A failed write waiting for its retry leaves the agent healthy.
+        healthy, detail = agent.health()["writer"]
+        assert healthy and detail["queueDepth"] == 1
+        agent.stop()
+        assert inner.query(sid, 0, 1000)[0].tolist() == [100, 200]
+        assert agent.writer.lost == 0
+        assert agent.metrics.value("dcdb_writer_flush_errors_total") == 1
+
+    def test_health_route_reports_zero_thread_writer_healthy(self):
+        from repro.common.httpjson import http_json
+        from repro.core.collectagent.restapi import CollectAgentRestApi
+
+        agent, inner, backend, client, sid = self.make_agent()
+        client.publish("/d/a", payload_mod.encode_reading(100, 1))
+        with CollectAgentRestApi(agent) as api:
+            status, doc = http_json("GET", f"http://127.0.0.1:{api.port}/health")
+        agent.stop()
+        assert status == 200
+        assert doc["components"]["writer"]["healthy"] is True
+
+    def test_retries_exhausted_counts_lost(self):
+        backend = FaultyBackend(MemoryBackend())
+        writer = BatchingWriter(backend, WriterConfig(writers=0, flush_retries=2))
+        backend.kill()
+        writer.put(items(1))
+        assert writer.depth == 1 and writer.lost == 0
+        writer.drain()
+        assert writer.lost == 1
+        assert writer.requeued == 2
+        assert writer.depth == 0
+
+    def test_concurrent_publishers_through_flaky_backend_lose_nothing(self):
+        inner = MemoryBackend()
+        backend = FaultyBackend(inner, plan=FaultPlan(3), fault_rate=0.2)
+        writer = BatchingWriter(backend, WriterConfig(writers=0, flush_retries=1000))
+        producers, per_producer = 8, 150
+
+        def produce(k):
+            for i in range(per_producer):
+                writer.put([(SID, k * per_producer + i, i, 0)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=produce, args=(k,)) for k in range(producers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert writer.drain()
+        total = producers * per_producer
+        status = writer.status()
+        assert backend.faults_injected > 0
+        assert status["enqueued"] == status["flushed"] == total
+        assert (status["queueDepth"], status["inFlight"], status["lost"]) == (0, 0, 0)
+        assert inner.count(SID, 0, total) == total
+
+    def test_full_queue_raises_instead_of_blocking(self):
+        backend = FaultyBackend(MemoryBackend())
+        writer = BatchingWriter(
+            backend, WriterConfig(writers=0, max_batch=2, queue_capacity=2, policy="block")
+        )
+        backend.kill()
+        writer.put(items(1, 2))  # fails and stays staged: the queue is full
+        with pytest.raises(BackpressureError):
+            writer.put(items(3))

@@ -75,7 +75,7 @@ class TestKillRestartMidIngest:
         expected = sim.expected_readings(50)
         assert expected == 10_000
         assert sim.agent.readings_stored == expected
-        assert sim.agent.store_errors == 0
+        assert sim.agent.writer.lost == 0
 
         # Hints were queued for the dead replica and replayed on rejoin.
         assert cluster.metrics.value("dcdb_storage_hints_queued_total") > 0
@@ -130,7 +130,7 @@ class TestKillRestartMidIngest:
             cluster = sim.backend
             return (
                 sim.agent.readings_stored,
-                sim.agent.store_errors,
+                sim.agent.writer.lost,
                 cluster.metrics.value("dcdb_storage_hints_queued_total"),
                 cluster.metrics.value("dcdb_storage_hints_replayed_total"),
                 cluster.metrics.value("dcdb_storage_write_retries_total"),

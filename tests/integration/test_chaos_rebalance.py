@@ -78,7 +78,7 @@ class TestGrowClusterMidIngest:
         cluster = sim.backend
         for _ in range(10):
             sim.run(1.0)
-        assert sim.agent.store_errors == 0
+        assert sim.agent.writer.lost == 0
 
         # False-positive gate: ten seconds of healthy probed ingest
         # must leave every node UP and never fail over a read.
@@ -137,7 +137,7 @@ class TestGrowClusterMidIngest:
         # Zero acked loss: everything the agent acked is readable.
         expected = sim.expected_readings(total_seconds)
         assert sim.agent.readings_stored == expected
-        assert sim.agent.store_errors == 0
+        assert sim.agent.writer.lost == 0
         stored = sum(
             cluster.query(s, 0, FAR)[0].size for s in cluster.sids()
         )
@@ -200,7 +200,7 @@ class TestRemoveNodeDrains:
 
         expected = sim.expected_readings(total_seconds)
         assert sim.agent.readings_stored == expected
-        assert sim.agent.store_errors == 0
+        assert sim.agent.writer.lost == 0
         stored = sum(cluster.query(s, 0, FAR)[0].size for s in cluster.sids())
         assert stored == expected
         assert fingerprint(cluster, 0, t0) == before

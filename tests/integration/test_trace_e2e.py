@@ -14,14 +14,18 @@ tracing enabled and asserts the observable contract of the tentpole:
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.common.httpjson import http_json
 from repro.core.collectagent import WriterConfig
 from repro.core.collectagent.restapi import CollectAgentRestApi
+from repro.core.payload import encode_reading
 from repro.core.pusher.restapi import PusherRestApi
 from repro.faults import FaultPlan
 from repro.grafana import GrafanaDataSource
 from repro.libdcdb import DCDBClient
-from repro.observability import PIPELINE_METRIC
+from repro.mqtt.inproc import InProcClient
+from repro.observability import HOPS, PIPELINE_METRIC
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
 
 FULL_CHAIN = {"collect", "publish", "dispatch", "insert", "commit"}
@@ -97,6 +101,37 @@ class TestTraceChain:
         finally:
             sim_a.stop()
             sim_b.stop()
+
+
+class TestOneTraceModel:
+    def test_every_hop_observation_is_one_span(self):
+        """Each ``dcdb_pipeline_latency_seconds{hop}`` observation is
+        one span of that name, and every exemplar resolves to a trace —
+        for messages the pusher sampled and for headerless ones that
+        the hub or the agent sampled on arrival."""
+        sim = _small_sim(trace_sample_every=3)
+        raw = InProcClient("raw", sim.hub)
+        raw.connect()
+        try:
+            for step in range(3):
+                for i in range(6):
+                    raw.publish(f"/raw/s{i}", encode_reading(sim.clock() + i, step))
+                sim.run(1)
+            docs = sim.spans.traces(limit=10**6)
+            spans = Counter(s["name"] for d in docs for s in d["spans"])
+            known = {d["traceId"] for d in docs}
+            registries = {id(r): r for r in [sim.agent.metrics] + [p.metrics for p in sim.pushers]}
+            observed = Counter()
+            for registry in registries.values():
+                for sample in registry.get(PIPELINE_METRIC).snapshot().samples:
+                    observed[dict(sample.labels)["hop"]] += sample.count
+                    for _bound, trace_id, _value in sample.exemplars:
+                        assert trace_id in known, f"exemplar {trace_id} has no trace"
+            assert all(observed[hop] > 0 for hop in HOPS)
+            assert {hop: observed[hop] for hop in HOPS} == {hop: spans[hop] for hop in HOPS}
+        finally:
+            raw.disconnect()
+            sim.stop()
 
 
 class TestFaultSpans:

@@ -1,91 +1,95 @@
-"""Unit tests for the pipeline tracer and payload origin peeking."""
+"""Unit tests for the pipeline tracer: one call per hop."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.timeutil import SimClock
-from repro.core.payload import encode_reading, encode_readings
-from repro.core.sensor import SensorReading
 from repro.observability import (
     HOPS,
     PIPELINE_METRIC,
     MetricsRegistry,
     PipelineTracer,
-    payload_origin_ns,
+    SpanRecorder,
 )
 
+TRACE = 0xAB
 
-class TestPayloadOrigin:
-    def test_single_record(self):
-        assert payload_origin_ns(encode_reading(123_456, 7)) == 123_456
 
-    def test_multi_record_returns_first(self):
-        payload = encode_readings(
-            [SensorReading(100, 1), SensorReading(200, 2)]
-        )
-        assert payload_origin_ns(payload) == 100
-
-    def test_non_reading_payloads_rejected(self):
-        assert payload_origin_ns(b"") is None
-        assert payload_origin_ns(b"short") is None
-        assert payload_origin_ns(b"x" * 17) is None
+def make_tracer(clock=None, sample_every=1, registry=None):
+    return PipelineTracer(
+        registry if registry is not None else MetricsRegistry(),
+        clock=clock if clock is not None else SimClock(0),
+        sample_every=sample_every,
+        spans=SpanRecorder(),
+    )
 
 
 class TestPipelineTracer:
     def test_stamp_observes_latency_in_seconds(self):
         clock = SimClock(5_000_000_000)
-        registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, clock=clock)
-        tracer.stamp("collect", 4_000_000_000)  # 1 s old
+        tracer = make_tracer(clock)
+        tracer.hop("collect", "pusher", TRACE, 4_000_000_000)  # 1 s old
         stats = tracer.percentiles("collect")
         assert stats["count"] == 1
         assert 0.5 <= stats["p50"] <= 2.5
 
+    def test_hop_records_span_and_exemplar_of_one_trace(self):
+        clock = SimClock(5_000_000_000)
+        tracer = make_tracer(clock)
+        tracer.hop("publish", "pusher", TRACE, 4_000_000_000, 4_500_000_000, topic="/t")
+        (span,) = tracer.spans.trace(TRACE)
+        assert (span.name, span.component) == ("publish", "pusher")
+        assert (span.start_ns, span.end_ns) == (4_500_000_000, 5_000_000_000)
+        assert span.attributes == {"topic": "/t"}
+        sample = next(
+            s
+            for s in tracer.registry.get(PIPELINE_METRIC).snapshot().samples
+            if dict(s.labels)["hop"] == "publish"
+        )
+        assert [label for _, label, _ in sample.exemplars] == [f"{TRACE:016x}"]
+
+    def test_hop_without_start_is_an_instant(self):
+        tracer = make_tracer(SimClock(7))
+        tracer.hop("dispatch", "broker", TRACE, 0)
+        (span,) = tracer.spans.trace(TRACE)
+        assert span.start_ns == span.end_ns == 7
+
     def test_negative_latency_clamps_to_zero(self):
-        clock = SimClock(0)
-        registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, clock=clock)
-        tracer.stamp("collect", 10_000_000_000)  # origin in the future
+        tracer = make_tracer(SimClock(0))
+        tracer.hop("collect", "pusher", TRACE, 10_000_000_000)  # origin in the future
         assert tracer.percentiles("collect")["count"] == 1
 
     def test_all_hops_share_one_family(self):
         registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, clock=SimClock(0))
+        tracer = make_tracer(registry=registry)
         for hop in HOPS:
-            tracer.stamp(hop, 0)
+            tracer.hop(hop, "test", TRACE, 0)
         family = registry.get(PIPELINE_METRIC)
         assert {dict(s.labels)["hop"] for s in family.snapshot().samples} == set(HOPS)
 
     def test_two_tracers_one_registry_share_histogram(self):
         registry = MetricsRegistry()
-        a = PipelineTracer(registry, clock=SimClock(0))
-        b = PipelineTracer(registry, clock=SimClock(0))
-        a.stamp("insert", 0)
-        b.stamp("insert", 0)
+        a = make_tracer(registry=registry)
+        b = make_tracer(registry=registry)
+        a.hop("insert", "agent", TRACE, 0)
+        b.hop("insert", "agent", TRACE + 1, 0)
         assert registry.value(PIPELINE_METRIC, {"hop": "insert"}) == 2.0
 
     def test_sampling_knob_thins_stamps(self):
-        registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, clock=SimClock(0), sample_every=10)
-        sampled = sum(tracer.should_sample() for _ in range(100))
-        assert sampled == 10
+        tracer = make_tracer(sample_every=10)
+        ids = [tracer.sample() for _ in range(100)]
+        minted = [i for i in ids if i is not None]
+        assert len(minted) == 10
+        assert len(set(minted)) == 10 and all(minted)
 
     def test_sample_every_zero_disables(self):
-        registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, clock=SimClock(0), sample_every=0)
-        assert not any(tracer.should_sample() for _ in range(50))
+        tracer = make_tracer(sample_every=0)
+        assert all(tracer.sample() is None for _ in range(50))
 
     def test_negative_sample_every_rejected(self):
         with pytest.raises(ValueError):
             PipelineTracer(MetricsRegistry(), sample_every=-1)
 
     def test_percentiles_none_before_any_stamp(self):
-        tracer = PipelineTracer(MetricsRegistry(), clock=SimClock(0))
-        assert tracer.percentiles("commit") is None
-
-    def test_stamp_payload_ignores_non_reading(self):
-        registry = MetricsRegistry()
-        tracer = PipelineTracer(registry, clock=SimClock(0))
-        tracer.stamp_payload("dispatch", b'{"json": "metadata"}')
-        assert tracer.percentiles("dispatch") is None
+        assert make_tracer().percentiles("commit") is None
