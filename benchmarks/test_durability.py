@@ -18,6 +18,11 @@ Committed gates:
 * **Bounded-memory scan** — sweeping a store larger than the block
   cache budget must hold decoded residency at or under the budget
   (assertion, not timing; runs in every mode).
+
+Not gated: :func:`test_decode_regimes` decodes one block per value
+regime the XOR decoder meets (bit-identity asserted in every mode) and
+records µs per row; EXPERIMENTS.md "Read path: block decode" holds the
+table.
 """
 
 import itertools
@@ -28,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core.sid import SensorId
-from repro.storage.durable import DurableNode
+from repro.storage.durable import DurableNode, decode_values, encode_values
 from repro.storage.memory import MemoryBackend
 
 SIDS = [SensorId.from_codes([1, i]) for i in range(1, 51)]
@@ -253,3 +258,47 @@ class TestBoundedMemoryScan:
             > 0
         ), "scan never evicted — store fit in the budget, test is vacuous"
         node.close()
+
+
+DECODE_ROWS = 3_600  # an hour of a 1 Hz sensor: one dashboard block
+
+
+def decode_regimes(rows=DECODE_ROWS, seed=27):
+    """One value column per regime the XOR decoder meets: the dashboard's
+    power walk, counters and tier sums (long runs of equal-length
+    tokens), float sensors and full-range values (few, wide windows),
+    and the sparse shapes where zero tokens break every run."""
+    rng = np.random.default_rng(seed)
+    walk = 200_000 + np.cumsum(rng.integers(-400, 401, rows * 10))
+    flips = np.where(np.arange(rows) % 2, 1 << 60, 1)
+    return {
+        "walk_400": walk[:rows],
+        "counter": (1 << 40) + np.cumsum(rng.integers(900, 1_101, rows)),
+        "tier_sum": walk.reshape(rows, 10).sum(axis=1),
+        "float_bits": rng.uniform(-1e6, 1e6, rows).view(np.int64),
+        "full_range": rng.integers(-(1 << 63), (1 << 63) - 1, rows, endpoint=True),
+        "slow_walk_1": 50_000 + np.cumsum(rng.integers(-1, 2, rows)),
+        "steps_every_10": np.repeat(rng.integers(100_000, 200_001, rows // 10), 10),
+        "alternating_zero": np.repeat(rng.integers(0, 1 << 20, rows // 2), 2),
+        "renegotiate_every_row": np.bitwise_xor.accumulate(flips),
+        "constant": np.full(rows, 123_456),
+    }
+
+
+def test_decode_regimes(benchmark):
+    """Decode one block per regime; µs/row per regime in extra_info."""
+    blocks = {
+        name: (column.astype(np.int64), encode_values(column.astype(np.int64)))
+        for name, column in decode_regimes().items()
+    }
+
+    def decode_all():
+        return {name: decode_values(block, column.size) for name, (column, block) in blocks.items()}
+
+    decoded = benchmark(decode_all)
+    for name, (column, _block) in blocks.items():
+        assert np.array_equal(decoded[name], column), name
+    if benchmark.enabled:
+        for name, (column, block) in blocks.items():
+            seconds = _best_of(5, lambda: decode_values(block, column.size))
+            benchmark.extra_info[f"{name}_us_per_row"] = round(seconds / column.size * 1e6, 4)

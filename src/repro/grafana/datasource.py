@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from repro.common.errors import DCDBError
 from repro.common.httpjson import JsonHttpServer
 from repro.libdcdb.api import DCDBClient
@@ -197,10 +199,9 @@ class GrafanaDataSource:
                 series.append({"target": topic, "error": errors[topic], "datapoints": []})
                 continue
             timestamps, values = results[topic]
-            datapoints = [
-                [float(v), int(t // 1_000_000)]  # Grafana wants ms epochs
-                for t, v in zip(timestamps.tolist(), values.tolist())
-            ]
+            datapoints = list(  # [value, ms epoch] pairs, as Grafana wants
+                zip(values.astype(np.float64).tolist(), (timestamps // 1_000_000).tolist())
+            )
             series.append({"target": topic, "datapoints": datapoints})
         return 200, series
 

@@ -25,9 +25,13 @@ WAL) store the count in their own framing and pass it to decode.
 The kernels are NumPy-vectorized: deltas, delta-of-deltas, zigzag,
 bucket classification, XOR leading/trailing-zero windows and the final
 bit-packing all run column-at-a-time (MSB-first bit matrix +
-``np.packbits``/``np.unpackbits``), with Python-level work confined to
-the rows that need it (irregular delta-of-delta buckets, XOR window
-renegotiations).  The wire format is **bit-identical** to the original
+``np.packbits``).  Decoding steps through the tokens in Python once
+per *run*, not once per row: a run of ``0`` tokens is one
+``bytes.find``, a run of ``10`` XOR tokens under one window is one
+strided look-up (they all have the same length), and only irregular
+delta-of-delta tokens and XOR window renegotiations cost an iteration
+each; every payload is then read in one vector gather over the
+block's 64-bit words.  The wire format is **bit-identical** to the original
 per-reading loop implementation — locked by the golden vectors in
 ``tests/storage/test_durable_codecs.py``.
 """
@@ -54,10 +58,17 @@ _U1 = np.uint64(1)
 #: Bits one delta-of-delta token occupies, per bucket (control+payload).
 _DOD_TOKEN_BITS = np.array([1, 9, 19, 36, 72], dtype=np.int64)
 
-#: Cap on the rows × width temporary matrices the bit scatter/gather
-#: helpers materialize at once (keeps peak memory bounded for huge
+#: Cap on the rows × width temporary matrices the bit scatter helper
+#: materializes at once (keeps peak memory bounded for huge
 #: adversarial blocks without touching the common-case fast path).
 _CHUNK_ROWS = 1 << 16
+
+#: ``10`` tokens of a run checked one by one before its end is looked
+#: up in strides (one NumPy call costs about as much as this many).
+_PROBE = 16
+
+#: Bit-plane bytes to ASCII digits: a few plane bytes parse with ``int(.., 2)``.
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 class BitWriter:
@@ -143,18 +154,52 @@ def _scatter_bits(bits: np.ndarray, offsets: np.ndarray, values: np.ndarray, wid
         ).astype(np.uint8)
 
 
-def _gather_bits(bits: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
-    """Read ``width``-bit MSB-first uint64 fields at bit ``offsets``."""
-    span = np.arange(width, dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    out = np.empty(offsets.size, dtype=np.uint64)
-    for at in range(0, offsets.size, _CHUNK_ROWS):
-        off = offsets[at : at + _CHUNK_ROWS]
-        chunk = bits[off[:, None] + span[None, :]].astype(np.uint64)
-        out[at : at + off.size] = (chunk << shifts[None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-    return out
+def _planes(data, count: int):
+    """``(total, words, plane)`` of a block: its bit count, its bits as
+    big-endian 64-bit words and as ``bytes`` of 0/1 (C-speed scalar
+    indexing and ``bytes.find`` over the tokens).  Both run on past the
+    block with at least 64 zero bits, so a look-ahead needs no bounds
+    check (a token it would start cannot fit) and neither does
+    :func:`_gather`.
+
+    Every row after the 64-bit head costs at least one bit, so a
+    ``count`` the block cannot hold is refused before anything is
+    allocated for it.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size < 8 or count - 1 > 8 * raw.size - 64:
+        raise StorageError("truncated compressed block")
+    padded = np.zeros((raw.size // 8 + 2) * 8, dtype=np.uint8)
+    padded[: raw.size] = raw
+    words = padded.view(">u8").astype(np.uint64)
+    return 8 * raw.size, words, np.unpackbits(padded).tobytes()
+
+
+def _gather(words: np.ndarray, offsets: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Read MSB-first fields of ``widths`` (1..64) bits at bit ``offsets``:
+    a field lies in the word pair from ``offset >> 6``, which shifted
+    left by ``offset & 63`` holds it in its high ``width`` bits."""
+    at = offsets >> 6
+    shift = (offsets & 63).astype(np.uint64)
+    # Two shifts for the low word: one by 64 - shift would be by 64 at
+    # shift 0, which NumPy (like C) does not define.
+    low = (words[at + 1] >> _U1) >> (np.uint64(63) - shift)
+    return ((words[at] << shift) | low) >> (64 - widths).astype(np.uint64)
+
+
+def _strided_run(heads: np.ndarray, at: int, step: int, limit: int) -> int:
+    """How many of ``heads[at::step][:limit]`` are set before the first
+    unset one, scanned in doubling windows so a short run stays cheap."""
+    done = 0
+    span = 128
+    while done < limit:
+        span = min(2 * span, limit - done)
+        window = heads[at + done * step : at + (done + span) * step : step]
+        first_unset = int(window.argmin())
+        if not window[first_unset]:
+            return done + first_unset
+        done += span
+    return done
 
 
 def _bit_length_u64(v: np.ndarray) -> np.ndarray:
@@ -168,13 +213,6 @@ def _bit_length_u64(v: np.ndarray) -> np.ndarray:
         v[big] = t[big]
     out += v != 0
     return out
-
-
-def _small_int(bb: bytes, off: int, width: int) -> int:
-    value = 0
-    for b in bb[off : off + width]:
-        value = (value << 1) | b
-    return value
 
 
 # -- batched block layout ---------------------------------------------------
@@ -305,72 +343,58 @@ def decode_timestamps(data, count: int) -> np.ndarray:
     """Inverse of :func:`encode_timestamps`; ``count`` rows expected."""
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if raw.size < 8:
-        raise StorageError("truncated compressed block")
-    first = int.from_bytes(raw[:8].tobytes(), "big")
+    total, words, bb = _planes(data, count)
+    first = int(words[0])
     out = np.empty(count, dtype=np.uint64)
     out[0] = first
     if count == 1:
         return out.view(np.int64)
     m = count - 1
-    bits = np.unpackbits(raw)
-    total = int(bits.size)
-    bb = bits.tobytes()  # byte-per-bit copy: C-speed scalar indexing
     # Token scan: runs of '0' bits are dod=0 tokens, skipped in bulk by
-    # memchr; only irregular tokens cost a Python iteration.
-    pos: tuple[list, list, list, list] = ([], [], [], [])
+    # memchr; only irregular tokens cost a Python iteration.  A 68-bit
+    # token is read as its low 64 bits plus the one bit above them.
+    rows: list[int] = []
+    offs: list[int] = []
+    ws: list[int] = []
     find = bb.find
     p = 64
     tok = 0
     while tok < m:
-        if p < total and bb[p]:
-            q = p
+        q = p if bb[p] else find(1, p)
+        if q < 0:
+            q = total
+        tok += q - p
+        if tok >= m:
+            break
+        if not bb[q + 1]:
+            off, w = q + 2, 7
+        elif not bb[q + 2]:
+            off, w = q + 3, 16
+        elif not bb[q + 3]:
+            off, w = q + 4, 32
         else:
-            q = find(1, p)
-            if q < 0:
-                q = total
-        run = q - p
-        if run:
-            if run >= m - tok:
-                tok = m
-                break
-            tok += run
-        if q + 1 < total and not bb[q + 1]:
-            off, w, cls = q + 2, 7, 0
-        elif q + 2 < total and not bb[q + 2]:
-            off, w, cls = q + 3, 16, 1
-        elif q + 3 < total and not bb[q + 3]:
-            off, w, cls = q + 4, 32, 2
-        else:
-            off, w, cls = q + 4, 68, 3
-        end = off + w
-        if end > total:
+            off, w = q + 8, 64
+        p = off + w
+        if p > total:
             raise StorageError("truncated compressed block")
-        pos[cls].append((tok, off))
+        rows.append(tok)
+        offs.append(off)
+        ws.append(w)
         tok += 1
-        p = end
 
-    dod = np.zeros(m, dtype=np.uint64)
-    for cls, w in ((0, 7), (1, 16), (2, 32)):
-        rows = pos[cls]
-        if not rows:
-            continue
-        arr = np.array(rows, dtype=np.int64)
-        zz = _gather_bits(bits, arr[:, 1], w)
-        dod[arr[:, 0]] = (zz >> _U1) ^ (_U0 - (zz & _U1))
-    rows = pos[3]
+    out[1:] = first
     if rows:
-        arr = np.array(rows, dtype=np.int64)
-        hi = _gather_bits(bits, arr[:, 1], 4)
-        lo = _gather_bits(bits, arr[:, 1] + 4, 64)
-        # 68-bit zigzag, reduced mod 2^64: exact because the final
-        # timestamps are int64 and every step is bitwise/additive.
-        dod[arr[:, 0]] = (((hi & _U1) << np.uint64(63)) | (lo >> _U1)) ^ (
-            _U0 - (lo & _U1)
-        )
-    deltas = np.cumsum(dod)
-    out[1:] = np.uint64(first) + np.cumsum(deltas)
+        at = np.array(offs, dtype=np.int64)
+        width = np.array(ws, dtype=np.int64)
+        zz = _gather(words, at, width)
+        # Zigzag, reduced mod 2^64 (exact: the final timestamps are int64
+        # and every step is bitwise/additive); a 68-bit token's bit 64
+        # becomes the top bit.
+        top = np.frombuffer(bb, dtype=np.uint8)[at - 1] * (width == 64)
+        top = top.astype(np.uint64) << np.uint64(63)
+        dod = np.zeros(m, dtype=np.uint64)
+        dod[rows] = (top | (zz >> _U1)) ^ (_U0 - (zz & _U1))
+        out[1:] += np.cumsum(np.cumsum(dod))
     return out.view(np.int64)
 
 
@@ -449,80 +473,85 @@ def encode_values(values, offsets=None):
 
 
 def decode_values(data, count: int) -> np.ndarray:
-    """Inverse of :func:`encode_values`; ``count`` rows expected."""
+    """Inverse of :func:`encode_values`; ``count`` rows expected.
+
+    Between two ``11`` window renegotiations every ``10`` token is
+    ``win + 2`` bits long, so the payloads of consecutive ones lie at a
+    fixed stride.  The scan steps once per such run (its end found by a
+    strided look-up in the ``10``-header mask) and once per run of
+    ``0`` tokens (``bytes.find``); every payload is then read in one
+    vector gather, with its window looked up from the renegotiations.
+    """
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if raw.size < 8:
-        raise StorageError("truncated compressed block")
-    first = int.from_bytes(raw[:8].tobytes(), "big")
+    total, words, bb = _planes(data, count)
+    first = int(words[0])
     out = np.empty(count, dtype=np.uint64)
     out[0] = first
     if count == 1:
         return out.view(np.int64)
     m = count - 1
-    bits = np.unpackbits(raw)
-    total = int(bits.size)
-    bb = bits.tobytes()  # byte-per-bit copy: C-speed scalar indexing
-    rows: list[int] = []
-    offs: list[int] = []
-    ws: list[int] = []
-    shs: list[int] = []
     find = bb.find
-    rows_append = rows.append
-    offs_append = offs.append
-    ws_append = ws.append
-    shs_append = shs.append
+    heads = None  # heads[i]: a '10' token starts at bit i
+    runs: list[int] = []  # first row, first payload bit, length; per run
+    # Windows: the row each one starts at, its width, its trailing zeros.
+    win_row = [0]
+    win_bits = [64]
+    win_trail = [0]
     p = 64
     tok = 0
     win = 64
-    trail = 0
     while tok < m:
-        if p < total and bb[p]:
-            q = p
-        else:
-            q = find(1, p)
-            if q < 0:
-                q = total
-        run = q - p
-        if run:
-            if run >= m - tok:
-                tok = m
-                break
-            tok += run
-        p = q
-        if p + 1 >= total:
-            raise StorageError("truncated compressed block")
-        if not bb[p + 1]:
-            off = p + 2
-        else:
-            if p + 14 > total:
+        q = p if bb[p] else find(1, p)
+        if q < 0:
+            q = total
+        tok += q - p
+        if tok >= m:
+            break
+        p = q + 2
+        if bb[q + 1]:
+            if q + 14 > total:
                 raise StorageError("truncated compressed block")
-            lead = _small_int(bb, p + 2, 6)
-            win = _small_int(bb, p + 8, 6) + 1
-            trail = 64 - lead - win
+            hdr = int(bb[p : p + 12].translate(_BIT_CHARS), 2)
+            win = (hdr & 63) + 1
+            trail = 64 - (hdr >> 6) - win
             if trail < 0:
                 raise StorageError("corrupt XOR window in compressed block")
-            off = p + 14
-        end = off + win
-        if end > total:
+            win_row.append(tok)
+            win_bits.append(win)
+            win_trail.append(trail)
+            p += 12
+        at = p + win  # where the next token starts
+        if at > total:
             raise StorageError("truncated compressed block")
-        rows_append(tok)
-        offs_append(off)
-        ws_append(win)
-        shs_append(trail)
-        tok += 1
-        p = end
+        k = 1
+        if bb[at] and not bb[at + 1]:
+            step = win + 2
+            limit = min(m - tok, (total - at) // step + 1)  # tokens that fit
+            while k < limit and bb[at] and not bb[at + 1]:
+                k += 1
+                at += step
+                if k == _PROBE:
+                    if heads is None:
+                        plane = np.frombuffer(bb, dtype=np.uint8)
+                        heads = plane[:-1] > plane[1:]
+                    more = _strided_run(heads, at, step, limit - k)
+                    k += more
+                    at += more * step
+                    break
+        runs += (tok, p, k)
+        tok += k
+        p = at
 
-    xors = np.zeros(m, dtype=np.uint64)
-    if rows:
-        rows_a = np.array(rows, dtype=np.int64)
-        offs_a = np.array(offs, dtype=np.int64)
-        ws_a = np.array(ws, dtype=np.int64)
-        shs_a = np.array(shs, dtype=np.uint64)
-        for w in sorted(set(ws)):
-            sel = ws_a == w
-            xors[rows_a[sel]] = _gather_bits(bits, offs_a[sel], int(w)) << shs_a[sel]
-    acc = np.bitwise_xor.accumulate(xors)
-    out[1:] = np.uint64(first) ^ acc
+    out[1:] = first
+    if runs:
+        row, off, lens = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+        epoch = np.repeat(np.searchsorted(win_row, row, side="right") - 1, lens)
+        width = np.array(win_bits, dtype=np.int64)[epoch]
+        trail = np.array(win_trail, dtype=np.uint64)[epoch]
+        i = np.arange(width.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        at = np.repeat(off, lens) + i * (width + 2)
+        xors = np.zeros(m, dtype=np.uint64)
+        xors[np.repeat(row, lens) + i] = _gather(words, at, width) << trail
+        out[1:] ^= np.bitwise_xor.accumulate(xors)
     return out.view(np.int64)

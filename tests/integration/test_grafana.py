@@ -3,6 +3,7 @@
 import json
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.common.httpjson import http_json
@@ -154,3 +155,92 @@ class TestDataSource:
             f"http://127.0.0.1:{datasource.port}/hierarchy?prefix=/g/rack0/node0/power",
         )
         assert body == ["s0", "s1"]
+
+
+class TestDatapointsFromColumns:
+    """The response is shaped from whole columns; its bytes must equal
+    the per-point ``[float(v), int(t // 1e6)]`` formula on a raw, a
+    tier-served and a virtual-sensor query."""
+
+    TOPICS = ["/g/rack0/node0/power", "/g/rack0/node1/power"]
+
+    @pytest.fixture
+    def served(self):
+        from repro.core.sid import SensorId
+        from repro.storage.rollup import RollupEngine
+
+        backend = MemoryBackend()
+        engine = RollupEngine(backend)
+        client = DCDBClient(backend)
+        rng = np.random.default_rng(27)
+        ts = np.arange(0, 7300, dtype=np.int64) * NS_PER_SEC + 123_456
+        for i, topic in enumerate(self.TOPICS):
+            sid = SensorId.from_codes([1, 1, i + 1])
+            backend.put_metadata(f"sidmap{topic}", sid.hex())
+            # Scale 0.001: physical values are non-trivial floats.
+            client.set_sensor_config(SensorConfig(topic=topic, unit="W", scale=0.001))
+            values = 150_000 + np.cumsum(rng.integers(-400, 401, ts.size))
+            items = [(sid, int(t), int(v), 0) for t, v in zip(ts, values)]
+            backend.insert_batch(items)
+            engine.observe(items)
+        client.define_virtual_sensor(
+            VirtualSensorDef(name="rack_power", expression="sum(</g/rack0>)", unit="W")
+        )
+        with GrafanaDataSource(client) as ds:
+            yield ds, client
+
+    @staticmethod
+    def _raw_body(ds, payload):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{ds.port}/query",
+            data=json.dumps(payload).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request) as response:
+            return response.read()
+
+    @staticmethod
+    def _per_point(series):
+        return json.dumps(
+            [
+                {
+                    "target": topic,
+                    "datapoints": [
+                        [float(v), int(t // 1_000_000)]
+                        for t, v in zip(timestamps.tolist(), values.tolist())
+                    ],
+                }
+                for topic, (timestamps, values) in series
+            ]
+        ).encode("utf-8")
+
+    def test_raw_query_bytes(self, served):
+        ds, client = served
+        start, end = 100 * NS_PER_SEC, 700 * NS_PER_SEC
+        body = self._raw_body(
+            ds, {"range": {"from_ns": start, "to_ns": end}, "targets": [{"target": t} for t in self.TOPICS]}
+        )
+        assert client.plan_aggregate(self.TOPICS[0], start, end, 1000).tier_index is None
+        expected = self._per_point([(t, client.query(t, start, end)) for t in self.TOPICS])
+        assert body == expected
+
+    def test_tier_served_query_bytes(self, served):
+        ds, client = served
+        start, end = 0, 7200 * NS_PER_SEC
+        payload = {
+            "range": {"from_ns": start, "to_ns": end},
+            "targets": [{"target": t} for t in self.TOPICS],
+            "maxDataPoints": 100,
+        }
+        body = self._raw_body(ds, payload)
+        assert client.plan_aggregate(self.TOPICS[0], start, end, 100).tier_index is not None
+        series = client.query_aggregate_many(self.TOPICS, start, end, "avg", 100)
+        assert body == self._per_point([(t, series[t]) for t in self.TOPICS])
+
+    def test_virtual_sensor_query_bytes(self, served):
+        ds, client = served
+        start, end = 10 * NS_PER_SEC, 400 * NS_PER_SEC
+        topic = "/virtual/rack_power"
+        body = self._raw_body(ds, {"range": {"from_ns": start, "to_ns": end}, "targets": [{"target": topic}]})
+        assert body == self._per_point([(topic, client.query(topic, start, end))])

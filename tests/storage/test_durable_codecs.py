@@ -13,10 +13,12 @@ import math
 import random
 import shutil
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import StorageError
 from repro.core.sid import SensorId
@@ -501,3 +503,228 @@ class TestSegmentBytesUnchanged:
             assert node.state_fingerprint() == PINNED_FINGERPRINT
         finally:
             node.close()
+
+
+# -- decoders against a one-token-at-a-time reference ---------------------
+#
+# The vectorized decoders step once per run of tokens and gather every
+# payload at once.  The references below read the documented token
+# grammar one token at a time on top of BitReader; both decoders must
+# agree with them on every valid block and on arbitrary bytes.
+
+_U64 = (1 << 64) - 1
+
+
+def _signed(words):
+    return [w - (1 << 64) if w >> 63 else w for w in words]
+
+
+def reference_decode_values(data, count):
+    """'0': same value; '10' + win bits: XOR in the current window;
+    '11' + 6-bit leading zeros + 6-bit (win - 1) + win bits: new window."""
+    if count == 0:
+        return []
+    r = BitReader(data)
+    prev = r.read(64)
+    out = [prev]
+    win, trail = 64, 0
+    for _ in range(count - 1):
+        if r.read(1):
+            if r.read(1):
+                lead = r.read(6)
+                win = r.read(6) + 1
+                trail = 64 - lead - win
+                if trail < 0:
+                    raise StorageError("corrupt XOR window")
+            prev ^= r.read(win) << trail
+        out.append(prev)
+    return _signed(out)
+
+
+def reference_decode_timestamps(data, count):
+    """'0': dod 0; '10' + 7, '110' + 16, '1110' + 32, '1111' + 68 bits
+    of zigzagged delta-of-delta."""
+    if count == 0:
+        return []
+    r = BitReader(data)
+    prev = r.read(64)
+    out = [prev]
+    delta = 0
+    for _ in range(count - 1):
+        zz = 0
+        if r.read(1):
+            for width in (7, 16, 32, 68):
+                if width == 68 or not r.read(1):
+                    zz = r.read(width)
+                    break
+        delta = (delta + ((zz >> 1) ^ -(zz & 1))) & _U64
+        prev = (prev + delta) & _U64
+        out.append(prev)
+    return _signed(out)
+
+
+def gen_walk_400(rng, n):
+    """Node power in mW: the dashboard's random walk."""
+    v = rng.randint(80_000, 300_000)
+    out = []
+    for _ in range(n):
+        out.append(v)
+        v += rng.randint(-400, 400)
+    return out
+
+
+def gen_counter(rng, n):
+    v = rng.randint(0, 1 << 40)
+    out = []
+    for _ in range(n):
+        out.append(v)
+        v += rng.randint(900, 1_100)
+    return out
+
+
+def gen_slow_walk_1(rng, n):
+    """±1 steps: a zero token between every few non-zero ones."""
+    v = rng.randint(0, 100_000)
+    out = []
+    for _ in range(n):
+        out.append(v)
+        v += rng.randint(-1, 1)
+    return out
+
+
+def gen_steps(rng, n):
+    every = rng.randint(2, 40)
+    out = []
+    for i in range(n):
+        if i % every == 0:
+            v = rng.randint(100_000, 200_000)
+        out.append(v)
+    return out
+
+
+def gen_alternating_zero(rng, n):
+    """Every value twice: zero and non-zero tokens alternate."""
+    return [rng.randint(0, 1 << 20) for _ in range(n // 2 + 1) for _ in (0, 1)][:n]
+
+
+def gen_renegotiate_every_row(rng, n):
+    """XORs alternate between a high and a low bit: no window is reused."""
+    v = rng.randint(I64_MIN, I64_MAX)
+    out = []
+    for i in range(n):
+        out.append(v)
+        v = (v ^ (1 << (62 - i % 3) if i % 2 else 1 << (i % 3))) & _U64
+        v = v - (1 << 64) if v >> 63 else v
+    return out
+
+
+def gen_extremes(rng, n):
+    return [rng.choice([I64_MIN, I64_MAX, 0, -1, 1, I64_MIN + 1]) for _ in range(n)]
+
+
+REGIMES = GENERATORS + [
+    gen_walk_400,
+    gen_counter,
+    gen_slow_walk_1,
+    gen_steps,
+    gen_alternating_zero,
+    gen_renegotiate_every_row,
+    gen_extremes,
+]
+
+#: Lengths on and around the edges of the scan: the head alone, the
+#: scalar look-ahead of a run, its strided windows.
+EDGE_LENGTHS = [0, 1, 2, 3, 4, 5, 15, 16, 17, 18, 19, 33, 272, 273, 274, 785, 786]
+
+
+def _both(decode, reference, data, count):
+    """``(decoder result, reference result)``, a StorageError as None."""
+    results = []
+    for fn in (decode, reference):
+        try:
+            results.append(list(fn(data, count)))
+        except StorageError:
+            results.append(None)
+    return results
+
+
+class TestDecodersAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        regime=st.sampled_from(REGIMES),
+        n=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 700)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_columns_decode_like_the_reference(self, regime, n, seed):
+        column = regime(random.Random(seed), n)
+        arr = np.array(column, dtype=np.int64)
+        for encode, decode, reference in (
+            (encode_values, decode_values, reference_decode_values),
+            (encode_timestamps, decode_timestamps, reference_decode_timestamps),
+        ):
+            block = encode(arr)
+            got = decode(block, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference(block, n) == column
+
+    @pytest.mark.parametrize("run", list(range(1, 40)) + [271, 272, 273, 783, 784, 785, 1_500])
+    @pytest.mark.parametrize("end", ["zero", "renegotiate", "block"])
+    def test_run_lengths(self, run, end):
+        # A run of `run` tokens XORing bit 0 ('11' then '10's), ended by a
+        # repeated value, a wider XOR, or the end of the block; a short
+        # run follows so the scan must resume in the right place.
+        xors = [1] * run + {"zero": [0], "renegotiate": [6], "block": []}[end] + [1, 0, 1]
+        column = np.bitwise_xor.accumulate(np.array([5] + xors, dtype=np.int64))
+        block = encode_values(column)
+        assert decode_values(block, column.size).tolist() == column.tolist()
+        assert reference_decode_values(block, column.size) == column.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_prefix_of_a_block_raises(self, seed):
+        rng = random.Random(seed)
+        column = np.array(rng.choice(REGIMES)(rng, rng.randint(1, 80)), dtype=np.int64)
+        for encode, decode in ((encode_values, decode_values), (encode_timestamps, decode_timestamps)):
+            block = encode(column)
+            for cut in range(len(block)):
+                with pytest.raises(StorageError):
+                    decode(block[:cut], column.size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=96), count=st.one_of(st.integers(0, 800), st.integers(0, 1 << 40)))
+    def test_arbitrary_bytes(self, data, count):
+        for decode, reference in (
+            (decode_values, reference_decode_values),
+            (decode_timestamps, reference_decode_timestamps),
+        ):
+            start = time.perf_counter()
+            got, expected = _both(decode, reference, data, count)
+            assert time.perf_counter() - start < 1.0
+            assert got == expected
+            if got is not None:
+                assert len(got) == count
+
+    def test_fuzzed_blocks_raise_only_storage_error(self):
+        # 3 000 mutated valid blocks (bit flips, cuts, trailing garbage,
+        # wrong counts): each decodes like the reference or raises
+        # StorageError — never another exception.
+        rng = random.Random(3_000)
+        for case in range(3_000):
+            column = np.array(rng.choice(REGIMES)(rng, rng.randint(0, 60)), dtype=np.int64)
+            encode, decode, reference = rng.choice(
+                [
+                    (encode_values, decode_values, reference_decode_values),
+                    (encode_timestamps, decode_timestamps, reference_decode_timestamps),
+                ]
+            )
+            block = bytearray(encode(column))
+            for _ in range(rng.randint(0, 3)):
+                action = rng.randrange(3)
+                if action == 0 and block:
+                    block[rng.randrange(len(block))] ^= 1 << rng.randrange(8)
+                elif action == 1:
+                    del block[rng.randrange(len(block) + 1) :]
+                else:
+                    block += bytes(rng.randrange(256) for _ in range(rng.randint(1, 4)))
+            count = max(0, column.size + rng.choice([0, 0, 0, -1, 1, rng.randint(-5, 50)]))
+            got, expected = _both(decode, reference, bytes(block), count)
+            assert got == expected, f"case={case}"
