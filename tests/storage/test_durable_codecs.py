@@ -604,7 +604,8 @@ def gen_steps(rng, n):
 
 def gen_alternating_zero(rng, n):
     """Every value twice: zero and non-zero tokens alternate."""
-    return [rng.randint(0, 1 << 20) for _ in range(n // 2 + 1) for _ in (0, 1)][:n]
+    values = [rng.randint(0, 1 << 20) for _ in range(n // 2 + 1)]
+    return [v for v in values for _ in (0, 1)][:n]
 
 
 def gen_renegotiate_every_row(rng, n):
