@@ -19,6 +19,7 @@ import pytest
 from conftest import emit, format_table
 from repro.core.sid import SidMapper
 from repro.storage.cluster import StorageCluster
+from repro.storage.membership import ClusterMembership
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import HashPartitioner, HierarchicalPartitioner
 
@@ -50,20 +51,26 @@ def build(partitioner_name: str):
 
 def run(partitioner_name: str):
     nodes, partitioner, mapper, sids = build(partitioner_name)
-    # Each cluster writes through a coordinator near its own backend:
-    # with hierarchical placement, cluster k's subtree lands on node
-    # assigned to its prefix -> contact that node.
+    # One cluster, one placement table.  Each cluster writes through a
+    # coordinator near its own backend, modelled by moving the contact
+    # node: with hierarchical placement, cluster k's subtree lands on
+    # the node assigned to its prefix -> contact that node.
+    coordinator = StorageCluster(nodes, partitioner=partitioner)
     local = remote = 0
     for cluster in range(CLUSTERS):
-        contact = partitioner.node_for(sids[cluster][0]) if partitioner_name == "hierarchical" else cluster
-        coordinator = StorageCluster(nodes, partitioner=partitioner, contact_node=contact)
+        coordinator.contact_node = (
+            coordinator.membership.read_replicas(sids[cluster][0])[0]
+            if partitioner_name == "hierarchical"
+            else cluster
+        )
+        coordinator.reset_stats()
         coordinator.insert_batch(
             (sid, t, t, 0) for sid in sids[cluster] for t in range(READINGS)
         )
         local += coordinator.local_ops
         remote += coordinator.remote_ops
     # Query fan-out: scan one cluster's subtree.
-    coordinator = StorageCluster(nodes, partitioner=partitioner)
+    coordinator.contact_node = 0
     touched = set()
     original = coordinator._account
     coordinator._account = lambda idx: (touched.add(idx), original(idx))
@@ -112,9 +119,10 @@ def test_hash_balances_better_under_skew(benchmark):
             ("hierarchical", HierarchicalPartitioner(4, levels=1)),
             ("hash", HashPartitioner(4)),
         ):
+            placement = ClusterMembership(partitioner, replication=1)
             counts = [0, 0, 0, 0]
             for sid in sids:
-                counts[partitioner.node_for(sid)] += 1
+                counts[placement.read_replicas(sid)[0]] += 1
             out[name] = max(counts) / (sum(counts) / 4)
         return out
 

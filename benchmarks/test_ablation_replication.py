@@ -55,11 +55,11 @@ def test_replication_survives_node_loss(benchmark):
         # "Lose" the primary of a subtree: blank the owning node and
         # read from the surviving replica ring position.
         victim_sid = SIDS[0]
-        owner = cluster.partitioner.node_for(victim_sid)
+        owner = cluster.membership.read_replicas(victim_sid)[0]
         cluster.nodes[owner] = StorageNode(f"n{owner}-replaced")
         # Reads walk the replica list; with the primary empty the
         # second replica still holds everything.
-        replicas = cluster.partitioner.replicas_for(victim_sid, 2)
+        replicas = cluster.membership.read_replicas(victim_sid)
         survivor = cluster.nodes[replicas[1]]
         ts, vals = survivor.query(victim_sid, 0, 10**9)
         return ts.size
@@ -72,7 +72,7 @@ def test_rf1_loses_data_on_node_loss(benchmark):
     def run():
         cluster = ingest(1)
         victim_sid = SIDS[0]
-        owner = cluster.partitioner.node_for(victim_sid)
+        owner = cluster.membership.read_replicas(victim_sid)[0]
         cluster.nodes[owner] = StorageNode(f"n{owner}-replaced")
         ts, _ = cluster.query(victim_sid, 0, 10**9)
         return ts.size

@@ -94,12 +94,11 @@ def main() -> None:
     for idx, node in enumerate(storage_nodes):
         print(f"  {node.name}: {node.row_count} rows ({len(node.sids())} sensors)")
     # With RF=2 both nodes hold everything; flip replication to 1 to
-    # see pure subtree placement. Show the partitioner's view instead:
-    part = cluster.partitioner
+    # see pure subtree placement. Show the ownership table's view instead:
     dcdb = DCDBClient(cluster)
     for cluster_idx in range(2):
         topic = f"/cluster{cluster_idx}/node00/metrics/s0"
-        owner = part.node_for(dcdb.sid_of(topic))
+        owner = cluster.membership.read_replicas(dcdb.sid_of(topic))[0]
         print(f"  subtree /cluster{cluster_idx} owned by {storage_nodes[owner].name}")
 
     # --- query across the hierarchy ----------------------------------

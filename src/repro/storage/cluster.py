@@ -4,12 +4,19 @@ Composes member stores — any
 :class:`~repro.storage.backend.StorageBackend`, normally
 :class:`~repro.storage.node.StorageNode` or
 :class:`~repro.storage.durable.DurableNode` servers — behind that same
-API with a pluggable :class:`~repro.storage.partitioner.Partitioner`
-and synchronous replication.  Any node "may be used to insert or query
-data" (paper section 4.3); in our reproduction the cluster object is
-that coordinator role, and it records how many operations had to leave
-the contact node — the locality metric that motivates hierarchical
-partitioning.
+API.  A :class:`~repro.storage.partitioner.Partitioner` maps each
+sensor to a partition key and the ownership table
+(:class:`~repro.storage.membership.ClusterMembership`) maps the key to
+its replica set; that table is the cluster's only placement.  Any node
+"may be used to insert or query data" (paper section 4.3); in our
+reproduction the cluster object is that coordinator role, and it
+records how many operations had to leave the contact node — the
+locality metric that motivates hierarchical partitioning.
+
+Every operation that touches several nodes — a batch write, a bulk
+read, a subtree scan — splits into one job per node and runs the jobs
+under one rule (:func:`_fan_out`): serially on the calling thread when
+they are small, on the shared pool when they are large.
 
 Availability under node churn follows the Cassandra playbook the
 paper relies on:
@@ -21,9 +28,11 @@ paper relies on:
   replica of some reading fails does the write raise (and the batching
   writer re-queues the batch, see
   :class:`~repro.core.collectagent.writer.BatchingWriter`).
-* **reads** fall back to the next live replica instead of erroring;
-  a read touching a recovered node first drains its pending hints so
-  the series it serves is complete.
+* **reads** — :meth:`StorageCluster.query` and
+  :meth:`StorageCluster.query_many` share one routine — fall back to
+  the next replica instead of erroring; a read touching a recovered
+  node first drains its pending hints so the series it serves is
+  complete.
 
 Replay is idempotent because the node read/compaction paths dedup on
 timestamp (last write wins), so a hint that races a writer retry never
@@ -93,12 +102,16 @@ def _shared_pool() -> ThreadPoolExecutor:
     return pool
 
 
-# Below this many SIDs a bulk read runs its per-node groups serially:
-# submitting a future costs ~tens of microseconds and small in-memory
-# groups hold the GIL anyway, so the fan-out only pays for itself on
-# large scans (or backends that release the GIL, which get big batches
-# from the callers that matter).
-_PARALLEL_READ_MIN_SIDS = 256
+# Below this many items (readings to write, SIDs to read) across one
+# operation's per-node jobs, the jobs run serially on the calling
+# thread: submitting a future costs tens of microseconds and small
+# in-memory jobs hold the GIL anyway, so the pool only pays for itself
+# on large batches and scans.
+_FAN_OUT_MIN_ITEMS = 256
+
+# Bound on memoized per-SID replica sets (FIFO eviction — the
+# oldest-resolved sensor is the cheapest to recompute).
+_REPLICA_CACHE_MAX = 65_536
 
 # Cutoff passed to delete_before when a losing replica sheds a moved
 # partition's rows — far enough in the future to drop everything while
@@ -110,6 +123,27 @@ _FAR_FUTURE = 1 << 62
 _ROW_BYTES = 16
 
 
+def _fan_out(jobs: dict[int, list], run: Callable[[int, list], object]) -> dict[int, object]:
+    """Run ``run(node_idx, items)`` for every per-node job.
+
+    The cluster's one fan-out rule: below ``_FAN_OUT_MIN_ITEMS`` items
+    in total the jobs run one after another on the calling thread;
+    above it the largest job runs inline while the rest are in flight
+    on the shared pool, so the coordinator works instead of blocking
+    on futures.  ``run`` returns failures instead of raising them.
+    """
+    if len(jobs) < 2 or sum(map(len, jobs.values())) < _FAN_OUT_MIN_ITEMS:
+        return {node_idx: run(node_idx, items) for node_idx, items in jobs.items()}
+    ordered = sorted(jobs.items(), key=lambda job: len(job[1]))
+    pool = _shared_pool()
+    futures = [(node_idx, pool.submit(run, node_idx, items)) for node_idx, items in ordered[:-1]]
+    node_idx, items = ordered[-1]
+    outcomes = {node_idx: run(node_idx, items)}
+    for node_idx, future in futures:
+        outcomes[node_idx] = future.result()
+    return outcomes
+
+
 class StorageCluster(StorageBackend):
     """A replicated, partitioned cluster of storage nodes.
 
@@ -118,7 +152,7 @@ class StorageCluster(StorageBackend):
     nodes:
         The member stores (any :class:`StorageBackend`); at least one.
     partitioner:
-        Placement policy; defaults to the paper's hierarchical
+        Partition-key policy; defaults to the paper's hierarchical
         SID-prefix partitioner over two levels.
     replication:
         Number of copies of each reading (capped at the node count).
@@ -158,7 +192,6 @@ class StorageCluster(StorageBackend):
         sleep: Callable[[float], None] | None = None,
         slow_query_s: float = 1.0,
         spans: SpanRecorder | None = None,
-        replica_cache_max: int = 65_536,
         failure_detector: FailureDetector | None = None,
         liveness_interval_s: float = 0.0,
         rebalance_chunk_rows: int = 4096,
@@ -184,21 +217,15 @@ class StorageCluster(StorageBackend):
         if max_retries < 0:
             raise StorageError("max_retries must be >= 0")
         self.replication = min(replication, len(nodes))
-        if replica_cache_max < 1:
-            raise StorageError("replica_cache_max must be >= 1")
         # Replica-set lookups sit on every read and write hot path (and
         # hash partitioners recompute a digest per call), so resolved
-        # sets are memoized.  The cache is bounded (FIFO eviction — the
-        # oldest-resolved sensor is the cheapest to recompute) and is
-        # cleared wholesale on every membership epoch change, since a
+        # sets are memoized, bounded by _REPLICA_CACHE_MAX and cleared
+        # wholesale on every membership epoch change, since a
         # join/leave can move any partition.  Benign races just
         # recompute the same tuple.
         self._replica_cache: dict[SensorId, tuple[int, ...]] = {}
-        self.replica_cache_max = replica_cache_max
-        # Epoch-versioned ownership table + phi-accrual failure
-        # detector (see repro.storage.membership).  Until the first
-        # add_node/remove_node the table delegates to the partitioner,
-        # so static clusters place exactly as before.
+        # The ownership table (the cluster's one placement) and the
+        # phi-accrual failure detector; see repro.storage.membership.
         self.membership = ClusterMembership(self.partitioner, self.replication)
         self.membership.on_epoch_change(lambda _epoch: self._replica_cache.clear())
         self.detector = (
@@ -263,7 +290,7 @@ class StorageCluster(StorageBackend):
         )
         self._read_failovers = self.metrics.counter(
             "dcdb_storage_read_failovers_total",
-            "Reads that skipped an unavailable replica",
+            "Replicas a read skipped or failed on, one per SID",
         )
         self._hints_queued = self.metrics.counter(
             "dcdb_storage_hints_queued_total",
@@ -631,7 +658,7 @@ class StorageCluster(StorageBackend):
         replicas, cacheable = self.membership.write_replicas(sid)
         if cacheable:
             cache = self._replica_cache
-            if len(cache) >= self.replica_cache_max:
+            if len(cache) >= _REPLICA_CACHE_MAX:
                 try:
                     cache.pop(next(iter(cache)))
                 except (KeyError, StopIteration):  # racing eviction
@@ -653,37 +680,13 @@ class StorageCluster(StorageBackend):
     # -- data plane ---------------------------------------------------------
 
     def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
-        items = [(sid, timestamp, value, ttl_s)]
-        trace_id = current_trace()
-        ok = 0
-        last_error: StorageError | None = None
-        with self._inflight_lock:
-            self._inflight_writes += 1
-        try:
-            for node_idx in self._replicas(sid):
-                error = self._try_write(node_idx, items, trace_id)
-                if error is None:
-                    ok += 1
-                else:
-                    last_error = error
-        finally:
-            with self._inflight_lock:
-                self._inflight_writes -= 1
-        if ok == 0:
-            raise StorageError(
-                f"insert failed on all {self.replication} replicas of {sid}: "
-                f"{last_error}"
-            ) from last_error
+        self._write([(sid, timestamp, value, ttl_s)])
 
     def insert_batch(self, items: Iterable[InsertItem]) -> int:
-        """Route a batch grouping by owner to amortize lock traffic.
+        """Route a batch grouping by replica to amortize lock traffic.
 
-        Per-node sub-batches are written concurrently on the shared
-        module pool, so replicas and partitions overlap instead of
-        serializing behind one another; a single-node cluster skips
-        the grouping pass entirely and hands the list straight to the
-        node (no-copy fast path).
-
+        Each replica gets its readings as one sub-batch; the per-node
+        writes follow the cluster's fan-out rule (:func:`_fan_out`).
         Failed replicas are retried, then hinted; the call raises only
         if some reading landed on *no* replica at all (the batching
         writer then re-queues the whole batch — replay/retry overlap is
@@ -691,327 +694,224 @@ class StorageCluster(StorageBackend):
         """
         if not isinstance(items, list):
             items = list(items)  # materialized once: retries re-send it
+        return self._write(items)
+
+    def _write(self, items: list[InsertItem]) -> int:
+        """The one cluster write behind :meth:`insert` and :meth:`insert_batch`."""
         # Captured once on the coordinator thread: the pool threads the
         # fan-out runs on have their own (empty) ambient context.
         trace_id = current_trace()
+        replicas_for = self._replicas
         with self._inflight_lock:
             self._inflight_writes += 1
         try:
-            return self._insert_batch_inner(items, trace_id)
+            per_node: dict[int, list[InsertItem]] = {}
+            for item in items:
+                for node_idx in replicas_for(item[0]):
+                    target = per_node.get(node_idx)
+                    if target is None:
+                        target = per_node.setdefault(node_idx, [])
+                    target.append(item)
+            errors = _fan_out(
+                per_node,
+                lambda node_idx, node_items: self._try_write(node_idx, node_items, trace_id),
+            )
         finally:
             with self._inflight_lock:
                 self._inflight_writes -= 1
-
-    def _insert_batch_inner(self, items: list[InsertItem], trace_id) -> int:
-        if len(self.nodes) == 1:
-            if not items:
-                return 0
-            error = self._try_write(0, items, trace_id)
-            if error is not None:
-                raise StorageError(
-                    f"insert_batch failed on the only node: {error}"
-                ) from error
-            return len(items)
-        per_node: dict[int, list[InsertItem]] = {}
-        count = 0
-        replicas_for = self._replicas
-        for item in items:
-            for node_idx in replicas_for(item[0]):
-                target = per_node.get(node_idx)
-                if target is None:
-                    target = per_node.setdefault(node_idx, [])
-                target.append(item)
-            count += 1
-        if not per_node:
-            return 0
-        if len(per_node) == 1:
-            ((node_idx, node_items),) = per_node.items()
-            results = {node_idx: self._try_write(node_idx, node_items, trace_id)}
-        else:
-            pool = _shared_pool()
-            futures = [
-                (node_idx, pool.submit(self._try_write, node_idx, node_items, trace_id))
-                for node_idx, node_items in per_node.items()
-            ]
-            results = {node_idx: future.result() for node_idx, future in futures}
-        failed = {node_idx for node_idx, err in results.items() if err is not None}
+        failed = {node_idx for node_idx, err in errors.items() if err is not None}
         if failed:
             # A reading is lost only if its entire replica set failed;
             # hints cover partially-failed sets.
             for item in items:
                 replicas = replicas_for(item[0])
                 if all(node_idx in failed for node_idx in replicas):
-                    cause = results[replicas[0]]
+                    cause = errors[replicas[0]]
                     raise StorageError(
                         f"write failed on all replicas {list(replicas)} of "
                         f"{item[0]}: {cause}"
                     ) from cause
-        return count
+        return len(items)
 
     def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read from the first *live* replica, failing over down the
-        replica list; with synchronous replication (plus hint replay
-        for recovered nodes) any replica holds the full series."""
+        """One sensor's series through the cluster read (:meth:`_read`)."""
         t0 = time.perf_counter()
-        self._repair_before_read()
-        replicas = self._read_replicas(sid)
-        last_error: StorageError | None = None
-        suspected: list[int] = []
-        for node_idx in replicas:
-            node = self.nodes[node_idx]
-            if not node.is_up or not self.detector.is_alive(node_idx):
-                self._read_failovers.inc()
-                suspected.append(node_idx)
-                continue
-            try:
-                result = node.query(sid, start, end)
-            except StorageError as exc:
-                last_error = exc
-                self.detector.report_failure(
-                    node_idx, hard=isinstance(exc, NodeDownError)
-                )
-                self._read_failovers.inc()
-                continue
-            self.detector.report_success(node_idx)
-            self._account(node_idx)
-            self._observe_query("query", t0, detail=str(sid))
-            return result
-        # False-positive rescue: a replica the detector condemned may
-        # still be reachable (its heartbeat channel says up).  Never
-        # fail a read on suspicion alone.
-        for node_idx in suspected:
-            node = self.nodes[node_idx]
-            if not node.is_up:
-                continue
-            try:
-                result = node.query(sid, start, end)
-            except StorageError as exc:
-                last_error = exc
-                continue
-            self.detector.report_success(node_idx)
-            self._account(node_idx)
-            self._observe_query("query", t0, detail=str(sid))
-            return result
-        raise StorageError(
-            f"no live replica of {sid} (tried nodes {list(replicas)})"
-        ) from last_error
+        result = self._read([sid], start, end)[sid]
+        self._observe_query("query", t0, detail=str(sid))
+        return result
 
     def query_many(
         self, sids, start: int, end: int
     ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:
-        """Bulk read across many sensors with one coordinated fan-out.
-
-        SIDs are grouped by their first *live* replica, each group is
-        read with a single :meth:`StorageNode.query_many` call (one
-        lock round-trip per node instead of one per SID), and on large
-        batches groups on different nodes run concurrently on the
-        shared cluster pool — the read-side mirror of
-        :meth:`insert_batch`'s write fan-out.  Below
-        ``_PARALLEL_READ_MIN_SIDS`` the groups run serially on the
-        calling thread: dispatching a future costs more than a small
-        GIL-bound group saves.
-
-        Failure semantics match looped :meth:`query`: a node that fails
-        mid-read triggers per-SID failover to the remaining replicas,
-        and only a SID with *no* live replica raises.
-        """
+        """Bulk read across many sensors (duplicates collapse, input
+        order kept) through the cluster read (:meth:`_read`)."""
         t0 = time.perf_counter()
-        self._repair_before_read()
         unique = list(dict.fromkeys(sids))
-        # Liveness comes from the failure detector's cached verdicts —
-        # one snapshot for the whole batch instead of per-SID probes.
-        # A node that dies between the snapshot and the read (or a
-        # false positive leaving every replica suspected) is caught by
-        # the per-group failover, which retries SID by SID through
-        # query()'s rescue path.
-        up = self.detector.liveness_snapshot()
-        per_node: dict[int, list[SensorId]] = {}
-        for sid in unique:
-            replicas = self._read_replicas(sid)
-            target = None
-            for node_idx in replicas:
-                if node_idx < len(up) and up[node_idx]:
-                    target = node_idx
-                    break
-                self._read_failovers.inc()
-            if target is None:
-                # Every replica is suspected: route to the preferred
-                # one anyway and let the per-SID failover decide — a
-                # batch read must not fail on suspicion alone.
-                target = replicas[0]
-            group = per_node.get(target)
-            if group is None:
-                group = per_node.setdefault(target, [])
-            group.append(sid)
-        if not per_node:
-            return {}
-
-        outcomes: dict[int, dict | StorageError] = {}
-        if len(per_node) == 1 or len(unique) < _PARALLEL_READ_MIN_SIDS:
-            for node_idx, group in per_node.items():
-                try:
-                    outcomes[node_idx] = self.nodes[node_idx].query_many(group, start, end)
-                except StorageError as exc:
-                    outcomes[node_idx] = exc
-        else:
-            # The largest group runs on the calling thread while the
-            # rest are in flight — one fewer pool round-trip and the
-            # coordinator does work instead of blocking on futures.
-            pool = _shared_pool()
-            ordered = sorted(per_node.items(), key=lambda kv: len(kv[1]))
-            inline_idx, inline_group = ordered[-1]
-            futures = [
-                (node_idx, pool.submit(self.nodes[node_idx].query_many, group, start, end))
-                for node_idx, group in ordered[:-1]
-            ]
-            try:
-                outcomes[inline_idx] = self.nodes[inline_idx].query_many(
-                    inline_group, start, end
-                )
-            except StorageError as exc:
-                outcomes[inline_idx] = exc
-            for node_idx, future in futures:
-                try:
-                    outcomes[node_idx] = future.result()
-                except StorageError as exc:
-                    outcomes[node_idx] = exc
-        results: dict[SensorId, tuple[np.ndarray, np.ndarray]] = {}
-        for node_idx, group in per_node.items():
-            outcome = outcomes[node_idx]
-            if isinstance(outcome, StorageError):
-                # The grouped replica failed under us: fail over SID by
-                # SID so sensors with other live replicas still return.
-                self._read_failovers.inc()
-                for sid in group:
-                    results[sid] = self.query(sid, start, end)
-            else:
-                results.update(outcome)
-                self._account_many(node_idx, len(group))
+        results = self._read(unique, start, end)
         self._observe_query("query_many", t0, detail=f"{len(unique)} sids")
-        return {sid: results[sid] for sid in unique}
+        return results
+
+    def _node_read(self, node_idx: int, sids: list[SensorId], start: int, end: int):
+        """One node's bulk read; a failure is returned, not raised."""
+        try:
+            return self.nodes[node_idx].query_many(sids, start, end)
+        except StorageError as exc:
+            return exc
+
+    def _live(self, node_idx: int) -> bool:
+        """Heartbeat channel up and not condemned by the detector."""
+        return self.nodes[node_idx].is_up and self.detector.is_alive(node_idx)
+
+    def _read(
+        self, sids: list[SensorId], start: int, end: int
+    ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:
+        """The one cluster read: every SID from its first answering replica.
+
+        SIDs are grouped by their first untried replica and each group
+        is read with one node ``query_many`` (one lock round-trip per
+        node, not one per SID), the groups following the fan-out rule.
+        A failed group regroups its SIDs onto their next replica.  Live
+        replicas come first in read order; replicas the failure
+        detector suspects but whose heartbeat channel still answers
+        come last, so a read never fails on suspicion alone.  Only a
+        SID with no replica left raises.
+
+        ``dcdb_storage_read_failovers_total`` counts, per SID, every
+        replica skipped or failed before the one that served it.
+        """
+        self._repair_before_read()
+        liveness: dict[int, int] = {}
+
+        def rank(node_idx: int) -> int:
+            """0 live, 1 suspected but answering, 2 down."""
+            r = liveness.get(node_idx)
+            if r is None:
+                r = 0 if self._live(node_idx) else 1 if self.nodes[node_idx].is_up else 2
+                liveness[node_idx] = r
+            return r
+
+        plans: dict[SensorId, tuple[tuple[int, ...], list[int]]] = {}
+        for sid in sids:
+            replicas = self._read_replicas(sid)
+            order = sorted((idx for idx in replicas if rank(idx) < 2), key=rank)
+            plans[sid] = (replicas, order)
+
+        results: dict[SensorId, tuple[np.ndarray, np.ndarray]] = {}
+        tried = dict.fromkeys(sids, 0)
+        pending = sids
+        failovers = 0
+        last_error: StorageError | None = None
+        try:
+            while pending:
+                jobs: dict[int, list[SensorId]] = {}
+                for sid in pending:
+                    replicas, order = plans[sid]
+                    if tried[sid] == len(order):
+                        failovers += len(replicas)
+                        raise StorageError(
+                            f"no live replica of {sid} (tried nodes {list(replicas)})"
+                        ) from last_error
+                    jobs.setdefault(order[tried[sid]], []).append(sid)
+                pending = []
+                outcomes = _fan_out(
+                    jobs, lambda node_idx, group: self._node_read(node_idx, group, start, end)
+                )
+                for node_idx, outcome in outcomes.items():
+                    group = jobs[node_idx]
+                    if isinstance(outcome, StorageError):
+                        last_error = outcome
+                        self.detector.report_failure(
+                            node_idx, hard=isinstance(outcome, NodeDownError)
+                        )
+                        for sid in group:
+                            tried[sid] += 1
+                        pending.extend(group)
+                        continue
+                    self.detector.report_success(node_idx)
+                    self._account(node_idx, len(group))
+                    results.update(outcome)
+                    # Every replica ahead of a live server was skipped
+                    # or failed; a suspect serves only after all were.
+                    for sid in group:
+                        replicas = plans[sid][0]
+                        failovers += (
+                            replicas.index(node_idx)
+                            if rank(node_idx) == 0
+                            else len(replicas)
+                        )
+        finally:
+            if failovers:
+                self._read_failovers.inc(failovers)
+        return {sid: results[sid] for sid in sids}
 
     def query_prefix(
         self, prefix: int, levels: int, start: int, end: int
     ) -> Iterator[tuple[SensorId, np.ndarray, np.ndarray]]:
         """Scan a hierarchy subtree.
 
-        With the hierarchical partitioner and a query at or below the
-        partition depth, only the owning node is touched ("directing
-        them directly to the respective server", paper section 4.3).
-        If that owner is unavailable — or for partitioners without
-        prefix locality — the scan fans out to every live node
-        *concurrently* on the shared cluster pool, each node serving
-        its whole subtree through one bulk :meth:`StorageNode.query_many`
-        call; the replica dedup pass keeps each sensor counted once and
-        runs in node order, so the result is deterministic regardless
-        of scan completion order.
+        When the prefix lies in one partition (the hierarchical
+        partitioner, a query at or below the partition depth) and that
+        partition is not mid-transfer, only its owner is touched
+        ("directing them directly to the respective server", paper
+        section 4.3).  If that owner is unavailable — or the prefix
+        spans partitions — every live member scans its own subtree
+        with one bulk ``query_many``, following the fan-out rule.  A
+        sensor found on several nodes is taken from the one ranked
+        highest in its read order; nodes outside its replica set (stale
+        copies a rebalance has not shed yet) rank last.  Results come
+        in node order, so they are deterministic whatever order the
+        scans finish in.
         """
         t0 = time.perf_counter()
         self._repair_before_read()
-        single = None
-        if self.membership.elastic:
-            # Post-elasticity the ownership table is authoritative; it
-            # returns an owner only for committed partitions (a prefix
-            # mid-transfer must fan out so old owners are consulted).
-            part_levels = getattr(self.partitioner, "levels", None)
-            if part_levels is not None and levels >= part_levels:
-                key = SensorId(prefix).prefix(part_levels)
-                single = self.membership.primary_for_partition(key)
-        else:
-            node_for_prefix = getattr(self.partitioner, "node_for_prefix", None)
-            if node_for_prefix is not None:
-                single = node_for_prefix(prefix, levels)
-        if single is not None and (
-            not self.nodes[single].is_up or not self.detector.is_alive(single)
-        ):
+        key = self.partitioner.prefix_key(prefix, levels)
+        single = None if key is None else self.membership.primary_for_partition(key)
+        if single is not None and not self._live(single):
             # Owner down: replicas of its sensors live on other nodes,
             # so fall back to the full fan-out rather than erroring.
             self._read_failovers.inc()
             single = None
-        node_indices = (
-            [single] if single is not None else self.membership.member_indices()
-        )
-
-        def scan(node_idx: int):
-            """One node's subtree: (matching sids, per-sid series)."""
-            node = self.nodes[node_idx]
-            if not node.is_up or not self.detector.is_alive(node_idx):
-                return None  # down: skip, replicas cover its sensors
+        candidates = [single] if single is not None else self.membership.member_indices()
+        jobs: dict[int, list[SensorId]] = {}
+        for node_idx in candidates:
+            if not self._live(node_idx):
+                continue  # down: skip, replicas cover its sensors
             try:
-                matching = [
-                    sid for sid in node.sids() if sid.prefix(levels) == prefix
+                jobs[node_idx] = [
+                    sid for sid in self.nodes[node_idx].sids() if sid.prefix(levels) == prefix
                 ]
-                series = node.query_many(matching, start, end)
             except StorageError:
-                return "failed"
-            return matching, series
+                self._read_failovers.inc()
 
-        if len(node_indices) == 1:
-            outcomes = [scan(node_indices[0])]
-        else:
-            # First node scans on the calling thread, the rest on the
-            # pool: the coordinator contributes a scan instead of
-            # idling on futures.
-            pool = _shared_pool()
-            futures = [pool.submit(scan, idx) for idx in node_indices[1:]]
-            outcomes = [scan(node_indices[0])]
-            outcomes.extend(future.result() for future in futures)
+        outcomes = _fan_out(
+            jobs, lambda node_idx, matching: self._node_read(node_idx, matching, start, end)
+        )
+        held: dict[SensorId, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+        for node_idx in jobs:
+            outcome = outcomes[node_idx]
+            if isinstance(outcome, StorageError):
+                self._read_failovers.inc()
+                continue
+            self._account(node_idx)
+            for sid, series in outcome.items():
+                held.setdefault(sid, {})[node_idx] = series
         results: list[tuple[SensorId, np.ndarray, np.ndarray]] = []
-        if self.membership.elastic:
-            # An elastic cluster can hold stale copies (a losing
-            # replica not yet cleaned up after its partition moved), so
-            # first-seen-in-node-order dedup is no longer safe.  Pick
-            # each sensor's series from the node ranking highest in its
-            # current read-replica order; nodes outside the replica set
-            # (stale holders) rank last and only serve if nothing
-            # better answered.
-            candidates: dict[SensorId, dict[int, tuple]] = {}
-            order: list[SensorId] = []
-            for node_idx, outcome in zip(node_indices, outcomes):
-                if outcome is None:
-                    continue
-                if outcome == "failed":
-                    self._read_failovers.inc()
-                    continue
-                matching, series = outcome
-                self._account(node_idx)
-                for sid in matching:
-                    per_sid = candidates.get(sid)
-                    if per_sid is None:
-                        per_sid = candidates.setdefault(sid, {})
-                        order.append(sid)
-                    per_sid[node_idx] = series[sid]
-            for sid in order:
-                per_sid = candidates[sid]
-                preference = list(self._read_replicas(sid))
+        for sid, copies in held.items():
+            if len(copies) > 1:
+                preference = self._read_replicas(sid)
                 best = min(
-                    per_sid,
+                    copies,
                     key=lambda idx: (
                         preference.index(idx)
                         if idx in preference
                         else len(preference) + idx
                     ),
                 )
-                ts, vals = per_sid[best]
-                if ts.size:
-                    results.append((sid, ts, vals))
-        else:
-            seen: set[SensorId] = set()
-            for node_idx, outcome in zip(node_indices, outcomes):
-                if outcome is None:
-                    continue
-                if outcome == "failed":
-                    self._read_failovers.inc()
-                    continue
-                matching, series = outcome
-                self._account(node_idx)
-                for sid in matching:
-                    if sid in seen:
-                        continue
-                    seen.add(sid)
-                    ts, vals = series[sid]
-                    if ts.size:
-                        results.append((sid, ts, vals))
+                ts, vals = copies[best]
+            else:
+                ((ts, vals),) = copies.values()
+            if ts.size:
+                results.append((sid, ts, vals))
         self._observe_query("query_prefix", t0, detail=f"prefix={prefix:#x}")
         return iter(results)
 
@@ -1438,17 +1338,9 @@ class StorageCluster(StorageBackend):
 
     # -- stats ------------------------------------------------------------------
 
-    def _account(self, node_idx: int) -> None:
-        if node_idx == self.contact_node:
-            self._local_ops.inc()
-        else:
-            self._remote_ops.inc()
-
-    def _account_many(self, node_idx: int, count: int) -> None:
-        """Bulk accounting: one op per SID served, matching what the
-        same SIDs would have recorded through looped query()."""
-        if count <= 0:
-            return
+    def _account(self, node_idx: int, count: int = 1) -> None:
+        """Locality accounting: ``count`` operations served by a node
+        (a bulk read counts one per SID, as looped reads would)."""
         if node_idx == self.contact_node:
             self._local_ops.inc(count)
         else:

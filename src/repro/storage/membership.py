@@ -2,20 +2,17 @@
 
 The paper's storage tier (section 4.3) rides on Cassandra partly for
 its data-distribution mechanism — nodes join and leave a running ring
-and partitions move with them.  The reproduction's ``StorageCluster``
-historically fixed membership at construction (``Partitioner.num_nodes``
-forever) and sampled ``node.is_up`` once per batch.  This module
-supplies the two pieces that make the cluster elastic:
+and partitions move with them.  This module supplies the two pieces
+that make the reproduction's ``StorageCluster`` elastic:
 
 * :class:`ClusterMembership` — an epoch-versioned **ownership table**:
-  an explicit partition -> replica-set map derived from the
-  hierarchical SID partitioner.  Until the first join/leave it is a
-  thin pass-through over the static partitioner (placement stays
-  bit-identical to the pre-elastic cluster); the first membership
-  change materializes every known partition into the table, which is
-  authoritative from then on.  Every mutation — join, leave, transfer
-  commit — bumps the epoch atomically so callers (the cluster's
-  replica cache) can invalidate derived state.
+  the one partition -> replica-set map of the cluster.  The
+  partitioner supplies keys; the table assigns a key it has not seen
+  to the next replica set round-robin over the active nodes (with
+  every node up that is the classic ring walk: owner ``i % n`` plus
+  the next ``replication - 1`` nodes).  Every mutation — join, leave,
+  transfer commit — bumps the epoch atomically so callers (the
+  cluster's replica cache) can invalidate derived state.
 
 * :class:`FailureDetector` — a phi-accrual-style suspicion tracker
   (Hayashibara et al., the detector Cassandra gossip uses).  Heartbeat
@@ -304,13 +301,11 @@ class FailureDetector:
 class ClusterMembership:
     """Epoch-versioned partition -> replica-set ownership table.
 
-    Static phase (before any join/leave): placement is delegated to the
-    partitioner's ring walk so existing clusters behave bit-identically.
-    The first membership change *materializes* the static placement of
-    every known partition into an explicit table; from then on the
-    table is authoritative and the partitioner only supplies partition
-    keys for newly seen subtrees (assigned round-robin over the active
-    nodes, continuing the first-seen sequence).
+    The partitioner only supplies partition keys; every placement is a
+    table entry.  A key seen for the first time is assigned
+    round-robin over the active nodes, continuing the first-seen
+    sequence, so placement depends on the order partitions first
+    appear (and nothing else) until a join or leave moves them.
 
     Every mutation bumps ``epoch`` and fires the registered listeners
     (the cluster clears its replica cache there).  While a partition is
@@ -324,7 +319,6 @@ class ClusterMembership:
         self._lock = threading.RLock()
         self._slots: list[str] = [NODE_UP] * partitioner.num_nodes
         self._epoch = 1
-        self._elastic = False
         self._table: dict[int, tuple[int, ...]] = {}
         self._transfers: dict[int, tuple[int, ...]] = {}
         self._rr = 0
@@ -335,10 +329,6 @@ class ClusterMembership:
     @property
     def epoch(self) -> int:
         return self._epoch
-
-    @property
-    def elastic(self) -> bool:
-        return self._elastic
 
     @property
     def num_slots(self) -> int:
@@ -385,17 +375,10 @@ class ClusterMembership:
 
         During a transfer the set is the union of old and new owners
         (not cacheable — it shrinks at commit); otherwise it is the
-        table entry (or the static ring walk pre-elasticity).
+        table entry.
         """
+        key = self.partitioner.partition_key(sid)
         with self._lock:
-            if not self._elastic:
-                return (
-                    tuple(
-                        self.partitioner.replicas_for(sid, self.replication)
-                    ),
-                    True,
-                )
-            key = self.partitioner.partition_key(sid)
             entry = self._table.get(key)
             if entry is None:
                 entry = self._assign_locked(key)
@@ -412,10 +395,8 @@ class ClusterMembership:
         (union writes), so they stay complete while the new owner is
         still streaming history.
         """
+        key = self.partitioner.partition_key(sid)
         with self._lock:
-            if not self._elastic:
-                return tuple(self.partitioner.replicas_for(sid, self.replication))
-            key = self.partitioner.partition_key(sid)
             entry = self._table.get(key)
             if entry is None:
                 entry = self._assign_locked(key)
@@ -427,23 +408,16 @@ class ClusterMembership:
     def primary_for_partition(self, key: int) -> int | None:
         """Single-owner routing hint; None while mid-transfer/unknown."""
         with self._lock:
-            if not self._elastic:
-                return None
             if key in self._transfers:
                 return None
             entry = self._table.get(key)
             return entry[0] if entry else None
 
-    def partition_of(self, sid: "SensorId") -> int | None:
+    def partition_of(self, sid: "SensorId") -> int:
         return self.partitioner.partition_key(sid)
 
-    def _assign_locked(self, key: int | None) -> tuple[int, ...]:
-        """First-seen assignment of a new partition (elastic phase)."""
-        if key is None:
-            raise StorageError(
-                "elastic membership requires an enumerable partition key; "
-                f"{type(self.partitioner).__name__} does not provide one"
-            )
+    def _assign_locked(self, key: int) -> tuple[int, ...]:
+        """First-seen assignment of a new partition."""
         active = [i for i, s in enumerate(self._slots) if s == NODE_UP]
         if not active:
             raise StorageError("no active nodes left in the cluster")
@@ -454,29 +428,7 @@ class ClusterMembership:
         self._table[key] = entry
         return entry
 
-    def _materialize_locked(self) -> None:
-        """Freeze the static placement into the explicit table."""
-        if self._elastic:
-            return
-        assignments = self.partitioner.known_assignments()
-        num = self.partitioner.num_nodes
-        n = min(self.replication, num)
-        for key, owner in assignments.items():
-            self._table[key] = tuple((owner + i) % num for i in range(n))
-        self._rr = len(self._table)
-        self._elastic = True
-
     # -- membership changes -------------------------------------------
-
-    def _require_elastic_capable(self) -> None:
-        from repro.core.sid import SensorId  # local: avoid import cycle
-
-        if self.partitioner.partition_key(SensorId(0)) is None:
-            raise StorageError(
-                "elastic membership needs partition keys; the "
-                f"{type(self.partitioner).__name__} policy places sensors "
-                "individually and cannot move partitions"
-            )
 
     def add_slot(self) -> tuple[int, list[PartitionMove]]:
         """Join a new node; plan the partitions that move to it.
@@ -485,9 +437,7 @@ class ClusterMembership:
         each move the most-loaded current owner cedes its replica, until
         the new node holds its fair share of replica slots.
         """
-        self._require_elastic_capable()
         with self._lock:
-            self._materialize_locked()
             new_idx = len(self._slots)
             self._slots.append(NODE_UP)
             active = [i for i, s in enumerate(self._slots) if s == NODE_UP]
@@ -525,13 +475,11 @@ class ClusterMembership:
 
     def remove_slot(self, idx: int) -> list[PartitionMove]:
         """Begin draining a member: plan moves off every partition it owns."""
-        self._require_elastic_capable()
         with self._lock:
             if not 0 <= idx < len(self._slots):
                 raise StorageError(f"no such node index {idx}")
             if self._slots[idx] != NODE_UP:
                 raise StorageError(f"node {idx} is already {self._slots[idx]}")
-            self._materialize_locked()
             active = [
                 i
                 for i, s in enumerate(self._slots)

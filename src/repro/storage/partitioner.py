@@ -6,13 +6,21 @@ partitioning algorithm that maps a sub-tree in the sensor hierarchy to
 a particular database server allows for storing a sensor's reading on
 the nearest server and thus to avoid network traffic."*
 
-:class:`HierarchicalPartitioner` reproduces that policy — the top
-``levels`` fields of the SID choose the node, so an entire subtree
+A partitioner is a key function and nothing else: it maps a SID to the
+partition it belongs to.  Which nodes hold a partition is decided in
+one place, the cluster's ownership table
+(:class:`~repro.storage.membership.ClusterMembership`), which assigns
+partitions to replica sets round-robin in first-seen order and moves
+them when members join or leave.
+
+:class:`HierarchicalPartitioner` reproduces the paper's policy — the
+top ``levels`` fields of the SID are the key, so an entire subtree
 (e.g. one cluster's racks) is co-located and hierarchy-scoped queries
 touch a single server.
 
 :class:`HashPartitioner` is the conventional alternative (Cassandra's
-default Murmur3-style token ring, here FNV-1a): uniform balance, but a
+default Murmur3-style token ring, here FNV-1a): each sensor hashes
+into one of ``num_nodes`` buckets, so buckets balance uniformly but a
 subtree's sensors scatter across all nodes.  It exists as the ablation
 baseline for ``benchmarks/test_ablation_partitioning.py``, which
 quantifies exactly the cross-node traffic the paper's design avoids.
@@ -26,7 +34,7 @@ from repro.core.sid import SensorId
 
 
 class Partitioner(abc.ABC):
-    """Maps a SID to the index of its owning storage node."""
+    """Maps a SID to the key of the partition that holds it."""
 
     def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
@@ -34,44 +42,25 @@ class Partitioner(abc.ABC):
         self.num_nodes = num_nodes
 
     @abc.abstractmethod
-    def node_for(self, sid: SensorId) -> int:
-        """Primary owner node index in [0, num_nodes)."""
+    def partition_key(self, sid: SensorId) -> int:
+        """Stable partition identity of ``sid``."""
 
-    def replicas_for(self, sid: SensorId, replication: int) -> list[int]:
-        """Owner plus the next ``replication - 1`` nodes (ring walk)."""
-        first = self.node_for(sid)
-        n = min(replication, self.num_nodes)
-        return [(first + i) % self.num_nodes for i in range(n)]
+    def prefix_key(self, prefix_value: int, prefix_levels: int) -> int | None:
+        """The one partition a query prefix lies in, or None.
 
-    def partition_key(self, sid: SensorId) -> int | None:
-        """Stable partition identity of ``sid``, or None.
-
-        Elastic membership (:mod:`repro.storage.membership`) moves
-        whole partitions between nodes, so it needs every SID to
-        resolve to an enumerable partition.  Policies that place each
-        sensor independently (hash placement) return None and opt out
-        of elasticity.
+        None means the sensors under the prefix may span several
+        partitions, so a subtree scan must fan out.
         """
         return None
 
-    def known_assignments(self) -> dict[int, int]:
-        """Snapshot of partition-key -> primary-owner assignments.
-
-        Empty for policies without enumerable partitions.  Used by the
-        ownership table to materialize the static placement before the
-        first membership change.
-        """
-        return {}
-
 
 class HierarchicalPartitioner(Partitioner):
-    """Subtree-to-node placement on SID prefixes (the paper's policy).
+    """Subtree placement on SID prefixes (the paper's policy).
 
-    The top ``levels`` SID fields form the partition key.  Distinct
-    prefixes are assigned to nodes round-robin in first-seen order,
-    which matches how an administrator statically pins subtrees (one
-    cluster's Collect Agent writes to its nearest Storage Backend) and
-    keeps the mapping stable as new subtrees appear.
+    The top ``levels`` SID fields form the partition key; the
+    ownership table hands distinct prefixes to nodes in first-seen
+    order, which matches how an administrator statically pins subtrees
+    (one cluster's Collect Agent writes to its nearest Storage Backend).
     """
 
     def __init__(self, num_nodes: int, levels: int = 2) -> None:
@@ -79,40 +68,20 @@ class HierarchicalPartitioner(Partitioner):
         if levels < 1:
             raise ValueError("prefix must keep at least one level")
         self.levels = levels
-        self._assignment: dict[int, int] = {}
 
-    def node_for(self, sid: SensorId) -> int:
-        prefix = sid.prefix(self.levels)
-        node = self._assignment.get(prefix)
-        if node is None:
-            node = len(self._assignment) % self.num_nodes
-            self._assignment[prefix] = node
-        return node
-
-    def node_for_prefix(self, prefix_value: int, prefix_levels: int) -> int | None:
-        """Owner of a query prefix, if it resolves to a single node.
-
-        Returns None when ``prefix_levels`` is shallower than the
-        partition depth (the query may span several nodes) or the
-        prefix is unknown.  This is the query-routing optimization of
-        paper section 4.3 ("the same logic is applied for queries").
-        """
-        if prefix_levels < self.levels:
-            return None
-        # Reduce the query prefix to the partition depth.
-        sid = SensorId(prefix_value)
-        return self._assignment.get(sid.prefix(self.levels))
-
-    def partition_key(self, sid: SensorId) -> int | None:
+    def partition_key(self, sid: SensorId) -> int:
         """The top ``levels`` SID fields — one subtree, one partition."""
         return sid.prefix(self.levels)
 
-    def known_assignments(self) -> dict[int, int]:
-        return dict(self._assignment)
+    def prefix_key(self, prefix_value: int, prefix_levels: int) -> int | None:
+        """A prefix at or below the partition depth names one subtree.
 
-    @property
-    def known_partitions(self) -> int:
-        return len(self._assignment)
+        This is the query-routing optimization of paper section 4.3
+        ("the same logic is applied for queries").
+        """
+        if prefix_levels < self.levels:
+            return None
+        return SensorId(prefix_value).prefix(self.levels)
 
 
 def _fnv1a_64(value: int) -> int:
@@ -127,14 +96,10 @@ def _fnv1a_64(value: int) -> int:
 class HashPartitioner(Partitioner):
     """Uniform hash placement (the ablation baseline).
 
-    Every sensor hashes independently, so reads of a subtree fan out
-    to all nodes — balanced, but with none of the locality the
-    hierarchical policy provides.
+    Every sensor hashes independently into one of ``num_nodes``
+    buckets, so reads of a subtree fan out to all nodes — balanced,
+    but with none of the locality the hierarchical policy provides.
     """
 
-    def node_for(self, sid: SensorId) -> int:
+    def partition_key(self, sid: SensorId) -> int:
         return _fnv1a_64(sid.value) % self.num_nodes
-
-    def node_for_prefix(self, prefix_value: int, prefix_levels: int) -> int | None:
-        """Hash placement never co-locates a subtree."""
-        return None

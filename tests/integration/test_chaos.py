@@ -94,7 +94,7 @@ class TestKillRestartMidIngest:
         assert len(sids) == sim.total_sensors
         per_sensor = expected // sim.total_sensors
         for s in sids:
-            for idx in cluster.partitioner.replicas_for(s, cluster.replication):
+            for idx in cluster.membership.read_replicas(s):
                 ts, _ = raw_nodes[idx].query(s, 0, 2**63 - 1)
                 assert ts.size == per_sensor, (
                     f"replica node{idx} of {s} holds {ts.size}/{per_sensor}"
@@ -107,7 +107,7 @@ class TestKillRestartMidIngest:
         # so the read path actually fails over.
         s = SensorId.from_codes([0, 0, 0])
         for cand in sim.backend.sids():
-            if 1 in sim.backend.partitioner.replicas_for(cand, 2):
+            if 1 in sim.backend.membership.read_replicas(cand):
                 s = cand
                 break
         sim.backend.query(s, 0, 2**63 - 1)
@@ -195,7 +195,7 @@ class TestRollupSurvivesNodeOutage:
         # read the raw nodes underneath the fault proxies directly.
         raw_nodes = [proxy.backend for proxy in sim.flaky_nodes]
         fsid = rollup_sid(raw_sids[0], 0, 3)
-        replicas = cluster.partitioner.replicas_for(fsid, cluster.replication)
+        replicas = cluster.membership.read_replicas(fsid)
         sizes = [
             raw_nodes[idx].query(fsid, 0, 2**63 - 1)[0].size for idx in replicas
         ]

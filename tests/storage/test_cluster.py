@@ -1,10 +1,13 @@
 """Tests for the distributed storage cluster."""
 
+import threading
+
 import pytest
 
 from repro.common.errors import NodeDownError, StorageError
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
+from repro.storage import cluster as cluster_module
 from repro.storage.cluster import StorageCluster
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import HashPartitioner, HierarchicalPartitioner
@@ -36,7 +39,7 @@ class TestRouting:
         cluster = make_cluster(3)
         s = sid(1, 1, 1)
         cluster.insert(s, 1, 10)
-        owner = cluster.partitioner.node_for(s)
+        owner = cluster.membership.read_replicas(s)[0]
         assert cluster.nodes[owner].row_count == 1
         for i, node in enumerate(cluster.nodes):
             if i != owner:
@@ -54,6 +57,35 @@ class TestRouting:
         items = [(sid(1, i, 1), t, t, 0) for i in range(1, 4) for t in range(10)]
         assert cluster.insert_batch(items) == 30
         assert cluster.row_count == 30
+
+    def test_pinned_replica_table(self):
+        """8 subtrees first seen in a fixed order on 3 nodes, RF 2: the
+        i-th new subtree lands on node i % 3 and its ring successor, and
+        every later read or write of the subtree resolves to that pair."""
+        cluster = make_cluster(3, replication=2)
+        order = [5, 2, 7, 1, 8, 3, 6, 4]
+        for rack in order:
+            cluster.insert(sid(1, rack, 1), 1, rack)
+        table = {
+            rack: cluster.membership.read_replicas(sid(1, rack, 9)) for rack in order
+        }
+        assert table == {
+            5: (0, 1),
+            2: (1, 2),
+            7: (2, 0),
+            1: (0, 1),
+            8: (1, 2),
+            3: (2, 0),
+            6: (0, 1),
+            4: (1, 2),
+        }
+        for rack, replicas in table.items():
+            holders = [
+                idx
+                for idx, node in enumerate(cluster.nodes)
+                if node.query(sid(1, rack, 1), 0, 10)[0].size
+            ]
+            assert tuple(sorted(holders)) == tuple(sorted(replicas))
 
     def test_sids_merged_across_nodes(self):
         cluster = make_cluster(3)
@@ -151,7 +183,7 @@ class TestReadFailover:
         cluster, nodes = make_flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
         cluster.insert(s, 5, 50)
-        first = cluster.partitioner.replicas_for(s, 2)[0]
+        first = cluster.membership.read_replicas(s)[0]
         nodes[first].kill()
         ts, vals = cluster.query(s, 0, 10)  # served by the second replica
         assert ts.tolist() == [5] and vals.tolist() == [50]
@@ -161,7 +193,7 @@ class TestReadFailover:
         cluster, nodes = make_flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
         cluster.insert(s, 5, 50)
-        for idx in cluster.partitioner.replicas_for(s, 2):
+        for idx in cluster.membership.read_replicas(s):
             nodes[idx].kill()
         with pytest.raises(StorageError, match="no live replica"):
             cluster.query(s, 0, 10)
@@ -176,7 +208,7 @@ class TestReadFailover:
         cluster, nodes = make_flaky_cluster(4, replication=2)
         for leaf in range(1, 6):
             cluster.insert(sid(1, 1, leaf), 1, leaf)
-        owner = cluster.partitioner.node_for_prefix(sid(1, 1).value, 2)
+        owner = cluster.membership.read_replicas(sid(1, 1))[0]
         nodes[owner].kill()
         results = list(cluster.query_prefix(sid(1, 1).value, 2, 0, 10))
         assert len(results) == 5  # replicas on other nodes cover the subtree
@@ -254,7 +286,7 @@ class TestQueryMany:
         cluster, nodes = make_flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
         cluster.insert(s, 5, 50)
-        first = cluster.partitioner.replicas_for(s, 2)[0]
+        first = cluster.membership.read_replicas(s)[0]
         nodes[first].kill()
         result = cluster.query_many([s], 0, 10)
         assert result[s][0].tolist() == [5] and result[s][1].tolist() == [50]
@@ -264,7 +296,7 @@ class TestQueryMany:
         cluster, nodes = make_flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
         cluster.insert(s, 5, 50)
-        for idx in cluster.partitioner.replicas_for(s, 2):
+        for idx in cluster.membership.read_replicas(s):
             nodes[idx].kill()
         with pytest.raises(StorageError, match="no live replica"):
             cluster.query_many([s], 0, 10)
@@ -273,7 +305,7 @@ class TestQueryMany:
         cluster, nodes = make_flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
         cluster.insert(s, 5, 50)
-        first = cluster.partitioner.replicas_for(s, 2)[0]
+        first = cluster.membership.read_replicas(s)[0]
 
         def boom(sids, start, end):
             raise StorageError("flaky bulk read")
@@ -282,6 +314,42 @@ class TestQueryMany:
         result = cluster.query_many([s], 0, 10)
         assert result[s][1].tolist() == [50]
         assert cluster.metrics.value("dcdb_storage_read_failovers_total") >= 1
+
+
+class TestReadFailoverCounting:
+    """``dcdb_storage_read_failovers_total`` counts one per replica
+    skipped or failed per SID, through query and query_many alike."""
+
+    def failovers(self, cluster):
+        return cluster.metrics.value("dcdb_storage_read_failovers_total")
+
+    def test_skipped_replicas_counted_per_sid(self):
+        cluster, nodes = make_flaky_cluster(3, replication=3)
+        sids = [sid(1, 1, leaf) for leaf in range(1, 5)]
+        for s in sids:
+            cluster.insert(s, 5, 50)
+        first, second, _ = cluster.membership.read_replicas(sids[0])
+        nodes[first].kill()
+        nodes[second].kill()
+        cluster.query(sids[0], 0, 10)
+        assert self.failovers(cluster) == 2
+        result = cluster.query_many(sids, 0, 10)
+        assert all(result[s][1].tolist() == [50] for s in sids)
+        assert self.failovers(cluster) == 2 + 2 * len(sids)
+
+    def test_failed_replica_counted_per_sid(self):
+        cluster, nodes = make_flaky_cluster(3, replication=2)
+        sids = [sid(1, 1, leaf) for leaf in range(1, 4)]
+        for s in sids:
+            cluster.insert(s, 5, 50)
+        first = cluster.membership.read_replicas(sids[0])[0]
+        nodes[first].fail_next(1)
+        assert cluster.query(sids[0], 0, 10)[1].tolist() == [50]
+        assert self.failovers(cluster) == 1
+        nodes[first].fail_next(1)
+        result = cluster.query_many(sids, 0, 10)
+        assert all(result[s][1].tolist() == [50] for s in sids)
+        assert self.failovers(cluster) == 1 + len(sids)
 
 
 class TestParallelFanOut:
@@ -327,3 +395,33 @@ class TestParallelFanOut:
         items = [(sid(1, i, 1), 1, 1, 0) for i in range(1, 4)]
         with pytest.raises(StorageError, match="disk full"):
             cluster.insert_batch(items)
+
+    def test_small_replicated_batch_never_touches_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("small batches run on the calling thread")
+
+        monkeypatch.setattr(cluster_module, "_shared_pool", no_pool)
+        cluster = make_cluster(3, replication=2)
+        items = [(sid(1, i, 1), t, t, 0) for i in range(1, 4) for t in range(10)]
+        assert cluster.insert_batch(items) == 30
+        cluster.insert(sid(1, 1, 1), 99, 99)
+        assert cluster.row_count == 62
+        assert cluster.query_many([it[0] for it in items], 0, 100)[sid(1, 2, 1)][0].size == 10
+
+    def test_large_batch_runs_largest_group_inline(self):
+        cluster = make_cluster(3)
+        threads = {}
+        for idx, node in enumerate(cluster.nodes):
+            def recording(items, node=node, idx=idx):
+                threads[idx] = threading.get_ident()
+                return StorageNode.insert_batch(node, items)
+
+            node.insert_batch = recording
+        sizes = {1: 300, 2: 40, 3: 20}  # subtree (1, i) -> node i - 1
+        items = [
+            (sid(1, i, 1), t, t, 0) for i, size in sizes.items() for t in range(size)
+        ]
+        assert cluster.insert_batch(items) == sum(sizes.values())
+        assert threads[0] == threading.get_ident()
+        assert threads[1] != threading.get_ident()
+        assert threads[2] != threading.get_ident()

@@ -200,7 +200,7 @@ class TestHintedHandoff:
     def test_write_with_down_replica_queues_hint(self):
         cluster, nodes = flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
-        replicas = cluster.partitioner.replicas_for(s, 2)
+        replicas = cluster.membership.read_replicas(s)
         nodes[replicas[1]].kill()
         cluster.insert(s, 1, 10)  # succeeds: one replica is live
         assert cluster.hints_pending == 1
@@ -212,7 +212,7 @@ class TestHintedHandoff:
     def test_replay_on_restart_repairs_replica(self):
         cluster, nodes = flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
-        replicas = cluster.partitioner.replicas_for(s, 2)
+        replicas = cluster.membership.read_replicas(s)
         nodes[replicas[1]].kill()
         for t in range(20):
             cluster.insert(s, t, t)
@@ -229,7 +229,7 @@ class TestHintedHandoff:
     def test_query_piggybacks_replay(self):
         cluster, nodes = flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
-        replicas = cluster.partitioner.replicas_for(s, 2)
+        replicas = cluster.membership.read_replicas(s)
         nodes[replicas[0]].kill()
         cluster.insert(s, 1, 10)
         nodes[replicas[0]].restart()
@@ -242,7 +242,7 @@ class TestHintedHandoff:
     def test_all_replicas_down_write_raises(self):
         cluster, nodes = flaky_cluster(3, replication=2)
         s = sid(1, 1, 1)
-        for idx in cluster.partitioner.replicas_for(s, 2):
+        for idx in cluster.membership.read_replicas(s):
             nodes[idx].kill()
         with pytest.raises(StorageError):
             cluster.insert(s, 1, 10)
@@ -290,7 +290,7 @@ class TestHintedHandoff:
         s = sid(1, 1, 1)
         for t in range(10):
             cluster.insert(s, t, t)
-        first, second = cluster.partitioner.replicas_for(s, 2)
+        first, second = cluster.membership.read_replicas(s)
         nodes[second].kill()
         assert cluster.delete_before(s, 5) == 5
         nodes[second].restart()

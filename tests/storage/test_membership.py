@@ -12,6 +12,7 @@ import pytest
 from repro.common.errors import StorageError
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
+from repro.storage import cluster as cluster_module
 from repro.storage.cluster import StorageCluster
 from repro.storage.membership import (
     NODE_DOWN,
@@ -52,28 +53,30 @@ class TestOwnershipTable:
         part = HierarchicalPartitioner(n, levels=levels)
         return ClusterMembership(part, replication), part
 
-    def seed(self, part, subtrees=6):
-        """Touch ``subtrees`` distinct partitions via the ring walk."""
+    def seed(self, membership, subtrees=6):
+        """Touch ``subtrees`` distinct partitions in first-seen order."""
         sids = [sid(1, i, 1) for i in range(1, subtrees + 1)]
         for s in sids:
-            part.node_for(s)
+            membership.write_replicas(s)
         return sids
 
     def test_static_phase_matches_partitioner(self):
+        """With every node up, first-seen round-robin is the ring walk:
+        the i-th new partition lands on node i % n plus its successor."""
         membership, part = self.make()
-        sids = self.seed(part)
-        for s in sids:
+        sids = self.seed(membership)
+        for i, s in enumerate(sids):
             replicas, cacheable = membership.write_replicas(s)
             assert cacheable
-            assert list(replicas) == part.replicas_for(s, 2)
+            assert replicas == (i % 3, (i + 1) % 3)
             assert membership.read_replicas(s) == replicas
         assert membership.epoch == 1
-        assert not membership.elastic
 
     def test_materialization_preserves_static_placement(self):
+        """A join leaves every partition it does not move where it was."""
         membership, part = self.make()
-        sids = self.seed(part)
-        static = {s: tuple(part.replicas_for(s, 2)) for s in sids}
+        sids = self.seed(membership)
+        static = {s: membership.write_replicas(s)[0] for s in sids}
         _, moves = membership.add_slot()
         # Partitions that did not move keep their exact replica set.
         moved = {m.partition for m in moves}
@@ -88,7 +91,7 @@ class TestOwnershipTable:
 
     def test_add_slot_balances_and_bumps_epoch(self):
         membership, part = self.make(n=3, replication=2)
-        self.seed(part, subtrees=6)
+        self.seed(membership, subtrees=6)
         epoch0 = membership.epoch
         new_idx, moves = membership.add_slot()
         assert new_idx == 3
@@ -103,7 +106,7 @@ class TestOwnershipTable:
 
     def test_union_writes_and_old_first_reads_during_transfer(self):
         membership, part = self.make(n=3, replication=2)
-        sids = self.seed(part, subtrees=6)
+        sids = self.seed(membership, subtrees=6)
         membership.add_slot()
         moved = set(membership.pending_transfers())
         assert moved
@@ -125,7 +128,7 @@ class TestOwnershipTable:
 
     def test_commit_collapses_to_new_owners(self):
         membership, part = self.make(n=3, replication=2)
-        sids = self.seed(part, subtrees=6)
+        sids = self.seed(membership, subtrees=6)
         _, moves = membership.add_slot()
         move = moves[0]
         membership.commit_transfer(move.partition)
@@ -138,7 +141,7 @@ class TestOwnershipTable:
 
     def test_remove_slot_drains_and_finishes(self):
         membership, part = self.make(n=3, replication=2)
-        self.seed(part, subtrees=6)
+        self.seed(membership, subtrees=6)
         moves = membership.remove_slot(0)
         assert membership.slot_state(0) == "leaving"
         assert all(0 in m.old_replicas and 0 not in m.new_replicas for m in moves)
@@ -152,25 +155,20 @@ class TestOwnershipTable:
 
     def test_remove_last_active_node_rejected(self):
         membership, part = self.make(n=1, replication=1)
-        self.seed(part, subtrees=2)
+        self.seed(membership, subtrees=2)
         with pytest.raises(StorageError, match="last active"):
             membership.remove_slot(0)
 
     def test_remove_twice_rejected(self):
         membership, part = self.make(n=3)
-        self.seed(part)
+        self.seed(membership)
         membership.remove_slot(1)
         with pytest.raises(StorageError, match="already"):
             membership.remove_slot(1)
 
-    def test_hash_partitioner_cannot_go_elastic(self):
-        membership = ClusterMembership(HashPartitioner(3), 2)
-        with pytest.raises(StorageError, match="partition key"):
-            membership.add_slot()
-
     def test_new_partition_first_seen_after_elastic(self):
         membership, part = self.make(n=3, replication=2)
-        self.seed(part, subtrees=3)
+        self.seed(membership, subtrees=3)
         _, moves = membership.add_slot()
         for m in moves:
             membership.commit_transfer(m.partition)
@@ -185,7 +183,7 @@ class TestOwnershipTable:
 
     def test_epoch_listener_fires_on_every_mutation(self):
         membership, part = self.make()
-        self.seed(part)
+        self.seed(membership)
         epochs = []
         membership.on_epoch_change(epochs.append)
         _, moves = membership.add_slot()
@@ -321,24 +319,25 @@ class TestFailureDetector:
 # -- cluster wiring ----------------------------------------------------------
 
 
-def make_cluster(n=3, replication=2, **kwargs):
+def make_cluster(n=3, replication=2, partitioner=HierarchicalPartitioner, **kwargs):
     nodes = [StorageNode(f"node{i}") for i in range(n)]
-    part = HierarchicalPartitioner(n, levels=2)
+    part = (
+        HierarchicalPartitioner(n, levels=2)
+        if partitioner is HierarchicalPartitioner
+        else partitioner(n)
+    )
     return StorageCluster(nodes, partitioner=part, replication=replication, **kwargs)
 
 
 class TestClusterWiring:
-    def test_replica_cache_bounded(self):
-        cluster = make_cluster(replica_cache_max=4)
+    def test_replica_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "_REPLICA_CACHE_MAX", 4)
+        cluster = make_cluster()
         for i in range(1, 10):
             cluster.insert(sid(1, i, 1), i, i)
         assert len(cluster._replica_cache) <= 4
         gauge = cluster.metrics.value("dcdb_cluster_replica_cache_entries")
         assert gauge == len(cluster._replica_cache)
-
-    def test_replica_cache_max_validated(self):
-        with pytest.raises(StorageError, match="replica_cache_max"):
-            make_cluster(replica_cache_max=0)
 
     def test_epoch_change_clears_replica_cache(self):
         cluster = make_cluster()
@@ -421,10 +420,14 @@ class TestClusterWiring:
         assert {k: late.get_metadata(k) for k in late.metadata_keys("")} == expected
         cluster.close()
 
-    def test_mixed_durability_add_remove_round_trip(self):
+    @pytest.mark.parametrize(
+        "partitioner", [HierarchicalPartitioner, HashPartitioner], ids=["hier", "hash"]
+    )
+    def test_mixed_durability_add_remove_round_trip(self, partitioner):
         """End-to-end sanity on plain nodes: grow then shrink, data and
-        placement stay consistent throughout."""
-        cluster = make_cluster(n=3, replication=2)
+        placement stay consistent throughout.  Hash buckets move like
+        any other partition."""
+        cluster = make_cluster(n=3, replication=2, partitioner=partitioner)
         items = [(sid(1, i, 1), t, t * i, 0) for i in range(1, 7) for t in range(50)]
         cluster.insert_batch(items)
         baseline = {
