@@ -1,0 +1,171 @@
+"""Per-layer cost of the write path: tuple adapter against columns.
+
+Each write-path layer — wire decode, cluster routing, WAL framing, the
+memtable append and the rollup engine's observe — is timed twice on
+the same readings: handed ``InsertItem`` tuples (the edge adapter
+converts them, as for CSV import or the dashboard's bulk load) and
+handed the :class:`~repro.storage.ReadingBatch` the Collect Agent
+builds from the wire.  Two shapes: the paper's burst mode (41 sensors
+x 100 readings per flush, section 6.2.1) and the Fig. 8 grid (560
+sensors x 1 reading).  µs per row land in ``extra_info``; nothing is
+gated, so the numbers are evidence per layer that does not depend on
+the end-to-end harness's probes.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_ingest_columns.py --benchmark-only -s
+"""
+
+from __future__ import annotations
+
+import time
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core import payload as payload_mod
+from repro.core.sensor import SensorReading
+from repro.core.sid import SensorId
+from repro.storage import MemoryBackend, ReadingBatch, RollupEngine, StorageCluster, StorageNode
+from repro.storage.backend import as_batch
+from repro.storage.durable.node import _encode_data
+from repro.storage.partitioner import HierarchicalPartitioner
+
+from conftest import emit, format_table
+
+NS = 1_000_000_000
+#: (sensors, readings per sensor) of one writer flush.
+SHAPES = {"burst": (41, 100), "grid": (560, 1)}
+#: Consecutive flushes per timing (time advances between them).
+FLUSHES = 10
+
+
+class Flush(NamedTuple):
+    """One writer flush: a wire frame per sensor, and the same readings
+    as tuples and as one batch."""
+
+    frames: list[tuple[SensorId, bytes]]
+    items: list[tuple[SensorId, int, int, int]]
+    batch: ReadingBatch
+
+
+def flushes(sensors: int, per_sensor: int, seed: int = 29) -> list[Flush]:
+    """``FLUSHES`` consecutive flushes of one shape."""
+    rng = np.random.default_rng(seed)
+    sids = [SensorId.from_codes([1 + i % 4, 1 + i // 4, 1]) for i in range(sensors)]
+    out = []
+    for flush in range(FLUSHES):
+        ts = 1_000 * NS + (flush * per_sensor + np.arange(per_sensor, dtype=np.int64)) * NS
+        frames, items, batches = [], [], []
+        for sid in sids:
+            vals = 200_000 + rng.integers(-400, 401, per_sensor, dtype=np.int64)
+            readings = list(map(SensorReading, ts.tolist(), vals.tolist()))
+            frames.append((sid, payload_mod.encode_readings(readings)))
+            items += [(sid, r.timestamp, r.value, 0) for r in readings]
+            batches.append(ReadingBatch.of(sid, ts, vals))
+        out.append(Flush(frames, items, ReadingBatch.concat(batches)))
+    return out
+
+
+class NullNode(MemoryBackend):
+    """A replica that accepts and drops writes: isolates routing."""
+
+    def insert_batch(self, items) -> int:
+        return len(items)
+
+
+# Each layer: make(columnar) -> run(flush), on fresh state.
+
+
+def _decode(columnar: bool):
+    if columnar:
+        return lambda flush: [
+            ReadingBatch.of(sid, *payload_mod.decode_message(frame)[:2])
+            for sid, frame in flush.frames
+        ]
+    return lambda flush: [
+        [(sid, r.timestamp, r.value, 0) for r in payload_mod.decode_readings(frame)]
+        for sid, frame in flush.frames
+    ]
+
+
+def _readings(columnar: bool):
+    return (lambda flush: flush.batch) if columnar else (lambda flush: flush.items)
+
+
+def _route(columnar: bool):
+    cluster = StorageCluster(
+        [NullNode() for _ in range(3)], partitioner=HierarchicalPartitioner(3), replication=2
+    )
+    readings = _readings(columnar)
+    return lambda flush: cluster.insert_batch(readings(flush))
+
+
+def _wal_encode(columnar: bool):
+    readings = _readings(columnar)
+    return lambda flush: _encode_data(as_batch(readings(flush)))
+
+
+def _memtable(columnar: bool):
+    node = StorageNode("bench", flush_threshold=1 << 40)
+    readings = _readings(columnar)
+    return lambda flush: node.insert_batch(readings(flush))
+
+
+def _rollup_observe(columnar: bool):
+    engine = RollupEngine(StorageNode("bench", flush_threshold=1 << 40))
+    readings = _readings(columnar)
+    return lambda flush: engine.observe(readings(flush))
+
+
+LAYERS = {
+    "decode": _decode,
+    "route": _route,
+    "wal_encode": _wal_encode,
+    "memtable": _memtable,
+    "rollup_observe": _rollup_observe,
+}
+
+
+def _us_per_row(make, work: list[Flush], columnar: bool, rows: int, rounds: int = 5) -> float:
+    best = float("inf")
+    for _ in range(rounds):
+        run = make(columnar)
+        start = time.perf_counter()
+        for flush in work:
+            run(flush)
+        best = min(best, time.perf_counter() - start)
+    return best / rows * 1e6
+
+
+def test_ingest_columns(benchmark):
+    """Every layer, both shapes, both forms; µs/row in extra_info."""
+    data = {shape: flushes(*dims) for shape, dims in SHAPES.items()}
+    # The two forms decode, frame and store the same thing.
+    for shape, work in data.items():
+        nodes = [StorageNode(f"{shape}{k}") for k in range(2)]
+        for flush in work:
+            assert [list(b) for b in _decode(True)(flush)] == _decode(False)(flush)
+            assert _encode_data(as_batch(flush.items)) == _encode_data(flush.batch)
+            nodes[0].insert_batch(flush.items)
+            nodes[1].insert_batch(flush.batch)
+        assert nodes[0].state_fingerprint() == nodes[1].state_fingerprint()
+
+    def ingest_all():
+        for work in data.values():
+            run = _memtable(True)
+            for flush in work:
+                run(flush)
+
+    benchmark(ingest_all)
+    if not benchmark.enabled:
+        return
+    rows = []
+    for shape, work in data.items():
+        sensors, per_sensor = SHAPES[shape]
+        total = FLUSHES * sensors * per_sensor
+        for layer, make in LAYERS.items():
+            tuples = _us_per_row(make, work, False, total)
+            columns = _us_per_row(make, work, True, total)
+            benchmark.extra_info[f"{shape}_{layer}_tuples_us_per_row"] = round(tuples, 4)
+            benchmark.extra_info[f"{shape}_{layer}_columns_us_per_row"] = round(columns, 4)
+            rows.append([shape, layer, f"{tuples:.3f}", f"{columns:.3f}"])
+    emit("write path, µs per row", format_table(["shape", "layer", "tuples", "columns"], rows))

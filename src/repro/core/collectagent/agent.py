@@ -36,7 +36,7 @@ from repro.mqtt.packets import Publish
 from repro.mqtt.transport import get_transport
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
 from repro.observability.spans import default_recorder
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import ReadingBatch, StorageBackend
 from repro.storage.rollup import RollupConfig, RollupEngine
 
 logger = logging.getLogger(__name__)
@@ -223,12 +223,12 @@ class CollectAgent:
             self._on_metadata(client_id, packet)
             return
         try:
-            readings, trace_id = payload_mod.decode_message(packet.payload)
+            timestamps, values, trace_id = payload_mod.decode_message(packet.payload)
         except TransportError as exc:
             self._decode_errors.inc()
             logger.warning("bad payload on %s from %s: %s", packet.topic, client_id, exc)
             return
-        if not readings:
+        if not timestamps.size:
             return
         # Wire-traced messages were sampled at the pusher; a headerless
         # one is sampled here, at this agent's own stride.
@@ -246,31 +246,28 @@ class CollectAgent:
             # Persist the topic->SID mapping so query tools in other
             # processes can resolve topics (libDCDB reads these keys).
             self.backend.put_metadata(f"sidmap{packet.topic}", sid.hex())
-        ttl = self.default_ttl_s
-        items = [(sid, r.timestamp, r.value, ttl) for r in readings]
+        batch = ReadingBatch.of(sid, timestamps, values, self.default_ttl_s)
         if trace_id is not None:
             self.tracer.hop(
                 "insert",
                 "agent",
                 trace_id,
-                items[0][1],
+                int(timestamps[0]),
                 start_ns,
                 topic=packet.topic,
-                readings=len(items),
+                readings=len(batch),
             )
         # Stage and return: the writer records "commit" once the batch
         # is durable, whether on its own thread or (writers=0) on this
         # one before put() returns.
         try:
-            self.writer.put(items, trace_id)
+            self.writer.put(batch, trace_id)
         except BackpressureError as exc:
-            self._backpressure_drops.inc(len(items))
+            self._backpressure_drops.inc(len(batch))
             logger.warning("backpressure on %s: %s", packet.topic, exc)
             return
-        cache = self._cache_for(packet.topic)
-        for reading in readings:
-            cache.store(reading)
-        self._readings_stored.inc(len(readings))
+        self._cache_for(packet.topic).store(batch)
+        self._readings_stored.inc(len(batch))
 
     def _on_metadata(self, client_id: str, packet: Publish) -> None:
         """Persist a Pusher's sensor-metadata announcement.

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from repro.common.errors import BackpressureError, ConfigError
 from repro.observability import MetricsRegistry
 from repro.observability.spans import trace_context
-from repro.storage.backend import InsertItem, StorageBackend
+from repro.storage.backend import ReadingBatch, StorageBackend
 
 logger = logging.getLogger(__name__)
 
@@ -159,10 +159,11 @@ class BatchingWriter:
     """Bounded staging queue + writer threads (zero or more) in front of
     a backend.
 
-    Queue entries are the per-message reading lists exactly as the
-    agent decoded them (no per-reading copies); coalescing concatenates
-    message lists only when a flush spans several messages, and a flush
-    covering a single staged message passes that list through untouched.
+    Queue entries are the per-message :class:`ReadingBatch` es exactly
+    as the agent decoded them (no per-reading copies); coalescing
+    concatenates their columns only when a flush spans several
+    messages, and a flush covering a single staged message passes that
+    batch through untouched.
     """
 
     def __init__(
@@ -185,11 +186,11 @@ class BatchingWriter:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._clock = clock if clock is not None else now_ns
-        # Entries are (items, enqueued_ns, flush_attempts, trace_id |
+        # Entries are (batch, enqueued_ns, flush_attempts, trace_id |
         # None).  attempts > 0 marks a batch re-queued after a failed
         # flush; it keeps its place at the queue head so the original
         # arrival order is preserved across retries.
-        self._entries: deque[tuple[list[InsertItem], int, int, int | None]] = deque()
+        self._entries: deque[tuple[ReadingBatch, int, int, int | None]] = deque()
         self._depth = 0  # readings staged (not yet taken by a writer)
         self._inflight = 0  # readings taken but not yet durable
         self._stopping = False
@@ -281,15 +282,15 @@ class BatchingWriter:
 
     # -- producer side ------------------------------------------------------
 
-    def put(self, items: list[InsertItem], trace_id: int | None = None) -> int:
-        """Stage one message's readings; returns the number accepted.
+    def put(self, batch: ReadingBatch, trace_id: int | None = None) -> int:
+        """Stage one message's batch; returns the readings accepted.
 
         A ``trace_id`` marks the message as traced: the flush that
         makes it durable records its ``commit`` hop, measured from the
         first reading's timestamp.  With ``writers=0`` the write
         happens before this returns.
         """
-        count = len(items)
+        count = len(batch)
         if count == 0:
             return 0
         capacity = self.config.queue_capacity
@@ -309,16 +310,16 @@ class BatchingWriter:
                         raise BackpressureError("batching writer stopped while blocked")
                 else:  # drop-oldest
                     while self._depth + count > capacity and self._entries:
-                        old_items = self._entries.popleft()[0]
-                        self._depth -= len(old_items)
-                        self._dropped.inc(len(old_items))
+                        old = self._entries.popleft()[0]
+                        self._depth -= len(old)
+                        self._dropped.inc(len(old))
                     if count > capacity:
                         # A single message larger than the whole queue:
                         # keep its freshest tail, consistent with the policy.
                         self._dropped.inc(count - capacity)
-                        items = items[count - capacity :]
+                        batch = batch.tail(capacity)
                         count = capacity
-            self._entries.append((items, self._clock(), 0, trace_id))
+            self._entries.append((batch, self._clock(), 0, trace_id))
             self._depth += count
             if self._depth > self._queue_hwm:
                 self._queue_hwm = self._depth
@@ -395,8 +396,8 @@ class BatchingWriter:
         oldest_enqueued = self._entries[0][1]
         return self._clock() - oldest_enqueued >= self.config.max_delay_ns
 
-    def _take_locked(self) -> tuple[list[tuple[list[InsertItem], int, int, int | None]], int]:
-        taken: list[tuple[list[InsertItem], int, int, int | None]] = []
+    def _take_locked(self) -> tuple[list[tuple[ReadingBatch, int, int, int | None]], int]:
+        taken: list[tuple[ReadingBatch, int, int, int | None]] = []
         count = 0
         max_batch = self.config.max_batch
         while self._entries and count < max_batch:
@@ -411,12 +412,8 @@ class BatchingWriter:
     def _write(self, taken, count: int) -> bool:
         """Flush ``taken`` entries as one batch; False if it failed (the
         entries are then re-staged or, past ``flush_retries``, lost)."""
-        if len(taken) == 1:
-            items = taken[0][0]  # single staged message: no copy
-        else:
-            items = []
-            for entry in taken:
-                items.extend(entry[0])
+        # One staged message passes through as-is; several concatenate.
+        batch = ReadingBatch.concat([entry[0] for entry in taken])
         first_trace = next((entry[3] for entry in taken if entry[3] is not None), None)
         started = time.perf_counter()
         start_ns = self._clock()
@@ -424,7 +421,7 @@ class BatchingWriter:
             # One ambient trace covers the whole coalesced flush; the
             # storage layer picks it up for replica/retry spans.
             with trace_context(first_trace):
-                self.backend.insert_batch(items)
+                self.backend.insert_batch(batch)
                 # Group-commit barrier: a durable backend must make the
                 # WAL records of this batch safe (per its fsync policy)
                 # before the batch is acknowledged as flushed.  One
@@ -447,15 +444,15 @@ class BatchingWriter:
             # After the durability accounting: rollups are derived only
             # from readings the backend accepted, and the engine never
             # raises (a rollup failure costs freshness, not raw data).
-            self.rollup.observe(items)
+            self.rollup.observe(batch)
         if first_trace is not None and self.tracer is not None:
-            for entry_items, _, attempts, trace_id in taken:
+            for entry_batch, _, attempts, trace_id in taken:
                 if trace_id is not None:
                     self.tracer.hop(
                         "commit",
                         "writer",
                         trace_id,
-                        entry_items[0][1],
+                        int(entry_batch.timestamps[0]),
                         start_ns,
                         batch=count,
                         attempts=attempts,
@@ -488,18 +485,18 @@ class BatchingWriter:
         retries = self.config.flush_retries
         with self._lock:
             requeued = 0
-            for items, enqueued_ns, attempts, trace_id in reversed(taken):
+            for batch, enqueued_ns, attempts, trace_id in reversed(taken):
                 if attempts >= retries:
-                    self._lost.inc(len(items))
+                    self._lost.inc(len(batch))
                     logger.error(
                         "abandoning %d readings after %d failed flushes",
-                        len(items),
+                        len(batch),
                         attempts + 1,
                         extra={"trace_id": trace_id},
                     )
                     continue
-                self._entries.appendleft((items, enqueued_ns, attempts + 1, trace_id))
-                requeued += len(items)
+                self._entries.appendleft((batch, enqueued_ns, attempts + 1, trace_id))
+                requeued += len(batch)
             self._depth += requeued
             if requeued:
                 self._requeued.inc(requeued)

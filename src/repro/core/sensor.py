@@ -83,40 +83,68 @@ class SensorCache:
     evicted on insert.  The default 120 s matches the paper's
     evaluation setup ("a sensor cache size of two minutes",
     section 6.1).  Thread-safe: the sampling thread appends while REST
-    handlers snapshot.
+    handlers snapshot.  Timestamps and values are kept as two parallel
+    columns, so a burst message is stored without one object per
+    reading.
     """
 
-    __slots__ = ("maxage_ns", "_readings", "_lock")
+    __slots__ = ("maxage_ns", "_timestamps", "_values", "_lock")
 
     def __init__(self, maxage_ns: int = 120 * NS_PER_SEC) -> None:
         if maxage_ns <= 0:
             raise ValueError("cache max age must be positive")
         self.maxage_ns = maxage_ns
-        self._readings: deque[SensorReading] = deque()
+        self._timestamps: deque[int] = deque()
+        self._values: deque[int] = deque()
         self._lock = threading.Lock()
 
-    def store(self, reading: SensorReading) -> None:
-        """Insert a reading and evict entries older than the window."""
-        with self._lock:
-            self._readings.append(reading)
-            horizon = reading.timestamp - self.maxage_ns
-            while self._readings and self._readings[0].timestamp < horizon:
-                self._readings.popleft()
+    def store(self, readings) -> None:
+        """Insert readings and evict entries older than the window.
+
+        ``readings`` is one :class:`SensorReading` (a Pusher's sample)
+        or a batch with int64 ``timestamps`` and ``values`` columns (a
+        Collect Agent message); the outcome equals storing its readings
+        one at a time.
+        """
+        if isinstance(readings, SensorReading):
+            horizon = readings.timestamp - self.maxage_ns
+            with self._lock:
+                self._timestamps.append(readings.timestamp)
+                self._values.append(readings.value)
+                self._evict(horizon)
+            return
+        timestamps = readings.timestamps.tolist()
+        if timestamps:
+            horizon = max(timestamps) - self.maxage_ns
+            with self._lock:
+                self._timestamps.extend(timestamps)
+                self._values.extend(readings.values.tolist())
+                self._evict(horizon)
+
+    def _evict(self, horizon: int) -> None:
+        """Drop the oldest readings while they precede ``horizon``."""
+        timestamps, values = self._timestamps, self._values
+        while timestamps[0] < horizon:
+            timestamps.popleft()
+            values.popleft()
 
     def latest(self) -> SensorReading | None:
         """Most recent reading, or None when empty."""
         with self._lock:
-            return self._readings[-1] if self._readings else None
+            if not self._timestamps:
+                return None
+            return SensorReading(self._timestamps[-1], self._values[-1])
 
     def snapshot(self) -> list[SensorReading]:
         """A copy of all cached readings, oldest first."""
         with self._lock:
-            return list(self._readings)
+            return list(map(SensorReading, self._timestamps, self._values))
 
     def view(self, start_ns: int, end_ns: int) -> list[SensorReading]:
         """Cached readings with start <= timestamp <= end."""
         with self._lock:
-            return [r for r in self._readings if start_ns <= r.timestamp <= end_ns]
+            pairs = zip(self._timestamps, self._values)
+            return [SensorReading(t, v) for t, v in pairs if start_ns <= t <= end_ns]
 
     def average(self, window_ns: int | None = None) -> float | None:
         """Mean raw value over the trailing ``window_ns`` (or all).
@@ -125,24 +153,25 @@ class SensorCache:
         stable recent value rather than the instantaneous sample.
         """
         with self._lock:
-            if not self._readings:
+            if not self._timestamps:
                 return None
             if window_ns is None:
-                items = self._readings
+                items = self._values
             else:
-                horizon = self._readings[-1].timestamp - window_ns
-                items = [r for r in self._readings if r.timestamp >= horizon]
+                horizon = self._timestamps[-1] - window_ns
+                items = [v for t, v in zip(self._timestamps, self._values) if t >= horizon]
             if not items:
                 return None
-            return sum(r.value for r in items) / len(items)
+            return sum(items) / len(items)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._readings)
+            return len(self._timestamps)
 
     def clear(self) -> None:
         with self._lock:
-            self._readings.clear()
+            self._timestamps.clear()
+            self._values.clear()
 
     @property
     def memory_bytes(self) -> int:
@@ -151,7 +180,7 @@ class SensorCache:
         Used by the resource-footprint model (paper Figure 6b ties
         Pusher memory to cache contents: interval x sensor count).
         """
-        # One SensorReading: two Python ints + object overhead; the
-        # constant matches sys.getsizeof measurements on CPython 3.11.
+        # The model's constant per cached reading (a reading object
+        # with two Python ints, sys.getsizeof on CPython 3.11).
         with self._lock:
-            return 120 * len(self._readings)
+            return 120 * len(self._timestamps)

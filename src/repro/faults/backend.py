@@ -37,7 +37,7 @@ import numpy as np
 from repro.common.errors import FaultInjectedError, NodeDownError
 from repro.core.sid import SensorId
 from repro.faults.plan import FaultPlan
-from repro.storage.backend import InsertItem, StorageBackend
+from repro.storage.backend import InsertItem, ReadingBatch, StorageBackend
 
 __all__ = ["FaultyBackend"]
 
@@ -165,7 +165,7 @@ class FaultyBackend(StorageBackend):
         self._guard("insert")
         self.backend.insert(sid, timestamp, value, ttl_s)
 
-    def insert_batch(self, items: Iterable[InsertItem]) -> int:
+    def insert_batch(self, items: ReadingBatch | Iterable[InsertItem]) -> int:
         self._guard("insert_batch")
         return self.backend.insert_batch(items)
 

@@ -39,7 +39,7 @@ from repro.libdcdb.virtualsensors import (
     referenced_sensors,
 )
 from repro.observability import MetricsRegistry
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import ReadingBatch, StorageBackend
 from repro.storage.rollup import (
     FIELDS,
     ROLLUP_TIERS,
@@ -833,9 +833,7 @@ class DCDBClient:
         sid = self._virtual_sid(vdef)
         if grid.size:
             scaled = np.rint(values * vdef.scale).astype(np.int64)
-            self.backend.insert_batch(
-                (sid, int(t), int(v), 0) for t, v in zip(grid, scaled)
-            )
+            self.backend.insert_batch(ReadingBatch.of(sid, grid, scaled))
             self.invalidate_cache(vdef.topic)  # write-through coherence
         intervals = self._cached_intervals(vdef.name)
         intervals = _merge_intervals(intervals + [(start, end)])

@@ -39,7 +39,7 @@ DCDB relies on:
   ``dcdb-csvimport`` and ``dcdb-query`` tools.
 """
 
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import ReadingBatch, StorageBackend
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
     Partitioner,
@@ -77,6 +77,7 @@ __all__ = [
     "aggregate_buckets",
     "is_rollup_sid",
     "rollup_sid",
+    "ReadingBatch",
     "StorageBackend",
     "StorageNode",
     "ClusterMembership",

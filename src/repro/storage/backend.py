@@ -43,14 +43,156 @@ typically acquired and consumed in bulk", paper section 3.1).
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.common.errors import StorageError
 from repro.core.sid import SensorId
 
-#: A bulk-insert item: (sid, timestamp_ns, value, ttl_s).
+#: One reading as a tuple: (sid, timestamp_ns, value, ttl_s).  This is
+#: the *edge* form only: ``insert_batch`` converts a list of them into
+#: a :class:`ReadingBatch` once, on entry, and iterating a batch yields
+#: them back for stores that want rows (memory, SQLite).
 InsertItem = tuple[SensorId, int, int, int]
+
+_INT64_MAX = (1 << 63) - 1
+_NS_PER_S = 1_000_000_000
+#: Longest TTL whose nanosecond form still fits an int64.
+_MAX_TTL_S = _INT64_MAX // _NS_PER_S
+_packed = attrgetter("packed")
+
+
+class ReadingBatch:
+    """Readings as columns — the one shape of a write below the edge.
+
+    ``timestamps`` and ``values`` are int64 columns in write order (last
+    write wins), cut into *runs*: run ``r`` is the next ``lengths[r]``
+    rows, all of sensor ``sids[r]``, stored with TTL ``ttls[r]`` seconds
+    (0 or less: forever).  A wire frame becomes one run with one
+    ``np.frombuffer``; the writer coalesces messages by concatenating
+    them, so a sensor may own several runs.  Every layer below (writer,
+    rollups, cluster routing, WAL, memtable) works per run or per
+    column, never per row, and none writes into the columns.
+    """
+
+    __slots__ = ("sids", "lengths", "ttls", "timestamps", "values")
+
+    def __init__(self, sids, lengths, timestamps, values, ttls) -> None:
+        self.sids: list[SensorId] = sids
+        self.lengths: list[int] = lengths
+        self.ttls: list[int] = ttls
+        self.timestamps: np.ndarray = timestamps
+        self.values: np.ndarray = values
+
+    @classmethod
+    def of(cls, sid: SensorId, timestamps: np.ndarray, values: np.ndarray, ttl: int = 0):
+        """One sensor's readings as a single run."""
+        return cls([sid], [len(timestamps)], timestamps, values, [ttl])
+
+    @classmethod
+    def from_items(cls, items: Iterable[InsertItem]) -> "ReadingBatch":
+        """The tuple adapter: every column converted to int64 once, up
+        front — a timestamp, value or TTL outside int64 raises
+        :class:`StorageError` before any store sees it."""
+        if not isinstance(items, (list, tuple)):
+            items = list(items)
+        if not items:
+            return _EMPTY_BATCH
+        sids, *columns = zip(*items)
+        try:
+            timestamps, values, ttls = (np.array(col, dtype=np.int64) for col in columns)
+        except OverflowError as exc:
+            raise StorageError(f"reading outside the int64 storage domain: {exc}") from None
+        halves = np.frombuffer(b"".join(map(_packed, sids)), dtype=">u8").reshape(-1, 2)
+        return cls.grouped(halves.T, timestamps, values, ttls, sids.__getitem__)
+
+    @classmethod
+    def grouped(cls, keys, timestamps, values, ttls, sid_at: Callable[[int], SensorId]):
+        """Rows cut into runs wherever a per-row sensor ``keys`` column
+        or the TTL column changes; ``sid_at(row)`` names the sensor of
+        the run starting at ``row``."""
+        if not len(timestamps):
+            return _EMPTY_BATCH
+        edge = ttls[1:] != ttls[:-1]
+        for key in keys:
+            edge |= key[1:] != key[:-1]
+        starts = [0, *(np.flatnonzero(edge) + 1).tolist()]
+        lengths = np.diff(starts + [len(timestamps)]).tolist()
+        return cls(list(map(sid_at, starts)), lengths, timestamps, values, ttls[starts].tolist())
+
+    @classmethod
+    def concat(cls, batches: Sequence["ReadingBatch"]) -> "ReadingBatch":
+        """The batches back to back, in order (the first as-is when alone)."""
+        if len(batches) == 1:
+            return batches[0]
+        sids, lengths, ttls = [], [], []
+        for batch in batches:
+            sids += batch.sids
+            lengths += batch.lengths
+            ttls += batch.ttls
+        timestamps = np.concatenate([batch.timestamps for batch in batches])
+        return cls(sids, lengths, timestamps, np.concatenate([b.values for b in batches]), ttls)
+
+    def __len__(self) -> int:
+        """Readings, not runs."""
+        return len(self.timestamps)
+
+    def __iter__(self) -> Iterator[InsertItem]:
+        """The rows as ``InsertItem`` tuples (the edge form)."""
+        rows = zip(self.timestamps.tolist(), self.values.tolist())
+        for sid, length, ttl in zip(self.sids, self.lengths, self.ttls):
+            for timestamp, value in islice(rows, length):
+                yield sid, timestamp, value, ttl
+
+    def select(self, runs: list[int]) -> "ReadingBatch":
+        """The sub-batch of ``runs`` (ascending run indices); the batch
+        itself when that is all of them."""
+        if len(runs) == len(self.sids):
+            return self
+        keep = np.zeros(len(self.sids), dtype=bool)
+        keep[runs] = True
+        rows = np.repeat(keep, self.lengths)
+        return ReadingBatch(
+            [self.sids[r] for r in runs],
+            [self.lengths[r] for r in runs],
+            self.timestamps[rows],
+            self.values[rows],
+            [self.ttls[r] for r in runs],
+        )
+
+    def tail(self, count: int) -> "ReadingBatch":
+        """The freshest ``count`` readings (the last rows)."""
+        drop = len(self) - count
+        if drop <= 0:
+            return self
+        ends = np.cumsum(self.lengths)
+        run = int(np.searchsorted(ends, drop, side="right"))  # first run left
+        lengths = self.lengths[run:]
+        lengths[0] = int(ends[run]) - drop
+        return ReadingBatch(
+            self.sids[run:], lengths, self.timestamps[drop:], self.values[drop:], self.ttls[run:]
+        )
+
+    def expiries(self) -> np.ndarray | None:
+        """Per-row expiry in ns (int64 max: never), or None when no run
+        has a TTL; saturates at int64 max instead of wrapping."""
+        if max(self.ttls, default=0) <= 0:
+            return None
+        ttl_ns = np.repeat(np.clip(self.ttls, 0, _MAX_TTL_S) * _NS_PER_S, self.lengths)
+        expiries = np.minimum(self.timestamps, _INT64_MAX - ttl_ns) + ttl_ns
+        return np.where(ttl_ns > 0, expiries, _INT64_MAX)
+
+
+_EMPTY_BATCH = ReadingBatch([], [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), [])
+
+
+def as_batch(items: "ReadingBatch | Iterable[InsertItem]") -> ReadingBatch:
+    """``items`` as a :class:`ReadingBatch`: itself, or converted once
+    by :meth:`ReadingBatch.from_items`."""
+    return items if isinstance(items, ReadingBatch) else ReadingBatch.from_items(items)
 
 
 class StorageBackend(abc.ABC):
@@ -67,21 +209,19 @@ class StorageBackend(abc.ABC):
 
     # -- data plane -----------------------------------------------------
 
-    @abc.abstractmethod
     def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
         """Store one reading.  Last write wins on duplicate timestamps."""
+        self.insert_batch([(sid, timestamp, value, ttl_s)])
 
-    def insert_batch(self, items: Iterable[InsertItem]) -> int:
+    @abc.abstractmethod
+    def insert_batch(self, items: ReadingBatch | Iterable[InsertItem]) -> int:
         """Store many readings; returns the number inserted.
 
-        Backends override this when they have a faster bulk path; the
-        default loops over :meth:`insert`.
+        ``items`` is a :class:`ReadingBatch` — what the ingest path
+        hands down — or, at the edge, ``InsertItem`` tuples, which
+        :func:`as_batch` converts once per call (and rejects outside
+        int64 with :class:`StorageError` before anything is stored).
         """
-        count = 0
-        for sid, timestamp, value, ttl in items:
-            self.insert(sid, timestamp, value, ttl)
-            count += 1
-        return count
 
     @abc.abstractmethod
     def query(

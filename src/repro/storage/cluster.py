@@ -63,7 +63,7 @@ from repro.common.timeutil import now_ns
 from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
 from repro.observability.spans import SpanRecorder, current_trace, default_recorder
-from repro.storage.backend import InsertItem, StorageBackend
+from repro.storage.backend import InsertItem, ReadingBatch, StorageBackend, as_batch
 from repro.storage.membership import (
     EXPORTED_STATES,
     NODE_LEAVING,
@@ -263,7 +263,7 @@ class StorageCluster(StorageBackend):
         self.slow_query_s = slow_query_s
         self.spans = spans if spans is not None else default_recorder()
         # Hinted handoff state: per-node FIFO of what the node missed
-        # while unreachable.  Entries are ("data", [InsertItem...]),
+        # while unreachable.  Entries are ("data", ReadingBatch),
         # ("meta", key, value) or ("cutoff", sid, cutoff).  Only
         # non-empty queues are kept, so the dict's truthiness is the
         # cheap are-there-hints test on the hot paths;
@@ -442,7 +442,7 @@ class StorageCluster(StorageBackend):
     def _try_write(
         self,
         node_idx: int,
-        items: list[InsertItem],
+        items: ReadingBatch,
         trace_id: int | None = None,
     ) -> StorageError | None:
         """Write one replica's sub-batch, retrying with capped backoff.
@@ -680,41 +680,40 @@ class StorageCluster(StorageBackend):
     # -- data plane ---------------------------------------------------------
 
     def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
-        self._write([(sid, timestamp, value, ttl_s)])
+        self._write(as_batch([(sid, timestamp, value, ttl_s)]))
 
-    def insert_batch(self, items: Iterable[InsertItem]) -> int:
+    def insert_batch(self, items: ReadingBatch | Iterable[InsertItem]) -> int:
         """Route a batch grouping by replica to amortize lock traffic.
 
-        Each replica gets its readings as one sub-batch; the per-node
-        writes follow the cluster's fan-out rule (:func:`_fan_out`).
-        Failed replicas are retried, then hinted; the call raises only
-        if some reading landed on *no* replica at all (the batching
-        writer then re-queues the whole batch — replay/retry overlap is
-        deduplicated by the nodes' last-write-wins semantics).
+        Each replica gets its runs as one sub-batch of column slices;
+        the per-node writes follow the cluster's fan-out rule
+        (:func:`_fan_out`).  Failed replicas are retried, then hinted;
+        the call raises only if some reading landed on *no* replica at
+        all (the batching writer then re-queues the whole batch —
+        replay/retry overlap is deduplicated by the nodes'
+        last-write-wins semantics).
         """
-        if not isinstance(items, list):
-            items = list(items)  # materialized once: retries re-send it
-        return self._write(items)
+        return self._write(as_batch(items))
 
-    def _write(self, items: list[InsertItem]) -> int:
-        """The one cluster write behind :meth:`insert` and :meth:`insert_batch`."""
+    def _write(self, batch: ReadingBatch) -> int:
+        """The one cluster write behind :meth:`insert` and
+        :meth:`insert_batch`: one replica lookup per run."""
         # Captured once on the coordinator thread: the pool threads the
         # fan-out runs on have their own (empty) ambient context.
         trace_id = current_trace()
-        replicas_for = self._replicas
         with self._inflight_lock:
             self._inflight_writes += 1
         try:
-            per_node: dict[int, list[InsertItem]] = {}
-            for item in items:
-                for node_idx in replicas_for(item[0]):
-                    target = per_node.get(node_idx)
-                    if target is None:
-                        target = per_node.setdefault(node_idx, [])
-                    target.append(item)
+            # Resolved while counted in flight: a rebalance that starts
+            # now waits for this write before it streams.
+            replica_sets = list(map(self._replicas, batch.sids))
+            runs_of: dict[int, list[int]] = {}
+            for run, replicas in enumerate(replica_sets):
+                for node_idx in replicas:
+                    runs_of.setdefault(node_idx, []).append(run)
             errors = _fan_out(
-                per_node,
-                lambda node_idx, node_items: self._try_write(node_idx, node_items, trace_id),
+                {node_idx: batch.select(runs) for node_idx, runs in runs_of.items()},
+                lambda node_idx, sub: self._try_write(node_idx, sub, trace_id),
             )
         finally:
             with self._inflight_lock:
@@ -723,15 +722,13 @@ class StorageCluster(StorageBackend):
         if failed:
             # A reading is lost only if its entire replica set failed;
             # hints cover partially-failed sets.
-            for item in items:
-                replicas = replicas_for(item[0])
+            for sid, replicas in zip(batch.sids, replica_sets):
                 if all(node_idx in failed for node_idx in replicas):
                     cause = errors[replicas[0]]
                     raise StorageError(
-                        f"write failed on all replicas {list(replicas)} of "
-                        f"{item[0]}: {cause}"
+                        f"write failed on all replicas {list(replicas)} of {sid}: {cause}"
                     ) from cause
-        return len(items)
+        return len(batch)
 
     def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """One sensor's series through the cluster read (:meth:`_read`)."""
@@ -1301,7 +1298,7 @@ class StorageCluster(StorageBackend):
         owner never comes back.
         """
         for loser in move.losing:
-            moved_items: list[InsertItem] = []
+            moved: list[ReadingBatch] = []
             with self._hints_lock:
                 dq = self._hints.get(loser)
                 if not dq:
@@ -1311,30 +1308,26 @@ class StorageCluster(StorageBackend):
                     if entry[0] != "data":
                         kept.append(entry)
                         continue
-                    mine = [
-                        item
-                        for item in entry[1]
-                        if self.membership.partition_of(item[0]) == move.partition
-                    ]
-                    rest = [
-                        item
-                        for item in entry[1]
-                        if self.membership.partition_of(item[0]) != move.partition
-                    ]
+                    batch = entry[1]
+                    moving = [self.membership.partition_of(s) == move.partition for s in batch.sids]
+                    rest = [run for run, moves in enumerate(moving) if not moves]
+                    mine = [run for run, moves in enumerate(moving) if moves]
                     if rest:
-                        kept.append(("data", rest))
-                    moved_items.extend(mine)
-                if moved_items:
-                    self._hints_pending_count -= len(moved_items)
-                    self._hint_readings[loser] -= len(moved_items)
-                    self._hints_replayed.inc(len(moved_items))
+                        kept.append(("data", batch.select(rest)))
+                    if mine:
+                        moved.append(batch.select(mine))
+                count = sum(map(len, moved))
+                if count:
+                    self._hints_pending_count -= count
+                    self._hint_readings[loser] -= count
+                    self._hints_replayed.inc(count)
                     if kept:
                         self._hints[loser] = kept
                     else:
                         self._forget_hints_locked(loser)
-            if moved_items:
+            if moved:
                 for target in move.gaining:
-                    self._try_write(target, moved_items)
+                    self._try_write(target, ReadingBatch.concat(moved))
 
     # -- stats ------------------------------------------------------------------
 

@@ -58,7 +58,7 @@ import numpy as np
 from repro.common.errors import StorageError
 from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
-from repro.storage.backend import InsertItem
+from repro.storage.backend import ReadingBatch, as_batch
 from repro.storage.node import RAW_BYTES_PER_ROW, StorageNode, _Segment
 
 from .blockcache import BlockCache
@@ -71,47 +71,30 @@ _MANIFEST_FORMAT = 1
 _M64 = (1 << 64) - 1
 
 
-def _encode_data(items: list[InsertItem]) -> bytes:
-    """Frame an insert batch as a DATA payload (columnar, fixed-width).
-
-    Column-at-a-time via ``np.fromiter`` — per-element numpy scalar
-    assignment was the single largest CPU cost on the durable insert
-    path.  The ``OverflowError`` fallback keeps the old masking
-    semantics for out-of-int64 values (never produced by the normal
-    ingest path, but cheap to preserve).
-    """
-    n = len(items)
-    sids, ts, vals, ttls = zip(*items)
-    cols = np.empty((5, n), dtype=np.uint64)
-    # One join of the SIDs' precomputed big-endian images, viewed as
-    # (hi, lo) u64 pairs — no per-row 128-bit arithmetic.
-    pair = np.frombuffer(b"".join(s.packed for s in sids), dtype=">u8").reshape(n, 2)
-    cols[0] = pair[:, 0]
-    cols[1] = pair[:, 1]
-    try:
-        cols[2] = np.fromiter(ts, dtype=np.int64, count=n).view(np.uint64)
-        cols[3] = np.fromiter(vals, dtype=np.int64, count=n).view(np.uint64)
-        cols[4] = np.fromiter(ttls, dtype=np.int64, count=n).view(np.uint64)
-    except OverflowError:
-        cols[2] = np.fromiter((t & _M64 for t in ts), dtype=np.uint64, count=n)
-        cols[3] = np.fromiter((v & _M64 for v in vals), dtype=np.uint64, count=n)
-        cols[4] = np.fromiter((t & _M64 for t in ttls), dtype=np.uint64, count=n)
-    return struct.pack("<I", n) + cols.tobytes()
+def _encode_data(batch: ReadingBatch) -> bytes:
+    """Frame a batch as a DATA payload: the row count, then five
+    little-endian u64 columns — SID high half, SID low half, timestamp,
+    value, TTL.  The SID and TTL columns are each run's value repeated
+    over its rows (``np.repeat``); the others are the batch's columns."""
+    cols = np.empty((5, len(batch)), dtype=np.uint64)
+    halves = np.frombuffer(b"".join(s.packed for s in batch.sids), dtype=">u8").reshape(-1, 2)
+    cols[0] = np.repeat(halves[:, 0], batch.lengths)
+    cols[1] = np.repeat(halves[:, 1], batch.lengths)
+    cols[2] = batch.timestamps.view(np.uint64)
+    cols[3] = batch.values.view(np.uint64)
+    cols[4] = np.repeat(np.array(batch.ttls, dtype=np.int64), batch.lengths).view(np.uint64)
+    return struct.pack("<I", len(batch)) + cols.tobytes()
 
 
-def _decode_data(payload: bytes) -> list[InsertItem]:
+def _decode_data(payload: bytes) -> ReadingBatch:
+    """A DATA payload back as one batch: one ``np.frombuffer``, one
+    :class:`SensorId` per distinct (high, low) pair."""
     (n,) = struct.unpack_from("<I", payload)
-    cols = np.frombuffer(payload, dtype=np.uint64, offset=4).reshape(5, n)
-    signed = cols[2:].view(np.int64)
-    return [
-        (
-            SensorId((int(cols[0, i]) << 64) | int(cols[1, i])),
-            int(signed[0, i]),
-            int(signed[1, i]),
-            int(signed[2, i]),
-        )
-        for i in range(n)
-    ]
+    hi, lo, *signed = np.frombuffer(payload, dtype=np.uint64, offset=4).reshape(5, n)
+    pairs, sensor = np.unique(np.stack((hi, lo), axis=1), axis=0, return_inverse=True)
+    sids = [SensorId((h << 64) | l) for h, l in pairs.tolist()]
+    ts, vals, ttls = (col.view(np.int64) for col in signed)
+    return ReadingBatch.grouped((sensor,), ts, vals, ttls, lambda row: sids[sensor[row]])
 
 
 def _encode_meta(key: str, value: str) -> bytes:
@@ -438,12 +421,11 @@ class DurableNode(StorageNode):
             self._commit_locked()
 
     def insert_batch(self, items) -> int:
-        if not isinstance(items, list):
-            items = list(items)
-        if not items:
+        batch = as_batch(items)
+        if not len(batch):
             return 0
-        with self._logged([(DATA, _encode_data(items))]):
-            return super().insert_batch(items)
+        with self._logged([(DATA, _encode_data(batch))]):
+            return super().insert_batch(batch)
 
     def put_metadata(self, key: str, value: str) -> None:
         self.put_metadata_many([(key, value)])

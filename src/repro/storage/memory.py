@@ -14,7 +14,7 @@ import threading
 import numpy as np
 
 from repro.core.sid import SensorId
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import StorageBackend, as_batch
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -30,10 +30,13 @@ class MemoryBackend(StorageBackend):
         self._metadata: dict[str, str] = {}
         self._lock = threading.Lock()
 
-    def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
-        expiry = (1 << 63) - 1 if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
+    def insert_batch(self, items) -> int:
+        batch = as_batch(items)
         with self._lock:
-            self._data.setdefault(sid, []).append((timestamp, value, expiry))
+            for sid, timestamp, value, ttl_s in batch:
+                expiry = (1 << 63) - 1 if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
+                self._data.setdefault(sid, []).append((timestamp, value, expiry))
+        return len(batch)
 
     def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         now = self._clock()

@@ -39,8 +39,8 @@ keep it when changing the merge paths.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import ReadingBatch, StorageBackend, as_batch
 
 _INT64_MAX = (1 << 63) - 1
 #: Uncompressed cost of one reading in a resident run (ts + value +
@@ -211,15 +211,35 @@ class _ResidentTable:
     close = discard
 
 
+def _column(rows=b"") -> array:
+    """A growable int64 memtable column."""
+    return array("q", rows)
+
+
+#: One memtable expiry meaning "never", as raw int64 bytes.
+_NEVER_ROW = _column([_INT64_MAX]).tobytes()
+
+
 @dataclass(slots=True)
 class _SensorData:
-    """Per-sensor storage state: live memtable rows plus the tables
-    holding a run of this sensor, oldest first (LWW order)."""
+    """Per-sensor storage state: live memtable rows (int64 columns in
+    arrival order) plus the tables holding a run of this sensor, oldest
+    first (LWW order)."""
 
-    mem_ts: list[int] = field(default_factory=list)
-    mem_val: list[int] = field(default_factory=list)
-    mem_exp: list[int] = field(default_factory=list)
+    mem_ts: array = field(default_factory=_column)
+    mem_val: array = field(default_factory=_column)
+    mem_exp: array = field(default_factory=_column)
     runs: list = field(default_factory=list)
+
+    def memtable(self) -> tuple[np.ndarray, ...]:
+        """Copies of the memtable columns, safe to use after the lock is
+        released (a view would pin the growing column's buffer)."""
+        return tuple(np.array(col) for col in (self.mem_ts, self.mem_val, self.mem_exp))
+
+    def reset_memtable(self, keep: np.ndarray | None = None) -> None:
+        """Keep only the memtable rows ``keep`` selects (default: none)."""
+        kept = [col[keep].tobytes() for col in self.memtable()] if keep is not None else [b""] * 3
+        self.mem_ts, self.mem_val, self.mem_exp = map(_column, kept)
 
 
 class StorageNode(StorageBackend):
@@ -313,10 +333,6 @@ class StorageNode(StorageBackend):
 
     # -- write path -------------------------------------------------------
 
-    def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
-        """Append one reading to the memtable."""
-        self.insert_batch([(sid, timestamp, value, ttl_s)])
-
     def _sensor_locked(self, sid: SensorId) -> _SensorData:
         data = self._data.get(sid)
         if data is None:
@@ -327,49 +343,24 @@ class StorageNode(StorageBackend):
     def insert_batch(self, items) -> int:
         """Bulk append; one lock acquisition for the whole batch.
 
-        The batch is decomposed into per-sensor columns *outside* the
-        lock (C-level ``zip``/``itertools`` where possible) and the
-        memtable columns are extended in bulk, so the lock hold time
-        and the per-row Python overhead both shrink with batch size.
+        The columns become raw int64 bytes once, outside the lock;
+        under it every run is three column extends — no per-row work.
         """
-        if not isinstance(items, list):
-            items = list(items)
-        count = len(items)
+        batch = as_batch(items)
+        count = len(batch)
         if count == 0:
             return 0
-        sids, timestamps, values, ttls = zip(*items)
-        if len(set(sids)) == 1:
-            # Single-sensor batch (one MQTT message, one bulk import):
-            # three column extends, no per-row Python loop at all when
-            # the TTLs need no arithmetic.
-            if max(ttls) <= 0:
-                expiries = itertools.repeat(_INT64_MAX, count)
-            else:
-                expiries = [
-                    _INT64_MAX if ttl <= 0 else t + ttl * 1_000_000_000
-                    for t, ttl in zip(timestamps, ttls)
-                ]
-            columns = {sids[0]: (timestamps, values, expiries)}
-        else:
-            # Mixed-sensor batch (cross-message coalescing): one
-            # grouping pass, then bulk extends per sensor.
-            columns = {}
-            for sid, timestamp, value, ttl_s in items:
-                cols = columns.get(sid)
-                if cols is None:
-                    cols = ([], [], [])
-                    columns[sid] = cols
-                cols[0].append(timestamp)
-                cols[1].append(value)
-                cols[2].append(
-                    _INT64_MAX if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
-                )
+        expiries = batch.expiries()
+        timestamps, values = batch.timestamps.tobytes(), batch.values.tobytes()
+        expiries = _NEVER_ROW * count if expiries is None else expiries.tobytes()
         with self._lock:
-            for sid, (col_ts, col_val, col_exp) in columns.items():
+            end = 0
+            for sid, length in zip(batch.sids, batch.lengths):
                 data = self._sensor_locked(sid)
-                data.mem_ts.extend(col_ts)
-                data.mem_val.extend(col_val)
-                data.mem_exp.extend(col_exp)
+                start, end = end, end + 8 * length
+                data.mem_ts.frombytes(timestamps[start:end])
+                data.mem_val.frombytes(values[start:end])
+                data.mem_exp.frombytes(expiries[start:end])
             self._memtable_rows += count
             self._inserts.inc(count)
             if self._memtable_rows >= self.flush_threshold:
@@ -400,20 +391,8 @@ class StorageNode(StorageBackend):
             # Sorting and deduplicating at freeze time establishes the
             # strictly-ascending run invariant the zero-copy query fast
             # path relies on.
-            blocks[sid] = _Segment(
-                *merge_lww(
-                    [
-                        (
-                            np.asarray(data.mem_ts, dtype=np.int64),
-                            np.asarray(data.mem_val, dtype=np.int64),
-                            np.asarray(data.mem_exp, dtype=np.int64),
-                        )
-                    ]
-                )
-            )
-            data.mem_ts.clear()
-            data.mem_val.clear()
-            data.mem_exp.clear()
+            blocks[sid] = _Segment(*merge_lww([data.memtable()]))
+            data.reset_memtable()
         self._memtable_rows = 0
         # Only count seals that froze something: an empty memtable is
         # a no-op and must not skew the Fig. 8 accounting.
@@ -564,7 +543,7 @@ class StorageNode(StorageBackend):
         Runs whose ``[min_ts, max_ts]`` misses the window are pruned on
         their bounds alone (a footer entry for a file); the others are
         captured by reference, a file's decoded through the block cache.
-        Memtable columns (mutable lists) are frozen into arrays.  The
+        Memtable columns (growing in place) are copied into arrays.  The
         expensive slicing and merging then happens outside the lock.
         """
         runs: list[_Segment] = []
@@ -584,14 +563,7 @@ class StorageNode(StorageBackend):
             self._segments_pruned.inc(pruned_resident)
         if pruned_files:
             self._blocks_pruned.inc(pruned_files)
-        mem = None
-        if data.mem_ts:
-            mem = (
-                np.asarray(data.mem_ts, dtype=np.int64),
-                np.asarray(data.mem_val, dtype=np.int64),
-                np.asarray(data.mem_exp, dtype=np.int64),
-            )
-        return runs, mem
+        return runs, data.memtable() if data.mem_ts else None
 
     @staticmethod
     def _merge_staged(
@@ -666,7 +638,8 @@ class StorageNode(StorageBackend):
         return out
 
     def stream_rows(self, sid: SensorId, chunk_rows: int = 4096):
-        """Yield one sensor's live rows as chunked ``InsertItem`` lists.
+        """Yield one sensor's live rows as :class:`ReadingBatch` chunks
+        of at most ``chunk_rows`` readings (column slices).
 
         The rebalance path uses this to stream a partition's history to
         its new owner: each chunk feeds straight into ``insert_batch``
@@ -694,14 +667,9 @@ class StorageNode(StorageBackend):
                 ts, vals, exp = ts[live], vals[live], exp[live]
             for off in range(0, ts.size, chunk_rows):
                 sl = slice(off, off + chunk_rows)
-                cts, cvals, cexp = ts[sl], vals[sl], exp[sl]
-                ttls = np.where(
-                    cexp == _INT64_MAX, 0, (cexp - cts) // 1_000_000_000
-                )
-                yield [
-                    (sid, int(t), int(v), int(l))
-                    for t, v, l in zip(cts.tolist(), cvals.tolist(), ttls.tolist())
-                ]
+                cts, cexp = ts[sl], exp[sl]
+                ttls = np.where(cexp == _INT64_MAX, 0, (cexp - cts) // 1_000_000_000)
+                yield ReadingBatch.grouped((), cts, vals[sl], ttls, lambda _row: sid)
 
     def sids(self) -> list[SensorId]:
         """Sorted SIDs with stored data.
@@ -732,15 +700,12 @@ class StorageNode(StorageBackend):
                 kept = [pair for pair in self._cutoffs.get(sid, ()) if pair[0] > cutoff]
                 self._cutoffs[sid] = kept + [(cutoff, self._next_gen)]
             if data.mem_ts:
-                mts = np.asarray(data.mem_ts, dtype=np.int64)
-                keep = mts >= cutoff
+                keep = np.array(data.mem_ts, dtype=np.int64) >= cutoff
                 dropped = int(keep.size) - int(keep.sum())
                 if dropped:
                     removed += dropped
                     self._memtable_rows -= dropped
-                    data.mem_ts = mts[keep].tolist()
-                    data.mem_val = np.asarray(data.mem_val, dtype=np.int64)[keep].tolist()
-                    data.mem_exp = np.asarray(data.mem_exp, dtype=np.int64)[keep].tolist()
+                    data.reset_memtable(keep)
         return removed
 
     # -- metadata -------------------------------------------------------------

@@ -58,7 +58,6 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -70,7 +69,7 @@ from repro.core.sid import (
     SensorId,
 )
 from repro.observability import MetricsRegistry
-from repro.storage.backend import InsertItem, StorageBackend
+from repro.storage.backend import InsertItem, ReadingBatch, StorageBackend, as_batch
 
 logger = logging.getLogger(__name__)
 
@@ -291,10 +290,10 @@ class _Pass:
 class RollupEngine:
     """Maintains the rollup tiers of every sensor flowing through ingest.
 
-    ``observe()`` is called by the batching writer with the exact item
-    list a successful
-    ``insert_batch`` just persisted; it advances sealed watermarks and
-    writes rollup rows through the same backend.  It never raises —
+    ``observe()`` is called by the batching writer with the exact
+    batch a successful ``insert_batch`` just persisted; it advances
+    sealed watermarks and writes rollup rows, as one batch, through the
+    same backend.  It never raises —
     rollups are derived data, and a rollup failure must cost freshness,
     not raw durability.  Failed rollup writes are retried on the next
     observation (watermarks only advance after a successful write).
@@ -360,13 +359,14 @@ class RollupEngine:
 
     # -- ingest side --------------------------------------------------------
 
-    def observe(self, items: list[InsertItem]) -> None:
+    def observe(self, items: ReadingBatch | list[InsertItem]) -> None:
         """Fold one durably-inserted batch into the rollup state.
 
         Must be called only after ``insert_batch`` succeeded for
-        ``items`` — a recompute reads the raw series back, so observing
-        unpersisted readings would roll up data that may not exist.
-        Never raises; failures are counted and retried.
+        ``items`` (a batch, or tuples at the edge) — a recompute reads
+        the raw series back, so observing unpersisted readings would
+        roll up data that may not exist.  Never raises; failures are
+        counted and retried.
         """
         self._pass(items)
         self._maybe_retention()
@@ -381,16 +381,16 @@ class RollupEngine:
         """
         self._pass([])
 
-    def _pass(self, items: list[InsertItem]) -> None:
+    def _pass(self, items) -> None:
         try:
             with self._lock:
-                self._observe(items)
+                self._observe(as_batch(items))
         except Exception:  # noqa: BLE001 - derived data must not break ingest
             self._errors.inc()
             logger.exception("rollup observe failed for %d readings", len(items))
 
-    def _observe(self, items: list[InsertItem]) -> None:
-        slot, ts, values = self._columns(items)
+    def _observe(self, batch: ReadingBatch) -> None:
+        slot, ts, values = self._columns(batch)
         out = _Pass()
         touched = slot[:0]
         if slot.size:
@@ -429,26 +429,24 @@ class RollupEngine:
         self._redo_from[redo] = _NEVER
         self._pending.difference_update(redo.tolist())
 
-    def _columns(self, items: list[InsertItem]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _columns(self, batch: ReadingBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(slot, timestamp, value)`` columns of the rows of tracked
         sensors, grouped by slot in arrival order."""
-        if not items:
+        if not len(batch):
             empty = np.empty(0, dtype=np.int64)
             return empty.astype(np.intp), empty, empty
-        sids, timestamps, values, _ttls = zip(*items)
-        slots = list(map(self._slot_of.get, sids))
+        slots = list(map(self._slot_of.get, batch.sids))
         if None in slots:
+            firsts = np.cumsum([0, *batch.lengths[:-1]]).tolist()
             slots = [
-                self._register(sid, timestamp) if slot is None else slot
-                for slot, sid, timestamp in zip(slots, sids, timestamps)
+                self._register(sid, int(batch.timestamps[first])) if slot is None else slot
+                for slot, sid, first in zip(slots, batch.sids, firsts)
             ]
-        slot = np.array(slots, dtype=np.intp)
-        ts = np.array(timestamps, dtype=np.int64)
-        vals = np.array(values, dtype=np.int64)
+        slot = np.repeat(np.array(slots, dtype=np.intp), batch.lengths)
         order = np.argsort(slot, kind="stable")
         slot = slot[order]
         tracked = slice(int(np.searchsorted(slot, 0)), None)  # past the -1s
-        return slot[tracked], ts[order][tracked], vals[order][tracked]
+        return slot[tracked], batch.timestamps[order][tracked], batch.values[order][tracked]
 
     def _register(self, sid: SensorId, first_ts: int) -> int:
         """Slot of a sensor not seen before (restoring its coverage
@@ -619,18 +617,24 @@ class RollupEngine:
         and only then the coverage they stand for."""
         labels = [tier.label for tier in self.config.tiers]
         tier, slot, start, *stats = _Pass.columns(out.rows, 7)
-        starts, ttl = start.tolist(), repeat(self.config.ttl_s)
-        items: list[InsertItem] = []
-        for field_index, column in enumerate(stats):
-            field_sids = self._field_sids[tier * len(FIELDS) + field_index, slot]
-            items.extend(zip(field_sids.tolist(), starts, column.tolist(), ttl))
+        # Field by field (min, max, sum, count), every bucket's row of
+        # the (tier, field) series of its sensor.
+        series = np.add.outer(np.arange(len(FIELDS)), tier * len(FIELDS)).ravel()
+        slots = np.tile(slot, len(FIELDS))
+        batch = ReadingBatch.grouped(
+            (series, slots),
+            np.tile(start, len(FIELDS)),
+            np.concatenate(stats),
+            np.full(slots.size, self.config.ttl_s),
+            lambda row: self._field_sids[series[row], slots[row]],
+        )
         moved_tier, moved, lo, hi = _Pass.columns(out.spans, 4)
         docs = [
             (coverage_key(self._sids[s], labels[k]), json.dumps({"lo": a, "hi": b}))
             for k, s, a, b in zip(moved_tier.tolist(), moved.tolist(), lo.tolist(), hi.tolist())
         ]
-        if items:
-            self.backend.insert_batch(items)
+        if len(batch):
+            self.backend.insert_batch(batch)
         if docs:
             self.backend.put_metadata_many(docs)
         self._cov[moved_tier, 0, moved] = lo

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 
 from repro.core.sid import SensorId
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import StorageBackend, as_batch
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -57,19 +57,9 @@ class SqliteBackend(StorageBackend):
         self._conn.executescript(_SCHEMA)
         self._lock = threading.Lock()
 
-    def insert(self, sid: SensorId, timestamp: int, value: int, ttl_s: int = 0) -> None:
-        expiry = _NEVER if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO readings (sid, ts, value, expiry) VALUES (?, ?, ?, ?) "
-                "ON CONFLICT(sid, ts) DO UPDATE SET value=excluded.value, "
-                "expiry=excluded.expiry",
-                (sid.hex(), timestamp, value, expiry),
-            )
-
     def insert_batch(self, items) -> int:
         rows = []
-        for sid, timestamp, value, ttl_s in items:
+        for sid, timestamp, value, ttl_s in as_batch(items):
             expiry = _NEVER if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
             rows.append((sid.hex(), timestamp, value, expiry))
         with self._lock:

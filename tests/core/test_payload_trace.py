@@ -29,6 +29,12 @@ from repro.core.sensor import SensorReading
 READINGS = [SensorReading(1_000, 42), SensorReading(2_000, -7)]
 
 
+def as_readings(timestamps, values):
+    """``decode_message``'s int64 columns as readings."""
+    assert timestamps.dtype == values.dtype == "int64"
+    return [SensorReading(t, v) for t, v in zip(timestamps.tolist(), values.tolist())]
+
+
 class TestHeaderlessFrames:
     def test_encode_without_trace_id_is_legacy_frame(self):
         payload = encode_readings(READINGS)
@@ -37,8 +43,8 @@ class TestHeaderlessFrames:
         assert trace_id_of(payload) is None
 
     def test_decode_message_returns_none_trace(self):
-        readings, trace_id = decode_message(encode_readings(READINGS))
-        assert readings == READINGS
+        timestamps, values, trace_id = decode_message(encode_readings(READINGS))
+        assert as_readings(timestamps, values) == READINGS
         assert trace_id is None
 
     def test_single_reading_unchanged(self):
@@ -53,8 +59,8 @@ class TestHeaderedFrames:
         assert len(payload) % RECORD_SIZE == TRACE_HEADER_SIZE
         assert has_trace_header(payload)
         assert trace_id_of(payload) == 0xDEADBEEF
-        readings, trace_id = decode_message(payload)
-        assert readings == READINGS
+        timestamps, values, trace_id = decode_message(payload)
+        assert as_readings(timestamps, values) == READINGS
         assert trace_id == 0xDEADBEEF
 
     def test_legacy_decoder_strips_header(self):
@@ -66,8 +72,8 @@ class TestHeaderedFrames:
     def test_empty_batch_with_header(self):
         payload = encode_readings([], trace_id=5)
         assert has_trace_header(payload)
-        readings, trace_id = decode_message(payload)
-        assert readings == []
+        timestamps, values, trace_id = decode_message(payload)
+        assert as_readings(timestamps, values) == []
         assert trace_id == 5
 
     def test_header_shape_cannot_alias_legacy_frame(self):

@@ -13,14 +13,14 @@ from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
 from repro.core.sid import SensorId
 from repro.faults import FaultPlan, FaultyBackend
 from repro.mqtt.inproc import InProcClient, InProcHub
-from repro.storage import MemoryBackend
+from repro.storage import MemoryBackend, ReadingBatch
 
 SID = SensorId.from_codes([1, 2, 3])
 FOREVER_NS = 3600 * NS_PER_SEC
 
 
 def items(*values, base_ts=0):
-    return [(SID, base_ts + i, v, 0) for i, v in enumerate(values)]
+    return ReadingBatch.from_items([(SID, base_ts + i, v, 0) for i, v in enumerate(values)])
 
 
 def wait_for(predicate, timeout=5.0):
@@ -487,7 +487,7 @@ class TestZeroThreadWriter:
 
         def produce(k):
             for i in range(per_producer):
-                writer.put([(SID, k * per_producer + i, i, 0)])
+                writer.put(ReadingBatch.from_items([(SID, k * per_producer + i, i, 0)]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

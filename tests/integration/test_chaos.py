@@ -21,7 +21,7 @@ from repro.mqtt.client import MQTTClient
 from repro.observability import parse_prometheus_text, render_prometheus
 from repro.observability.metrics import merge_snapshots
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
-from repro.storage import MemoryBackend
+from repro.storage import MemoryBackend, ReadingBatch
 from repro.storage.rollup import (
     ROLLUP_TIERS,
     aggregate_buckets,
@@ -222,7 +222,7 @@ class TestFlakyBackendDuringFlush:
         sid = SensorId.from_codes([1, 2, 3])
         total = 2000
         for t in range(total):
-            writer.put([(sid, t, t, 0)])
+            writer.put(ReadingBatch.from_items([(sid, t, t, 0)]))
         writer.stop()  # drain-on-stop must persist every staged reading
         assert inner.count(sid, 0, total) == total
         assert backend.faults_injected > 0
@@ -244,7 +244,7 @@ class TestFlakyBackendDuringFlush:
         sid = SensorId.from_codes([1, 2, 3])
         backend.kill()
         for t in range(100):
-            writer.put([(sid, t, t, 0)])
+            writer.put(ReadingBatch.from_items([(sid, t, t, 0)]))
         time.sleep(0.05)  # flush loop spins against the dead backend
         assert inner.count(sid, 0, 1000) == 0
         backend.restart()
