@@ -43,12 +43,13 @@ def run_push() -> np.ndarray:
     clock = SimClock(0)
     timestamps: dict[int, list[int]] = {}
 
-    def hook(client_id, packet):
+    def hook(client_id, packets):
         from repro.core.payload import decode_readings
 
-        for reading in decode_readings(packet.payload):
-            cycle = reading.timestamp // (INTERVAL_MS * NS_PER_MS)
-            timestamps.setdefault(cycle, []).append(reading.timestamp)
+        for packet in packets:
+            for reading in decode_readings(packet.payload):
+                cycle = reading.timestamp // (INTERVAL_MS * NS_PER_MS)
+                timestamps.setdefault(cycle, []).append(reading.timestamp)
 
     hub.add_publish_hook(hook)
     pushers = []

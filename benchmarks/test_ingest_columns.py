@@ -9,7 +9,10 @@ builds from the wire.  Two shapes: the paper's burst mode (41 sensors
 x 100 readings per flush, section 6.2.1) and the Fig. 8 grid (560
 sensors x 1 reading).  µs per row land in ``extra_info``; nothing is
 gated, so the numbers are evidence per layer that does not depend on
-the end-to-end harness's probes.
+the end-to-end harness's probes.  A transport row times the hop in
+front of them: CPU per message from an ``MQTTClient`` through the TCP
+broker into the Collect Agent over a ``MemoryBackend``, 1-reading
+(grid) and 100-reading (burst) messages through a real socket.
 
     PYTHONPATH=src python -m pytest benchmarks/test_ingest_columns.py --benchmark-only -s
 """
@@ -22,8 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import payload as payload_mod
+from repro.core.collectagent import CollectAgent
 from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId
+from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend, ReadingBatch, RollupEngine, StorageCluster, StorageNode
 from repro.storage.backend import as_batch
 from repro.storage.durable.node import _encode_data
@@ -169,3 +174,59 @@ def test_ingest_columns(benchmark):
             benchmark.extra_info[f"{shape}_{layer}_columns_us_per_row"] = round(columns, 4)
             rows.append([shape, layer, f"{tuples:.3f}", f"{columns:.3f}"])
     emit("write path, µs per row", format_table(["shape", "layer", "tuples", "columns"], rows))
+
+
+#: Messages per transport timing, and the readings each carries.
+TRANSPORT_MESSAGES = {"grid": (20_000, 1), "burst": (2_000, 100)}
+
+
+def transport_us_per_msg(messages: int, per_message: int, topics: int = 500) -> float:
+    """Process CPU per message, publish to staged-and-written, for
+    ``MQTTClient`` -> TCP ``PublishOnlyBroker`` -> ``CollectAgent``
+    (synchronous writer) over a ``MemoryBackend``."""
+    agent = CollectAgent(MemoryBackend(), port=0)
+    agent.start()
+    client = MQTTClient("transport-bench", port=agent.port, keepalive=0)
+    client.connect()
+    try:
+        names = [f"/bench/g{i % 4}/s{i}" for i in range(topics)]
+        for name in names:  # SIDs allocated before the clock starts
+            client.publish(name, payload_mod.encode_reading(NS, 0))
+        payloads = [
+            payload_mod.encode_readings(
+                SensorReading(NS * (2 + i) + k, k) for k in range(per_message)
+            )
+            for i in range(messages // topics + 1)
+        ]
+        _wait_stored(agent, topics)
+        start = time.process_time()
+        for i in range(messages):
+            client.publish(names[i % topics], payloads[i // topics])
+        _wait_stored(agent, topics + messages * per_message)
+        return (time.process_time() - start) / messages * 1e6
+    finally:
+        client.disconnect()
+        agent.stop()
+
+
+def _wait_stored(agent: CollectAgent, readings: int, timeout_s: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while agent.readings_stored < readings:
+        assert time.monotonic() < deadline, f"{agent.readings_stored}/{readings} stored"
+        time.sleep(0.001)
+
+
+def test_transport_per_message(benchmark):
+    """TCP client -> broker -> agent, CPU µs per message in extra_info."""
+    benchmark.pedantic(transport_us_per_msg, args=(500, 1), rounds=1, iterations=1)
+    if not benchmark.enabled:
+        return
+    rows = []
+    for shape, (messages, per_message) in TRANSPORT_MESSAGES.items():
+        us = min(transport_us_per_msg(messages, per_message) for _ in range(3))
+        benchmark.extra_info[f"{shape}_transport_cpu_us_per_msg"] = round(us, 2)
+        rows.append([shape, per_message, f"{us:.2f}"])
+    emit(
+        "TCP client -> broker -> agent, CPU µs per message",
+        format_table(["shape", "readings/msg", "cpu_us_per_msg"], rows),
+    )

@@ -139,15 +139,16 @@ class AnalyticsManager:
 
         self._sink = sink
 
-        def hook(client_id: str, packet) -> None:
-            if packet.topic.startswith("$"):
-                return  # system topics (metadata announcements etc.)
-            try:
-                readings = payload_mod.decode_readings(packet.payload)
-            except Exception:  # noqa: BLE001 - agent logs the decode error itself
-                return
-            for reading in readings:
-                self.feed(packet.topic, reading)
+        def hook(client_id: str, packets) -> None:
+            for packet in packets:
+                if packet.topic.startswith("$"):
+                    continue  # system topics (metadata announcements etc.)
+                try:
+                    readings = payload_mod.decode_readings(packet.payload)
+                except Exception:  # noqa: BLE001 - agent logs the decode error itself
+                    continue
+                for reading in readings:
+                    self.feed(packet.topic, reading)
 
         agent.broker.add_publish_hook(hook)
 

@@ -5,7 +5,7 @@ Wires together three pieces:
 * a transport endpoint — either a TCP
   :class:`~repro.mqtt.broker.PublishOnlyBroker` (production layout) or
   an in-process :class:`~repro.mqtt.inproc.InProcHub` (simulation) —
-  from which every accepted PUBLISH is delivered via hook;
+  whose hook hands over every PUBLISH one socket read decoded;
 * the :class:`~repro.core.sid.SidMapper` translating topics into
   storage keys (1:1, hierarchical, paper section 4.2);
 * a :class:`~repro.storage.backend.StorageBackend` receiving the
@@ -25,6 +25,7 @@ import json
 import logging
 import threading
 import time
+from itertools import accumulate
 
 from repro.common.errors import BackpressureError, TransportError
 from repro.common.timeutil import NS_PER_SEC, now_ns
@@ -218,56 +219,80 @@ class CollectAgent:
     #: Must match Pusher.METADATA_PREFIX.
     METADATA_PREFIX = "$DCDB/metadata"
 
-    def _on_publish(self, client_id: str, packet: Publish) -> None:
-        if packet.topic.startswith(self.METADATA_PREFIX):
-            self._on_metadata(client_id, packet)
-            return
+    def _on_publish(self, client_id: str, packets: list[Publish]) -> None:
+        """Ingest one socket read's PUBLISHes: per message only the
+        metadata, frame check, trace sampling, SID and cache store; one
+        ``decode_message`` and one ``writer.put`` (a run per message)
+        for them all.  A message that raises has those before it staged."""
+        topics, sids, lengths, frames, traces = [], [], [], [], []
         try:
-            timestamps, values, trace_id = payload_mod.decode_message(packet.payload)
-        except TransportError as exc:
-            self._decode_errors.inc()
-            logger.warning("bad payload on %s from %s: %s", packet.topic, client_id, exc)
-            return
-        if not timestamps.size:
-            return
-        # Wire-traced messages were sampled at the pusher; a headerless
-        # one is sampled here, at this agent's own stride.
-        if trace_id is None:
-            trace_id = self.tracer.sample()
-        start_ns = self._clock() if trace_id is not None else 0
-        known = self.sid_mapper.lookup_topic(packet.topic)
-        try:
-            sid = known if known is not None else self.sid_mapper.sid_for_topic(packet.topic)
-        except TransportError as exc:
-            self._decode_errors.inc()
-            logger.warning("bad topic %r from %s: %s", packet.topic, client_id, exc)
-            return
-        if known is None:
-            # Persist the topic->SID mapping so query tools in other
-            # processes can resolve topics (libDCDB reads these keys).
-            self.backend.put_metadata(f"sidmap{packet.topic}", sid.hex())
-        batch = ReadingBatch.of(sid, timestamps, values, self.default_ttl_s)
-        if trace_id is not None:
-            self.tracer.hop(
-                "insert",
-                "agent",
-                trace_id,
-                int(timestamps[0]),
-                start_ns,
-                topic=packet.topic,
-                readings=len(batch),
-            )
-        # Stage and return: the writer records "commit" once the batch
+            for packet in packets:
+                topic, payload = packet.topic, packet.payload
+                if topic.startswith(self.METADATA_PREFIX):
+                    self._on_metadata(client_id, packet)
+                    continue
+                trace_id = payload_mod.trace_id_of(payload)
+                if trace_id is not None:
+                    payload = memoryview(payload)[payload_mod.TRACE_HEADER_SIZE :]
+                if len(payload) % payload_mod.RECORD_SIZE:
+                    self._decode_errors.inc()
+                    logger.warning("bad payload length on %s from %s", topic, client_id)
+                    continue
+                if not payload:
+                    continue
+                # Wire-traced messages were sampled at the pusher; a
+                # headerless one is sampled here, at this agent's own stride.
+                if trace_id is None:
+                    trace_id = self.tracer.sample()
+                start_ns = self._clock() if trace_id is not None else 0
+                sid = self.sid_mapper.lookup_topic(topic)
+                if sid is None:
+                    try:
+                        sid = self.sid_mapper.sid_for_topic(topic)
+                    except TransportError as exc:
+                        self._decode_errors.inc()
+                        logger.warning("bad topic %r from %s: %s", topic, client_id, exc)
+                        continue
+                    # Persist the topic->SID mapping so query tools in other
+                    # processes can resolve topics (libDCDB reads these keys).
+                    self.backend.put_metadata(f"sidmap{topic}", sid.hex())
+                if trace_id is not None:
+                    traces.append((len(sids), trace_id, start_ns))
+                topics.append(topic)
+                sids.append(sid)
+                lengths.append(len(payload) // payload_mod.RECORD_SIZE)
+                frames.append(payload)
+        finally:
+            if sids:
+                self._stage(topics, sids, lengths, frames, traces)
+
+    def _stage(self, topics, sids, lengths, frames, traces) -> None:
+        timestamps, values, _ = payload_mod.decode_message(b"".join(frames))
+        batch = ReadingBatch(sids, lengths, timestamps, values, [self.default_ttl_s] * len(sids))
+        starts = [0, *accumulate(lengths)]
+        hops = []
+        for run, trace_id, start_ns in traces:
+            origin_ns = int(timestamps[starts[run]])
+            self.tracer.hop("insert", "agent", trace_id, origin_ns, start_ns,
+                            topic=topics[run], readings=lengths[run])
+            hops.append((run, trace_id, origin_ns))
+        # Stage and return: the writer records "commit" once a message
         # is durable, whether on its own thread or (writers=0) on this
         # one before put() returns.
+        refused: set[int] = set()
         try:
-            self.writer.put(batch, trace_id)
+            self.writer.put(batch, hops)
         except BackpressureError as exc:
-            self._backpressure_drops.inc(len(batch))
-            logger.warning("backpressure on %s: %s", packet.topic, exc)
-            return
-        self._cache_for(packet.topic).store(batch)
-        self._readings_stored.inc(len(batch))
+            refused = set(exc.refused)
+            for run in exc.refused:
+                self._backpressure_drops.inc(lengths[run])
+                logger.warning("backpressure on %s: %s", topics[run], exc)
+        timestamps, values = timestamps.tolist(), values.tolist()
+        for run, topic in enumerate(topics):
+            if run not in refused:
+                first, end = starts[run], starts[run + 1]
+                self._cache_for(topic).store((timestamps[first:end], values[first:end]))
+        self._readings_stored.inc(len(batch) - sum(lengths[run] for run in refused))
 
     def _on_metadata(self, client_id: str, packet: Publish) -> None:
         """Persist a Pusher's sensor-metadata announcement.

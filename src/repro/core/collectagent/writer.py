@@ -6,7 +6,7 @@ asynchronous batches (section 5.3, Figure 8) instead of one storage
 round-trip per MQTT message.  :class:`BatchingWriter` reproduces that
 decoupling for any :class:`~repro.storage.backend.StorageBackend`:
 
-* ``put()`` stages the readings of one message in a bounded queue and
+* ``put()`` stages messages (one run each) in a bounded queue and
   returns immediately — the broker's dispatch thread never waits on
   storage;
 * dedicated writer threads coalesce staged messages *across* MQTT
@@ -25,14 +25,15 @@ stays staged and is retried first by the next ``put()``, ``drain()``
 or ``stop()``.
 
 Backpressure when the queue is full is explicit policy, not an
-accident of buffer growth:
+accident of buffer growth, and applies to each message as if it had
+been put alone:
 
 ``block``
     ``put()`` waits until writer threads free capacity (lossless,
     propagates storage slowness to producers); with ``writers=0`` it
     raises like ``error``, as no thread would free capacity.
 ``drop-oldest``
-    evict the oldest staged readings to make room, counting them in
+    evict the oldest staged messages to make room, counting them in
     ``dcdb_writer_readings_dropped_total`` (freshest-data-wins, the
     right default for monitoring feeds).
 ``error``
@@ -59,8 +60,10 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.common.errors import BackpressureError, ConfigError
 from repro.observability import MetricsRegistry
@@ -159,10 +162,10 @@ class BatchingWriter:
     """Bounded staging queue + writer threads (zero or more) in front of
     a backend.
 
-    Queue entries are the per-message :class:`ReadingBatch` es exactly
-    as the agent decoded them (no per-reading copies); coalescing
-    concatenates their columns only when a flush spans several
-    messages, and a flush covering a single staged message passes that
+    Queue entries are the :class:`ReadingBatch` es exactly as the agent
+    decoded them, one run per message (no per-reading copies);
+    coalescing concatenates their columns only when a flush spans
+    several entries, and a flush covering a single entry passes that
     batch through untouched.
     """
 
@@ -186,11 +189,12 @@ class BatchingWriter:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._clock = clock if clock is not None else now_ns
-        # Entries are (batch, enqueued_ns, flush_attempts, trace_id |
-        # None).  attempts > 0 marks a batch re-queued after a failed
-        # flush; it keeps its place at the queue head so the original
-        # arrival order is preserved across retries.
-        self._entries: deque[tuple[ReadingBatch, int, int, int | None]] = deque()
+        # Entries are (batch, enqueued_ns, flush_attempts, traces), with
+        # traces a list of (run, trace_id, origin_ns) for the entry's
+        # traced messages.  attempts > 0 marks a batch re-queued after a
+        # failed flush; it keeps its place at the queue head so the
+        # original arrival order is preserved across retries.
+        self._entries: deque[tuple[ReadingBatch, int, int, list]] = deque()
         self._depth = 0  # readings staged (not yet taken by a writer)
         self._inflight = 0  # readings taken but not yet durable
         self._stopping = False
@@ -282,52 +286,80 @@ class BatchingWriter:
 
     # -- producer side ------------------------------------------------------
 
-    def put(self, batch: ReadingBatch, trace_id: int | None = None) -> int:
-        """Stage one message's batch; returns the readings accepted.
-
-        A ``trace_id`` marks the message as traced: the flush that
-        makes it durable records its ``commit`` hop, measured from the
-        first reading's timestamp.  With ``writers=0`` the write
-        happens before this returns.
-        """
-        count = len(batch)
-        if count == 0:
+    def put(self, batch: ReadingBatch, traces: list | tuple = ()) -> int:
+        """Stage a batch with one run per message, each admitted as if
+        put alone; returns the readings accepted.  Refused runs raise
+        :class:`BackpressureError` naming them, once the rest are
+        staged.  ``traces``: ``(run, trace_id, origin_ns)`` per traced
+        message, whose ``commit`` hop its flush records.  With
+        ``writers=0`` the write happens before this returns."""
+        if not len(batch):
             return 0
-        capacity = self.config.queue_capacity
-        with self._lock:
-            if self._stopping:
-                raise BackpressureError("batching writer is stopped")
-            if self._depth + count > capacity:
-                policy = self.config.policy
-                if policy == "error" or (policy == "block" and not self.config.writers):
-                    raise BackpressureError(
-                        f"staging queue full ({self._depth}/{capacity} readings)"
-                    )
-                if policy == "block":
-                    while self._depth + count > capacity and not self._stopping:
-                        self._not_full.wait()
-                    if self._stopping:
-                        raise BackpressureError("batching writer stopped while blocked")
-                else:  # drop-oldest
-                    while self._depth + count > capacity and self._entries:
-                        old = self._entries.popleft()[0]
-                        self._depth -= len(old)
-                        self._dropped.inc(len(old))
-                    if count > capacity:
-                        # A single message larger than the whole queue:
-                        # keep its freshest tail, consistent with the policy.
-                        self._dropped.inc(count - capacity)
-                        batch = batch.tail(capacity)
-                        count = capacity
-            self._entries.append((batch, self._clock(), 0, trace_id))
-            self._depth += count
-            if self._depth > self._queue_hwm:
-                self._queue_hwm = self._depth
-            self._enqueued.inc(count)
-            self._not_empty.notify()
-        if not self.config.writers:
-            self._flush_inline()
-        return count
+        refused: list[int] = []
+        accepted = run = 0
+        while run < len(batch.lengths):
+            with self._lock:
+                run, staged = self._stage_locked(batch, traces, run, refused)
+            accepted += staged
+            if not self.config.writers:
+                self._flush_inline()
+        if refused:
+            raise BackpressureError(
+                f"staging queue refused {len(refused)} of {len(batch.lengths)} messages "
+                f"({self._depth}/{self.config.queue_capacity} readings staged)",
+                refused,
+            )
+        return accepted
+
+    def _stage_locked(self, batch: ReadingBatch, traces, run: int, refused: list[int]) -> tuple:
+        """Stage runs from ``run`` on: every run that fits, or else the
+        policy's outcome for the first one.  Returns ``(next run,
+        readings staged)``."""
+        lengths, capacity = batch.lengths, self.config.queue_capacity
+        if self._stopping:
+            refused.extend(range(run, len(lengths)))
+            return len(lengths), 0
+        end, count = run, 0
+        while end < len(lengths) and self._depth + count + lengths[end] <= capacity:
+            count += lengths[end]
+            end += 1
+        if end == run:
+            count, end = lengths[run], run + 1
+            policy = self.config.policy
+            if policy == "error" or (policy == "block" and not self.config.writers):
+                refused.append(run)
+                return end, 0
+            if policy == "block":
+                while self._depth + count > capacity and not self._stopping:
+                    self._not_full.wait()
+                return self._stage_locked(batch, traces, run, refused)
+            # drop-oldest: evict whole staged messages, oldest first.
+            need = self._depth + count - capacity
+            while need > 0 and self._entries:
+                old, enqueued_ns, attempts, old_traces = self._entries.popleft()
+                runs = bisect_left(list(accumulate(old.lengths)), need) + 1
+                drop = sum(old.lengths[:runs])
+                if runs < len(old.lengths):
+                    kept = [(r - runs, t, o) for r, t, o in old_traces if r >= runs]
+                    old = old.tail(len(old) - drop)
+                    self._entries.appendleft((old, enqueued_ns, attempts, kept))
+                self._depth -= drop
+                self._dropped.inc(drop)
+                need -= drop
+        piece = batch.select(list(range(run, end)))
+        if count > capacity:
+            # A single message larger than the whole queue: keep its
+            # freshest tail, consistent with drop-oldest.
+            self._dropped.inc(count - capacity)
+            piece, count = piece.tail(capacity), capacity
+        traces = [(r - run, t, o) for r, t, o in traces if run <= r < end]
+        self._entries.append((piece, self._clock(), 0, traces))
+        self._depth += count
+        if self._depth > self._queue_hwm:
+            self._queue_hwm = self._depth
+        self._enqueued.inc(count)
+        self._not_empty.notify()
+        return end, count
 
     # -- consumer side ------------------------------------------------------
 
@@ -396,8 +428,8 @@ class BatchingWriter:
         oldest_enqueued = self._entries[0][1]
         return self._clock() - oldest_enqueued >= self.config.max_delay_ns
 
-    def _take_locked(self) -> tuple[list[tuple[ReadingBatch, int, int, int | None]], int]:
-        taken: list[tuple[ReadingBatch, int, int, int | None]] = []
+    def _take_locked(self) -> tuple[list[tuple[ReadingBatch, int, int, list]], int]:
+        taken: list[tuple[ReadingBatch, int, int, list]] = []
         count = 0
         max_batch = self.config.max_batch
         while self._entries and count < max_batch:
@@ -414,7 +446,7 @@ class BatchingWriter:
         entries are then re-staged or, past ``flush_retries``, lost)."""
         # One staged message passes through as-is; several concatenate.
         batch = ReadingBatch.concat([entry[0] for entry in taken])
-        first_trace = next((entry[3] for entry in taken if entry[3] is not None), None)
+        first_trace = next((trace for entry in taken for _, trace, _ in entry[3]), None)
         started = time.perf_counter()
         start_ns = self._clock()
         try:
@@ -446,13 +478,13 @@ class BatchingWriter:
             # raises (a rollup failure costs freshness, not raw data).
             self.rollup.observe(batch)
         if first_trace is not None and self.tracer is not None:
-            for entry_batch, _, attempts, trace_id in taken:
-                if trace_id is not None:
+            for _, _, attempts, traces in taken:
+                for _, trace_id, origin_ns in traces:
                     self.tracer.hop(
                         "commit",
                         "writer",
                         trace_id,
-                        int(entry_batch.timestamps[0]),
+                        origin_ns,
                         start_ns,
                         batch=count,
                         attempts=attempts,
@@ -485,17 +517,17 @@ class BatchingWriter:
         retries = self.config.flush_retries
         with self._lock:
             requeued = 0
-            for batch, enqueued_ns, attempts, trace_id in reversed(taken):
+            for batch, enqueued_ns, attempts, traces in reversed(taken):
                 if attempts >= retries:
                     self._lost.inc(len(batch))
                     logger.error(
                         "abandoning %d readings after %d failed flushes",
                         len(batch),
                         attempts + 1,
-                        extra={"trace_id": trace_id},
+                        extra={"trace_id": traces[0][1] if traces else None},
                     )
                     continue
-                self._entries.appendleft((batch, enqueued_ns, attempts + 1, trace_id))
+                self._entries.appendleft((batch, enqueued_ns, attempts + 1, traces))
                 requeued += len(batch)
             self._depth += requeued
             if requeued:

@@ -102,9 +102,8 @@ class SensorCache:
         """Insert readings and evict entries older than the window.
 
         ``readings`` is one :class:`SensorReading` (a Pusher's sample)
-        or a batch with int64 ``timestamps`` and ``values`` columns (a
-        Collect Agent message); the outcome equals storing its readings
-        one at a time.
+        or a ``(timestamps, values)`` pair of int lists (a Collect Agent
+        message); the outcome equals storing its readings one at a time.
         """
         if isinstance(readings, SensorReading):
             horizon = readings.timestamp - self.maxage_ns
@@ -113,12 +112,12 @@ class SensorCache:
                 self._values.append(readings.value)
                 self._evict(horizon)
             return
-        timestamps = readings.timestamps.tolist()
+        timestamps, values = readings
         if timestamps:
             horizon = max(timestamps) - self.maxage_ns
             with self._lock:
                 self._timestamps.extend(timestamps)
-                self._values.extend(readings.values.tolist())
+                self._values.extend(values)
                 self._evict(horizon)
 
     def _evict(self, horizon: int) -> None:

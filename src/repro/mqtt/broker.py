@@ -52,8 +52,11 @@ from repro.observability import (
 
 logger = logging.getLogger(__name__)
 
-# Callback invoked for every accepted PUBLISH: (client_id, publish packet).
-PublishHook = Callable[[str, pkt.Publish], None]
+#: Callback for accepted PUBLISHes, ``(client_id, packets)``: every
+#: PUBLISH one socket read brought from that client, in order (one for
+#: a will or an in-process publish).  QoS 1 PUBACKs follow the hooks; a
+#: hook that raises should first stage the messages before the failing one.
+PublishHook = Callable[[str, list[pkt.Publish]], None]
 
 
 def trace_dispatch(tracer: PipelineTracer, client_id: str, packet: pkt.Publish) -> None:
@@ -368,7 +371,7 @@ class MQTTBroker:
             conn = Connection(
                 loop,
                 client_sock,
-                on_packet=self._on_packet,
+                on_packets=self._on_packets,
                 on_close=self._on_conn_close,
                 on_bytes=self._on_bytes,
                 on_error=self._on_protocol_error,
@@ -416,16 +419,35 @@ class MQTTBroker:
             addr = session.addr if session is not None else "?"
             logger.warning("protocol error from %s: %s", addr, exc)
 
-    def _on_packet(self, conn: Connection, packet: pkt.Packet) -> None:
+    def _on_packets(self, conn: Connection, packets: list[pkt.Packet]) -> None:
+        """One socket read's packets: each run of PUBLISHes is handed
+        on whole, any other packet is handled after the run before it."""
         session: _Session = conn.owner  # type: ignore[attr-defined]
+        run: list[pkt.Publish] = []
+        for packet in packets:
+            if type(packet) is pkt.Publish and session.connected:
+                try:
+                    validate_topic(packet.topic)
+                except TransportError:
+                    self._publish(session, run)  # the valid ones before it
+                    raise
+                run.append(packet)
+                continue
+            self._publish(session, run)
+            run = []
+            self._on_control(session, packet)
+            if conn.closed:
+                return
+        self._publish(session, run)
+
+    def _on_control(self, session: _Session, packet: pkt.Packet) -> None:
+        conn = session.conn
         if not session.connected:
             if not isinstance(packet, pkt.Connect):
                 raise TransportError("first packet must be CONNECT")
             self._handle_connect(session, packet)
             return
-        if isinstance(packet, pkt.Publish):
-            self._handle_publish(session, packet)
-        elif isinstance(packet, pkt.Subscribe):
+        if isinstance(packet, pkt.Subscribe):
             self._handle_subscribe(session, packet)
         elif isinstance(packet, pkt.Unsubscribe):
             self._handle_unsubscribe(session, packet)
@@ -485,43 +507,43 @@ class MQTTBroker:
         session.connected = True
         session.send(pkt.ConnAck(session_present=False).encode())
 
-    def _handle_publish(self, session: _Session, packet: pkt.Publish) -> None:
-        validate_topic(packet.topic)
-        self._messages_received.inc()
-        trace_dispatch(self.tracer, session.client_id or "", packet)
-        if packet.retain:
-            if packet.payload:
-                self._retained[packet.topic] = packet
-            else:
-                self._retained.pop(packet.topic, None)
+    def _publish(self, session: _Session, packets: list[pkt.Publish]) -> None:
+        if not packets:
+            return
+        client_id = session.client_id or ""
+        for packet in packets:
+            trace_dispatch(self.tracer, client_id, packet)
+            if packet.retain:
+                if packet.payload:
+                    self._retained[packet.topic] = packet
+                else:
+                    self._retained.pop(packet.topic, None)
+        self._messages_received.inc(len(packets))
         for hook in self._hooks:
-            hook(session.client_id or "", packet)
+            hook(client_id, packets)
         # Ack after the hooks: a QoS 1 PUBACK means the reading was
         # handed to storage, not merely parsed.
-        if packet.qos == 1:
-            session.send(pkt.PubAck(packet_id=packet.packet_id).encode())
-        self._route(packet)
+        acks = [pkt.PubAck(p.packet_id).encode() for p in packets if p.qos == 1]
+        if acks:
+            session.send(b"".join(acks))
+        self._route(packets)
 
-    def _route(self, packet: pkt.Publish) -> None:
-        with self._subs_lock:
-            targets = self._subs.match(packet.topic)
-        if not targets:
+    def _route(self, packets: list[pkt.Publish]) -> None:
+        if not len(self._subs):  # no trie walk while nothing is subscribed
             return
-        for sub_key, granted_qos in targets.items():
-            with self._sessions_lock:
-                target = self._sessions.get(sub_key)
-            if target is None or target.conn.closed:
-                continue
-            out_qos = min(packet.qos, granted_qos)
-            out = pkt.Publish(
-                topic=packet.topic,
-                payload=packet.payload,
-                qos=out_qos,
-                retain=False,
-                packet_id=packet.packet_id if out_qos else None,
-            )
-            if target.send(out.encode()):
-                self._messages_delivered.inc()
+        for packet in packets:
+            with self._subs_lock:
+                targets = self._subs.match(packet.topic)
+            for sub_key, granted_qos in targets.items():
+                with self._sessions_lock:
+                    target = self._sessions.get(sub_key)
+                if target is None or target.conn.closed:
+                    continue
+                qos = min(packet.qos, granted_qos)
+                pid = packet.packet_id if qos else None
+                out = pkt.Publish(packet.topic, packet.payload, qos, packet_id=pid)
+                if target.send(out.encode()):
+                    self._messages_delivered.inc()
 
     def _handle_subscribe(self, session: _Session, packet: pkt.Subscribe) -> None:
         codes: list[int] = []
@@ -570,7 +592,7 @@ class MQTTBroker:
         # Shutdown clears wills first, so a stopping broker never
         # fabricates client deaths.
         if session.will is not None and not self._stopping:
-            will = session.will
+            will = [session.will]
             session.will = None
             for hook in self._hooks:
                 hook(session.client_id or "", will)

@@ -381,7 +381,7 @@ class MQTTClient:
         return Connection(
             loop,
             sock,
-            on_packet=self._on_packet,
+            on_packets=self._on_packets,
             on_close=self._on_conn_close,
             on_error=self._on_protocol_error,
             label=f"client-{self.client_id}",
@@ -410,28 +410,29 @@ class MQTTClient:
     def _on_protocol_error(self, conn: Connection, exc: Exception) -> None:
         logger.warning("client %s: protocol error: %s", self.client_id, exc)
 
-    def _on_packet(self, conn: Connection, packet: pkt.Packet) -> None:
-        if isinstance(packet, pkt.ConnAck):
-            self._handle_connack(conn, packet)
-        elif isinstance(packet, pkt.PubAck):
-            with self._inflight_lock:
-                record = self._inflight.pop(packet.packet_id, None)
-            if record is not None:
-                record.event.set()
-                self._inflight_sem.release()
-        elif isinstance(packet, pkt.SubAck):
-            self._suback_codes[packet.packet_id] = packet.return_codes
-            event = self._suback_events.get(packet.packet_id)
-            if event is not None:
-                event.set()
-        elif isinstance(packet, pkt.Publish):
-            if packet.qos == 1 and packet.packet_id is not None:
-                conn.write(pkt.PubAck(packet_id=packet.packet_id).encode())
-            self._deliver(packet.topic, packet.payload)
-        elif isinstance(packet, pkt.PingResp):
-            pass
-        else:
-            logger.debug("client %s: ignoring %s", self.client_id, type(packet).__name__)
+    def _on_packets(self, conn: Connection, packets: list[pkt.Packet]) -> None:
+        for packet in packets:
+            if isinstance(packet, pkt.ConnAck):
+                self._handle_connack(conn, packet)
+            elif isinstance(packet, pkt.PubAck):
+                with self._inflight_lock:
+                    record = self._inflight.pop(packet.packet_id, None)
+                if record is not None:
+                    record.event.set()
+                    self._inflight_sem.release()
+            elif isinstance(packet, pkt.SubAck):
+                self._suback_codes[packet.packet_id] = packet.return_codes
+                event = self._suback_events.get(packet.packet_id)
+                if event is not None:
+                    event.set()
+            elif isinstance(packet, pkt.Publish):
+                if packet.qos == 1 and packet.packet_id is not None:
+                    conn.write(pkt.PubAck(packet_id=packet.packet_id).encode())
+                self._deliver(packet.topic, packet.payload)
+            elif isinstance(packet, pkt.PingResp):
+                pass
+            else:
+                logger.debug("client %s: ignoring %s", self.client_id, type(packet).__name__)
 
     def _handle_connack(self, conn: Connection, packet: pkt.ConnAck) -> None:
         self._connack_code = packet.return_code

@@ -73,7 +73,10 @@ class EventLoop:
     All selector mutations and handler callbacks happen on the loop
     thread; other threads communicate exclusively through
     :meth:`call_soon`/:meth:`call_later`, which append under a lock and
-    wake the selector through a socketpair.
+    wake the selector through a socketpair.  ``call_soon`` sends the
+    wake byte only when the ready queue goes from empty to non-empty:
+    the loop empties the whole queue before it selects again, so one
+    byte per idle-to-busy transition is enough.
     """
 
     def __init__(self, name: str = "mqtt-loop") -> None:
@@ -129,8 +132,10 @@ class EventLoop:
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` on the loop thread as soon as possible."""
         with self._lock:
+            idle = not self._ready
             self._ready.append(callback)
-        self.wake()
+        if idle:
+            self.wake()
 
     def call_later(self, delay_s: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` on the loop thread after ``delay_s`` seconds."""
@@ -232,9 +237,10 @@ class Connection:
 
     Owners (broker session / client) provide callbacks:
 
-    * ``on_packet(conn, packet)`` — one decoded MQTT packet, loop
-      thread.  Raising :class:`TransportError` marks a protocol
-      violation: the connection is closed after ``on_error``.
+    * ``on_packets(conn, packets)`` — every MQTT packet one socket
+      read completed, in order, loop thread.  Raising
+      :class:`TransportError` marks a protocol violation: the
+      connection is closed after ``on_error``.
     * ``on_close(conn)`` — invoked exactly once when the connection is
       torn down, whatever the cause.
     * ``on_bytes(conn, n)`` — raw receive accounting (optional).
@@ -259,7 +265,7 @@ class Connection:
         loop: EventLoop,
         sock: socket.socket,
         *,
-        on_packet: Callable[["Connection", pkt.Packet], None],
+        on_packets: Callable[["Connection", list[pkt.Packet]], None],
         on_close: Callable[["Connection"], None] | None = None,
         on_bytes: Callable[["Connection", int], None] | None = None,
         on_error: Callable[["Connection", Exception], None] | None = None,
@@ -274,7 +280,7 @@ class Connection:
         self.loop = loop
         self.sock = sock
         self.label = label
-        self.on_packet = on_packet
+        self.on_packets = on_packets
         self.on_close = on_close
         self.on_bytes = on_bytes
         self.on_error = on_error
@@ -291,6 +297,7 @@ class Connection:
         self._close_notified = False
         self._registered = False
         self._want_write = False
+        self._flush_queued = False  # a cross-thread flush awaits the loop
         self._paused = False
         self._resume_timer: Timer | None = None
 
@@ -428,22 +435,14 @@ class Connection:
             self.on_bytes(self, len(data))
         try:
             packets = self._decoder.feed(data)
+            if packets:
+                self.on_packets(self, packets)
         except TransportError as exc:
             self._protocol_error(exc)
-            return
-        for packet in packets:
-            if self._closed:
-                break
-            try:
-                self.on_packet(self, packet)
-            except TransportError as exc:
-                self._protocol_error(exc)
-                return
-            except Exception:  # noqa: BLE001 - a broken handler must
-                # not wedge the loop; the connection is sacrificed.
-                logger.exception("packet handler failed for %s", self.label)
-                self.close()
-                return
+        except Exception:  # noqa: BLE001 - a broken handler must not
+            # wedge the loop; the connection is sacrificed.
+            logger.exception("packet handler failed for %s", self.label)
+            self.close()
 
     def _protocol_error(self, exc: Exception) -> None:
         if self.on_error is not None:
@@ -462,7 +461,8 @@ class Connection:
         overflowed (``"drop"`` policy: the message is discarded;
         ``"disconnect"`` policy: the connection is being severed).
         """
-        overflowed = False
+        overflowed = queue_flush = False
+        on_loop = self.loop.on_loop_thread()
         with self._outlock:
             if self._closed:
                 return False
@@ -475,6 +475,8 @@ class Connection:
                 overflowed = True
             else:
                 self._outbuf += data
+                queue_flush = not (on_loop or self._flush_queued)
+                self._flush_queued |= queue_flush
         if overflowed:
             if self.on_overflow is not None:
                 try:
@@ -484,9 +486,9 @@ class Connection:
             if self.overflow_policy == "disconnect":
                 self.close()
             return False
-        if self.loop.on_loop_thread():
+        if on_loop:
             self._flush()
-        else:
+        elif queue_flush:
             self.loop.call_soon(self._flush)
         return True
 
@@ -495,6 +497,9 @@ class Connection:
             return
         while True:
             with self._outlock:
+                # Cleared before the buffer is read: a later write
+                # queues a flush of its own.
+                self._flush_queued = False
                 if not self._outbuf:
                     break
                 chunk = bytes(self._outbuf[:65536])

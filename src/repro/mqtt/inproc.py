@@ -136,11 +136,13 @@ class InProcHub:
         self._messages_received.inc()
         self._bytes_received.inc(len(packet.payload) + len(packet.topic))
         trace_dispatch(self.tracer, client_id, packet)
-        with self._lock:
-            targets = list(self._subs.match(packet.topic).items())
-            clients = {k: self._clients.get(k) for k, _ in targets}
+        targets, clients = [], {}
+        if len(self._subs):
+            with self._lock:
+                targets = list(self._subs.match(packet.topic).items())
+                clients = {k: self._clients.get(k) for k, _ in targets}
         for hook in self._hooks:
-            hook(client_id, packet)
+            hook(client_id, [packet])
         delivered = 0
         for key, _qos in targets:
             target = clients.get(key)

@@ -445,17 +445,16 @@ def encode_packet(packet: Packet) -> bytes:
     return packet.encode()
 
 
-def decode_packet(data: bytes) -> tuple[Packet, int]:
-    """Decode one complete packet from the head of ``data``.
+def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int]:
+    """Decode the one complete packet at ``offset`` of ``data``.
 
-    Returns ``(packet, bytes_consumed)``.  Raises
-    :class:`TransportError` on malformed or unsupported input, and
-    :class:`IndexError` if ``data`` does not yet hold a full packet.
+    Returns ``(packet, end_offset)``.  Raises :class:`TransportError` on
+    malformed or unsupported input, and :class:`IndexError` only while
+    the fixed header or the body is still incomplete.
     """
-    first = data[0]
+    first = data[offset]
     ptype = first >> 4
-    flags = first & 0x0F
-    remaining, body_off = decode_remaining_length(data, 1)
+    remaining, body_off = decode_remaining_length(data, offset + 1)
     end = body_off + remaining
     if end > len(data):
         raise IndexError("incomplete packet")
@@ -463,8 +462,10 @@ def decode_packet(data: bytes) -> tuple[Packet, int]:
     if decoder is None:
         raise TransportError(f"unsupported packet type {ptype}")
     try:
-        packet = decoder(flags, bytes(data[body_off:end]))
-    except (struct.error, UnicodeDecodeError) as exc:
+        packet = decoder(first & 0x0F, bytes(data[body_off:end]))
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        # A complete frame short of its own fields is malformed, not
+        # incomplete: no further bytes can mend it.
         raise TransportError(f"malformed packet body (type {ptype}): {exc}") from exc
     return packet, end
 
@@ -482,16 +483,19 @@ class StreamDecoder:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[Packet]:
-        """Append ``data`` and return all packets now complete."""
-        self._buf.extend(data)
+        """Append ``data`` and return all packets now complete, decoded
+        in place; the consumed bytes are trimmed once per call."""
+        buf = self._buf
+        buf += data
         packets: list[Packet] = []
-        while self._buf:
+        offset = 0
+        while offset < len(buf):
             try:
-                packet, consumed = decode_packet(bytes(self._buf))
-            except IndexError:
+                packet, offset = decode_packet(buf, offset)
+            except IndexError:  # an incomplete packet: wait for more bytes
                 break
-            del self._buf[:consumed]
             packets.append(packet)
+        del buf[:offset]
         return packets
 
     @property

@@ -1,0 +1,168 @@
+"""One Collect Agent call per socket read ≡ one call per message.
+
+The broker hands the agent every PUBLISH a socket read decoded; the
+agent decodes them with one call and stages them with one
+``writer.put``.  Generated streams of 1-reading, 100-reading,
+trace-headered, metadata, wrong-length and first-seen-topic messages
+are delivered twice — as one chunk and one message at a time — and
+must leave the same store, counters, caches and trace hops, also when
+a small staging queue applies each backpressure policy.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.errors import StorageError
+from repro.core.collectagent import CollectAgent, WriterConfig
+from repro.core.payload import encode_readings
+from repro.core.sensor import SensorReading
+from repro.mqtt.inproc import InProcHub
+from repro.mqtt.packets import Publish
+from repro.observability.spans import SpanRecorder
+from repro.storage import StorageNode
+
+T0 = 1_700_000_000 * 10**9
+KINDS = ("one", "burst", "traced", "metadata", "bad_length", "new_topic")
+
+
+def build(stream: list[tuple[str, int]]) -> list[Publish]:
+    """The PUBLISHes of a generated stream; every message gets fresh
+    timestamps, so last-write-wins never has to break a tie."""
+    packets = []
+    for i, (kind, pick) in enumerate(stream):
+        topic = f"/r{pick % 2}/n{pick}/power"
+        readings = [SensorReading(T0 + i * 10**9 + k, pick * 1000 + k) for k in range(100)]
+        if kind == "one":
+            payload = encode_readings(readings[:1])
+        elif kind == "burst":
+            payload = encode_readings(readings)
+        elif kind == "traced":
+            payload = encode_readings(readings[: 1 + pick], trace_id=0x5EED_0000 + i)
+        elif kind == "metadata":
+            payload = json.dumps({"topic": topic, "unit": "W", "scale": 10.0}).encode()
+            topic = CollectAgent.METADATA_PREFIX + topic
+        elif kind == "bad_length":
+            payload = encode_readings(readings[:2])[:-3]
+        else:  # new_topic
+            topic = f"/r9/fresh{i}/temp"
+            payload = encode_readings(readings[:3])
+        packets.append(Publish(topic=topic, payload=payload))
+    return packets
+
+
+def make_agent(writer_config: WriterConfig | None = None) -> CollectAgent:
+    return CollectAgent(
+        StorageNode("chunks"),
+        broker=InProcHub(allow_subscribe=False),
+        trace_sample_every=3,
+        spans=SpanRecorder(capacity=4096, stripes=1, max_spans_per_trace=16),
+        writer_config=writer_config,
+    )
+
+
+def deliver(agent: CollectAgent, packets: list[Publish], chunked: bool) -> None:
+    if chunked:
+        agent._on_publish("pusher", packets)
+    else:
+        for packet in packets:
+            agent._on_publish("pusher", [packet])
+
+
+def hops(agent: CollectAgent) -> Counter:
+    """Each trace's (insert, commit) hop tally and each insert hop's
+    (topic, readings) — sampled trace IDs differ between agents, so
+    traces are compared by what they recorded, not by ID."""
+    tally: Counter = Counter()
+    for doc in agent.spans.traces(limit=10**6):
+        names = Counter(span["name"] for span in doc["spans"])
+        tally[("per-trace", names["insert"], names["commit"])] += 1
+        for span in doc["spans"]:
+            if span["name"] == "insert":
+                tally[("insert", span["attributes"]["topic"], span["attributes"]["readings"])] += 1
+    return tally
+
+
+def outcome(agent: CollectAgent) -> tuple:
+    return (
+        agent.backend.state_fingerprint(),
+        agent.readings_stored,
+        agent.decode_errors,
+        agent.metadata_announcements,
+        int(agent._backpressure_drops.value),
+        agent.writer.dropped,
+        {topic: agent.cache_of(topic).snapshot() for topic in agent.cached_topics()},
+        hops(agent),
+    )
+
+
+streams = st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 5)), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams)
+def test_one_chunk_equals_one_message_at_a_time(stream):
+    packets = build(stream)
+    outcomes = []
+    for chunked in (True, False):
+        agent = make_agent()
+        deliver(agent, packets, chunked)
+        agent.writer.drain()
+        outcomes.append(outcome(agent))
+    assert outcomes[0] == outcomes[1]
+    # Every traced message: exactly one insert hop and one commit hop.
+    per_trace = {key: n for key, n in outcomes[0][-1].items() if key[0] == "per-trace"}
+    assert set(per_trace) <= {("per-trace", 1, 1)}
+    wire_traced = sum(1 for kind, _ in stream if kind == "traced")
+    assert sum(per_trace.values()) >= wire_traced
+
+
+@settings(max_examples=40, deadline=None)
+@given(streams, st.sampled_from(["block", "error", "drop-oldest"]), st.integers(8, 150))
+def test_backpressure_equivalence(stream, policy, capacity):
+    """With the inline flush held back, the queue fills: a chunk must
+    accept, refuse and evict exactly what its messages put one at a
+    time would, under each policy."""
+    packets = build(stream)
+    outcomes = []
+    for chunked in (True, False):
+        agent = make_agent(
+            WriterConfig(max_batch=8, queue_capacity=capacity, policy=policy, writers=0)
+        )
+        writer = agent.writer
+        writer._flush_inline = lambda: None  # stage without writing
+        deliver(agent, packets, chunked)
+        staged = ([row for entry in writer._entries for row in entry[0]], writer.depth)
+        del writer._flush_inline
+        writer.drain()
+        outcomes.append((staged, *outcome(agent)))
+    assert outcomes[0] == outcomes[1]
+
+
+class FailingSidmap(StorageNode):
+    """Refuses to persist one topic's SID mapping."""
+
+    def put_metadata(self, key: str, value: str) -> None:
+        if key == "sidmap/r9/broken/temp":
+            raise StorageError("metadata store down")
+        super().put_metadata(key, value)
+
+
+def test_a_raising_message_stages_the_ones_before_it():
+    agent = CollectAgent(FailingSidmap("chunks"), broker=InProcHub(allow_subscribe=False))
+
+    def message(topic, value):
+        return Publish(topic=topic, payload=encode_readings([SensorReading(T0, value)]))
+
+    before = [message(f"/r1/n{i}/power", i) for i in range(3)]
+    broken, after = message("/r9/broken/temp", 7), message("/r1/n9/power", 9)
+    with pytest.raises(StorageError):
+        agent._on_publish("pusher", [*before, broken, after])
+    assert agent.readings_stored == 3
+    assert agent.cached_topics() == [p.topic for p in before]
+    assert sum(len(agent.backend.query(agent.sid_of(p.topic), 0, 2 * T0)[0]) for p in before) == 3

@@ -95,7 +95,7 @@ class TestSteppedSampling:
     def test_topics_carry_prefix(self):
         pusher, hub, _ = make_pusher()
         topics = []
-        hub.add_publish_hook(lambda cid, p: topics.append(p.topic))
+        hub.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
         pusher.load_plugin("tester", TESTER_5)
         pusher.client.connect()
         pusher.start_plugin("tester")
@@ -105,7 +105,7 @@ class TestSteppedSampling:
     def test_reading_timestamps_are_interval_aligned(self):
         pusher, hub, _ = make_pusher()
         payloads = []
-        hub.add_publish_hook(lambda cid, p: payloads.append(p.payload))
+        hub.add_publish_hook(lambda cid, ps: payloads.extend(p.payload for p in ps))
         pusher.load_plugin("tester", "group g0 { interval 250\n numSensors 1 }")
         pusher.client.connect()
         pusher.start_plugin("tester")
@@ -161,7 +161,7 @@ class TestSendModes:
     def test_burst_payload_batches_readings(self):
         pusher, hub, _ = make_pusher(send_mode="burst")
         payloads = []
-        hub.add_publish_hook(lambda cid, p: payloads.append(p.payload))
+        hub.add_publish_hook(lambda cid, ps: payloads.extend(p.payload for p in ps))
         pusher.load_plugin("tester", "group g0 { interval 1000\n numSensors 1 }")
         pusher.client.connect()
         pusher.start_plugin("tester")

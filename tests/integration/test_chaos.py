@@ -318,8 +318,8 @@ class TestBrokerBounceMidRun:
     def test_zero_loss_across_bounce(self, seed):
         received = set()
 
-        def hook(client_id, publish):
-            received.add(bytes(publish.payload))
+        def hook(client_id, packets):
+            received.update(bytes(publish.payload) for publish in packets)
 
         injector = BrokerFaultInjector(plan=FaultPlan(seed))
         broker = MQTTBroker("127.0.0.1", 0, fault_injector=injector)

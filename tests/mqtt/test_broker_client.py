@@ -16,6 +16,13 @@ def broker():
         yield b
 
 
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
 def make_client(broker, client_id, **kwargs):
     client = MQTTClient(client_id, port=broker.port, **kwargs)
     client.connect()
@@ -107,6 +114,35 @@ class TestPublishSubscribe:
         pub.disconnect()
         sub.disconnect()
 
+    def test_late_subscription_and_resubscribe_receive(self, broker):
+        # Publishes with nothing subscribed skip the topic trie; the
+        # skip must follow subscribe, unsubscribe and disconnect.
+        pub = make_client(broker, "pub")
+        for i in range(5):
+            pub.publish("/late/x", b"early%d" % i, qos=1, wait_ack=True)
+        sink = Collector()
+        sub = make_client(broker, "sub")
+        sub.subscribe("/late/#", sink)
+        pub.publish("/late/x", b"one", qos=1, wait_ack=True)
+        assert sink.wait_for(1)
+        sub.unsubscribe("/late/#")
+        time.sleep(0.05)  # UNSUBSCRIBE has no client-side wait
+        pub.publish("/late/x", b"missed", qos=1, wait_ack=True)
+        sub.subscribe("/late/#", sink)
+        pub.publish("/late/x", b"two", qos=1, wait_ack=True)
+        assert sink.wait_for(2)
+        sub.disconnect()
+        assert wait_until(lambda: broker.connected_clients == 1)
+        other = Collector()
+        sub2 = make_client(broker, "sub2")
+        sub2.subscribe("/late/#", other)
+        pub.publish("/late/x", b"three", qos=1, wait_ack=True)
+        assert other.wait_for(1)
+        assert [p for _, p in sink.messages] == [b"one", b"two"]
+        assert other.messages == [("/late/x", b"three")]
+        pub.disconnect()
+        sub2.disconnect()
+
     def test_retained_message_delivered_to_late_subscriber(self, broker):
         pub = make_client(broker, "pub")
         pub.publish("/state/mode", b"eco", retain=True)
@@ -121,7 +157,7 @@ class TestPublishSubscribe:
 
     def test_publish_hook_sees_everything(self, broker):
         seen = []
-        broker.add_publish_hook(lambda cid, p: seen.append((cid, p.topic)))
+        broker.add_publish_hook(lambda cid, ps: seen.extend((cid, p.topic) for p in ps))
         pub = make_client(broker, "hooked")
         pub.publish("/h/1", b"x", qos=1, wait_ack=True)
         assert seen == [("hooked", "/h/1")]
@@ -234,7 +270,7 @@ class TestPublishOnlyBroker:
     def test_publish_still_flows_to_hooks(self):
         with PublishOnlyBroker("127.0.0.1", 0) as broker:
             seen = []
-            broker.add_publish_hook(lambda cid, p: seen.append(p.topic))
+            broker.add_publish_hook(lambda cid, ps: seen.extend(p.topic for p in ps))
             client = make_client(broker, "c")
             client.publish("/s/1", b"v", qos=1, wait_ack=True)
             assert seen == ["/s/1"]

@@ -3,6 +3,7 @@ write-buffer backpressure, reconnect replay, shutdown hygiene."""
 
 import resource
 import socket
+import sys
 import threading
 import time
 
@@ -117,10 +118,97 @@ class TestFanIn500:
             assert wait_until(lambda: broker.connected_clients == 0, timeout=15.0)
 
 
+class TestWakeCoalescing:
+    def test_foreign_writes_arrive_in_order_with_few_wakes(self):
+        loop = EventLoop()
+        wakes = []
+        wake = loop.wake
+        loop.wake = lambda: (wakes.append(1), wake())
+        loop.start()
+        a, b = socket.socketpair()
+        try:
+            conn = Connection(loop, a, on_packets=lambda c, ps: None)
+            conn.attach()
+            assert wait_until(lambda: conn._registered)
+            wakes.clear()
+            chunks = [f"<{i}>".encode() for i in range(2000)]
+            for chunk in chunks:
+                assert conn.write(chunk)
+            expected = b"".join(chunks)
+            received = bytearray()
+            b.settimeout(5.0)
+            while len(received) < len(expected):
+                received += b.recv(65536)
+            assert bytes(received) == expected
+            # One wake per idle-to-busy transition of the loop, at most
+            # one queued flush per connection: far fewer than writes.
+            assert len(wakes) < len(chunks) // 10
+        finally:
+            loop.stop()
+            b.close()
+
+    def test_many_threads_strand_no_callback_and_no_write(self):
+        """call_soon and cross-thread writes from more threads than
+        cores, switching often: every callback runs and every byte
+        arrives, each thread's in its own order."""
+        loop = EventLoop()
+        loop.start()
+        a, b = socket.socketpair()
+        conn = Connection(loop, a, on_packets=lambda c, ps: None)
+        conn.attach()
+        ran = []
+
+        def producer(t):
+            for i in range(500):
+                loop.call_soon(lambda i=i: ran.append((t, i)))
+                assert conn.write(b"%d:%d;" % (t, i))
+                # Now and then let the loop drain to empty, so the
+                # idle-to-busy transition races the other producers.
+                time.sleep(0.001 if i % 50 == 0 else 0)
+
+        threads = [threading.Thread(target=producer, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            expected = sum(len(b"%d:%d;" % (t, i)) for t in range(4) for i in range(500))
+            received = bytearray()
+            b.settimeout(5.0)
+            while len(received) < expected:
+                received += b.recv(65536)
+            assert wait_until(lambda: len(ran) == 2000, timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+            loop.stop()
+            b.close()
+        writes = [tuple(map(int, w.split(b":"))) for w in bytes(received).split(b";")[:-1]]
+        for t in range(4):
+            assert [i for tt, i in ran if tt == t] == list(range(500))
+            assert [i for tt, i in writes if tt == t] == list(range(500))
+
+
+class TestMalformedBody:
+    def test_broker_closes_a_connection_with_a_truncated_subscribe(self, broker, caplog):
+        sock = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+        try:
+            sock.sendall(pkt.Connect(client_id="broken", keepalive=0).encode())
+            assert isinstance(pkt.decode_packet(sock.recv(4))[0], pkt.ConnAck)
+            # A complete SUBSCRIBE frame missing its QoS byte, then a PINGREQ.
+            sock.sendall(b"\x82\x07\x00\x01\x00\x03a/b" + pkt.PingReq().encode())
+            assert sock.recv(16) == b""  # closed, not stalled
+        finally:
+            sock.close()
+        assert wait_until(lambda: "malformed packet body" in caplog.text)
+
+
 class TestKeepaliveExpiry:
     def test_expired_session_disconnected_with_will_and_metric(self, broker):
         fired = []
-        broker.add_publish_hook(lambda cid, p: fired.append((cid, p.topic)))
+        broker.add_publish_hook(lambda cid, ps: fired.extend((cid, p.topic) for p in ps))
         sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
         sock.sendall(
             pkt.Connect(
@@ -156,7 +244,7 @@ class TestWriteBufferOverflow:
         conn = Connection(
             loop,
             a,
-            on_packet=lambda c, p: None,
+            on_packets=lambda c, ps: None,
             max_write_buffer=16384,
             overflow_policy=policy,
             label="slow-consumer",
@@ -249,7 +337,7 @@ class TestClientReconnect:
                 client.publish("/r/queued", f"q{i}".encode(), qos=1)
             broker2 = MQTTBroker("127.0.0.1", port)
             broker2.add_publish_hook(
-                lambda cid, p: delivered.append(bytes(p.payload))
+                lambda cid, ps: delivered.extend(bytes(p.payload) for p in ps)
             )
             broker2.start()
             try:
@@ -329,7 +417,7 @@ class TestShutdownHygiene:
         broker = MQTTBroker("127.0.0.1", 0)
         broker.start()
         fired = []
-        broker.add_publish_hook(lambda cid, p: fired.append(p.topic))
+        broker.add_publish_hook(lambda cid, ps: fired.extend(p.topic for p in ps))
         socks = []
         for i in range(10):
             s = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)

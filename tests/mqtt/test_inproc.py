@@ -21,7 +21,7 @@ class TestInProcHub:
     def test_publish_hooks(self):
         hub = InProcHub(allow_subscribe=False)
         seen = []
-        hub.add_publish_hook(lambda cid, p: seen.append((cid, p.topic, p.payload)))
+        hub.add_publish_hook(lambda cid, ps: seen.extend((cid, p.topic, p.payload) for p in ps))
         client = InProcClient("c1", hub)
         client.connect()
         client.publish("/s", b"v")
@@ -123,7 +123,7 @@ class TestInProcConcurrency:
 
         hub = InProcHub(allow_subscribe=False)
         received = []
-        hub.add_publish_hook(lambda cid, p: received.append(p.topic))
+        hub.add_publish_hook(lambda cid, ps: received.extend(p.topic for p in ps))
         clients = [InProcClient(f"c{i}", hub) for i in range(8)]
         for client in clients:
             client.connect()

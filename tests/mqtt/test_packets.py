@@ -1,7 +1,7 @@
 """Tests for the MQTT 3.1.1 wire-format codec."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import TransportError
 from repro.mqtt import packets as pkt
@@ -214,3 +214,65 @@ class TestStreamDecoder:
         for i in range(0, len(stream), 7):
             received.extend(decoder.feed(stream[i : i + 7]))
         assert received == packets
+
+
+class TestStreamDecoderFraming:
+    """Only an incomplete fixed header or body means "wait for more
+    bytes"; a complete frame whose body is short of its own fields is a
+    protocol error, never a stall."""
+
+    def test_subscribe_missing_its_qos_byte_is_an_error_not_a_stall(self):
+        decoder = pkt.StreamDecoder()
+        with pytest.raises(TransportError, match="malformed packet body"):
+            decoder.feed(b"\x82\x07\x00\x01\x00\x03a/b" + pkt.PingReq().encode())
+
+    def test_publish_shorter_than_its_topic_is_an_error(self):
+        with pytest.raises(TransportError):
+            pkt.StreamDecoder().feed(b"\x30\x03\x00\x05a")
+
+    def test_trailing_partial_packet_stays_pending(self):
+        tail = pkt.Publish(topic="/t", payload=b"xyz").encode()
+        decoder = pkt.StreamDecoder()
+        assert decoder.feed(pkt.PingReq().encode() + tail[:4]) == [pkt.PingReq()]
+        assert decoder.pending_bytes == 4
+        assert decoder.feed(tail[4:]) == [pkt.Publish(topic="/t", payload=b"xyz")]
+        assert decoder.pending_bytes == 0
+
+    packets = st.lists(
+        st.one_of(
+            st.builds(
+                pkt.Publish,
+                topic=st.text(alphabet="abc/", min_size=1, max_size=12),
+                payload=st.binary(max_size=300),
+            ),
+            st.builds(
+                pkt.Publish,
+                topic=st.just("/q"),
+                payload=st.binary(max_size=20),
+                qos=st.just(1),
+                packet_id=st.integers(1, 0xFFFF),
+            ),
+            st.just(pkt.PingReq()),
+            st.builds(pkt.PubAck, packet_id=st.integers(0, 0xFFFF)),
+            st.builds(
+                pkt.Subscribe,
+                packet_id=st.integers(1, 0xFFFF),
+                topics=st.just((("/a/#", 1),)),
+            ),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(packets, st.lists(st.integers(0, 10_000), max_size=12))
+    def test_any_split_points_give_the_same_packets(self, packets, cuts):
+        stream = b"".join(p.encode() for p in packets)
+        bounds = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
+        decoder = pkt.StreamDecoder()
+        received = []
+        for start, end in zip(bounds, bounds[1:]):
+            received.extend(decoder.feed(stream[start:end]))
+        assert received == packets
+        assert decoder.pending_bytes == 0
+        assert all(type(p.payload) is bytes for p in received if isinstance(p, pkt.Publish))

@@ -74,7 +74,7 @@ class TestNvmlPlugin:
     def test_collection_and_topics(self):
         pusher, hub = make_pusher()
         topics = []
-        hub.add_publish_hook(lambda cid, p: topics.append(p.topic))
+        hub.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
         pusher.load_plugin(
             "nvml", "group gpus { interval 1000\n gpus 0\n metrics power }"
         )

@@ -231,9 +231,10 @@ class TestWriterTrim:
         writer = BatchingWriter(
             backend, WriterConfig(max_batch=4, queue_capacity=5, policy="drop-oldest", writers=0)
         )
-        items = [(SIDS[i % 3], i, 100 + i, 0) for i in range(9)]
+        # One message (one run) larger than the whole queue.
+        items = [(SIDS[0], i, 100 + i, 0) for i in range(9)]
         batch = columnar(items)
-        assert len(batch.sids) == 9
+        assert len(batch.sids) == 1
         assert writer.put(batch) == 5
         writer.stop()
         assert writer.dropped == 4
