@@ -126,8 +126,8 @@ class TestWakeCoalescing:
         loop.wake = lambda: (wakes.append(1), wake())
         loop.start()
         a, b = socket.socketpair()
+        conn = Connection(loop, a, on_packets=lambda c, ps: None)
         try:
-            conn = Connection(loop, a, on_packets=lambda c, ps: None)
             conn.attach()
             assert wait_until(lambda: conn._registered)
             wakes.clear()
@@ -145,6 +145,7 @@ class TestWakeCoalescing:
             assert len(wakes) < len(chunks) // 10
         finally:
             loop.stop()
+            conn.close()
             b.close()
 
     def test_many_threads_strand_no_callback_and_no_write(self):
@@ -184,6 +185,7 @@ class TestWakeCoalescing:
         finally:
             sys.setswitchinterval(interval)
             loop.stop()
+            conn.close()
             b.close()
         writes = [tuple(map(int, w.split(b":"))) for w in bytes(received).split(b";")[:-1]]
         for t in range(4):
