@@ -12,7 +12,10 @@ gated, so the numbers are evidence per layer that does not depend on
 the end-to-end harness's probes.  A transport row times the hop in
 front of them: CPU per message from an ``MQTTClient`` through the TCP
 broker into the Collect Agent over a ``MemoryBackend``, 1-reading
-(grid) and 100-reading (burst) messages through a real socket.
+(grid) and 100-reading (burst) messages through a real socket.  A
+Pusher row times the hop in front of that: the calling thread's CPU
+per message of ``Pusher.advance_to`` over the same TCP client, for the
+same two shapes.
 
     PYTHONPATH=src python -m pytest benchmarks/test_ingest_columns.py --benchmark-only -s
 """
@@ -25,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import payload as payload_mod
+from repro.common.timeutil import SimClock
 from repro.core.collectagent import CollectAgent
+from repro.core.pusher import Pusher, PusherConfig
 from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId
 from repro.mqtt.client import MQTTClient
@@ -216,8 +221,47 @@ def _wait_stored(agent: CollectAgent, readings: int, timeout_s: float = 60.0) ->
         time.sleep(0.001)
 
 
+#: (sensors, interval ms, minValues, measured cycles) of a Pusher timing:
+#: the e2e harness's two ingest shapes, one host.
+PUSHER_SHAPES = {"grid": (500, 1000, 1, 40), "burst": (100, 100, 100, 1000)}
+
+
+def pusher_us_per_msg(sensors: int, interval_ms: int, min_values: int, cycles: int) -> float:
+    """CPU of the calling thread per message published by
+    ``Pusher.advance_to`` — sampling, encoding and framing a tester
+    plugin's readings into a TCP ``MQTTClient`` — with a ``CollectAgent``
+    on the far side of the socket."""
+    agent = CollectAgent(MemoryBackend(), port=0)
+    agent.start()
+    pusher = Pusher(
+        PusherConfig(mqtt_prefix="/bench", trace_sample_every=100),
+        client=MQTTClient("pusher-bench", port=agent.port, keepalive=0),
+        clock=SimClock(0),
+    )
+    pusher.load_plugin(
+        "tester",
+        f"group g {{ interval {interval_ms}\n minValues {min_values}\n numSensors {sensors} }}",
+    )
+    pusher.client.connect()
+    try:
+        pusher.start_plugin("tester")
+        step = interval_ms * 1_000_000
+        pusher.advance_to(min_values * step)  # SIDs allocated before the clock starts
+        sent0 = pusher.messages_published
+        start = time.thread_time()
+        pusher.advance_to((min_values + cycles) * step)
+        cpu = time.thread_time() - start
+        messages = pusher.messages_published - sent0
+        _wait_stored(agent, pusher.messages_published * min_values)
+        return cpu / messages * 1e6
+    finally:
+        pusher.client.disconnect()
+        agent.stop()
+
+
 def test_transport_per_message(benchmark):
-    """TCP client -> broker -> agent, CPU µs per message in extra_info."""
+    """TCP client -> broker -> agent, and the Pusher in front of the
+    client, CPU µs per message in extra_info."""
     benchmark.pedantic(transport_us_per_msg, args=(500, 1), rounds=1, iterations=1)
     if not benchmark.enabled:
         return
@@ -228,5 +272,14 @@ def test_transport_per_message(benchmark):
         rows.append([shape, per_message, f"{us:.2f}"])
     emit(
         "TCP client -> broker -> agent, CPU µs per message",
+        format_table(["shape", "readings/msg", "cpu_us_per_msg"], rows),
+    )
+    rows = []
+    for shape, spec in PUSHER_SHAPES.items():
+        us = min(pusher_us_per_msg(*spec) for _ in range(3))
+        benchmark.extra_info[f"{shape}_pusher_cpu_us_per_msg"] = round(us, 2)
+        rows.append([shape, spec[2], f"{us:.2f}"])
+    emit(
+        "Pusher.advance_to over a TCP MQTTClient, calling-thread CPU µs per message",
         format_table(["shape", "readings/msg", "cpu_us_per_msg"], rows),
     )

@@ -85,7 +85,7 @@ class Pusher:
     """Hosts plugins, samples their groups on time, publishes readings.
 
     ``client`` is any object with the MQTT client surface
-    (``connect/publish/disconnect``) — a real
+    (``connect/publish_many/disconnect``) — a real
     :class:`~repro.mqtt.client.MQTTClient`, an
     :class:`~repro.mqtt.inproc.InProcClient`, or a test double.  When
     omitted, a TCP client is built from the config.  ``clock`` is a
@@ -302,7 +302,6 @@ class Pusher:
         """
         import json
 
-        count = 0
         with self._lock:
             plugins = (
                 list(self.plugins.values())
@@ -315,25 +314,29 @@ class Pusher:
                 for sensor in plugin.all_sensors()
                 if sensor in self._topics
             ]
-        for topic, metadata in items:
-            document = {
-                "topic": topic,
-                "unit": metadata.unit,
-                "scale": metadata.scale,
-                "integrable": metadata.integrable,
-                "ttl_s": metadata.ttl_s,
-                "interval_ns": metadata.interval_ns,
-            }
-            try:
-                self.client.publish(
-                    f"{self.METADATA_PREFIX}{topic}",
-                    json.dumps(document).encode("utf-8"),
-                    qos=self.config.qos,
-                )
-                count += 1
-            except Exception as exc:  # noqa: BLE001 - best-effort announcements
-                logger.warning("metadata announcement for %s failed: %s", topic, exc)
-        return count
+        messages = [
+            (
+                f"{self.METADATA_PREFIX}{topic}",
+                json.dumps(
+                    {
+                        "topic": topic,
+                        "unit": metadata.unit,
+                        "scale": metadata.scale,
+                        "integrable": metadata.integrable,
+                        "ttl_s": metadata.ttl_s,
+                        "interval_ns": metadata.interval_ns,
+                    }
+                ).encode("utf-8"),
+            )
+            for topic, metadata in items
+        ]
+        try:
+            refused = self.client.publish_many(messages, qos=self.config.qos)
+        except Exception as exc:  # noqa: BLE001 - best-effort announcements
+            refused = dict.fromkeys(range(len(messages)), exc)
+        for i, exc in refused.items():
+            logger.warning("metadata announcement for %s failed: %s", items[i][0], exc)
+        return len(messages) - len(refused)
 
     # -- shared collection path ----------------------------------------------
 
@@ -341,46 +344,37 @@ class Pusher:
         return self._topics[sensor]
 
     def _collect(self, group: SensorGroup, timestamp: int) -> None:
-        """Read one group and queue/publish its readings."""
+        """Read one group, queue its readings and publish, in one batch,
+        every sensor of the group that reached the group's ``minValues``."""
         results = group.read(timestamp)
         if not results:
             return
         self._readings_collected.inc(len(results))
-        # Sensors may appear dynamically (e.g. the appinstr plugin
-        # discovering instruments at runtime); give them topics.
-        for sensor, reading in results:
-            if sensor not in self._topics:
-                self._topics[sensor] = self.config.mqtt_prefix + sensor.mqtt_suffix
-            trace_id = self.tracer.sample()
-            if trace_id is not None:
-                self.tracer.hop(
-                    "collect",
-                    "pusher",
-                    trace_id,
-                    reading.timestamp,
-                    reading.timestamp,
-                    sid=self._topics[sensor],
-                )
-                with self._pending_lock:
-                    self._pending_traces[sensor] = trace_id
+        topics = self._topics
+        pending = self._pending
+        min_values = group.min_values
         burst = self.config.send_mode == "burst"
+        batch = []
         with self._pending_lock:
             for sensor, reading in results:
-                queue = self._pending.setdefault(sensor, [])
+                topic = topics.get(sensor)
+                if topic is None:
+                    # Sensors may appear dynamically (e.g. the appinstr
+                    # plugin discovering instruments at runtime).
+                    topic = topics[sensor] = self.config.mqtt_prefix + sensor.mqtt_suffix
+                trace_id = self.tracer.sample()
+                if trace_id is not None:
+                    origin = reading.timestamp
+                    self.tracer.hop("collect", "pusher", trace_id, origin, origin, sid=topic)
+                    self._pending_traces[sensor] = trace_id
+                queue = pending.get(sensor)
+                if queue is None:
+                    queue = pending[sensor] = []
                 queue.append(reading)
-        if not burst:
-            self._flush_ready(group.min_values)
-
-    def _flush_ready(self, min_values: int) -> None:
-        """Publish every sensor whose queue reached ``min_values``."""
-        to_send: list[tuple[PluginSensor, list[SensorReading]]] = []
-        with self._pending_lock:
-            for sensor, queue in self._pending.items():
-                if len(queue) >= min_values and queue:
-                    to_send.append((sensor, queue[:]))
-                    queue.clear()
-        for sensor, readings in to_send:
-            self._publish(sensor, readings)
+                if not burst and len(queue) >= min_values:
+                    trace_id = self._pending_traces.pop(sensor, None)
+                    batch.append((topic, pending.pop(sensor), trace_id))
+        self._send(batch)
 
     def flush(self) -> int:
         """Publish everything pending regardless of thresholds.
@@ -389,28 +383,31 @@ class Pusher:
         flush; it is also called on shutdown so no readings are lost.
         """
         with self._pending_lock:
-            to_send = [(s, q[:]) for s, q in self._pending.items() if q]
-            for _, q in self._pending.items():
-                q.clear()
-        for sensor, readings in to_send:
-            self._publish(sensor, readings)
-        return len(to_send)
+            batch = [
+                (topic, readings, self._pending_traces.pop(sensor, None))
+                for sensor, readings in self._pending.items()
+                if readings and (topic := self._topics.get(sensor)) is not None
+            ]
+            self._pending.clear()
+        self._send(batch)
+        return len(batch)
 
-    def _publish(self, sensor: PluginSensor, readings: list[SensorReading]) -> None:
-        topic = self._topics.get(sensor)
-        if topic is None:
+    def _send(self, batch: list[tuple[str, list[SensorReading], int | None]]) -> None:
+        """Publish one message per sensor of ``batch`` with one client call."""
+        if not batch:
             return
-        with self._pending_lock:
-            trace_id = self._pending_traces.pop(sensor, None)
+        start_ns = self._clock()
+        encode = payload_mod.encode_readings
+        messages = [
+            (topic, encode(readings, trace_id=trace_id)) for topic, readings, trace_id in batch
+        ]
         try:
-            start_ns = self._clock()
-            self.client.publish(
-                topic,
-                payload_mod.encode_readings(readings, trace_id=trace_id),
-                qos=self.config.qos,
-            )
-            self._messages_published.inc()
-            if trace_id is not None:
+            refused = self.client.publish_many(messages, qos=self.config.qos)
+        except Exception as exc:  # noqa: BLE001 - transport errors must not kill sampling
+            refused = dict.fromkeys(range(len(messages)), exc)
+        self._messages_published.inc(len(messages) - len(refused))
+        for i, (topic, readings, trace_id) in enumerate(batch):
+            if trace_id is not None and i not in refused:
                 self.tracer.hop(
                     "publish",
                     "pusher",
@@ -421,9 +418,10 @@ class Pusher:
                     qos=self.config.qos,
                     readings=len(readings),
                 )
-        except Exception as exc:  # noqa: BLE001 - transport errors must not kill sampling
-            logger.warning("publish of %s failed: %s", topic, exc)
-            self._publish_failures.inc()
+        if refused:
+            exc = next(iter(refused.values()))
+            logger.warning("publish of %d/%d messages failed: %s", len(refused), len(messages), exc)
+            self._publish_failures.inc(len(refused))
             self._try_reconnect()
 
     def _on_client_reconnect(self) -> None:

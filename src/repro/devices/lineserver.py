@@ -70,6 +70,12 @@ class LineServer:
             return
         self._running = False
         if self._server_sock is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does.
+            try:
+                self._server_sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._server_sock.close()
             except OSError:

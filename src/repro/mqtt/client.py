@@ -41,6 +41,7 @@ re-announce sensor metadata.
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import threading
@@ -60,6 +61,8 @@ MessageCallback = Callable[[str, bytes], None]
 #: before giving up and backing off again.
 RECONNECT_ATTEMPT_TIMEOUT_S = 2.0
 CONNACK_GUARD_S = 5.0
+#: Validated, encoded topic names cached per client (a Pusher's sensors).
+TOPIC_CACHE_SIZE = 8192
 
 
 class _Inflight:
@@ -74,6 +77,12 @@ class _Inflight:
         self.retain = retain
         self.event = threading.Event()
         self.sent = False  # written to some connection at least once
+
+
+def _topic_field(topic: str) -> bytes:
+    """A PUBLISH's validated, encoded topic name."""
+    validate_topic(topic)
+    return pkt.encode_string(topic)
 
 
 class MQTTClient:
@@ -137,6 +146,7 @@ class MQTTClient:
         self._subs: dict[str, int] = {}  # pattern -> qos, for resubscribe
         self._callbacks: list[tuple[str, MessageCallback]] = []
         self.on_message: MessageCallback | None = None
+        self._topic_field = functools.lru_cache(maxsize=TOPIC_CACHE_SIZE)(_topic_field)
         # Registry counters: several plugin threads publish through
         # one client concurrently.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -269,58 +279,93 @@ class MQTTClient:
         QoS-1 messages queue (replayed on re-establishment) while QoS-0
         messages raise and are counted as drops.
         """
-        validate_topic(topic)
-        if qos == 0:
-            conn = self._conn
-            if conn is None or not self._connected:
-                if self.ever_connected:
-                    self._qos0_drops.inc()
-                raise TransportError("client is not connected")
-            data = pkt.Publish(topic=topic, payload=payload, retain=retain).encode()
-            if not conn.write(data):
-                self._qos0_drops.inc()
-                raise TransportError("client is not connected")
-            self._bytes_sent.inc(len(data))
-            self._messages_sent.inc()
-            return
-        in_reconnect_window = (
-            self.auto_reconnect and self.ever_connected and not self._closing
-        )
-        if not self._connected and not in_reconnect_window:
-            raise TransportError("client is not connected")
-        self._inflight_sem.acquire()
-        packet_id = self._allocate_packet_id()
-        record = _Inflight(packet_id, topic, payload, retain)
-        with self._inflight_lock:
-            self._inflight[packet_id] = record
-        conn = self._conn
-        if self._connected and conn is not None:
-            self._send_inflight(conn, record, dup=False)
-        # else: queued; session re-establishment replays it.
-        if wait_ack:
+        refused, records = self._publish(((topic, payload),), qos, retain)
+        if refused:
+            raise refused[0]
+        if wait_ack and records:
+            record = records[0]
             if not record.event.wait(timeout):
                 with self._inflight_lock:
-                    still_mine = self._inflight.pop(packet_id, None)
+                    still_mine = self._inflight.pop(record.packet_id, None)
                 if still_mine is not None:
                     self._inflight_sem.release()
-                raise TransportError(f"PUBACK timeout for packet {packet_id}")
+                raise TransportError(f"PUBACK timeout for packet {record.packet_id}")
             if self._closing:
                 raise TransportError("client closed while awaiting PUBACK")
 
-    def _send_inflight(self, conn: Connection, record: _Inflight, dup: bool) -> None:
-        data = pkt.Publish(
-            topic=record.topic,
-            payload=record.payload,
-            qos=1,
-            retain=record.retain,
-            dup=dup,
-            packet_id=record.packet_id,
-        ).encode()
-        if conn.write(data):
-            self._bytes_sent.inc(len(data))
-            if not record.sent:
+    def publish_many(
+        self, messages: list[tuple[str, bytes]], qos: int = 0
+    ) -> dict[int, TransportError]:
+        """Publish ``(topic, payload)`` pairs, one PUBLISH each, in one write.
+
+        Returns the messages refused on their own (invalid topic) by
+        index and writes the rest.  A batch that cannot be written
+        raises as :meth:`publish` does, one QoS-0 drop per message.
+        QoS 1 writes once per slice of the in-flight window.
+        """
+        return self._publish(messages, qos, False)[0]
+
+    def _publish(
+        self, messages, qos: int, retain: bool
+    ) -> tuple[dict[int, TransportError], list[_Inflight]]:
+        if qos not in (0, 1):
+            raise TransportError(f"unsupported QoS {qos} (only 0 and 1)")
+        if qos and not self._connected and not (
+            self.auto_reconnect and self.ever_connected and not self._closing
+        ):
+            raise TransportError("client is not connected")
+        refused: dict[int, TransportError] = {}
+        records: list[_Inflight] = []
+        unwritten: list[_Inflight] = []
+        buf = bytearray()
+        flags = (qos << 1) | retain
+        topic_field, frame = self._topic_field, pkt.frame_publish
+        for i, (topic, payload) in enumerate(messages):
+            try:
+                field = topic_field(topic)
+            except TransportError as exc:
+                refused[i] = exc
+                continue
+            packet_id = None
+            if qos:
+                # Never wait for window space while holding framed
+                # messages: the PUBACKs that free it answer only what
+                # was written.
+                if not self._inflight_sem.acquire(blocking=False):
+                    self._write_inflight(buf, unwritten)
+                    buf, unwritten = bytearray(), []
+                    self._inflight_sem.acquire()
+                record = _Inflight(self._allocate_packet_id(), topic, payload, retain)
+                with self._inflight_lock:
+                    self._inflight[record.packet_id] = record
+                records.append(record)
+                unwritten.append(record)
+                packet_id = record.packet_id
+            frame(buf, flags, field, payload, packet_id)
+        if qos:
+            self._write_inflight(buf, unwritten)
+            return refused, records
+        written = len(messages) - len(refused)
+        if written:
+            conn = self._conn
+            if conn is None or not self._connected or not conn.write(buf):
+                if self.ever_connected:  # always true once a write was tried
+                    self._qos0_drops.inc(written)
+                raise TransportError("client is not connected")
+            self._bytes_sent.inc(len(buf))
+            self._messages_sent.inc(written)
+        return refused, records
+
+    def _write_inflight(self, buf: bytearray, records: list[_Inflight]) -> None:
+        """Write framed QoS-1 publishes; while disconnected they stay
+        queued in the window and session re-establishment replays them."""
+        conn = self._conn
+        if records and self._connected and conn is not None and conn.write(buf):
+            self._bytes_sent.inc(len(buf))
+            fresh = [record for record in records if not record.sent]
+            for record in fresh:
                 record.sent = True
-                self._messages_sent.inc()
+            self._messages_sent.inc(len(fresh))
 
     # -- subscriptions ----------------------------------------------------
 
@@ -470,8 +515,12 @@ class MQTTClient:
                 conn.write(pkt.Subscribe(packet_id=pid, topics=((pattern, qos),)).encode())
             with self._inflight_lock:
                 pending = list(self._inflight.values())
+            buf = bytearray()
             for record in pending:
-                self._send_inflight(conn, record, dup=record.sent)
+                flags = 0x02 | (0x08 if record.sent else 0) | record.retain
+                field = self._topic_field(record.topic)
+                pkt.frame_publish(buf, flags, field, record.payload, record.packet_id)
+            self._write_inflight(buf, pending)
             self._reconnects_counter.inc()
             logger.info(
                 "client %s: reconnected to %s:%d (replayed %d in-flight)",

@@ -260,6 +260,18 @@ class InProcClient:
         self._messages_sent.inc()
         self._bytes_sent.inc(len(payload) + len(topic))
 
+    def publish_many(
+        self, messages: list[tuple[str, bytes]], qos: int = 0
+    ) -> dict[int, TransportError]:
+        """:meth:`MQTTClient.publish_many` as one :meth:`publish` per message."""
+        refused: dict[int, TransportError] = {}
+        for i, (topic, payload) in enumerate(messages):
+            try:
+                self.publish(topic, payload, qos=qos)
+            except TransportError as exc:
+                refused[i] = exc
+        return refused
+
     def subscribe(
         self,
         pattern: str,

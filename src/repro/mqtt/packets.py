@@ -81,7 +81,8 @@ def decode_remaining_length(buf: bytes, offset: int) -> tuple[int, int]:
     raise TransportError("malformed remaining length (more than 4 bytes)")
 
 
-def _encode_string(s: str) -> bytes:
+def encode_string(s: str) -> bytes:
+    """An MQTT UTF-8 string: a 2-byte big-endian length, then the bytes."""
     data = s.encode("utf-8")
     if len(data) > 0xFFFF:
         raise TransportError("MQTT string exceeds 65535 bytes")
@@ -100,6 +101,23 @@ def _decode_string(buf: bytes, offset: int) -> tuple[str, int]:
 
 def _fixed_header(ptype: int, flags: int, remaining: int) -> bytes:
     return bytes([(ptype << 4) | (flags & 0x0F)]) + encode_remaining_length(remaining)
+
+
+def frame_publish(
+    out: bytearray, flags: int, topic: bytes, payload: bytes, packet_id: int | None = None
+) -> None:
+    """Append one PUBLISH to ``out``; ``flags`` is the fixed header's low
+    nibble (QoS << 1 | DUP 0x08 | RETAIN 0x01), ``topic`` an :func:`encode_string`."""
+    remaining = len(topic) + len(payload) + (2 if packet_id is not None else 0)
+    if remaining < 0x80:
+        out.append((PUBLISH << 4) | flags)
+        out.append(remaining)
+    else:
+        out += _fixed_header(PUBLISH, flags, remaining)
+    out += topic
+    if packet_id is not None:
+        out += packet_id.to_bytes(2, "big")
+    out += payload
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,22 +143,22 @@ class Connect:
         flags = 0
         if self.clean_session:
             flags |= 0x02
-        payload = _encode_string(self.client_id)
+        payload = encode_string(self.client_id)
         if self.will_topic is not None:
             flags |= 0x04 | (self.will_qos << 3)
             if self.will_retain:
                 flags |= 0x20
-            payload += _encode_string(self.will_topic)
+            payload += encode_string(self.will_topic)
             payload += struct.pack("!H", len(self.will_payload)) + self.will_payload
         if self.username is not None:
             flags |= 0x80
-            payload += _encode_string(self.username)
+            payload += encode_string(self.username)
         if self.password is not None:
             if self.username is None:
                 raise TransportError("password without username is invalid in MQTT 3.1.1")
             flags |= 0x40
             payload += struct.pack("!H", len(self.password)) + self.password
-        var = _encode_string("MQTT") + bytes([4, flags]) + struct.pack("!H", self.keepalive)
+        var = encode_string("MQTT") + bytes([4, flags]) + struct.pack("!H", self.keepalive)
         body = var + payload
         return _fixed_header(CONNECT, 0, len(body)) + body
 
@@ -234,11 +252,10 @@ class Publish:
 
     def encode(self) -> bytes:
         flags = (self.qos << 1) | (0x08 if self.dup else 0) | (0x01 if self.retain else 0)
-        var = _encode_string(self.topic)
-        if self.qos > 0:
-            var += struct.pack("!H", self.packet_id)
-        body = var + self.payload
-        return _fixed_header(PUBLISH, flags, len(body)) + body
+        out = bytearray()
+        packet_id = self.packet_id if self.qos else None
+        frame_publish(out, flags, encode_string(self.topic), self.payload, packet_id)
+        return bytes(out)
 
     @classmethod
     def decode(cls, flags: int, body: bytes) -> "Publish":
@@ -293,7 +310,7 @@ class Subscribe:
         for topic, qos in self.topics:
             if qos not in (0, 1):
                 raise TransportError(f"unsupported requested QoS {qos}")
-            body += _encode_string(topic) + bytes([qos])
+            body += encode_string(topic) + bytes([qos])
         return _fixed_header(SUBSCRIBE, 0x02, len(body)) + body
 
     @classmethod
@@ -344,7 +361,7 @@ class Unsubscribe:
             raise TransportError("UNSUBSCRIBE requires at least one topic filter")
         body = struct.pack("!H", self.packet_id)
         for topic in self.topics:
-            body += _encode_string(topic)
+            body += encode_string(topic)
         return _fixed_header(UNSUBSCRIBE, 0x02, len(body)) + body
 
     @classmethod

@@ -136,6 +136,26 @@ class TestSteppedSampling:
         assert hub.messages_received == 1  # three readings in one message
         from repro.core.payload import decode_readings
 
+    def test_min_values_is_per_group(self):
+        # A group's cycle publishes only that group's ready sensors: a
+        # minValues 1 group must not flush a minValues 10 group early.
+        pusher, hub, _ = make_pusher()
+        messages = []
+        hub.add_publish_hook(lambda cid, ps: messages.extend((p.topic, p.payload) for p in ps))
+        pusher.load_plugin(
+            "tester",
+            "group slow { interval 1000\n minValues 10\n numSensors 1 }\n"
+            "group fast { interval 1000\n minValues 1\n numSensors 1 }",
+        )
+        pusher.client.connect()
+        pusher.start_plugin("tester")
+        pusher.advance_to(10 * NS_PER_SEC)
+        from repro.core.payload import decode_readings
+
+        slow = [decode_readings(p) for t, p in messages if t == "/t/h0/slow/s0"]
+        assert [len(readings) for readings in slow] == [10]
+        assert sum(t == "/t/h0/fast/s0" for t, _ in messages) == 10
+
     def test_sensor_cache_fills(self):
         pusher, _, _ = make_pusher()
         pusher.load_plugin("tester", TESTER_5)
@@ -227,15 +247,13 @@ class TestFailureCounters:
             def close(self):
                 pass
 
-            def publish(self, *a, **k):
+            def publish_many(self, *a, **k):
                 raise OSError("no broker")
 
         pusher = Pusher(PusherConfig(mqtt_prefix="/dead"), client=DeadClient(), clock=SimClock(0))
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 1 }")
-        from repro.core.sensor import SensorReading
-
-        sensor = pusher.plugins["tester"].groups[0].sensors[0]
-        pusher._publish(sensor, [SensorReading(1, 1)])
+        pusher.start_plugin("tester")
+        pusher.advance_to(NS_PER_SEC)  # one cycle: one message attempted
         status = pusher.status()
         assert status["publishFailures"] == 1
         assert status["reconnects"] == 0

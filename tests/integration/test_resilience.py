@@ -66,12 +66,11 @@ class TestAgentRestart:
         pusher = Pusher(PusherConfig(mqtt_prefix="/lonely"), client=client)
         pusher.RECONNECT_BACKOFF_NS = 3600 * NS_PER_SEC  # one per hour
         pusher.load_plugin("tester", "group g { interval 100\n numSensors 1 }")
-        # Force failures by publishing through a dead client.
-        from repro.core.sensor import SensorReading
-
-        sensor = pusher.plugins["tester"].groups[0].sensors[0]
-        for i in range(10):
-            pusher._publish(sensor, [SensorReading(i, i)])
+        pusher.start_plugin("tester")
+        # Force failures by publishing through a dead client: ten
+        # cycles of the one-sensor group, one message each.
+        group = pusher.plugins["tester"].groups[0]
+        assert pusher.advance_to(group.next_due_ns + 9 * group.interval_ns) == 10
         assert pusher.publish_failures == 10
         # Only the first failure triggered a connect attempt (which
         # itself failed against port 1); the rest were suppressed.

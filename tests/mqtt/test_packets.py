@@ -93,6 +93,16 @@ class TestPublish:
         packet = pkt.Publish(topic="/a", payload=b"x", qos=1, packet_id=42)
         assert round_trip(packet) == packet
 
+    def test_wire_bytes(self):
+        # MQTT 3.1.1 §3.3: flags nibble, remaining length, topic, id, payload.
+        assert pkt.Publish(topic="/a", payload=b"x").encode() == b"\x30\x05\x00\x02/ax"
+        assert (
+            pkt.Publish(topic="/a", payload=b"x", qos=1, packet_id=42, retain=True, dup=True).encode()
+            == b"\x3b\x07\x00\x02/a\x00\x2ax"
+        )
+        long = pkt.Publish(topic="/a", payload=bytes(200)).encode()
+        assert long[:6] == b"\x30\xcc\x01\x00\x02/" and len(long) == 3 + 204
+
     def test_retain_dup_flags(self):
         packet = pkt.Publish(topic="/a", payload=b"", qos=1, packet_id=1, retain=True, dup=True)
         decoded = round_trip(packet)
