@@ -393,21 +393,39 @@ class Pusher:
         return len(batch)
 
     def _send(self, batch: list[tuple[str, list[SensorReading], int | None]]) -> None:
-        """Publish one message per sensor of ``batch`` with one client call."""
+        """Publish one message per sensor of ``batch`` with one client call.
+
+        A message that fails to encode (a value outside int64) or that
+        the client refuses (invalid topic) fails on its own; its
+        neighbours are still published.  Only a batch the client could
+        not write makes a reconnect attempt.
+        """
         if not batch:
             return
         start_ns = self._clock()
         encode = payload_mod.encode_readings
-        messages = [
-            (topic, encode(readings, trace_id=trace_id)) for topic, readings, trace_id in batch
-        ]
-        try:
-            refused = self.client.publish_many(messages, qos=self.config.qos)
-        except Exception as exc:  # noqa: BLE001 - transport errors must not kill sampling
-            refused = dict.fromkeys(range(len(messages)), exc)
-        self._messages_published.inc(len(messages) - len(refused))
+        failed: dict[int, Exception] = {}
+        messages = []
+        sent = []  # batch index of each entry of ``messages``
         for i, (topic, readings, trace_id) in enumerate(batch):
-            if trace_id is not None and i not in refused:
+            try:
+                messages.append((topic, encode(readings, trace_id=trace_id)))
+            except Exception as exc:  # noqa: BLE001 - one bad value must not stop the group
+                failed[i] = exc
+            else:
+                sent.append(i)
+        refused: dict[int, Exception] = {}
+        write_failed = False
+        try:
+            if messages:
+                refused = self.client.publish_many(messages, qos=self.config.qos)
+        except Exception as exc:  # noqa: BLE001 - transport errors must not kill sampling
+            refused, write_failed = dict.fromkeys(range(len(messages)), exc), True
+        for j, exc in refused.items():
+            failed[sent[j]] = exc
+        self._messages_published.inc(len(batch) - len(failed))
+        for i, (topic, readings, trace_id) in enumerate(batch):
+            if trace_id is not None and i not in failed:
                 self.tracer.hop(
                     "publish",
                     "pusher",
@@ -418,10 +436,11 @@ class Pusher:
                     qos=self.config.qos,
                     readings=len(readings),
                 )
-        if refused:
-            exc = next(iter(refused.values()))
-            logger.warning("publish of %d/%d messages failed: %s", len(refused), len(messages), exc)
-            self._publish_failures.inc(len(refused))
+        if failed:
+            exc = next(iter(failed.values()))
+            logger.warning("publish of %d/%d messages failed: %s", len(failed), len(batch), exc)
+            self._publish_failures.inc(len(failed))
+        if write_failed:
             self._try_reconnect()
 
     def _on_client_reconnect(self) -> None:

@@ -318,7 +318,6 @@ class MQTTClient:
         records: list[_Inflight] = []
         unwritten: list[_Inflight] = []
         buf = bytearray()
-        flags = (qos << 1) | retain
         topic_field, frame = self._topic_field, pkt.frame_publish
         for i, (topic, payload) in enumerate(messages):
             try:
@@ -341,7 +340,7 @@ class MQTTClient:
                 records.append(record)
                 unwritten.append(record)
                 packet_id = record.packet_id
-            frame(buf, flags, field, payload, packet_id)
+            frame(buf, field, payload, qos, retain, False, packet_id)
         if qos:
             self._write_inflight(buf, unwritten)
             return refused, records
@@ -517,9 +516,8 @@ class MQTTClient:
                 pending = list(self._inflight.values())
             buf = bytearray()
             for record in pending:
-                flags = 0x02 | (0x08 if record.sent else 0) | record.retain
-                field = self._topic_field(record.topic)
-                pkt.frame_publish(buf, flags, field, record.payload, record.packet_id)
+                field, pid = self._topic_field(record.topic), record.packet_id
+                pkt.frame_publish(buf, field, record.payload, 1, record.retain, record.sent, pid)
             self._write_inflight(buf, pending)
             self._reconnects_counter.inc()
             logger.info(

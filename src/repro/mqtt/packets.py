@@ -52,6 +52,8 @@ def encode_remaining_length(length: int) -> bytes:
     """Encode the MQTT variable-length 'remaining length' field."""
     if not 0 <= length <= _MAX_REMAINING_LENGTH:
         raise TransportError(f"remaining length {length} out of range")
+    if length < 0x80:  # one byte: every PUBLISH of a Pusher reading
+        return bytes((length,))
     out = bytearray()
     while True:
         digit = length % 128
@@ -104,18 +106,20 @@ def _fixed_header(ptype: int, flags: int, remaining: int) -> bytes:
 
 
 def frame_publish(
-    out: bytearray, flags: int, topic: bytes, payload: bytes, packet_id: int | None = None
+    out: bytearray,
+    topic: bytes,
+    payload: bytes,
+    qos: int = 0,
+    retain: bool = False,
+    dup: bool = False,
+    packet_id: int | None = None,
 ) -> None:
-    """Append one PUBLISH to ``out``; ``flags`` is the fixed header's low
-    nibble (QoS << 1 | DUP 0x08 | RETAIN 0x01), ``topic`` an :func:`encode_string`."""
-    remaining = len(topic) + len(payload) + (2 if packet_id is not None else 0)
-    if remaining < 0x80:
-        out.append((PUBLISH << 4) | flags)
-        out.append(remaining)
-    else:
-        out += _fixed_header(PUBLISH, flags, remaining)
+    """Append one PUBLISH to ``out``; ``topic`` is an :func:`encode_string`
+    and ``packet_id`` is written only at QoS > 0."""
+    out.append((PUBLISH << 4) | (qos << 1) | (0x08 if dup else 0) | (0x01 if retain else 0))
+    out += encode_remaining_length(len(topic) + len(payload) + (2 if qos else 0))
     out += topic
-    if packet_id is not None:
+    if qos:
         out += packet_id.to_bytes(2, "big")
     out += payload
 
@@ -251,10 +255,8 @@ class Publish:
             raise TransportError("QoS>0 PUBLISH requires a packet id")
 
     def encode(self) -> bytes:
-        flags = (self.qos << 1) | (0x08 if self.dup else 0) | (0x01 if self.retain else 0)
-        out = bytearray()
-        packet_id = self.packet_id if self.qos else None
-        frame_publish(out, flags, encode_string(self.topic), self.payload, packet_id)
+        out, topic = bytearray(), encode_string(self.topic)
+        frame_publish(out, topic, self.payload, self.qos, self.retain, self.dup, self.packet_id)
         return bytes(out)
 
     @classmethod

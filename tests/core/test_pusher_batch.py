@@ -6,13 +6,15 @@ the same per-sensor ``(topic, payload)`` sequence, counters and trace
 hops as the batched Pusher, and failures must be accounted per message.
 """
 
+import time
 from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.timeutil import NS_PER_MS, SimClock
+from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, SimClock
 from repro.core.payload import encode_readings
 from repro.core.pusher import Pusher, PusherConfig
+from repro.core.sensor import SensorReading
 from repro.observability import SpanRecorder
 
 
@@ -27,12 +29,16 @@ class CapturingClient:
         self.fail = set(fail)
         self.calls = 0
         self.batches = []
+        self.disconnected = False
 
     def connect(self):
         pass
 
     def close(self):
         pass
+
+    def disconnect(self):
+        self.disconnected = True
 
     def publish_many(self, messages, qos=0):
         self.calls += 1
@@ -68,6 +74,19 @@ def plugin_config(specs):
             f" numSensors {sensors}\n generator {spec['generator']}{delta} }}"
         )
     return "\n".join(blocks)
+
+
+def out_of_range_first_sensor(group):
+    """Give the first sensor of every read of ``group`` a value outside
+    int64, which the 16-byte wire record cannot carry."""
+    read = group.read
+
+    def poisoned(timestamp):
+        results = read(timestamp)
+        sensor, reading = results[0]
+        return [(sensor, SensorReading(reading.timestamp, 1 << 63))] + results[1:]
+
+    group.read = poisoned
 
 
 def instrumented_pusher(specs, client, **config):
@@ -218,3 +237,45 @@ class TestFailureAccounting:
         assert pusher.publish_failures == 3
         assert pusher.messages_published == 6
         assert [t for batch in client.batches for t, _ in batch].count("/b/h0/g0/s0") == 3
+        assert pusher.status()["reconnects"] == 0
+
+    def test_an_out_of_range_value_fails_alone_every_cycle(self):
+        client = CapturingClient()
+        specs = [dict(interval=1000, min_values=1, sensors=2, delta=False, generator="counter")]
+        pusher, events, _ = instrumented_pusher(specs, client)
+        out_of_range_first_sensor(pusher.plugins["tester"].groups[0])
+        pusher.advance_to(3 * NS_PER_SEC)
+        assert pusher.publish_failures == 3
+        assert pusher.messages_published == 3
+        assert [t for batch in client.batches for t, _ in batch].count("/b/h0/g0/s1") == 3
+        # Not a transport failure: no reconnect.
+        assert pusher.status()["reconnects"] == 0
+
+    def test_burst_flush_survives_an_out_of_range_value(self):
+        client = CapturingClient()
+        specs = [dict(interval=1000, min_values=1, sensors=2, delta=False, generator="counter")]
+        pusher, events, _ = instrumented_pusher(specs, client, send_mode="burst")
+        out_of_range_first_sensor(pusher.plugins["tester"].groups[0])
+        pusher.advance_to(3 * NS_PER_SEC)
+        pusher.flush()
+        assert pusher.publish_failures == 1
+        assert pusher.messages_published == 1
+        # One message carrying all three readings (16 bytes each).
+        assert [len(p) // 16 for b in client.batches for t, p in b if t == "/b/h0/g0/s1"] == [3]
+
+    def test_threaded_sampling_survives_an_out_of_range_value(self):
+        client = CapturingClient()
+        pusher = Pusher(PusherConfig(mqtt_prefix="/b/h1", threads=1), client=client)
+        plugin = pusher.load_plugin("tester", "group g { interval 20\n numSensors 2 }")
+        out_of_range_first_sensor(plugin.groups[0])
+        pusher.start_plugin("tester")
+        pusher.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while pusher.publish_failures < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            pusher.stop()
+        assert pusher.publish_failures >= 3
+        assert pusher.readings_collected == pusher.messages_published + pusher.publish_failures
+        assert client.disconnected
