@@ -18,7 +18,7 @@ import pytest
 from conftest import emit, format_table
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.core.sensor import SensorCache, SensorReading
+from repro.core.sensor import SensorCache
 from repro.mqtt.inproc import InProcClient, InProcHub
 from repro.simulation.architectures import SKYLAKE
 from repro.simulation.overhead import OverheadModel, PusherSetup
@@ -88,7 +88,7 @@ class TestCacheSizing:
         def fill(window_s: int) -> int:
             cache = SensorCache(maxage_ns=window_s * NS_PER_SEC)
             for t in range(1, 4 * 120 + 1):
-                cache.store(SensorReading(t * NS_PER_SEC, t))
+                cache.store(([t * NS_PER_SEC], [t]))
             return len(cache)
 
         populations = {w: fill(w) for w in (30, 60, 120, 240)}

@@ -9,7 +9,7 @@ and staying well below 50 MB for production-like configurations
 
 Shape assertions: those anchors plus monotonicity in rate and the
 cache-driven memory structure.  A second test validates the memory
-model's mechanism against the real SensorCache implementation.
+model's mechanism against the Pusher's real cache (a group's cycle ring).
 """
 
 import pytest
@@ -61,16 +61,21 @@ def test_fig6_shape(benchmark):
 def test_fig6_memory_mechanism_matches_sensor_cache(benchmark):
     """The model's memory slope mirrors the real cache's growth."""
     from repro.common.timeutil import NS_PER_SEC
-    from repro.core.sensor import SensorCache, SensorReading
+    from repro.core.pusher.plugin import PluginSensor, SensorGroup
+
+    class OneSensor(SensorGroup):
+        def read_raw(self, timestamp):
+            return [1]
 
     def fill(interval_ms: int) -> int:
-        cache = SensorCache(maxage_ns=120 * NS_PER_SEC)
-        t, step = 0, interval_ms * 1_000_000
+        step = interval_ms * 1_000_000
+        group = OneSensor("g", interval_ns=step)
+        sensor = PluginSensor("s", "/s", cache_maxage_ns=120 * NS_PER_SEC)
+        group.add_sensor(sensor)
         # Fill well past the window to reach steady state.
-        for _ in range(2 * (120_000 // interval_ms)):
-            t += step
-            cache.store(SensorReading(t, 1))
-        return len(cache)
+        for cycle in range(1, 2 * (120_000 // interval_ms) + 1):
+            group.read(cycle * step)
+        return len(sensor.cache)
 
     steady_1000 = benchmark(fill, 1000)
     steady_100 = fill(100)

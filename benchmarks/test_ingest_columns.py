@@ -221,14 +221,22 @@ def _wait_stored(agent: CollectAgent, readings: int, timeout_s: float = 60.0) ->
         time.sleep(0.001)
 
 
-#: (sensors, interval ms, minValues, measured cycles) of a Pusher timing:
-#: the e2e harness's two ingest shapes, one host.
-PUSHER_SHAPES = {"grid": (500, 1000, 1, 40), "burst": (100, 100, 100, 1000)}
+#: (groups, sensors per group, interval ms, minValues, measured cycles)
+#: of a Pusher timing: one group of a host's sensors, and the e2e
+#: harness's ingest shapes (five groups per host).
+PUSHER_SHAPES = {
+    "grid": (1, 500, 1000, 1, 40),
+    "burst": (1, 100, 100, 100, 1000),
+    "e2e_grid": (5, 100, 1000, 1, 40),
+    "e2e_burst": (5, 20, 100, 100, 1000),
+}
 
 
-def pusher_us_per_msg(sensors: int, interval_ms: int, min_values: int, cycles: int) -> float:
-    """CPU of the calling thread per message published by
-    ``Pusher.advance_to`` — sampling, encoding and framing a tester
+def pusher_us_per_msg(
+    groups: int, sensors: int, interval_ms: int, min_values: int, cycles: int
+) -> tuple[float, float]:
+    """CPU of the calling thread per message and per reading published
+    by ``Pusher.advance_to`` — sampling, encoding and framing a tester
     plugin's readings into a TCP ``MQTTClient`` — with a ``CollectAgent``
     on the far side of the socket."""
     agent = CollectAgent(MemoryBackend(), port=0)
@@ -240,7 +248,11 @@ def pusher_us_per_msg(sensors: int, interval_ms: int, min_values: int, cycles: i
     )
     pusher.load_plugin(
         "tester",
-        f"group g {{ interval {interval_ms}\n minValues {min_values}\n numSensors {sensors} }}",
+        "\n".join(
+            f"group g{g} {{ interval {interval_ms}\n minValues {min_values}\n"
+            f" numSensors {sensors} }}"
+            for g in range(groups)
+        ),
     )
     pusher.client.connect()
     try:
@@ -253,7 +265,7 @@ def pusher_us_per_msg(sensors: int, interval_ms: int, min_values: int, cycles: i
         cpu = time.thread_time() - start
         messages = pusher.messages_published - sent0
         _wait_stored(agent, pusher.messages_published * min_values)
-        return cpu / messages * 1e6
+        return cpu / messages * 1e6, cpu / (messages * min_values) * 1e6
     finally:
         pusher.client.disconnect()
         agent.stop()
@@ -276,10 +288,16 @@ def test_transport_per_message(benchmark):
     )
     rows = []
     for shape, spec in PUSHER_SHAPES.items():
-        us = min(pusher_us_per_msg(*spec) for _ in range(3))
-        benchmark.extra_info[f"{shape}_pusher_cpu_us_per_msg"] = round(us, 2)
-        rows.append([shape, spec[2], f"{us:.2f}"])
+        per_msg, per_reading = min(pusher_us_per_msg(*spec) for _ in range(3))
+        benchmark.extra_info[f"{shape}_pusher_cpu_us_per_msg"] = round(per_msg, 2)
+        benchmark.extra_info[f"{shape}_pusher_cpu_us_per_reading"] = round(per_reading, 3)
+        rows.append(
+            [shape, f"{spec[0]} x {spec[1]}", spec[3], f"{per_msg:.2f}", f"{per_reading:.3f}"]
+        )
     emit(
-        "Pusher.advance_to over a TCP MQTTClient, calling-thread CPU µs per message",
-        format_table(["shape", "readings/msg", "cpu_us_per_msg"], rows),
+        "Pusher.advance_to over a TCP MQTTClient, calling-thread CPU µs",
+        format_table(
+            ["shape", "groups x sensors", "readings/msg", "cpu_us_per_msg", "cpu_us_per_reading"],
+            rows,
+        ),
     )

@@ -25,9 +25,10 @@ the hot path; steady-state systemic effects were measured separately
 (blocked toggling, discarding post-switch slices) at ~1.5% and are
 covered by the budget's headroom.
 
-The primitives are the tracer's two calls — ``sample`` (the per-
-candidate sampling decision, which mints the trace ID) and ``hop``
-(histogram observation + span) — plus the storage layer's own span
+The primitives are the tracer's calls — ``sample`` (the per-candidate
+sampling decision, which mints the trace ID), ``sample_many`` (a
+Pusher's decision for a whole group cycle, priced at the mean cycle
+size) and ``hop`` (histogram observation + span) — plus the storage layer's own span
 records, the ambient trace context of a traced flush and the broker's
 origin peek.  The 5% gate arms only when benchmarking is enabled; the
 ``--benchmark-disable`` smoke (``make bench-tracing``) still runs the
@@ -64,11 +65,12 @@ def _make_sim(stride: int) -> SimulatedCluster:
     )
 
 
-def _count_primitive_calls() -> tuple[dict[str, int], int]:
+def _count_primitive_calls() -> tuple[dict[str, int], int, float]:
     """Run the traced pipeline; return tracing-primitive call counts.
 
     Counts are per the whole run; the second element is the number of
-    readings ingested, for per-reading normalization.
+    readings ingested, for per-reading normalization, the third the
+    mean number of candidates per ``sample_many`` call.
     """
     samples = Counter()
     hops = Counter()
@@ -89,6 +91,14 @@ def _count_primitive_calls() -> tuple[dict[str, int], int]:
         tracers = [p.tracer for p in sim.pushers] + [sim.hub.tracer, sim.agent.tracer]
         for tracer in tracers:
             tracer.sample = counted(samples, tracer.sample, "sample")
+            sample_many = tracer.sample_many
+
+            def counted_many(n, sample_many=sample_many):
+                samples["sample_many"] += 1
+                samples["candidates"] += n
+                return sample_many(n)
+
+            tracer.sample_many = counted_many
             tracer.hop = counted(hops, tracer.hop)
         sim.spans.record = counted(records, sim.spans.record, "span_record")
         stored = sim.run(COUNT_SIM_SECONDS)
@@ -98,6 +108,7 @@ def _count_primitive_calls() -> tuple[dict[str, int], int]:
     assert set(hops) == {"collect", "publish", "dispatch", "insert", "commit"}
     counts = {
         "sample": samples["sample"],
+        "sample_many": samples["sample_many"],
         "hop": sum(hops.values()),
         # Each hop records its span itself; the rest are the storage
         # layer's replica spans.
@@ -107,7 +118,7 @@ def _count_primitive_calls() -> tuple[dict[str, int], int]:
         "trace_context": hops["commit"],
         "payload_origin_ns": hops["dispatch"],
     }
-    return counts, stored
+    return counts, stored, samples["candidates"] / max(1, samples["sample_many"])
 
 
 def _unit_cost_s(fn, n: int = 20000, reps: int = 3) -> float:
@@ -140,7 +151,8 @@ def _baseline_per_reading_s() -> float:
 
 class TestTracingOverhead:
     def test_sampled_tracing_within_five_percent(self, benchmark):
-        counts, readings = _count_primitive_calls()
+        counts, readings, cycle = _count_primitive_calls()
+        cycle = max(1, round(cycle))
 
         # Unit costs, measured adjacent to the baseline so machine
         # speed cancels in the final ratio.  Each priced at its
@@ -167,6 +179,8 @@ class TestTracingOverhead:
             # Sampling decisions run at stride 0 too: charge the delta
             # (which includes minting the ID for one in STRIDE).
             "sample": _unit_cost_s(tracer_on.sample) - _unit_cost_s(tracer_off.sample),
+            "sample_many": _unit_cost_s(lambda: tracer_on.sample_many(cycle))
+            - _unit_cost_s(lambda: tracer_off.sample_many(cycle)),
             "hop": _unit_cost_s(one_hop),
             "span_record": _unit_cost_s(one_record),
             "trace_context": _unit_cost_s(one_context),

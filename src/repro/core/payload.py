@@ -28,8 +28,9 @@ import numpy as np
 from repro.common.errors import TransportError
 from repro.core.sensor import SensorReading
 
-_RECORD = struct.Struct("!qq")
-RECORD_SIZE = _RECORD.size  # 16 bytes
+#: The record layout: big-endian int64 timestamp, then value.
+_RECORD = np.dtype([("t", ">i8"), ("v", ">i8")])
+RECORD_SIZE = _RECORD.itemsize  # 16 bytes
 
 _TRACE_HEADER = struct.Struct("!BBHQ")
 TRACE_HEADER_SIZE = _TRACE_HEADER.size  # 12 bytes
@@ -37,23 +38,47 @@ TRACE_MAGIC = 0xD7
 TRACE_VERSION = 1
 
 
+def encode_frames(timestamps, values, counts: list[int], traces: dict[int, int]) -> list[bytes]:
+    """Frame consecutive runs of int64 ``(timestamps, values)`` columns
+    as wire payloads in one pass: payload ``i`` carries the next
+    ``counts[i]`` records, prefixed with the 12-byte trace header when
+    ``traces`` maps ``i`` to a trace id.
+    """
+    records = np.empty(len(values), _RECORD)
+    records["t"] = timestamps
+    records["v"] = values
+    if len(set(counts)) == 1 and counts[0]:
+        # Equal runs (every message of a cycle): one slice per record group.
+        frames = records.view(np.dtype((np.void, RECORD_SIZE * counts[0]))).tolist()
+    else:
+        body, offsets = records.tobytes(), np.cumsum(counts).tolist()
+        starts = [0] + offsets[:-1]
+        frames = [body[a * RECORD_SIZE : b * RECORD_SIZE] for a, b in zip(starts, offsets)]
+    for i, trace_id in traces.items():
+        frames[i] = _TRACE_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 0, trace_id) + frames[i]
+    return frames
+
+
 def encode_readings(
     readings: Iterable[SensorReading], trace_id: int | None = None
 ) -> bytes:
-    """Pack readings into the 16-byte-per-record wire frame.
+    """Pack readings into the 16-byte-per-record wire frame (one message
+    of :func:`encode_frames`).
 
     When ``trace_id`` is given the frame is prefixed with the 12-byte
-    trace header, marking the whole message as a sampled trace.
+    trace header, marking the whole message as a sampled trace.  Raises
+    on a timestamp or value that is not an int within int64.
     """
-    body = b"".join(_RECORD.pack(r.timestamp, r.value) for r in readings)
-    if trace_id is None:
-        return body
-    return _TRACE_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 0, trace_id) + body
+    pairs = np.array([(r.timestamp, r.value) for r in readings]).reshape(-1, 2)
+    if pairs.size and pairs.dtype != np.int64:
+        raise ValueError("readings must be ints within int64")
+    traces = {} if trace_id is None else {0: trace_id}
+    return encode_frames(pairs[:, 0], pairs[:, 1], [len(pairs)], traces)[0]
 
 
 def encode_reading(timestamp: int, value: int) -> bytes:
     """Pack a single reading (the common continuous-mode case)."""
-    return _RECORD.pack(timestamp, value)
+    return encode_readings([SensorReading(timestamp, value)])
 
 
 def has_trace_header(payload: bytes) -> bool:

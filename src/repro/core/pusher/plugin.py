@@ -24,26 +24,40 @@ A concrete plugin subclasses :class:`SensorGroup` (implementing
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.common.errors import ConfigError, PluginError
 from repro.common.proptree import PropertyTree, parse_info
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, next_read_time
-from repro.core.sensor import SensorCache, SensorMetadata, SensorReading
+from repro.core.sensor import CachedSensor, CycleCache, SensorMetadata
 
 logger = logging.getLogger(__name__)
+
+
+def _int64_or_none(value) -> int | None:
+    """``value`` as an int when an int64 holds it exactly, else None."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        return None
+    return value if -(1 << 63) <= value < 1 << 63 else None
 
 
 class PluginSensor:
     """One data source inside a group.
 
-    Handles the generic bookkeeping every DCDB sensor shares: the
-    MQTT suffix, delta conversion for monotonic counters, the sensor
-    cache, and publish gating.  Subclasses may carry plugin-specific
+    Carries what every DCDB sensor shares: the MQTT suffix, its
+    metadata and a read-only view of the sensor cache.  Delta
+    conversion, caching and publish gating happen per group cycle in
+    :meth:`SensorGroup.read`.  Subclasses may carry plugin-specific
     state (a file offset, an OID, a register address).
     """
 
-    __slots__ = ("name", "mqtt_suffix", "metadata", "cache", "_last_raw", "readings_taken")
+    __slots__ = ("name", "mqtt_suffix", "metadata", "cache")
 
     def __init__(
         self,
@@ -56,39 +70,19 @@ class PluginSensor:
         self.mqtt_suffix = mqtt_suffix
         self.metadata = metadata if metadata is not None else SensorMetadata(name=name)
         self.metadata.name = name
-        self.cache = SensorCache(maxage_ns=cache_maxage_ns)
-        self._last_raw: int | None = None
-        self.readings_taken = 0
+        #: Answers from the group's :class:`CycleCache` once added to one.
+        self.cache = CachedSensor(maxage_ns=cache_maxage_ns)
 
-    def process_raw(self, timestamp: int, raw: int) -> SensorReading | None:
-        """Convert a raw sample into a stored reading.
 
-        Applies delta conversion when the sensor is marked ``delta``
-        (the first sample only seeds the baseline and produces no
-        reading).  The reading is cached and returned for publishing,
-        or None when nothing should be emitted this cycle.
-        """
-        if self.metadata.delta:
-            last = self._last_raw
-            self._last_raw = raw
-            if last is None:
-                return None
-            value = raw - last
-            if value < 0:
-                # Counter wrapped or reset; emit nothing rather than a
-                # huge negative spike, matching DCDB's perfevents
-                # handling.
-                return None
-        else:
-            value = raw
-        reading = SensorReading(timestamp, value)
-        self.cache.store(reading)
-        self.readings_taken += 1
-        return reading
+class Cycle(NamedTuple):
+    """One sampling cycle of a group, as columns over its sensors:
+    every sensor's reading (0 where none was produced), the mask of
+    those to publish, and the mask of the published ones the wire
+    cannot carry (a float, or outside int64), or None when none."""
 
-    def reset_delta(self) -> None:
-        """Forget the delta baseline (used on group restart)."""
-        self._last_raw = None
+    values: np.ndarray
+    keep: np.ndarray
+    bad: np.ndarray | None
 
 
 class Entity:
@@ -116,8 +110,10 @@ class SensorGroup:
     Subclasses implement :meth:`read_raw` returning the raw integer
     sample of every sensor.  The framework calls :meth:`read` at
     interval-aligned timestamps (see
-    :func:`repro.common.timeutil.align_interval`), applies per-sensor
-    processing, and hands the resulting readings to the push queue.
+    :func:`repro.common.timeutil.align_interval`), which turns the
+    cycle into one int64 column, applies delta conversion and publish
+    gating to it as a whole, caches it as one row of the group's
+    :class:`CycleCache` and hands it to the push queue.
     """
 
     def __init__(
@@ -136,36 +132,58 @@ class SensorGroup:
         #: component sends them in one message (DCDB's minValues).
         self.min_values = max(1, min_values)
         self.sensors: list[PluginSensor] = []
+        self.cache = CycleCache(interval_ns)
         self.next_due_ns: int | None = None
         self.enabled = True
         # Error accounting: one flaky cycle must not kill monitoring.
         self.read_errors = 0
+        # Per-sensor columns: the delta and publish flags (read from the
+        # metadata on add_sensor and start), and the delta baselines.
+        self._delta = np.zeros(0, bool)
+        self._any_delta = False
+        self._publish = np.zeros(0, bool)
+        self._baseline = np.zeros(0, np.int64)
+        self._seeded = np.zeros(0, bool)
+        # Delta baselines an int64 cannot hold, by sensor index.
+        self._odd_baselines: dict[int, object] = {}
 
     def add_sensor(self, sensor: PluginSensor) -> None:
         sensor.metadata.interval_ns = self.interval_ns
+        self.cache.attach(sensor.cache)
         self.sensors.append(sensor)
+        self._baseline = np.append(self._baseline, 0)
+        self._seeded = np.append(self._seeded, False)
+        self._read_flags()
+
+    def _read_flags(self) -> None:
+        self._delta = np.array([s.metadata.delta for s in self.sensors], bool)
+        self._any_delta = bool(self._delta.any())
+        self._publish = np.array([s.metadata.publish for s in self.sensors], bool)
 
     # -- to be provided by concrete plugins ------------------------------
 
     def read_raw(self, timestamp: int) -> list[int]:
         """Sample every sensor; returns raw values aligned with
-        ``self.sensors``.  May raise :class:`PluginError`."""
+        ``self.sensors``, ints within int64 (anything else fails on its
+        own).  May raise :class:`PluginError`."""
         raise NotImplementedError
 
     # -- framework-driven -------------------------------------------------
 
-    def read(self, timestamp: int) -> list[tuple[PluginSensor, SensorReading]]:
-        """One collective sampling cycle.
+    def read(self, timestamp: int) -> Cycle | None:
+        """One collective sampling cycle, cached and returned as columns.
 
-        Returns the publishable (sensor, reading) pairs.  A raising
-        :meth:`read_raw` is logged and counted, not propagated.
+        A delta sensor's first sample only seeds its baseline, and a
+        negative delta (a wrapped or reset counter) produces nothing,
+        matching DCDB's perfevents handling.  A raising :meth:`read_raw`
+        is logged and counted, not propagated, and gives None.
         """
         try:
             raws = self.read_raw(timestamp)
         except PluginError as exc:
             self.read_errors += 1
             logger.warning("group %s: read failed: %s", self.name, exc)
-            return []
+            return None
         if len(raws) != len(self.sensors):
             self.read_errors += 1
             logger.warning(
@@ -174,13 +192,62 @@ class SensorGroup:
                 len(raws),
                 len(self.sensors),
             )
-            return []
-        out: list[tuple[PluginSensor, SensorReading]] = []
-        for sensor, raw in zip(self.sensors, raws):
-            reading = sensor.process_raw(timestamp, raw)
-            if reading is not None and sensor.metadata.publish:
-                out.append((sensor, reading))
-        return out
+            return None
+        if not raws:
+            return None
+        column = np.array(raws)
+        plain = column.dtype == np.int64 and not self._odd_baselines
+        if plain and not self._any_delta:
+            self.cache.store(timestamp, column, True)
+            return Cycle(column, self._publish, None)
+        converted = self._convert_deltas(column) if plain else None
+        values, produced, bad = converted or self._convert_each(raws)
+        self.cache.store(timestamp, values, produced & ~bad)
+        keep = produced & self._publish
+        return Cycle(values, keep, bad & keep if bad.any() else None)
+
+    def _convert_deltas(self, column: np.ndarray):
+        """Delta conversion of an int64 column, or None when a delta
+        overflows int64 (the per-element conversion then takes it)."""
+        delta, seeded, last = self._delta, self._seeded, self._baseline
+        diff = column - last
+        if (delta & seeded & (((column ^ last) & (column ^ diff)) < 0)).any():
+            return None
+        self._baseline = np.where(delta, column, last)
+        self._seeded = seeded | delta
+        produced = ~delta | (seeded & (diff >= 0))
+        return np.where(delta, diff, column), produced, np.zeros(len(column), bool)
+
+    def _convert_each(self, raws: list):
+        """The per-element conversion, for a cycle with a raw value an
+        int64 column cannot hold (a float, an int outside int64), or a
+        delta beyond int64: such a reading fails on its own, and deltas
+        take Python's arithmetic."""
+        values = np.zeros(len(raws), np.int64)
+        produced, bad = np.ones(len(raws), bool), np.zeros(len(raws), bool)
+        for i, raw in enumerate(raws):
+            value = raw
+            if self._delta[i]:
+                seeded = int(self._baseline[i]) if self._seeded[i] else None
+                last = self._odd_baselines.pop(i, seeded)
+                self._seeded[i] = True
+                if _int64_or_none(raw) is None:
+                    self._odd_baselines[i] = raw
+                else:
+                    self._baseline[i] = raw
+                try:
+                    value = raw - last
+                    skip = value < 0
+                except TypeError:  # no baseline yet, or not a number
+                    value, skip = None, last is None
+                if skip:
+                    produced[i] = False
+                    continue
+            if (value := _int64_or_none(value)) is None:
+                bad[i] = True
+            else:
+                values[i] = value
+        return values, produced, bad
 
     def schedule_after(self, now_ns: int) -> int:
         """Compute and store the next aligned due time after ``now_ns``."""
@@ -188,9 +255,11 @@ class SensorGroup:
         return self.next_due_ns
 
     def start(self) -> None:
-        """Hook invoked when the plugin starts; default resets deltas."""
-        for sensor in self.sensors:
-            sensor.reset_delta()
+        """Hook invoked when the plugin starts; default resets the delta
+        baselines and re-reads the sensors' delta and publish flags."""
+        self._seeded = np.zeros(len(self.sensors), bool)
+        self._odd_baselines.clear()
+        self._read_flags()
 
     def stop(self) -> None:  # pragma: no cover - trivial default
         """Hook invoked when the plugin stops."""

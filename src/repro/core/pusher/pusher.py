@@ -32,12 +32,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, now_ns
-from repro.core import payload as payload_mod
-from repro.core.pusher.plugin import Plugin, PluginSensor, SensorGroup
+from repro.core.payload import encode_frames
+from repro.core.pusher.plugin import Cycle, Plugin, PluginSensor, SensorGroup
 from repro.core.pusher.registry import create_configurator
-from repro.core.sensor import SensorReading
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
 from repro.observability.spans import default_recorder
 
@@ -126,13 +127,9 @@ class Pusher:
         self._clock = clock if clock is not None else now_ns
         self.plugins: dict[str, Plugin] = {}
         self._lock = threading.RLock()
-        # Pending readings per sensor awaiting publication.
-        self._pending: dict[PluginSensor, list[SensorReading]] = {}
+        # Readings awaiting publication, as each group's pending cycles.
+        self._pending: dict[SensorGroup, _PendingCycles] = {}
         self._pending_lock = threading.Lock()
-        # Trace IDs started at collection, awaiting the publish that
-        # carries them on the wire (keyed by sensor; a later sampled
-        # collect for the same unflushed sensor supersedes the trace).
-        self._pending_traces: dict[PluginSensor, int] = {}
         self._topics: dict[PluginSensor, str] = {}
         # Threaded-mode machinery.
         self._heap: list[tuple[int, int, SensorGroup]] = []
@@ -173,7 +170,7 @@ class Pusher:
 
     def _pending_count(self) -> int:
         with self._pending_lock:
-            return sum(len(queue) for queue in self._pending.values())
+            return sum(int(queue.counts.sum()) for queue in self._pending.values())
 
     # Backward-compatible counter views over the registry.
 
@@ -228,10 +225,14 @@ class Pusher:
                 raise ConfigError(f"plugin {alias!r} not loaded")
             if plugin.running:
                 self._stop_plugin_locked(plugin)
+            # Send what the plugin still has pending before forgetting it.
+            batch = _Batch()
+            with self._pending_lock:
+                for group in plugin.groups:
+                    self._pending.pop(group, _PendingCycles()).take_all(batch)
+            self._send(batch)
             for sensor in plugin.all_sensors():
                 self._topics.pop(sensor, None)
-                self._pending.pop(sensor, None)
-                self._pending_traces.pop(sensor, None)
 
     def start_plugin(self, alias: str) -> None:
         """Begin sampling the plugin's groups."""
@@ -344,36 +345,42 @@ class Pusher:
         return self._topics[sensor]
 
     def _collect(self, group: SensorGroup, timestamp: int) -> None:
-        """Read one group, queue its readings and publish, in one batch,
+        """Read one group cycle, queue it and publish, in one batch,
         every sensor of the group that reached the group's ``minValues``."""
-        results = group.read(timestamp)
-        if not results:
+        cycle = group.read(timestamp)
+        if cycle is None:
             return
-        self._readings_collected.inc(len(results))
-        topics = self._topics
-        pending = self._pending
-        min_values = group.min_values
-        burst = self.config.send_mode == "burst"
-        batch = []
+        count = np.count_nonzero(cycle.keep)
+        if not count:
+            return
+        self._readings_collected.inc(count)
+        sampled = self.tracer.sample_many(count)
         with self._pending_lock:
-            for sensor, reading in results:
-                topic = topics.get(sensor)
-                if topic is None:
-                    # Sensors may appear dynamically (e.g. the appinstr
-                    # plugin discovering instruments at runtime).
-                    topic = topics[sensor] = self.config.mqtt_prefix + sensor.mqtt_suffix
-                trace_id = self.tracer.sample()
-                if trace_id is not None:
-                    origin = reading.timestamp
-                    self.tracer.hop("collect", "pusher", trace_id, origin, origin, sid=topic)
-                    self._pending_traces[sensor] = trace_id
-                queue = pending.get(sensor)
-                if queue is None:
-                    queue = pending[sensor] = []
-                queue.append(reading)
-                if not burst and len(queue) >= min_values:
-                    trace_id = self._pending_traces.pop(sensor, None)
-                    batch.append((topic, pending.pop(sensor), trace_id))
+            queue = self._pending.get(group)
+            if queue is None:
+                queue = self._pending[group] = _PendingCycles()
+            topics = queue.topics
+            if len(topics) < len(group.sensors):
+                # Sensors may appear dynamically (e.g. the appinstr
+                # plugin discovering instruments at runtime).
+                for sensor in group.sensors[len(topics) :]:
+                    topic = self._topics.get(sensor)
+                    if topic is None:
+                        topic = self._topics[sensor] = self.config.mqtt_prefix + sensor.mqtt_suffix
+                    topics.append(topic)
+            kept = np.flatnonzero(cycle.keep) if sampled else None
+            for position, trace_id in sampled.items():
+                sensor = int(kept[position])
+                self.tracer.hop(
+                    "collect", "pusher", trace_id, timestamp, timestamp, sid=topics[sensor]
+                )
+                # A later sampled reading supersedes an unsent trace.
+                queue.traces[sensor] = trace_id
+            queue.add(timestamp, cycle)
+            # No sensor has more readings pending than there are cycles.
+            if self.config.send_mode == "burst" or len(queue.stamps) < group.min_values:
+                return
+            batch = queue.take(np.flatnonzero(queue.counts >= group.min_values), _Batch())
         self._send(batch)
 
     def flush(self) -> int:
@@ -382,38 +389,25 @@ class Pusher:
         Returns the number of MQTT messages sent.  This is the burst
         flush; it is also called on shutdown so no readings are lost.
         """
+        batch = _Batch()
         with self._pending_lock:
-            batch = [
-                (topic, readings, self._pending_traces.pop(sensor, None))
-                for sensor, readings in self._pending.items()
-                if readings and (topic := self._topics.get(sensor)) is not None
-            ]
-            self._pending.clear()
+            for queue in self._pending.values():
+                queue.take_all(batch)
         self._send(batch)
-        return len(batch)
+        return len(batch.messages) + batch.unencodable
 
-    def _send(self, batch: list[tuple[str, list[SensorReading], int | None]]) -> None:
-        """Publish one message per sensor of ``batch`` with one client call.
+    def _send(self, batch: "_Batch") -> None:
+        """Publish one batch's messages with one client call.
 
-        A message that fails to encode (a value outside int64) or that
-        the client refuses (invalid topic) fails on its own; its
+        A message carrying a value the wire cannot hold fails on its
+        own, as does one the client refuses (invalid topic); the
         neighbours are still published.  Only a batch the client could
         not write makes a reconnect attempt.
         """
-        if not batch:
+        if not (batch.messages or batch.unencodable):
             return
         start_ns = self._clock()
-        encode = payload_mod.encode_readings
-        failed: dict[int, Exception] = {}
-        messages = []
-        sent = []  # batch index of each entry of ``messages``
-        for i, (topic, readings, trace_id) in enumerate(batch):
-            try:
-                messages.append((topic, encode(readings, trace_id=trace_id)))
-            except Exception as exc:  # noqa: BLE001 - one bad value must not stop the group
-                failed[i] = exc
-            else:
-                sent.append(i)
+        messages = batch.messages
         refused: dict[int, Exception] = {}
         write_failed = False
         try:
@@ -421,25 +415,25 @@ class Pusher:
                 refused = self.client.publish_many(messages, qos=self.config.qos)
         except Exception as exc:  # noqa: BLE001 - transport errors must not kill sampling
             refused, write_failed = dict.fromkeys(range(len(messages)), exc), True
-        for j, exc in refused.items():
-            failed[sent[j]] = exc
-        self._messages_published.inc(len(batch) - len(failed))
-        for i, (topic, readings, trace_id) in enumerate(batch):
-            if trace_id is not None and i not in failed:
+        self._messages_published.inc(len(messages) - len(refused))
+        for i, trace_id, origin, readings in batch.traced:
+            if i not in refused:
                 self.tracer.hop(
                     "publish",
                     "pusher",
                     trace_id,
-                    readings[0].timestamp,
+                    origin,
                     start_ns,
-                    topic=topic,
+                    topic=messages[i][0],
                     qos=self.config.qos,
-                    readings=len(readings),
+                    readings=readings,
                 )
+        failed = len(refused) + batch.unencodable
         if failed:
-            exc = next(iter(failed.values()))
-            logger.warning("publish of %d/%d messages failed: %s", len(failed), len(batch), exc)
-            self._publish_failures.inc(len(failed))
+            total = len(messages) + batch.unencodable
+            reason = next(iter(refused.values()), "a value not an int within int64")
+            logger.warning("publish of %d/%d messages failed: %s", failed, total, reason)
+            self._publish_failures.inc(failed)
         if write_failed:
             self._try_reconnect()
 
@@ -674,3 +668,91 @@ class Pusher:
                     for alias, plugin in self.plugins.items()
                 },
             }
+
+
+@dataclass
+class _Batch:
+    """Messages ready for one ``publish_many``."""
+
+    messages: list[tuple[str, bytes]] = field(default_factory=list)
+    #: (message index, trace id, origin ns, readings) per traced message.
+    traced: list[tuple[int, int, int, int]] = field(default_factory=list)
+    #: Messages that would carry a value the wire cannot hold.
+    unencodable: int = 0
+
+
+class _PendingCycles:
+    """One group's readings awaiting publication: its pending sampling
+    cycles as columns, with the count of readings each sensor has
+    pending.  Guarded by the Pusher's pending lock."""
+
+    __slots__ = ("topics", "stamps", "columns", "masks", "counts", "bad", "traces")
+
+    def __init__(self) -> None:
+        self.topics: list[str] = []  # per sensor
+        self.stamps: list[int] = []  # per pending cycle
+        self.columns: list[np.ndarray] = []  # values, per pending cycle
+        self.masks: list[np.ndarray] = []  # readings queued, per pending cycle
+        self.counts = np.zeros(0, np.int64)
+        self.bad = np.zeros(0, bool)  # a queued value the wire cannot hold
+        self.traces: dict[int, int] = {}  # sensor -> trace id awaiting publish
+
+    def add(self, timestamp: int, cycle: Cycle) -> None:
+        width = len(cycle.values)
+        if width > len(self.counts):  # the group gained sensors
+            grow = width - len(self.counts)
+            self.counts = np.append(self.counts, np.zeros(grow, np.int64))
+            self.bad = np.append(self.bad, np.zeros(grow, bool))
+            self.columns = [np.append(c, np.zeros(grow, np.int64)) for c in self.columns]
+            self.masks = [np.append(m, np.zeros(grow, bool)) for m in self.masks]
+        self.stamps.append(timestamp)
+        self.columns.append(cycle.values)
+        self.masks.append(cycle.keep)
+        self.counts += cycle.keep
+        if cycle.bad is not None:
+            self.bad |= cycle.bad
+
+    def take_all(self, batch: _Batch) -> _Batch:
+        return self.take(np.flatnonzero(self.counts), batch)
+
+    def take(self, sensors: np.ndarray, batch: _Batch) -> _Batch:
+        """Dequeue the pending readings of ``sensors`` (indices, each
+        with a reading pending) into ``batch``, one message per sensor,
+        framed in one pass."""
+        if not sensors.size:
+            return batch
+        masks = np.vstack(self.masks)
+        unencodable = self.bad[sensors]
+        good = sensors[~unencodable]
+        # Every reading of the good sensors, sensor by sensor, oldest first.
+        which, cycles = np.nonzero(masks[:, good].T)
+        counts = self.counts[good]
+        stamps = np.array(self.stamps)[cycles]
+        values = np.vstack(self.columns)[cycles, good[which]]
+        traces = {}  # message index -> trace id
+        for j in list(self.traces):
+            i = int(np.searchsorted(good, j))
+            if i < len(good) and good[i] == j:
+                traces[i] = self.traces.pop(j)
+        payloads = encode_frames(stamps, values, counts.tolist(), traces)
+        offset = len(batch.messages)
+        batch.messages += zip(map(self.topics.__getitem__, good.tolist()), payloads)
+        firsts = np.cumsum(counts) - counts
+        batch.traced += [
+            (offset + i, trace_id, int(stamps[firsts[i]]), int(counts[i]))
+            for i, trace_id in traces.items()
+        ]
+        batch.unencodable += int(unencodable.sum())
+        for j in sensors[unencodable].tolist():
+            self.traces.pop(j, None)
+        self.counts[sensors] = 0
+        self.bad[sensors] = False
+        if not self.counts.any():
+            self.stamps, self.columns, self.masks = [], [], []
+        else:  # keep the cycles other sensors still have readings in
+            masks[:, sensors] = False
+            alive = np.flatnonzero(masks.any(axis=1)).tolist()
+            self.stamps = [self.stamps[r] for r in alive]
+            self.columns = [self.columns[r] for r in alive]
+            self.masks = list(masks[alive])
+        return batch

@@ -12,10 +12,11 @@ factors.  We keep that convention: :class:`SensorReading` carries an
 factor needed to interpret it.  Floating-point sources multiply by the
 scale before storage and divide on the query path.
 
-:class:`SensorCache` is the time-bounded ring of most recent readings
-that both Pushers and Collect Agents expose over their RESTful APIs
-(paper section 5.3: "a sensor cache that stores the latest readings of
-all sensors ... configurable in size").
+:class:`SensorCache` (a Collect Agent's, per topic) and
+:class:`CycleCache` (a Pusher group's, per sampling cycle) are the
+time-bounded caches of most recent readings that both daemons expose
+over their RESTful APIs (paper section 5.3: "a sensor cache that
+stores the latest readings of all sensors ... configurable in size").
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
 
@@ -76,16 +79,56 @@ class SensorMetadata:
         return int(round(value * self.scale))
 
 
-class SensorCache:
-    """Time-bounded cache of the latest readings of one sensor.
+class _CachedReadings:
+    """The read side both caches share, over a ``_columns()`` copy of
+    the cached ``(timestamps, values)``, oldest first."""
+
+    __slots__ = ()
+
+    def _columns(self) -> tuple[list[int], list[int]]:
+        raise NotImplementedError
+
+    def latest(self) -> SensorReading | None:
+        """Most recent reading, or None when empty."""
+        timestamps, values = self._columns()
+        return SensorReading(timestamps[-1], values[-1]) if timestamps else None
+
+    def snapshot(self) -> list[SensorReading]:
+        """A copy of all cached readings, oldest first."""
+        return list(map(SensorReading, *self._columns()))
+
+    def view(self, start_ns: int, end_ns: int) -> list[SensorReading]:
+        """Cached readings with start <= timestamp <= end."""
+        pairs = zip(*self._columns())
+        return [SensorReading(t, v) for t, v in pairs if start_ns <= t <= end_ns]
+
+    def average(self, window_ns: int | None = None) -> float | None:
+        """Mean raw value over the trailing ``window_ns`` (or all).
+
+        DCDB's cache answers smoothed reads for consumers that want a
+        stable recent value rather than the instantaneous sample.
+        """
+        timestamps, values = self._columns()
+        if window_ns is not None and timestamps:
+            horizon = timestamps[-1] - window_ns
+            values = [v for t, v in zip(timestamps, values) if t >= horizon]
+        return sum(values) / len(values) if values else None
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+
+class SensorCache(_CachedReadings):
+    """Time-bounded cache of the latest readings of one topic.
 
     Readings older than ``maxage_ns`` relative to the newest entry are
     evicted on insert.  The default 120 s matches the paper's
     evaluation setup ("a sensor cache size of two minutes",
-    section 6.1).  Thread-safe: the sampling thread appends while REST
+    section 6.1).  Thread-safe: the ingest thread appends while REST
     handlers snapshot.  Timestamps and values are kept as two parallel
     columns, so a burst message is stored without one object per
-    reading.
+    reading.  The Collect Agent keeps one per topic; a Pusher group
+    caches its cycles in a :class:`CycleCache`.
     """
 
     __slots__ = ("maxage_ns", "_timestamps", "_values", "_lock")
@@ -98,74 +141,23 @@ class SensorCache:
         self._values: deque[int] = deque()
         self._lock = threading.Lock()
 
-    def store(self, readings) -> None:
-        """Insert readings and evict entries older than the window.
-
-        ``readings`` is one :class:`SensorReading` (a Pusher's sample)
-        or a ``(timestamps, values)`` pair of int lists (a Collect Agent
-        message); the outcome equals storing its readings one at a time.
-        """
-        if isinstance(readings, SensorReading):
-            horizon = readings.timestamp - self.maxage_ns
-            with self._lock:
-                self._timestamps.append(readings.timestamp)
-                self._values.append(readings.value)
-                self._evict(horizon)
-            return
+    def store(self, readings: tuple[list[int], list[int]]) -> None:
+        """Insert a ``(timestamps, values)`` pair of int lists (one
+        message) and evict entries older than the window; the outcome
+        equals storing its readings one at a time."""
         timestamps, values = readings
         if timestamps:
             horizon = max(timestamps) - self.maxage_ns
             with self._lock:
                 self._timestamps.extend(timestamps)
                 self._values.extend(values)
-                self._evict(horizon)
+                while self._timestamps[0] < horizon:
+                    self._timestamps.popleft()
+                    self._values.popleft()
 
-    def _evict(self, horizon: int) -> None:
-        """Drop the oldest readings while they precede ``horizon``."""
-        timestamps, values = self._timestamps, self._values
-        while timestamps[0] < horizon:
-            timestamps.popleft()
-            values.popleft()
-
-    def latest(self) -> SensorReading | None:
-        """Most recent reading, or None when empty."""
+    def _columns(self) -> tuple[list[int], list[int]]:
         with self._lock:
-            if not self._timestamps:
-                return None
-            return SensorReading(self._timestamps[-1], self._values[-1])
-
-    def snapshot(self) -> list[SensorReading]:
-        """A copy of all cached readings, oldest first."""
-        with self._lock:
-            return list(map(SensorReading, self._timestamps, self._values))
-
-    def view(self, start_ns: int, end_ns: int) -> list[SensorReading]:
-        """Cached readings with start <= timestamp <= end."""
-        with self._lock:
-            pairs = zip(self._timestamps, self._values)
-            return [SensorReading(t, v) for t, v in pairs if start_ns <= t <= end_ns]
-
-    def average(self, window_ns: int | None = None) -> float | None:
-        """Mean raw value over the trailing ``window_ns`` (or all).
-
-        DCDB's cache answers smoothed reads for consumers that want a
-        stable recent value rather than the instantaneous sample.
-        """
-        with self._lock:
-            if not self._timestamps:
-                return None
-            if window_ns is None:
-                items = self._values
-            else:
-                horizon = self._timestamps[-1] - window_ns
-                items = [v for t, v in zip(self._timestamps, self._values) if t >= horizon]
-            if not items:
-                return None
-            return sum(items) / len(items)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._timestamps)
+            return list(self._timestamps), list(self._values)
 
     def clear(self) -> None:
         with self._lock:
@@ -174,12 +166,105 @@ class SensorCache:
 
     @property
     def memory_bytes(self) -> int:
-        """Approximate memory footprint of the cached readings.
-
-        Used by the resource-footprint model (paper Figure 6b ties
-        Pusher memory to cache contents: interval x sensor count).
-        """
-        # The model's constant per cached reading (a reading object
-        # with two Python ints, sys.getsizeof on CPython 3.11).
+        """Approximate memory footprint of the cached readings: the
+        model's constant per cached reading (a reading object with two
+        Python ints, sys.getsizeof on CPython 3.11)."""
         with self._lock:
             return 120 * len(self._timestamps)
+
+
+class CycleCache:
+    """The sensor cache of one Pusher group: a ring of its last cycles.
+
+    A group reads all its sensors at one instant, so its cache is one
+    timestamp column plus ``(slots x sensors)`` value and valid columns,
+    and a sampling cycle is one row store.  ``slots`` is ``ceil(window /
+    interval) + 1``, where the window is the largest max age of the
+    group's sensors: enough rows for every cycle of the window, as
+    cycle timestamps are at least one interval apart.  Memory is
+    ``slots x (9 x sensors + 8)`` bytes (paper Fig. 7).
+    """
+
+    def __init__(self, interval_ns: int) -> None:
+        self.interval_ns = interval_ns
+        self.window_ns = 0
+        self._stamps = np.zeros(1, np.int64)
+        self._values = np.zeros((1, 0), np.int64)
+        self._valid = np.zeros((1, 0), bool)
+        self._rows = 0  # cycles stored; the newest is row (rows - 1) % slots
+        self._lock = threading.Lock()
+
+    @property
+    def slots(self) -> int:
+        return len(self._stamps)
+
+    def attach(self, view: "CachedSensor") -> None:
+        """Add a column for ``view``'s sensor, widening the window to its
+        max age; the cycles already held are kept."""
+        with self._lock:
+            held = self._held()
+            self.window_ns = max(self.window_ns, view.maxage_ns)
+            grow = -(-self.window_ns // self.interval_ns) + 1 - len(held)
+            self._stamps = np.pad(self._stamps[held], (0, grow))
+            self._values = np.pad(self._values[held], ((0, grow), (0, 1)))
+            self._valid = np.pad(self._valid[held], ((0, grow), (0, 1)))
+            self._rows = len(held)
+        view._ring, view._index = self, self._values.shape[1] - 1
+
+    def store(self, timestamp: int, values: np.ndarray, valid: np.ndarray) -> None:
+        """Cache one cycle: ``values[i]`` of sensor ``i`` where ``valid[i]``."""
+        with self._lock:
+            row = self._rows % len(self._stamps)
+            self._stamps[row] = timestamp
+            self._values[row] = values
+            self._valid[row] = valid
+            self._rows += 1
+
+    def _held(self) -> np.ndarray:
+        """Row indices of the cycles held, oldest first."""
+        held = min(self._rows, len(self._stamps))
+        return np.arange(self._rows - held, self._rows) % len(self._stamps)
+
+    def readings(self, index: int, maxage_ns: int) -> tuple[list[int], list[int]]:
+        """Sensor ``index``'s cached ``(timestamps, values)``, oldest
+        first, no older than ``maxage_ns`` before its newest one."""
+        with self._lock:
+            held = self._held()
+            valid = self._valid[held, index]
+            stamps = self._stamps[held][valid]
+            values = self._values[held, index][valid]
+        if stamps.size:
+            recent = stamps >= stamps[-1] - maxage_ns
+            stamps, values = stamps[recent], values[recent]
+        return stamps.tolist(), values.tolist()
+
+
+class CachedSensor(_CachedReadings):
+    """One Pusher sensor's read-only view of its group's :class:`CycleCache`.
+
+    Answers as a :class:`SensorCache` of ``maxage_ns`` fed the same
+    readings would, with one exception: the ring holds the group's last
+    ``slots`` cycles, so a sensor whose newest reading is older than the
+    group's newest cycle answers from those cycles only (and a sensor
+    that produced nothing for a whole window answers empty).
+    """
+
+    __slots__ = ("maxage_ns", "_ring", "_index")
+
+    def __init__(self, maxage_ns: int = 120 * NS_PER_SEC) -> None:
+        if maxage_ns <= 0:
+            raise ValueError("cache max age must be positive")
+        self.maxage_ns = maxage_ns
+        self._ring: CycleCache | None = None  # set when the sensor joins a group
+        self._index = 0
+
+    def _columns(self) -> tuple[list[int], list[int]]:
+        if self._ring is None:
+            return [], []
+        return self._ring.readings(self._index, self.maxage_ns)
+
+    @property
+    def memory_bytes(self) -> int:
+        """This sensor's share of the ring: one value and one valid
+        column."""
+        return 0 if self._ring is None else 9 * self._ring.slots

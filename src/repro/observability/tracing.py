@@ -28,8 +28,10 @@ Hops, in pipeline order:
 ``commit``    storage acknowledged the batch — end-to-end latency
 
 Overhead is bounded by the *sampling knob*: ``sample_every=N`` traces
-one of every N candidates (a shared atomic cycle counter, no lock).
-``sample_every=0`` disables tracing entirely.
+one of every N candidates (a shared atomic cycle counter, no lock; a
+Pusher takes a whole sampling cycle's candidates with one
+:meth:`PipelineTracer.sample_many`).  ``sample_every=0`` disables
+tracing entirely.
 """
 
 from __future__ import annotations
@@ -114,6 +116,21 @@ class PipelineTracer:
         if every == 0 or (every != 1 and next(self._cycle) % every):
             return None
         return new_trace_id()
+
+    def sample_many(self, n: int) -> dict[int, int]:
+        """Trace IDs for the sampled ones of ``n`` candidates, by position.
+
+        Equals ``n`` calls of :meth:`sample` in order, also from several
+        sampling threads: one C-level ``islice`` step advances the
+        shared counter by ``n`` atomically, so the candidates are one
+        block of it.
+        """
+        every = self.sample_every
+        if every == 0 or n <= 0:
+            return {}
+        first = 0 if every == 1 else next(itertools.islice(self._cycle, n - 1, None)) - n + 1
+        positions = range(-first % every, n, every)
+        return {i: new_trace_id() for i in positions} if positions else {}
 
     def hop(
         self,

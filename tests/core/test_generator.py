@@ -43,7 +43,7 @@ class TestGenerate:
             # The skeleton's read_raw raises PluginError until filled
             # in; the framework must swallow it and count the failure.
             group = plugin.groups[0]
-            assert group.read(1) == []
+            assert group.read(1) is None
             assert group.read_errors == 1
         finally:
             sys.path.remove(str(tmp_path))

@@ -1,5 +1,6 @@
 """Tests for the plugin base classes: sensors, groups, configurators."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, PluginError
@@ -11,6 +12,7 @@ from repro.core.pusher.plugin import (
     PluginSensor,
     SensorGroup,
 )
+from repro.core.sensor import SensorReading
 
 
 class CountingGroup(SensorGroup):
@@ -35,35 +37,57 @@ class WrongArityGroup(SensorGroup):
         return [1, 2, 3]  # regardless of sensor count
 
 
+class ScriptedGroup(SensorGroup):
+    """Test double returning the next scripted raw column per read."""
+
+    def __init__(self, script, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.script = iter(script)
+
+    def read_raw(self, timestamp):
+        return next(self.script)
+
+
+def scripted(script, delta=False):
+    group = ScriptedGroup(script, "g")
+    sensor = PluginSensor("s", "/s")
+    sensor.metadata.delta = delta
+    group.add_sensor(sensor)
+    return group, sensor
+
+
+def published(cycle):
+    """The (index, value) pairs a cycle queues for publication."""
+    return [(int(i), int(cycle.values[i])) for i in np.flatnonzero(cycle.keep)]
+
+
 class TestPluginSensor:
     def test_plain_processing_caches(self):
-        sensor = PluginSensor("s", "/s")
-        reading = sensor.process_raw(100, 42)
-        assert reading.value == 42
-        assert sensor.cache.latest() == reading
-        assert sensor.readings_taken == 1
+        group, sensor = scripted([[42]])
+        assert published(group.read(100)) == [(0, 42)]
+        assert sensor.cache.latest() == SensorReading(100, 42)
 
     def test_delta_first_sample_suppressed(self):
-        sensor = PluginSensor("s", "/s")
-        sensor.metadata.delta = True
-        assert sensor.process_raw(1, 1000) is None
-        reading = sensor.process_raw(2, 1500)
-        assert reading.value == 500
+        group, _ = scripted([[1000], [1500]], delta=True)
+        assert published(group.read(1)) == []
+        assert published(group.read(2)) == [(0, 500)]
 
     def test_delta_counter_wrap_suppressed(self):
-        sensor = PluginSensor("s", "/s")
-        sensor.metadata.delta = True
-        sensor.process_raw(1, 1000)
-        assert sensor.process_raw(2, 50) is None  # wrapped/reset
-        reading = sensor.process_raw(3, 80)
-        assert reading.value == 30
+        group, _ = scripted([[1000], [50], [80]], delta=True)
+        group.read(1)
+        assert published(group.read(2)) == []  # wrapped/reset
+        assert published(group.read(3)) == [(0, 30)]
 
     def test_reset_delta(self):
+        group, _ = scripted([[1000], [2000]], delta=True)
+        group.read(1)
+        group.start()
+        assert published(group.read(2)) == []  # re-seeding
+
+    def test_sensor_outside_a_group_caches_nothing(self):
         sensor = PluginSensor("s", "/s")
-        sensor.metadata.delta = True
-        sensor.process_raw(1, 1000)
-        sensor.reset_delta()
-        assert sensor.process_raw(2, 2000) is None  # re-seeding
+        assert sensor.cache.latest() is None
+        assert len(sensor.cache) == 0
 
 
 class TestSensorGroup:
@@ -75,26 +99,26 @@ class TestSensorGroup:
 
     def test_collective_read(self):
         group = self._group()
-        results = group.read(1000)
-        assert len(results) == 3
-        assert [r.value for _s, r in results] == [10, 11, 12]
+        assert published(group.read(1000)) == [(0, 10), (1, 11), (2, 12)]
 
     def test_unpublished_sensor_excluded(self):
         group = self._group()
         group.sensors[1].metadata.publish = False
-        results = group.read(1000)
-        assert len(results) == 2
+        group.start()  # flags are read on add_sensor and start
+        assert published(group.read(1000)) == [(0, 10), (2, 12)]
+        # Still cached: the REST API answers for it.
+        assert group.sensors[1].cache.latest() == SensorReading(1000, 11)
 
     def test_read_error_counted_not_raised(self):
         group = FailingGroup("g")
         group.add_sensor(PluginSensor("s", "/s"))
-        assert group.read(1) == []
+        assert group.read(1) is None
         assert group.read_errors == 1
 
     def test_wrong_arity_counted(self):
         group = WrongArityGroup("g")
         group.add_sensor(PluginSensor("s", "/s"))
-        assert group.read(1) == []
+        assert group.read(1) is None
         assert group.read_errors == 1
 
     def test_interval_propagates_to_sensors(self):
@@ -112,9 +136,32 @@ class TestSensorGroup:
     def test_start_resets_deltas(self):
         group = self._group()
         group.sensors[0].metadata.delta = True
-        group.sensors[0].process_raw(1, 100)
         group.start()
-        assert group.sensors[0]._last_raw is None
+        group.read(1)
+        group.start()
+        assert published(group.read(2))[0][0] == 1  # sensor 0 re-seeds
+
+    def test_unencodable_raw_values_fail_alone(self):
+        group, _ = scripted([[1 << 63], [2.5], [7]])
+        for t in (1, 2):
+            cycle = group.read(t)
+            assert published(cycle) == [(0, 0)] and cycle.bad.tolist() == [True]
+        assert group.read(3).bad is None
+
+    def test_delta_beyond_int64_uses_exact_arithmetic(self):
+        # A 64-bit counter past int64 still gives its (small) delta.
+        group, sensor = scripted([[1 << 63], [(1 << 63) + 5], [3]], delta=True)
+        assert published(group.read(1)) == []
+        cycle = group.read(2)
+        assert published(cycle) == [(0, 5)] and cycle.bad is None
+        assert published(group.read(3)) == []  # a reset
+        assert sensor.cache.snapshot() == [SensorReading(2, 5)]
+
+    def test_delta_wrapping_int64_is_bad_or_a_reset(self):
+        group, _ = scripted([[-(1 << 62) * 2], [(1 << 62)], [-(1 << 62) * 2]], delta=True)
+        group.read(1)
+        assert group.read(2).bad.tolist() == [True]  # +3 * 2**62: outside int64
+        assert published(group.read(3)) == []  # negative: a reset
 
 
 class MiniConfigurator(ConfiguratorBase):

@@ -75,6 +75,27 @@ class TestPluginLifecycle:
         pusher.advance_to(NS_PER_SEC)
         assert pusher.readings_collected == 9
 
+    @pytest.mark.parametrize("send_mode", ["continuous", "burst"])
+    def test_reload_sends_pending_readings(self, send_mode):
+        """A reload is seamless: readings queued below minValues (or
+        awaiting the burst flush) are published, not dropped."""
+        pusher, hub, _ = make_pusher(send_mode=send_mode)
+        messages = []
+        hub.add_publish_hook(lambda _cid, packets: messages.extend(packets))
+        config = "group g0 { interval 1000\n minValues 5\n numSensors 2 }"
+        pusher.load_plugin("tester", config)
+        pusher.client.connect()
+        pusher.start_plugin("tester")
+        pusher.advance_to(3 * NS_PER_SEC)
+        assert (pusher.readings_collected, pusher.status()["pendingReadings"]) == (6, 6)
+        pusher.reload_plugin("tester", config)
+        pusher.flush()
+        assert pusher.status()["pendingReadings"] == 0
+        assert [m.topic for m in messages] == ["/t/h0/g0/s0", "/t/h0/g0/s1"]
+        published = sum(len(m.payload) // 16 for m in messages)
+        assert pusher.readings_collected == published + pusher.publish_failures
+        assert pusher.publish_failures == 0
+
     def test_unknown_plugin_name(self):
         pusher, _, _ = make_pusher()
         with pytest.raises(ConfigError, match="unknown plugin"):

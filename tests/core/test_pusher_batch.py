@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, SimClock
 from repro.core.payload import encode_readings
 from repro.core.pusher import Pusher, PusherConfig
+from repro.core.pusher.plugin import PluginSensor
 from repro.core.sensor import SensorReading
 from repro.observability import SpanRecorder
 
@@ -57,6 +58,15 @@ groups = st.lists(
             "sensors": st.integers(0, 3),
             "delta": st.booleans(),
             "generator": st.sampled_from(["counter", "sawtooth"]),
+            # Delta raws taken modulo ``wrap``: the counter resets.
+            "wrap": st.sampled_from([0, 3, 7]),
+            # A ``publish false`` sensor.
+            "hidden": st.booleans(),
+            # A raw value the wire cannot carry, as the first sensor's
+            # every third cycle.
+            "poison": st.sampled_from([None, 1 << 63, -(1 << 64), 2.5]),
+            # A sensor added after the first step.
+            "late": st.booleans(),
         }
     ),
     min_size=1,
@@ -68,10 +78,12 @@ def plugin_config(specs):
     blocks = []
     for i, spec in enumerate(specs):
         sensors = spec["sensors"] or (0 if spec["delta"] else 1)
-        delta = f"\n sensor d{i} {{ mqttsuffix /g{i}/d\n delta true }}" if spec["delta"] else ""
+        extra = f"\n sensor d{i} {{ mqttsuffix /g{i}/d\n delta true }}" if spec["delta"] else ""
+        if spec.get("hidden"):
+            extra += f"\n sensor h{i} {{ mqttsuffix /g{i}/h\n publish false }}"
         blocks.append(
             f"group g{i} {{ interval {spec['interval']}\n minValues {spec['min_values']}\n"
-            f" numSensors {sensors}\n generator {spec['generator']}{delta} }}"
+            f" numSensors {sensors}\n generator {spec['generator']}{extra} }}"
         )
     return "\n".join(blocks)
 
@@ -79,19 +91,34 @@ def plugin_config(specs):
 def out_of_range_first_sensor(group):
     """Give the first sensor of every read of ``group`` a value outside
     int64, which the 16-byte wire record cannot carry."""
-    read = group.read
+    read_raw = group.read_raw
 
     def poisoned(timestamp):
-        results = read(timestamp)
-        sensor, reading = results[0]
-        return [(sensor, SensorReading(reading.timestamp, 1 << 63))] + results[1:]
+        return [1 << 63] + read_raw(timestamp)[1:]
 
-    group.read = poisoned
+    group.read_raw = poisoned
+
+
+def perturbed(group, spec):
+    """Apply a spec's counter wraps and poisoned values to ``group``'s
+    raw reads."""
+    read_raw, cycles = group.read_raw, iter(range(10**9))
+
+    def read(timestamp):
+        raws = read_raw(timestamp)
+        if spec.get("wrap"):
+            raws = [r % spec["wrap"] if s.metadata.delta else r for s, r in zip(group.sensors, raws)]
+        if spec.get("poison") is not None and next(cycles) % 3 == 1:
+            raws[0] = spec["poison"]
+        return raws
+
+    group.read_raw = read
 
 
 def instrumented_pusher(specs, client, **config):
-    """A started Pusher whose group reads and trace sampling are logged
-    into ``events``, in call order, for the reference model."""
+    """A started Pusher whose groups' raw reads and trace sampling are
+    logged into ``events`` and ``samples``, in call order, for the
+    reference model."""
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/b/h0", **config),
         client=client,
@@ -100,59 +127,82 @@ def instrumented_pusher(specs, client, **config):
     )
     plugin = pusher.load_plugin("tester", plugin_config(specs))
     events = []
-    for group in plugin.groups:
-        def read(timestamp, group=group, read=group.read):
-            results = read(timestamp)
-            events.append(("read", group.min_values, results))
-            return results
+    for group, spec in zip(plugin.groups, specs):
+        perturbed(group, spec)
 
-        group.read = read
+        def read_raw(timestamp, group=group, read_raw=group.read_raw):
+            raws = read_raw(timestamp)
+            events.append(("read", group.min_values, timestamp, list(zip(group.sensors, raws))))
+            return raws
+
+        group.read_raw = read_raw
     samples = []
 
-    def sample(sample=pusher.tracer.sample):
-        samples.append(sample())
-        return samples[-1]
+    def sample_many(n, sample_many=pusher.tracer.sample_many):
+        sampled = sample_many(n)
+        samples.extend(sampled.get(i) for i in range(n))
+        return sampled
 
-    pusher.tracer.sample = sample
+    pusher.tracer.sample_many = sample_many
     pusher.start_plugin("tester")
     return pusher, events, samples
 
 
 def reference(pusher, events, samples, burst):
-    """Per-sensor message payloads the per-message Pusher would send."""
-    pending, traces, sent = defaultdict(list), {}, defaultdict(list)
+    """Per-sensor message payloads the per-reading Pusher would send,
+    and the number of messages that would fail to encode.  Readings are
+    made from the raw values one at a time, with Python arithmetic."""
+    pending, traces, sent, last = defaultdict(list), {}, defaultdict(list), {}
+    failed = 0
     sample = iter(samples)
 
     def emit(sensor):
+        nonlocal failed
         readings = pending.pop(sensor)
-        sent[pusher.topic_of(sensor)].append(
-            encode_readings(readings, trace_id=traces.pop(sensor, None))
-        )
+        trace_id = traces.pop(sensor, None)
+        try:
+            payload = encode_readings(readings, trace_id=trace_id)
+        except (TypeError, ValueError, OverflowError):
+            failed += 1
+        else:
+            sent[pusher.topic_of(sensor)].append(payload)
 
     for event in events:
         if event[0] == "flush":
             for sensor in list(pending):
                 emit(sensor)
             continue
-        _, min_values, results = event
-        for sensor, reading in results:
+        _, min_values, timestamp, raws = event
+        for sensor, raw in raws:
+            value = raw
+            if sensor.metadata.delta:
+                previous, last[sensor] = last.get(sensor), raw
+                if previous is None or raw - previous < 0:
+                    continue
+                value = raw - previous
+            if not sensor.metadata.publish:
+                continue
             trace_id = next(sample)
             if trace_id is not None:
                 traces[sensor] = trace_id
-            pending[sensor].append(reading)
+            pending[sensor].append(SensorReading(timestamp, value))
             if not burst and len(pending[sensor]) >= min_values:
                 emit(sensor)
-    return sent
+    assert next(sample, "end") == "end"
+    return sent, failed
 
 
-def drive(pusher, events, steps):
+def drive(pusher, events, steps, late=()):
     t = 0
-    for step_ms, flush in steps:
+    for i, (step_ms, flush) in enumerate(steps):
         t += step_ms * NS_PER_MS
         pusher.advance_to(t)
         if flush:
             events.append(("flush",))
             pusher.flush()
+        if i == 0:
+            for group in late:
+                group.add_sensor(PluginSensor(f"{group.name}_late", f"/{group.name}/late"))
     events.append(("flush",))
     pusher.flush()
 
@@ -161,7 +211,7 @@ steps = st.lists(st.tuples(st.integers(0, 2500), st.booleans()), min_size=1, max
 
 
 class TestBatchedEqualsPerMessage:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         specs=groups,
         steps=steps,
@@ -176,8 +226,9 @@ class TestBatchedEqualsPerMessage:
             send_mode="burst" if burst else "continuous",
             trace_sample_every=every,
         )
-        drive(pusher, events, steps)
-        expected = reference(pusher, events, samples, burst)
+        late = [g for g, spec in zip(pusher.plugins["tester"].groups, specs) if spec["late"]]
+        drive(pusher, events, steps, late)
+        expected, failed = reference(pusher, events, samples, burst)
         got = defaultdict(list)
         for batch in client.batches:
             for topic, payload in batch:
@@ -186,19 +237,16 @@ class TestBatchedEqualsPerMessage:
         messages = sum(len(payloads) for payloads in expected.values())
         assert pusher.readings_collected == len(samples)
         assert pusher.messages_published == messages
-        assert pusher.publish_failures == 0
+        assert pusher.publish_failures == failed
+        assert pusher.status()["pendingReadings"] == 0
         # One batch per group cycle at most, plus one per flush.
         assert client.calls <= len(events)
-        # One publish hop per traced message, none for a superseded trace.
+        # One collect hop per sampled reading; one publish hop per
+        # traced message, none for a superseded trace.
+        spans = [span for t in samples if t is not None for span in pusher.spans.trace(t)]
+        assert sum(span.name == "collect" for span in spans) == len(samples) - samples.count(None)
         traced = [p for payloads in expected.values() for p in payloads if len(p) % 16 == 12]
-        hops = [
-            span
-            for trace_id in samples
-            if trace_id is not None
-            for span in pusher.spans.trace(trace_id)
-            if span.name == "publish"
-        ]
-        assert len(hops) == len(traced)
+        assert sum(span.name == "publish" for span in spans) == len(traced)
 
 
 class TestFailureAccounting:
@@ -207,7 +255,7 @@ class TestFailureAccounting:
         specs = [dict(interval=250, min_values=1, sensors=3, delta=False, generator="counter")]
         pusher, events, _ = instrumented_pusher(specs, client)
         drive(pusher, events, [(2000, False)])
-        attempted = sum(len(event[2]) for event in events if event[0] == "read")
+        attempted = sum(len(event[3]) for event in events if event[0] == "read")
         assert attempted == 24
         assert pusher.publish_failures == attempted
         assert pusher.messages_published == 0

@@ -83,6 +83,21 @@ class TestPusherApi:
         assert status == 200
         assert body["average"] == pytest.approx(2.0)  # values 0..4
 
+    def test_cache_answers_every_reading_exactly(self, stack):
+        _, _, papi, _ = stack
+        _, cache = http_json("GET", url(papi, "/cache?topic=/api/h0/g0/s1"))
+        assert cache == [{"timestamp": k * NS_PER_SEC, "value": k} for k in range(1, 6)]
+        _, body = http_json("GET", url(papi, "/average?topic=/api/h0/g0/s1&window_ms=1000"))
+        assert body == {"average": 4.5}
+        _, sensors = http_json("GET", url(papi, "/plugins/tester/sensors"))
+        assert sensors[1] == {
+            "name": "g0_s1",
+            "topic": "/api/h0/g0/s1",
+            "unit": "count",
+            "group": "g0",
+            "latest": {"timestamp": 5 * NS_PER_SEC, "value": 5},
+        }
+
     def test_stop_start_via_api(self, stack):
         pusher, _, papi, _ = stack
         http_json("POST", url(papi, "/plugins/tester/stop"), body={})

@@ -1,9 +1,10 @@
 """Tests for the sensor data model and cache."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.timeutil import NS_PER_SEC
+from repro.core.pusher.plugin import PluginSensor, SensorGroup
 from repro.core.sensor import SensorCache, SensorMetadata, SensorReading
 
 
@@ -34,8 +35,8 @@ class TestSensorMetadata:
 class TestSensorCache:
     def test_store_and_latest(self):
         cache = SensorCache()
-        cache.store(SensorReading(1, 10))
-        cache.store(SensorReading(2, 20))
+        cache.store(([1], [10]))
+        cache.store(([2], [20]))
         assert cache.latest() == SensorReading(2, 20)
 
     def test_empty_latest(self):
@@ -44,7 +45,7 @@ class TestSensorCache:
     def test_eviction_by_age(self):
         cache = SensorCache(maxage_ns=10 * NS_PER_SEC)
         for i in range(30):
-            cache.store(SensorReading(i * NS_PER_SEC, i))
+            cache.store(([i * NS_PER_SEC], [i]))
         readings = cache.snapshot()
         # Window is [latest - 10s, latest]: timestamps 19..29.
         assert readings[0].timestamp == 19 * NS_PER_SEC
@@ -57,20 +58,20 @@ class TestSensorCache:
     def test_view_range(self):
         cache = SensorCache()
         for i in range(10):
-            cache.store(SensorReading(i, i * 10))
+            cache.store(([i], [i * 10]))
         view = cache.view(3, 6)
         assert [r.timestamp for r in view] == [3, 4, 5, 6]
 
     def test_average_all(self):
         cache = SensorCache()
         for v in (10, 20, 30):
-            cache.store(SensorReading(v, v))
+            cache.store(([v], [v]))
         assert cache.average() == 20.0
 
     def test_average_window(self):
         cache = SensorCache()
         for i in range(10):
-            cache.store(SensorReading(i * NS_PER_SEC, i))
+            cache.store(([i * NS_PER_SEC], [i]))
         # Last 2 seconds: values 7, 8, 9.
         assert cache.average(2 * NS_PER_SEC) == 8.0
 
@@ -79,7 +80,7 @@ class TestSensorCache:
 
     def test_len_and_clear(self):
         cache = SensorCache()
-        cache.store(SensorReading(1, 1))
+        cache.store(([1], [1]))
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
@@ -87,7 +88,7 @@ class TestSensorCache:
     def test_memory_estimate_grows(self):
         cache = SensorCache()
         assert cache.memory_bytes == 0
-        cache.store(SensorReading(1, 1))
+        cache.store(([1], [1]))
         assert cache.memory_bytes > 0
 
     def test_invalid_maxage_rejected(self):
@@ -98,9 +99,96 @@ class TestSensorCache:
     def test_window_invariant_property(self, timestamps):
         cache = SensorCache(maxage_ns=1000)
         for t in sorted(timestamps):
-            cache.store(SensorReading(t, 0))
+            cache.store(([t], [0]))
         readings = cache.snapshot()
         newest = readings[-1].timestamp
         assert all(newest - r.timestamp <= 1000 for r in readings)
         # The newest reading always survives.
         assert readings[-1].timestamp == max(timestamps)
+
+
+class ScriptedGroup(SensorGroup):
+    def __init__(self, script, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.script = iter(script)
+
+    def read_raw(self, timestamp):
+        return next(self.script)
+
+
+cycle_histories = st.fixed_dictionaries(
+    {
+        "interval": st.sampled_from([100, 250, 1000]),
+        # Max ages, one per sensor, as (intervals, extra ns): multiples
+        # of the interval or not.
+        "windows": st.lists(
+            st.tuples(st.integers(0, 12), st.sampled_from([0, 1, 99])).filter(any),
+            min_size=1,
+            max_size=3,
+        ),
+        "delta": st.lists(st.booleans(), min_size=3, max_size=3),
+        # Per cycle: the gap since the last one, in intervals, and a raw
+        # value per sensor (small, so delta counters reset often).
+        "cycles": st.lists(
+            st.tuples(st.integers(1, 3), st.lists(st.integers(0, 9), min_size=3, max_size=3)),
+            max_size=40,
+        ),
+    }
+)
+
+
+class TestCycleCache:
+    """A group's cycle ring answers as a per-sensor SensorCache fed the
+    same readings, limited to the cycles the ring holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(history=cycle_histories)
+    def test_ring_views_equal_per_sensor_caches(self, history):
+        interval = history["interval"]
+        windows = [k * interval + extra for k, extra in history["windows"]]
+        group = ScriptedGroup([raws[: len(windows)] for _, raws in history["cycles"]], "g", interval)
+        sensors = []
+        for i, window in enumerate(windows):
+            sensor = PluginSensor(f"s{i}", f"/s{i}", cache_maxage_ns=window)
+            sensor.metadata.delta = history["delta"][i]
+            group.add_sensor(sensor)
+            sensors.append(sensor)
+        references = [SensorCache(maxage_ns=window) for window in windows]
+        last, t, stamps = {}, 0, []
+        for gap, raws in history["cycles"]:
+            t += gap * interval
+            stamps.append(t)
+            group.read(t)
+            for i, raw in enumerate(raws[: len(windows)]):
+                value = raw
+                if history["delta"][i]:  # the per-reading delta rule
+                    previous, last[i] = last.get(i), raw
+                    if previous is None or raw < previous:
+                        continue
+                    value = raw - previous
+                references[i].store(([t], [value]))
+        held = stamps[-group.cache.slots :]
+        for sensor, reference in zip(sensors, references):
+            expected = [r for r in reference.snapshot() if held and r.timestamp >= held[0]]
+            if expected and expected[-1].timestamp == stamps[-1]:
+                # Read in the newest cycle: the ring holds its whole window.
+                assert expected == reference.snapshot()
+            limited = SensorCache(maxage_ns=sensor.cache.maxage_ns)
+            limited.store(([r.timestamp for r in expected], [r.value for r in expected]))
+            cache = sensor.cache
+            assert cache.snapshot() == limited.snapshot()
+            assert cache.latest() == limited.latest()
+            assert len(cache) == len(limited)
+            assert cache.view(stamps[0] if stamps else 0, t // 2) == limited.view(
+                stamps[0] if stamps else 0, t // 2
+            )
+            for window in (None, interval, 2 * interval + 1):
+                assert cache.average(window) == limited.average(window)
+            assert cache.memory_bytes == 9 * group.cache.slots
+
+    def test_slots_cover_the_window(self):
+        group = SensorGroup("g", interval_ns=100)
+        group.add_sensor(PluginSensor("s", "/s", cache_maxage_ns=250))
+        assert group.cache.slots == 4  # ceil(250 / 100) + 1
+        group.add_sensor(PluginSensor("t", "/t", cache_maxage_ns=1000))
+        assert group.cache.slots == 11

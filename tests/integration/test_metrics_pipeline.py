@@ -203,7 +203,7 @@ class TestDcdbmonRoundTrip:
         configurator = create_configurator("dcdbmon")
         plugin = configurator.read_config("group g { interval 1000 }")
         group = plugin.groups[0]
-        assert group.read(NS_PER_SEC) == []
+        assert group.read(NS_PER_SEC) is None
         assert group.read_errors == 1
 
     def test_failed_reload_keeps_old_plugin_running(self, pipeline):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.timeutil import SimClock
 from repro.observability import (
@@ -93,3 +96,43 @@ class TestPipelineTracer:
 
     def test_percentiles_none_before_any_stamp(self):
         assert make_tracer().percentiles("commit") is None
+
+
+class TestSampleMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        every=st.sampled_from([0, 1, 2, 3, 7]),
+        calls=st.lists(st.integers(0, 25), max_size=12),
+    )
+    def test_equals_n_calls_of_sample_in_order(self, every, calls):
+        many, one = make_tracer(sample_every=every), make_tracer(sample_every=every)
+        for n in calls:
+            sampled = many.sample_many(n)
+            singles = [one.sample() for _ in range(n)]
+            assert sorted(sampled) == [i for i, t in enumerate(singles) if t is not None]
+            assert all(sampled.values()) and len(set(sampled.values())) == len(sampled)
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_two_sampling_threads_reserve_whole_blocks(self, every):
+        tracer = make_tracer(sample_every=every)
+        n, calls = 13, 400
+        results = [[], []]
+
+        def sampler(out):
+            for _ in range(calls):
+                out.append(tracer.sample_many(n))
+
+        threads = [threading.Thread(target=sampler, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        blocks = results[0] + results[1]
+        # Every call saw one contiguous block of the shared counter ...
+        for sampled in blocks:
+            positions = sorted(sampled)
+            assert positions == list(range(positions[0], n, every)) if positions else n < every
+            assert not positions or positions[0] < every
+        # ... and together they traced exactly 1 of every ``every``.
+        total = 2 * calls * n
+        assert sum(map(len, blocks)) == len(range(0, total, every))

@@ -266,7 +266,7 @@ class TestAgentCache:
             readings = [SensorReading(int(t), int(v)) for t, v in zip(ts, rng.integers(-999, 999, 100))]
             client.publish("/rack/node/power", payload_mod.encode_readings(readings))
             for reading in readings:
-                reference.store(reading)
+                reference.store(([reading.timestamp], [reading.value]))
         cache = agent.cache_of("/rack/node/power")
         assert agent.latest("/rack/node/power") == reference.latest()
         assert cache.snapshot() == reference.snapshot()
