@@ -138,7 +138,8 @@ class SensorGroup:
         # Error accounting: one flaky cycle must not kill monitoring.
         self.read_errors = 0
         # Per-sensor columns: the delta and publish flags (read from the
-        # metadata on add_sensor and start), and the delta baselines.
+        # metadata when sensors were added and on start), and the delta
+        # baselines.
         self._delta = np.zeros(0, bool)
         self._any_delta = False
         self._publish = np.zeros(0, bool)
@@ -151,14 +152,15 @@ class SensorGroup:
         sensor.metadata.interval_ns = self.interval_ns
         self.cache.attach(sensor.cache)
         self.sensors.append(sensor)
-        self._baseline = np.append(self._baseline, 0)
-        self._seeded = np.append(self._seeded, False)
-        self._read_flags()
 
     def _read_flags(self) -> None:
+        """Read the sensors' flags; new sensors get unseeded baselines."""
         self._delta = np.array([s.metadata.delta for s in self.sensors], bool)
         self._any_delta = bool(self._delta.any())
         self._publish = np.array([s.metadata.publish for s in self.sensors], bool)
+        grow = len(self.sensors) - len(self._baseline)
+        self._baseline = np.append(self._baseline, np.zeros(grow, np.int64))
+        self._seeded = np.append(self._seeded, np.zeros(grow, bool))
 
     # -- to be provided by concrete plugins ------------------------------
 
@@ -195,6 +197,8 @@ class SensorGroup:
             return None
         if not raws:
             return None
+        if len(self._publish) != len(raws):  # sensors were added
+            self._read_flags()
         column = np.array(raws)
         plain = column.dtype == np.int64 and not self._odd_baselines
         if plain and not self._any_delta:
@@ -257,9 +261,9 @@ class SensorGroup:
     def start(self) -> None:
         """Hook invoked when the plugin starts; default resets the delta
         baselines and re-reads the sensors' delta and publish flags."""
+        self._read_flags()
         self._seeded = np.zeros(len(self.sensors), bool)
         self._odd_baselines.clear()
-        self._read_flags()
 
     def stop(self) -> None:  # pragma: no cover - trivial default
         """Hook invoked when the plugin stops."""

@@ -188,6 +188,7 @@ class CycleCache:
     def __init__(self, interval_ns: int) -> None:
         self.interval_ns = interval_ns
         self.window_ns = 0
+        self._shape = (1, 0)  # (slots, sensors) the arrays are fitted to on use
         self._stamps = np.zeros(1, np.int64)
         self._values = np.zeros((1, 0), np.int64)
         self._valid = np.zeros((1, 0), bool)
@@ -196,24 +197,32 @@ class CycleCache:
 
     @property
     def slots(self) -> int:
-        return len(self._stamps)
+        return self._shape[0]
 
     def attach(self, view: "CachedSensor") -> None:
         """Add a column for ``view``'s sensor, widening the window to its
-        max age; the cycles already held are kept."""
+        max age.  The arrays grow on their next use, once per group
+        configuration rather than once per sensor."""
         with self._lock:
-            held = self._held()
             self.window_ns = max(self.window_ns, view.maxage_ns)
-            grow = -(-self.window_ns // self.interval_ns) + 1 - len(held)
-            self._stamps = np.pad(self._stamps[held], (0, grow))
-            self._values = np.pad(self._values[held], ((0, grow), (0, 1)))
-            self._valid = np.pad(self._valid[held], ((0, grow), (0, 1)))
-            self._rows = len(held)
-        view._ring, view._index = self, self._values.shape[1] - 1
+            width = self._shape[1] + 1
+            self._shape = (-(-self.window_ns // self.interval_ns) + 1, width)
+        view._ring, view._index = self, width - 1
+
+    def _fit(self) -> None:
+        """Grow the arrays to ``_shape``, keeping the cycles held."""
+        held = self._held()
+        grow = self._shape[0] - len(held), self._shape[1] - self._values.shape[1]
+        self._stamps = np.pad(self._stamps[held], (0, grow[0]))
+        self._values = np.pad(self._values[held], ((0, grow[0]), (0, grow[1])))
+        self._valid = np.pad(self._valid[held], ((0, grow[0]), (0, grow[1])))
+        self._rows = len(held)
 
     def store(self, timestamp: int, values: np.ndarray, valid: np.ndarray) -> None:
         """Cache one cycle: ``values[i]`` of sensor ``i`` where ``valid[i]``."""
         with self._lock:
+            if self._values.shape != self._shape:
+                self._fit()
             row = self._rows % len(self._stamps)
             self._stamps[row] = timestamp
             self._values[row] = values
@@ -229,6 +238,8 @@ class CycleCache:
         """Sensor ``index``'s cached ``(timestamps, values)``, oldest
         first, no older than ``maxage_ns`` before its newest one."""
         with self._lock:
+            if self._values.shape != self._shape:
+                self._fit()
             held = self._held()
             valid = self._valid[held, index]
             stamps = self._stamps[held][valid]
