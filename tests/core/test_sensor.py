@@ -108,12 +108,10 @@ class TestSensorCache:
 
 
 class ScriptedGroup(SensorGroup):
-    def __init__(self, script, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.script = iter(script)
+    raws: list = []
 
     def read_raw(self, timestamp):
-        return next(self.script)
+        return self.raws[: len(self.sensors)]
 
 
 cycle_histories = st.fixed_dictionaries(
@@ -133,6 +131,9 @@ cycle_histories = st.fixed_dictionaries(
             st.tuples(st.integers(1, 3), st.lists(st.integers(0, 9), min_size=3, max_size=3)),
             max_size=40,
         ),
+        # Before which cycle a plain sensor with a one interval longer
+        # window joins (the ring grows), if any.
+        "late": st.one_of(st.none(), st.integers(0, 39)),
     }
 )
 
@@ -146,7 +147,7 @@ class TestCycleCache:
     def test_ring_views_equal_per_sensor_caches(self, history):
         interval = history["interval"]
         windows = [k * interval + extra for k, extra in history["windows"]]
-        group = ScriptedGroup([raws[: len(windows)] for _, raws in history["cycles"]], "g", interval)
+        group = ScriptedGroup("g", interval)
         sensors = []
         for i, window in enumerate(windows):
             sensor = PluginSensor(f"s{i}", f"/s{i}", cache_maxage_ns=window)
@@ -155,13 +156,19 @@ class TestCycleCache:
             sensors.append(sensor)
         references = [SensorCache(maxage_ns=window) for window in windows]
         last, t, stamps = {}, 0, []
-        for gap, raws in history["cycles"]:
+        for cycle, (gap, raws) in enumerate(history["cycles"]):
+            if cycle == history["late"]:
+                window = max(windows) + interval
+                sensors.append(PluginSensor("late", "/late", cache_maxage_ns=window))
+                group.add_sensor(sensors[-1])
+                references.append(SensorCache(maxage_ns=window))
             t += gap * interval
             stamps.append(t)
+            group.raws = raws[: len(windows)] + [raws[0] + 100]
             group.read(t)
-            for i, raw in enumerate(raws[: len(windows)]):
+            for i, raw in enumerate(group.raws[: len(sensors)]):
                 value = raw
-                if history["delta"][i]:  # the per-reading delta rule
+                if i < len(windows) and history["delta"][i]:  # the per-reading delta rule
                     previous, last[i] = last.get(i), raw
                     if previous is None or raw < previous:
                         continue
