@@ -19,7 +19,8 @@ from conftest import emit, format_table
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.sensor import SensorCache
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.simulation.architectures import SKYLAKE
 from repro.simulation.overhead import OverheadModel, PusherSetup
 from repro.simulation.resources import ResourceModel
@@ -31,10 +32,10 @@ class TestBurstSweep:
         """Real Pusher: burst flushes trade message count for size."""
 
         def run(burst_every_s: int):
-            hub = InProcHub(allow_subscribe=False)
+            broker = PublishOnlyBroker(port=None)
             pusher = Pusher(
                 PusherConfig(mqtt_prefix="/b/h0", send_mode="burst"),
-                client=InProcClient("p", hub),
+                client=MQTTClient("p", broker=broker),
                 clock=SimClock(0),
             )
             pusher.load_plugin("tester", "group g { interval 1000\n numSensors 100 }")
@@ -45,7 +46,7 @@ class TestBurstSweep:
                 t += burst_every_s * NS_PER_SEC
                 pusher.advance_to(t)
                 pusher.flush()
-            return hub.messages_received, hub.bytes_received
+            return broker.messages_received, broker.bytes_received
 
         results = {}
         for burst_s in (1, 10, 30, 60):

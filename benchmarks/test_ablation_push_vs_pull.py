@@ -27,7 +27,8 @@ from conftest import emit
 from repro.common.rng import RngFactory
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, SimClock, align_interval
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 
 NODES = 64
 INTERVAL_MS = 1000
@@ -39,7 +40,7 @@ PULL_SERVICE_NS = 3 * NS_PER_MS
 
 def run_push() -> np.ndarray:
     """Cross-node read-time spread per cycle under push collection."""
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     clock = SimClock(0)
     timestamps: dict[int, list[int]] = {}
 
@@ -51,13 +52,13 @@ def run_push() -> np.ndarray:
                 cycle = reading.timestamp // (INTERVAL_MS * NS_PER_MS)
                 timestamps.setdefault(cycle, []).append(reading.timestamp)
 
-    hub.add_publish_hook(hook)
+    broker.add_publish_hook(hook)
     pushers = []
     rngs = RngFactory(77)
     for node in range(NODES):
         pusher = Pusher(
             PusherConfig(mqtt_prefix=f"/push/node{node}"),
-            client=InProcClient(f"p{node}", hub),
+            client=MQTTClient(f"p{node}", broker=broker),
             clock=clock,
         )
         pusher.load_plugin("tester", f"group g {{ interval {INTERVAL_MS}\n numSensors 1 }}")

@@ -23,7 +23,8 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
 from repro.libdcdb.api import DCDBClient
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.plugins.perfevents import PerfGroup, PerfSensor, SyntheticPerfSource
 from repro.simulation.workloads import CORAL2_APPS
 from repro.storage import MemoryBackend
@@ -37,12 +38,12 @@ def run_app(app_name: str) -> np.ndarray:
     """Monitor one application through the pipeline; return IPW series."""
     app = CORAL2_APPS[app_name]
     clock = SimClock(0)
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix=f"/cm3/node0/{app_name}"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=clock,
     )
     # Build the perf group programmatically so the workload's rate

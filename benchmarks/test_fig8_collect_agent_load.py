@@ -7,8 +7,8 @@ sensors; the worst case (50 x 10 000 = 500 000 inserts/s) averages
 
 Two parts: (1) the calibrated load model regenerates the figure's
 series and asserts the anchors; (2) the *real* Python Collect Agent
-ingests a 50-host x 1000-sensor minute of traffic through the
-in-process transport, verifying the pipeline sustains Figure 8's
+ingests a 50-host x 1000-sensor minute of traffic over the production
+broker and clients on memory pipes, verifying the pipeline sustains Figure 8's
 message pattern losslessly (throughput of this reproduction itself is
 reported by the microbenchmarks).
 """

@@ -25,7 +25,8 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.devices import DeviceModel, RestDeviceServer, SnmpAgentServer
 from repro.libdcdb.api import DCDBClient, SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.simulation.facility import WATER_CP, WATER_DENSITY, CoolingCircuitModel
 from repro.storage import MemoryBackend
 
@@ -48,12 +49,12 @@ def build_and_run():
     rest = RestDeviceServer(device_model)
     rest.start()
 
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/coolmuc3/cooling"),
-        client=InProcClient("oob-pusher", hub),
+        client=MQTTClient("oob-pusher", broker=broker),
         clock=clock,
     )
     sensors_snmp = "\n".join(

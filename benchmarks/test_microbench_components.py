@@ -155,13 +155,14 @@ class TestPipeline:
     def test_full_pusher_cycle_1000_sensors(self, benchmark):
         """One synchronized collection+publish cycle at Figure-5 scale."""
         from repro.core.pusher import Pusher, PusherConfig
-        from repro.mqtt.inproc import InProcClient, InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.client import MQTTClient
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         clock = SimClock(0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/bench/h0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=clock,
         )
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 1000 }")
@@ -190,25 +191,26 @@ class TestPipeline:
         import time as time_mod
 
         from repro.core.collectagent import CollectAgent, WriterConfig
-        from repro.mqtt.inproc import InProcClient, InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.client import MQTTClient
         from repro.storage.cluster import StorageCluster
         from repro.storage.node import StorageNode
 
         MESSAGES = 2000
 
         def build(writer_config):
-            hub = InProcHub(allow_subscribe=False)
+            broker = PublishOnlyBroker(port=None)
             nodes = [
                 StorageNode(f"n{i}", flush_threshold=100_000_000) for i in range(4)
             ]
             cluster = StorageCluster(nodes, replication=2)
             agent = CollectAgent(
                 cluster,
-                broker=hub,
+                broker=broker,
                 writer_config=writer_config,
                 trace_sample_every=0,
             )
-            client = InProcClient("p", hub)
+            client = MQTTClient("p", broker=broker)
             client.connect()
             payloads = [
                 (f"/t/h{i % 50}/g/s{i % 200}", payload_mod.encode_reading(i * 1000, i))

@@ -69,15 +69,16 @@ def test_table1_production_pipeline_sensor_scale(benchmark):
     """
     from repro.common.timeutil import NS_PER_SEC, SimClock
     from repro.core.pusher import Pusher, PusherConfig
-    from repro.mqtt.inproc import InProcClient, InProcHub
+    from repro.mqtt.broker import PublishOnlyBroker
+    from repro.mqtt.client import MQTTClient
 
     arch = ARCHITECTURES["skylake"]
 
     def run():
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/smng/node0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=SimClock(0),
         )
         cpus = arch.logical_cpus  # 96 logical CPUs

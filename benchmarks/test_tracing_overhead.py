@@ -88,7 +88,7 @@ def _count_primitive_calls() -> tuple[dict[str, int], int, float]:
         # Wrap the *instances* wired into this sim, so counting does
         # not disturb other tests' module state.  The writer shares the
         # agent's tracer.
-        tracers = [p.tracer for p in sim.pushers] + [sim.hub.tracer, sim.agent.tracer]
+        tracers = [p.tracer for p in sim.pushers] + [sim.broker.tracer, sim.agent.tracer]
         for tracer in tracers:
             tracer.sample = counted(samples, tracer.sample, "sample")
             sample_many = tracer.sample_many

@@ -16,7 +16,8 @@ from repro import CollectAgent, DCDBClient, MemoryBackend, Pusher, PusherConfig
 from repro.analysis import distribution_modes, kde_pdf
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher.plugin import Plugin, PluginSensor, SensorGroup
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.plugins.perfevents import PerfGroup, PerfSensor, SyntheticPerfSource
 from repro.plugins.tester import TesterConfigurator
 from repro.simulation.workloads import CORAL2_APPS
@@ -29,12 +30,12 @@ def monitor(app_name: str) -> np.ndarray:
     """Run one application under monitoring; return its IPW series."""
     app = CORAL2_APPS[app_name]
     clock = SimClock(0)
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix=f"/knl/{app_name}"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=clock,
     )
     # Instructions counter driven by the application's phase model.

@@ -15,7 +15,8 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.devices import DeviceModel, RestDeviceServer, SnmpAgentServer
 from repro.libdcdb.api import SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.simulation.facility import WATER_CP, WATER_DENSITY, CoolingCircuitModel
 
 INTERVAL_S = 60
@@ -38,12 +39,12 @@ def main() -> None:
     print(f"simulated devices up: SNMP agent :{snmp.port}, REST endpoint :{rest.port}")
 
     # --- the monitoring deployment (out-of-band) ---------------------
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/coolmuc3/cooling"),
-        client=InProcClient("mgmt-pusher", hub),
+        client=MQTTClient("mgmt-pusher", broker=broker),
         clock=clock,
     )
     rack_sensors = "\n".join(

@@ -24,16 +24,17 @@ from repro import CollectAgent, DCDBClient, MemoryBackend, Pusher, PusherConfig
 from repro.analytics import Aggregator, AnalyticsManager, ThresholdAlarm, ZScoreDetector
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher.plugin import PluginSensor, SensorGroup
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 
 MINUTES = 4
 
 
 def main() -> None:
     clock = SimClock(0)
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
 
     # --- analytics at the Collect Agent level -------------------------
     manager = AnalyticsManager()
@@ -60,7 +61,7 @@ def main() -> None:
     # --- the monitored node -------------------------------------------
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/node0"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=clock,
     )
     pusher.load_plugin("nvml", "group gpus { interval 1000\n gpus 0-3\n metrics power }")

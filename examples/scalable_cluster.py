@@ -16,7 +16,8 @@ from repro.common.proptree import PropertyTree
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher.plugin import ConfiguratorBase, PluginSensor, SensorGroup
 from repro.core.pusher.registry import register_plugin
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage.partitioner import HierarchicalPartitioner
 
 NODES_PER_CLUSTER = 16
@@ -58,14 +59,14 @@ def main() -> None:
         replication=2,
     )
     # --- two clusters, one Collect Agent each -------------------------
-    hubs = [InProcHub(allow_subscribe=False) for _ in range(2)]
-    agents = [CollectAgent(cluster, broker=hub) for hub in hubs]
+    brokers = [PublishOnlyBroker(port=None) for _ in range(2)]
+    agents = [CollectAgent(cluster, broker=broker) for broker in brokers]
     pushers: list[Pusher] = []
-    for cluster_idx, hub in enumerate(hubs):
+    for cluster_idx, broker in enumerate(brokers):
         for node in range(NODES_PER_CLUSTER):
             pusher = Pusher(
                 PusherConfig(mqtt_prefix=f"/cluster{cluster_idx}/node{node:02d}"),
-                client=InProcClient(f"c{cluster_idx}-n{node}", hub),
+                client=MQTTClient(f"c{cluster_idx}-n{node}", broker=broker),
                 clock=clock,
             )
             pusher.load_plugin(

@@ -13,14 +13,14 @@ Quickstart::
 
     from repro import (
         CollectAgent, Pusher, PusherConfig, DCDBClient,
-        InProcHub, InProcClient, MemoryBackend, SimClock, NS_PER_SEC,
+        PublishOnlyBroker, MQTTClient, MemoryBackend, SimClock, NS_PER_SEC,
     )
 
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(PusherConfig(mqtt_prefix="/hpc/rack0/node0"),
-                    client=InProcClient("p0", hub), clock=SimClock(0))
+                    client=MQTTClient("p0", broker=broker), clock=SimClock(0))
     pusher.load_plugin("tester", "group g0 { interval 1000\\n numSensors 8 }")
     pusher.client.connect()
     pusher.start_plugin("tester")
@@ -48,7 +48,7 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.core.sensor import SensorCache, SensorMetadata, SensorReading
 from repro.core.sid import SensorId, SidMapper
 from repro.libdcdb import DCDBClient, SensorConfig, VirtualSensorDef
-from repro.mqtt import InProcClient, InProcHub, MQTTBroker, MQTTClient, PublishOnlyBroker
+from repro.mqtt import MQTTBroker, MQTTClient, PublishOnlyBroker
 from repro.storage import (
     HashPartitioner,
     HierarchicalPartitioner,
@@ -86,8 +86,6 @@ __all__ = [
     "MQTTBroker",
     "PublishOnlyBroker",
     "MQTTClient",
-    "InProcHub",
-    "InProcClient",
     "StorageNode",
     "StorageCluster",
     "MemoryBackend",

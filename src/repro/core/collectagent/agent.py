@@ -2,10 +2,10 @@
 
 Wires together three pieces:
 
-* a transport endpoint — either a TCP
-  :class:`~repro.mqtt.broker.PublishOnlyBroker` (production layout) or
-  an in-process :class:`~repro.mqtt.inproc.InProcHub` (simulation) —
-  whose hook hands over every PUBLISH one socket read decoded;
+* a :class:`~repro.mqtt.broker.PublishOnlyBroker` — listening on TCP
+  (production layout) or, built with ``port=None``, serving memory
+  pipes (simulation) — whose hook hands over every PUBLISH one read
+  decoded;
 * the :class:`~repro.core.sid.SidMapper` translating topics into
   storage keys (1:1, hierarchical, paper section 4.2);
 * a :class:`~repro.storage.backend.StorageBackend` receiving the
@@ -33,8 +33,8 @@ from repro.core import payload as payload_mod
 from repro.core.collectagent.writer import BatchingWriter, WriterConfig
 from repro.core.sensor import SensorCache
 from repro.core.sid import PersistentSidMapper, SensorId
+from repro.mqtt.broker import PublishOnlyBroker
 from repro.mqtt.packets import Publish
-from repro.mqtt.transport import get_transport
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
 from repro.observability.spans import default_recorder
 from repro.storage.backend import ReadingBatch, StorageBackend
@@ -51,13 +51,10 @@ class CollectAgent:
     backend:
         Destination storage.
     broker:
-        Transport endpoint exposing ``add_publish_hook``; when None a
-        publish-only broker is built from ``transport`` on
+        The :class:`~repro.mqtt.broker.MQTTBroker` whose publish hook
+        feeds this agent; when None a TCP
+        :class:`~repro.mqtt.broker.PublishOnlyBroker` is built on
         ``host:port``.
-    transport:
-        Transport selector used when ``broker`` is None: ``"tcp"``
-        (default), ``"inproc"``, or a
-        :class:`~repro.mqtt.transport.Transport` instance.
     cache_maxage_ns:
         Window of the agent-side sensor cache.
     default_ttl_s:
@@ -91,7 +88,6 @@ class CollectAgent:
         clock=None,
         trace_sample_every: int = 1,
         writer_config: WriterConfig | None = None,
-        transport=None,
         spans: SpanRecorder | None = None,
         rollup_config: RollupConfig | None = None,
     ) -> None:
@@ -102,16 +98,11 @@ class CollectAgent:
         # The agent and its broker share ONE registry so status() and
         # /metrics read broker stats from the snapshot rather than
         # duck-typing broker attributes.
-        if metrics is None:
-            metrics = getattr(broker, "metrics", None) if broker is not None else None
+        if metrics is None and broker is not None:
+            metrics = broker.metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if broker is None:
-            self.transport = get_transport(transport)
-            broker = self.transport.make_broker(
-                publish_only=True, host=host, port=port, metrics=self.metrics
-            )
-        else:
-            self.transport = transport
+            broker = PublishOnlyBroker(host, port, metrics=self.metrics)
         self.broker = broker
         # Component codes are coordinated through backend metadata so
         # several Collect Agents sharing one Storage Backend (and
@@ -185,9 +176,7 @@ class CollectAgent:
 
     def start(self) -> None:
         self.writer.start()
-        start = getattr(self.broker, "start", None)
-        if start is not None:
-            start()
+        self.broker.start()
 
     def stop(self) -> None:
         # Drain the staging queue BEFORE flushing the backend: every
@@ -199,9 +188,7 @@ class CollectAgent:
             # transient fault left pending) lands before shutdown.
             self.rollup.flush()
         self.backend.flush()
-        stop = getattr(self.broker, "stop", None)
-        if stop is not None:
-            stop()
+        self.broker.stop()
 
     def __enter__(self) -> "CollectAgent":
         self.start()
@@ -212,7 +199,7 @@ class CollectAgent:
 
     @property
     def port(self) -> int | None:
-        return getattr(self.broker, "port", None)
+        return self.broker.port
 
     # -- ingest path ------------------------------------------------------------
 
@@ -365,21 +352,17 @@ class CollectAgent:
     def health(self) -> dict[str, tuple[bool, dict]]:
         """Per-component readiness checks for the ``/health`` route.
 
-        Components: the transport endpoint (loop thread alive for the
-        TCP broker; trivially ready in-proc), the writer (queue below
+        Components: the broker (ready while its loop thread runs, or
+        always when it has no listener), the writer (queue below
         its high watermark, running — a zero-thread writer runs until
         stopped) and storage (live replica count when the backend is a
         cluster).
         """
         checks: dict[str, tuple[bool, dict]] = {}
-        threads = getattr(self.broker, "transport_threads", None)
-        if threads is not None:
-            checks["broker"] = (
-                threads >= 1,
-                {"transportThreads": threads, "port": self.port},
-            )
-        else:
-            checks["broker"] = (True, {"inproc": True})
+        checks["broker"] = (
+            self.broker.ready,
+            {"transportThreads": self.broker.transport_threads, "port": self.port},
+        )
         wstatus = self.writer.status()
         depth = wstatus["queueDepth"]
         capacity = wstatus["queueCapacity"]

@@ -96,7 +96,8 @@ import pytest
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 
 import {name}  # noqa: F401 - registers the plugin
 
@@ -110,10 +111,10 @@ group g0 {{
 
 
 def test_{name}_collects_readings():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/test"),
-        client=InProcClient("p0", hub),
+        client=MQTTClient("p0", broker=broker),
         clock=SimClock(0),
     )
     pusher.load_plugin("{name}", CONFIG)

@@ -39,6 +39,7 @@ from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, now_ns
 from repro.core.payload import encode_frames
 from repro.core.pusher.plugin import Cycle, Plugin, PluginSensor, SensorGroup
 from repro.core.pusher.registry import create_configurator
+from repro.mqtt.client import MQTTClient
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
 from repro.observability.spans import default_recorder
 
@@ -54,10 +55,6 @@ class PusherConfig:
     mqtt_prefix: str = "/test/host0"
     broker_host: str = "127.0.0.1"
     broker_port: int = 1883
-    #: Transport used when no client object is injected: "tcp" builds
-    #: a reconnecting MQTTClient, "inproc" an InProcClient (the hub is
-    #: then reachable via the transport instance).
-    transport: str = "tcp"
     qos: int = 0
     #: Number of sampling threads (paper evaluation uses 2).
     threads: int = 2
@@ -86,10 +83,10 @@ class Pusher:
     """Hosts plugins, samples their groups on time, publishes readings.
 
     ``client`` is any object with the MQTT client surface
-    (``connect/publish_many/disconnect``) — a real
-    :class:`~repro.mqtt.client.MQTTClient`, an
-    :class:`~repro.mqtt.inproc.InProcClient`, or a test double.  When
-    omitted, a TCP client is built from the config.  ``clock`` is a
+    (``connect/publish_many/disconnect``) — an
+    :class:`~repro.mqtt.client.MQTTClient` over TCP or over a memory
+    pipe (``MQTTClient(client_id, broker=...)``), or a test double.
+    When omitted, a TCP client is built from the config.  ``clock`` is a
     nanosecond-returning callable; inject a
     :class:`~repro.common.timeutil.SimClock` for stepped operation.
     """
@@ -109,10 +106,7 @@ class Pusher:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans if spans is not None else default_recorder()
         if client is None:
-            from repro.mqtt.transport import get_transport
-
-            transport = get_transport(self.config.transport)
-            client = transport.make_client(
+            client = MQTTClient(
                 f"pusher{self.config.mqtt_prefix.replace('/', '-')}",
                 host=self.config.broker_host,
                 port=self.config.broker_port,

@@ -12,18 +12,22 @@ publish path.  This package reproduces that stack in pure Python:
   subscription trie with ``+``/``#`` wildcard matching.
 * :mod:`repro.mqtt.eventloop` -- the single-threaded selector event
   loop and non-blocking connection state machine shared by broker and
-  client (O(1) transport threads, bounded write buffers).
+  client (O(1) transport threads, bounded write buffers), and the
+  socketless memory pipe in-process runs use.
 * :mod:`repro.mqtt.broker` -- the event-loop TCP broker with
   server-side keepalive enforcement.  The general broker supports
   subscriptions; :class:`~repro.mqtt.broker.PublishOnlyBroker`
   mirrors the Collect Agent's stripped-down variant (paper section 4.2).
 * :mod:`repro.mqtt.client` -- a blocking-API client on the event
   loop: QoS 0/1 publishing, subscriptions, keepalive timers, and
-  automatic reconnection with session re-establishment.
-* :mod:`repro.mqtt.inproc` -- an in-process hub with the same client
-  API for simulations that must not pay socket overhead.
-* :mod:`repro.mqtt.transport` -- the :class:`Transport` seam letting
-  components pick TCP or in-proc endpoints by configuration.
+  automatic reconnection with session re-establishment; given a
+  ``broker`` it connects over a memory pipe instead.
+* :mod:`repro.mqtt.transport` -- :class:`TCPTransport`, the
+  broker/client factory pair stack harnesses assemble from.
+
+Simulations, tests and examples run in one process on the same broker
+and client: ``PublishOnlyBroker(port=None)`` and
+``MQTTClient(client_id, broker=...)``.
 
 See docs/transport.md for the event-loop architecture, keepalive and
 backpressure semantics, and tuning knobs.
@@ -51,16 +55,10 @@ from repro.mqtt.topics import (
     topic_matches,
     SubscriptionTree,
 )
-from repro.mqtt.eventloop import Connection, EventLoop
+from repro.mqtt.eventloop import Connection, EventLoop, MemoryConnection
 from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
 from repro.mqtt.client import MQTTClient
-from repro.mqtt.inproc import InProcHub, InProcClient
-from repro.mqtt.transport import (
-    Transport,
-    TCPTransport,
-    InProcTransport,
-    get_transport,
-)
+from repro.mqtt.transport import TCPTransport, get_transport
 
 __all__ = [
     "Connect",
@@ -83,13 +81,10 @@ __all__ = [
     "SubscriptionTree",
     "EventLoop",
     "Connection",
+    "MemoryConnection",
     "MQTTBroker",
     "PublishOnlyBroker",
     "MQTTClient",
-    "InProcHub",
-    "InProcClient",
-    "Transport",
     "TCPTransport",
-    "InProcTransport",
     "get_transport",
 ]

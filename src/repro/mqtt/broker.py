@@ -27,6 +27,12 @@ The broker also enforces the MQTT 3.1.1 keepalive contract [3.1.2.10]
 server-side: a session silent for more than 1.5x its negotiated
 keepalive is disconnected and its last-will fires, so crashed Pushers
 are detected without waiting for TCP timeouts.
+
+In-process runs (simulations, tests, examples) use the same broker
+over memory pipes: :meth:`MQTTBroker.open_memory_session` opens a
+session whose wire is a
+:class:`~repro.mqtt.eventloop.MemoryConnection`, and a broker built
+with ``port=None`` serves only those — no listener, no loop thread.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable
 from repro.common.errors import TransportError
 from repro.core import payload as payload_mod
 from repro.mqtt import packets as pkt
-from repro.mqtt.eventloop import Connection, EventLoop
+from repro.mqtt.eventloop import Connection, EventLoop, MemoryConnection
 from repro.mqtt.topics import SubscriptionTree, topic_matches, validate_topic
 from repro.observability import (
     EventLoopLagProbe,
@@ -53,38 +59,11 @@ from repro.observability import (
 logger = logging.getLogger(__name__)
 
 #: Callback for accepted PUBLISHes, ``(client_id, packets)``: every
-#: PUBLISH one socket read brought from that client, in order (one for
-#: a will or an in-process publish).  QoS 1 PUBACKs follow the hooks; a
-#: hook that raises should first stage the messages before the failing one.
+#: PUBLISH one read (a socket chunk or a memory-pipe write) brought
+#: from that client, in order (one for a will).  QoS 1 PUBACKs follow
+#: the hooks; a hook that raises should first stage the messages
+#: before the failing one.
 PublishHook = Callable[[str, list[pkt.Publish]], None]
-
-
-def trace_dispatch(tracer: PipelineTracer, client_id: str, packet: pkt.Publish) -> None:
-    """Record the ``dispatch`` hop of an accepted PUBLISH, if traced.
-
-    A wire-traced message keeps its Pusher's trace ID; a headerless one
-    is sampled at this broker's own stride.  ``$``-topics and payloads
-    that are not reading frames are never traced.  Shared by the TCP
-    broker and the in-process hub.
-    """
-    if packet.topic.startswith("$"):
-        return
-    trace_id = payload_mod.trace_id_of(packet.payload)
-    if trace_id is None:
-        trace_id = tracer.sample()
-        if trace_id is None:
-            return
-    origin = payload_mod.payload_origin_ns(packet.payload)
-    if origin is not None:
-        tracer.hop(
-            "dispatch",
-            "broker",
-            trace_id,
-            origin,
-            topic=packet.topic,
-            qos=packet.qos,
-            client=client_id,
-        )
 
 
 #: How often the keepalive sweep runs.  Bounded below the smallest
@@ -127,6 +106,11 @@ class MQTTBroker:
     ``overflow_policy`` picks what happens to a slow consumer whose
     buffer fills: ``"disconnect"`` (default) severs it, ``"drop"``
     discards the overflowing message and keeps the session.
+
+    ``port=None`` builds a broker without a listener: ``start`` and
+    ``stop`` open no socket and run no thread, and clients reach it
+    only through :meth:`open_memory_session`
+    (``MQTTClient(client_id, broker=...)``).
     """
 
     #: Whether SUBSCRIBE packets are honoured.
@@ -135,7 +119,7 @@ class MQTTBroker:
     def __init__(
         self,
         host: str = "127.0.0.1",
-        port: int = 1883,
+        port: int | None = 1883,
         authenticator: Callable[[str, str | None, bytes | None], bool] | None = None,
         metrics: MetricsRegistry | None = None,
         trace_sample_every: int = 1,
@@ -177,7 +161,7 @@ class MQTTBroker:
             "dcdb_broker_messages_delivered_total", "PUBLISH packets routed to subscribers"
         )
         self._bytes_received = self.metrics.counter(
-            "dcdb_broker_bytes_received_total", "Raw bytes read from client sockets"
+            "dcdb_broker_bytes_received_total", "Raw bytes received from client sessions"
         )
         self._keepalive_disconnects = self.metrics.counter(
             "dcdb_broker_keepalive_disconnects_total",
@@ -205,8 +189,13 @@ class MQTTBroker:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Bind, listen and start the event loop."""
+        """Bind, listen and start the event loop (without a port: only
+        mark the broker running)."""
         if self._running:
+            return
+        if self._requested_port is None:
+            self._stopping = False
+            self._running = True
             return
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -327,8 +316,14 @@ class MQTTBroker:
     @property
     def transport_threads(self) -> int:
         """Threads serving transport I/O — 1 (the loop), however many
-        clients are connected."""
+        clients are connected; 0 without a listener."""
         return 1 if self._loop is not None and self._loop.running else 0
+
+    @property
+    def ready(self) -> bool:
+        """Whether the broker serves sessions: its loop runs, or it has
+        no listener (memory sessions need no thread)."""
+        return self._requested_port is None or self.transport_threads >= 1
 
     # Backward-compatible counter views over the registry.
 
@@ -371,21 +366,43 @@ class MQTTBroker:
             conn = Connection(
                 loop,
                 client_sock,
-                on_packets=self._on_packets,
-                on_close=self._on_conn_close,
-                on_bytes=self._on_bytes,
-                on_error=self._on_protocol_error,
                 on_overflow=self._on_overflow,
                 max_write_buffer=self.max_write_buffer,
                 overflow_policy=self.overflow_policy,
                 label=f"broker-session-{addr[1]}",
+                **self._session_handlers(),
             )
-            session = _Session(conn, addr)
-            conn.owner = session  # type: ignore[attr-defined]
-            self._wire_filter(session)
-            with self._sessions_lock:
-                self._sessions[id(session)] = session
+            self._add_session(conn, addr)
             conn.attach()
+
+    def open_memory_session(self, **handlers) -> MemoryConnection:
+        """Open a session over a memory pipe and return the client's end,
+        built with ``handlers`` (:class:`Connection` callbacks).
+
+        The session is set up as an accepted socket's is; the client
+        then sends CONNECT through the pipe.  No listener or loop is
+        needed, but a stopped broker refuses.
+        """
+        if self._stopping:
+            raise TransportError("broker is stopped")
+        conn = MemoryConnection(label="broker-session-memory", **self._session_handlers())
+        self._add_session(conn, ("memory", 0))
+        return MemoryConnection(peer=conn, **handlers)
+
+    def _session_handlers(self) -> dict:
+        return {
+            "on_packets": self._on_packets,
+            "on_close": self._on_conn_close,
+            "on_bytes": self._on_bytes,
+            "on_error": self._on_protocol_error,
+        }
+
+    def _add_session(self, conn: Connection, addr: tuple[str, int]) -> None:
+        session = _Session(conn, addr)
+        conn.owner = session  # type: ignore[attr-defined]
+        self._wire_filter(session)
+        with self._sessions_lock:
+            self._sessions[id(session)] = session
 
     def _wire_filter(self, session: _Session) -> None:
         injector = self._fault_injector
@@ -511,8 +528,27 @@ class MQTTBroker:
         if not packets:
             return
         client_id = session.client_id or ""
+        tracer = self.tracer
         for packet in packets:
-            trace_dispatch(self.tracer, client_id, packet)
+            # The dispatch hop: a wire-traced message keeps its Pusher's
+            # trace ID, a headerless one is sampled at this broker's own
+            # stride; $-topics and non-reading payloads are never traced.
+            if not packet.topic.startswith("$"):
+                trace_id = payload_mod.trace_id_of(packet.payload)
+                if trace_id is None:
+                    trace_id = tracer.sample()
+                if trace_id is not None:
+                    origin = payload_mod.payload_origin_ns(packet.payload)
+                    if origin is not None:
+                        tracer.hop(
+                            "dispatch",
+                            "broker",
+                            trace_id,
+                            origin,
+                            topic=packet.topic,
+                            qos=packet.qos,
+                            client=client_id,
+                        )
             if packet.retain:
                 if packet.payload:
                     self._retained[packet.topic] = packet

@@ -37,6 +37,13 @@ Reconnect semantics for publishers:
 ``on_reconnect`` (if set) is invoked from the event-loop thread after
 every successful automatic re-establishment; the Pusher uses it to
 re-announce sensor metadata.
+
+``MQTTClient(client_id, broker=broker)`` connects over a memory pipe
+(:meth:`~repro.mqtt.broker.MQTTBroker.open_memory_session`) instead
+of a socket: the same CONNECT/CONNACK, PUBACK, SUBSCRIBE and framing
+code, with no loop thread, no keepalive and no automatic reconnect.
+A write returns once the broker has handled it, and an exception from
+a broker hook (other than a protocol error) reaches the publisher.
 """
 
 from __future__ import annotations
@@ -93,7 +100,9 @@ class MQTTClient:
     before any publish/subscribe operation.  With ``reconnect=True``
     (the default) a lost connection is re-established automatically
     with exponential backoff between ``reconnect_min_delay_s`` and
-    ``reconnect_max_delay_s``.
+    ``reconnect_max_delay_s``.  Given a ``broker``, the client connects
+    to it over a memory pipe and ``host``, ``port``, ``keepalive`` and
+    ``reconnect`` do not apply.
     """
 
     def __init__(
@@ -109,15 +118,19 @@ class MQTTClient:
         reconnect: bool = True,
         reconnect_min_delay_s: float = 0.1,
         reconnect_max_delay_s: float = 5.0,
+        broker=None,
     ) -> None:
         self.client_id = client_id
         self.host = host
         self.port = port
-        self.keepalive = keepalive
+        #: The in-process broker this client reaches over a memory pipe
+        #: (None: a socket to host:port).
+        self.broker = broker
+        self.keepalive = keepalive if broker is None else 0
         self.username = username
         self.password = password
         self.max_inflight = max_inflight
-        self.auto_reconnect = reconnect
+        self.auto_reconnect = reconnect and broker is None
         self.reconnect_min_delay_s = reconnect_min_delay_s
         self.reconnect_max_delay_s = reconnect_max_delay_s
         #: Set once the first session is established; gates both the
@@ -184,18 +197,23 @@ class MQTTClient:
     # -- lifecycle ------------------------------------------------------
 
     def connect(self, timeout: float = 5.0) -> None:
-        """Open the TCP connection and perform the MQTT handshake."""
-        sock = socket.create_connection((self.host, self.port), timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        """Open the connection and perform the MQTT handshake; a client
+        that is connected stays on its session."""
+        if self.connected:
+            return
+        loop = sock = None
+        if self.broker is None:
+            sock = socket.create_connection((self.host, self.port), timeout=timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            loop = self._loop
+            if loop is None or not loop.running:
+                loop = EventLoop(name=f"mqtt-client-{self.client_id}")
+                self._loop = loop
+                loop.start()
         self._closing = False
         self._connack.clear()
         self._connack_code = None
         self._reconnect_delay_s = self.reconnect_min_delay_s
-        loop = self._loop
-        if loop is None or not loop.running:
-            loop = EventLoop(name=f"mqtt-client-{self.client_id}")
-            self._loop = loop
-            loop.start()
         conn = self._make_connection(loop, sock)
         self._conn = conn
         conn.attach()
@@ -242,11 +260,8 @@ class MQTTClient:
         if conn is not None:
             conn.close()  # loop stopped: teardown runs inline
         with self._inflight_lock:
-            abandoned = list(self._inflight.values())
-            self._inflight.clear()
-        for record in abandoned:
-            record.event.set()
-            self._inflight_sem.release()
+            pending = list(self._inflight.values())
+        self._abandon(pending)
         self._connack.set()  # unblock any connect() waiter
 
     @property
@@ -359,12 +374,30 @@ class MQTTClient:
         """Write framed QoS-1 publishes; while disconnected they stay
         queued in the window and session re-establishment replays them."""
         conn = self._conn
-        if records and self._connected and conn is not None and conn.write(buf):
+        if not (records and self._connected and conn is not None):
+            return
+        try:
+            written = conn.write(buf)
+        except Exception:
+            # A memory pipe raised a broker hook's error: nothing will
+            # acknowledge or replay these, so they leave the window.
+            self._abandon(records)
+            raise
+        if written:
             self._bytes_sent.inc(len(buf))
             fresh = [record for record in records if not record.sent]
             for record in fresh:
                 record.sent = True
             self._messages_sent.inc(len(fresh))
+
+    def _abandon(self, records: list[_Inflight]) -> None:
+        """Drop ``records`` still awaiting a PUBACK from the window and
+        unblock their waiters."""
+        with self._inflight_lock:
+            dropped = [r for r in records if self._inflight.pop(r.packet_id, None) is r]
+        for record in dropped:
+            record.event.set()
+            self._inflight_sem.release()
 
     # -- subscriptions ----------------------------------------------------
 
@@ -421,15 +454,18 @@ class MQTTClient:
             self._next_packet_id = pid % 0xFFFF + 1
             return pid
 
-    def _make_connection(self, loop: EventLoop, sock: socket.socket) -> Connection:
-        return Connection(
-            loop,
-            sock,
-            on_packets=self._on_packets,
-            on_close=self._on_conn_close,
-            on_error=self._on_protocol_error,
-            label=f"client-{self.client_id}",
-        )
+    def _make_connection(
+        self, loop: EventLoop | None, sock: socket.socket | None
+    ) -> Connection:
+        handlers = {
+            "on_packets": self._on_packets,
+            "on_close": self._on_conn_close,
+            "on_error": self._on_protocol_error,
+            "label": f"client-{self.client_id}",
+        }
+        if self.broker is not None:
+            return self.broker.open_memory_session(**handlers)
+        return Connection(loop, sock, **handlers)
 
     def _send_connect(self, conn: Connection) -> None:
         data = pkt.Connect(

@@ -20,6 +20,11 @@ The same two classes back :class:`~repro.mqtt.broker.MQTTBroker`
 threads, not O(n) readers) and :class:`~repro.mqtt.client.MQTTClient`
 (one loop replacing the old reader + ping thread pair; keepalive and
 reconnect backoff are loop timers).
+
+:class:`MemoryConnection` is the socketless variant for in-process
+runs: a pair of them is a synchronous pipe, each ``write`` decoded and
+handled by the peer end on the writer's thread, through the same
+receive path a socket read takes.
 """
 
 from __future__ import annotations
@@ -39,7 +44,15 @@ from repro.mqtt import packets as pkt
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["EventLoop", "Timer", "Connection", "DROP", "DISCONNECT", "STALL"]
+__all__ = [
+    "EventLoop",
+    "Timer",
+    "Connection",
+    "MemoryConnection",
+    "DROP",
+    "DISCONNECT",
+    "STALL",
+]
 
 #: Actions a ``data_filter`` (fault-injection seam) may return.
 DROP = "drop"
@@ -260,10 +273,14 @@ class Connection:
     ``"disconnect"`` severs the slow consumer.
     """
 
+    #: Whether an exception from ``on_packets`` other than a protocol
+    #: error costs the connection (logged); a socket's peer reconnects.
+    close_on_handler_error = True
+
     def __init__(
         self,
-        loop: EventLoop,
-        sock: socket.socket,
+        loop: EventLoop | None,
+        sock: socket.socket | None,
         *,
         on_packets: Callable[["Connection", list[pkt.Packet]], None],
         on_close: Callable[["Connection"], None] | None = None,
@@ -276,7 +293,8 @@ class Connection:
     ) -> None:
         if overflow_policy not in ("disconnect", "drop"):
             raise ValueError(f"unknown overflow policy {overflow_policy!r}")
-        sock.setblocking(False)
+        if sock is not None:
+            sock.setblocking(False)
         self.loop = loop
         self.sock = sock
         self.label = label
@@ -291,6 +309,7 @@ class Connection:
         self.overflow_drops = 0
         self.last_rx = time.monotonic()
         self._decoder = pkt.StreamDecoder()
+        self._feed_lock = threading.Lock()
         self._outbuf = bytearray()
         self._outlock = threading.Lock()
         self._closed = False
@@ -375,6 +394,9 @@ class Connection:
             self.sock.close()
         except OSError:
             pass
+        self._notify_close()
+
+    def _notify_close(self) -> None:
         if self.on_close is not None and not self._close_notified:
             self._close_notified = True
             try:
@@ -431,16 +453,28 @@ class Connection:
                     # The chunk itself is still processed — a stall
                     # delays subsequent reads, it does not eat data.
                     self.pause_reading(arg if arg else DEFAULT_STALL_S)
+        self._receive(data)
+
+    def _receive(self, data: bytes) -> None:
+        """Account, decode and hand on one chunk of inbound bytes.
+
+        The decoder is fed under a lock and ``on_packets`` runs outside
+        it, so a handler may write to a connection that feeds this one.
+        A protocol error closes the connection.
+        """
         if self.on_bytes is not None:
             self.on_bytes(self, len(data))
         try:
-            packets = self._decoder.feed(data)
+            with self._feed_lock:
+                packets = self._decoder.feed(data)
             if packets:
                 self.on_packets(self, packets)
         except TransportError as exc:
             self._protocol_error(exc)
         except Exception:  # noqa: BLE001 - a broken handler must not
             # wedge the loop; the connection is sacrificed.
+            if not self.close_on_handler_error:
+                raise
             logger.exception("packet handler failed for %s", self.label)
             self.close()
 
@@ -543,3 +577,44 @@ class Connection:
                 self._registered = True
         except (ValueError, KeyError, OSError):
             self.close()
+
+
+class MemoryConnection(Connection):
+    """One end of a socketless in-process pipe.
+
+    ``write`` hands the bytes to the peer end's :meth:`_receive` on the
+    writer's thread and returns after the peer has handled them, so
+    "written" means "decoded and dispatched" and a single-threaded
+    caller stays deterministic.  There is no loop, no write buffer and
+    no fault-injection filter.  An exception from the peer's handler
+    other than :class:`TransportError` reaches the writer instead of
+    closing the pipe, since nothing would reconnect it.  Closing either
+    end closes both.
+    """
+
+    close_on_handler_error = False
+
+    def __init__(self, peer: "MemoryConnection | None" = None, **handlers) -> None:
+        super().__init__(None, None, **handlers)
+        self.peer = peer
+        if peer is not None:
+            peer.peer = self
+
+    def attach(self) -> None:
+        return
+
+    def write(self, data: bytes) -> bool:
+        peer = self.peer
+        if self._closed or peer is None or peer._closed:
+            return False
+        peer._receive(data)
+        return True
+
+    def close(self) -> None:
+        with self._outlock:
+            if self._closed:
+                return
+            self._closed = True
+        self._notify_close()
+        if self.peer is not None:
+            self.peer.close()

@@ -1,72 +1,26 @@
-"""Transport selection seam: TCP event loop or in-process hub.
+"""The TCP wire as a factory pair, for harnesses that assemble a stack.
 
-The components above the transport — :class:`CollectAgent`,
-:class:`Pusher`, the daemons, the simulation — do not care whether
-readings travel over real sockets or function calls; they need a
-broker-shaped endpoint and a client-shaped endpoint.  A
-:class:`Transport` builds both, so callers select the wire by
-configuration (``transport = tcp`` / ``transport = inproc`` in the
-daemon config files) instead of instantiating concrete classes.
+:class:`TCPTransport` builds the production layout: the selector
+event-loop broker (:mod:`repro.mqtt.broker`) and reconnecting
+:class:`~repro.mqtt.client.MQTTClient` endpoints that default to the
+broker it built.  In-process runs need no factory: they build a broker
+with ``port=None`` and connect ``MQTTClient(client_id, broker=...)``
+to it over a memory pipe.
 
-* :class:`TCPTransport` — the production layout: the selector
-  event-loop broker (:mod:`repro.mqtt.broker`) plus the reconnecting
-  :class:`~repro.mqtt.client.MQTTClient`.
-* :class:`InProcTransport` — one shared :class:`~repro.mqtt.inproc.InProcHub`
-  per transport instance and :class:`~repro.mqtt.inproc.InProcClient`
-  endpoints, for simulations that must not pay socket overhead.
-
-``get_transport`` resolves a config string (or passes an existing
-Transport through), raising :class:`ConfigError` on unknown names.
+``get_transport("tcp")`` returns a fresh :class:`TCPTransport` and
+raises :class:`ConfigError` on any other name.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from repro.common.errors import ConfigError
 from repro.observability import MetricsRegistry
 
-__all__ = ["Transport", "TCPTransport", "InProcTransport", "get_transport"]
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """Factory pair for one side of the MQTT wire.
-
-    ``make_broker`` returns an object with the broker surface
-    (``start``/``stop``/``add_publish_hook``/``port``/``metrics``);
-    ``make_client`` returns one with the client surface
-    (``connect``/``publish``/``subscribe``/``disconnect``).  Brokers
-    are returned un-started; callers own the lifecycle.
-    """
-
-    name: str
-
-    def make_broker(
-        self,
-        *,
-        publish_only: bool = False,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        metrics: MetricsRegistry | None = None,
-        **kwargs,
-    ): ...
-
-    def make_client(
-        self,
-        client_id: str,
-        *,
-        host: str | None = None,
-        port: int | None = None,
-        metrics: MetricsRegistry | None = None,
-        **kwargs,
-    ): ...
+__all__ = ["TCPTransport", "get_transport"]
 
 
 class TCPTransport:
     """Real sockets: event-loop broker + reconnecting client."""
-
-    name = "tcp"
 
     def __init__(self) -> None:
         self._last_broker = None
@@ -113,78 +67,8 @@ class TCPTransport:
         return MQTTClient(client_id, host=host, port=port, metrics=metrics, **kwargs)
 
 
-class InProcTransport:
-    """Function calls: one shared hub, zero sockets."""
-
-    name = "inproc"
-
-    def __init__(self) -> None:
-        self._hub = None
-
-    def make_broker(
-        self,
-        *,
-        publish_only: bool = False,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        metrics: MetricsRegistry | None = None,
-        **kwargs,
-    ):
-        from repro.mqtt.inproc import InProcHub
-
-        # host/port are accepted (and ignored) so configs can switch
-        # transports without deleting keys.
-        kwargs.pop("max_write_buffer", None)
-        kwargs.pop("overflow_policy", None)
-        kwargs.pop("fault_injector", None)
-        kwargs.pop("authenticator", None)
-        self._hub = InProcHub(
-            allow_subscribe=not publish_only, metrics=metrics, **kwargs
-        )
-        return self._hub
-
-    def make_client(
-        self,
-        client_id: str,
-        *,
-        host: str | None = None,
-        port: int | None = None,
-        metrics: MetricsRegistry | None = None,
-        **kwargs,
-    ):
-        from repro.mqtt.inproc import InProcClient, InProcHub
-
-        if self._hub is None:
-            self._hub = InProcHub()
-        return InProcClient(client_id, self._hub, metrics=metrics)
-
-    @property
-    def hub(self):
-        return self._hub
-
-
-_FACTORIES = {
-    "tcp": TCPTransport,
-    "inproc": InProcTransport,
-}
-
-
-def get_transport(spec) -> Transport:
-    """Resolve ``spec`` into a Transport.
-
-    ``None`` means "tcp".  Strings are looked up by name; anything
-    already transport-shaped passes through, so callers can inject a
-    pre-built (or custom) transport.
-    """
-    if spec is None:
-        return TCPTransport()
-    if isinstance(spec, str):
-        factory = _FACTORIES.get(spec.lower())
-        if factory is None:
-            raise ConfigError(
-                f"unknown transport {spec!r} (expected one of {sorted(_FACTORIES)})"
-            )
-        return factory()
-    if hasattr(spec, "make_broker") and hasattr(spec, "make_client"):
-        return spec
-    raise ConfigError(f"not a transport: {spec!r}")
+def get_transport(spec: str = "tcp") -> TCPTransport:
+    """The transport named ``spec``; ``"tcp"`` is the only one."""
+    if spec != "tcp":
+        raise ConfigError(f"unknown transport {spec!r} (expected 'tcp')")
+    return TCPTransport()

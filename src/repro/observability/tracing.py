@@ -3,7 +3,7 @@
 A message is traced exactly when it carries a trace ID.  The Pusher
 mints one for one of every ``trace_sample_every`` collected readings
 and sends it in the wire trace header (:mod:`repro.core.payload`); a
-broker, hub or Collect Agent that receives a *headerless* message
+broker or Collect Agent that receives a *headerless* message
 samples it at its own stride by minting an ID there.  Each component
 that handles a traced message then makes exactly one
 :meth:`PipelineTracer.hop` call, which does both halves of the record:
@@ -23,7 +23,7 @@ Hops, in pipeline order:
 
 ``collect``   sampling cycle done, readings queued (Pusher)
 ``publish``   MQTT message handed to the transport (Pusher)
-``dispatch``  PUBLISH accepted by the broker/hub (Collect Agent side)
+``dispatch``  PUBLISH accepted by the broker (Collect Agent side)
 ``insert``    payload decoded, batch about to be staged (Collect Agent)
 ``commit``    storage acknowledged the batch — end-to-end latency
 

@@ -1,8 +1,8 @@
 """Helper wiring a simulated monitoring deployment in one process.
 
 Builds the paper's Figure 8 topology — N tester Pushers feeding one
-Collect Agent backed by a storage cluster — entirely in-process over
-the :class:`~repro.mqtt.inproc.InProcHub` transport, with a shared
+Collect Agent backed by a storage cluster — entirely in-process, with
+the production broker and clients over memory pipes and a shared
 :class:`~repro.common.timeutil.SimClock`.  Used by integration tests
 and by the throughput microbenchmarks that quantify this Python
 reproduction itself.
@@ -27,7 +27,8 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.faults import FaultPlan, FaultyBackend
 from repro.faults.backend import ALL_OPS
 from repro.faults.plan import KILL, RESTART
-from repro.mqtt.transport import get_transport
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.observability import SpanRecorder
 from repro.storage import FailureDetector, MemoryBackend, StorageCluster, StorageNode
 from repro.storage.backend import StorageBackend
@@ -59,10 +60,6 @@ class SimClusterConfig:
     #: Probabilistic per-operation node failure rate (needs fault_plan
     #: for determinism; a fresh seed-0 plan is created if omitted).
     node_fault_rate: float = 0.0
-    #: Transport between Pushers and the agent: "inproc" (default —
-    #: function calls, zero sockets) or "tcp" (real event-loop broker
-    #: and clients on loopback, for end-to-end transport studies).
-    transport: str = "inproc"
     #: Pipeline-trace sampling stride (1 = trace every reading,
     #: N = one in N, 0 = tracing off).  Applied to every component so
     #: a traced reading carries its id end to end.
@@ -87,17 +84,13 @@ class SimulatedCluster:
         #: so a trace's spans land in a single place and concurrent
         #: simulations in one test process stay isolated.
         self.spans = SpanRecorder()
-        self.transport = get_transport(self.config.transport)
-        broker = self.transport.make_broker(
-            publish_only=True,
-            port=0,
+        #: The agent's broker: no listener, one memory pipe per Pusher.
+        self.broker = PublishOnlyBroker(
+            port=None,
             trace_sample_every=self.config.trace_sample_every,
             spans=self.spans,
         )
-        broker.start()
-        #: The agent-side endpoint; named ``hub`` for backward
-        #: compatibility (it is an InProcHub on the default transport).
-        self.hub = broker
+        self.broker.start()
         self.fault_plan = self.config.fault_plan
         if self.fault_plan is None and self.config.node_fault_rate > 0.0:
             self.fault_plan = FaultPlan()
@@ -125,7 +118,7 @@ class SimulatedCluster:
             )
         self.agent = CollectAgent(
             self.backend,
-            broker=self.hub,
+            broker=self.broker,
             writer_config=self.config.writer_config,
             rollup_config=self.config.rollup_config,
             trace_sample_every=self.config.trace_sample_every,
@@ -138,7 +131,7 @@ class SimulatedCluster:
                     mqtt_prefix=f"{self.config.topic_prefix}/host{host}",
                     trace_sample_every=self.config.trace_sample_every,
                 ),
-                client=self.transport.make_client(f"pusher-host{host}"),
+                client=MQTTClient(f"pusher-host{host}", broker=self.broker),
                 clock=self.clock,
                 spans=self.spans,
             )
@@ -156,11 +149,7 @@ class SimulatedCluster:
         return self.config.hosts * self.config.sensors_per_host
 
     def stop(self) -> None:
-        """Disconnect the pushers and stop the agent (and its broker).
-
-        Required for the TCP transport (it owns sockets and an event
-        loop); a no-op beyond the agent flush on the in-proc default.
-        """
+        """Disconnect the pushers and stop the agent (and its broker)."""
         for pusher in self.pushers:
             try:
                 pusher.client.disconnect()

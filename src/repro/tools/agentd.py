@@ -6,7 +6,6 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
     global {
         mqttHost   127.0.0.1
         mqttPort   1883
-        transport  tcp           ; tcp | inproc (see docs/transport.md)
         restPort   8080          ; 0 disables the REST API
         db         sqlite:/var/lib/dcdb/monitor.db
                                  ; or durable:/var/lib/dcdb?fsync=interval
@@ -94,7 +93,6 @@ def agent_from_config(tree: PropertyTree) -> tuple[CollectAgent, CollectAgentRes
         default_ttl_s=global_cfg.get_int("ttl", 0),
         writer_config=writer_config,
         rollup_config=rollup_config,
-        transport=global_cfg.get("transport", "tcp"),
         trace_sample_every=global_cfg.get_int("traceSampleEvery", 1),
     )
     analytics_tree = tree.child("analytics")

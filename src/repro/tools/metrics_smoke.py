@@ -1,7 +1,7 @@
 """``make metrics-smoke``: gate on the /metrics exposition being sane.
 
 Boots a complete in-process pipeline — a Pusher running the tester and
-dcdbmon plugins, an InProc hub, a Collect Agent ingesting through the
+dcdbmon plugins, a listener-less broker, a Collect Agent ingesting through the
 asynchronous batching writer into a memory backend, and both REST APIs
 sharing ONE metrics registry — lets it collect for a few simulated
 seconds, then scrapes ``/metrics`` from each API over real HTTP and
@@ -31,9 +31,8 @@ from repro.libdcdb.api import DCDBClient
 from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.pusher.restapi import PusherRestApi
-from repro.mqtt.broker import MQTTBroker
+from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
 from repro.mqtt.client import MQTTClient
-from repro.mqtt.inproc import InProcClient, InProcHub
 from repro.observability import (
     EventLoopLagProbe,
     MetricsRegistry,
@@ -129,9 +128,7 @@ def _runtime_families() -> set[str]:
     scrape would merge in.
     """
     registry = MetricsRegistry()
-    hub = InProcHub(metrics=registry)
-    InProcClient("drift-inproc", hub, metrics=registry)
-    MQTTBroker(port=0, metrics=registry)
+    broker = MQTTBroker(port=None, metrics=registry)
     MQTTClient("drift-tcp", host="127.0.0.1", port=1, metrics=registry)
     EventLoopLagProbe(None, registry)
     cluster = StorageCluster(
@@ -142,14 +139,14 @@ def _runtime_families() -> set[str]:
     backend = MemoryBackend()
     agent = CollectAgent(
         backend,
-        broker=hub,
+        broker=broker,
         writer_config=WriterConfig(),
         rollup_config=RollupConfig(),
         metrics=registry,
     )
     Pusher(
         PusherConfig(mqtt_prefix="/drift/host0"),
-        client=InProcClient("drift-pusher", hub, metrics=registry),
+        client=MQTTClient("drift-pusher", broker=broker, metrics=registry),
         metrics=registry,
     )
     DCDBClient(backend, metrics=registry)
@@ -304,22 +301,22 @@ def main() -> int:
 
 def _run(data_dir: str) -> int:
     clock = SimClock(0)
-    # One registry for hub, agent, writer and pusher: both REST APIs
+    # One registry for broker, agent, writer and pusher: both REST APIs
     # then expose the complete pipeline, including writer metrics.
     registry = MetricsRegistry()
-    hub = InProcHub(allow_subscribe=False, metrics=registry)
+    broker = PublishOnlyBroker(port=None, metrics=registry)
     # The smoke pipeline ingests into the durable engine so the
     # WAL/segment instruments carry real traffic on both endpoints.
     backend = DurableNode("smoke-durable", data_dir=data_dir, metrics=registry)
     agent = CollectAgent(
         backend,
-        broker=hub,
+        broker=broker,
         writer_config=WriterConfig(max_batch=256),
         rollup_config=RollupConfig(),
     )
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/smoke/host0"),
-        client=InProcClient("smoke-pusher", hub, metrics=registry),
+        client=MQTTClient("smoke-pusher", broker=broker, metrics=registry),
         clock=clock,
         metrics=registry,
     )

@@ -7,7 +7,6 @@ Runs a Pusher from a global configuration file, mirroring DCDB's
         mqttPrefix   /lrz/sys/rack0/node0
         brokerHost   127.0.0.1
         brokerPort   1883
-        transport    tcp            ; tcp | inproc (see docs/transport.md)
         threads      2
         sendMode     continuous     ; or burst
         qos          0
@@ -61,7 +60,6 @@ def pusher_from_config(tree: PropertyTree) -> tuple[Pusher, PusherRestApi | None
         mqtt_prefix=global_cfg.get("mqttPrefix", "/test/host0"),
         broker_host=global_cfg.get("brokerHost", "127.0.0.1"),
         broker_port=global_cfg.get_int("brokerPort", 1883),
-        transport=global_cfg.get("transport", "tcp"),
         qos=global_cfg.get_int("qos", 0),
         threads=global_cfg.get_int("threads", 2),
         send_mode=global_cfg.get("sendMode", "continuous"),

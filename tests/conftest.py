@@ -10,22 +10,23 @@ import pytest
 from repro.common.timeutil import SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.observability import EventLoopLagProbe, current_trace
 from repro.storage import MemoryBackend
 
 
 class SimPipeline:
-    """One Pusher -> InProc hub -> Collect Agent -> memory backend."""
+    """One Pusher -> memory pipe -> broker -> Collect Agent -> memory backend."""
 
     def __init__(self, prefix: str = "/test/host0") -> None:
         self.clock = SimClock(0)
-        self.hub = InProcHub(allow_subscribe=False)
+        self.broker = PublishOnlyBroker(port=None)
         self.backend = MemoryBackend()
-        self.agent = CollectAgent(self.backend, broker=self.hub)
+        self.agent = CollectAgent(self.backend, broker=self.broker)
         self.pusher = Pusher(
             PusherConfig(mqtt_prefix=prefix),
-            client=InProcClient("pusher0", self.hub),
+            client=MQTTClient("pusher0", broker=self.broker),
             clock=self.clock,
         )
 

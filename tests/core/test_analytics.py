@@ -253,12 +253,13 @@ class TestDaemonIntegration:
         from repro.core.collectagent import CollectAgent
         from repro.core.pusher import Pusher, PusherConfig
         from repro.libdcdb.api import DCDBClient
-        from repro.mqtt.inproc import InProcClient, InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.client import MQTTClient
         from repro.storage import MemoryBackend
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         manager = AnalyticsManager()
         manager.add_operator(
             Aggregator("nodepower", ["/an/n0/g/#"], output="total", func="sum")
@@ -266,7 +267,7 @@ class TestDaemonIntegration:
         manager.attach_to_agent(agent)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/an/n0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=SimClock(0),
         )
         pusher.load_plugin(
@@ -285,15 +286,16 @@ class TestDaemonIntegration:
     def test_attached_to_pusher_publishes_derived_sensors(self):
         from repro.core.collectagent import CollectAgent
         from repro.core.pusher import Pusher, PusherConfig
-        from repro.mqtt.inproc import InProcClient, InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.client import MQTTClient
         from repro.storage import MemoryBackend
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/pp/n0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=SimClock(0),
         )
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 1 }")

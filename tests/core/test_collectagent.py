@@ -4,15 +4,16 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core import payload as payload_mod
 from repro.core.collectagent import CollectAgent
 from repro.core.sensor import SensorReading
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
 
 def make_agent():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
-    client = InProcClient("pusher", hub)
+    agent = CollectAgent(backend, broker=broker)
+    client = MQTTClient("pusher", broker=broker)
     client.connect()
     return agent, backend, client
 
@@ -67,12 +68,12 @@ class TestIngest:
         assert agent.decode_errors == 1
 
     def test_ttl_applied(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         clock = lambda: 0  # noqa: E731 - frozen clock
         backend = MemoryBackend(clock=lambda: now[0])
         now = [0]
-        agent = CollectAgent(backend, broker=hub, default_ttl_s=10)
-        client = InProcClient("p", hub)
+        agent = CollectAgent(backend, broker=broker, default_ttl_s=10)
+        client = MQTTClient("p", broker=broker)
         client.connect()
         publish_reading(client, "/s/t", 1 * NS_PER_SEC, 5)
         sid = agent.sid_of("/s/t")

@@ -8,7 +8,8 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
 from repro.libdcdb.api import DCDBClient
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
 CONFIG = """
@@ -26,12 +27,12 @@ group power {
 
 
 def make_stack():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/md/n0"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     return pusher, agent, backend
@@ -112,12 +113,12 @@ class TestAnnouncement:
     def test_threaded_start_announces_automatically(self):
         import time
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/auto/n0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
         )
         pusher.load_plugin("tester", "group g { interval 100\n numSensors 3 }")
         pusher.start_plugin("tester")

@@ -120,14 +120,15 @@ class TestPayloadOrigin:
 class TestOldNewMixThroughAgent:
     def test_agent_ingests_both_shapes(self):
         from repro.core.collectagent import CollectAgent
-        from repro.mqtt.inproc import InProcClient, InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.client import MQTTClient
         from repro.storage import MemoryBackend
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
-        old_pusher = InProcClient("old", hub)
-        new_pusher = InProcClient("new", hub)
+        agent = CollectAgent(backend, broker=broker)
+        old_pusher = MQTTClient("old", broker=broker)
+        new_pusher = MQTTClient("new", broker=broker)
         old_pusher.connect()
         new_pusher.connect()
         old_pusher.publish("/mix/old/s0", encode_readings([SensorReading(1_000, 1)]))

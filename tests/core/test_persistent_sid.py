@@ -14,7 +14,8 @@ from repro.core.sid import (
     SensorId,
     SidMapper,
 )
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage.memory import MemoryBackend
 
 
@@ -124,12 +125,12 @@ class TestMultiAgentDeployment:
         distributed Storage Backend."""
         backend = MemoryBackend()
         clock = SimClock(0)
-        hubs = [InProcHub(allow_subscribe=False) for _ in range(2)]
-        agents = [CollectAgent(backend, broker=hub) for hub in hubs]
-        for idx, hub in enumerate(hubs):
+        brokers = [PublishOnlyBroker(port=None) for _ in range(2)]
+        agents = [CollectAgent(backend, broker=broker) for broker in brokers]
+        for idx, broker in enumerate(brokers):
             pusher = Pusher(
                 PusherConfig(mqtt_prefix=f"/cluster{idx}/n0"),
-                client=InProcClient(f"p{idx}", hub),
+                client=MQTTClient(f"p{idx}", broker=broker),
                 clock=clock,
             )
             pusher.load_plugin("tester", "group g { interval 1000\n numSensors 5 }")
@@ -146,16 +147,16 @@ class TestMultiAgentDeployment:
 
     def test_agent_restart_preserves_mapping(self):
         backend = MemoryBackend()
-        hub = InProcHub(allow_subscribe=False)
-        agent = CollectAgent(backend, broker=hub)
-        client = InProcClient("p", hub)
+        broker = PublishOnlyBroker(port=None)
+        agent = CollectAgent(backend, broker=broker)
+        client = MQTTClient("p", broker=broker)
         client.connect()
         client.publish("/r/n0/s", encode_reading(1, 42))
         sid_before = agent.sid_mapper.sid_for_topic("/r/n0/s")
         # "Restart": a new agent over the same backend.
-        hub2 = InProcHub(allow_subscribe=False)
-        agent2 = CollectAgent(backend, broker=hub2)
-        client2 = InProcClient("p", hub2)
+        broker2 = PublishOnlyBroker(port=None)
+        agent2 = CollectAgent(backend, broker=broker2)
+        client2 = MQTTClient("p", broker=broker2)
         client2.connect()
         client2.publish("/r/n0/s", encode_reading(2, 43))
         assert agent2.sid_mapper.sid_for_topic("/r/n0/s") == sid_before

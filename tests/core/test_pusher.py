@@ -7,25 +7,26 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 
 TESTER_5 = "group g0 { interval 1000\n numSensors 5 }"
 
 
-def make_pusher(hub=None, clock=None, **config_kwargs):
-    hub = hub if hub is not None else InProcHub(allow_subscribe=False)
+def make_pusher(broker=None, clock=None, **config_kwargs):
+    broker = broker if broker is not None else PublishOnlyBroker(port=None)
     clock = clock if clock is not None else SimClock(0)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/t/h0", **config_kwargs),
-        client=InProcClient("p0", hub),
+        client=MQTTClient("p0", broker=broker),
         clock=clock,
     )
-    return pusher, hub, clock
+    return pusher, broker, clock
 
 
 class TestPluginLifecycle:
     def test_load_and_start(self):
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         plugin = pusher.load_plugin("tester", TESTER_5)
         assert plugin.sensor_count == 5
         assert not plugin.running
@@ -79,9 +80,9 @@ class TestPluginLifecycle:
     def test_reload_sends_pending_readings(self, send_mode):
         """A reload is seamless: readings queued below minValues (or
         awaiting the burst flush) are published, not dropped."""
-        pusher, hub, _ = make_pusher(send_mode=send_mode)
+        pusher, broker, _ = make_pusher(send_mode=send_mode)
         messages = []
-        hub.add_publish_hook(lambda _cid, packets: messages.extend(packets))
+        broker.add_publish_hook(lambda _cid, packets: messages.extend(packets))
         config = "group g0 { interval 1000\n minValues 5\n numSensors 2 }"
         pusher.load_plugin("tester", config)
         pusher.client.connect()
@@ -104,19 +105,19 @@ class TestPluginLifecycle:
 
 class TestSteppedSampling:
     def test_aligned_cycles(self):
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         pusher.load_plugin("tester", TESTER_5)
         pusher.client.connect()
         pusher.start_plugin("tester")
         cycles = pusher.advance_to(10 * NS_PER_SEC)
         assert cycles == 10
         assert pusher.readings_collected == 50
-        assert hub.messages_received == 50
+        assert broker.messages_received == 50
 
     def test_topics_carry_prefix(self):
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         topics = []
-        hub.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
+        broker.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
         pusher.load_plugin("tester", TESTER_5)
         pusher.client.connect()
         pusher.start_plugin("tester")
@@ -124,9 +125,9 @@ class TestSteppedSampling:
         assert sorted(topics) == [f"/t/h0/g0/s{i}" for i in range(5)]
 
     def test_reading_timestamps_are_interval_aligned(self):
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         payloads = []
-        hub.add_publish_hook(lambda cid, ps: payloads.extend(p.payload for p in ps))
+        broker.add_publish_hook(lambda cid, ps: payloads.extend(p.payload for p in ps))
         pusher.load_plugin("tester", "group g0 { interval 250\n numSensors 1 }")
         pusher.client.connect()
         pusher.start_plugin("tester")
@@ -137,7 +138,7 @@ class TestSteppedSampling:
         assert timestamps == [250_000_000, 500_000_000, 750_000_000, 1_000_000_000]
 
     def test_mixed_intervals_ordered(self):
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         pusher.load_plugin("tester", "group fast { interval 500\n numSensors 1 }\ngroup slow { interval 1000\n numSensors 1 }")
         pusher.client.connect()
         pusher.start_plugin("tester")
@@ -145,24 +146,24 @@ class TestSteppedSampling:
         assert cycles == 4 + 2
 
     def test_min_values_batching(self):
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         pusher.load_plugin(
             "tester", "group g0 { interval 1000\n minValues 3\n numSensors 1 }"
         )
         pusher.client.connect()
         pusher.start_plugin("tester")
         pusher.advance_to(2 * NS_PER_SEC)
-        assert hub.messages_received == 0  # below threshold
+        assert broker.messages_received == 0  # below threshold
         pusher.advance_to(3 * NS_PER_SEC)
-        assert hub.messages_received == 1  # three readings in one message
+        assert broker.messages_received == 1  # three readings in one message
         from repro.core.payload import decode_readings
 
     def test_min_values_is_per_group(self):
         # A group's cycle publishes only that group's ready sensors: a
         # minValues 1 group must not flush a minValues 10 group early.
-        pusher, hub, _ = make_pusher()
+        pusher, broker, _ = make_pusher()
         messages = []
-        hub.add_publish_hook(lambda cid, ps: messages.extend((p.topic, p.payload) for p in ps))
+        broker.add_publish_hook(lambda cid, ps: messages.extend((p.topic, p.payload) for p in ps))
         pusher.load_plugin(
             "tester",
             "group slow { interval 1000\n minValues 10\n numSensors 1 }\n"
@@ -189,20 +190,20 @@ class TestSteppedSampling:
 
 class TestSendModes:
     def test_burst_mode_defers_until_flush(self):
-        pusher, hub, _ = make_pusher(send_mode="burst")
+        pusher, broker, _ = make_pusher(send_mode="burst")
         pusher.load_plugin("tester", TESTER_5)
         pusher.client.connect()
         pusher.start_plugin("tester")
         pusher.advance_to(10 * NS_PER_SEC)
-        assert hub.messages_received == 0
+        assert broker.messages_received == 0
         sent = pusher.flush()
         assert sent == 5  # one message per sensor, 10 readings each
-        assert hub.messages_received == 5
+        assert broker.messages_received == 5
 
     def test_burst_payload_batches_readings(self):
-        pusher, hub, _ = make_pusher(send_mode="burst")
+        pusher, broker, _ = make_pusher(send_mode="burst")
         payloads = []
-        hub.add_publish_hook(lambda cid, ps: payloads.extend(p.payload for p in ps))
+        broker.add_publish_hook(lambda cid, ps: payloads.extend(p.payload for p in ps))
         pusher.load_plugin("tester", "group g0 { interval 1000\n numSensors 1 }")
         pusher.client.connect()
         pusher.start_plugin("tester")
@@ -220,34 +221,34 @@ class TestSendModes:
 class TestThreadedMode:
     def test_real_time_collection(self):
         # Real wall-clock mode: a fast group on real threads.
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/rt/h0", threads=2),
-            client=InProcClient("rt", hub),
+            client=MQTTClient("rt", broker=broker),
         )
         pusher.load_plugin("tester", "group g0 { interval 50\n numSensors 3 }")
         pusher.start_plugin("tester")
         pusher.start()
         try:
             deadline = time.monotonic() + 5.0
-            while hub.messages_received < 9 and time.monotonic() < deadline:
+            while broker.messages_received < 9 and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert hub.messages_received >= 9
+            assert broker.messages_received >= 9
         finally:
             pusher.stop()
 
     def test_stop_flushes_pending(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/rt/h1", send_mode="burst"),
-            client=InProcClient("rt1", hub),
+            client=MQTTClient("rt1", broker=broker),
         )
         pusher.load_plugin("tester", "group g0 { interval 50\n numSensors 1 }")
         pusher.start_plugin("tester")
         pusher.start()
         time.sleep(0.3)
         pusher.stop()
-        assert hub.messages_received >= 1
+        assert broker.messages_received >= 1
 
     def test_status_snapshot(self):
         pusher, _, _ = make_pusher()

@@ -9,19 +9,20 @@ from repro.core.collectagent import CollectAgent
 from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.pusher.restapi import PusherRestApi
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
 
 @pytest.fixture
 def stack():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     clock = SimClock(0)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/api/h0"),
-        client=InProcClient("p0", hub),
+        client=MQTTClient("p0", broker=broker),
         clock=clock,
     )
     pusher.load_plugin("tester", "group g0 { interval 1000\n numSensors 3 }")
@@ -171,11 +172,11 @@ class TestAgentAnalyticsEndpoints:
         from repro.analytics import AnalyticsManager, ThresholdAlarm
         from repro.core.collectagent.restapi import CollectAgentRestApi
         from repro.core.sensor import SensorReading
-        from repro.mqtt.inproc import InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
         from repro.storage import MemoryBackend
 
-        hub = InProcHub(allow_subscribe=False)
-        agent = CollectAgent(MemoryBackend(), broker=hub)
+        broker = PublishOnlyBroker(port=None)
+        agent = CollectAgent(MemoryBackend(), broker=broker)
         manager = AnalyticsManager()
         manager.add_operator(ThresholdAlarm("cap", ["/p/#"], high=100))
         manager.attach_to_agent(agent)

@@ -12,7 +12,8 @@ from repro.core import payload as payload_mod
 from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
 from repro.core.sid import SensorId
 from repro.faults import FaultPlan, FaultyBackend
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend, ReadingBatch
 
 SID = SensorId.from_codes([1, 2, 3])
@@ -339,12 +340,12 @@ class TestConfigValidation:
 
 class TestAgentIntegration:
     def make_agent(self, **writer_kwargs):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(
-            backend, broker=hub, writer_config=WriterConfig(**writer_kwargs)
+            backend, broker=broker, writer_config=WriterConfig(**writer_kwargs)
         )
-        client = InProcClient("p", hub)
+        client = MQTTClient("p", broker=broker)
         client.connect()
         return agent, backend, client
 
@@ -398,9 +399,9 @@ class TestAgentIntegration:
         assert status["writer"]["dropped"] == 0
 
     def test_synchronous_agent_status_has_zero_thread_writer(self):
-        hub = InProcHub(allow_subscribe=False)
-        agent = CollectAgent(MemoryBackend(), broker=hub)
-        client = InProcClient("p", hub)
+        broker = PublishOnlyBroker(port=None)
+        agent = CollectAgent(MemoryBackend(), broker=broker)
+        client = MQTTClient("p", broker=broker)
         client.connect()
         client.publish("/d/a", payload_mod.encode_reading(1, 1))
         writer = agent.status()["writer"]
@@ -418,11 +419,11 @@ class TestZeroThreadWriter:
     own flush routine, so a failed write is kept and retried, not lost."""
 
     def make_agent(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         inner = MemoryBackend()
         backend = FaultyBackend(inner)
-        agent = CollectAgent(backend, broker=hub)
-        client = InProcClient("p", hub)
+        agent = CollectAgent(backend, broker=broker)
+        client = MQTTClient("p", broker=broker)
         client.connect()
         # Map the topic up front, so the armed failure hits the write
         # rather than the topic's first metadata put.

@@ -14,7 +14,7 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.libdcdb.api import DCDBClient, SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
 from repro.mqtt.client import MQTTClient
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
 from repro.storage import MemoryBackend, SqliteBackend, StorageCluster, StorageNode
 from repro.storage.partitioner import HierarchicalPartitioner
 
@@ -73,14 +73,14 @@ class TestClusterPipeline:
         cluster = StorageCluster(
             nodes, partitioner=HierarchicalPartitioner(2, levels=2), replication=2
         )
-        hub = InProcHub(allow_subscribe=False)
-        agent = CollectAgent(cluster, broker=hub)
+        broker = PublishOnlyBroker(port=None)
+        agent = CollectAgent(cluster, broker=broker)
         clock = SimClock(0)
         pushers = []
         for rack in range(3):
             pusher = Pusher(
                 PusherConfig(mqtt_prefix=f"/sys/rack{rack}/node0"),
-                client=InProcClient(f"p{rack}", hub),
+                client=MQTTClient(f"p{rack}", broker=broker),
                 clock=clock,
             )
             pusher.load_plugin("tester", "group g { interval 1000\n numSensors 10 }")
@@ -99,13 +99,13 @@ class TestClusterPipeline:
             assert ts.size == 30
 
     def test_virtual_sensor_over_live_data(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/vs/node0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=clock,
         )
         pusher.load_plugin(
@@ -135,12 +135,12 @@ class TestSqlitePipeline:
         # identical pipeline against SQLite, with data surviving reopen.
         path = str(tmp_path / "monitor.db")
         backend = SqliteBackend(path)
-        hub = InProcHub(allow_subscribe=False)
-        agent = CollectAgent(backend, broker=hub)
+        broker = PublishOnlyBroker(port=None)
+        agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/sq/n0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=clock,
         )
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 3 }")
@@ -158,13 +158,13 @@ class TestSqlitePipeline:
 
 class TestRuntimeReconfiguration:
     def test_reload_mid_collection(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/rl/n0"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=clock,
         )
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 2 }")

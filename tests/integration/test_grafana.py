@@ -13,18 +13,19 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.grafana import GrafanaDataSource
 from repro.libdcdb.api import DCDBClient, SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
 
 @pytest.fixture
 def datasource():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     backend = MemoryBackend()
-    agent = CollectAgent(backend, broker=hub)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/g/rack0/node0"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     pusher.load_plugin(

@@ -1,6 +1,6 @@
 """End-to-end observability: trace stamps, /metrics scrapes, dcdbmon.
 
-Boots the in-process pipeline (Pusher -> InProcHub -> CollectAgent ->
+Boots the in-process pipeline (Pusher -> memory-pipe broker -> CollectAgent ->
 storage) and asserts that
 
 * one reading produces pipeline-latency stamps at every hop,
@@ -21,7 +21,8 @@ from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.pusher.restapi import PusherRestApi
 from repro.libdcdb import DCDBClient
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.observability import PIPELINE_METRIC, parse_prometheus_text
 from repro.storage import MemoryBackend
 from repro.storage.cluster import StorageCluster
@@ -51,7 +52,7 @@ class TestTraceStamps:
             assert count > 0, f"hop {hop!r} never stamped"
 
     def test_agent_and_hub_share_registry(self, pipeline):
-        assert pipeline.agent.metrics is pipeline.hub.metrics
+        assert pipeline.agent.metrics is pipeline.broker.metrics
 
     def test_status_reports_latency_percentiles(self, pipeline):
         _run_pipeline(pipeline)
@@ -64,12 +65,12 @@ class TestTraceStamps:
 
     def test_sampling_knob_disables_tracing(self):
         clock = SimClock(0)
-        hub = InProcHub(allow_subscribe=False, trace_sample_every=0)
+        broker = PublishOnlyBroker(port=None, trace_sample_every=0)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub, trace_sample_every=0)
+        agent = CollectAgent(backend, broker=broker, trace_sample_every=0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/t/h0", trace_sample_every=0),
-            client=InProcClient("p0", hub),
+            client=MQTTClient("p0", broker=broker),
             clock=clock,
         )
         pusher.load_plugin("tester", TESTER_CONFIG)
@@ -109,13 +110,13 @@ class TestMetricsEndpoints:
         assert families[PIPELINE_METRIC]["type"] == "histogram"
 
     def test_agent_scrape_merges_cluster_node_registries(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         nodes = [StorageNode("n0"), StorageNode("n1")]
         backend = StorageCluster(nodes=nodes)
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/t/h0"),
-            client=InProcClient("p0", hub),
+            client=MQTTClient("p0", broker=broker),
             clock=SimClock(0),
         )
         pusher.load_plugin("tester", TESTER_CONFIG)

@@ -8,7 +8,8 @@ import pytest
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage.sqlite import SqliteBackend
 from repro.tools import config as config_tool
 from repro.tools import csvimport as csvimport_tool
@@ -21,11 +22,11 @@ def db_uri(tmp_path):
     """An sqlite store populated through the real pipeline."""
     path = str(tmp_path / "monitor.db")
     backend = SqliteBackend(path)
-    hub = InProcHub(allow_subscribe=False)
-    agent = CollectAgent(backend, broker=hub)
+    broker = PublishOnlyBroker(port=None)
+    agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/cli/n0"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     pusher.load_plugin("tester", "group g { interval 1000\n numSensors 2 }")

@@ -24,7 +24,8 @@ from repro.core.pusher.restapi import PusherRestApi
 from repro.faults import FaultPlan
 from repro.grafana import GrafanaDataSource
 from repro.libdcdb import DCDBClient
-from repro.mqtt.inproc import InProcClient
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.observability import HOPS, PIPELINE_METRIC
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
 
@@ -53,11 +54,13 @@ class TestTraceChain:
             sim.run(3)
             full = _full_traces(sim)
             assert full, "no trace collected the full pipeline chain"
-            doc = full[0]
-            assert doc["spanCount"] >= 5
-            names = {s["name"] for s in doc["spans"]}
-            # Cluster backend: the storage write leaves its replica span.
-            assert "replica-write" in names
+            # Each group cycle is one write: the storage layer records its
+            # replica span under the flush's first traced message only.
+            stored = [d for d in full if "replica-write" in {s["name"] for s in d["spans"]}]
+            flushes = sim.agent.metrics.value("dcdb_writer_flushes_total")
+            assert len(stored) == flushes == 2 * 3
+            doc = stored[0]
+            assert doc["spanCount"] >= 6
             assert doc["durationNs"] == doc["endNs"] - doc["startNs"]
             for span in doc["spans"]:
                 assert span["component"]
@@ -108,9 +111,9 @@ class TestOneTraceModel:
         """Each ``dcdb_pipeline_latency_seconds{hop}`` observation is
         one span of that name, and every exemplar resolves to a trace —
         for messages the pusher sampled and for headerless ones that
-        the hub or the agent sampled on arrival."""
+        the broker or the agent sampled on arrival."""
         sim = _small_sim(trace_sample_every=3)
-        raw = InProcClient("raw", sim.hub)
+        raw = MQTTClient("raw", broker=sim.broker)
         raw.connect()
         try:
             for step in range(3):
@@ -238,12 +241,13 @@ class TestIntrospectionHttp:
 
     def test_pusher_health_reflects_transport_and_run_state(self):
         from repro.core.pusher import Pusher, PusherConfig
-        from repro.mqtt.inproc import InProcClient, InProcHub
+        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.client import MQTTClient
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/health/h0"),
-            client=InProcClient("p0", hub),
+            client=MQTTClient("p0", broker=broker),
         )
         pusher.load_plugin("tester", "group g0 { interval 1000\n numSensors 2 }")
         pusher.start_plugin("tester")

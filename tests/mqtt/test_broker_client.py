@@ -220,6 +220,7 @@ class TestLifecycle:
     def test_connected_clients_counter(self, broker):
         a = make_client(broker, "a")
         b = make_client(broker, "b")
+        a.connect()  # already connected: keeps its one session
         time.sleep(0.05)
         assert broker.connected_clients == 2
         a.disconnect()

@@ -1,130 +1,165 @@
-"""Tests for the in-process transport: semantics parity with TCP."""
+"""In-process sessions: the production broker and client over a memory pipe.
+
+``MQTTBroker(port=None)`` opens no listener and runs no thread;
+``MQTTClient(client_id, broker=...)`` reaches it through a
+:class:`~repro.mqtt.eventloop.MemoryConnection` pair, so every byte is
+framed, decoded and dispatched by the same code a TCP session runs.
+"""
+
+import threading
+import time
 
 import pytest
 
 from repro.common.errors import TransportError
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt import packets as pkt
+from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
 
 
 class TestInProcHub:
+    """The cases the retired function-call hub was held to, now on
+    memory sessions of the real broker."""
+
     def test_publish_reaches_subscriber(self):
-        hub = InProcHub()
+        broker = MQTTBroker(port=None)
         sink = []
-        sub = InProcClient("sub", hub)
+        sub = MQTTClient("sub", broker=broker)
         sub.connect()
         sub.subscribe("/a/#", lambda t, p: sink.append((t, p)))
-        pub = InProcClient("pub", hub)
+        pub = MQTTClient("pub", broker=broker)
         pub.connect()
         pub.publish("/a/b", b"x")
         assert sink == [("/a/b", b"x")]
 
     def test_publish_hooks(self):
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         seen = []
-        hub.add_publish_hook(lambda cid, ps: seen.extend((cid, p.topic, p.payload) for p in ps))
-        client = InProcClient("c1", hub)
+        broker.add_publish_hook(
+            lambda cid, ps: seen.extend((cid, p.topic, p.payload) for p in ps)
+        )
+        client = MQTTClient("c1", broker=broker)
         client.connect()
         client.publish("/s", b"v")
         assert seen == [("c1", "/s", b"v")]
 
     def test_publish_only_hub_rejects_subscribe(self):
-        hub = InProcHub(allow_subscribe=False)
-        client = InProcClient("c", hub)
+        broker = PublishOnlyBroker(port=None)
+        client = MQTTClient("c", broker=broker)
         client.connect()
-        with pytest.raises(TransportError, match="publish-only"):
+        with pytest.raises(TransportError, match="rejected by broker"):
             client.subscribe("/x/#")
+        assert client.connected  # a refused filter costs no session
 
     def test_disconnected_client_cannot_publish(self):
-        hub = InProcHub()
-        client = InProcClient("c", hub)
+        broker = MQTTBroker(port=None)
+        client = MQTTClient("c", broker=broker)
         with pytest.raises(TransportError, match="not connected"):
             client.publish("/x", b"")
 
     def test_invalid_topic_rejected(self):
-        hub = InProcHub()
-        client = InProcClient("c", hub)
+        broker = MQTTBroker(port=None)
+        client = MQTTClient("c", broker=broker)
         client.connect()
         with pytest.raises(TransportError):
             client.publish("/has/#/wildcard", b"")
+        assert broker.messages_received == 0
 
     def test_disconnect_removes_subscriptions(self):
-        hub = InProcHub()
+        broker = MQTTBroker(port=None)
         sink = []
-        sub = InProcClient("sub", hub)
+        sub = MQTTClient("sub", broker=broker)
         sub.connect()
         sub.subscribe("/a/#", lambda t, p: sink.append(t))
         sub.disconnect()
-        pub = InProcClient("pub", hub)
+        pub = MQTTClient("pub", broker=broker)
         pub.connect()
         pub.publish("/a/b", b"")
         assert sink == []
-        assert hub.messages_delivered == 0
+        assert broker.messages_delivered == 0
 
     def test_unsubscribe(self):
-        hub = InProcHub()
+        broker = MQTTBroker(port=None)
         sink = []
-        sub = InProcClient("sub", hub)
+        sub = MQTTClient("sub", broker=broker)
         sub.connect()
         sub.subscribe("/a/#", lambda t, p: sink.append(t))
         sub.unsubscribe("/a/#")
-        pub = InProcClient("pub", hub)
+        pub = MQTTClient("pub", broker=broker)
         pub.connect()
         pub.publish("/a/b", b"")
         assert sink == []
 
     def test_counters(self):
-        hub = InProcHub()
-        pub = InProcClient("pub", hub)
+        """Both byte counters count what crossed the pipe: the CONNECT
+        and the PUBLISH frame, not payload + topic."""
+        broker = MQTTBroker(port=None)
+        pub = MQTTClient("pub", broker=broker)
         pub.connect()
         pub.publish("/a", b"1234")
-        assert hub.messages_received == 1
+        wire = len(pkt.Connect(client_id="pub", keepalive=0).encode()) + len(
+            pkt.Publish(topic="/a", payload=b"1234").encode()
+        )
+        assert broker.messages_received == 1
         assert pub.messages_sent == 1
-        assert pub.bytes_sent == 4 + len("/a")
+        assert pub.bytes_sent == wire
+        assert broker.bytes_received == wire
 
     def test_connected_clients(self):
-        hub = InProcHub()
-        a = InProcClient("a", hub)
-        b = InProcClient("b", hub)
+        broker = MQTTBroker(port=None)
+        a = MQTTClient("a", broker=broker)
+        b = MQTTClient("b", broker=broker)
         a.connect()
         b.connect()
-        assert hub.connected_clients == 2
+        assert broker.connected_clients == 2
         a.disconnect()
-        assert hub.connected_clients == 1
+        assert broker.connected_clients == 1
 
     def test_on_message_fallback(self):
-        hub = InProcHub()
+        broker = MQTTBroker(port=None)
         sink = []
-        sub = InProcClient("sub", hub)
+        sub = MQTTClient("sub", broker=broker)
         sub.connect()
         sub.subscribe("/a/#")  # no callback registered
         sub.on_message = lambda t, p: sink.append(t)
-        pub = InProcClient("pub", hub)
+        pub = MQTTClient("pub", broker=broker)
         pub.connect()
         pub.publish("/a/b", b"")
         assert sink == ["/a/b"]
 
     def test_context_manager(self):
-        hub = InProcHub()
-        with InProcClient("c", hub) as client:
+        broker = MQTTBroker(port=None)
+        with MQTTClient("c", broker=broker) as client:
             assert client.connected
+            assert broker.connected_clients == 1
         assert not client.connected
+        assert broker.connected_clients == 0
 
     def test_connect_idempotent(self):
-        hub = InProcHub()
-        client = InProcClient("c", hub)
+        """A second ``connect()`` on a connected client keeps its one
+        session."""
+        broker = MQTTBroker(port=None)
+        client = MQTTClient("c", broker=broker)
         client.connect()
         client.connect()
-        assert hub.connected_clients == 1
+        assert broker.connected_clients == 1
 
 
 class TestInProcConcurrency:
     def test_parallel_publishers_counted_exactly(self):
-        import threading
-
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         received = []
-        hub.add_publish_hook(lambda cid, ps: received.extend(p.topic for p in ps))
-        clients = [InProcClient(f"c{i}", hub) for i in range(8)]
+        broker.add_publish_hook(lambda cid, ps: received.extend(p.topic for p in ps))
+        clients = [MQTTClient(f"c{i}", broker=broker) for i in range(8)]
         for client in clients:
             client.connect()
 
@@ -140,15 +175,13 @@ class TestInProcConcurrency:
             t.start()
         for t in threads:
             t.join()
-        assert hub.messages_received == 8 * 500
+        assert broker.messages_received == 8 * 500
         assert len(received) == 8 * 500
 
     def test_subscribe_while_publishing(self):
-        import threading
-
-        hub = InProcHub()
+        broker = MQTTBroker(port=None)
         stop = threading.Event()
-        pub = InProcClient("pub", hub)
+        pub = MQTTClient("pub", broker=broker)
         pub.connect()
         errors = []
 
@@ -165,7 +198,7 @@ class TestInProcConcurrency:
         thread.start()
         try:
             for i in range(50):
-                sub = InProcClient(f"sub{i}", hub)
+                sub = MQTTClient(f"sub{i}", broker=broker)
                 sub.connect()
                 sub.subscribe("/live/#", lambda t, p: None)
                 sub.disconnect()
@@ -173,3 +206,125 @@ class TestInProcConcurrency:
             stop.set()
             thread.join()
         assert errors == []
+
+
+class TestMemorySession:
+    """What a memory session shares with a socket session, and where
+    it differs."""
+
+    BATCH = [("/eq/a", b"1" * 16), ("/eq/b", b"2" * 32), ("/eq/+", b"x"), ("/eq/c", b"")]
+
+    @staticmethod
+    def _run_batches(broker, client):
+        calls = []
+        broker.add_publish_hook(
+            lambda cid, ps: calls.append(
+                (cid, [(p.topic, p.payload, p.qos, p.packet_id, p.dup) for p in ps])
+            )
+        )
+        client.connect()
+        refused = []
+        for qos in (0, 1):
+            refused.append(sorted(client.publish_many(TestMemorySession.BATCH, qos=qos)))
+            # One batch per read on both wires: wait before the next.
+            assert wait_until(
+                lambda: broker.messages_received == 3 * (qos + 1) and not client._inflight
+            )
+        counters = (
+            client.messages_sent,
+            client.bytes_sent,
+            broker.messages_received,
+            broker.bytes_received,
+        )
+        client.disconnect()
+        return refused, calls, counters
+
+    def test_memory_and_tcp_sessions_hand_the_hook_the_same_runs(self):
+        memory = MQTTBroker(port=None)
+        got_memory = self._run_batches(memory, MQTTClient("eq", broker=memory))
+        with MQTTBroker("127.0.0.1", 0) as tcp:
+            client = MQTTClient("eq", port=tcp.port, keepalive=0)
+            got_tcp = self._run_batches(tcp, client)
+        assert got_memory == got_tcp
+        refused, calls, _ = got_memory
+        assert refused == [[2], [2]]
+        assert [[p[2:4] for p in run] for _cid, run in calls] == [
+            [(0, None)] * 3,
+            [(1, 1), (1, 2), (1, 3)],
+        ]
+
+    def test_short_body_publish_is_a_protocol_error_that_closes_the_session(self):
+        """A complete PUBLISH frame shorter than its own topic field."""
+        broker = PublishOnlyBroker(port=None)
+        seen = []
+        broker.add_publish_hook(lambda cid, ps: seen.extend(ps))
+        client = MQTTClient("broken", broker=broker)
+        client.connect()
+        assert broker.connected_clients == 1
+        client._conn.write(b"\x30\x03\x00\x05a" + pkt.PingReq().encode())
+        assert broker.connected_clients == 0
+        assert not client.connected
+        assert seen == []
+        with pytest.raises(TransportError, match="not connected"):
+            client.publish("/after", b"x")
+
+    def test_hook_error_reaches_the_publisher_and_keeps_the_session(self):
+        broker = PublishOnlyBroker(port=None)
+        failing = {"/boom"}
+
+        def hook(cid, packets):
+            if any(p.topic in failing for p in packets):
+                raise RuntimeError("storage said no")
+
+        broker.add_publish_hook(hook)
+        client = MQTTClient("c", broker=broker)
+        client.connect()
+        with pytest.raises(RuntimeError, match="storage said no"):
+            client.publish("/boom", b"x")
+        client.publish("/fine", b"y")
+        assert client.connected
+        assert broker.messages_received == 2
+
+    def test_qos1_hook_errors_do_not_leak_the_inflight_window(self):
+        broker = PublishOnlyBroker(port=None)
+
+        def hook(cid, packets):
+            raise RuntimeError("storage said no")
+
+        broker.add_publish_hook(hook)
+        client = MQTTClient("c", broker=broker, max_inflight=4)
+        client.connect()
+        for i in range(10):  # more failures than the window holds
+            with pytest.raises(RuntimeError):
+                client.publish_many([(f"/q/{i}", b"x"), (f"/q/{i}/b", b"y")], qos=1)
+        assert not client._inflight
+        assert client.connected
+
+    def test_subscriber_callback_may_publish(self):
+        broker = MQTTBroker(port=None)
+        echoed = []
+        relay = MQTTClient("relay", broker=broker)
+        relay.connect()
+        relay.subscribe("/in/#", lambda t, p: relay.publish("/out" + t[3:], p))
+        sink = MQTTClient("sink", broker=broker)
+        sink.connect()
+        sink.subscribe("/out/#", lambda t, p: echoed.append((t, p)))
+        pub = MQTTClient("pub", broker=broker)
+        pub.connect()
+        pub.publish("/in/a", b"1")
+        assert echoed == [("/out/a", b"1")]
+
+    def test_listenerless_broker_runs_no_thread(self):
+        broker = PublishOnlyBroker(port=None)
+        before = threading.active_count()
+        broker.start()
+        assert broker.port is None
+        assert broker.transport_threads == 0
+        assert broker.ready
+        assert threading.active_count() == before
+        client = MQTTClient("c", broker=broker)
+        client.connect()
+        broker.stop()
+        assert not client.connected
+        with pytest.raises(TransportError, match="stopped"):
+            client.connect()

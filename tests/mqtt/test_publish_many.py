@@ -11,7 +11,6 @@ from repro.common.errors import TransportError
 from repro.mqtt import packets as pkt
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
-from repro.mqtt.inproc import InProcClient, InProcHub
 
 
 class CapturingConn:
@@ -122,8 +121,8 @@ class TestWireEquivalence:
         assert client._conn.writes == []
 
     def test_inproc_client_refuses_invalid_topics_alone(self):
-        hub = InProcHub()
-        client = InProcClient("p", hub)
+        broker = MQTTBroker(port=None)
+        client = MQTTClient("p", broker=broker)
         client.connect()
         refused = client.publish_many([("/i/a", b"1"), ("/i/+", b"2"), ("/i/b", b"3")])
         assert list(refused) == [1]

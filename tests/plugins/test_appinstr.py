@@ -7,7 +7,8 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.plugins.appinstr import Counter, Gauge, InstrumentRegistry
 
 
@@ -19,14 +20,14 @@ def registry():
 
 
 def make_pusher():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/app/job42"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     pusher.client.connect()
-    return pusher, hub
+    return pusher, broker
 
 
 class TestInstruments:
@@ -92,7 +93,7 @@ class TestAppInstrPlugin:
 
     def test_counters_publish_deltas(self, registry):
         counter = registry.counter("events")
-        pusher, hub = make_pusher()
+        pusher, broker = make_pusher()
         pusher.load_plugin(
             "appinstr", "group app { interval 1000\n registry testreg }"
         )
@@ -159,13 +160,13 @@ class TestAppInstrPlugin:
         from repro.libdcdb.api import DCDBClient
         from repro.storage import MemoryBackend
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        agent = CollectAgent(backend, broker=hub)
+        agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/app/job43"),
-            client=InProcClient("p", hub),
+            client=MQTTClient("p", broker=broker),
             clock=clock,
         )
         pusher.load_plugin(

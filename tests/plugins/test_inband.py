@@ -7,7 +7,8 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.plugins.perfevents import SyntheticPerfSource, parse_cpu_list
 from repro.plugins.procfs import parse_meminfo, parse_procstat, parse_vmstat
 
@@ -39,18 +40,18 @@ GPFS_STATS = "_n_ 10.1.1.1 _fs_ work _br_ 1048576 _bw_ 2097152 _oc_ 12 _cc_ 10 _
 
 
 def make_pusher(prefix="/ib/h0"):
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     clock = SimClock(0)
     pusher = Pusher(
-        PusherConfig(mqtt_prefix=prefix), client=InProcClient("p", hub), clock=clock
+        PusherConfig(mqtt_prefix=prefix), client=MQTTClient("p", broker=broker), clock=clock
     )
     pusher.client.connect()
-    return pusher, hub
+    return pusher, broker
 
 
 class TestTesterPlugin:
     def test_counter_generator(self):
-        pusher, hub = make_pusher()
+        pusher, broker = make_pusher()
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 2 }")
         pusher.start_plugin("tester")
         pusher.advance_to(3 * NS_PER_SEC)

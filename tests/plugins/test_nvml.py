@@ -5,19 +5,20 @@ import pytest
 from repro.common.errors import ConfigError, PluginError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.plugins.nvml import METRICS, SyntheticNvmlSource
 
 
 def make_pusher():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/gpu/h0"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     pusher.client.connect()
-    return pusher, hub
+    return pusher, broker
 
 
 class TestSyntheticSource:
@@ -72,9 +73,9 @@ class TestNvmlPlugin:
         assert plugin.sensor_count == 4
 
     def test_collection_and_topics(self):
-        pusher, hub = make_pusher()
+        pusher, broker = make_pusher()
         topics = []
-        hub.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
+        broker.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
         pusher.load_plugin(
             "nvml", "group gpus { interval 1000\n gpus 0\n metrics power }"
         )

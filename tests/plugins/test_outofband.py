@@ -15,7 +15,8 @@ from repro.devices import (
 )
 from repro.devices.bacnet_device import AnalogInput
 from repro.devices.bmc import SdrRecord
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 
 
 @pytest.fixture
@@ -28,14 +29,14 @@ def model():
 
 
 def make_pusher():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/oob/h0"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     pusher.client.connect()
-    return pusher, hub
+    return pusher, broker
 
 
 class TestIpmiPlugin:

@@ -13,7 +13,8 @@ import pytest
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux" or not os.path.exists("/proc/meminfo"),
@@ -22,14 +23,14 @@ pytestmark = pytest.mark.skipif(
 
 
 def make_pusher():
-    hub = InProcHub(allow_subscribe=False)
+    broker = PublishOnlyBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/live/host"),
-        client=InProcClient("p", hub),
+        client=MQTTClient("p", broker=broker),
         clock=SimClock(0),
     )
     pusher.client.connect()
-    return pusher, hub
+    return pusher, broker
 
 
 class TestLiveProc:
@@ -84,7 +85,7 @@ class TestLiveProc:
 
     def test_full_production_style_cycle(self):
         """meminfo + vmstat + procstat groups in one plugin, one cycle."""
-        pusher, hub = make_pusher()
+        pusher, broker = make_pusher()
         plugin = pusher.load_plugin(
             "procfs",
             "group mem { interval 1000\n type meminfo }\n"

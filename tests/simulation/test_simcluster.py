@@ -50,3 +50,34 @@ class TestSimulatedCluster:
         for sid in sim.backend.sids():
             ts, _ = sim.backend.query(sid, 0, 1 << 62)
             assert ts.size == 10
+
+
+class TestOneBroker:
+    def test_run_reaches_the_agent_through_the_production_broker(self, monkeypatch):
+        """A simulation step is framed by the Pushers' clients, decoded
+        by ``StreamDecoder.feed`` and dispatched by
+        ``MQTTBroker._on_packets``: one hook call per group cycle."""
+        from repro.mqtt.broker import MQTTBroker
+        from repro.mqtt.packets import StreamDecoder
+
+        calls = {"feed": 0, "on_packets": []}
+        feed, on_packets = StreamDecoder.feed, MQTTBroker._on_packets
+
+        def counting_feed(self, data):
+            calls["feed"] += 1
+            return feed(self, data)
+
+        def counting_on_packets(self, conn, packets):
+            calls["on_packets"].append(len(packets))
+            return on_packets(self, conn, packets)
+
+        monkeypatch.setattr(StreamDecoder, "feed", counting_feed)
+        monkeypatch.setattr(MQTTBroker, "_on_packets", counting_on_packets)
+        sim = SimulatedCluster(SimClusterConfig(hosts=2, sensors_per_host=5))
+        setup = list(calls["on_packets"])  # CONNECTs and metadata announcements
+        assert sim.broker.port is None
+        assert sim.broker.transport_threads == 0
+        assert sim.run(3) == 30
+        assert calls["on_packets"][len(setup) :] == [5] * (2 * 3)
+        assert calls["feed"] > len(calls["on_packets"])  # CONNACKs fed client-side
+        sim.stop()

@@ -27,7 +27,8 @@ from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
 from repro.core.sensor import SensorCache, SensorReading
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
-from repro.mqtt.inproc import InProcClient, InProcHub
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.client import MQTTClient
 from repro.storage import (
     DurableNode,
     MemoryBackend,
@@ -253,9 +254,9 @@ class TestWriterTrim:
 
 class TestAgentCache:
     def test_burst_message_answers_like_one_reading_at_a_time(self):
-        hub = InProcHub(allow_subscribe=False)
-        agent = CollectAgent(MemoryBackend(), broker=hub, cache_maxage_ns=30 * NS)
-        client = InProcClient("pusher", hub)
+        broker = PublishOnlyBroker(port=None)
+        agent = CollectAgent(MemoryBackend(), broker=broker, cache_maxage_ns=30 * NS)
+        client = MQTTClient("pusher", broker=broker)
         client.connect()
         reference = SensorCache(maxage_ns=30 * NS)
         rng = np.random.default_rng(29)

@@ -71,21 +71,21 @@ class TestPublicApi:
         from repro import (
             CollectAgent,
             DCDBClient,
-            InProcClient,
-            InProcHub,
             MemoryBackend,
+            MQTTClient,
             NS_PER_SEC,
+            PublishOnlyBroker,
             Pusher,
             PusherConfig,
             SimClock,
         )
 
-        hub = InProcHub(allow_subscribe=False)
+        broker = PublishOnlyBroker(port=None)
         backend = MemoryBackend()
-        CollectAgent(backend, broker=hub)
+        CollectAgent(backend, broker=broker)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/hpc/rack0/node0"),
-            client=InProcClient("p0", hub),
+            client=MQTTClient("p0", broker=broker),
             clock=SimClock(0),
         )
         pusher.load_plugin("tester", "group g0 { interval 1000\n numSensors 8 }")
