@@ -38,7 +38,7 @@ e2e-smoke:
 chaos:
 	PYTHONPATH=src CHAOS_SEEDS=$(CHAOS_SEEDS) $(PYTHON) -m pytest \
 		tests/storage/test_faults.py tests/storage/test_cluster.py \
-		tests/integration/test_chaos.py
+		tests/storage/test_hints.py tests/integration/test_chaos.py
 
 # Durability chaos battery: kill -9 mid-ingest under fsync=always
 # (zero acked-write loss, bit-identical recovery fingerprints per

@@ -1,10 +1,11 @@
 """Deterministic fault injection for live rebalances.
 
-The rebalance streamer (:meth:`StorageCluster._stream_sid`) exposes a
-hook called before every chunk it ships.  ``RebalanceFaultInjector``
-plugs into that hook and fires scripted faults at exact points in the
-stream — kill the source after N chunks, kill the target, or raise an
-injected error — so chaos tests can reproduce "a node died mid-
+The rebalance streamer
+(:meth:`repro.storage.rebalance.Rebalancer._stream_sid`) calls the
+cluster's ``rebalance_fault_hook`` before every chunk it ships.
+``RebalanceFaultInjector`` plugs into that hook and fires scripted
+faults at exact points in the stream — kill the source after N chunks
+or raise an injected error — so chaos tests can reproduce "a node died mid-
 transfer" byte-for-byte from a seed instead of hoping a random kill
 lands inside the streaming window.
 
@@ -42,19 +43,22 @@ class RebalanceFaultInjector:
         if armed is not None:
             armed(partition, source, target, chunk_no)
 
-    def _record(self, kind: str, partition: int, source: int, target: int, chunk_no: int) -> None:
-        self.fired.append(
-            {
-                "kind": kind,
-                "partition": partition,
-                "source": source,
-                "target": target,
-                "chunk": chunk_no,
-            }
-        )
+    def _arm(
+        self, kind: str, hits: Callable[[int], bool], act: Callable[[int, int, int], None]
+    ) -> None:
+        """Fire ``act(partition, source, chunk_no)`` once, on the
+        first chunk ``hits`` accepts."""
 
-    def disarm(self) -> None:
-        self._armed = None
+        def fire(partition: int, source: int, target: int, chunk_no: int) -> None:
+            if not hits(chunk_no):
+                return
+            self._armed = None
+            self.fired.append(
+                dict(kind=kind, partition=partition, source=source, target=target, chunk=chunk_no)
+            )
+            act(partition, source, chunk_no)
+
+        self._armed = fire
 
     def kill_source_after(self, chunks: int, proxies) -> None:
         """Kill the streaming *source* once it has shipped ``chunks``.
@@ -63,38 +67,14 @@ class RebalanceFaultInjector:
         ``flaky_nodes`` list).  The stream then aborts with NodeDownError and
         the cluster re-streams from the next live old replica.
         """
-
-        def fire(partition: int, source: int, target: int, chunk_no: int) -> None:
-            if chunk_no < chunks:
-                return
-            self._armed = None
-            self._record("kill-source", partition, source, target, chunk_no)
-            proxies[source].kill()
-
-        self._armed = fire
-
-    def kill_target_after(self, chunks: int, proxies) -> None:
-        """Kill the *gaining* node mid-stream; chunks become hints."""
-
-        def fire(partition: int, source: int, target: int, chunk_no: int) -> None:
-            if chunk_no < chunks:
-                return
-            self._armed = None
-            self._record("kill-target", partition, source, target, chunk_no)
-            proxies[target].kill()
-
-        self._armed = fire
+        self._arm("kill-source", lambda no: no >= chunks, lambda _p, src, _no: proxies[src].kill())
 
     def fail_chunk(self, chunk_no: int) -> None:
         """Raise an injected error on one exact chunk (stream retries)."""
 
-        def fire(partition: int, source: int, target: int, no: int) -> None:
-            if no != chunk_no:
-                return
-            self._armed = None
-            self._record("fail-chunk", partition, source, target, no)
+        def fail(partition: int, _source: int, no: int) -> None:
             raise FaultInjectedError(
                 f"injected rebalance fault at chunk {no} of partition {partition:#x}"
             )
 
-        self._armed = fire
+        self._arm("fail-chunk", lambda no: no == chunk_no, fail)

@@ -22,11 +22,11 @@ Availability under node churn follows the Cassandra playbook the
 paper relies on:
 
 * **writes** retry each replica with capped exponential backoff; a
-  replica that stays unreachable gets a *hinted handoff* — the
-  coordinator queues the sub-batch and replays it when the replica
-  recovers — so one down node does not stall ingest.  Only when every
-  replica of some reading fails does the write raise (and the batching
-  writer re-queues the batch, see
+  replica that stays unreachable gets a *hinted handoff*
+  (:mod:`repro.storage.hints`: data, metadata and deletes it missed,
+  replayed in order when it recovers), so one down node does not
+  stall ingest.  Only when every replica of some reading fails does
+  the write raise (and the batching writer re-queues the batch, see
   :class:`~repro.core.collectagent.writer.BatchingWriter`).
 * **reads** — :meth:`StorageCluster.query` and
   :meth:`StorageCluster.query_many` share one routine — fall back to
@@ -34,16 +34,10 @@ paper relies on:
   node first drains its pending hints so the series it serves is
   complete.
 
-Replay is idempotent because the node read/compaction paths dedup on
-timestamp (last write wins), so a hint that races a writer retry never
-produces duplicate readings.  Retention deletes a down replica missed
-are hinted too, in order with the writes, so a restart cannot bring
-deleted rows back.
-
 Metadata (sensor properties, virtual sensor definitions) is replicated
 to every node, mirroring Cassandra system tables: it is tiny, read
-everywhere and must survive any single node.  Metadata writes to down
-nodes are hinted exactly like data writes.
+everywhere and must survive any single node.  Nodes join and leave
+live; the partition transfers run in :mod:`repro.storage.rebalance`.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ import logging
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
@@ -64,17 +57,17 @@ from repro.core.sid import SensorId
 from repro.observability import MetricsRegistry
 from repro.observability.spans import SpanRecorder, current_trace, default_recorder
 from repro.storage.backend import InsertItem, ReadingBatch, StorageBackend, as_batch
+from repro.storage.hints import HintQueue
 from repro.storage.membership import (
     EXPORTED_STATES,
     NODE_LEAVING,
     NODE_REMOVED,
-    NODE_UP,
     ClusterMembership,
     FailureDetector,
-    PartitionMove,
 )
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import HierarchicalPartitioner, Partitioner
+from repro.storage.rebalance import Rebalancer
 
 logger = logging.getLogger(__name__)
 
@@ -112,15 +105,6 @@ _FAN_OUT_MIN_ITEMS = 256
 # Bound on memoized per-SID replica sets (FIFO eviction — the
 # oldest-resolved sensor is the cheapest to recompute).
 _REPLICA_CACHE_MAX = 65_536
-
-# Cutoff passed to delete_before when a losing replica sheds a moved
-# partition's rows — far enough in the future to drop everything while
-# staying inside int64 timestamp arithmetic.
-_FAR_FUTURE = 1 << 62
-
-#: Accounting size of one streamed reading (int64 ts + int64 value);
-#: `dcdb_rebalance_moved_bytes_total` counts rows at this width.
-_ROW_BYTES = 16
 
 
 def _fan_out(jobs: dict[int, list], run: Callable[[int, list], object]) -> dict[int, object]:
@@ -165,8 +149,9 @@ class StorageCluster(StorageBackend):
     backoff_base_s / backoff_cap_s:
         Capped exponential backoff between write retries.
     hint_capacity:
-        Per-node bound on hinted readings; beyond it the oldest hints
-        are dropped (counted in ``dcdb_storage_hints_dropped_total``).
+        Per-node bound on hinted readings; beyond it the oldest data
+        hints are dropped (counted in
+        ``dcdb_storage_hints_dropped_total``).
     sleep:
         Injectable sleep for the retry backoff; tests and simulations
         pass a no-op so chaos runs are instant and deterministic.
@@ -238,42 +223,18 @@ class StorageCluster(StorageBackend):
         #: RebalanceFaultInjector plugs in here.
         self.rebalance_fault_hook: Callable[[int, int, int, int], None] | None = None
         self._membership_lock = threading.Lock()
-        self._rebalance_threads: list[threading.Thread] = []
-        self._rebalance_stats_lock = threading.Lock()
-        self._rebalance_stats: dict[str, float] = {
-            "partitions_moved": 0,
-            "partitions_failed": 0,
-            "moved_rows": 0,
-            "moved_bytes": 0,
-            "minimal_rows": 0,
-            "minimal_bytes": 0,
-            "source_failovers": 0,
-        }
-        self._pending_cleanup: deque[tuple[int, SensorId]] = deque()
         self._inflight_lock = threading.Lock()
+        self._inflight_idle = threading.Condition(self._inflight_lock)
         self._inflight_writes = 0
         self.contact_node = contact_node
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.hint_capacity = hint_capacity
         self._sleep = sleep if sleep is not None else time.sleep
         if slow_query_s < 0:
             raise StorageError("slow_query_s must be >= 0")
         self.slow_query_s = slow_query_s
         self.spans = spans if spans is not None else default_recorder()
-        # Hinted handoff state: per-node FIFO of what the node missed
-        # while unreachable.  Entries are ("data", ReadingBatch),
-        # ("meta", key, value) or ("cutoff", sid, cutoff).  Only
-        # non-empty queues are kept, so the dict's truthiness is the
-        # cheap are-there-hints test on the hot paths;
-        # _hints_pending_count (the gauge) and its per-node breakdown
-        # _hint_readings count queued *readings*.
-        self._hints: dict[int, deque] = {}
-        self._hint_readings: dict[int, int] = {}
-        self._hints_lock = threading.Lock()
-        self._hints_pending_count = 0
-        self._hints_hwm = 0
         # Locality statistics for the partitioning ablation.  Registry
         # counters stay monotonic; reset_stats() moves the baseline the
         # local_ops/remote_ops views subtract.
@@ -292,25 +253,7 @@ class StorageCluster(StorageBackend):
             "dcdb_storage_read_failovers_total",
             "Replicas a read skipped or failed on, one per SID",
         )
-        self._hints_queued = self.metrics.counter(
-            "dcdb_storage_hints_queued_total",
-            "Readings queued as hinted handoffs for unreachable replicas",
-        )
-        self._hints_replayed = self.metrics.counter(
-            "dcdb_storage_hints_replayed_total",
-            "Hinted readings replayed to recovered replicas",
-        )
-        self._hints_dropped = self.metrics.counter(
-            "dcdb_storage_hints_dropped_total",
-            "Hinted readings evicted by the per-node hint capacity",
-        )
-        self.metrics.gauge(
-            "dcdb_storage_hints_pending", "Hinted readings awaiting replay"
-        ).set_function(lambda: self._hints_pending_count)
-        self.metrics.gauge(
-            "dcdb_storage_hints_high_watermark",
-            "Most hinted readings ever pending at once on this coordinator",
-        ).set_function(lambda: self._hints_hwm)
+        self.hints = HintQueue(self.metrics, hint_capacity)
         self._query_latency = self.metrics.histogram(
             "dcdb_cluster_query_seconds",
             "Cluster-layer read latency",
@@ -327,26 +270,7 @@ class StorageCluster(StorageBackend):
             "dcdb_cluster_replica_cache_entries",
             "Memoized replica sets held by the bounded per-SID cache",
         ).set_function(lambda: float(len(self._replica_cache)))
-        self.metrics.gauge(
-            "dcdb_rebalance_active",
-            "Partitions currently mid-transfer (union writes, dual reads)",
-        ).set_function(lambda: float(self.membership.transfers_active))
-        self._m_moved_rows = self.metrics.counter(
-            "dcdb_rebalance_moved_rows_total",
-            "Readings streamed to new owners by rebalances",
-        )
-        self._m_moved_bytes = self.metrics.counter(
-            "dcdb_rebalance_moved_bytes_total",
-            "Bytes streamed to new owners by rebalances (16 B per reading)",
-        )
-        self._m_partitions_moved = self.metrics.counter(
-            "dcdb_rebalance_partitions_moved_total",
-            "Partition transfers committed by rebalances",
-        )
-        self._m_source_failovers = self.metrics.counter(
-            "dcdb_rebalance_source_failovers_total",
-            "Partition streams restarted from another replica after a source died",
-        )
+        self._rebalancer = Rebalancer(self)
         self._node_state_gauge = self.metrics.gauge(
             "dcdb_cluster_node_state",
             "Failure-detector verdict per node (1 in exactly one state)",
@@ -381,7 +305,7 @@ class StorageCluster(StorageBackend):
     @property
     def hints_pending(self) -> int:
         """Hinted readings queued for currently-unreachable replicas."""
-        return self._hints_pending_count
+        return self.hints.pending
 
     def metrics_registries(self) -> list[MetricsRegistry]:
         """This cluster's registry plus every member node's."""
@@ -400,9 +324,7 @@ class StorageCluster(StorageBackend):
         Removed members do not count against availability.
         """
         self.detector.probe()
-        members = self.membership.member_indices()
-        live = sum(1 for i in members if self.nodes[i].is_up)
-        return live, len(members)
+        return len(self._up_members()), len(self.membership.member_indices())
 
     def node_states(self) -> list[dict[str, object]]:
         """Per-node liveness detail from the failure detector.
@@ -509,7 +431,7 @@ class StorageCluster(StorageBackend):
                 self._sleep(
                     min(self.backoff_cap_s, self.backoff_base_s * (2.0 ** attempt))
                 )
-        self._queue_hint(node_idx, ("data", items), len(items))
+        self.hints.push(node_idx, ("data", items))
         if trace_id is not None:
             self.spans.record(
                 trace_id,
@@ -525,33 +447,6 @@ class StorageCluster(StorageBackend):
             )
         return last_error
 
-    def _queue_hint(self, node_idx: int, entry: tuple, readings: int) -> None:
-        with self._hints_lock:
-            dq = self._hints.get(node_idx)
-            if dq is None:
-                dq = self._hints.setdefault(node_idx, deque())
-            dq.append(entry)
-            self._hints_pending_count += readings
-            if self._hints_pending_count > self._hints_hwm:
-                self._hints_hwm = self._hints_pending_count
-            self._hints_queued.inc(readings)
-            # Enforce the per-node bound by evicting oldest-first; a
-            # replica down for longer than the budget loses its oldest
-            # hints (bounded memory beats unbounded growth — the gap is
-            # visible in dcdb_storage_hints_dropped_total).
-            pending_here = self._hint_readings.get(node_idx, 0) + readings
-            while pending_here > self.hint_capacity and len(dq) > 1:
-                evicted = dq.popleft()
-                size = self._entry_size(evicted)
-                pending_here -= size
-                self._hints_pending_count -= size
-                self._hints_dropped.inc(size)
-            self._hint_readings[node_idx] = pending_here
-
-    @staticmethod
-    def _entry_size(entry: tuple) -> int:
-        return len(entry[1]) if entry[0] == "data" else 0
-
     def replay_hints(self, node_idx: int | None = None) -> int:
         """Replay queued hints to recovered nodes; returns readings landed.
 
@@ -561,89 +456,25 @@ class StorageCluster(StorageBackend):
         series).  Hints for still-down nodes stay queued.
         """
         replayed = 0
-        indices = [node_idx] if node_idx is not None else list(self._hints)
+        indices = [node_idx] if node_idx is not None else self.hints.nodes()
         for idx in indices:
             node = self.nodes[idx]
             if self.membership.slot_state(idx) == NODE_REMOVED:
-                self._drop_hints(idx)
+                self.hints.drop(idx)
                 continue
             if not node.is_up:
                 continue
-            landed = False
-            while True:
-                with self._hints_lock:
-                    dq = self._hints.get(idx)
-                    if not dq:
-                        break
-                    entry = dq[0]
-                try:
-                    if entry[0] == "data":
-                        node.insert_batch(entry[1])
-                    elif entry[0] == "meta":
-                        node.put_metadata(entry[1], entry[2])
-                    else:
-                        node.delete_before(entry[1], entry[2])
-                except StorageError:
-                    break  # node flapped again; keep the hint for later
-                landed = True
-                size = self._entry_size(entry)
-                with self._hints_lock:
-                    dq = self._hints.get(idx)
-                    # Only we pop from this deque's head under replay;
-                    # a concurrent replay of the same node may have
-                    # raced us, so re-check identity before popping.
-                    if dq and dq[0] is entry:
-                        dq.popleft()
-                        self._hints_pending_count -= size
-                        self._hint_readings[idx] -= size
-                        self._hints_replayed.inc(size)
-                        replayed += size
-                        if not dq:
-                            self._forget_hints_locked(idx)
+            landed, readings = self.hints.replay(idx, node)
+            replayed += readings
             if landed:
                 # A successful replay is proof of life — resurrect the
                 # node in the detector without waiting for a probe.
                 self.detector.report_success(idx)
         return replayed
 
-    def _forget_hints_locked(self, node_idx: int) -> int:
-        """Drop a node's (drained or abandoned) queue; returns the
-        readings that were still in it."""
-        self._hints.pop(node_idx, None)
-        return self._hint_readings.pop(node_idx, 0)
-
-    def _drop_hints(self, node_idx: int) -> None:
-        """Discard all hints queued for a node that left the cluster."""
-        with self._hints_lock:
-            dropped = self._forget_hints_locked(node_idx)
-            self._hints_pending_count -= dropped
-            if dropped:
-                self._hints_dropped.inc(dropped)
-
     def _repair_before_read(self) -> None:
-        if self._hints:
+        if self.hints:
             self.replay_hints()
-        if self._pending_cleanup:
-            self._retry_cleanup()
-
-    def _retry_cleanup(self) -> None:
-        """Shed moved-partition rows from losing replicas that were
-        down when their transfer committed (best-effort, like hints)."""
-        for _ in range(len(self._pending_cleanup)):
-            try:
-                node_idx, sid = self._pending_cleanup.popleft()
-            except IndexError:
-                return
-            if self.membership.slot_state(node_idx) == NODE_REMOVED:
-                continue
-            node = self.nodes[node_idx]
-            if not node.is_up:
-                self._pending_cleanup.append((node_idx, sid))
-                continue
-            try:
-                node.delete_before(sid, _FAR_FUTURE)
-            except StorageError:
-                self._pending_cleanup.append((node_idx, sid))
 
     def _replicas(self, sid: SensorId) -> tuple[int, ...]:
         """Replica set a write to ``sid`` must reach (ownership table).
@@ -718,6 +549,8 @@ class StorageCluster(StorageBackend):
         finally:
             with self._inflight_lock:
                 self._inflight_writes -= 1
+                if not self._inflight_writes:
+                    self._inflight_idle.notify_all()
         failed = {node_idx for node_idx, err in errors.items() if err is not None}
         if failed:
             # A reading is lost only if its entire replica set failed;
@@ -915,10 +748,7 @@ class StorageCluster(StorageBackend):
     def sids(self) -> list[SensorId]:
         self._repair_before_read()
         merged: set[SensorId] = set()
-        for node_idx in self.membership.member_indices():
-            node = self.nodes[node_idx]
-            if not node.is_up:
-                continue
+        for node in self._up_members():
             try:
                 merged.update(node.sids())
             except StorageError:
@@ -926,19 +756,21 @@ class StorageCluster(StorageBackend):
         return sorted(merged)
 
     def delete_before(self, sid: SensorId, cutoff: int) -> int:
-        """Delete on every live replica; an unreachable one gets the
+        """Delete on every replica (see :meth:`_delete_on`)."""
+        return max(self._delete_on(node_idx, sid, cutoff) for node_idx in self._replicas(sid))
+
+    def _delete_on(self, node_idx: int, sid: SensorId, cutoff: int) -> int:
+        """Delete on one replica; one that cannot take it now gets the
         cutoff as a hint, replayed in order with the writes it missed,
         so its restart cannot resurrect the deleted rows."""
-        removed = 0
-        for node_idx in self._replicas(sid):
-            node = self.nodes[node_idx]
-            try:
-                if not node.is_up:
-                    raise StorageError(f"node {node_idx} down")
-                removed = max(removed, node.delete_before(sid, cutoff))
-            except StorageError:
-                self._queue_hint(node_idx, ("cutoff", sid, cutoff), 0)
-        return removed
+        node = self.nodes[node_idx]
+        try:
+            if not node.is_up:
+                raise StorageError(f"node {node_idx} down")
+            return node.delete_before(sid, cutoff)
+        except StorageError:
+            self.hints.push(node_idx, ("cutoff", sid, cutoff))
+            return 0
 
     # -- metadata (replicated everywhere) -----------------------------------
 
@@ -968,7 +800,7 @@ class StorageCluster(StorageBackend):
             return True
         except StorageError:
             for key, value in pairs:
-                self._queue_hint(node_idx, ("meta", key, value), 0)
+                self.hints.push(node_idx, ("meta", key, value))
             return False
 
     def get_metadata(self, key: str) -> str | None:
@@ -1000,17 +832,17 @@ class StorageCluster(StorageBackend):
 
     # -- maintenance ----------------------------------------------------------
 
+    def _up_members(self) -> list[StorageBackend]:
+        """Current members whose heartbeat channel answers."""
+        return [n for n in map(self.nodes.__getitem__, self.membership.member_indices()) if n.is_up]
+
     def compact(self) -> None:
-        for node_idx in self.membership.member_indices():
-            node = self.nodes[node_idx]
-            if node.is_up:
-                node.compact()
+        for node in self._up_members():
+            node.compact()
 
     def flush(self) -> None:
-        for node_idx in self.membership.member_indices():
-            node = self.nodes[node_idx]
-            if node.is_up:
-                node.flush()
+        for node in self._up_members():
+            node.flush()
 
     def commit_durable(self) -> bool:
         """Group-commit barrier across durable members.
@@ -1020,15 +852,13 @@ class StorageCluster(StorageBackend):
         members have nothing to sync).  Returns True if any node synced.
         """
         synced = False
-        for node_idx in self.membership.member_indices():
-            node = self.nodes[node_idx]
-            if node.is_up:
-                synced = node.commit_durable() or synced
+        for node in self._up_members():
+            synced = node.commit_durable() or synced
         return synced
 
     def close(self) -> None:
         self.detector.stop()
-        self.rebalance_wait(timeout=self.rebalance_timeout_s)
+        self._rebalancer.wait(timeout=self.rebalance_timeout_s)
         for node in self.nodes:
             node.close()
 
@@ -1059,9 +889,8 @@ class StorageCluster(StorageBackend):
                 raise StorageError(
                     f"membership slot {slot_idx} does not match node {new_idx}"
                 )
-            self._seed_metadata(new_idx)
-        self._drain_inflight_writes()
-        self._start_rebalance(moves)
+            self._rebalancer.seed_metadata(new_idx)
+        self._rebalancer.start(moves)
         if wait:
             self.rebalance_wait(timeout)
         return new_idx
@@ -1078,25 +907,13 @@ class StorageCluster(StorageBackend):
         """
         with self._membership_lock:
             moves = self.membership.remove_slot(node_idx)
-        self._drain_inflight_writes()
-        self._start_rebalance(moves, finish_idx=node_idx)
+        self._rebalancer.start(moves, finish_idx=node_idx)
         if wait:
             self.rebalance_wait(timeout)
 
     def rebalance_wait(self, timeout: float | None = None) -> bool:
         """Block until background rebalances finish; True when idle."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        threads = list(self._rebalance_threads)
-        for thread in threads:
-            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            thread.join(remaining)
-            if thread.is_alive():
-                return False
-        with self._membership_lock:
-            self._rebalance_threads = [
-                t for t in self._rebalance_threads if t.is_alive()
-            ]
-        return True
+        return self._rebalancer.wait(timeout)
 
     def rebalance_stats(self) -> dict[str, float]:
         """Moved-volume accounting of all rebalances on this cluster.
@@ -1106,228 +923,7 @@ class StorageCluster(StorageBackend):
         re-streams after a source died mid-transfer, so the ratio
         bounds rebalance overhead.
         """
-        with self._rebalance_stats_lock:
-            stats = dict(self._rebalance_stats)
-        stats["active_transfers"] = self.membership.transfers_active
-        stats["epoch"] = self.membership.epoch
-        return stats
-
-    def _seed_metadata(self, new_idx: int) -> None:
-        """Copy replicated metadata onto a joining node (hint on failure)."""
-        try:
-            keys = self._metadata_read(lambda n: n.metadata_keys(""))
-        except StorageError:
-            return  # nothing readable anywhere; nothing to seed
-        pairs = []
-        for key in keys:
-            try:
-                value = self._metadata_read(lambda n, k=key: n.get_metadata(k))
-            except StorageError:
-                continue  # readable nowhere right now: nothing to copy
-            if value is not None:
-                pairs.append((key, value))
-        self._put_metadata_on(new_idx, pairs)
-
-    def _drain_inflight_writes(self, timeout: float = 5.0) -> None:
-        """Wait out writes routed under the pre-bump epoch.
-
-        After an epoch bump the replica cache is already cleared, but a
-        write that resolved its replica set just before the bump may
-        still be in flight to the old owners only.  Streaming snapshots
-        the source after this barrier, so those writes are included.
-        """
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if self._inflight_writes == 0:
-                    return
-            time.sleep(0.001)
-
-    def _start_rebalance(
-        self, moves: list[PartitionMove], finish_idx: int | None = None
-    ) -> None:
-        thread = threading.Thread(
-            target=self._run_rebalance,
-            args=(moves, finish_idx),
-            name="dcdb-rebalance",
-            daemon=True,
-        )
-        self._rebalance_threads.append(thread)
-        thread.start()
-
-    def _bump_stat(self, key: str, amount: float = 1) -> None:
-        with self._rebalance_stats_lock:
-            self._rebalance_stats[key] += amount
-
-    def _run_rebalance(self, moves: list[PartitionMove], finish_idx: int | None) -> None:
-        failed = 0
-        for move in moves:
-            try:
-                if not self._transfer_partition(move):
-                    failed += 1
-            except Exception:  # noqa: BLE001 - worker must not die silently
-                logger.exception("transfer of partition %#x failed", move.partition)
-                failed += 1
-                self._bump_stat("partitions_failed")
-        if finish_idx is not None and failed == 0:
-            self._drop_hints(finish_idx)
-            self.membership.finish_remove(finish_idx)
-            self.detector.deregister(finish_idx)
-
-    def _partition_sids(self, move: PartitionMove) -> list[SensorId] | None:
-        """Sensors of the moving partition, listed from a live old owner."""
-        for src in move.old_replicas:
-            node = self.nodes[src]
-            if not node.is_up:
-                continue
-            try:
-                return [
-                    s
-                    for s in node.sids()
-                    if self.membership.partition_of(s) == move.partition
-                ]
-            except StorageError:
-                continue
-        return None
-
-    def _transfer_partition(self, move: PartitionMove) -> bool:
-        """Stream one partition to its new owners, then commit.
-
-        Returns False (leaving the transfer open — union writes and
-        dual reads stay in force, so nothing is lost) when no source
-        replica becomes reachable within the rebalance timeout.
-        """
-        deadline = time.monotonic() + self.rebalance_timeout_s
-        sids = self._partition_sids(move)
-        while sids is None:
-            if time.monotonic() > deadline:
-                logger.warning(
-                    "no reachable source for partition %#x; transfer stays open",
-                    move.partition,
-                )
-                self._bump_stat("partitions_failed")
-                return False
-            time.sleep(0.01)
-            sids = self._partition_sids(move)
-        for target in move.gaining:
-            for sid in sids:
-                if not self._stream_sid(move, sid, target, deadline):
-                    self._bump_stat("partitions_failed")
-                    return False
-        self._reroute_hints(move)
-        self.membership.commit_transfer(move.partition)
-        self._m_partitions_moved.inc()
-        self._bump_stat("partitions_moved")
-        # Losing replicas shed the moved rows so stale copies cannot
-        # outlive the transfer (down nodes are cleaned via the same
-        # piggybacked repair pass that replays hints).
-        for loser in move.losing:
-            if self.membership.slot_state(loser) != NODE_UP:
-                continue  # a leaving node's copy dies with the node
-            node = self.nodes[loser]
-            for sid in sids:
-                if node.is_up:
-                    try:
-                        node.delete_before(sid, _FAR_FUTURE)
-                        continue
-                    except StorageError:
-                        pass
-                self._pending_cleanup.append((loser, sid))
-        return True
-
-    def _stream_sid(
-        self, move: PartitionMove, sid: SensorId, target: int, deadline: float
-    ) -> bool:
-        """Stream one sensor's history to ``target``, retrying sources.
-
-        Chunks land through :meth:`_try_write`, so a target that is
-        briefly down during the cutover gets its chunks as hints — the
-        same machinery that protects live writes.  If the source dies
-        mid-stream the whole sensor is re-streamed from the next live
-        old replica (last-write-wins dedup on the target makes the
-        replay idempotent); only the final clean pass counts toward the
-        theoretical-minimum accounting.
-        """
-        attempt_sources = [s for s in move.old_replicas if s != target]
-        first_try = True
-        while True:
-            for src in attempt_sources:
-                node = self.nodes[src]
-                if not node.is_up:
-                    continue
-                if not first_try:
-                    self._m_source_failovers.inc()
-                    self._bump_stat("source_failovers")
-                rows = 0
-                chunk_no = 0
-                try:
-                    for chunk in node.stream_rows(sid, self.rebalance_chunk_rows):
-                        hook = self.rebalance_fault_hook
-                        if hook is not None:
-                            hook(move.partition, src, target, chunk_no)
-                        chunk_no += 1
-                        self._try_write(target, chunk)
-                        rows += len(chunk)
-                        self._m_moved_rows.inc(len(chunk))
-                        self._m_moved_bytes.inc(len(chunk) * _ROW_BYTES)
-                        self._bump_stat("moved_rows", len(chunk))
-                        self._bump_stat("moved_bytes", len(chunk) * _ROW_BYTES)
-                except StorageError as exc:
-                    self.detector.report_failure(
-                        src, hard=isinstance(exc, NodeDownError)
-                    )
-                    first_try = False
-                    continue
-                self._bump_stat("minimal_rows", rows)
-                self._bump_stat("minimal_bytes", rows * _ROW_BYTES)
-                return True
-            if time.monotonic() > deadline:
-                logger.warning(
-                    "no reachable source left for %s; transfer stays open", sid
-                )
-                return False
-            first_try = False
-            time.sleep(0.01)
-
-    def _reroute_hints(self, move: PartitionMove) -> None:
-        """Re-home hints a losing replica holds for the moved partition.
-
-        A hint queued for the old owner while it was down is a write
-        the new owner must also see; delivering it there (before the
-        transfer commits) keeps the cutover lossless even when the old
-        owner never comes back.
-        """
-        for loser in move.losing:
-            moved: list[ReadingBatch] = []
-            with self._hints_lock:
-                dq = self._hints.get(loser)
-                if not dq:
-                    continue
-                kept: deque = deque()
-                for entry in dq:
-                    if entry[0] != "data":
-                        kept.append(entry)
-                        continue
-                    batch = entry[1]
-                    moving = [self.membership.partition_of(s) == move.partition for s in batch.sids]
-                    rest = [run for run, moves in enumerate(moving) if not moves]
-                    mine = [run for run, moves in enumerate(moving) if moves]
-                    if rest:
-                        kept.append(("data", batch.select(rest)))
-                    if mine:
-                        moved.append(batch.select(mine))
-                count = sum(map(len, moved))
-                if count:
-                    self._hints_pending_count -= count
-                    self._hint_readings[loser] -= count
-                    self._hints_replayed.inc(count)
-                    if kept:
-                        self._hints[loser] = kept
-                    else:
-                        self._forget_hints_locked(loser)
-            if moved:
-                for target in move.gaining:
-                    self._try_write(target, ReadingBatch.concat(moved))
+        return self._rebalancer.stats()
 
     # -- stats ------------------------------------------------------------------
 

@@ -263,17 +263,15 @@ class TestHintedHandoff:
     def test_hint_capacity_evicts_oldest(self):
         cluster, nodes = flaky_cluster(2, replication=2, hint_capacity=10)
         nodes[1].kill()
-        measured = []
-        cluster._entry_size = lambda entry: measured.append(entry) or len(entry[1])
         s = sid(1, 1, 1)
         for t in range(25):
             cluster.insert(s, t, t)
         assert cluster.hints_pending <= 11  # capacity + at most one entry
         dropped = cluster.metrics.value("dcdb_storage_hints_dropped_total")
         assert dropped >= 14
-        # Queueing measures only what it evicts (a running per-node
-        # count, not a re-scan of the queue per hint) ...
-        assert len(measured) == dropped
+        # The newest readings are the ones kept ...
+        kept = [int(t) for _, batch in cluster.hints.entries(1) for t in batch.timestamps]
+        assert kept == list(range(25 - cluster.hints_pending, 25))
         # ... and the counts still balance after overflow: every queued
         # reading is pending, dropped, or (after the restart) replayed.
         assert cluster.metrics.value("dcdb_storage_hints_queued_total") == 25
@@ -282,6 +280,26 @@ class TestHintedHandoff:
         assert cluster.replay_hints() == 25 - dropped
         assert cluster.hints_pending == 0
         assert cluster.metrics.value("dcdb_storage_hints_replayed_total") == 25 - dropped
+
+    def test_capacity_evicts_data_hints_only(self):
+        # Metadata and retention cutoffs carry no readings; evicting
+        # them to make room would leave the replica with a missing key
+        # and rows it should have deleted.
+        cluster, nodes = flaky_cluster(2, replication=2, hint_capacity=10)
+        s = sid(1, 1, 1)
+        for t in range(10):
+            cluster.insert(s, t, t)
+        nodes[1].kill()
+        cluster.put_metadata("k", "v")
+        cluster.delete_before(s, 10)
+        for t in range(10, 35):
+            cluster.insert(s, t, t)
+        assert cluster.metrics.value("dcdb_storage_hints_dropped_total") == 15
+        nodes[1].restart()
+        assert cluster.replay_hints() == 10
+        assert nodes[1].get_metadata("k") == "v"
+        ts, _ = nodes[1].query(s, 0, 100)
+        assert ts.tolist() == list(range(25, 35))
 
     def test_delete_reaches_a_replica_that_was_down(self):
         # Without the hinted cutoff the restarted replica still holds
@@ -331,8 +349,7 @@ class TestHintedHandoff:
         cluster.put_metadata("cov/c", "")
         cluster.insert(s, 2, 20)
         assert nodes[0].metadata_keys("cov/") == ["cov/a", "cov/b"]
-        with cluster._hints_lock:
-            kinds = [entry[0] for entry in cluster._hints[1]]
+        kinds = [entry[0] for entry in cluster.hints.entries(1)]
         assert kinds == ["data", "meta", "meta", "meta", "meta", "meta", "data"]
         nodes[1].restart()
         assert cluster.replay_hints() == 2

@@ -7,6 +7,10 @@ detection latency are asserted deterministically; the end-to-end
 chaos behavior lives in ``tests/integration/test_chaos_rebalance.py``.
 """
 
+import logging
+import threading
+import time
+
 import pytest
 
 from repro.common.errors import StorageError
@@ -420,6 +424,33 @@ class TestClusterWiring:
         assert {k: late.get_metadata(k) for k in late.metadata_keys("")} == expected
         cluster.close()
 
+    def test_rebalance_waits_out_inflight_writes(self, caplog):
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowNode(StorageNode):
+            def insert_batch(self, items):
+                entered.set()
+                release.wait(5)
+                return super().insert_batch(items)
+
+        cluster = StorageCluster([SlowNode("node0")], replication=1)
+        writer = threading.Thread(target=cluster.insert, args=(sid(1, 1, 1), 1, 1))
+        writer.start()
+        assert entered.wait(5)
+        drain = cluster._rebalancer._drain_inflight_writes
+        with caplog.at_level(logging.WARNING, logger="repro.storage.rebalance"):
+            drain(timeout=0.05)
+        assert "1 writes still in flight" in caplog.text
+        # The barrier wakes when the write completes, not at its timeout.
+        threading.Timer(0.05, release.set).start()
+        t0 = time.monotonic()
+        drain(timeout=10)
+        assert time.monotonic() - t0 < 5
+        writer.join(5)
+        assert not writer.is_alive()
+        assert cluster.row_count == 1
+        cluster.close()
+
     @pytest.mark.parametrize(
         "partitioner", [HierarchicalPartitioner, HashPartitioner], ids=["hier", "hash"]
     )
@@ -448,4 +479,49 @@ class TestClusterWiring:
         # Every logical row exists exactly `replication` times — the
         # losing copies were shed, nothing was duplicated or dropped.
         assert cluster.row_count == 2 * len(items)
+        cluster.close()
+
+
+def flaky_members(n):
+    nodes = [FaultyBackend(StorageNode(f"node{i}")) for i in range(n)]
+    cluster = StorageCluster(
+        nodes,
+        partitioner=HierarchicalPartitioner(n, levels=2),
+        replication=2,
+        sleep=lambda _s: None,
+    )
+    items = [(sid(1, i, 1), t, t * i, 0) for i in range(1, 4) for t in range(10)]
+    cluster.insert_batch(items)
+    return cluster, nodes, items
+
+
+class TestLosingReplicaRepair:
+    """A losing replica that is down when its transfer commits sheds
+    its stale copy through its hint queue, in order with its writes."""
+
+    def test_down_loser_sheds_its_copy_after_restart(self):
+        cluster, nodes, items = flaky_members(2)
+        nodes[0].kill()
+        cluster.add_node(FaultyBackend(StorageNode("node2")))
+        nodes[0].restart()
+        cluster.sids()  # one read: the repair pass
+        assert cluster.row_count == cluster.replication * len(items)
+        cluster.close()
+
+    def test_moved_back_history_survives_the_stale_copy_cleanup(self):
+        # Subtree 0x10002 leaves node0 while it is down (a cleanup for
+        # node0 is owed), then comes back to it (its history is owed as
+        # hints).  The cleanup was owed first, so it must land first:
+        # node0 ends up owning the subtree with all ten rows.
+        cluster, nodes, items = flaky_members(2)
+        nodes[0].kill()
+        cluster.add_node(FaultyBackend(StorageNode("node2")))
+        cluster.remove_node(2)
+        nodes[0].restart()
+        cluster.sids()
+        nodes[1].kill()
+        for i in range(1, 4):
+            ts, vals = cluster.query(sid(1, i, 1), 0, 1 << 60)
+            assert ts.tolist() == list(range(10))
+            assert vals.tolist() == [t * i for t in range(10)]
         cluster.close()
