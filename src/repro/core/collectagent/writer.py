@@ -13,10 +13,12 @@ decoupling for any :class:`~repro.storage.backend.StorageBackend`:
   publishes into batches of up to ``max_batch`` readings and hand them
   to ``backend.insert_batch`` in one call;
 * a flush is triggered by batch **size** (``max_batch`` readings
-  staged), batch **age** (the oldest staged reading exceeds
-  ``max_delay_ns`` on the injected clock), or **shutdown** —
-  :meth:`stop` drains every accepted reading before returning, so
-  enabling batching never loses data on a clean shutdown.
+  staged), **idle** (nothing new staged for ``poll_interval_s`` on the
+  injected clock, so a burst commits once it ends), batch **age** (the
+  oldest staged reading exceeds ``max_delay_ns``: the cap a continuous
+  stream coalesces up to), or **shutdown** — :meth:`stop` drains every
+  accepted reading before returning, so enabling batching never loses
+  data on a clean shutdown.
 
 ``writers=0`` is the synchronous agent: no thread, and ``put()`` runs
 the same flush routine on the calling thread, one message per write
@@ -92,7 +94,8 @@ class WriterConfig:
         flush once this many readings are staged (size trigger).
     ``max_delay_ns``
         flush once the oldest staged reading is this old on the
-        writer's clock (age trigger; bounds worst-case visibility lag).
+        writer's clock (age trigger; caps visibility lag under a
+        continuous stream).
     ``queue_capacity``
         bound on staged readings; beyond it the backpressure
         ``policy`` applies.
@@ -102,10 +105,13 @@ class WriterConfig:
         number of dedicated flush threads; 0 runs every flush on the
         thread that calls ``put()`` (the synchronous agent).
     ``poll_interval_s``
-        real-time granularity at which idle writer threads re-check
-        the age trigger; lets an injected
-        :class:`~repro.common.timeutil.SimClock` drive age-based
-        flushes deterministically.
+        idle window: flush once nothing new has been staged for this
+        long on the writer's clock.  It is also the real-time period at
+        which a writer thread with readings staged re-checks the idle
+        and age triggers, so an injected
+        :class:`~repro.common.timeutil.SimClock` drives both
+        deterministically; with nothing staged the thread sleeps until
+        a put.
     ``flush_retries``
         how many times a batch whose flush failed is re-queued and
         retried before its readings are abandoned (counted in
@@ -189,6 +195,7 @@ class BatchingWriter:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._clock = clock if clock is not None else now_ns
+        self._idle_ns = int(self.config.poll_interval_s * 1e9)
         # Entries are (batch, enqueued_ns, flush_attempts, traces), with
         # traces a list of (run, trace_id, origin_ns) for the entry's
         # traced messages.  attempts > 0 marks a batch re-queued after a
@@ -369,11 +376,15 @@ class BatchingWriter:
         while True:
             with self._lock:
                 while not self._flush_due_locked():
-                    if self._stopping and not self._entries:
+                    if self._entries:
+                        # Timed wait so the idle and age triggers are
+                        # re-evaluated on the injected clock even when
+                        # no new puts arrive.
+                        self._not_empty.wait(timeout=poll)
+                    elif self._stopping:
                         return
-                    # Timed wait so the age trigger is re-evaluated on
-                    # the injected clock even when no new puts arrive.
-                    self._not_empty.wait(timeout=poll)
+                    else:
+                        self._not_empty.wait()
                 taken, count = self._take_locked()
                 self._inflight += count
                 self._not_full.notify_all()
@@ -425,8 +436,11 @@ class BatchingWriter:
             return True
         if self._depth >= self.config.max_batch:
             return True
-        oldest_enqueued = self._entries[0][1]
-        return self._clock() - oldest_enqueued >= self.config.max_delay_ns
+        now = self._clock()
+        return (
+            now - self._entries[-1][1] >= self._idle_ns
+            or now - self._entries[0][1] >= self.config.max_delay_ns
+        )
 
     def _take_locked(self) -> tuple[list[tuple[ReadingBatch, int, int, list]], int]:
         taken: list[tuple[ReadingBatch, int, int, list]] = []
@@ -552,14 +566,8 @@ class BatchingWriter:
 
     def wait_idle(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and no flush is in flight."""
-        deadline = time.monotonic() + timeout
         with self._lock:
-            while self._entries or self._inflight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(timeout=min(remaining, self.config.poll_interval_s))
-            return True
+            return self._idle.wait_for(lambda: not self._entries and not self._inflight, timeout)
 
     # -- introspection ------------------------------------------------------
 

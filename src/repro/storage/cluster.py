@@ -24,9 +24,10 @@ paper relies on:
 * **writes** retry each replica with capped exponential backoff; a
   replica that stays unreachable gets a *hinted handoff*
   (:mod:`repro.storage.hints`: data, metadata and deletes it missed,
-  replayed in order when it recovers), so one down node does not
-  stall ingest.  Only when every replica of some reading fails does
-  the write raise (and the batching writer re-queues the batch, see
+  replayed in order when it recovers, and before any direct write
+  reaches it), so one down node does not stall ingest.  Only when
+  every replica of some reading fails does the write raise (and the
+  batching writer re-queues the batch, see
   :class:`~repro.core.collectagent.writer.BatchingWriter`).
 * **reads** — :meth:`StorageCluster.query` and
   :meth:`StorageCluster.query_many` share one routine — fall back to
@@ -396,6 +397,9 @@ class StorageCluster(StorageBackend):
             if not node.is_up or not detector.is_alive(node_idx):
                 fault = True
                 break
+            if self._behind_hints(node_idx):
+                last_error = StorageError(f"node {replica} still owes hints")
+                break
             attempts_made = attempt + 1
             try:
                 node.insert_batch(items)
@@ -471,6 +475,15 @@ class StorageCluster(StorageBackend):
                 # node in the detector without waiting for a probe.
                 self.detector.report_success(idx)
         return replayed
+
+    def _behind_hints(self, node_idx: int) -> bool:
+        """Whether a direct write to ``node_idx`` would overtake hints
+        it owes.  They are replayed first; whatever is still owed after
+        that (the node is down or flapped) the write must queue behind."""
+        if node_idx not in self.hints:
+            return False
+        self.replay_hints(node_idx)
+        return node_idx in self.hints
 
     def _repair_before_read(self) -> None:
         if self.hints:
@@ -765,8 +778,8 @@ class StorageCluster(StorageBackend):
         so its restart cannot resurrect the deleted rows."""
         node = self.nodes[node_idx]
         try:
-            if not node.is_up:
-                raise StorageError(f"node {node_idx} down")
+            if not node.is_up or self._behind_hints(node_idx):
+                raise StorageError(f"node {node_idx} down or owes hints")
             return node.delete_before(sid, cutoff)
         except StorageError:
             self.hints.push(node_idx, ("cutoff", sid, cutoff))
@@ -794,8 +807,8 @@ class StorageCluster(StorageBackend):
     def _put_metadata_on(self, node_idx: int, pairs: list[tuple[str, str]]) -> bool:
         node = self.nodes[node_idx]
         try:
-            if not node.is_up:
-                raise StorageError(f"node {node_idx} down")
+            if not node.is_up or self._behind_hints(node_idx):
+                raise StorageError(f"node {node_idx} down or owes hints")
             node.put_metadata_many(pairs)
             return True
         except StorageError:

@@ -6,7 +6,9 @@ cutoff)`` — a ``delete_before``, either retention or a rebalance
 shedding a moved partition's stale copy.  Replay is idempotent: nodes
 dedup on timestamp (last write wins).  A node's queue is bounded by
 ``capacity`` readings; beyond it the oldest *data* hints are evicted,
-so a long outage loses history but never a key or a delete.
+so a long outage loses history but never a key or a delete.  The
+coordinator replays a node's queue before any direct write reaches it,
+so what a node owes always lands before what it is sent later.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class HintQueue:
         self._queues: dict[int, deque] = {}
         self._readings: dict[int, int] = {}
         self._lock = threading.Lock()
+        # Held across a whole replay, so an entry one thread is still
+        # applying cannot land after another's replay has returned.
+        self._replaying = threading.Lock()
         self.pending = 0
         self.high_watermark = 0
         self._queued = metrics.counter(
@@ -59,6 +64,10 @@ class HintQueue:
 
     def __bool__(self) -> bool:
         return bool(self._queues)
+
+    def __contains__(self, node_idx: int) -> bool:
+        """Whether ``node_idx`` owes hints (lock-free, like truthiness)."""
+        return node_idx in self._queues
 
     def nodes(self) -> list[int]:
         """Indices of the nodes that have hints queued."""
@@ -98,32 +107,34 @@ class HintQueue:
         """Apply ``node_idx``'s hints to ``node`` oldest first, stopping
         at the first failure; returns ``(entries, readings)`` landed."""
         entries = readings = 0
-        while True:
-            with self._lock:
-                dq = self._queues.get(node_idx)
-                if not dq:
-                    break
-                entry = dq[0]
-            try:
-                if entry[0] == "data":
-                    node.insert_batch(entry[1])
-                elif entry[0] == "meta":
-                    node.put_metadata(entry[1], entry[2])
-                else:
-                    node.delete_before(entry[1], entry[2])
-            except StorageError:
-                break  # node flapped again; keep the hint for later
-            entries += 1
-            size = _size(entry)
-            with self._lock:
-                dq = self._queues.get(node_idx)
-                # A concurrent replay of the same node may have raced
-                # us, so re-check identity before popping.
-                if dq and dq[0] is entry:
-                    dq.popleft()
-                    self._replayed.inc(size)
-                    readings += size
-                    self._removed_locked(node_idx, size, dq)
+        with self._replaying:
+            while True:
+                with self._lock:
+                    dq = self._queues.get(node_idx)
+                    if not dq:
+                        break
+                    entry = dq[0]
+                try:
+                    if entry[0] == "data":
+                        node.insert_batch(entry[1])
+                    elif entry[0] == "meta":
+                        node.put_metadata(entry[1], entry[2])
+                    else:
+                        node.delete_before(entry[1], entry[2])
+                except StorageError:
+                    break  # node flapped again; keep the hint for later
+                entries += 1
+                size = _size(entry)
+                with self._lock:
+                    dq = self._queues.get(node_idx)
+                    # Eviction, a rebalance's take() or a drop may have
+                    # removed the entry meanwhile: pop only if it is
+                    # still the head.
+                    if dq and dq[0] is entry:
+                        dq.popleft()
+                        self._replayed.inc(size)
+                        readings += size
+                        self._removed_locked(node_idx, size, dq)
         return entries, readings
 
     def drop(self, node_idx: int) -> None:

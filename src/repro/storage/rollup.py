@@ -615,6 +615,8 @@ class RollupEngine:
     def _write(self, out: _Pass) -> None:
         """Write a pass: one ``insert_batch``, one ``put_metadata_many``,
         and only then the coverage they stand for."""
+        if not any(len(part[1]) for part in out.rows + out.spans):
+            return  # nothing sealed and no coverage moved
         labels = [tier.label for tier in self.config.tiers]
         tier, slot, start, *stats = _Pass.columns(out.rows, 7)
         # Field by field (min, max, sum, count), every bucket's row of

@@ -16,7 +16,7 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
                                  ; false: write each message on the
                                  ; broker thread (writers=0)
         batchSize     4096       ; readings per coalesced flush
-        batchDelayMs  50         ; max staging age before a flush
+        batchDelayMs  50         ; max staging age (a quiet queue flushes sooner)
         queueCapacity 65536      ; staging queue bound (readings)
         backpressure  block      ; block | drop-oldest | error
         writerThreads 1          ; dedicated flush threads

@@ -112,6 +112,78 @@ class TestFlushTriggers:
         writer.stop()
 
 
+POLL_NS = 1_000_000  # poll_interval_s=0.001 on the writer's clock
+
+
+class TestIdleFlush:
+    """The idle trigger on a :class:`SimClock`: a flush waits for one
+    poll interval without a new put, or for the size or age cap.  The
+    writer sees time only through the clock the test advances, so every
+    outcome below is fixed however the writer thread is scheduled."""
+
+    def make(self, max_batch=1_000, max_delay_ns=NS_PER_SEC, writers=1):
+        backend, clock = MemoryBackend(), SimClock(0)
+        config = WriterConfig(
+            max_batch=max_batch, max_delay_ns=max_delay_ns, writers=writers, poll_interval_s=0.001
+        )
+        return BatchingWriter(backend, config, clock=clock), backend, clock
+
+    def flushes(self, writer):
+        return writer.metrics.value("dcdb_writer_flushes_total")
+
+    def test_lone_put_flushes_after_one_quiet_poll_interval(self):
+        writer, backend, clock = self.make()
+        writer.put(items(1, 2, 3))
+        clock.advance(POLL_NS - 1)
+        assert writer.depth == 3
+        clock.advance(1)  # 1 ms quiet, 999 ms before the age cap
+        assert wait_for(lambda: writer.flushed == 3)
+        assert self.flushes(writer) == 1 and backend.count(SID, 0, 100) == 3
+        writer.stop()
+
+    def test_puts_closer_than_the_interval_coalesce_up_to_max_batch(self):
+        writer, _backend, clock = self.make(max_batch=100)
+        for i in range(10):
+            writer.put(items(*range(10), base_ts=10 * i))
+            if i < 9:
+                assert writer.depth == 10 * (i + 1)
+            clock.advance(POLL_NS // 2)
+        assert wait_for(lambda: writer.flushed == 100)
+        assert self.flushes(writer) == 1
+        writer.stop()
+
+    def test_age_cap_fires_under_continuous_arrivals(self):
+        writer, _backend, clock = self.make(max_delay_ns=5 * POLL_NS)
+        for i in range(10):
+            writer.put(items(i, base_ts=i))
+            clock.advance(POLL_NS // 2)
+        # The queue was never quiet for a whole interval; the oldest
+        # put has now waited max_delay_ns, so all ten flush together.
+        assert wait_for(lambda: writer.flushed == 10)
+        assert self.flushes(writer) == 1
+        writer.put(items(99, base_ts=99))
+        assert writer.depth == 1
+        writer.stop()
+
+    def test_synchronous_writer_ignores_the_clock(self):
+        writer, backend, _clock = self.make(writers=0)
+        for i in range(3):
+            writer.put(items(i, i, base_ts=2 * i))
+            assert writer.flushed == 2 * (i + 1) and writer.depth == 0
+        assert self.flushes(writer) == 3 and backend.count(SID, 0, 100) == 6
+        writer.stop()
+
+    def test_wait_idle_times_out_while_a_flush_is_stuck(self):
+        backend = BlockingBackend()
+        writer = BatchingWriter(backend, WriterConfig(max_delay_ns=0))
+        writer.put(items(1))
+        assert backend.entered.wait(timeout=5.0)
+        assert not writer.wait_idle(timeout=0.05)
+        threading.Timer(0.05, backend.release.set).start()
+        assert writer.wait_idle(timeout=5.0)
+        writer.stop()
+
+
 class TestBackpressure:
     def make_blocked_writer(self, policy, capacity=10):
         backend = BlockingBackend()

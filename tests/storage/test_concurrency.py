@@ -1,10 +1,12 @@
 """Concurrency tests: storage under parallel writers and readers."""
 
+import sys
 import threading
 
 import numpy as np
 
 from repro.core.sid import SensorId
+from repro.faults import FaultyBackend
 from repro.storage.cluster import StorageCluster
 from repro.storage.node import StorageNode
 from repro.storage.sqlite import SqliteBackend
@@ -116,6 +118,44 @@ class TestClusterConcurrency:
             t.join()
         for sid in SIDS[:6]:
             assert cluster.count(sid, 0, 2000) == 1000
+
+
+    def test_writers_racing_a_hint_replay_keep_last_write_wins(self):
+        # node1 restarts owing ten hints per sensor; six writers then
+        # overwrite the same timestamps with newer values while another
+        # thread replays hints.  However the threads interleave, an
+        # older hint must never land on node1 after a newer write.
+        nodes = [FaultyBackend(StorageNode(f"n{i}")) for i in range(2)]
+        cluster = StorageCluster(nodes, replication=2, sleep=lambda _s: None)
+        nodes[1].kill()
+        for sid in SIDS[:6]:
+            for t in range(0, 200, 20):
+                cluster.insert_batch([(sid, ts, -1, 0) for ts in range(t, t + 20)])
+        nodes[1].restart()
+
+        def writer(idx: int) -> None:
+            for t in range(0, 200, 20):
+                cluster.insert_batch([(SIDS[idx], ts, ts, 0) for ts in range(t, t + 20)])
+
+        def replayer() -> None:
+            while cluster.hints_pending:
+                cluster.replay_hints()
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(6)]
+        threads.append(threading.Thread(target=replayer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        nodes[0].kill()
+        for sid in SIDS[:6]:
+            assert cluster.query(sid, 0, 1000)[1].tolist() == list(range(200))
 
 
 class TestSqliteConcurrency:

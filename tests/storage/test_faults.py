@@ -365,6 +365,38 @@ class TestHintedHandoff:
         with pytest.raises(StorageError):
             cluster.put_metadata_many([("cov/d", "5")])
 
+    def test_direct_write_after_restart_keeps_last_write_wins(self):
+        # The restarted replica still owes (t=1, 10) and a metadata
+        # value when, before any read, newer writes of the same
+        # timestamp and key reach it.  Its hints replay first, so the
+        # newer values are the ones it keeps.
+        cluster, nodes = flaky_cluster(2, replication=2)
+        s = sid(1, 1, 1)
+        nodes[1].kill()
+        cluster.insert(s, 1, 10)
+        cluster.put_metadata("k", "old")
+        nodes[1].restart()
+        cluster.insert(s, 1, 11)
+        cluster.put_metadata("k", "new")
+        assert cluster.hints_pending == 0
+        nodes[0].kill()
+        assert cluster.query(s, 0, 10)[1].tolist() == [11]
+        assert cluster.get_metadata("k") == "new"
+
+    def test_write_queues_behind_hints_that_failed_to_replay(self):
+        cluster, nodes = flaky_cluster(2, replication=2)
+        s = sid(1, 1, 1)
+        nodes[1].kill()
+        cluster.insert(s, 1, 10)
+        nodes[1].restart()
+        nodes[1].fail_next(1)  # the replay before the direct write fails
+        cluster.insert(s, 1, 11)
+        assert [e[1].values.tolist() for e in cluster.hints.entries(1)] == [[10], [11]]
+        assert nodes[1].row_count == 0
+        assert cluster.replay_hints() == 2
+        nodes[0].kill()
+        assert cluster.query(s, 0, 10)[1].tolist() == [11]
+
     def test_replay_is_idempotent_with_partial_success(self):
         # A replica that accepted the write but whose ack was "lost":
         # the hint replays the same timestamps; dedup keeps one copy.

@@ -508,6 +508,23 @@ class TestLosingReplicaRepair:
         assert cluster.row_count == cluster.replication * len(items)
         cluster.close()
 
+    def test_moved_back_history_waits_for_the_owed_cleanup(self):
+        # As below, but node0 restarts before the subtree moves back
+        # and no read replays its hints: the history streamed back to
+        # it by direct writes must still land after the owed cleanup.
+        cluster, nodes, items = flaky_members(2)
+        nodes[0].kill()
+        cluster.add_node(FaultyBackend(StorageNode("node2")))
+        nodes[0].restart()
+        cluster.remove_node(2)
+        cluster.sids()
+        nodes[1].kill()
+        for i in range(1, 4):
+            ts, vals = cluster.query(sid(1, i, 1), 0, 1 << 60)
+            assert ts.tolist() == list(range(10))
+            assert vals.tolist() == [t * i for t in range(10)]
+        cluster.close()
+
     def test_moved_back_history_survives_the_stale_copy_cleanup(self):
         # Subtree 0x10002 leaves node0 while it is down (a cleanup for
         # node0 is owed), then comes back to it (its history is owed as
