@@ -7,7 +7,8 @@ from the prior revision), so the speedup gates are machine-independent
 — both sides run on the same box in the same process.
 
 ``make bench-query`` smoke-runs this module with
-``--benchmark-disable``; the speedup assertions only fire when
+``--benchmark-disable``; the speedup assertions, and the per-call
+bounds of the Collect Agent's store-backed REST cache, only fire when
 benchmarking is enabled (``make bench`` / ``make bench-baseline``).
 """
 
@@ -16,14 +17,19 @@ import time
 import numpy as np
 
 from repro.common.timeutil import NS_PER_SEC
-from repro.core.sid import SID_BITS_PER_LEVEL, SID_LEVELS, SensorId
-from repro.libdcdb.api import DCDBClient
+from repro.core.collectagent import CollectAgent
+from repro.core.collectagent.restapi import CollectAgentRestApi
+from repro.core.sid import SID_BITS_PER_LEVEL, SID_LEVELS, SensorId, SidMapper
+from repro.libdcdb.api import DCDBClient, _Resolver
 from repro.libdcdb.virtualsensors import (
     Evaluator,
     VirtualSensorDef,
     parse_expression,
 )
+from repro.mqtt.broker import PublishOnlyBroker
+from repro.storage.backend import ReadingBatch
 from repro.storage.cluster import StorageCluster
+from repro.storage.durable import DurableNode
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import HashPartitioner
 
@@ -221,12 +227,12 @@ class TestVirtualSensorEval:
         sum() over 32 sensors stored on a 4-node cluster: the batched
         evaluator fetches the whole subtree through one query_many
         (parallel underneath) where the pre-change path issued 32
-        sequential cluster queries.  The raw cache is disabled so both
-        sides hit storage every round; results must be bit-identical.
+        sequential cluster queries.  Both sides hit storage every
+        round; results must be bit-identical.
         """
         nodes = [StorageNode(f"n{i}", flush_threshold=10**9) for i in range(4)]
         cluster = StorageCluster(nodes, partitioner=HashPartitioner(4))
-        client = DCDBClient(cluster, cache_size=0)
+        client = DCDBClient(cluster)
         for i in range(32):
             topic = f"/vb/node{i}/power"
             sid = SensorId.from_codes([3, 1, i + 1])
@@ -240,7 +246,7 @@ class TestVirtualSensorEval:
         )
         ast = parse_expression("sum(</vb>)")
         span = (NS_PER_SEC, 600 * NS_PER_SEC)
-        batched_eval = client._evaluator
+        batched_eval = Evaluator(_Resolver(client))
         serial_eval = Evaluator(_SerialResolver(batched_eval.resolver))
 
         def batched():
@@ -264,3 +270,86 @@ class TestVirtualSensorEval:
                 f"batched virtual-sensor evaluation only {speedup:.2f}x over "
                 f"the per-operand loop"
             )
+
+
+T0 = 1_700_000_000 * NS_PER_SEC
+
+
+def _durable_history(data_dir, topics: int, hours: int, interval_s: int = 10) -> dict:
+    """Write ``topics`` sensors x ``hours`` of one reading per
+    ``interval_s`` to a 2-node durable cluster (RF 2) under
+    ``data_dir``, ten minutes per batch as a writer would, and close
+    it; returns the topic -> SID mapping."""
+    cluster = _open_durable(data_dir)
+    mapper = SidMapper()
+    names = [f"/h{i // 100}/g{i // 10 % 10}/s{i % 10}" for i in range(topics)]
+    sids = [mapper.sid_for_topic(name) for name in names]
+    steps = 600 // interval_s
+    for first in range(0, hours * 3600 // interval_s, steps):
+        ts = T0 + (first + np.arange(steps, dtype=np.int64)) * interval_s * NS_PER_SEC
+        values = np.arange(steps * topics, dtype=np.int64)
+        cluster.insert_batch(ReadingBatch(sids, [steps] * topics, np.tile(ts, topics), values, [0] * topics))
+    cluster.flush()
+    for node in cluster.nodes:
+        node.wait_for_compaction()
+    cluster.close()
+    return dict(zip(names, sids))
+
+
+def _open_durable(data_dir) -> StorageCluster:
+    nodes = [DurableNode(f"n{i}", data_dir=data_dir / f"n{i}") for i in range(2)]
+    return StorageCluster(nodes, replication=2)
+
+
+def _rest_costs(data_dir, mapping: dict, route: str) -> tuple[float, float]:
+    """Median per-call seconds of the agent's ``route`` handler over
+    every topic: a cold pass right after reopening, then a warm one."""
+    cluster = _open_durable(data_dir)
+    agent = CollectAgent(cluster, broker=PublishOnlyBroker(port=None))
+    for name, sid in mapping.items():
+        agent.sid_mapper.restore(name, sid)
+    handler = getattr(CollectAgentRestApi(agent), f"_{route}")
+    passes = []
+    for _ in range(2):
+        costs = []
+        for name in mapping:
+            start = time.perf_counter()
+            status, _body = handler({}, {"topic": name}, b"")
+            costs.append(time.perf_counter() - start)
+            assert status == 200
+        passes.append(float(np.median(costs)))
+    cluster.close()
+    return passes[0], passes[1]
+
+
+class TestAgentCacheCost:
+    def test_rest_cache_reads_only_the_newest_rows(self, benchmark, tmp_path):
+        """The Collect Agent's ``/latest`` and ``/cache`` answer from the
+        store: at 1k topics on a reopened durable cluster each call
+        costs at most 1 ms, cold (block cache empty) and warm, and
+        ``/latest`` reads a sensor's newest run, not its history — at
+        24 h it costs at most 2x what it costs at 1 h."""
+        mapping = _durable_history(tmp_path / "1h", 1000, 1)
+        cluster = _open_durable(tmp_path / "1h")
+        agent = CollectAgent(cluster, broker=PublishOnlyBroker(port=None))
+        name, sid = next(iter(mapping.items()))
+        agent.sid_mapper.restore(name, sid)
+        api = CollectAgentRestApi(agent)
+        latest = api._latest({}, {"topic": name}, b"")[1]
+        window = benchmark(api._cache, {}, {"topic": name}, b"")[1]
+        assert latest == window[-1]
+        assert [row["timestamp"] for row in window] == [
+            latest["timestamp"] - k * 10 * NS_PER_SEC for k in range(12, -1, -1)
+        ]
+        cluster.close()
+        costs = {route: _rest_costs(tmp_path / "1h", mapping, route) for route in ("latest", "cache")}
+        short = _durable_history(tmp_path / "short", 100, 1)
+        long = _durable_history(tmp_path / "long", 100, 24)
+        growth = _rest_costs(tmp_path / "long", long, "latest")[0] / _rest_costs(
+            tmp_path / "short", short, "latest"
+        )[0]
+        if benchmark.enabled:
+            print(f"\nREST per-call median (cold, warm) s at 1k topics: {costs}; "
+                  f"/latest cold 24 h / 1 h: {growth:.2f}x")
+            assert max(max(pair) for pair in costs.values()) <= 1e-3, costs
+            assert growth <= 2.0, growth

@@ -64,7 +64,7 @@ def dataset(request):
     cluster = StorageCluster(nodes, replication=1)
     mapper = SidMapper()
     engine = RollupEngine(cluster)
-    client = DCDBClient(cluster, cache_size=0)
+    client = DCDBClient(cluster)
     rng = np.random.default_rng(7)
     topics = [f"/bench/rollup/node{i}/power" for i in range(SENSORS)]
     rows = SPAN_S // cadence_s

@@ -132,9 +132,6 @@ class AnalyticsManager:
 
         def sink(topic: str, reading: SensorReading) -> None:
             sid = agent.sid_mapper.sid_for_topic(topic)
-            known = agent.backend.get_metadata(f"sidmap{topic}")
-            if known is None:
-                agent.backend.put_metadata(f"sidmap{topic}", sid.hex())
             agent.backend.insert(sid, reading.timestamp, reading.value)
 
         self._sink = sink

@@ -14,16 +14,17 @@ Wires together three pieces:
   ingest path, whether it coalesces on writer threads or writes each
   message on the broker's thread (``writers=0``).
 
-The agent also keeps a per-topic :class:`~repro.core.sensor.SensorCache`
-("gives access to the most recent readings of all Pushers connected",
-paper section 5.3) and counters for the load experiments.
+The agent's sensor cache ("gives access to the most recent readings of
+all Pushers connected", paper section 5.3) is the store itself:
+:meth:`CollectAgent.recent` and :meth:`CollectAgent.latest` read the
+newest stored rows, so a reading shows there once the writer has
+committed it.  The agent also keeps counters for the load experiments.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from itertools import accumulate
 
@@ -31,7 +32,7 @@ from repro.common.errors import BackpressureError, TransportError
 from repro.common.timeutil import NS_PER_SEC, now_ns
 from repro.core import payload as payload_mod
 from repro.core.collectagent.writer import BatchingWriter, WriterConfig
-from repro.core.sensor import SensorCache
+from repro.core.sensor import SensorReading
 from repro.core.sid import PersistentSidMapper, SensorId
 from repro.mqtt.broker import PublishOnlyBroker
 from repro.mqtt.packets import Publish
@@ -56,7 +57,8 @@ class CollectAgent:
         :class:`~repro.mqtt.broker.PublishOnlyBroker` is built on
         ``host:port``.
     cache_maxage_ns:
-        Window of the agent-side sensor cache.
+        Window of the sensor cache: :meth:`recent` answers the stored
+        rows at most this old relative to a sensor's newest one.
     default_ttl_s:
         TTL applied to stored readings (0 = keep forever).
     writer_config:
@@ -110,17 +112,6 @@ class CollectAgent:
         self.sid_mapper = PersistentSidMapper(backend)
         self.cache_maxage_ns = cache_maxage_ns
         self.default_ttl_s = default_ttl_s
-        # Concurrency contract for _caches (the single place it is
-        # documented — every reader below relies on it): the dict is
-        # mutated only under _caches_lock and only ever grows.  Readers
-        # therefore need no lock as long as they touch the dict through
-        # ONE atomic operation — a single ``dict.get`` or a whole-dict
-        # key snapshot such as ``sorted(d)``/``list(d)``, which CPython
-        # executes as one C call without releasing the GIL.  Anything
-        # that iterates the dict incrementally (multiple bytecodes
-        # between reads) must take _caches_lock.
-        self._caches: dict[str, SensorCache] = {}
-        self._caches_lock = threading.Lock()
         self._readings_stored = self.metrics.counter(
             "dcdb_agent_readings_stored_total", "Readings handed to the storage backend"
         )
@@ -130,9 +121,6 @@ class CollectAgent:
         self._metadata_announcements = self.metrics.counter(
             "dcdb_agent_metadata_announcements_total", "Sensor metadata documents persisted"
         )
-        self.metrics.gauge(
-            "dcdb_agent_cached_topics", "Distinct topics in the agent-side sensor cache"
-        ).set_function(lambda: len(self._caches))
         self.metrics.gauge(
             "dcdb_agent_known_sensors", "Topics with an assigned storage SID"
         ).set_function(lambda: len(self.sid_mapper))
@@ -208,7 +196,7 @@ class CollectAgent:
 
     def _on_publish(self, client_id: str, packets: list[Publish]) -> None:
         """Ingest one socket read's PUBLISHes: per message only the
-        metadata, frame check, trace sampling, SID and cache store; one
+        metadata, frame check, trace sampling and SID; one
         ``decode_message`` and one ``writer.put`` (a run per message)
         for them all.  A message that raises has those before it staged."""
         topics, sids, lengths, frames, traces = [], [], [], [], []
@@ -240,9 +228,6 @@ class CollectAgent:
                         self._decode_errors.inc()
                         logger.warning("bad topic %r from %s: %s", topic, client_id, exc)
                         continue
-                    # Persist the topic->SID mapping so query tools in other
-                    # processes can resolve topics (libDCDB reads these keys).
-                    self.backend.put_metadata(f"sidmap{topic}", sid.hex())
                 if trace_id is not None:
                     traces.append((len(sids), trace_id, start_ns))
                 topics.append(topic)
@@ -274,11 +259,6 @@ class CollectAgent:
             for run in exc.refused:
                 self._backpressure_drops.inc(lengths[run])
                 logger.warning("backpressure on %s: %s", topics[run], exc)
-        timestamps, values = timestamps.tolist(), values.tolist()
-        for run, topic in enumerate(topics):
-            if run not in refused:
-                first, end = starts[run], starts[run + 1]
-                self._cache_for(topic).store((timestamps[first:end], values[first:end]))
         self._readings_stored.inc(len(batch) - sum(lengths[run] for run in refused))
 
     def _on_metadata(self, client_id: str, packet: Publish) -> None:
@@ -308,32 +288,30 @@ class CollectAgent:
         self.backend.put_metadata(f"sensorconfig{topic}", json.dumps(record))
         self._metadata_announcements.inc()
 
-    def _cache_for(self, topic: str) -> SensorCache:
-        # Lock-free fast path: one dict.get per the _caches contract.
-        cache = self._caches.get(topic)
-        if cache is None:
-            with self._caches_lock:
-                cache = self._caches.get(topic)
-                if cache is None:
-                    cache = SensorCache(maxage_ns=self.cache_maxage_ns)
-                    self._caches[topic] = cache
-        return cache
+    # -- sensor cache (backs REST): the newest stored rows -----------------
 
-    # -- cache / introspection API (backs REST) --------------------------------------
+    def topics(self) -> list[str]:
+        """Every topic with a storage SID, sorted."""
+        return sorted(self.sid_mapper.known_topics())
 
-    def cached_topics(self) -> list[str]:
-        # sorted(dict) snapshots the keys in one C call (see the
-        # _caches contract), so this read needs no lock either.
-        return sorted(self._caches)
+    def latest(self, topic: str) -> SensorReading | None:
+        """The newest stored reading of ``topic``, or None."""
+        sid = self.sid_mapper.lookup_topic(topic)
+        newest = self.backend.latest(sid) if sid is not None else None
+        return SensorReading(*newest) if newest is not None else None
 
-    def cache_of(self, topic: str) -> SensorCache | None:
-        # Single dict.get per the _caches contract.
-        return self._caches.get(topic)
-
-    def latest(self, topic: str):
-        """Most recent cached reading of ``topic``, or None."""
-        cache = self._caches.get(topic)
-        return cache.latest() if cache is not None else None
+    def recent(self, topic: str) -> list[SensorReading] | None:
+        """The stored readings of ``topic`` at most ``cache_maxage_ns``
+        older than its newest one, oldest first; None for a topic
+        without a SID."""
+        sid = self.sid_mapper.lookup_topic(topic)
+        if sid is None:
+            return None
+        newest = self.backend.latest(sid)
+        if newest is None:
+            return []
+        timestamps, values = self.backend.query(sid, newest[0] - self.cache_maxage_ns, newest[0])
+        return list(map(SensorReading, timestamps.tolist(), values.tolist()))
 
     def sid_of(self, topic: str) -> SensorId | None:
         return self.sid_mapper.lookup_topic(topic)

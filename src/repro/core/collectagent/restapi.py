@@ -7,12 +7,17 @@ them.  This can be used, for example, to feed all readings into
 another (legacy) monitoring framework without having to deal with the
 protocols of various sensors."
 
+Here that cache is the store: ``/cache`` answers the stored rows of
+the last ``cacheMaxAgeNs`` before a sensor's newest one (time-ordered,
+duplicates resolved last-write-wins) and ``/latest`` the newest stored
+row, so a reading shows once the writer has committed it.
+
 Endpoints
 ---------
 ``GET /status``                    Ingest counters.
 ``GET /topics``                    All sensor topics seen.
-``GET /cache?topic=...``           Cached readings of one sensor.
-``GET /latest?topic=...``          Most recent cached reading.
+``GET /cache?topic=...``           Recent stored readings of one sensor.
+``GET /latest?topic=...``          Most recent stored reading.
 ``GET /query?topic=...&start=...&end=...``  Readings from storage.
 ``GET /metrics``                   Prometheus exposition (``?format=json`` for JSON).
 ``GET /health``                    Liveness checks (200 ok / 503 degraded).
@@ -94,18 +99,16 @@ class CollectAgentRestApi:
         )
 
     def _topics(self, params: dict, query: dict, body: bytes):
-        return 200, self.agent.cached_topics()
+        return 200, self.agent.topics()
 
     def _cache(self, params: dict, query: dict, body: bytes):
         topic = query.get("topic")
         if not topic:
             return 400, {"error": "missing topic parameter"}
-        cache = self.agent.cache_of(topic)
-        if cache is None:
+        readings = self.agent.recent(topic)
+        if readings is None:
             return 404, {"error": f"unknown topic {topic!r}"}
-        return 200, [
-            {"timestamp": r.timestamp, "value": r.value} for r in cache.snapshot()
-        ]
+        return 200, [{"timestamp": r.timestamp, "value": r.value} for r in readings]
 
     def _latest(self, params: dict, query: dict, body: bytes):
         topic = query.get("topic")

@@ -12,11 +12,13 @@ factors.  We keep that convention: :class:`SensorReading` carries an
 factor needed to interpret it.  Floating-point sources multiply by the
 scale before storage and divide on the query path.
 
-:class:`SensorCache` (a Collect Agent's, per topic) and
-:class:`CycleCache` (a Pusher group's, per sampling cycle) are the
-time-bounded caches of most recent readings that both daemons expose
-over their RESTful APIs (paper section 5.3: "a sensor cache that
-stores the latest readings of all sensors ... configurable in size").
+:class:`CycleCache` (a Pusher group's, per sampling cycle) is the
+time-bounded cache of most recent readings a Pusher exposes over its
+RESTful API (paper section 5.3: "a sensor cache that stores the latest
+readings of all sensors ... configurable in size"); a Collect Agent
+answers the same routes from its store.  :class:`SensorCache` is the
+reference model of one sensor's window: what both answer, per sensor,
+when fed readings in time order.
 """
 
 from __future__ import annotations
@@ -119,16 +121,15 @@ class _CachedReadings:
 
 
 class SensorCache(_CachedReadings):
-    """Time-bounded cache of the latest readings of one topic.
+    """Time-bounded cache of the latest readings of one topic: the
+    reference model the Pusher's :class:`CachedSensor` views and the
+    Collect Agent's store-backed ``/cache`` are tested against.
 
     Readings older than ``maxage_ns`` relative to the newest entry are
     evicted on insert.  The default 120 s matches the paper's
     evaluation setup ("a sensor cache size of two minutes",
-    section 6.1).  Thread-safe: the ingest thread appends while REST
-    handlers snapshot.  Timestamps and values are kept as two parallel
-    columns, so a burst message is stored without one object per
-    reading.  The Collect Agent keeps one per topic; a Pusher group
-    caches its cycles in a :class:`CycleCache`.
+    section 6.1).  Thread-safe.  Timestamps and values are kept as two
+    parallel columns.
     """
 
     __slots__ = ("maxage_ns", "_timestamps", "_values", "_lock")
@@ -158,19 +159,6 @@ class SensorCache(_CachedReadings):
     def _columns(self) -> tuple[list[int], list[int]]:
         with self._lock:
             return list(self._timestamps), list(self._values)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._timestamps.clear()
-            self._values.clear()
-
-    @property
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the cached readings: the
-        model's constant per cached reading (a reading object with two
-        Python ints, sys.getsizeof on CPython 3.11)."""
-        with self._lock:
-            return 120 * len(self._timestamps)
 
 
 class CycleCache:

@@ -283,7 +283,8 @@ class PersistentSidMapper(SidMapper):
     Figure 1); their topic->SID mappings must agree or distinct topics
     would collide on storage keys.  This mapper persists each
     component-code assignment under ``sidcomp/<level>/<component>``
-    and consults the backend before allocating, so mappings are
+    and each topic's SID under ``sidmap<topic>``, and consults the
+    backend before allocating, so mappings are
     consistent across agents sharing a backend and across restarts.
 
     Coordination is read-check-write on the metadata table; agents in
@@ -342,14 +343,15 @@ class PersistentSidMapper(SidMapper):
                         (f"{self._COMP_PREFIX}/{level_idx}/{component}", str(code)),
                     ]
                 codes.append(code)
-            # Every component this topic introduced, in one metadata
-            # write — and before any is installed, so a failed write
-            # leaves the mapper as it was.
-            if allocated:
-                self._backend.put_metadata_many(allocated)
+            # Every component this topic introduced and the topic's own
+            # ``sidmap<topic>`` key (libDCDB resolves topics through it),
+            # in one metadata write — and before any is installed, so a
+            # failed write leaves the mapper as it was and the next
+            # message retries it.
+            sid = SensorId.from_codes(codes)
+            self._backend.put_metadata_many([*allocated, (f"sidmap{topic}", sid.hex())])
             for level_idx, (component, code) in enumerate(zip(levels, codes)):
                 self._forward[level_idx][component] = code
                 self._reverse[level_idx][code] = component
-            sid = SensorId.from_codes(codes)
             self._topic_cache[topic] = sid
         return sid

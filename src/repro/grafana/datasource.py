@@ -58,8 +58,8 @@ class GrafanaDataSource:
     ) -> None:
         self.client = client
         self.analytics = analytics
-        # Share the client's registry so cache hit/miss counters and
-        # libDCDB latency histograms ride along on this server's HTTP
+        # Share the client's registry so the libDCDB latency and
+        # tier-selection instruments ride along on this server's HTTP
         # instruments.
         self.server = JsonHttpServer(host, port, metrics=getattr(client, "metrics", None))
         s = self.server
@@ -172,15 +172,6 @@ class GrafanaDataSource:
                         )
                     except DCDBError as exc:
                         errors[topic] = str(exc)
-        if len(legacy) > 1:
-            # Multi-panel refreshes: one batched storage read primes
-            # the raw cache for every concrete target.  Failures fall
-            # through to the per-target reads below, which report them
-            # per series instead of failing the whole request.
-            try:
-                self.client.prefetch_raw(legacy, start, end)
-            except DCDBError:
-                pass
         for topic in legacy:
             try:
                 timestamps, values = self.client.query(topic, start, end)

@@ -18,10 +18,8 @@ tools, the Grafana data source, analysis scripts.  Responsibilities:
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from time import monotonic, perf_counter
+from time import perf_counter
 
 import numpy as np
 
@@ -122,43 +120,15 @@ class SensorConfig:
 class DCDBClient:
     """High-level query interface over a :class:`StorageBackend`.
 
-    Raw series reads go through a small TTL'd LRU cache so dashboards
-    repeating the same (topic, range) query — Grafana refreshes,
-    virtual sensors sharing operands — skip the storage round-trip.
-    Entries expire after ``cache_ttl_s`` seconds (recent data keeps
-    arriving, so staleness must be bounded), are evicted LRU beyond
-    ``cache_size`` entries, and are invalidated explicitly whenever
-    this client writes through (virtual-sensor write-back, topic
-    re-registration).  ``cache_size=0`` or ``cache_ttl_s=0`` disables
-    caching entirely.  ``cache_clock`` injects a monotonic-seconds
-    clock for deterministic expiry tests.
+    Every read goes to the backend, so it always reflects the store:
+    the store's memtable and block cache are the only caches of
+    readings.  Many-topic reads travel in one batched ``query_many``.
     """
 
-    def __init__(
-        self,
-        backend: StorageBackend,
-        metrics: MetricsRegistry | None = None,
-        cache_ttl_s: float = 5.0,
-        cache_size: int = 1024,
-        cache_clock=None,
-    ) -> None:
+    def __init__(self, backend: StorageBackend, metrics: MetricsRegistry | None = None) -> None:
         self.backend = backend
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sid_cache: dict[str, SensorId] = {}
-        self._evaluator = Evaluator(_Resolver(self))
-        self._cache_ttl_s = float(cache_ttl_s)
-        self._cache_size = int(cache_size)
-        self._cache_clock = cache_clock if cache_clock is not None else monotonic
-        self._cache: OrderedDict[
-            tuple[str, int, int], tuple[float, np.ndarray, np.ndarray]
-        ] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._cache_hits = self.metrics.counter(
-            "dcdb_query_cache_hits_total", "libDCDB raw-series cache hits"
-        )
-        self._cache_misses = self.metrics.counter(
-            "dcdb_query_cache_misses_total", "libDCDB raw-series cache misses"
-        )
         self._query_latency = self.metrics.histogram(
             "dcdb_libdcdb_query_seconds", "libDCDB-layer query latency", ("op",)
         )
@@ -167,62 +137,6 @@ class DCDBClient:
             "Aggregate queries by the rollup tier that served them (raw = fallback)",
             ("tier",),
         )
-
-    # -- raw-series cache ----------------------------------------------------
-
-    @property
-    def _cache_enabled(self) -> bool:
-        return self._cache_size > 0 and self._cache_ttl_s > 0
-
-    def _cache_get(
-        self, key: tuple[str, int, int]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is None or entry[0] <= self._cache_clock():
-                if entry is not None:
-                    del self._cache[key]
-                self._cache_misses.inc()
-                return None
-            self._cache.move_to_end(key)
-            self._cache_hits.inc()
-            return entry[1], entry[2]
-
-    def _cache_put(
-        self, key: tuple[str, int, int], timestamps: np.ndarray, values: np.ndarray
-    ) -> None:
-        # Cache read-only views: one entry may be handed to many
-        # callers, and the arrays can alias storage-internal segments.
-        timestamps = timestamps.view()
-        timestamps.setflags(write=False)
-        values = values.view()
-        values.setflags(write=False)
-        with self._cache_lock:
-            self._cache[key] = (
-                self._cache_clock() + self._cache_ttl_s,
-                timestamps,
-                values,
-            )
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-
-    def invalidate_cache(self, topic: str | None = None) -> int:
-        """Drop cached raw series for ``topic`` (or everything).
-
-        Returns the number of entries dropped.  Called automatically
-        after every write this client performs; external writers land
-        within ``cache_ttl_s`` via expiry.
-        """
-        with self._cache_lock:
-            if topic is None:
-                dropped = len(self._cache)
-                self._cache.clear()
-                return dropped
-            stale = [key for key in self._cache if key[0] == topic]
-            for key in stale:
-                del self._cache[key]
-            return len(stale)
 
     # -- topic resolution ---------------------------------------------------
 
@@ -241,7 +155,6 @@ class DCDBClient:
         """Persist a topic->SID mapping (importers, virtual sensors)."""
         self.backend.put_metadata(f"{_SIDMAP_PREFIX}{topic}", sid.hex())
         self._sid_cache[topic] = sid
-        self.invalidate_cache(topic)
 
     def topics(self, prefix: str = "") -> list[str]:
         """All known sensor topics, optionally below a prefix."""
@@ -278,67 +191,34 @@ class DCDBClient:
     # -- queries ---------------------------------------------------------------
 
     def query_raw(self, topic: str, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored integer readings of a concrete sensor (cached)."""
+        """Stored integer readings of a concrete sensor."""
         started = perf_counter()
-        key = (topic, start, end)
-        result = self._cache_get(key) if self._cache_enabled else None
-        if result is None:
-            result = self.backend.query(self.sid_of(topic), start, end)
-            if self._cache_enabled:
-                self._cache_put(key, *result)
+        result = self.backend.query(self.sid_of(topic), start, end)
         self._query_latency.labels(op="query_raw").observe(perf_counter() - started)
         return result
 
     def query_raw_many(
         self, topics, start: int, end: int
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Bulk :meth:`query_raw`: one batched backend read for all misses.
-
-        Semantically identical to calling ``query_raw`` per topic (the
-        cache is consulted and primed the same way), but all topics
-        absent from the cache travel in a single
+        """Bulk :meth:`query_raw`: every topic in one
         :meth:`~repro.storage.backend.StorageBackend.query_many` call,
         which the cluster backend fans out in parallel.  Raises
         :class:`QueryError` on the first unknown topic, like
         ``query_raw`` would.
         """
         started = perf_counter()
-        unique = list(dict.fromkeys(topics))
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        missing: list[str] = []
-        for topic in unique:
-            cached = (
-                self._cache_get((topic, start, end)) if self._cache_enabled else None
-            )
-            if cached is not None:
-                out[topic] = cached
-            else:
-                missing.append(topic)
-        if missing:
-            sid_by_topic = {topic: self.sid_of(topic) for topic in missing}
-            fetched = self.backend.query_many(
-                list(sid_by_topic.values()), start, end
-            )
-            for topic, sid in sid_by_topic.items():
-                result = fetched[sid]
-                if self._cache_enabled:
-                    self._cache_put((topic, start, end), *result)
-                out[topic] = result
-        self._query_latency.labels(op="query_raw_many").observe(
-            perf_counter() - started
-        )
-        return {topic: out[topic] for topic in unique}
+        sids = {topic: self.sid_of(topic) for topic in topics}
+        fetched = self.backend.query_many(list(sids.values()), start, end)
+        self._query_latency.labels(op="query_raw_many").observe(perf_counter() - started)
+        return {topic: fetched[sid] for topic, sid in sids.items()}
 
-    def prefetch_raw(self, topics, start: int, end: int) -> int:
-        """Warm the raw-series cache for many topics with one bulk read.
+    def prefetch_raw(self, topics, start: int, end: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """The stored series of every concrete, known topic among
+        ``topics`` in one :meth:`query_raw_many` read.
 
         Unknown and virtual topics are skipped silently (virtual
-        sensors are evaluated, not fetched).  Returns the number of
-        topics primed.  A no-op when the cache is disabled — without a
-        cache there is nowhere to keep the prefetched series.
+        sensors are evaluated, not fetched).
         """
-        if not self._cache_enabled:
-            return 0
         concrete: list[str] = []
         for topic in dict.fromkeys(topics):
             if self._virtual_def_for(topic) is not None:
@@ -348,9 +228,7 @@ class DCDBClient:
             except QueryError:
                 continue
             concrete.append(topic)
-        if concrete:
-            self.query_raw_many(concrete, start, end)
-        return len(concrete)
+        return self.query_raw_many(concrete, start, end) if concrete else {}
 
     def query(
         self,
@@ -387,12 +265,7 @@ class DCDBClient:
             return result
         config = self.sensor_config(topic)
         timestamps, raw = self.query_raw(topic, start, end)
-        values = raw.astype(np.float64)
-        if config.scale != 1.0:
-            values = values / config.scale
-        if unit is not None and unit != config.unit:
-            converter = get_converter(config.unit, unit)
-            values = converter._scale * values + converter._offset
+        values = _physical(raw, config.scale, config.unit, unit)
         self._query_latency.labels(op="query").observe(perf_counter() - started)
         return timestamps, values
 
@@ -584,14 +457,10 @@ class DCDBClient:
     def delete_before(self, topic: str, cutoff: int) -> int:
         """Delete readings of ``topic`` strictly older than ``cutoff``.
 
-        Routes through the backend's vectorized ``delete_before`` and
-        drops the topic's cached raw series — a TTL'd cache entry would
-        otherwise keep serving the deleted readings until expiry.
+        Routes through the backend's vectorized ``delete_before``.
         Returns the number of readings removed.
         """
-        removed = int(self.backend.delete_before(self.sid_of(topic), cutoff))
-        self.invalidate_cache(topic)
-        return removed
+        return int(self.backend.delete_before(self.sid_of(topic), cutoff))
 
     def _field_sids(self, topic: str, tier_index: int) -> list[SensorId]:
         sid = self.sid_of(topic)
@@ -777,7 +646,6 @@ class DCDBClient:
     def delete_virtual_sensor(self, name: str) -> None:
         self.backend.delete_metadata(f"{_VSENSOR_PREFIX}{name}")
         self.backend.delete_metadata(f"{_VCACHE_PREFIX}{name}")
-        self.invalidate_cache(f"/virtual/{name}")
 
     def _virtual_def_for(self, topic: str) -> VirtualSensorDef | None:
         if topic.startswith("/virtual/"):
@@ -790,15 +658,8 @@ class DCDBClient:
         cached = self._cached_intervals(vdef.name)
         if not _covers(cached, start, end):
             self._evaluate_and_store(vdef, start, end)
-        sid = self._virtual_sid(vdef)
-        timestamps, raw = self.backend.query(sid, start, end)
-        values = raw.astype(np.float64)
-        if vdef.scale != 1.0:
-            values = values / vdef.scale
-        if unit is not None and unit != vdef.unit:
-            converter = get_converter(vdef.unit, unit)
-            values = converter._scale * values + converter._offset
-        return timestamps, values
+        timestamps, raw = self.backend.query(self._virtual_sid(vdef), start, end)
+        return timestamps, _physical(raw, vdef.scale, vdef.unit, unit)
 
     def evaluate_virtual(
         self, name: str, start: int, end: int
@@ -810,16 +671,16 @@ class DCDBClient:
         return self._evaluate(vdef, start, end)
 
     def _evaluate(
-        self, vdef: VirtualSensorDef, start: int, end: int
+        self, vdef: VirtualSensorDef, start: int, end: int, stack: frozenset[str] = frozenset()
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate ``vdef`` with a resolver of its own; ``stack`` names
+        the virtual sensors whose evaluation this one is nested in."""
         node = parse_expression(vdef.expression)
-        # Fetch every concrete operand series in one batched read up
-        # front; the evaluator's per-operand series() calls then hit
-        # the cache.  Aggregation prefixes batch inside series_many.
-        refs = _sensor_refs(node)
-        if refs:
-            self.prefetch_raw(refs, start, end)
-        timestamps, values, _unit = self._evaluator.evaluate(node, start, end)
+        # Every concrete operand series travels in one batched read up
+        # front; aggregation prefixes batch inside series_many.
+        raw = self.prefetch_raw(_sensor_refs(node), start, end)
+        evaluator = Evaluator(_Resolver(self, raw, stack))
+        timestamps, values, _unit = evaluator.evaluate(node, start, end)
         # Resample onto the definition's regular grid, clipped to the
         # span where real data exists (no extrapolated tails).
         grid = regular_grid(start, end, vdef.interval_ns)
@@ -834,7 +695,6 @@ class DCDBClient:
         if grid.size:
             scaled = np.rint(values * vdef.scale).astype(np.int64)
             self.backend.insert_batch(ReadingBatch.of(sid, grid, scaled))
-            self.invalidate_cache(vdef.topic)  # write-through coherence
         intervals = self._cached_intervals(vdef.name)
         intervals = _merge_intervals(intervals + [(start, end)])
         self.backend.put_metadata(
@@ -888,26 +748,33 @@ class DCDBClient:
 
 
 class _Resolver:
-    """Adapter giving the expression evaluator access to the client."""
+    """Adapter giving the expression evaluator access to the client,
+    built for one evaluation: ``raw`` holds the concrete operands that
+    evaluation read up front, ``stack`` the virtual sensors it is
+    nested in (a cycle check that concurrent evaluations do not share).
+    """
 
-    def __init__(self, client: DCDBClient) -> None:
+    def __init__(
+        self,
+        client: DCDBClient,
+        raw: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+        stack: frozenset[str] = frozenset(),
+    ) -> None:
         self.client = client
-        self._stack: set[str] = set()
+        self.raw = raw if raw is not None else {}
+        self.stack = stack
 
     def series(self, topic: str, start: int, end: int):
         vdef = self.client._virtual_def_for(topic)
         if vdef is not None:
-            if vdef.name in self._stack:
+            if vdef.name in self.stack:
                 raise QueryError(f"virtual sensor cycle at {vdef.name!r}")
-            self._stack.add(vdef.name)
-            try:
-                timestamps, values = self.client._evaluate(vdef, start, end)
-            finally:
-                self._stack.discard(vdef.name)
+            timestamps, values = self.client._evaluate(vdef, start, end, self.stack | {vdef.name})
             return timestamps, values, vdef.unit
         config = self.client.sensor_config(topic)
-        timestamps, values = self.client.query(topic, start, end)
-        return timestamps, values, config.unit
+        raw = self.raw.get(topic)
+        timestamps, stored = raw if raw is not None else self.client.query_raw(topic, start, end)
+        return timestamps, _physical(stored, config.scale, config.unit), config.unit
 
     def series_many(self, topics, start: int, end: int, max_points: int | None = None):
         """Batched :meth:`series`: concrete topics in one bulk read.
@@ -943,15 +810,26 @@ class _Resolver:
             for topic in concrete:
                 config = self.client.sensor_config(topic)
                 timestamps, stored = raw[topic]
-                values = stored.astype(np.float64)
-                if config.scale != 1.0:
-                    values = values / config.scale
-                out[topic] = (timestamps, values, config.unit)
+                out[topic] = (timestamps, _physical(stored, config.scale, config.unit), config.unit)
         return out
 
     def subtree_topics(self, prefix: str) -> list[str]:
         normalized = prefix if prefix.startswith("/") else "/" + prefix
         return self.client.topics(normalized)
+
+
+def _physical(
+    stored: np.ndarray, scale: float, stored_unit: str, unit: str | None = None
+) -> np.ndarray:
+    """Stored integers as physical values (physical = stored / scale),
+    converted from ``stored_unit`` into ``unit`` when one is given."""
+    values = stored.astype(np.float64)
+    if scale != 1.0:
+        values = values / scale
+    if unit is not None and unit != stored_unit:
+        converter = get_converter(stored_unit, unit)
+        values = converter._scale * values + converter._offset
+    return values
 
 
 def _sensor_refs(node) -> list[str]:

@@ -108,6 +108,16 @@ _FAN_OUT_MIN_ITEMS = 256
 _REPLICA_CACHE_MAX = 65_536
 
 
+#: One node's bulk read for the cluster read path: ``(node, sids) ->
+#: {sid: answer}``.
+_NodeRead = Callable[[StorageBackend, list], dict]
+
+
+def _window(start: int, end: int) -> _NodeRead:
+    """The node read of every SID's series over ``[start, end]``."""
+    return lambda node, sids: node.query_many(sids, start, end)
+
+
 def _fan_out(jobs: dict[int, list], run: Callable[[int, list], object]) -> dict[int, object]:
     """Run ``run(node_idx, items)`` for every per-node job.
 
@@ -579,9 +589,13 @@ class StorageCluster(StorageBackend):
     def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """One sensor's series through the cluster read (:meth:`_read`)."""
         t0 = time.perf_counter()
-        result = self._read([sid], start, end)[sid]
+        result = self._read([sid], _window(start, end))[sid]
         self._observe_query("query", t0, detail=str(sid))
         return result
+
+    def latest(self, sid: SensorId) -> tuple[int, int] | None:
+        """One sensor's newest row through the cluster read (:meth:`_read`)."""
+        return self._read([sid], lambda node, group: {s: node.latest(s) for s in group})[sid]
 
     def query_many(
         self, sids, start: int, end: int
@@ -590,14 +604,14 @@ class StorageCluster(StorageBackend):
         order kept) through the cluster read (:meth:`_read`)."""
         t0 = time.perf_counter()
         unique = list(dict.fromkeys(sids))
-        results = self._read(unique, start, end)
+        results = self._read(unique, _window(start, end))
         self._observe_query("query_many", t0, detail=f"{len(unique)} sids")
         return results
 
-    def _node_read(self, node_idx: int, sids: list[SensorId], start: int, end: int):
-        """One node's bulk read; a failure is returned, not raised."""
+    def _node_read(self, node_idx: int, sids: list[SensorId], read: _NodeRead):
+        """One node's bulk ``read``; a failure is returned, not raised."""
         try:
-            return self.nodes[node_idx].query_many(sids, start, end)
+            return read(self.nodes[node_idx], sids)
         except StorageError as exc:
             return exc
 
@@ -605,14 +619,13 @@ class StorageCluster(StorageBackend):
         """Heartbeat channel up and not condemned by the detector."""
         return self.nodes[node_idx].is_up and self.detector.is_alive(node_idx)
 
-    def _read(
-        self, sids: list[SensorId], start: int, end: int
-    ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:
+    def _read(self, sids: list[SensorId], read: _NodeRead) -> dict[SensorId, object]:
         """The one cluster read: every SID from its first answering replica.
 
         SIDs are grouped by their first untried replica and each group
-        is read with one node ``query_many`` (one lock round-trip per
-        node, not one per SID), the groups following the fan-out rule.
+        is read with one ``read(node, group)`` — a node ``query_many``
+        for a window, so one lock round-trip per node, not one per SID —
+        the groups following the fan-out rule.
         A failed group regroups its SIDs onto their next replica.  Live
         replicas come first in read order; replicas the failure
         detector suspects but whose heartbeat channel still answers
@@ -639,7 +652,7 @@ class StorageCluster(StorageBackend):
             order = sorted((idx for idx in replicas if rank(idx) < 2), key=rank)
             plans[sid] = (replicas, order)
 
-        results: dict[SensorId, tuple[np.ndarray, np.ndarray]] = {}
+        results: dict[SensorId, object] = {}
         tried = dict.fromkeys(sids, 0)
         pending = sids
         failovers = 0
@@ -657,7 +670,7 @@ class StorageCluster(StorageBackend):
                     jobs.setdefault(order[tried[sid]], []).append(sid)
                 pending = []
                 outcomes = _fan_out(
-                    jobs, lambda node_idx, group: self._node_read(node_idx, group, start, end)
+                    jobs, lambda node_idx, group: self._node_read(node_idx, group, read)
                 )
                 for node_idx, outcome in outcomes.items():
                     group = jobs[node_idx]
@@ -726,8 +739,9 @@ class StorageCluster(StorageBackend):
             except StorageError:
                 self._read_failovers.inc()
 
+        window = _window(start, end)
         outcomes = _fan_out(
-            jobs, lambda node_idx, matching: self._node_read(node_idx, matching, start, end)
+            jobs, lambda node_idx, matching: self._node_read(node_idx, matching, window)
         )
         held: dict[SensorId, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         for node_idx in jobs:

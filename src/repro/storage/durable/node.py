@@ -131,8 +131,7 @@ def _atomic_json(path: Path, doc: dict) -> None:
 
 class _FileTable(SegmentFile):
     """A table stored as one segment file (file number = generation).
-    Its runs decode through the node's block cache; cached arrays are
-    read-only because queries hand out views of them."""
+    Its runs decode through the node's block cache."""
 
     resident = False
 
@@ -144,10 +143,7 @@ class _FileTable(SegmentFile):
     def block(self, sid: SensorId) -> _Segment:
         block = self._cache.get(self.path.name, sid)
         if block is None:
-            arrays = self.read(sid)
-            for arr in arrays:
-                arr.setflags(write=False)
-            block = _Segment(*arrays)
+            block = _Segment(*self.read(sid))
             self._cache.put(self.path.name, sid, block)
         return block
 

@@ -116,7 +116,8 @@ class _Segment:
     strictly ascending — sorted AND deduplicated last-write-wins — and
     ``min_ts``/``max_ts`` cache the bounds.  The read path's zero-copy
     fast path returns views into these arrays, which is only sound
-    because both invariants hold.
+    because both invariants hold — and because the arrays are
+    read-only, so no caller can write through a view into the store.
     """
 
     timestamps: np.ndarray  # int64, strictly ascending
@@ -127,6 +128,8 @@ class _Segment:
     min_expiry: int = field(init=False, default=_INT64_MAX)
 
     def __post_init__(self) -> None:
+        for column in (self.timestamps, self.values, self.expiries):
+            column.setflags(write=False)
         if self.timestamps.size:
             self.min_ts = int(self.timestamps[0])
             self.max_ts = int(self.timestamps[-1])
@@ -636,6 +639,36 @@ class StorageNode(StorageBackend):
             out[sid] = self._merge_staged(*stage, start, end, now)
         self._query_latency.observe(perf_counter() - t0)
         return out
+
+    def latest(self, sid: SensorId) -> tuple[int, int] | None:
+        """Most recent (timestamp, value) of ``sid`` without reading its
+        history: the newest candidate comes from the memtable and each
+        run's bounds (a footer entry for a file), and only the run
+        holding it is read.  When that row has expired or a retention
+        cutoff covers it, the newest live row is older, so the answer
+        falls back to the full read."""
+        now = self._clock()
+        with self._lock:
+            data = self._data.get(sid)
+            if data is None:
+                return None
+            # On a bounds tie the newer table wins (later in LWW order).
+            table = max(reversed(data.runs), key=lambda t: t.bounds_for(sid)[1], default=None)
+            newest = table.bounds_for(sid)[1] if table is not None else None
+            row = None
+            if data.mem_ts:
+                mem_ts = np.array(data.mem_ts)
+                at = mem_ts.size - 1 - int(np.argmax(mem_ts[::-1]))
+                if newest is None or mem_ts[at] >= newest:
+                    # Memtable rows are newer writes than every table's.
+                    newest, row = int(mem_ts[at]), (data.mem_val[at], data.mem_exp[at])
+            if row is None and table is not None:
+                block = self._block_locked(sid, table)
+                if block.size and block.max_ts == newest:
+                    row = int(block.values[-1]), int(block.expiries[-1])
+        if row is not None and row[1] > now:
+            return newest, row[0]
+        return super().latest(sid)
 
     def stream_rows(self, sid: SensorId, chunk_rows: int = 4096):
         """Yield one sensor's live rows as :class:`ReadingBatch` chunks

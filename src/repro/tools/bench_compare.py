@@ -26,7 +26,9 @@ up as a reviewable diff.  This tool closes the loop in CI:
   and prints, per end-to-end metric, both medians with quartiles,
   wins/ties/losses of the change, and the ratio of the medians with
   its base; fails when a median is worse than the parent's by more
-  than the metric's ``BENCHMARK.json`` bound, or a run fails.
+  than the metric's ``BENCHMARK.json`` bound, or a run fails.  Every
+  pair is also kept as one ``@pair {json}`` line (workload, seed,
+  which side ran first, both sides' metrics) as soon as it finishes.
 
 Exit status is non-zero on any regression or staleness, with one
 ``[FAIL]`` line per finding.
@@ -225,11 +227,14 @@ def pairs(parent: Path, change: Path, workloads: list[str] | None, count: int) -
     for workload in workloads or [w["name"] for w in contract["workloads"]]:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for k in range(count):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
                 report = _e2e_run(roots[side], workload, k + 1, seconds)
                 if not report or report.get("failed", 1):
                     failures.append(f"{workload}: {side} run with seed {k + 1} failed")
                 runs[side].append(report.get("metrics", {}))
+            pair = {"workload": workload, "seed": k + 1, "first": order[0]}
+            print("@pair " + json.dumps({**pair, **{side: runs[side][-1] for side in roots}}))
             print(f"{workload}: pair {k + 1}/{count} done", file=sys.stderr)
         print(f"== {workload}: {count} pairs, seeds 1..{count}, {seconds:g} s, alternating order")
         print("| metric | unit | parent median [q1, q3] | change median [q1, q3] "

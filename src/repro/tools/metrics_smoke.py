@@ -55,11 +55,7 @@ WRITER_METRICS = (
 )
 
 #: libDCDB query-path instruments that must be visible on every scrape.
-QUERY_METRICS = (
-    "dcdb_query_cache_hits_total",
-    "dcdb_query_cache_misses_total",
-    "dcdb_libdcdb_query_seconds",
-)
+QUERY_METRICS = ("dcdb_libdcdb_query_seconds",)
 
 #: Continuous-aggregation instruments (rollup engine write path plus
 #: the query planner's tier-selection counter — see
@@ -268,7 +264,7 @@ def _scrape(name: str, port: int, failures: list[str]) -> None:
     )
     _check(
         all(metric in families for metric in QUERY_METRICS),
-        f"{name}: libDCDB query-cache instruments present",
+        f"{name}: libDCDB query instruments present",
         failures,
     )
     _check(
@@ -344,18 +340,22 @@ def _run(data_dir: str) -> int:
         f"({stored}/{agent.readings_stored})",
         failures,
     )
-    # Exercise the libDCDB read path on the shared registry: a repeat
-    # query must be served from the raw-series cache, so both /metrics
-    # endpoints expose non-trivial hit/miss counters.
+    # Exercise the libDCDB read path on the shared registry: libDCDB
+    # keeps no copy of the store's rows, so a row stored between two
+    # identical queries shows in the second one.
     client = DCDBClient(backend, metrics=registry)
     topics = client.topics()
     _check(bool(topics), "libDCDB resolves collected topics", failures)
     if topics:
         span = (0, SIM_SECONDS * NS_PER_SEC)
-        client.query(topics[0], *span)
-        client.query(topics[0], *span)
-        hits = registry.counter("dcdb_query_cache_hits_total").value
-        _check(hits >= 1, f"raw-series cache served a repeat query ({hits} hits)", failures)
+        before = client.query_raw(topics[0], *span)[0].size
+        backend.insert(client.sid_of(topics[0]), 1, 0)
+        after = client.query_raw(topics[0], *span)[0].size
+        _check(
+            after == before + 1,
+            f"a repeat query shows a row stored in between ({before} -> {after} rows)",
+            failures,
+        )
         # Exercise the tier-aware planner: the rollup engine sealed the
         # 10s buckets at ingest, so a coarse aggregate over the sealed
         # span must be tier-served (not a raw fallback).  The window is

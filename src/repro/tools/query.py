@@ -86,10 +86,6 @@ def main(argv: list[str] | None = None) -> int:
                     writer.writerow((topic, t, v))
             backend.close()
             return 0
-        if len(args.topics) > 1:
-            # One batched storage read covers every concrete topic;
-            # the per-topic queries below then hit the raw cache.
-            client.prefetch_raw(args.topics, start, end)
         for topic in args.topics:
             timestamps, values = client.query(topic, start, end, unit=args.unit)
             if args.integral:

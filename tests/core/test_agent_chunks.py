@@ -96,7 +96,7 @@ def outcome(agent: CollectAgent) -> tuple:
         agent.metadata_announcements,
         int(agent._backpressure_drops.value),
         agent.writer.dropped,
-        {topic: agent.cache_of(topic).snapshot() for topic in agent.cached_topics()},
+        {topic: agent.recent(topic) for topic in agent.topics()},
         hops(agent),
     )
 
@@ -147,10 +147,11 @@ def test_backpressure_equivalence(stream, policy, capacity):
 class FailingSidmap(StorageNode):
     """Refuses to persist one topic's SID mapping."""
 
-    def put_metadata(self, key: str, value: str) -> None:
-        if key == "sidmap/r9/broken/temp":
+    def put_metadata_many(self, pairs) -> None:
+        pairs = list(pairs)
+        if any(key == "sidmap/r9/broken/temp" for key, _ in pairs):
             raise StorageError("metadata store down")
-        super().put_metadata(key, value)
+        super().put_metadata_many(pairs)
 
 
 def test_a_raising_message_stages_the_ones_before_it():
@@ -164,5 +165,5 @@ def test_a_raising_message_stages_the_ones_before_it():
     with pytest.raises(StorageError):
         agent._on_publish("pusher", [*before, broken, after])
     assert agent.readings_stored == 3
-    assert agent.cached_topics() == [p.topic for p in before]
+    assert agent.topics() == [p.topic for p in before]
     assert sum(len(agent.backend.query(agent.sid_of(p.topic), 0, 2 * T0)[0]) for p in before) == 3

@@ -306,10 +306,10 @@ class TestDaemonIntegration:
         pusher.start_plugin("tester")
         pusher.advance_to(5 * NS_PER_SEC)
         # Raw + smoothed both reached the agent.
-        topics = agent.cached_topics()
+        topics = agent.topics()
         assert "/pp/n0/g/s0" in topics
         assert "/analytics/sm/pp_n0_g_s0_ema" in topics
-        smoothed = agent.cache_of("/analytics/sm/pp_n0_g_s0_ema").snapshot()
+        smoothed = agent.recent("/analytics/sm/pp_n0_g_s0_ema")
         assert len(smoothed) == 4  # EMA starts from the second sample
 
 

@@ -1,12 +1,16 @@
 """Tests for the Collect Agent ingest path."""
 
+import pytest
+
+from repro.common.errors import StorageError
 from repro.common.timeutil import NS_PER_SEC
 from repro.core import payload as payload_mod
 from repro.core.collectagent import CollectAgent
 from repro.core.sensor import SensorReading
 from repro.mqtt.broker import PublishOnlyBroker
 from repro.mqtt.client import MQTTClient
-from repro.storage import MemoryBackend
+from repro.mqtt.packets import Publish
+from repro.storage import MemoryBackend, StorageNode
 
 
 def make_agent():
@@ -48,6 +52,32 @@ class TestIngest:
         first = backend.get_metadata("sidmap/s/a")
         publish_reading(client, "/s/a", 2, 2)
         assert backend.get_metadata("sidmap/s/a") == first
+
+    def test_failed_mapping_write_is_retried_by_the_next_message(self):
+        # The topic->SID mapping is persisted before the mapper installs
+        # the topic, so a failed write leaves it unknown and the next
+        # message registers it again.
+        broker = PublishOnlyBroker(port=None)
+        backend = StorageNode()
+        real = backend.put_metadata_many
+        failures = [1]
+
+        def put_metadata_many(pairs):
+            pairs = list(pairs)
+            if failures and any(key.startswith("sidmap") for key, _ in pairs):
+                failures.pop()
+                raise StorageError("metadata write failed")
+            real(pairs)
+
+        backend.put_metadata_many = put_metadata_many
+        agent = CollectAgent(backend, broker=broker)
+        client = MQTTClient("pusher", broker=broker)
+        client.connect()
+        with pytest.raises(StorageError):
+            agent._on_publish("pusher", [Publish("/a/b/c", payload_mod.encode_reading(1, 1))])
+        publish_reading(client, "/a/b/c", 2, 2)
+        assert agent.readings_stored == 1
+        assert backend.get_metadata("sidmap/a/b/c") == agent.sid_of("/a/b/c").hex()
 
     def test_malformed_payload_counted(self):
         agent, backend, client = make_agent()
@@ -98,13 +128,13 @@ class TestCache:
         agent, backend, client = make_agent()
         publish_reading(client, "/s/b", 1, 1)
         publish_reading(client, "/s/a", 1, 1)
-        assert agent.cached_topics() == ["/s/a", "/s/b"]
+        assert agent.topics() == ["/s/a", "/s/b"]
 
     def test_cache_of(self):
         agent, backend, client = make_agent()
         publish_reading(client, "/s/a", 1, 1)
-        assert len(agent.cache_of("/s/a")) == 1
-        assert agent.cache_of("/nope") is None
+        assert agent.recent("/s/a") == [SensorReading(1, 1)]
+        assert agent.recent("/nope") is None
 
 
 class TestStatus:

@@ -62,9 +62,11 @@ class TestPersistentSidMapper:
         backend = Counting()
         mapper = PersistentSidMapper(backend)
         mapper.sid_for_topic("/rack0/node0/cpu0/temp")
-        assert [len(batch) for batch in backend.batches] == [8]  # next + comp, four levels
+        # next + comp for four levels, and the topic's sidmap key
+        assert [len(batch) for batch in backend.batches] == [9]
+        assert backend.batches[0][-1] == "sidmap/rack0/node0/cpu0/temp"
         mapper.sid_for_topic("/rack0/node0/cpu1/temp")  # one new component
-        assert backend.batches[1] == ["sidnext/2", "sidcomp/2/cpu1"]
+        assert backend.batches[1] == ["sidnext/2", "sidcomp/2/cpu1", "sidmap/rack0/node0/cpu1/temp"]
         mapper.sid_for_topic("/rack0/node0/cpu1/temp")  # known: no write at all
         assert len(backend.batches) == 2
         # A failed write installs nothing: the retry allocates the very

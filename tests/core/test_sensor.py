@@ -78,18 +78,11 @@ class TestSensorCache:
     def test_average_empty(self):
         assert SensorCache().average() is None
 
-    def test_len_and_clear(self):
+    def test_len(self):
         cache = SensorCache()
+        assert len(cache) == 0
         cache.store(([1], [1]))
         assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_memory_estimate_grows(self):
-        cache = SensorCache()
-        assert cache.memory_bytes == 0
-        cache.store(([1], [1]))
-        assert cache.memory_bytes > 0
 
     def test_invalid_maxage_rejected(self):
         with pytest.raises(ValueError):

@@ -432,14 +432,15 @@ class TestAgentIntegration:
         stored = sum(backend.count(s, 0, 1 << 62) for s in backend.sids())
         assert stored == 500
 
-    def test_cache_is_fresh_before_flush(self):
+    def test_cache_shows_a_reading_once_committed(self):
         agent, backend, client = self.make_agent(
             max_batch=10_000, max_delay_ns=FOREVER_NS
         )
         client.publish("/d/a", payload_mod.encode_reading(123, 7))
-        # Not yet durable, but the agent-side cache already serves it.
-        assert agent.latest("/d/a").value == 7
+        # Staged, not yet written: the sensor cache is the store.
+        assert agent.latest("/d/a") is None
         agent.stop()
+        assert agent.latest("/d/a").value == 7
         sid = agent.sid_of("/d/a")
         assert backend.count(sid, 0, 1000) == 1
 

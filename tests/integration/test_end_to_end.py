@@ -178,4 +178,4 @@ class TestRuntimeReconfiguration:
         pusher.reload_plugin("tester", "group g { interval 1000\n numSensors 6 }")
         pusher.advance_to(10 * NS_PER_SEC)
         assert agent.readings_stored == 10 + 5 * 6
-        assert len(agent.cached_topics()) == 6
+        assert len(agent.topics()) == 6

@@ -182,7 +182,7 @@ class TestConfigTool:
         assert rc == 0
         assert "raw: removed" in capsys.readouterr().out
         backend = SqliteBackend(path)
-        client = DCDBClient(backend, cache_size=0)
+        client = DCDBClient(backend)
         # Raw readings really were demoted...
         assert backend.count(sid, 0, 1 << 62) < len(ts)
         # ...and none were lost: the planner still accounts for every

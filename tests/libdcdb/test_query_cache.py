@@ -1,11 +1,14 @@
-"""Tests for the libDCDB raw-series cache and batched reads.
+"""libDCDB reads always reflect the store, and travel batched.
 
-Covers the TTL'd LRU cache on :meth:`DCDBClient.query_raw` (hit/miss
-accounting, expiry, eviction, explicit and write-through
-invalidation), the batched ``query_raw_many``/``prefetch_raw`` paths,
-and the cache-coherence requirement that virtual-sensor evaluation is
-bit-identical with the cache enabled and disabled.
+libDCDB keeps no copy of the store's rows: a row stored, or deleted,
+through any path shows on the next read.  Covers the batched
+``query_raw_many``/``prefetch_raw`` paths, virtual-sensor evaluation
+that reads its concrete operands in one batched read and is
+bit-identical to reading them one by one, and concurrent evaluation
+of nested virtual sensors.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ TOPICS = [
 ]
 
 
-def make_env(**client_kwargs):
+def make_env():
     backend = MemoryBackend()
     mapper = SidMapper()
     for topic in TOPICS:
@@ -32,123 +35,49 @@ def make_env(**client_kwargs):
         backend.put_metadata(f"sidmap{topic}", sid.hex())
         for t in range(1, 11):
             backend.insert(sid, t * NS_PER_SEC, t * 100)
-    client = DCDBClient(backend, **client_kwargs)
-    return client, backend, mapper
+    return DCDBClient(backend), backend, mapper
 
 
-def counters(client):
-    hits = client.metrics.counter("dcdb_query_cache_hits_total").value
-    misses = client.metrics.counter("dcdb_query_cache_misses_total").value
-    return hits, misses
+def count_reads(backend):
+    """Count the backend's ``query``/``query_many`` calls."""
+    calls = {"query": 0, "query_many": 0}
+    for name in calls:
+        original = getattr(backend, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        setattr(backend, name, counting)
+    return calls
 
 
 SPAN = (0, 20 * NS_PER_SEC)
 
 
-class TestCacheBasics:
-    def test_repeat_query_hits_cache(self):
+class TestStoreReads:
+    def test_row_stored_inside_a_read_window_shows_on_repeat(self):
         client, backend, _ = make_env()
-        first = client.query_raw(TOPICS[0], *SPAN)
-        backend.insert(client.sid_of(TOPICS[0]), 99 * NS_PER_SEC, 1)
-        second = client.query_raw(TOPICS[0], *SPAN)  # served from cache
-        assert second[0].tolist() == first[0].tolist()
-        hits, misses = counters(client)
-        assert hits == 1 and misses == 1
-
-    def test_different_range_misses(self):
-        client, _, _ = make_env()
-        client.query_raw(TOPICS[0], *SPAN)
-        client.query_raw(TOPICS[0], 0, 5 * NS_PER_SEC)
-        assert counters(client) == (0, 2)
-
-    def test_cached_arrays_are_read_only(self):
-        client, _, _ = make_env()
-        client.query_raw(TOPICS[0], *SPAN)
-        ts, vals = client.query_raw(TOPICS[0], *SPAN)
-        with pytest.raises(ValueError):
-            ts[0] = 0
-        with pytest.raises(ValueError):
-            vals[0] = 0
-
-    def test_disabled_cache_always_reads_backend(self):
-        client, backend, _ = make_env(cache_size=0)
         client.query_raw(TOPICS[0], *SPAN)
         backend.insert(client.sid_of(TOPICS[0]), 15 * NS_PER_SEC, 7)
         ts, _ = client.query_raw(TOPICS[0], *SPAN)
         assert 15 * NS_PER_SEC in ts.tolist()
-        assert counters(client) == (0, 0)  # no cache, no accounting
+        _, values = client.query(TOPICS[0], *SPAN)
+        assert values[-1] == 7.0
 
-
-class TestTtlAndEviction:
-    def test_entry_expires_after_ttl(self):
-        now = [0.0]
-        client, backend, _ = make_env(cache_ttl_s=5.0, cache_clock=lambda: now[0])
-        client.query_raw(TOPICS[0], *SPAN)
-        backend.insert(client.sid_of(TOPICS[0]), 15 * NS_PER_SEC, 7)
-        now[0] = 4.9
-        ts, _ = client.query_raw(TOPICS[0], *SPAN)
-        assert 15 * NS_PER_SEC not in ts.tolist()  # still cached
-        now[0] = 5.1
-        ts, _ = client.query_raw(TOPICS[0], *SPAN)
-        assert 15 * NS_PER_SEC in ts.tolist()  # expired: fresh read
-        assert counters(client) == (1, 2)
-
-    def test_lru_eviction_beyond_capacity(self):
-        client, _, _ = make_env(cache_size=2)
-        client.query_raw(TOPICS[0], *SPAN)
-        client.query_raw(TOPICS[1], *SPAN)
-        client.query_raw(TOPICS[0], *SPAN)  # refresh LRU order
-        client.query_raw(TOPICS[2], *SPAN)  # evicts TOPICS[1]
-        client.query_raw(TOPICS[0], *SPAN)  # hit
-        client.query_raw(TOPICS[1], *SPAN)  # miss: was evicted
-        hits, misses = counters(client)
-        assert hits == 2 and misses == 4
-
-
-class TestInvalidation:
-    def test_explicit_invalidate_topic(self):
+    def test_backend_delete_before_shows_at_once(self):
         client, backend, _ = make_env()
-        client.query_raw(TOPICS[0], *SPAN)
-        client.query_raw(TOPICS[1], *SPAN)
-        assert client.invalidate_cache(TOPICS[0]) == 1
-        backend.insert(client.sid_of(TOPICS[0]), 15 * NS_PER_SEC, 7)
-        ts, _ = client.query_raw(TOPICS[0], *SPAN)
-        assert 15 * NS_PER_SEC in ts.tolist()
-        client.query_raw(TOPICS[1], *SPAN)  # untouched entry still hits
-        assert counters(client)[0] == 1
-
-    def test_invalidate_all(self):
-        client, _, _ = make_env()
-        client.query_raw(TOPICS[0], *SPAN)
-        client.query_raw(TOPICS[1], *SPAN)
-        assert client.invalidate_cache() == 2
-
-    def test_register_topic_invalidates(self):
-        client, _, mapper = make_env()
-        client.query_raw(TOPICS[0], *SPAN)
-        client.register_topic(TOPICS[0], mapper.sid_for_topic(TOPICS[0]))
-        client.query_raw(TOPICS[0], *SPAN)
-        assert counters(client)[0] == 0  # re-registration dropped the entry
-
-    def test_delete_before_invalidates(self):
-        # Regression: deleting through the client must drop the topic's
-        # cached raw series — a TTL'd entry would otherwise keep
-        # serving the deleted readings until expiry.
-        client, _, _ = make_env()
         before, _ = client.query_raw(TOPICS[0], *SPAN)
         assert before.size == 10
-        removed = client.delete_before(TOPICS[0], 6 * NS_PER_SEC)
-        assert removed == 5
+        assert backend.delete_before(client.sid_of(TOPICS[0]), 6 * NS_PER_SEC) == 5
         ts, _ = client.query_raw(TOPICS[0], *SPAN)
         assert ts.tolist() == [t * NS_PER_SEC for t in range(6, 11)]
-        client.query_raw(TOPICS[1], *SPAN)  # other topics keep their entries
-        client.query_raw(TOPICS[1], *SPAN)
-        assert counters(client)[0] == 1
+        assert client.query_raw_many(TOPICS[:1], *SPAN)[TOPICS[0]][0].size == 5
 
 
 class TestBatchedReads:
     def test_query_raw_many_matches_per_topic(self):
-        client, _, _ = make_env(cache_size=0)
+        client, _, _ = make_env()
         bulk = client.query_raw_many(TOPICS, *SPAN)
         assert list(bulk) == TOPICS
         for topic in TOPICS:
@@ -156,35 +85,24 @@ class TestBatchedReads:
             assert bulk[topic][0].tolist() == ts.tolist()
             assert bulk[topic][1].tolist() == vals.tolist()
 
-    def test_query_raw_many_primes_cache(self):
-        client, _, _ = make_env()
-        client.query_raw_many(TOPICS, *SPAN)
-        for topic in TOPICS:
-            client.query_raw(topic, *SPAN)
-        hits, misses = counters(client)
-        assert hits == 3 and misses == 3
-
     def test_query_raw_many_unknown_topic_raises(self):
         client, _, _ = make_env()
         with pytest.raises(QueryError, match="unknown sensor topic"):
             client.query_raw_many([TOPICS[0], "/nope"], *SPAN)
 
     def test_prefetch_skips_unknown_and_virtual(self):
-        client, _, _ = make_env()
+        client, backend, _ = make_env()
         client.define_virtual_sensor(
             VirtualSensorDef(name="v", expression=f"<{TOPICS[0]}> * 2")
         )
-        primed = client.prefetch_raw(
+        calls = count_reads(backend)
+        fetched = client.prefetch_raw(
             [TOPICS[0], "/nope", "/virtual/v", TOPICS[1]], *SPAN
         )
-        assert primed == 2
-        client.query_raw(TOPICS[0], *SPAN)
-        client.query_raw(TOPICS[1], *SPAN)
-        assert counters(client)[0] == 2  # both served from the prefetch
-
-    def test_prefetch_noop_when_cache_disabled(self):
-        client, _, _ = make_env(cache_size=0)
-        assert client.prefetch_raw(TOPICS, *SPAN) == 0
+        assert list(fetched) == [TOPICS[0], TOPICS[1]]
+        assert calls == {"query": 0, "query_many": 1}
+        for topic in fetched:
+            assert fetched[topic][0].tolist() == client.query_raw(topic, *SPAN)[0].tolist()
 
 
 class TestVirtualSensorCoherence:
@@ -192,34 +110,24 @@ class TestVirtualSensorCoherence:
         f"(sum(<{'/'.join(TOPICS[0].split('/')[:2])}>) + <{TOPICS[2]}>) / 1000"
     )
 
-    def _eval(self, **client_kwargs):
-        client, _, _ = make_env(**client_kwargs)
+    def _eval(self, prefetch=True):
+        client, _, _ = make_env()
         client.define_virtual_sensor(
             VirtualSensorDef(name="total", expression=self.EXPR)
         )
+        if not prefetch:
+            client.prefetch_raw = lambda topics, start, end: {}
         return client.evaluate_virtual("total", 0, 20 * NS_PER_SEC)
 
-    def test_bit_identical_with_cache_on_and_off(self):
-        ts_on, vals_on = self._eval()
-        ts_off, vals_off = self._eval(cache_size=0)
-        assert np.array_equal(ts_on, ts_off)
-        assert np.array_equal(vals_on, vals_off)  # exact, not approximate
+    def test_bit_identical_with_and_without_the_prefetch(self):
+        ts_batched, vals_batched = self._eval()
+        ts_single, vals_single = self._eval(prefetch=False)
+        assert np.array_equal(ts_batched, ts_single)
+        assert np.array_equal(vals_batched, vals_single)  # exact, not approximate
 
     def test_evaluation_uses_batched_reads(self):
         client, backend, _ = make_env()
-        calls = {"query": 0, "query_many": 0}
-        original_query, original_many = backend.query, backend.query_many
-
-        def counting_query(*args):
-            calls["query"] += 1
-            return original_query(*args)
-
-        def counting_many(*args):
-            calls["query_many"] += 1
-            return original_many(*args)
-
-        backend.query = counting_query
-        backend.query_many = counting_many
+        calls = count_reads(backend)
         client.define_virtual_sensor(
             VirtualSensorDef(name="total", expression="sum(</hpc>)")
         )
@@ -233,11 +141,54 @@ class TestVirtualSensorCoherence:
             VirtualSensorDef(name="total", expression="sum(</hpc>)")
         )
         client.query("/virtual/total", 0, 20 * NS_PER_SEC)  # evaluate + write back
-        first = client.query_raw("/virtual/total", 0, 40 * NS_PER_SEC)  # cached
+        first = client.query_raw("/virtual/total", 0, 40 * NS_PER_SEC)
         for topic in TOPICS:
             backend.insert(client.sid_of(topic), 30 * NS_PER_SEC, 1000)
-        # A wider query re-evaluates and writes back more rows; the
-        # write-through invalidation must drop the stale cached series.
+        # A wider query re-evaluates and writes back more rows, which
+        # the next read of the result topic shows.
         client.query("/virtual/total", 0, 40 * NS_PER_SEC)
         second = client.query_raw("/virtual/total", 0, 40 * NS_PER_SEC)
         assert second[0].size > first[0].size
+
+
+class TestConcurrentEvaluation:
+    def test_nested_virtual_sensors_evaluate_concurrently(self):
+        # Two evaluations of outer are inside inner at the same time;
+        # each has its own cycle check, so neither sees the other's.
+        client, backend, _ = make_env()
+        client.define_virtual_sensor(
+            VirtualSensorDef(name="inner", expression=f"<{TOPICS[0]}> * 2")
+        )
+        client.define_virtual_sensor(
+            VirtualSensorDef(name="outer", expression="</virtual/inner> + 1")
+        )
+        both_inside = threading.Barrier(2, timeout=5)
+        original = backend.query_many
+
+        def query_many(*args):
+            try:
+                both_inside.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return original(*args)
+
+        backend.query_many = query_many
+        results, errors = [], []
+
+        def evaluate():
+            try:
+                results.append(client.evaluate_virtual("outer", *SPAN))
+            except QueryError as exc:
+                both_inside.abort()
+                errors.append(exc)
+
+        threads = [threading.Thread(target=evaluate) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        assert len(results) == 2
+        for ts, values in results:
+            assert values.tolist() == [t * 200 + 1.0 for t in range(1, 11)]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.timeutil import NS_PER_SEC
 from repro.core.sid import SidMapper
-from repro.libdcdb.api import DCDBClient, SensorConfig
+from repro.libdcdb.api import DCDBClient, SensorConfig, _Resolver
 from repro.libdcdb.virtualsensors import Evaluator, parse_expression
 from repro.storage.memory import MemoryBackend
 
@@ -83,7 +83,7 @@ class TestEvaluatorOracle:
             return  # constant expressions are rejected by design
         values = np.asarray(data, dtype=np.int64)
         client = build_env(values)
-        evaluator = Evaluator(client._evaluator.resolver)
+        evaluator = Evaluator(_Resolver(client))
         ts, out, _unit = evaluator.evaluate(
             parse_expression(text), NS_PER_SEC, N_POINTS * NS_PER_SEC
         )

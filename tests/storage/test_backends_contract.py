@@ -150,6 +150,38 @@ class TestDataContract:
         assert backend.latest(SID) == (9, 90)
         assert backend.oldest(SID) == (1, 10)
 
+    def test_latest_after_a_late_row(self, backend):
+        backend.insert(SID, 9, 90)
+        backend.flush()
+        backend.insert(SID, 5, 50)
+        assert backend.latest(SID) == (9, 90)
+
+    def test_latest_skips_an_expired_newest_row(self, backend):
+        backend.insert(SID, 1, 10)
+        backend.flush()
+        backend.insert(SID, 9, 90, ttl_s=1)  # expired long before now
+        assert backend.latest(SID) == (1, 10)
+        backend.flush()
+        assert backend.latest(SID) == (1, 10)
+
+    def test_latest_of_a_rewritten_newest_timestamp(self, backend):
+        backend.insert(SID, 1, 10)
+        backend.insert(SID, 9, 90)
+        backend.flush()
+        backend.insert(SID, 9, 91)
+        assert backend.latest(SID) == (9, 91)
+        backend.flush()
+        assert backend.latest(SID) == (9, 91)
+
+    def test_latest_after_retention_covers_the_newest_rows(self, backend):
+        for t in range(1, 10):
+            backend.insert(SID, t, t * 10)
+        backend.flush()
+        backend.delete_before(SID, 10)
+        assert backend.latest(SID) is None
+        backend.insert(SID, 3, 30)  # arrives after the cutoff: stays
+        assert backend.latest(SID) == (3, 30)
+
     def test_delete_before(self, backend):
         for t in range(10):
             backend.insert(SID, t, t)

@@ -3,6 +3,7 @@ and a model test running both stores against the MemoryBackend oracle."""
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
@@ -224,6 +225,18 @@ class TestQueryPath:
         # The fast path must not copy: both arrays are views into the
         # frozen segment.
         assert ts.base is not None and vals.base is not None
+
+    def test_views_cannot_write_into_the_store(self):
+        node = StorageNode()
+        for t in range(10):
+            node.insert(SID_A, t, t)
+        node.flush()
+        ts, vals = node.query(SID_A, 0, 100)
+        with pytest.raises(ValueError):
+            vals[0] = 99
+        with pytest.raises(ValueError):
+            ts[0] = 99
+        assert node.query(SID_A, 0, 100)[1].tolist() == list(range(10))
 
     def test_fast_path_skipped_when_memtable_has_rows(self):
         node = StorageNode()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.common.errors import StorageError
 from repro.core import payload as payload_mod
 from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
-from repro.core.sensor import SensorCache, SensorReading
+from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
 from repro.mqtt.broker import PublishOnlyBroker
@@ -254,24 +254,25 @@ class TestWriterTrim:
 
 class TestAgentCache:
     def test_burst_message_answers_like_one_reading_at_a_time(self):
-        broker = PublishOnlyBroker(port=None)
-        agent = CollectAgent(MemoryBackend(), broker=broker, cache_maxage_ns=30 * NS)
-        client = MQTTClient("pusher", broker=broker)
-        client.connect()
-        reference = SensorCache(maxage_ns=30 * NS)
+        agents, clients = [], []
+        for name in ("burst", "single"):
+            broker = PublishOnlyBroker(port=None)
+            agents.append(CollectAgent(StorageNode(name), broker=broker, cache_maxage_ns=30 * NS))
+            clients.append(MQTTClient(name, broker=broker))
+            clients[-1].connect()
         rng = np.random.default_rng(29)
+        written: dict[int, int] = {}
         for message in range(3):
             # 100 readings, 1 s apart, a few of them late.
             ts = (1_000 + message * 100 + np.arange(100)) * NS
             ts[rng.integers(0, 100, 5)] -= 50 * NS
             readings = [SensorReading(int(t), int(v)) for t, v in zip(ts, rng.integers(-999, 999, 100))]
-            client.publish("/rack/node/power", payload_mod.encode_readings(readings))
+            clients[0].publish("/rack/node/power", payload_mod.encode_readings(readings))
             for reading in readings:
-                reference.store(([reading.timestamp], [reading.value]))
-        cache = agent.cache_of("/rack/node/power")
-        assert agent.latest("/rack/node/power") == reference.latest()
-        assert cache.snapshot() == reference.snapshot()
-        assert len(cache) == len(reference)
-        assert cache.view(1_250 * NS, 1_280 * NS) == reference.view(1_250 * NS, 1_280 * NS)
-        for window in (None, 5 * NS, 20 * NS):
-            assert cache.average(window) == reference.average(window)
+                clients[1].publish("/rack/node/power", payload_mod.encode_readings([reading]))
+                written[reading.timestamp] = reading.value
+        newest = max(written)
+        window = [SensorReading(t, written[t]) for t in sorted(written) if t >= newest - 30 * NS]
+        for agent in agents:
+            assert agent.latest("/rack/node/power") == window[-1]
+            assert agent.recent("/rack/node/power") == window

@@ -50,7 +50,7 @@ def make_backend(kind):
 def make_env(backend, topic=TOPIC, sid=SID, **engine_kwargs):
     backend.put_metadata(f"sidmap{topic}", sid.hex())
     engine = RollupEngine(backend, **engine_kwargs)
-    client = DCDBClient(backend, cache_size=0)
+    client = DCDBClient(backend)
     return engine, client
 
 
@@ -302,7 +302,7 @@ class TestRetention:
         ts = [i * NS_PER_SEC for i in range(0, 7300, 10)]
         backend.insert_batch([(SID, int(t), i, 0) for i, t in enumerate(ts)])
         engine = RollupEngine(backend, clock=lambda: clock[0])
-        client = DCDBClient(backend, cache_size=0)
+        client = DCDBClient(backend)
         newest = backend.latest(SID)
         engine.observe([(SID, newest[0], newest[1], 0)])
         clock[0] = 10**18
@@ -432,7 +432,7 @@ class TestPlannerFallbacks:
     def test_no_rollups_means_raw_plan(self):
         backend = MemoryBackend()
         backend.put_metadata(f"sidmap{TOPIC}", SID.hex())
-        client = DCDBClient(backend, cache_size=0)
+        client = DCDBClient(backend)
         backend.insert(SID, 0, 1)
         plan = client.plan_aggregate(TOPIC, 0, 3600 * NS_PER_SEC, 10)
         assert plan.tier_index is None and plan.tier_label == "raw"
@@ -451,7 +451,7 @@ class TestPlannerFallbacks:
     def test_output_buckets_bounded_by_max_points(self):
         backend = MemoryBackend()
         backend.put_metadata(f"sidmap{TOPIC}", SID.hex())
-        client = DCDBClient(backend, cache_size=0)
+        client = DCDBClient(backend)
         for t in range(10):
             backend.insert(SID, t, 1)
         # Inclusive 10-tick window over 5 points: the exclusive-window
