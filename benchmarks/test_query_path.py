@@ -1,4 +1,4 @@
-"""Read-path benchmarks: pruned queries, batched reads, parallel scans.
+"""Read-path benchmarks: pruned queries, batched reads, subtree scans.
 
 Each benchmark measures the optimized query path with pytest-benchmark
 and compares it against the pre-change implementation kept in-test
@@ -113,7 +113,7 @@ def _series_map(results):
 
 class TestQueryPrefixSubtree:
     def test_query_prefix_subtree(self, benchmark):
-        """Parallel pruned subtree scan vs the serial per-SID loop.
+        """Pruned subtree scan vs the pre-change per-SID loop.
 
         64 sensors spread over 4 nodes by hash partitioning (the
         worst-case layout: every node holds part of the subtree), 16
@@ -153,15 +153,15 @@ class TestQueryPrefixSubtree:
             serial_seconds = _best_of(
                 3, legacy_query_prefix, cluster, prefix, 2, *window
             )
-            parallel_seconds = benchmark.stats.stats.min
-            speedup = serial_seconds / parallel_seconds
+            scan_seconds = benchmark.stats.stats.min
+            speedup = serial_seconds / scan_seconds
             print(
                 f"\nprefix scan (64 sensors / 4 nodes): serial "
-                f"{serial_seconds * 1e3:.2f} ms, parallel "
-                f"{parallel_seconds * 1e3:.2f} ms ({speedup:.2f}x)"
+                f"{serial_seconds * 1e3:.2f} ms, pruned "
+                f"{scan_seconds * 1e3:.2f} ms ({speedup:.2f}x)"
             )
             assert speedup >= 3.0, (
-                f"parallel subtree scan only {speedup:.2f}x over the "
+                f"pruned subtree scan only {speedup:.2f}x over the "
                 f"pre-change serial loop"
             )
 
@@ -226,7 +226,7 @@ class TestVirtualSensorEval:
 
         sum() over 32 sensors stored on a 4-node cluster: the batched
         evaluator fetches the whole subtree through one query_many
-        (parallel underneath) where the pre-change path issued 32
+        (one read per node) where the pre-change path issued 32
         sequential cluster queries.  Both sides hit storage every
         round; results must be bit-identical.
         """

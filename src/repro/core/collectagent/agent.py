@@ -11,7 +11,7 @@ Wires together three pieces:
 * a :class:`~repro.storage.backend.StorageBackend` receiving the
   readings through a
   :class:`~repro.core.collectagent.writer.BatchingWriter` — the one
-  ingest path, whether it coalesces on writer threads or writes each
+  ingest path, whether it coalesces on one writer thread or writes each
   message on the broker's thread (``writers=0``).
 
 The agent's sensor cache ("gives access to the most recent readings of
@@ -64,7 +64,7 @@ class CollectAgent:
     writer_config:
         Configuration of the
         :class:`~repro.core.collectagent.writer.BatchingWriter` every
-        reading is staged in.  With writer threads it coalesces writes
+        reading is staged in.  With its writer thread it coalesces writes
         across MQTT messages off the dispatch thread (paper section
         5.3: Cassandra inserts happen in large asynchronous batches).
         ``None`` (the default) builds ``WriterConfig(writers=0)``: each
@@ -291,12 +291,13 @@ class CollectAgent:
     # -- sensor cache (backs REST): the newest stored rows -----------------
 
     def topics(self) -> list[str]:
-        """Every topic with a storage SID, sorted."""
-        return sorted(self.sid_mapper.known_topics())
+        """Every topic with a stored ``sidmap`` key, sorted — on a
+        shared store also other agents' and virtual sensors' topics."""
+        return sorted(key[len("sidmap") :] for key in self.backend.metadata_keys("sidmap"))
 
     def latest(self, topic: str) -> SensorReading | None:
         """The newest stored reading of ``topic``, or None."""
-        sid = self.sid_mapper.lookup_topic(topic)
+        sid = self.sid_of(topic)
         newest = self.backend.latest(sid) if sid is not None else None
         return SensorReading(*newest) if newest is not None else None
 
@@ -304,7 +305,7 @@ class CollectAgent:
         """The stored readings of ``topic`` at most ``cache_maxage_ns``
         older than its newest one, oldest first; None for a topic
         without a SID."""
-        sid = self.sid_mapper.lookup_topic(topic)
+        sid = self.sid_of(topic)
         if sid is None:
             return None
         newest = self.backend.latest(sid)
@@ -314,7 +315,14 @@ class CollectAgent:
         return list(map(SensorReading, timestamps.tolist(), values.tolist()))
 
     def sid_of(self, topic: str) -> SensorId | None:
-        return self.sid_mapper.lookup_topic(topic)
+        """The SID of ``topic``: the mapper's, or else the stored
+        ``sidmap<topic>`` value (a topic stored before this agent
+        started, or by another agent on the same store)."""
+        sid = self.sid_mapper.lookup_topic(topic)
+        if sid is None:
+            stored = self.backend.get_metadata(f"sidmap{topic}")
+            sid = SensorId.from_hex(stored) if stored else None
+        return sid
 
     def metrics_registries(self) -> list[MetricsRegistry]:
         """All registries behind this agent's ``/metrics`` exposition.

@@ -15,7 +15,7 @@ row, so a reading shows once the writer has committed it.
 Endpoints
 ---------
 ``GET /status``                    Ingest counters.
-``GET /topics``                    All sensor topics seen.
+``GET /topics``                    All sensor topics in the store.
 ``GET /cache?topic=...``           Recent stored readings of one sensor.
 ``GET /latest?topic=...``          Most recent stored reading.
 ``GET /query?topic=...&start=...&end=...``  Readings from storage.

@@ -9,7 +9,7 @@ decoupling for any :class:`~repro.storage.backend.StorageBackend`:
 * ``put()`` stages messages (one run each) in a bounded queue and
   returns immediately — the broker's dispatch thread never waits on
   storage;
-* dedicated writer threads coalesce staged messages *across* MQTT
+* one writer thread coalesces staged messages *across* MQTT
   publishes into batches of up to ``max_batch`` readings and hand them
   to ``backend.insert_batch`` in one call;
 * a flush is triggered by batch **size** (``max_batch`` readings
@@ -22,7 +22,10 @@ decoupling for any :class:`~repro.storage.backend.StorageBackend`:
 
 ``writers=0`` is the synchronous agent: no thread, and ``put()`` runs
 the same flush routine on the calling thread, one message per write
-(no coalescing, no sleep, no wait for capacity).  A write that fails
+(no coalescing, no sleep, no wait for capacity).  There is never more
+than one writer thread: flushes leave in staging order, so a newer
+reading of a ``(sensor, timestamp)`` always lands after an older one
+and last-write-wins keeps the newer value.  A write that fails
 stays staged and is retried first by the next ``put()``, ``drain()``
 or ``stop()``.
 
@@ -31,7 +34,7 @@ accident of buffer growth, and applies to each message as if it had
 been put alone:
 
 ``block``
-    ``put()`` waits until writer threads free capacity (lossless,
+    ``put()`` waits until the writer thread frees capacity (lossless,
     propagates storage slowness to producers); with ``writers=0`` it
     raises like ``error``, as no thread would free capacity.
 ``drop-oldest``
@@ -44,10 +47,11 @@ been put alone:
 
 A failed flush does **not** drop its batch: the entries are re-queued
 at the head of the staging queue (order preserved) and retried up to
-``flush_retries`` times (a writer thread pauses, capped-exponentially,
+``flush_retries`` times (the writer thread pauses, capped-exponentially,
 between attempts), so transient storage faults — a replica
-restarting, a flaky disk — cost latency, not data.  Storage backends deduplicate re-applied timestamps
-(last-write-wins), making a retry that races a partial success safe.
+restarting, a flaky disk — cost latency, not data.  Storage backends
+deduplicate re-applied timestamps (last-write-wins), making a retry
+that races a partial success safe.
 
 Observability: queue depth gauge, batch-size and flush-latency
 histograms, dropped/requeued/lost/flushed counters, and — when a
@@ -102,12 +106,14 @@ class WriterConfig:
     ``policy``
         one of :data:`BACKPRESSURE_POLICIES`.
     ``writers``
-        number of dedicated flush threads; 0 runs every flush on the
-        thread that calls ``put()`` (the synchronous agent).
+        1 for one writer thread; 0 runs every flush on the thread that
+        calls ``put()`` (the synchronous agent).  A second thread could
+        finish a newer flush before an older one and so let an older
+        value of a ``(sensor, timestamp)`` win; it is refused.
     ``poll_interval_s``
         idle window: flush once nothing new has been staged for this
         long on the writer's clock.  It is also the real-time period at
-        which a writer thread with readings staged re-checks the idle
+        which the writer thread with readings staged re-checks the idle
         and age triggers, so an injected
         :class:`~repro.common.timeutil.SimClock` drives both
         deterministically; with nothing staged the thread sleeps until
@@ -119,7 +125,7 @@ class WriterConfig:
         :meth:`BatchingWriter.stop` from spinning forever against a
         permanently dead backend.
     ``retry_backoff_s``
-        base of the capped exponential pause a writer thread takes
+        base of the capped exponential pause the writer thread takes
         after a failed flush, so a down backend is probed rather than
         hammered.
     ``slow_flush_s``
@@ -152,8 +158,8 @@ class WriterConfig:
                 f"unknown backpressure policy {self.policy!r}; "
                 f"choose one of {BACKPRESSURE_POLICIES}"
             )
-        if self.writers < 0:
-            raise ConfigError(f"writers must be >= 0, got {self.writers}")
+        if self.writers not in (0, 1):
+            raise ConfigError(f"writers must be 0 or 1, got {self.writers}")
         if self.poll_interval_s <= 0:
             raise ConfigError("poll_interval_s must be positive")
         if self.flush_retries < 0:
@@ -165,8 +171,8 @@ class WriterConfig:
 
 
 class BatchingWriter:
-    """Bounded staging queue + writer threads (zero or more) in front of
-    a backend.
+    """Bounded staging queue + at most one writer thread in front of a
+    backend.
 
     Queue entries are the :class:`ReadingBatch` es exactly as the agent
     decoded them, one run per message (no per-reading copies);
@@ -210,7 +216,7 @@ class BatchingWriter:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
 
         self.metrics.gauge(
             "dcdb_writer_queue_depth", "Readings staged in the batching writer"
@@ -259,22 +265,19 @@ class BatchingWriter:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """(Re)start the writer threads; idempotent while running."""
+        """(Re)start the writer thread; idempotent while running."""
         with self._lock:
-            if any(t.is_alive() for t in self._threads):
+            if self._thread is not None and self._thread.is_alive():
                 return
             self._stopping = False
-            self._threads = [
-                threading.Thread(
-                    target=self._run, name=f"dcdb-writer-{i}", daemon=True
+            if self.config.writers:
+                self._thread = threading.Thread(
+                    target=self._run, name="dcdb-writer", daemon=True
                 )
-                for i in range(self.config.writers)
-            ]
-        for thread in self._threads:
-            thread.start()
+                self._thread.start()
 
     def stop(self) -> None:
-        """Drain every accepted reading, then stop the writer threads.
+        """Drain every accepted reading, then stop the writer thread.
 
         Readings staged before ``stop()`` is called are flushed to the
         backend before this method returns; producers blocked in
@@ -284,11 +287,12 @@ class BatchingWriter:
             self._stopping = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
-        for thread in self._threads:
+        thread = self._thread
+        if thread is not None:
             thread.join()
-        self._threads = []
-        # Writer threads exit only once the queue is empty, so this
-        # retries what is left only when there are none.
+        self._thread = None
+        # The writer thread exits only once the queue is empty, so this
+        # retries what is left only when there is none.
         self._drain_inline()
 
     # -- producer side ------------------------------------------------------
@@ -390,7 +394,7 @@ class BatchingWriter:
                 self._not_full.notify_all()
             if not self._write(taken, count) and backoff > 0:
                 # Capped-exponential pause after consecutive failures,
-                # so a writer thread probes a dead backend rather than
+                # so the writer thread probes a dead backend rather than
                 # busy-looping on it.
                 failures = self._consecutive_failures
                 time.sleep(min(0.1, backoff * (2.0 ** min(failures - 1, 6))))
@@ -554,7 +558,7 @@ class BatchingWriter:
     def drain(self, timeout: float = 10.0) -> bool:
         """Force-flush everything staged and wait until it is durable.
 
-        Without writer threads the flush runs here, on the caller.
+        Without a writer thread the flush runs here, on the caller.
         """
         if self.config.writers:
             with self._lock:
@@ -598,11 +602,11 @@ class BatchingWriter:
         with self._lock:
             depth = self._depth
             inflight = self._inflight
-        return {
             # A zero-thread writer runs until stopped.
-            "running": any(t.is_alive() for t in self._threads)
-            if self.config.writers
-            else not self._stopping,
+            thread = self._thread
+            running = thread.is_alive() if thread is not None else not self._stopping
+        return {
+            "running": running,
             "policy": self.config.policy,
             "queueDepth": depth,
             "inFlight": inflight,

@@ -57,7 +57,7 @@ class FaultEvent:
 class FaultPlan:
     """Seeded fault schedule + named random substreams.
 
-    Thread-safe: writer threads, broker reader threads and the test
+    Thread-safe: the writer thread, broker reader threads and the test
     driver may consult the plan concurrently.
     """
 

@@ -202,7 +202,7 @@ class DCDBClient:
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Bulk :meth:`query_raw`: every topic in one
         :meth:`~repro.storage.backend.StorageBackend.query_many` call,
-        which the cluster backend fans out in parallel.  Raises
+        which the cluster backend splits into one read per node.  Raises
         :class:`QueryError` on the first unknown topic, like
         ``query_raw`` would.
         """

@@ -23,9 +23,7 @@ The storage layer sits below the wire: ``StorageCluster.insert_batch``
 receives plain reading lists, not payloads.  :func:`trace_context`
 sets a thread-local ambient trace ID around such calls so deep layers
 can pick it up via :func:`current_trace` without threading a parameter
-through every backend signature.  The ambient value never crosses
-thread-pool boundaries — callers that fan out must capture
-:func:`current_trace` once and pass it explicitly.
+through every backend signature.
 """
 
 from __future__ import annotations

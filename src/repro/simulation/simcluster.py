@@ -149,13 +149,15 @@ class SimulatedCluster:
         return self.config.hosts * self.config.sensors_per_host
 
     def stop(self) -> None:
-        """Disconnect the pushers and stop the agent (and its broker)."""
+        """Disconnect the pushers, stop the agent (and its broker) and
+        close the storage backend."""
         for pusher in self.pushers:
             try:
                 pusher.client.disconnect()
             except Exception:  # noqa: BLE001 - teardown is best-effort
                 pass
         self.agent.stop()
+        self.backend.close()
 
     # -- fault control -------------------------------------------------------
 

@@ -241,7 +241,7 @@ class StorageBackend(abc.ABC):
         Semantically identical to calling :meth:`query` once per SID —
         same ordering, TTL filtering and last-write-wins dedup — but
         backends override it with a batched path (one lock/transaction,
-        parallel replica fan-out).  Returns an entry for *every*
+        one read per replica node).  Returns an entry for *every*
         requested SID; sensors without data in range map to empty
         arrays.  This default loops over :meth:`query` so third-party
         backends keep working unchanged.

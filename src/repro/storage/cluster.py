@@ -15,8 +15,7 @@ locality metric that motivates hierarchical partitioning.
 
 Every operation that touches several nodes — a batch write, a bulk
 read, a subtree scan — splits into one job per node and runs the jobs
-under one rule (:func:`_fan_out`): serially on the calling thread when
-they are small, on the shared pool when they are large.
+one after another on the calling thread.
 
 Availability under node churn follows the Cassandra playbook the
 paper relies on:
@@ -44,10 +43,8 @@ live; the partition transfers run in :mod:`repro.storage.rebalance`.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -72,37 +69,6 @@ from repro.storage.rebalance import Rebalancer
 
 logger = logging.getLogger(__name__)
 
-# One process-wide pool shared by every cluster: replica write fan-out
-# and subtree read fan-out are both I/O-shaped work (per-node lock
-# waits, numpy bulk ops), and a shared pool keeps the thread count
-# bounded no matter how many clusters a test process builds.  Created
-# lazily so importing this module never spawns threads.
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _pool
-    pool = _pool
-    if pool is None:
-        with _pool_lock:
-            pool = _pool
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=min(16, (os.cpu_count() or 2) * 2),
-                    thread_name_prefix="dcdb-cluster-io",
-                )
-                _pool = pool
-    return pool
-
-
-# Below this many items (readings to write, SIDs to read) across one
-# operation's per-node jobs, the jobs run serially on the calling
-# thread: submitting a future costs tens of microseconds and small
-# in-memory jobs hold the GIL anyway, so the pool only pays for itself
-# on large batches and scans.
-_FAN_OUT_MIN_ITEMS = 256
-
 # Bound on memoized per-SID replica sets (FIFO eviction — the
 # oldest-resolved sensor is the cheapest to recompute).
 _REPLICA_CACHE_MAX = 65_536
@@ -116,27 +82,6 @@ _NodeRead = Callable[[StorageBackend, list], dict]
 def _window(start: int, end: int) -> _NodeRead:
     """The node read of every SID's series over ``[start, end]``."""
     return lambda node, sids: node.query_many(sids, start, end)
-
-
-def _fan_out(jobs: dict[int, list], run: Callable[[int, list], object]) -> dict[int, object]:
-    """Run ``run(node_idx, items)`` for every per-node job.
-
-    The cluster's one fan-out rule: below ``_FAN_OUT_MIN_ITEMS`` items
-    in total the jobs run one after another on the calling thread;
-    above it the largest job runs inline while the rest are in flight
-    on the shared pool, so the coordinator works instead of blocking
-    on futures.  ``run`` returns failures instead of raising them.
-    """
-    if len(jobs) < 2 or sum(map(len, jobs.values())) < _FAN_OUT_MIN_ITEMS:
-        return {node_idx: run(node_idx, items) for node_idx, items in jobs.items()}
-    ordered = sorted(jobs.items(), key=lambda job: len(job[1]))
-    pool = _shared_pool()
-    futures = [(node_idx, pool.submit(run, node_idx, items)) for node_idx, items in ordered[:-1]]
-    node_idx, items = ordered[-1]
-    outcomes = {node_idx: run(node_idx, items)}
-    for node_idx, future in futures:
-        outcomes[node_idx] = future.result()
-    return outcomes
 
 
 class StorageCluster(StorageBackend):
@@ -372,12 +317,7 @@ class StorageCluster(StorageBackend):
 
     # -- write availability --------------------------------------------------
 
-    def _try_write(
-        self,
-        node_idx: int,
-        items: ReadingBatch,
-        trace_id: int | None = None,
-    ) -> StorageError | None:
+    def _try_write(self, node_idx: int, items: ReadingBatch) -> StorageError | None:
         """Write one replica's sub-batch, retrying with capped backoff.
 
         Returns None on success; on persistent failure the sub-batch is
@@ -386,11 +326,8 @@ class StorageCluster(StorageBackend):
         replica fails).  A node that reports itself down is hinted
         immediately — retrying a known crash only burns the backoff
         budget.
-
-        ``trace_id`` is passed explicitly (not read from the ambient
-        context) because this runs on shared-pool threads that never
-        see the coordinator thread's locals.
         """
+        trace_id = current_trace()
         node = self.nodes[node_idx]
         detector = self.detector
         replica = node.name
@@ -539,22 +476,18 @@ class StorageCluster(StorageBackend):
     def insert_batch(self, items: ReadingBatch | Iterable[InsertItem]) -> int:
         """Route a batch grouping by replica to amortize lock traffic.
 
-        Each replica gets its runs as one sub-batch of column slices;
-        the per-node writes follow the cluster's fan-out rule
-        (:func:`_fan_out`).  Failed replicas are retried, then hinted;
-        the call raises only if some reading landed on *no* replica at
-        all (the batching writer then re-queues the whole batch —
-        replay/retry overlap is deduplicated by the nodes'
-        last-write-wins semantics).
+        Each replica gets its runs as one sub-batch of column slices,
+        written in node order on the calling thread.  Failed replicas
+        are retried, then hinted; the call raises only if some reading
+        landed on *no* replica at all (the batching writer then
+        re-queues the whole batch — replay/retry overlap is
+        deduplicated by the nodes' last-write-wins semantics).
         """
         return self._write(as_batch(items))
 
     def _write(self, batch: ReadingBatch) -> int:
         """The one cluster write behind :meth:`insert` and
         :meth:`insert_batch`: one replica lookup per run."""
-        # Captured once on the coordinator thread: the pool threads the
-        # fan-out runs on have their own (empty) ambient context.
-        trace_id = current_trace()
         with self._inflight_lock:
             self._inflight_writes += 1
         try:
@@ -565,10 +498,10 @@ class StorageCluster(StorageBackend):
             for run, replicas in enumerate(replica_sets):
                 for node_idx in replicas:
                     runs_of.setdefault(node_idx, []).append(run)
-            errors = _fan_out(
-                {node_idx: batch.select(runs) for node_idx, runs in runs_of.items()},
-                lambda node_idx, sub: self._try_write(node_idx, sub, trace_id),
-            )
+            errors = {
+                node_idx: self._try_write(node_idx, batch.select(runs))
+                for node_idx, runs in runs_of.items()
+            }
         finally:
             with self._inflight_lock:
                 self._inflight_writes -= 1
@@ -624,8 +557,7 @@ class StorageCluster(StorageBackend):
 
         SIDs are grouped by their first untried replica and each group
         is read with one ``read(node, group)`` — a node ``query_many``
-        for a window, so one lock round-trip per node, not one per SID —
-        the groups following the fan-out rule.
+        for a window, so one lock round-trip per node, not one per SID.
         A failed group regroups its SIDs onto their next replica.  Live
         replicas come first in read order; replicas the failure
         detector suspects but whose heartbeat channel still answers
@@ -669,11 +601,8 @@ class StorageCluster(StorageBackend):
                         ) from last_error
                     jobs.setdefault(order[tried[sid]], []).append(sid)
                 pending = []
-                outcomes = _fan_out(
-                    jobs, lambda node_idx, group: self._node_read(node_idx, group, read)
-                )
-                for node_idx, outcome in outcomes.items():
-                    group = jobs[node_idx]
+                for node_idx, group in jobs.items():
+                    outcome = self._node_read(node_idx, group, read)
                     if isinstance(outcome, StorageError):
                         last_error = outcome
                         self.detector.report_failure(
@@ -711,12 +640,10 @@ class StorageCluster(StorageBackend):
         ("directing them directly to the respective server", paper
         section 4.3).  If that owner is unavailable — or the prefix
         spans partitions — every live member scans its own subtree
-        with one bulk ``query_many``, following the fan-out rule.  A
-        sensor found on several nodes is taken from the one ranked
-        highest in its read order; nodes outside its replica set (stale
-        copies a rebalance has not shed yet) rank last.  Results come
-        in node order, so they are deterministic whatever order the
-        scans finish in.
+        with one bulk ``query_many``.  A sensor found on several nodes
+        is taken from the one ranked highest in its read order; nodes
+        outside its replica set (stale copies a rebalance has not shed
+        yet) rank last.  Results come in node order.
         """
         t0 = time.perf_counter()
         self._repair_before_read()
@@ -740,12 +667,9 @@ class StorageCluster(StorageBackend):
                 self._read_failovers.inc()
 
         window = _window(start, end)
-        outcomes = _fan_out(
-            jobs, lambda node_idx, matching: self._node_read(node_idx, matching, window)
-        )
         held: dict[SensorId, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-        for node_idx in jobs:
-            outcome = outcomes[node_idx]
+        for node_idx, matching in jobs.items():
+            outcome = self._node_read(node_idx, matching, window)
             if isinstance(outcome, StorageError):
                 self._read_failovers.inc()
                 continue

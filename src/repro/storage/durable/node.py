@@ -29,6 +29,9 @@ On-disk layout of one node directory::
     metadata.json    the metadata table image as of the last checkpoint
     wal-XXXXXXXX.log active + not-yet-checkpointed WAL files
     seg-XXXXXXXX.seg immutable columnar segments
+    LOCK             empty; flock-held while a node has the directory
+                     open, so a second opener (another process, or a
+                     second node in this one) is refused
 
 A segment file's number is its table's generation, so a retention
 cutoff is stored as ``[cutoff, first file number not covered]``.
@@ -45,6 +48,7 @@ start.  Recovery ends with a seal + checkpoint, leaving a clean log.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import struct
@@ -127,6 +131,18 @@ def _atomic_json(path: Path, doc: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+
+
+def _lock_dir(data_dir: Path):
+    """Hold ``data_dir/LOCK`` exclusively, or raise: two nodes replaying
+    and checkpointing one directory would each drop the other's rows."""
+    handle = open(data_dir / "LOCK", "ab")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        handle.close()
+        raise StorageError(f"data directory {data_dir} is already open") from None
+    return handle
 
 
 class _FileTable(SegmentFile):
@@ -271,7 +287,12 @@ class DurableNode(StorageNode):
         ).labels(**label).set_function(lambda: self._block_cache.bytes)
 
         self.recovery_info: dict = {}
-        self._recover(fsync, fsync_interval_s)
+        self._dir_lock = _lock_dir(self.data_dir)
+        try:
+            self._recover(fsync, fsync_interval_s)
+        except BaseException:
+            self._dir_lock.close()
+            raise
         # Registered once the WAL exists, so no scrape can see it unopened.
         self.metrics.gauge(
             "dcdb_wal_size_bytes", "Bytes in the active WAL file", ("node",)
@@ -587,7 +608,8 @@ class DurableNode(StorageNode):
             return len(self._files())
 
     def close(self) -> None:
-        """Sync and release files. The memtable is NOT sealed: reopening
+        """Sync and release files and the directory lock. The memtable
+        is NOT sealed: reopening
         replays the WAL, which is exactly the path worth exercising."""
         # Stop the compaction worker before taking the node lock: a
         # merge in flight finishes and the thread exits, so no merge
@@ -607,3 +629,4 @@ class DurableNode(StorageNode):
             # An emptied list also fails any late merge swap.
             self._tables = []
             self._block_cache.clear()
+            self._dir_lock.close()

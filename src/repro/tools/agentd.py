@@ -12,14 +12,13 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
                                  ; (WAL + segments, docs/durability.md)
         ttl        0             ; seconds, 0 = keep forever
         cacheInterval 120000     ; ms
-        batching      false      ; true: coalesce on writer threads;
+        batching      false      ; true: coalesce on one writer thread;
                                  ; false: write each message on the
                                  ; broker thread (writers=0)
         batchSize     4096       ; readings per coalesced flush
         batchDelayMs  50         ; max staging age (a quiet queue flushes sooner)
         queueCapacity 65536      ; staging queue bound (readings)
         backpressure  block      ; block | drop-oldest | error
-        writerThreads 1          ; dedicated flush threads
         traceSampleEvery 1       ; trace 1-in-N headerless messages (0 = off)
         logFormat     plain      ; plain | json (structured one-line JSON)
         rollups       false      ; continuous aggregation tiers
@@ -69,7 +68,6 @@ def agent_from_config(tree: PropertyTree) -> tuple[CollectAgent, CollectAgentRes
             max_delay_ns=global_cfg.get_int("batchDelayMs", 50) * NS_PER_MS,
             queue_capacity=global_cfg.get_int("queueCapacity", 65_536),
             policy=global_cfg.get("backpressure", "block"),
-            writers=global_cfg.get_int("writerThreads", 1),
         )
     rollup_config = None
     if global_cfg.get_bool("rollups", False):

@@ -53,11 +53,6 @@ def no_leaked_nondaemon_threads():
     anything non-daemon still running after teardown is a shutdown
     bug.
     """
-    # Process-lifetime by design, exempt: the storage layer's shared
-    # I/O pool (repro.storage.cluster._shared_pool) is created lazily
-    # by whichever test first fans out and intentionally never shut
-    # down.
-    exempt_prefixes = ("dcdb-cluster-io",)
     before = {t.ident for t in threading.enumerate()}
     yield
     deadline = time.monotonic() + 2.0
@@ -69,7 +64,6 @@ def no_leaked_nondaemon_threads():
             if t.ident not in before
             and t.is_alive()
             and not t.daemon
-            and not t.name.startswith(exempt_prefixes)
         ]
         if not leaked:
             break

@@ -136,6 +136,21 @@ class TestCache:
         assert agent.recent("/s/a") == [SensorReading(1, 1)]
         assert agent.recent("/nope") is None
 
+    def test_restarted_agent_answers_for_stored_topics(self):
+        """A new agent on the same store has seen no message yet, but
+        its topics, latest and recent readings come from the store."""
+        backend = StorageNode("n0")
+        broker = PublishOnlyBroker(port=None)
+        CollectAgent(backend, broker=broker)
+        client = MQTTClient("pusher", broker=broker)
+        client.connect()
+        publish_reading(client, "/x/y/z", 5, 50)
+        restarted = CollectAgent(backend, broker=PublishOnlyBroker(port=None))
+        assert restarted.topics() == ["/x/y/z"]
+        assert restarted.latest("/x/y/z") == SensorReading(5, 50)
+        assert restarted.recent("/x/y/z") == [SensorReading(5, 50)]
+        assert restarted.latest("/x/y") is None and restarted.recent("/x/y") is None
+
 
 class TestStatus:
     def test_status_counters(self):

@@ -409,6 +409,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             WriterConfig(max_batch=100, queue_capacity=10)
 
+    def test_second_writer_thread_rejected(self):
+        """Two flush threads break last-write-wins: while the first
+        holds a flush of ``(sid, ts=5, value=1)`` inside
+        ``insert_batch``, the second takes a later put of ``(sid, 5, 2)``
+        and commits it first, so the older value lands last and the
+        store keeps 1."""
+        with pytest.raises(ConfigError, match="0 or 1"):
+            WriterConfig(writers=2)
+
 
 class TestAgentIntegration:
     def make_agent(self, **writer_kwargs):

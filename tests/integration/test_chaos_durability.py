@@ -16,6 +16,7 @@ hard way and seeded like the rest of the chaos suite
   reopen of the data directory.
 """
 
+import gc
 import os
 import random
 import signal
@@ -94,6 +95,7 @@ class TestCrashRecoveryInProcess:
         for batch in batches:
             node.insert_batch(batch)  # fsync=always: acked == durable
         del node  # crash: no close, no flush, memtable gone
+        gc.collect()  # a dead process drops its directory lock
 
         recovered = DurableNode("c0", data_dir=tmp_path / "c0", fsync="always")
         assert recovered.recovery_info["wal_records_replayed"] == 30
@@ -114,6 +116,7 @@ class TestCrashRecoveryInProcess:
         for batch in batches:
             node.insert_batch(batch)
         del node  # crash: 600 rows live only in the WAL
+        gc.collect()
 
         # 600 replayed rows against a 128-row memtable: several seals
         # fire mid-replay before the recovery-ending checkpoint.
@@ -136,6 +139,7 @@ class TestCrashRecoveryInProcess:
         for batch in workload_batches(seed, 30):
             node.insert_batch(batch)
         del node
+        gc.collect()
         # Power loss tears the last frame: chop a seeded number of
         # bytes off the tail (at most one record's worth).
         log = max((tmp_path / "c0").glob("wal-*.log"))
@@ -158,6 +162,7 @@ class TestCrashRecoveryInProcess:
         for batch in workload_batches(seed, 30):
             node.insert_batch(batch)
         del node
+        gc.collect()
         log = max((tmp_path / "c0").glob("wal-*.log"))
         raw = bytearray(log.read_bytes())
         # Flip a payload bit of frame 15 (frame = 20-byte header +

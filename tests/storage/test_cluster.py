@@ -1,5 +1,8 @@
 """Tests for the distributed storage cluster."""
 
+import io
+import json
+import logging
 import threading
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from repro.common.errors import NodeDownError, StorageError
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
-from repro.storage import cluster as cluster_module
+from repro.observability.logging import JsonFormatter
+from repro.observability.spans import trace_context
 from repro.storage.cluster import StorageCluster
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import HashPartitioner, HierarchicalPartitioner
@@ -384,7 +388,7 @@ class TestParallelFanOut:
         assert cluster.insert_batch([]) == 0
         assert cluster.local_ops == 0 and cluster.remote_ops == 0
 
-    def test_fan_out_propagates_node_errors(self):
+    def test_node_errors_propagate(self):
         cluster = make_cluster(3)
 
         def explode(items):
@@ -396,19 +400,7 @@ class TestParallelFanOut:
         with pytest.raises(StorageError, match="disk full"):
             cluster.insert_batch(items)
 
-    def test_small_replicated_batch_never_touches_pool(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("small batches run on the calling thread")
-
-        monkeypatch.setattr(cluster_module, "_shared_pool", no_pool)
-        cluster = make_cluster(3, replication=2)
-        items = [(sid(1, i, 1), t, t, 0) for i in range(1, 4) for t in range(10)]
-        assert cluster.insert_batch(items) == 30
-        cluster.insert(sid(1, 1, 1), 99, 99)
-        assert cluster.row_count == 62
-        assert cluster.query_many([it[0] for it in items], 0, 100)[sid(1, 2, 1)][0].size == 10
-
-    def test_large_batch_runs_largest_group_inline(self):
+    def test_large_batch_writes_every_node_on_calling_thread(self):
         cluster = make_cluster(3)
         threads = {}
         for idx, node in enumerate(cluster.nodes):
@@ -422,6 +414,38 @@ class TestParallelFanOut:
             (sid(1, i, 1), t, t, 0) for i, size in sizes.items() for t in range(size)
         ]
         assert cluster.insert_batch(items) == sum(sizes.values())
-        assert threads[0] == threading.get_ident()
-        assert threads[1] != threading.get_ident()
-        assert threads[2] != threading.get_ident()
+        assert threads == dict.fromkeys(range(3), threading.get_ident())
+
+    def test_replica_failure_warning_carries_ambient_trace(self):
+        """The retry-exhausted warning of a replica write is logged with
+        the trace ID of the flush that caused it, whichever node failed."""
+        cluster = StorageCluster(
+            [StorageNode(f"n{i}") for i in range(3)],
+            partitioner=HierarchicalPartitioner(3, levels=2),
+            replication=2,
+            sleep=lambda _s: None,
+        )
+
+        def fail(items):
+            raise StorageError("disk full")
+
+        # Subtree (1, i) lives on nodes i - 1 and i mod 3: n0 writes
+        # 300 + 10 readings, n1 600, n2 310 — n0 holds a smallest job.
+        cluster.nodes[0].insert_batch = fail
+        sizes = {1: 300, 2: 300, 3: 10}
+        items = [
+            (sid(1, i, 1), t, t, 0) for i, size in sizes.items() for t in range(size)
+        ]
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        handler.setFormatter(JsonFormatter())
+        cluster_logger = logging.getLogger("repro.storage.cluster")
+        cluster_logger.addHandler(handler)
+        try:
+            with trace_context(0xABC):
+                assert cluster.insert_batch(items) == 610
+        finally:
+            cluster_logger.removeHandler(handler)
+        docs = [json.loads(line) for line in stream.getvalue().splitlines()]
+        (warning,) = [d for d in docs if d["message"].startswith("replica n0 failed 3 attempts")]
+        assert warning["traceId"] == "0000000000000abc"

@@ -188,6 +188,21 @@ class TestSegmentFile:
 
 
 class TestDurableNodeRecovery:
+    def test_second_open_of_a_directory_is_refused(self, tmp_path):
+        """Two nodes on one directory checkpoint over each other's
+        WAL and manifest: with three acknowledged 100-row batches
+        (fsync always) written by the first, the second and the first
+        again, a reopen after both closed found 100 rows.  The second
+        opener is refused until the first closes."""
+        node = make_node(tmp_path)
+        with pytest.raises(StorageError, match="n0 is already open"):
+            make_node(tmp_path)
+        node.insert(SID, 1, 1)
+        node.close()
+        reopened = make_node(tmp_path)
+        assert reopened.query(SID, 0, 10)[1].tolist() == [1]
+        reopened.close()
+
     def test_unflushed_writes_survive_reopen(self, tmp_path):
         node = make_node(tmp_path)
         node.insert_batch([(SID, t, t * 2, 0) for t in range(100)])
