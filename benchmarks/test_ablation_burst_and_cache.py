@@ -19,7 +19,7 @@ from conftest import emit, format_table
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.sensor import SensorCache
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.simulation.architectures import SKYLAKE
 from repro.simulation.overhead import OverheadModel, PusherSetup
@@ -32,7 +32,7 @@ class TestBurstSweep:
         """Real Pusher: burst flushes trade message count for size."""
 
         def run(burst_every_s: int):
-            broker = PublishOnlyBroker(port=None)
+            broker = MQTTBroker(port=None)
             pusher = Pusher(
                 PusherConfig(mqtt_prefix="/b/h0", send_mode="burst"),
                 client=MQTTClient("p", broker=broker),
@@ -46,7 +46,11 @@ class TestBurstSweep:
                 t += burst_every_s * NS_PER_SEC
                 pusher.advance_to(t)
                 pusher.flush()
-            return broker.messages_received, broker.bytes_received
+            metrics = broker.metrics
+            return (
+                int(metrics.value("dcdb_broker_messages_received_total")),
+                int(metrics.value("dcdb_broker_bytes_received_total")),
+            )
 
         results = {}
         for burst_s in (1, 10, 30, 60):

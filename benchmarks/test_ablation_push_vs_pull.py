@@ -27,7 +27,7 @@ from conftest import emit
 from repro.common.rng import RngFactory
 from repro.common.timeutil import NS_PER_MS, NS_PER_SEC, SimClock, align_interval
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 
 NODES = 64
@@ -40,7 +40,7 @@ PULL_SERVICE_NS = 3 * NS_PER_MS
 
 def run_push() -> np.ndarray:
     """Cross-node read-time spread per cycle under push collection."""
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     clock = SimClock(0)
     timestamps: dict[int, list[int]] = {}
 

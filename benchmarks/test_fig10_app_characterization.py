@@ -23,7 +23,7 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
 from repro.libdcdb.api import DCDBClient
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.plugins.perfevents import PerfGroup, PerfSensor, SyntheticPerfSource
 from repro.simulation.workloads import CORAL2_APPS
@@ -38,7 +38,7 @@ def run_app(app_name: str) -> np.ndarray:
     """Monitor one application through the pipeline; return IPW series."""
     app = CORAL2_APPS[app_name]
     clock = SimClock(0)
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(

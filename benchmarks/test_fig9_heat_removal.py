@@ -25,7 +25,7 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.devices import DeviceModel, RestDeviceServer, SnmpAgentServer
 from repro.libdcdb.api import DCDBClient, SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.simulation.facility import WATER_CP, WATER_DENSITY, CoolingCircuitModel
 from repro.storage import MemoryBackend
@@ -49,7 +49,7 @@ def build_and_run():
     rest = RestDeviceServer(device_model)
     rest.start()
 
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(

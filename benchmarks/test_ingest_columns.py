@@ -187,7 +187,7 @@ TRANSPORT_MESSAGES = {"grid": (20_000, 1), "burst": (2_000, 100)}
 
 def transport_us_per_msg(messages: int, per_message: int, topics: int = 500) -> float:
     """Process CPU per message, publish to staged-and-written, for
-    ``MQTTClient`` -> TCP ``PublishOnlyBroker`` -> ``CollectAgent``
+    ``MQTTClient`` -> TCP ``MQTTBroker`` -> ``CollectAgent``
     (synchronous writer) over a ``MemoryBackend``."""
     agent = CollectAgent(MemoryBackend(), port=0)
     agent.start()

@@ -1,8 +1,8 @@
 """Microbenchmarks of this reproduction's own components.
 
 These quantify the Python implementation itself with pytest-benchmark
-(real measured time, not the calibrated model): MQTT codec, topic
-routing, SID translation, payload framing, storage ingest and query,
+(real measured time, not the calibrated model): MQTT codec, SID
+translation, payload framing, storage ingest and query,
 one full Pusher collection cycle, and virtual-sensor evaluation.
 """
 
@@ -13,7 +13,6 @@ from repro.core import payload as payload_mod
 from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId, SidMapper
 from repro.mqtt import packets as pkt
-from repro.mqtt.topics import SubscriptionTree
 from repro.storage.node import StorageNode
 
 
@@ -48,18 +47,6 @@ class TestMqttCodec:
             return len(decoder.feed(chunk))
 
         assert benchmark(run) == 1000
-
-
-class TestTopicRouting:
-    def test_subscription_match_large_tree(self, benchmark):
-        tree = SubscriptionTree()
-        for rack in range(20):
-            for node in range(20):
-                tree.subscribe(f"/hpc/rack{rack}/node{node}/#", f"s{rack}-{node}")
-        tree.subscribe("/hpc/#", "storage")
-        result = benchmark(tree.match, "/hpc/rack7/node13/cpu5/instructions")
-        assert set(result.values()) == {0}
-        assert len(result) == 2
 
 
 class TestSidTranslation:
@@ -155,10 +142,10 @@ class TestPipeline:
     def test_full_pusher_cycle_1000_sensors(self, benchmark):
         """One synchronized collection+publish cycle at Figure-5 scale."""
         from repro.core.pusher import Pusher, PusherConfig
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.mqtt.client import MQTTClient
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         clock = SimClock(0)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/bench/h0"),
@@ -191,7 +178,7 @@ class TestPipeline:
         import time as time_mod
 
         from repro.core.collectagent import CollectAgent, WriterConfig
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.mqtt.client import MQTTClient
         from repro.storage.cluster import StorageCluster
         from repro.storage.node import StorageNode
@@ -199,7 +186,7 @@ class TestPipeline:
         MESSAGES = 2000
 
         def build(writer_config):
-            broker = PublishOnlyBroker(port=None)
+            broker = MQTTBroker(port=None)
             nodes = [
                 StorageNode(f"n{i}", flush_threshold=100_000_000) for i in range(4)
             ]

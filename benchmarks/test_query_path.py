@@ -26,7 +26,7 @@ from repro.libdcdb.virtualsensors import (
     VirtualSensorDef,
     parse_expression,
 )
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.storage.backend import ReadingBatch
 from repro.storage.cluster import StorageCluster
 from repro.storage.durable import DurableNode
@@ -305,7 +305,7 @@ def _rest_costs(data_dir, mapping: dict, route: str) -> tuple[float, float]:
     """Median per-call seconds of the agent's ``route`` handler over
     every topic: a cold pass right after reopening, then a warm one."""
     cluster = _open_durable(data_dir)
-    agent = CollectAgent(cluster, broker=PublishOnlyBroker(port=None))
+    agent = CollectAgent(cluster, broker=MQTTBroker(port=None))
     for name, sid in mapping.items():
         agent.sid_mapper.restore(name, sid)
     handler = getattr(CollectAgentRestApi(agent), f"_{route}")
@@ -331,7 +331,7 @@ class TestAgentCacheCost:
         24 h it costs at most 2x what it costs at 1 h."""
         mapping = _durable_history(tmp_path / "1h", 1000, 1)
         cluster = _open_durable(tmp_path / "1h")
-        agent = CollectAgent(cluster, broker=PublishOnlyBroker(port=None))
+        agent = CollectAgent(cluster, broker=MQTTBroker(port=None))
         name, sid = next(iter(mapping.items()))
         agent.sid_mapper.restore(name, sid)
         api = CollectAgentRestApi(agent)

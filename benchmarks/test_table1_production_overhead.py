@@ -69,13 +69,13 @@ def test_table1_production_pipeline_sensor_scale(benchmark):
     """
     from repro.common.timeutil import NS_PER_SEC, SimClock
     from repro.core.pusher import Pusher, PusherConfig
-    from repro.mqtt.broker import PublishOnlyBroker
+    from repro.mqtt.broker import MQTTBroker
     from repro.mqtt.client import MQTTClient
 
     arch = ARCHITECTURES["skylake"]
 
     def run():
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/smng/node0"),
             client=MQTTClient("p", broker=broker),

@@ -20,7 +20,7 @@ import threading
 import time
 
 from repro.mqtt import packets as pkt
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.packets import StreamDecoder
 
 PUSHERS = 200
@@ -176,8 +176,8 @@ def run_fanin(make_broker, count_received, stop_broker):
 
 def run_eventloop():
     run_fanin(
-        lambda: PublishOnlyBroker("127.0.0.1", 0),
-        lambda b: b.messages_received,
+        lambda: MQTTBroker("127.0.0.1", 0),
+        lambda b: b.metrics.value("dcdb_broker_messages_received_total"),
         lambda b: b.stop(),
     )
 

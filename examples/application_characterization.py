@@ -16,7 +16,7 @@ from repro import CollectAgent, DCDBClient, MemoryBackend, Pusher, PusherConfig
 from repro.analysis import distribution_modes, kde_pdf
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher.plugin import Plugin, PluginSensor, SensorGroup
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.plugins.perfevents import PerfGroup, PerfSensor, SyntheticPerfSource
 from repro.plugins.tester import TesterConfigurator
@@ -30,7 +30,7 @@ def monitor(app_name: str) -> np.ndarray:
     """Run one application under monitoring; return its IPW series."""
     app = CORAL2_APPS[app_name]
     clock = SimClock(0)
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(

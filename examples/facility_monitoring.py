@@ -15,7 +15,7 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.devices import DeviceModel, RestDeviceServer, SnmpAgentServer
 from repro.libdcdb.api import SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.simulation.facility import WATER_CP, WATER_DENSITY, CoolingCircuitModel
 
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"simulated devices up: SNMP agent :{snmp.port}, REST endpoint :{rest.port}")
 
     # --- the monitoring deployment (out-of-band) ---------------------
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(

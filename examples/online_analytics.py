@@ -24,7 +24,7 @@ from repro import CollectAgent, DCDBClient, MemoryBackend, Pusher, PusherConfig
 from repro.analytics import Aggregator, AnalyticsManager, ThresholdAlarm, ZScoreDetector
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher.plugin import PluginSensor, SensorGroup
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 
 MINUTES = 4
@@ -32,7 +32,7 @@ MINUTES = 4
 
 def main() -> None:
     clock = SimClock(0)
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
 

@@ -16,7 +16,7 @@ from repro.common.proptree import PropertyTree
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher.plugin import ConfiguratorBase, PluginSensor, SensorGroup
 from repro.core.pusher.registry import register_plugin
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage.partitioner import HierarchicalPartitioner
 
@@ -59,7 +59,7 @@ def main() -> None:
         replication=2,
     )
     # --- two clusters, one Collect Agent each -------------------------
-    brokers = [PublishOnlyBroker(port=None) for _ in range(2)]
+    brokers = [MQTTBroker(port=None) for _ in range(2)]
     agents = [CollectAgent(cluster, broker=broker) for broker in brokers]
     pushers: list[Pusher] = []
     for cluster_idx, broker in enumerate(brokers):

@@ -13,10 +13,10 @@ Quickstart::
 
     from repro import (
         CollectAgent, Pusher, PusherConfig, DCDBClient,
-        PublishOnlyBroker, MQTTClient, MemoryBackend, SimClock, NS_PER_SEC,
+        MQTTBroker, MQTTClient, MemoryBackend, SimClock, NS_PER_SEC,
     )
 
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(PusherConfig(mqtt_prefix="/hpc/rack0/node0"),
@@ -48,7 +48,7 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.core.sensor import SensorCache, SensorMetadata, SensorReading
 from repro.core.sid import SensorId, SidMapper
 from repro.libdcdb import DCDBClient, SensorConfig, VirtualSensorDef
-from repro.mqtt import MQTTBroker, MQTTClient, PublishOnlyBroker
+from repro.mqtt import MQTTBroker, MQTTClient
 from repro.storage import (
     HashPartitioner,
     HierarchicalPartitioner,
@@ -84,7 +84,6 @@ __all__ = [
     "SensorConfig",
     "VirtualSensorDef",
     "MQTTBroker",
-    "PublishOnlyBroker",
     "MQTTClient",
     "StorageNode",
     "StorageCluster",

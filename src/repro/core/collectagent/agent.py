@@ -2,7 +2,7 @@
 
 Wires together three pieces:
 
-* a :class:`~repro.mqtt.broker.PublishOnlyBroker` — listening on TCP
+* a :class:`~repro.mqtt.broker.MQTTBroker` — listening on TCP
   (production layout) or, built with ``port=None``, serving memory
   pipes (simulation) — whose hook hands over every PUBLISH one read
   decoded;
@@ -34,7 +34,7 @@ from repro.core import payload as payload_mod
 from repro.core.collectagent.writer import BatchingWriter, WriterConfig
 from repro.core.sensor import SensorReading
 from repro.core.sid import PersistentSidMapper, SensorId
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.packets import Publish
 from repro.observability import MetricsRegistry, PipelineTracer, SpanRecorder
 from repro.observability.spans import default_recorder
@@ -53,9 +53,8 @@ class CollectAgent:
         Destination storage.
     broker:
         The :class:`~repro.mqtt.broker.MQTTBroker` whose publish hook
-        feeds this agent; when None a TCP
-        :class:`~repro.mqtt.broker.PublishOnlyBroker` is built on
-        ``host:port``.
+        feeds this agent; when None one listening on TCP ``host:port``
+        is built.
     cache_maxage_ns:
         Window of the sensor cache: :meth:`recent` answers the stored
         rows at most this old relative to a sensor's newest one.
@@ -104,7 +103,7 @@ class CollectAgent:
             metrics = broker.metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if broker is None:
-            broker = PublishOnlyBroker(host, port, metrics=self.metrics)
+            broker = MQTTBroker(host, port, metrics=self.metrics)
         self.broker = broker
         # Component codes are coordinated through backend metadata so
         # several Collect Agents sharing one Storage Backend (and

@@ -96,7 +96,7 @@ import pytest
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 
 import {name}  # noqa: F401 - registers the plugin
@@ -111,7 +111,7 @@ group g0 {{
 
 
 def test_{name}_collects_readings():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/test"),
         client=MQTTClient("p0", broker=broker),

@@ -8,25 +8,24 @@ publish path.  This package reproduces that stack in pure Python:
 * :mod:`repro.mqtt.packets` -- wire-format codec for the MQTT 3.1.1
   control packets (CONNECT .. DISCONNECT), including the streaming
   decoder used on socket reads.
-* :mod:`repro.mqtt.topics` -- topic-name validation and the
-  subscription trie with ``+``/``#`` wildcard matching.
+* :mod:`repro.mqtt.topics` -- topic-name and filter validation and
+  ``+``/``#`` wildcard matching.
 * :mod:`repro.mqtt.eventloop` -- the single-threaded selector event
   loop and non-blocking connection state machine shared by broker and
   client (O(1) transport threads, bounded write buffers), and the
   socketless memory pipe in-process runs use.
-* :mod:`repro.mqtt.broker` -- the event-loop TCP broker with
-  server-side keepalive enforcement.  The general broker supports
-  subscriptions; :class:`~repro.mqtt.broker.PublishOnlyBroker`
-  mirrors the Collect Agent's stripped-down variant (paper section 4.2).
-* :mod:`repro.mqtt.client` -- a blocking-API client on the event
-  loop: QoS 0/1 publishing, subscriptions, keepalive timers, and
+* :mod:`repro.mqtt.broker` -- the Collect Agent's publish-only
+  event-loop TCP broker (paper section 4.2) with server-side
+  keepalive enforcement; SUBSCRIBE is refused filter by filter.
+* :mod:`repro.mqtt.client` -- a blocking-API publishing client on the
+  event loop: QoS 0/1 publishing, keepalive timers, and
   automatic reconnection with session re-establishment; given a
   ``broker`` it connects over a memory pipe instead.
 * :mod:`repro.mqtt.transport` -- :class:`TCPTransport`, the
   broker/client factory pair stack harnesses assemble from.
 
 Simulations, tests and examples run in one process on the same broker
-and client: ``PublishOnlyBroker(port=None)`` and
+and client: ``MQTTBroker(port=None)`` and
 ``MQTTClient(client_id, broker=...)``.
 
 See docs/transport.md for the event-loop architecture, keepalive and
@@ -40,8 +39,6 @@ from repro.mqtt.packets import (
     PubAck,
     Subscribe,
     SubAck,
-    Unsubscribe,
-    UnsubAck,
     PingReq,
     PingResp,
     Disconnect,
@@ -53,10 +50,9 @@ from repro.mqtt.topics import (
     validate_topic,
     validate_filter,
     topic_matches,
-    SubscriptionTree,
 )
 from repro.mqtt.eventloop import Connection, EventLoop, MemoryConnection
-from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.transport import TCPTransport, get_transport
 
@@ -67,8 +63,6 @@ __all__ = [
     "PubAck",
     "Subscribe",
     "SubAck",
-    "Unsubscribe",
-    "UnsubAck",
     "PingReq",
     "PingResp",
     "Disconnect",
@@ -78,12 +72,10 @@ __all__ = [
     "validate_topic",
     "validate_filter",
     "topic_matches",
-    "SubscriptionTree",
     "EventLoop",
     "Connection",
     "MemoryConnection",
     "MQTTBroker",
-    "PublishOnlyBroker",
     "MQTTClient",
     "TCPTransport",
     "get_transport",

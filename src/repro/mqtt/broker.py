@@ -1,32 +1,24 @@
-"""Event-loop TCP MQTT brokers.
+"""The Collect Agent's event-loop TCP MQTT broker.
 
-Two variants are provided:
-
-* :class:`MQTTBroker` — a general-purpose 3.1.1 broker with
-  subscriptions, wildcard routing, retained messages and last-will
-  delivery.  Useful for integration tests and as a drop-in hub when a
-  deployment wants third-party MQTT consumers next to DCDB.
-
-* :class:`PublishOnlyBroker` — the Collect Agent's stripped-down
-  variant (paper section 4.2): it accepts CONNECT/PUBLISH/PINGREQ and
-  rejects SUBSCRIBE, since the Storage Backend is the only consumer
-  and is wired in-process through ``on_publish`` callbacks.  Skipping
-  the topic-filtering machinery keeps the per-reading cost to a parse
-  and a function call.
+Only the publish interface of MQTT 3.1.1 is implemented (paper
+section 4.2): the broker accepts CONNECT/PUBLISH/PINGREQ/DISCONNECT,
+and the Storage Backend — its only consumer — is wired in-process
+through :meth:`MQTTBroker.add_publish_hook`.  SUBSCRIBE is answered
+with a failure return code for every filter, so well-behaved clients
+learn that this endpoint is ingest-only; no topic filtering, retained
+messages or last-wills stand between a parse and the hook call.
 
 Concurrency model: ONE :class:`~repro.mqtt.eventloop.EventLoop`
 thread runs the listener and every client session — O(1) transport
-threads regardless of connection count, where the previous revision
-spawned a reader thread per client (plus the client-side ping
-threads) and topped out on context-switch churn long before the
-hardware did.  Delivery to subscribers goes through per-session
-bounded write buffers; a slow consumer either loses messages or the
-connection (``overflow_policy``) instead of wedging the publisher.
+threads regardless of connection count.  The broker only writes
+CONNACK, PUBACK, PINGRESP and SUBACK; each session's write buffer is
+bounded (``max_write_buffer``) and a client that does not read its
+acks loses its connection instead of growing the buffer.
 
 The broker also enforces the MQTT 3.1.1 keepalive contract [3.1.2.10]
 server-side: a session silent for more than 1.5x its negotiated
-keepalive is disconnected and its last-will fires, so crashed Pushers
-are detected without waiting for TCP timeouts.
+keepalive is disconnected, so crashed Pushers are detected without
+waiting for TCP timeouts.
 
 In-process runs (simulations, tests, examples) use the same broker
 over memory pipes: :meth:`MQTTBroker.open_memory_session` opens a
@@ -48,7 +40,7 @@ from repro.common.errors import TransportError
 from repro.core import payload as payload_mod
 from repro.mqtt import packets as pkt
 from repro.mqtt.eventloop import Connection, EventLoop, MemoryConnection
-from repro.mqtt.topics import SubscriptionTree, topic_matches, validate_topic
+from repro.mqtt.topics import validate_topic
 from repro.observability import (
     EventLoopLagProbe,
     MetricsRegistry,
@@ -60,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 #: Callback for accepted PUBLISHes, ``(client_id, packets)``: every
 #: PUBLISH one read (a socket chunk or a memory-pipe write) brought
-#: from that client, in order (one for a will).  QoS 1 PUBACKs follow
+#: from that client, in order.  QoS 1 PUBACKs follow
 #: the hooks; a hook that raises should first stage the messages
 #: before the failing one.
 PublishHook = Callable[[str, list[pkt.Publish]], None]
@@ -75,13 +67,12 @@ KEEPALIVE_TICK_S = 0.25
 class _Session:
     """Per-connection state inside the broker."""
 
-    __slots__ = ("conn", "addr", "client_id", "will", "keepalive", "connected")
+    __slots__ = ("conn", "addr", "client_id", "keepalive", "connected")
 
     def __init__(self, conn: Connection, addr: tuple[str, int]) -> None:
         self.conn = conn
         self.addr = addr
         self.client_id: str | None = None
-        self.will: pkt.Publish | None = None
         self.keepalive = 0
         self.connected = False  # CONNECT/CONNACK handshake completed
 
@@ -90,7 +81,7 @@ class _Session:
 
 
 class MQTTBroker:
-    """A small event-loop MQTT 3.1.1 broker.
+    """The Collect Agent's publish-only event-loop MQTT 3.1.1 broker.
 
     Usage::
 
@@ -102,19 +93,14 @@ class MQTTBroker:
     ``authenticator`` (if given) is called with (client_id, username,
     password) and must return True to accept the connection.
 
-    ``max_write_buffer`` bounds each session's outgoing buffer;
-    ``overflow_policy`` picks what happens to a slow consumer whose
-    buffer fills: ``"disconnect"`` (default) severs it, ``"drop"``
-    discards the overflowing message and keeps the session.
+    ``max_write_buffer`` bounds each session's outgoing buffer of
+    acks; a client that lets it fill is disconnected.
 
     ``port=None`` builds a broker without a listener: ``start`` and
     ``stop`` open no socket and run no thread, and clients reach it
     only through :meth:`open_memory_session`
     (``MQTTClient(client_id, broker=...)``).
     """
-
-    #: Whether SUBSCRIBE packets are honoured.
-    allow_subscribe = True
 
     def __init__(
         self,
@@ -125,7 +111,6 @@ class MQTTBroker:
         trace_sample_every: int = 1,
         fault_injector=None,
         max_write_buffer: int = 1 << 20,
-        overflow_policy: str = "disconnect",
         spans: SpanRecorder | None = None,
     ) -> None:
         self.host = host
@@ -139,15 +124,11 @@ class MQTTBroker:
         # check is one attribute load per chunk.
         self._fault_injector = fault_injector
         self.max_write_buffer = max_write_buffer
-        self.overflow_policy = overflow_policy
         self._server_sock: socket.socket | None = None
         self._loop: EventLoop | None = None
         self._keepalive_timer = None
         self._sessions: dict[int, _Session] = {}
         self._sessions_lock = threading.Lock()
-        self._subs = SubscriptionTree()
-        self._subs_lock = threading.Lock()
-        self._retained: dict[str, pkt.Publish] = {}
         self._hooks: list[PublishHook] = []
         self._running = False
         self._stopping = False
@@ -156,9 +137,6 @@ class MQTTBroker:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._messages_received = self.metrics.counter(
             "dcdb_broker_messages_received_total", "PUBLISH packets accepted"
-        )
-        self._messages_delivered = self.metrics.counter(
-            "dcdb_broker_messages_delivered_total", "PUBLISH packets routed to subscribers"
         )
         self._bytes_received = self.metrics.counter(
             "dcdb_broker_bytes_received_total", "Raw bytes received from client sessions"
@@ -229,9 +207,8 @@ class MQTTBroker:
         """Close the listener and all client connections.
 
         Idempotent and silent: sessions are torn down from the loop
-        thread with their last-wills suppressed (a broker shutting
-        down is not a client crash), so no spurious will deliveries
-        and no bad-file-descriptor noise from half-closed sockets.
+        thread, so no bad-file-descriptor noise from half-closed
+        sockets.
         """
         if not self._running:
             return
@@ -258,7 +235,6 @@ class MQTTBroker:
                     with self._sessions_lock:
                         sessions = list(self._sessions.values())
                     for session in sessions:
-                        session.will = None  # shutdown suppresses wills
                         session.conn.close()
                 finally:
                     done.set()
@@ -278,7 +254,6 @@ class MQTTBroker:
             leftovers = list(self._sessions.values())
             self._sessions.clear()
         for session in leftovers:
-            session.will = None
             try:
                 session.conn.close()
             except OSError:
@@ -325,24 +300,6 @@ class MQTTBroker:
         no listener (memory sessions need no thread)."""
         return self._requested_port is None or self.transport_threads >= 1
 
-    # Backward-compatible counter views over the registry.
-
-    @property
-    def messages_received(self) -> int:
-        return int(self._messages_received.value)
-
-    @property
-    def messages_delivered(self) -> int:
-        return int(self._messages_delivered.value)
-
-    @property
-    def bytes_received(self) -> int:
-        return int(self._bytes_received.value)
-
-    @property
-    def keepalive_disconnects(self) -> int:
-        return int(self._keepalive_disconnects.value)
-
     def _write_buffer_bytes(self) -> int:
         with self._sessions_lock:
             sessions = list(self._sessions.values())
@@ -368,7 +325,6 @@ class MQTTBroker:
                 client_sock,
                 on_overflow=self._on_overflow,
                 max_write_buffer=self.max_write_buffer,
-                overflow_policy=self.overflow_policy,
                 label=f"broker-session-{addr[1]}",
                 **self._session_handlers(),
             )
@@ -424,10 +380,9 @@ class MQTTBroker:
         session = getattr(conn, "owner", None)
         if session is not None:
             logger.warning(
-                "write buffer full for client %s (%d bytes queued, policy=%s)",
+                "write buffer full for client %s (%d bytes queued), disconnecting",
                 session.client_id,
                 conn.outbuf_len,
-                self.overflow_policy,
             )
 
     def _on_protocol_error(self, conn: Connection, exc: Exception) -> None:
@@ -465,13 +420,12 @@ class MQTTBroker:
             self._handle_connect(session, packet)
             return
         if isinstance(packet, pkt.Subscribe):
-            self._handle_subscribe(session, packet)
-        elif isinstance(packet, pkt.Unsubscribe):
-            self._handle_unsubscribe(session, packet)
+            # Ingest-only endpoint: every filter is refused.
+            codes = (pkt.SUBACK_FAILURE,) * len(packet.topics)
+            session.send(pkt.SubAck(packet.packet_id, codes).encode())
         elif isinstance(packet, pkt.PingReq):
             session.send(pkt.PingResp().encode())
         elif isinstance(packet, pkt.Disconnect):
-            session.will = None  # clean close: will discarded
             conn.close()
         else:
             raise TransportError(
@@ -497,7 +451,7 @@ class MQTTBroker:
                     session.client_id,
                 )
                 self._keepalive_disconnects.inc()
-                session.conn.close()  # abnormal close: the will fires
+                session.conn.close()
         self._keepalive_timer = loop.call_later(KEEPALIVE_TICK_S, self._keepalive_tick)
 
     # -- packet handlers --------------------------------------------------
@@ -509,18 +463,10 @@ class MQTTBroker:
             session.send(
                 pkt.ConnAck(return_code=pkt.CONNACK_REFUSED_BAD_CREDENTIALS).encode()
             )
-            session.conn.close()  # no will: none registered yet
+            session.conn.close()
             return
         session.client_id = packet.client_id
         session.keepalive = packet.keepalive
-        if packet.will_topic is not None:
-            session.will = pkt.Publish(
-                topic=packet.will_topic,
-                payload=packet.will_payload,
-                qos=min(packet.will_qos, 1),
-                retain=packet.will_retain,
-                packet_id=1 if packet.will_qos else None,
-            )
         session.connected = True
         session.send(pkt.ConnAck(session_present=False).encode())
 
@@ -549,72 +495,15 @@ class MQTTBroker:
                             qos=packet.qos,
                             client=client_id,
                         )
-            if packet.retain:
-                if packet.payload:
-                    self._retained[packet.topic] = packet
-                else:
-                    self._retained.pop(packet.topic, None)
         self._messages_received.inc(len(packets))
         for hook in self._hooks:
             hook(client_id, packets)
         # Ack after the hooks: a QoS 1 PUBACK means the reading was
-        # handed to storage, not merely parsed.
+        # staged for storage (the agent's writer holds it), not merely
+        # parsed.
         acks = [pkt.PubAck(p.packet_id).encode() for p in packets if p.qos == 1]
         if acks:
             session.send(b"".join(acks))
-        self._route(packets)
-
-    def _route(self, packets: list[pkt.Publish]) -> None:
-        if not len(self._subs):  # no trie walk while nothing is subscribed
-            return
-        for packet in packets:
-            with self._subs_lock:
-                targets = self._subs.match(packet.topic)
-            for sub_key, granted_qos in targets.items():
-                with self._sessions_lock:
-                    target = self._sessions.get(sub_key)
-                if target is None or target.conn.closed:
-                    continue
-                qos = min(packet.qos, granted_qos)
-                pid = packet.packet_id if qos else None
-                out = pkt.Publish(packet.topic, packet.payload, qos, packet_id=pid)
-                if target.send(out.encode()):
-                    self._messages_delivered.inc()
-
-    def _handle_subscribe(self, session: _Session, packet: pkt.Subscribe) -> None:
-        codes: list[int] = []
-        for topic, qos in packet.topics:
-            if not self.allow_subscribe:
-                codes.append(pkt.SUBACK_FAILURE)
-                continue
-            try:
-                with self._subs_lock:
-                    self._subs.subscribe(topic, id(session), min(qos, 1))
-                codes.append(min(qos, 1))
-            except TransportError:
-                codes.append(pkt.SUBACK_FAILURE)
-        session.send(
-            pkt.SubAck(packet_id=packet.packet_id, return_codes=tuple(codes)).encode()
-        )
-        if not self.allow_subscribe:
-            return
-        # Deliver retained messages matching the new filters.
-        for topic, qos in packet.topics:
-            for rtopic, retained in list(self._retained.items()):
-                if topic_matches(topic, rtopic):
-                    out = pkt.Publish(
-                        topic=retained.topic,
-                        payload=retained.payload,
-                        qos=0,
-                        retain=True,
-                    )
-                    session.send(out.encode())
-
-    def _handle_unsubscribe(self, session: _Session, packet: pkt.Unsubscribe) -> None:
-        with self._subs_lock:
-            for topic in packet.topics:
-                self._subs.unsubscribe(topic, id(session))
-        session.send(pkt.UnsubAck(packet_id=packet.packet_id).encode())
 
     def _on_conn_close(self, conn: Connection) -> None:
         session = getattr(conn, "owner", None)
@@ -622,27 +511,3 @@ class MQTTBroker:
             return
         with self._sessions_lock:
             self._sessions.pop(id(session), None)
-        with self._subs_lock:
-            self._subs.remove_subscriber(id(session))
-        # Abnormal disconnect with a registered will: publish it.
-        # Shutdown clears wills first, so a stopping broker never
-        # fabricates client deaths.
-        if session.will is not None and not self._stopping:
-            will = [session.will]
-            session.will = None
-            for hook in self._hooks:
-                hook(session.client_id or "", will)
-            self._route(will)
-
-
-class PublishOnlyBroker(MQTTBroker):
-    """The Collect Agent's minimal broker.
-
-    Only the publish interface of the MQTT standard is supported
-    (paper section 4.2): SUBSCRIBE requests are answered with a failure
-    return code for every filter, so well-behaved clients learn that
-    this endpoint is ingest-only.  All readings reach consumers through
-    :meth:`MQTTBroker.add_publish_hook`.
-    """
-
-    allow_subscribe = False

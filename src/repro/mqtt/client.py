@@ -8,14 +8,12 @@ supports:
 * QoS 0 fire-and-forget publishing (DCDB's default for readings);
 * QoS 1 publishing with a bounded in-flight window and PUBACK
   tracking, for configurations that need at-least-once delivery;
-* subscriptions with per-message callbacks (used by tests and by
-  third-party consumers against the full broker);
 * keepalive PINGREQs as an event-loop timer (the dedicated ping
   thread of the previous revision is gone);
 * automatic reconnection with capped exponential backoff and session
-  re-establishment — subscriptions are replayed and unacked QoS-1
-  publishes are re-sent with the DUP flag, so a Collect Agent restart
-  costs a Pusher nothing but the outage window.
+  re-establishment — unacked QoS-1 publishes are re-sent with the DUP
+  flag, so a Collect Agent restart costs a Pusher nothing but the
+  outage window.
 
 All socket I/O runs on one :class:`~repro.mqtt.eventloop.EventLoop`
 thread per client.  The public API stays blocking and thread-safe:
@@ -40,8 +38,7 @@ re-announce sensor metadata.
 
 ``MQTTClient(client_id, broker=broker)`` connects over a memory pipe
 (:meth:`~repro.mqtt.broker.MQTTBroker.open_memory_session`) instead
-of a socket: the same CONNECT/CONNACK, PUBACK, SUBSCRIBE and framing
-code, with no loop thread, no keepalive and no automatic reconnect.
+of a socket: the same CONNECT/CONNACK, PUBACK and framing code, with no loop thread, no keepalive and no automatic reconnect.
 A write returns once the broker has handled it, and an exception from
 a broker hook (other than a protocol error) reaches the publisher.
 """
@@ -57,12 +54,10 @@ from typing import Callable
 from repro.common.errors import TransportError
 from repro.mqtt import packets as pkt
 from repro.mqtt.eventloop import Connection, EventLoop, Timer
-from repro.mqtt.topics import topic_matches, validate_filter, validate_topic
+from repro.mqtt.topics import validate_topic
 from repro.observability import MetricsRegistry
 
 logger = logging.getLogger(__name__)
-
-MessageCallback = Callable[[str, bytes], None]
 
 #: How long a reconnect attempt waits for the TCP connect + CONNACK
 #: before giving up and backing off again.
@@ -97,7 +92,7 @@ class MQTTClient:
 
     Parameters mirror the subset of Mosquitto options DCDB uses.  The
     object may be used as a context manager; ``connect`` must be called
-    before any publish/subscribe operation.  With ``reconnect=True``
+    before publishing.  With ``reconnect=True``
     (the default) a lost connection is re-established automatically
     with exponential backoff between ``reconnect_min_delay_s`` and
     ``reconnect_max_delay_s``.  Given a ``broker``, the client connects
@@ -154,11 +149,6 @@ class MQTTClient:
         self._inflight: dict[int, _Inflight] = {}  # insertion-ordered
         self._inflight_lock = threading.Lock()
         self._inflight_sem = threading.Semaphore(max_inflight)
-        self._suback_events: dict[int, threading.Event] = {}
-        self._suback_codes: dict[int, tuple[int, ...]] = {}
-        self._subs: dict[str, int] = {}  # pattern -> qos, for resubscribe
-        self._callbacks: list[tuple[str, MessageCallback]] = []
-        self.on_message: MessageCallback | None = None
         self._topic_field = functools.lru_cache(maxsize=TOPIC_CACHE_SIZE)(_topic_field)
         # Registry counters: several plugin threads publish through
         # one client concurrently.
@@ -399,53 +389,6 @@ class MQTTClient:
             record.event.set()
             self._inflight_sem.release()
 
-    # -- subscriptions ----------------------------------------------------
-
-    def subscribe(
-        self,
-        pattern: str,
-        callback: MessageCallback | None = None,
-        qos: int = 0,
-        timeout: float = 5.0,
-    ) -> int:
-        """Subscribe to ``pattern``; returns the granted QoS.
-
-        Raises :class:`TransportError` if the broker rejects the filter
-        (as the Collect Agent's publish-only broker always does).
-        Accepted subscriptions are replayed automatically after a
-        reconnect.
-        """
-        validate_filter(pattern)
-        packet_id = self._allocate_packet_id()
-        event = threading.Event()
-        self._suback_events[packet_id] = event
-        # Register the callback before the broker can deliver anything:
-        # retained messages may arrive immediately after the SUBACK,
-        # racing a post-wait registration.
-        if callback is not None:
-            self._callbacks.append((pattern, callback))
-        try:
-            self._send(pkt.Subscribe(packet_id=packet_id, topics=((pattern, qos),)).encode())
-            if not event.wait(timeout):
-                raise TransportError("SUBACK timeout")
-            codes = self._suback_codes.pop(packet_id, ())
-            if not codes or codes[0] == pkt.SUBACK_FAILURE:
-                raise TransportError(f"subscription to {pattern!r} rejected by broker")
-        except TransportError:
-            if callback is not None:
-                self._callbacks.remove((pattern, callback))
-            raise
-        finally:
-            self._suback_events.pop(packet_id, None)
-        self._subs[pattern] = qos
-        return codes[0]
-
-    def unsubscribe(self, pattern: str) -> None:
-        packet_id = self._allocate_packet_id()
-        self._send(pkt.Unsubscribe(packet_id=packet_id, topics=(pattern,)).encode())
-        self._subs.pop(pattern, None)
-        self._callbacks = [(p, cb) for p, cb in self._callbacks if p != pattern]
-
     # -- internals --------------------------------------------------------
 
     def _allocate_packet_id(self) -> int:
@@ -477,14 +420,6 @@ class MQTTClient:
         if conn.write(data):
             self._bytes_sent.inc(len(data))
 
-    def _send(self, data: bytes) -> None:
-        conn = self._conn
-        if conn is None or not self._connected:
-            raise TransportError("client is not connected")
-        if not conn.write(data):
-            raise TransportError("client is not connected")
-        self._bytes_sent.inc(len(data))
-
     # -- event-loop handlers ----------------------------------------------
 
     def _on_protocol_error(self, conn: Connection, exc: Exception) -> None:
@@ -500,15 +435,6 @@ class MQTTClient:
                 if record is not None:
                     record.event.set()
                     self._inflight_sem.release()
-            elif isinstance(packet, pkt.SubAck):
-                self._suback_codes[packet.packet_id] = packet.return_codes
-                event = self._suback_events.get(packet.packet_id)
-                if event is not None:
-                    event.set()
-            elif isinstance(packet, pkt.Publish):
-                if packet.qos == 1 and packet.packet_id is not None:
-                    conn.write(pkt.PubAck(packet_id=packet.packet_id).encode())
-                self._deliver(packet.topic, packet.payload)
             elif isinstance(packet, pkt.PingResp):
                 pass
             else:
@@ -542,12 +468,9 @@ class MQTTClient:
         self._start_ping_timer()
         self._connack.set()
         if was_reconnect:
-            # Session re-establishment: subscriptions first, then the
-            # unacked QoS-1 window in publish order (DUP set on
-            # anything that already hit the wire once).
-            for pattern, qos in list(self._subs.items()):
-                pid = self._allocate_packet_id()
-                conn.write(pkt.Subscribe(packet_id=pid, topics=((pattern, qos),)).encode())
+            # Session re-establishment: the unacked QoS-1 window in
+            # publish order (DUP set on anything that already hit the
+            # wire once).
             with self._inflight_lock:
                 pending = list(self._inflight.values())
             buf = bytearray()
@@ -645,12 +568,3 @@ class MQTTClient:
                 conn.close()  # no CONNACK: back off and retry
 
         self._connack_guard = loop.call_later(CONNACK_GUARD_S, guard)
-
-    def _deliver(self, topic: str, payload: bytes) -> None:
-        delivered = False
-        for pattern, callback in self._callbacks:
-            if topic_matches(pattern, topic):
-                callback(topic, payload)
-                delivered = True
-        if not delivered and self.on_message is not None:
-            self.on_message(topic, payload)

@@ -3,7 +3,7 @@
 The transport concurrency model of the reproduction (paper section
 4.2: one Collect Agent broker fans in thousands of Pusher
 connections).  A thread-per-client layout caps out on context-switch
-and GIL churn long before the hardware does, so both brokers and the
+and GIL churn long before the hardware does, so the broker and the
 client run their socket I/O on ONE :class:`EventLoop` thread:
 
 * :class:`EventLoop` — a ``selectors.DefaultSelector`` wrapped with
@@ -11,9 +11,9 @@ client run their socket I/O on ONE :class:`EventLoop` thread:
   self-pipe wakeup, so any thread can hand work to the loop.
 * :class:`Connection` — a non-blocking socket with the shared
   read/write state machine: incremental MQTT packet decoding on
-  reads, a bounded outgoing write buffer with a ``drop`` or
-  ``disconnect`` overflow policy for slow consumers, per-connection
-  read stalling (the fault-injection seam), and idempotent teardown.
+  reads, a bounded outgoing write buffer that severs a peer which
+  stops reading, per-connection read stalling (the fault-injection
+  seam), and idempotent teardown.
 
 The same two classes back :class:`~repro.mqtt.broker.MQTTBroker`
 (one loop for the listener plus every session — O(1) transport
@@ -268,9 +268,8 @@ class Connection:
 
     Writes are thread-safe and buffered: ``write()`` appends to the
     outgoing buffer and the loop drains it as the socket allows.  With
-    ``max_write_buffer > 0``, a full buffer triggers the
-    ``overflow_policy``: ``"drop"`` discards the offending message,
-    ``"disconnect"`` severs the slow consumer.
+    ``max_write_buffer > 0``, a write that would overflow the buffer
+    calls ``on_overflow`` and severs the peer that stopped reading.
     """
 
     #: Whether an exception from ``on_packets`` other than a protocol
@@ -288,11 +287,8 @@ class Connection:
         on_error: Callable[["Connection", Exception], None] | None = None,
         on_overflow: Callable[["Connection"], None] | None = None,
         max_write_buffer: int = 0,
-        overflow_policy: str = "disconnect",
         label: str = "",
     ) -> None:
-        if overflow_policy not in ("disconnect", "drop"):
-            raise ValueError(f"unknown overflow policy {overflow_policy!r}")
         if sock is not None:
             sock.setblocking(False)
         self.loop = loop
@@ -305,8 +301,6 @@ class Connection:
         self.on_overflow = on_overflow
         self.data_filter: Callable[["Connection", bytes], object] | None = None
         self.max_write_buffer = max_write_buffer
-        self.overflow_policy = overflow_policy
-        self.overflow_drops = 0
         self.last_rx = time.monotonic()
         self._decoder = pkt.StreamDecoder()
         self._feed_lock = threading.Lock()
@@ -492,8 +486,7 @@ class Connection:
         """Queue ``data`` for sending; thread-safe.
 
         Returns False when the connection is closed or the write buffer
-        overflowed (``"drop"`` policy: the message is discarded;
-        ``"disconnect"`` policy: the connection is being severed).
+        overflowed (the connection is being severed).
         """
         overflowed = queue_flush = False
         on_loop = self.loop.on_loop_thread()
@@ -505,7 +498,6 @@ class Connection:
                 and self._outbuf
                 and len(self._outbuf) + len(data) > self.max_write_buffer
             ):
-                self.overflow_drops += 1
                 overflowed = True
             else:
                 self._outbuf += data
@@ -517,8 +509,7 @@ class Connection:
                     self.on_overflow(self)
                 except Exception:  # noqa: BLE001
                     logger.exception("on_overflow handler failed for %s", self.label)
-            if self.overflow_policy == "disconnect":
-                self.close()
+            self.close()
             return False
         if on_loop:
             self._flush()

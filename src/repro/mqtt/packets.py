@@ -2,9 +2,9 @@
 
 Implements the wire format from the OASIS MQTT 3.1.1 specification for
 the packets DCDB needs: CONNECT/CONNACK for session setup, PUBLISH and
-PUBACK (QoS 0 and 1) for sensor readings, SUBSCRIBE/SUBACK and
-UNSUBSCRIBE/UNSUBACK for consumers, PINGREQ/PINGRESP keepalives and
-DISCONNECT.  QoS 2 is deliberately unsupported, matching DCDB's use of
+PUBACK (QoS 0 and 1) for sensor readings, SUBSCRIBE/SUBACK (the
+broker refuses every filter: it is publish-only), PINGREQ/PINGRESP
+keepalives and DISCONNECT.  QoS 2 is deliberately unsupported, matching DCDB's use of
 the protocol (telemetry tolerates at-least-once delivery; the exactly-
 once handshake would double the per-reading round trips).
 
@@ -29,8 +29,6 @@ PUBLISH = 3
 PUBACK = 4
 SUBSCRIBE = 8
 SUBACK = 9
-UNSUBSCRIBE = 10
-UNSUBACK = 11
 PINGREQ = 12
 PINGRESP = 13
 DISCONNECT = 14
@@ -352,49 +350,6 @@ class SubAck:
 
 
 @dataclass(frozen=True, slots=True)
-class Unsubscribe:
-    """UNSUBSCRIBE — drop a list of topic filters."""
-
-    packet_id: int
-    topics: tuple[str, ...] = field(default_factory=tuple)
-
-    def encode(self) -> bytes:
-        if not self.topics:
-            raise TransportError("UNSUBSCRIBE requires at least one topic filter")
-        body = struct.pack("!H", self.packet_id)
-        for topic in self.topics:
-            body += encode_string(topic)
-        return _fixed_header(UNSUBSCRIBE, 0x02, len(body)) + body
-
-    @classmethod
-    def decode(cls, flags: int, body: bytes) -> "Unsubscribe":
-        if flags != 0x02:
-            raise TransportError("UNSUBSCRIBE fixed-header flags must be 0b0010")
-        (packet_id,) = struct.unpack_from("!H", body, 0)
-        off = 2
-        topics: list[str] = []
-        while off < len(body):
-            topic, off = _decode_string(body, off)
-            topics.append(topic)
-        return cls(packet_id=packet_id, topics=tuple(topics))
-
-
-@dataclass(frozen=True, slots=True)
-class UnsubAck:
-    """UNSUBACK — acknowledgement of an UNSUBSCRIBE."""
-
-    packet_id: int
-
-    def encode(self) -> bytes:
-        body = struct.pack("!H", self.packet_id)
-        return _fixed_header(UNSUBACK, 0, len(body)) + body
-
-    @classmethod
-    def decode(cls, flags: int, body: bytes) -> "UnsubAck":
-        return cls(packet_id=struct.unpack("!H", body)[0])
-
-
-@dataclass(frozen=True, slots=True)
 class PingReq:
     """PINGREQ — client keepalive probe."""
 
@@ -437,8 +392,6 @@ Packet = (
     | PubAck
     | Subscribe
     | SubAck
-    | Unsubscribe
-    | UnsubAck
     | PingReq
     | PingResp
     | Disconnect
@@ -451,8 +404,6 @@ _DECODERS = {
     PUBACK: PubAck.decode,
     SUBSCRIBE: Subscribe.decode,
     SUBACK: SubAck.decode,
-    UNSUBSCRIBE: Unsubscribe.decode,
-    UNSUBACK: UnsubAck.decode,
     PINGREQ: PingReq.decode,
     PINGRESP: PingResp.decode,
     DISCONNECT: Disconnect.decode,

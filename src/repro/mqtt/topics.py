@@ -1,21 +1,14 @@
-"""MQTT topic names, filters, and the subscription trie.
+"""MQTT topic names and filters.
 
 DCDB assigns each sensor a unique MQTT topic whose levels mirror the
 physical hierarchy of the facility (paper section 3.1), e.g.
-``/hpc/rack02/chassis1/node7/cpu12/instructions``.  Consumers — the
-Storage Backend subscriber, ad-hoc analysis tools — subscribe with the
-standard MQTT wildcards: ``+`` matches exactly one level and ``#``
-matches the remaining suffix.
-
-The :class:`SubscriptionTree` is the broker-side structure resolving a
-published topic to its set of subscribers.  It is a trie keyed by
-hierarchy level so that matching costs O(depth · branching-by-wildcard)
-rather than O(subscriptions).
+``/hpc/rack02/chassis1/node7/cpu12/instructions``.  Topic patterns —
+analytics operator inputs, sensor selections — use the standard MQTT
+wildcards: ``+`` matches exactly one level and ``#`` matches the
+remaining suffix.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Hashable, Iterable
 
 from repro.common.errors import TransportError
 
@@ -47,7 +40,7 @@ def validate_topic(topic: str) -> None:
 
 
 def validate_filter(pattern: str) -> None:
-    """Validate a subscription filter.
+    """Validate a topic filter (a pattern that may hold wildcards).
 
     Enforces the MQTT 3.1.1 wildcard placement rules: ``+`` must occupy
     an entire level; ``#`` must occupy the final level only.
@@ -68,7 +61,7 @@ def validate_filter(pattern: str) -> None:
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
-    """True if concrete ``topic`` matches subscription ``pattern``.
+    """True if concrete ``topic`` matches the filter ``pattern``.
 
     Implements the MQTT 3.1.1 matching rules including the corner case
     that ``a/#`` matches ``a`` itself (the parent of a ``#`` level).
@@ -95,157 +88,3 @@ def topic_matches(pattern: str, topic: str) -> bool:
     # Pattern exhausted with topic levels left: only "a/#" style covers
     # it, handled above; anything else fails.
     return False
-
-
-class _TrieNode:
-    __slots__ = ("children", "subscribers")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.subscribers: dict[Hashable, int] = {}  # subscriber -> granted qos
-
-
-class SubscriptionTree:
-    """Broker-side subscription store with wildcard matching.
-
-    Subscribers are arbitrary hashable handles (the broker uses its
-    per-connection session objects).  ``subscribe`` records a granted
-    QoS per (subscriber, filter); ``match`` returns the effective
-    (subscriber, qos) set for a published topic, deduplicated with the
-    maximum QoS when several of a subscriber's filters overlap.
-    """
-
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._count = 0
-
-    def subscribe(self, pattern: str, subscriber: Hashable, qos: int = 0) -> None:
-        """Register ``subscriber`` for ``pattern`` at ``qos``."""
-        validate_filter(pattern)
-        node = self._root
-        for level in split_topic(pattern):
-            nxt = node.children.get(level)
-            if nxt is None:
-                nxt = _TrieNode()
-                node.children[level] = nxt
-            node = nxt
-        if subscriber not in node.subscribers:
-            self._count += 1
-        node.subscribers[subscriber] = qos
-
-    def unsubscribe(self, pattern: str, subscriber: Hashable) -> bool:
-        """Remove one (pattern, subscriber) registration.
-
-        Returns True if it existed.  Empty trie branches are pruned so
-        long-running brokers with churning subscribers do not leak.
-        """
-        path: list[tuple[_TrieNode, str]] = []
-        node = self._root
-        for level in split_topic(pattern):
-            nxt = node.children.get(level)
-            if nxt is None:
-                return False
-            path.append((node, level))
-            node = nxt
-        if subscriber not in node.subscribers:
-            return False
-        del node.subscribers[subscriber]
-        self._count -= 1
-        # Prune now-empty nodes bottom-up.
-        for parent, level in reversed(path):
-            child = parent.children[level]
-            if child.subscribers or child.children:
-                break
-            del parent.children[level]
-        return True
-
-    def remove_subscriber(self, subscriber: Hashable) -> int:
-        """Drop every registration of ``subscriber`` (connection close).
-
-        Returns the number of filters removed.
-        """
-        removed = 0
-
-        def walk(node: _TrieNode) -> None:
-            nonlocal removed
-            if subscriber in node.subscribers:
-                del node.subscribers[subscriber]
-                removed += 1
-            dead = []
-            for level, child in node.children.items():
-                walk(child)
-                if not child.subscribers and not child.children:
-                    dead.append(level)
-            for level in dead:
-                del node.children[level]
-
-        walk(self._root)
-        self._count -= removed
-        return removed
-
-    def match(self, topic: str) -> dict[Hashable, int]:
-        """Return ``{subscriber: max_qos}`` for a published topic."""
-        levels = split_topic(topic)
-        result: dict[Hashable, int] = {}
-        system = topic.startswith("$")
-
-        def collect(node: _TrieNode) -> None:
-            for sub, qos in node.subscribers.items():
-                if qos > result.get(sub, -1):
-                    result[sub] = qos
-
-        def walk(node: _TrieNode, idx: int, first: bool) -> None:
-            if idx == len(levels):
-                collect(node)
-                # "a/#" also matches "a" itself.
-                hash_child = node.children.get("#")
-                if hash_child is not None:
-                    collect(hash_child)
-                return
-            level = levels[idx]
-            exact = node.children.get(level)
-            if exact is not None:
-                walk(exact, idx + 1, False)
-            if first and system:
-                return  # no wildcard match on the first level of $topics
-            plus = node.children.get("+")
-            if plus is not None:
-                walk(plus, idx + 1, False)
-            hash_child = node.children.get("#")
-            if hash_child is not None:
-                collect(hash_child)
-
-        walk(self._root, 0, True)
-        return result
-
-    def filters_of(self, subscriber: Hashable) -> list[str]:
-        """All filters currently registered for ``subscriber``."""
-        found: list[str] = []
-
-        def walk(node: _TrieNode, prefix: list[str]) -> None:
-            if subscriber in node.subscribers:
-                found.append("/".join(prefix))
-            for level, child in node.children.items():
-                walk(child, prefix + [level])
-
-        for level, child in self._root.children.items():
-            walk(child, [level])
-        return found
-
-    def __len__(self) -> int:
-        return self._count
-
-
-def iter_matching(patterns: Iterable[str], topic: str) -> Iterable[str]:
-    """Yield the patterns in ``patterns`` that match ``topic``.
-
-    Convenience for small consumer-side filter lists where building a
-    full trie is overkill.
-    """
-    for pattern in patterns:
-        if topic_matches(pattern, topic):
-            yield pattern
-
-
-# Type of broker delivery callbacks: (topic, payload, qos, retain)
-DeliveryCallback = Callable[[str, bytes, int, bool], None]

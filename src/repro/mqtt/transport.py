@@ -28,16 +28,21 @@ class TCPTransport:
     def make_broker(
         self,
         *,
-        publish_only: bool = False,
+        publish_only: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
         metrics: MetricsRegistry | None = None,
-        **kwargs,
+        trace_sample_every: int = 1,
     ):
-        from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+        """Build the broker; ``publish_only=False`` is refused, since
+        the broker is publish-only."""
+        from repro.mqtt.broker import MQTTBroker
 
-        cls = PublishOnlyBroker if publish_only else MQTTBroker
-        broker = cls(host, port, metrics=metrics, **kwargs)
+        if not publish_only:
+            raise ConfigError("the broker is publish-only")
+        broker = MQTTBroker(
+            host, port, metrics=metrics, trace_sample_every=trace_sample_every
+        )
         self._last_broker = broker
         return broker
 

@@ -27,7 +27,7 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.faults import FaultPlan, FaultyBackend
 from repro.faults.backend import ALL_OPS
 from repro.faults.plan import KILL, RESTART
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.observability import SpanRecorder
 from repro.storage import FailureDetector, MemoryBackend, StorageCluster, StorageNode
@@ -85,7 +85,7 @@ class SimulatedCluster:
         #: simulations in one test process stay isolated.
         self.spans = SpanRecorder()
         #: The agent's broker: no listener, one memory pipe per Pusher.
-        self.broker = PublishOnlyBroker(
+        self.broker = MQTTBroker(
             port=None,
             trace_sample_every=self.config.trace_sample_every,
             spans=self.spans,

@@ -31,7 +31,7 @@ from repro.libdcdb.api import DCDBClient
 from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.pusher.restapi import PusherRestApi
-from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.observability import (
     EventLoopLagProbe,
@@ -300,7 +300,7 @@ def _run(data_dir: str) -> int:
     # One registry for broker, agent, writer and pusher: both REST APIs
     # then expose the complete pipeline, including writer metrics.
     registry = MetricsRegistry()
-    broker = PublishOnlyBroker(port=None, metrics=registry)
+    broker = MQTTBroker(port=None, metrics=registry)
     # The smoke pipeline ingests into the durable engine so the
     # WAL/segment instruments carry real traffic on both endpoints.
     backend = DurableNode("smoke-durable", data_dir=data_dir, metrics=registry)

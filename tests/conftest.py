@@ -10,7 +10,7 @@ import pytest
 from repro.common.timeutil import SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.observability import EventLoopLagProbe, current_trace
 from repro.storage import MemoryBackend
@@ -21,7 +21,7 @@ class SimPipeline:
 
     def __init__(self, prefix: str = "/test/host0") -> None:
         self.clock = SimClock(0)
-        self.broker = PublishOnlyBroker(port=None)
+        self.broker = MQTTBroker(port=None)
         self.backend = MemoryBackend()
         self.agent = CollectAgent(self.backend, broker=self.broker)
         self.pusher = Pusher(

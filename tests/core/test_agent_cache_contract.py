@@ -17,7 +17,7 @@ from repro.core import payload as payload_mod
 from repro.core.collectagent import CollectAgent
 from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.sensor import SensorCache, SensorReading
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend, StorageNode
 
@@ -31,7 +31,7 @@ BACKENDS = {
 
 def publish(backend_name: str, maxage_ns: int, messages):
     """An agent on a fresh store fed ``messages``, and its REST API."""
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     agent = CollectAgent(BACKENDS[backend_name](), broker=broker, cache_maxage_ns=maxage_ns)
     client = MQTTClient("pusher", broker=broker)
     client.connect()

@@ -22,7 +22,7 @@ from repro.common.errors import StorageError
 from repro.core.collectagent import CollectAgent, WriterConfig
 from repro.core.payload import encode_readings
 from repro.core.sensor import SensorReading
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.packets import Publish
 from repro.observability.spans import SpanRecorder
 from repro.storage import StorageNode
@@ -59,7 +59,7 @@ def build(stream: list[tuple[str, int]]) -> list[Publish]:
 def make_agent(writer_config: WriterConfig | None = None) -> CollectAgent:
     return CollectAgent(
         StorageNode("chunks"),
-        broker=PublishOnlyBroker(port=None),
+        broker=MQTTBroker(port=None),
         trace_sample_every=3,
         spans=SpanRecorder(capacity=4096, stripes=1, max_spans_per_trace=16),
         writer_config=writer_config,
@@ -155,7 +155,7 @@ class FailingSidmap(StorageNode):
 
 
 def test_a_raising_message_stages_the_ones_before_it():
-    agent = CollectAgent(FailingSidmap("chunks"), broker=PublishOnlyBroker(port=None))
+    agent = CollectAgent(FailingSidmap("chunks"), broker=MQTTBroker(port=None))
 
     def message(topic, value):
         return Publish(topic=topic, payload=encode_readings([SensorReading(T0, value)]))

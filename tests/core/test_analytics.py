@@ -253,11 +253,11 @@ class TestDaemonIntegration:
         from repro.core.collectagent import CollectAgent
         from repro.core.pusher import Pusher, PusherConfig
         from repro.libdcdb.api import DCDBClient
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.mqtt.client import MQTTClient
         from repro.storage import MemoryBackend
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         manager = AnalyticsManager()
@@ -286,11 +286,11 @@ class TestDaemonIntegration:
     def test_attached_to_pusher_publishes_derived_sensors(self):
         from repro.core.collectagent import CollectAgent
         from repro.core.pusher import Pusher, PusherConfig
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.mqtt.client import MQTTClient
         from repro.storage import MemoryBackend
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         pusher = Pusher(

@@ -7,14 +7,14 @@ from repro.common.timeutil import NS_PER_SEC
 from repro.core import payload as payload_mod
 from repro.core.collectagent import CollectAgent
 from repro.core.sensor import SensorReading
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.packets import Publish
 from repro.storage import MemoryBackend, StorageNode
 
 
 def make_agent():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     client = MQTTClient("pusher", broker=broker)
@@ -57,7 +57,7 @@ class TestIngest:
         # The topic->SID mapping is persisted before the mapper installs
         # the topic, so a failed write leaves it unknown and the next
         # message registers it again.
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = StorageNode()
         real = backend.put_metadata_many
         failures = [1]
@@ -98,7 +98,7 @@ class TestIngest:
         assert agent.decode_errors == 1
 
     def test_ttl_applied(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         clock = lambda: 0  # noqa: E731 - frozen clock
         backend = MemoryBackend(clock=lambda: now[0])
         now = [0]
@@ -140,12 +140,12 @@ class TestCache:
         """A new agent on the same store has seen no message yet, but
         its topics, latest and recent readings come from the store."""
         backend = StorageNode("n0")
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         CollectAgent(backend, broker=broker)
         client = MQTTClient("pusher", broker=broker)
         client.connect()
         publish_reading(client, "/x/y/z", 5, 50)
-        restarted = CollectAgent(backend, broker=PublishOnlyBroker(port=None))
+        restarted = CollectAgent(backend, broker=MQTTBroker(port=None))
         assert restarted.topics() == ["/x/y/z"]
         assert restarted.latest("/x/y/z") == SensorReading(5, 50)
         assert restarted.recent("/x/y/z") == [SensorReading(5, 50)]

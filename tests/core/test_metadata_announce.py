@@ -8,7 +8,7 @@ from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
 from repro.libdcdb.api import DCDBClient
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
@@ -27,7 +27,7 @@ group power {
 
 
 def make_stack():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
@@ -113,7 +113,7 @@ class TestAnnouncement:
     def test_threaded_start_announces_automatically(self):
         import time
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         pusher = Pusher(

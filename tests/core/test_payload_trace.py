@@ -120,11 +120,11 @@ class TestPayloadOrigin:
 class TestOldNewMixThroughAgent:
     def test_agent_ingests_both_shapes(self):
         from repro.core.collectagent import CollectAgent
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.mqtt.client import MQTTClient
         from repro.storage import MemoryBackend
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         old_pusher = MQTTClient("old", broker=broker)

@@ -14,7 +14,7 @@ from repro.core.sid import (
     SensorId,
     SidMapper,
 )
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage.memory import MemoryBackend
 
@@ -127,7 +127,7 @@ class TestMultiAgentDeployment:
         distributed Storage Backend."""
         backend = MemoryBackend()
         clock = SimClock(0)
-        brokers = [PublishOnlyBroker(port=None) for _ in range(2)]
+        brokers = [MQTTBroker(port=None) for _ in range(2)]
         agents = [CollectAgent(backend, broker=broker) for broker in brokers]
         for idx, broker in enumerate(brokers):
             pusher = Pusher(
@@ -149,14 +149,14 @@ class TestMultiAgentDeployment:
 
     def test_agent_restart_preserves_mapping(self):
         backend = MemoryBackend()
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         agent = CollectAgent(backend, broker=broker)
         client = MQTTClient("p", broker=broker)
         client.connect()
         client.publish("/r/n0/s", encode_reading(1, 42))
         sid_before = agent.sid_mapper.sid_for_topic("/r/n0/s")
         # "Restart": a new agent over the same backend.
-        broker2 = PublishOnlyBroker(port=None)
+        broker2 = MQTTBroker(port=None)
         agent2 = CollectAgent(backend, broker=broker2)
         client2 = MQTTClient("p", broker=broker2)
         client2.connect()

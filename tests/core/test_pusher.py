@@ -7,14 +7,19 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 
 TESTER_5 = "group g0 { interval 1000\n numSensors 5 }"
 
 
+def received(broker):
+    """PUBLISH packets ``broker`` has accepted."""
+    return broker.metrics.value("dcdb_broker_messages_received_total")
+
+
 def make_pusher(broker=None, clock=None, **config_kwargs):
-    broker = broker if broker is not None else PublishOnlyBroker(port=None)
+    broker = broker if broker is not None else MQTTBroker(port=None)
     clock = clock if clock is not None else SimClock(0)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/t/h0", **config_kwargs),
@@ -112,7 +117,7 @@ class TestSteppedSampling:
         cycles = pusher.advance_to(10 * NS_PER_SEC)
         assert cycles == 10
         assert pusher.readings_collected == 50
-        assert broker.messages_received == 50
+        assert received(broker) == 50
 
     def test_topics_carry_prefix(self):
         pusher, broker, _ = make_pusher()
@@ -153,9 +158,9 @@ class TestSteppedSampling:
         pusher.client.connect()
         pusher.start_plugin("tester")
         pusher.advance_to(2 * NS_PER_SEC)
-        assert broker.messages_received == 0  # below threshold
+        assert received(broker) == 0  # below threshold
         pusher.advance_to(3 * NS_PER_SEC)
-        assert broker.messages_received == 1  # three readings in one message
+        assert received(broker) == 1  # three readings in one message
         from repro.core.payload import decode_readings
 
     def test_min_values_is_per_group(self):
@@ -195,10 +200,10 @@ class TestSendModes:
         pusher.client.connect()
         pusher.start_plugin("tester")
         pusher.advance_to(10 * NS_PER_SEC)
-        assert broker.messages_received == 0
+        assert received(broker) == 0
         sent = pusher.flush()
         assert sent == 5  # one message per sensor, 10 readings each
-        assert broker.messages_received == 5
+        assert received(broker) == 5
 
     def test_burst_payload_batches_readings(self):
         pusher, broker, _ = make_pusher(send_mode="burst")
@@ -221,7 +226,7 @@ class TestSendModes:
 class TestThreadedMode:
     def test_real_time_collection(self):
         # Real wall-clock mode: a fast group on real threads.
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/rt/h0", threads=2),
             client=MQTTClient("rt", broker=broker),
@@ -231,14 +236,14 @@ class TestThreadedMode:
         pusher.start()
         try:
             deadline = time.monotonic() + 5.0
-            while broker.messages_received < 9 and time.monotonic() < deadline:
+            while received(broker) < 9 and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert broker.messages_received >= 9
+            assert received(broker) >= 9
         finally:
             pusher.stop()
 
     def test_stop_flushes_pending(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/rt/h1", send_mode="burst"),
             client=MQTTClient("rt1", broker=broker),
@@ -248,7 +253,7 @@ class TestThreadedMode:
         pusher.start()
         time.sleep(0.3)
         pusher.stop()
-        assert broker.messages_received >= 1
+        assert received(broker) >= 1
 
     def test_status_snapshot(self):
         pusher, _, _ = make_pusher()

@@ -9,14 +9,14 @@ from repro.core.collectagent import CollectAgent
 from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.pusher.restapi import PusherRestApi
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
 
 @pytest.fixture
 def stack():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     clock = SimClock(0)
@@ -172,10 +172,10 @@ class TestAgentAnalyticsEndpoints:
         from repro.analytics import AnalyticsManager, ThresholdAlarm
         from repro.core.collectagent.restapi import CollectAgentRestApi
         from repro.core.sensor import SensorReading
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.storage import MemoryBackend
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         agent = CollectAgent(MemoryBackend(), broker=broker)
         manager = AnalyticsManager()
         manager.add_operator(ThresholdAlarm("cap", ["/p/#"], high=100))

@@ -12,7 +12,7 @@ from repro.core import payload as payload_mod
 from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
 from repro.core.sid import SensorId
 from repro.faults import FaultPlan, FaultyBackend
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend, ReadingBatch
 
@@ -421,7 +421,7 @@ class TestConfigValidation:
 
 class TestAgentIntegration:
     def make_agent(self, **writer_kwargs):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(
             backend, broker=broker, writer_config=WriterConfig(**writer_kwargs)
@@ -481,7 +481,7 @@ class TestAgentIntegration:
         assert status["writer"]["dropped"] == 0
 
     def test_synchronous_agent_status_has_zero_thread_writer(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         agent = CollectAgent(MemoryBackend(), broker=broker)
         client = MQTTClient("p", broker=broker)
         client.connect()
@@ -501,7 +501,7 @@ class TestZeroThreadWriter:
     own flush routine, so a failed write is kept and retried, not lost."""
 
     def make_agent(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         inner = MemoryBackend()
         backend = FaultyBackend(inner)
         agent = CollectAgent(backend, broker=broker)

@@ -264,9 +264,9 @@ class TestBrokerDisconnectMidPublish:
         broker.start()
         try:
             received = set()
-            watcher = MQTTClient("chaos-watch", port=broker.port)
-            watcher.connect()
-            watcher.subscribe("/chaos/#", lambda t, p: received.add(bytes(p)))
+            broker.add_publish_hook(
+                lambda cid, ps: received.update(bytes(p.payload) for p in ps)
+            )
 
             # CONNECT is the first chunk; cut the cord a few PUBLISHes in.
             injector.disconnect_client_after("chaos-pub", chunks=5)
@@ -293,7 +293,6 @@ class TestBrokerDisconnectMidPublish:
                 time.sleep(0.02)
             assert received == set(payloads)
             publisher.disconnect()
-            watcher.disconnect()
         finally:
             broker.stop()
 

@@ -4,6 +4,7 @@ This is the paper's Figure 2 data flow exercised over real sockets and
 real sampling threads, then queried through the user-facing API.
 """
 
+import socket
 import time
 
 import pytest
@@ -13,8 +14,9 @@ from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
 from repro.libdcdb.api import DCDBClient, SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
+from repro.mqtt import packets as pkt
 from repro.mqtt.client import MQTTClient
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.storage import MemoryBackend, SqliteBackend, StorageCluster, StorageNode
 from repro.storage.partitioner import HierarchicalPartitioner
 
@@ -55,13 +57,15 @@ class TestTcpPipeline:
         agent = CollectAgent(backend, port=0)
         agent.start()
         try:
-            from repro.common.errors import TransportError
-
-            consumer = MQTTClient("consumer", port=agent.port)
-            consumer.connect()
-            with pytest.raises(TransportError):
-                consumer.subscribe("/#")
-            consumer.disconnect()
+            with socket.create_connection(("127.0.0.1", agent.port), timeout=3.0) as sock:
+                sock.sendall(pkt.Connect(client_id="consumer", keepalive=0).encode())
+                sock.sendall(pkt.Subscribe(packet_id=1, topics=(("/#", 0),)).encode())
+                decoder, packets = pkt.StreamDecoder(), []
+                while len(packets) < 2:
+                    data = sock.recv(64)
+                    assert data, "the agent closed the session"
+                    packets += decoder.feed(data)
+            assert packets == [pkt.ConnAck(), pkt.SubAck(1, (pkt.SUBACK_FAILURE,))]
         finally:
             agent.stop()
 
@@ -73,7 +77,7 @@ class TestClusterPipeline:
         cluster = StorageCluster(
             nodes, partitioner=HierarchicalPartitioner(2, levels=2), replication=2
         )
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         agent = CollectAgent(cluster, broker=broker)
         clock = SimClock(0)
         pushers = []
@@ -99,7 +103,7 @@ class TestClusterPipeline:
             assert ts.size == 30
 
     def test_virtual_sensor_over_live_data(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)
@@ -135,7 +139,7 @@ class TestSqlitePipeline:
         # identical pipeline against SQLite, with data surviving reopen.
         path = str(tmp_path / "monitor.db")
         backend = SqliteBackend(path)
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)
         pusher = Pusher(
@@ -158,7 +162,7 @@ class TestSqlitePipeline:
 
 class TestRuntimeReconfiguration:
     def test_reload_mid_collection(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)

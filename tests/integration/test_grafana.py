@@ -13,14 +13,14 @@ from repro.core.pusher import Pusher, PusherConfig
 from repro.grafana import GrafanaDataSource
 from repro.libdcdb.api import DCDBClient, SensorConfig
 from repro.libdcdb.virtualsensors import VirtualSensorDef
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage import MemoryBackend
 
 
 @pytest.fixture
 def datasource():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     backend = MemoryBackend()
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(

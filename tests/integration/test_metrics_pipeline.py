@@ -21,7 +21,7 @@ from repro.core.collectagent.restapi import CollectAgentRestApi
 from repro.core.pusher import Pusher, PusherConfig
 from repro.core.pusher.restapi import PusherRestApi
 from repro.libdcdb import DCDBClient
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.observability import PIPELINE_METRIC, parse_prometheus_text
 from repro.storage import MemoryBackend
@@ -65,7 +65,7 @@ class TestTraceStamps:
 
     def test_sampling_knob_disables_tracing(self):
         clock = SimClock(0)
-        broker = PublishOnlyBroker(port=None, trace_sample_every=0)
+        broker = MQTTBroker(port=None, trace_sample_every=0)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker, trace_sample_every=0)
         pusher = Pusher(
@@ -110,7 +110,7 @@ class TestMetricsEndpoints:
         assert families[PIPELINE_METRIC]["type"] == "histogram"
 
     def test_agent_scrape_merges_cluster_node_registries(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         nodes = [StorageNode("n0"), StorageNode("n1")]
         backend = StorageCluster(nodes=nodes)
         agent = CollectAgent(backend, broker=broker)

@@ -8,7 +8,7 @@ import pytest
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.collectagent import CollectAgent
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage.sqlite import SqliteBackend
 from repro.tools import config as config_tool
@@ -22,7 +22,7 @@ def db_uri(tmp_path):
     """An sqlite store populated through the real pipeline."""
     path = str(tmp_path / "monitor.db")
     backend = SqliteBackend(path)
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     agent = CollectAgent(backend, broker=broker)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/cli/n0"),

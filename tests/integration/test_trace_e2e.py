@@ -24,7 +24,7 @@ from repro.core.pusher.restapi import PusherRestApi
 from repro.faults import FaultPlan
 from repro.grafana import GrafanaDataSource
 from repro.libdcdb import DCDBClient
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.observability import HOPS, PIPELINE_METRIC
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
@@ -241,10 +241,10 @@ class TestIntrospectionHttp:
 
     def test_pusher_health_reflects_transport_and_run_state(self):
         from repro.core.pusher import Pusher, PusherConfig
-        from repro.mqtt.broker import PublishOnlyBroker
+        from repro.mqtt.broker import MQTTBroker
         from repro.mqtt.client import MQTTClient
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         pusher = Pusher(
             PusherConfig(mqtt_prefix="/health/h0"),
             client=MQTTClient("p0", broker=broker),

@@ -1,13 +1,16 @@
 """Integration tests of the TCP broker and client over real sockets."""
 
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.common.errors import TransportError
-from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+from repro.common.errors import ConfigError, TransportError
+from repro.mqtt import packets as pkt
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
+from repro.mqtt.transport import get_transport
 
 
 @pytest.fixture
@@ -29,131 +32,15 @@ def make_client(broker, client_id, **kwargs):
     return client
 
 
-class Collector:
-    """Thread-safe message sink with wait support."""
-
-    def __init__(self):
-        self.messages = []
-        self._cond = threading.Condition()
-
-    def __call__(self, topic, payload):
-        with self._cond:
-            self.messages.append((topic, payload))
-            self._cond.notify_all()
-
-    def wait_for(self, count, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while len(self.messages) < count:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-        return True
-
-
 class TestPublishSubscribe:
-    def test_basic_delivery(self, broker):
-        sink = Collector()
-        sub = make_client(broker, "sub")
-        sub.subscribe("/data/#", sink)
-        pub = make_client(broker, "pub")
-        pub.publish("/data/x", b"42")
-        assert sink.wait_for(1)
-        assert sink.messages == [("/data/x", b"42")]
-        pub.disconnect()
-        sub.disconnect()
+    """The publish half of MQTT's publish/subscribe, the only half the
+    broker serves."""
 
     def test_qos1_waits_for_ack(self, broker):
         pub = make_client(broker, "pub")
         pub.publish("/q", b"1", qos=1, wait_ack=True)
-        assert broker.messages_received == 1
+        assert broker.metrics.value("dcdb_broker_messages_received_total") == 1
         pub.disconnect()
-
-    def test_wildcard_plus(self, broker):
-        sink = Collector()
-        sub = make_client(broker, "sub")
-        sub.subscribe("/a/+/c", sink)
-        pub = make_client(broker, "pub")
-        pub.publish("/a/b/c", b"hit")
-        pub.publish("/a/b/d", b"miss")
-        pub.publish("/a/x/c", b"hit2")
-        assert sink.wait_for(2)
-        time.sleep(0.05)
-        assert len(sink.messages) == 2
-        pub.disconnect()
-        sub.disconnect()
-
-    def test_multiple_subscribers_fanout(self, broker):
-        sinks = [Collector() for _ in range(3)]
-        subs = []
-        for i, sink in enumerate(sinks):
-            sub = make_client(broker, f"sub{i}")
-            sub.subscribe("/fan/#", sink)
-            subs.append(sub)
-        pub = make_client(broker, "pub")
-        pub.publish("/fan/out", b"x")
-        for sink in sinks:
-            assert sink.wait_for(1)
-        for sub in subs:
-            sub.disconnect()
-        pub.disconnect()
-
-    def test_unsubscribe_stops_delivery(self, broker):
-        sink = Collector()
-        sub = make_client(broker, "sub")
-        sub.subscribe("/u/#", sink)
-        pub = make_client(broker, "pub")
-        pub.publish("/u/1", b"a")
-        assert sink.wait_for(1)
-        sub.unsubscribe("/u/#")
-        time.sleep(0.05)
-        pub.publish("/u/2", b"b")
-        time.sleep(0.15)
-        assert len(sink.messages) == 1
-        pub.disconnect()
-        sub.disconnect()
-
-    def test_late_subscription_and_resubscribe_receive(self, broker):
-        # Publishes with nothing subscribed skip the topic trie; the
-        # skip must follow subscribe, unsubscribe and disconnect.
-        pub = make_client(broker, "pub")
-        for i in range(5):
-            pub.publish("/late/x", b"early%d" % i, qos=1, wait_ack=True)
-        sink = Collector()
-        sub = make_client(broker, "sub")
-        sub.subscribe("/late/#", sink)
-        pub.publish("/late/x", b"one", qos=1, wait_ack=True)
-        assert sink.wait_for(1)
-        sub.unsubscribe("/late/#")
-        time.sleep(0.05)  # UNSUBSCRIBE has no client-side wait
-        pub.publish("/late/x", b"missed", qos=1, wait_ack=True)
-        sub.subscribe("/late/#", sink)
-        pub.publish("/late/x", b"two", qos=1, wait_ack=True)
-        assert sink.wait_for(2)
-        sub.disconnect()
-        assert wait_until(lambda: broker.connected_clients == 1)
-        other = Collector()
-        sub2 = make_client(broker, "sub2")
-        sub2.subscribe("/late/#", other)
-        pub.publish("/late/x", b"three", qos=1, wait_ack=True)
-        assert other.wait_for(1)
-        assert [p for _, p in sink.messages] == [b"one", b"two"]
-        assert other.messages == [("/late/x", b"three")]
-        pub.disconnect()
-        sub2.disconnect()
-
-    def test_retained_message_delivered_to_late_subscriber(self, broker):
-        pub = make_client(broker, "pub")
-        pub.publish("/state/mode", b"eco", retain=True)
-        time.sleep(0.05)
-        sink = Collector()
-        sub = make_client(broker, "late")
-        sub.subscribe("/state/#", sink)
-        assert sink.wait_for(1)
-        assert sink.messages[0] == ("/state/mode", b"eco")
-        pub.disconnect()
-        sub.disconnect()
 
     def test_publish_hook_sees_everything(self, broker):
         seen = []
@@ -165,46 +52,6 @@ class TestPublishSubscribe:
 
 
 class TestLifecycle:
-    def test_will_published_on_abnormal_disconnect(self, broker):
-        sink = Collector()
-        watcher = make_client(broker, "watcher")
-        watcher.subscribe("/dead/#", sink)
-        from repro.mqtt import packets as pkt
-
-        # Build a raw connection carrying a will, then sever it.
-        import socket
-
-        sock = socket.create_connection(("127.0.0.1", broker.port))
-        sock.sendall(
-            pkt.Connect(
-                client_id="dying", will_topic="/dead/dying", will_payload=b"rip"
-            ).encode()
-        )
-        time.sleep(0.1)
-        sock.close()  # abnormal: no DISCONNECT packet
-        assert sink.wait_for(1)
-        assert sink.messages[0] == ("/dead/dying", b"rip")
-        watcher.disconnect()
-
-    def test_clean_disconnect_suppresses_will(self, broker):
-        sink = Collector()
-        watcher = make_client(broker, "watcher")
-        watcher.subscribe("/dead/#", sink)
-        from repro.mqtt import packets as pkt
-        import socket
-
-        sock = socket.create_connection(("127.0.0.1", broker.port))
-        sock.sendall(
-            pkt.Connect(client_id="polite", will_topic="/dead/polite").encode()
-        )
-        time.sleep(0.1)
-        sock.sendall(pkt.Disconnect().encode())
-        time.sleep(0.1)
-        sock.close()
-        time.sleep(0.15)
-        assert sink.messages == []
-        watcher.disconnect()
-
     def test_authenticator_rejects(self):
         broker = MQTTBroker(
             "127.0.0.1", 0, authenticator=lambda cid, user, pw: user == "ok"
@@ -238,9 +85,8 @@ class TestLifecycle:
         client.disconnect()
 
     def test_concurrent_publishers(self, broker):
-        sink = Collector()
-        sub = make_client(broker, "sub")
-        sub.subscribe("/conc/#", sink)
+        seen = []
+        broker.add_publish_hook(lambda cid, ps: seen.extend(p.topic for p in ps))
         clients = [make_client(broker, f"p{i}") for i in range(4)]
 
         def blast(client, idx):
@@ -254,25 +100,73 @@ class TestLifecycle:
             t.start()
         for t in threads:
             t.join()
-        assert sink.wait_for(100)
+        assert wait_until(lambda: len(seen) == 100)
+        assert sorted(seen) == sorted(f"/conc/{i}" for i in range(4) for _ in range(25))
         for c in clients:
             c.disconnect()
-        sub.disconnect()
+
+
+def raw_session(broker, client_id):
+    """A socket that has completed CONNECT/CONNACK with ``broker``."""
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=3.0)
+    sock.sendall(pkt.Connect(client_id=client_id, keepalive=0).encode())
+    assert isinstance(read_packet(sock), pkt.ConnAck)
+    return sock
+
+
+def read_packet(sock):
+    """The next whole packet from ``sock``."""
+    decoder = pkt.StreamDecoder()
+    while True:
+        data = sock.recv(1)
+        if not data:
+            raise ConnectionError("closed by the broker")
+        packets = decoder.feed(data)
+        if packets:
+            return packets[0]
 
 
 class TestPublishOnlyBroker:
-    def test_subscribe_rejected(self):
-        with PublishOnlyBroker("127.0.0.1", 0) as broker:
-            client = make_client(broker, "c")
-            with pytest.raises(TransportError, match="rejected"):
-                client.subscribe("/anything/#")
-            client.disconnect()
+    """SUBSCRIBE is refused filter by filter; the session stays up."""
 
-    def test_publish_still_flows_to_hooks(self):
-        with PublishOnlyBroker("127.0.0.1", 0) as broker:
-            seen = []
-            broker.add_publish_hook(lambda cid, ps: seen.extend(p.topic for p in ps))
-            client = make_client(broker, "c")
-            client.publish("/s/1", b"v", qos=1, wait_ack=True)
-            assert seen == ["/s/1"]
-            client.disconnect()
+    def test_subscribe_rejected(self, broker):
+        sock = raw_session(broker, "c")
+        try:
+            sock.sendall(
+                pkt.Subscribe(packet_id=5, topics=(("/a/#", 0), ("/b/+", 1))).encode()
+            )
+            assert read_packet(sock) == pkt.SubAck(5, (pkt.SUBACK_FAILURE,) * 2)
+            sock.sendall(pkt.Publish("/a/x", b"v", qos=1, packet_id=9).encode())
+            assert read_packet(sock) == pkt.PubAck(9)
+        finally:
+            sock.close()
+
+    def test_unsubscribe_closes_the_session(self, broker, caplog):
+        sock = raw_session(broker, "c")
+        try:
+            # UNSUBSCRIBE (type 10) for one filter: not a packet the
+            # broker decodes.
+            sock.sendall(b"\xa2\x07\x00\x01\x00\x03/a/")
+            assert sock.recv(16) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: "unsupported packet type 10" in caplog.text)
+        assert wait_until(lambda: broker.connected_clients == 0)
+
+    def test_publish_still_flows_to_hooks(self, broker):
+        seen = []
+        broker.add_publish_hook(lambda cid, ps: seen.extend(p.topic for p in ps))
+        client = make_client(broker, "c")
+        client.publish("/s/1", b"v", qos=1, wait_ack=True)
+        assert seen == ["/s/1"]
+        client.disconnect()
+
+
+class TestTransportFactory:
+    def test_make_broker_builds_the_publish_only_broker(self):
+        transport = get_transport("tcp")
+        broker = transport.make_broker(publish_only=True, port=0, trace_sample_every=7)
+        assert isinstance(broker, MQTTBroker)
+        assert broker.tracer.sample_every == 7
+        with pytest.raises(ConfigError, match="publish-only"):
+            transport.make_broker(publish_only=False)

@@ -11,9 +11,14 @@ import pytest
 
 from repro.faults import BrokerFaultInjector
 from repro.mqtt import packets as pkt
-from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.eventloop import Connection, EventLoop
+
+
+def received(broker):
+    """PUBLISH packets ``broker`` has accepted."""
+    return broker.metrics.value("dcdb_broker_messages_received_total")
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -83,7 +88,7 @@ class TestFanIn500:
             resource.setrlimit(
                 resource.RLIMIT_NOFILE, (min(4096, hard), hard)
             )
-        with PublishOnlyBroker("127.0.0.1", 0) as broker:
+        with MQTTBroker("127.0.0.1", 0) as broker:
             threads_before = {
                 t.name for t in threading.enumerate() if t.name.startswith("mqtt-broker")
             }
@@ -99,8 +104,8 @@ class TestFanIn500:
                 for s in socks:
                     s.sendall(blob)
                 assert wait_until(
-                    lambda: broker.messages_received == 500, timeout=15.0
-                ), f"only {broker.messages_received}/500 publishes arrived"
+                    lambda: received(broker) == 500, timeout=15.0
+                ), f"only {received(broker)}/500 publishes arrived"
                 # Still exactly one transport thread for 500 sessions.
                 broker_threads = [
                     t
@@ -209,6 +214,9 @@ class TestMalformedBody:
 
 class TestKeepaliveExpiry:
     def test_expired_session_disconnected_with_will_and_metric(self, broker):
+        """A CONNECT carrying a will is accepted (the will fields are
+        decoded and validated), but the broker keeps no will: the
+        expiry is counted and no publish hook hears of it."""
         fired = []
         broker.add_publish_hook(lambda cid, ps: fired.extend((cid, p.topic) for p in ps))
         sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
@@ -218,12 +226,12 @@ class TestKeepaliveExpiry:
             ).encode()
         )
         assert wait_until(lambda: broker.connected_clients == 1)
-        # Silent past 1.5x keepalive: the broker must disconnect us,
-        # fire the will, and count the expiry.
-        assert wait_until(lambda: ("mute", "/dead/mute") in fired, timeout=5.0)
-        assert broker.keepalive_disconnects == 1
-        assert broker.metrics.value("dcdb_broker_keepalive_disconnects_total") == 1
+        # Silent past 1.5x keepalive: the broker must disconnect us and
+        # count the expiry.
+        expired = "dcdb_broker_keepalive_disconnects_total"
+        assert wait_until(lambda: broker.metrics.value(expired) == 1, timeout=5.0)
         assert wait_until(lambda: broker.connected_clients == 0)
+        assert fired == []
         sock.close()
 
     def test_zero_keepalive_never_expires(self, broker):
@@ -232,12 +240,12 @@ class TestKeepaliveExpiry:
         assert wait_until(lambda: broker.connected_clients == 1)
         time.sleep(1.0)
         assert broker.connected_clients == 1
-        assert broker.keepalive_disconnects == 0
+        assert broker.metrics.value("dcdb_broker_keepalive_disconnects_total") == 0
         sock.close()
 
 
 class TestWriteBufferOverflow:
-    def _stuffed_connection(self, loop, policy):
+    def _stuffed_connection(self, loop):
         """A Connection whose peer never reads, with tiny buffers so the
         kernel cannot hide the backlog."""
         a, b = socket.socketpair()
@@ -248,32 +256,16 @@ class TestWriteBufferOverflow:
             a,
             on_packets=lambda c, ps: None,
             max_write_buffer=16384,
-            overflow_policy=policy,
             label="slow-consumer",
         )
         conn.attach()
         return conn, b
 
-    def test_drop_policy_discards_and_keeps_connection(self):
-        loop = EventLoop()
-        loop.start()
-        try:
-            conn, peer = self._stuffed_connection(loop, "drop")
-            chunk = b"m" * 4096
-            results = [conn.write(chunk) for _ in range(64)]
-            assert False in results  # some messages were dropped...
-            assert conn.overflow_drops > 0
-            assert not conn.closed  # ...but the slow consumer survives
-            conn.close()
-            peer.close()
-        finally:
-            loop.stop()
-
     def test_disconnect_policy_severs_slow_consumer(self):
         loop = EventLoop()
         loop.start()
         try:
-            conn, peer = self._stuffed_connection(loop, "disconnect")
+            conn, peer = self._stuffed_connection(loop)
             chunk = b"m" * 4096
             for _ in range(64):
                 if not conn.write(chunk):
@@ -283,37 +275,31 @@ class TestWriteBufferOverflow:
         finally:
             loop.stop()
 
-    def test_broker_severs_slow_subscriber_end_to_end(self):
-        """A subscriber that stops reading fills its session buffer;
-        the broker counts the overflow and (disconnect policy) drops
-        the session instead of wedging the publisher."""
-        with MQTTBroker(
-            "127.0.0.1", 0, max_write_buffer=16384, overflow_policy="disconnect"
-        ) as broker:
-            sub_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sub_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            sub_sock.connect(("127.0.0.1", broker.port))
-            sub_sock.sendall(pkt.Connect(client_id="slow-sub", keepalive=0).encode())
-            sub_sock.sendall(
-                pkt.Subscribe(packet_id=1, topics=(("/big/#", 0),)).encode()
-            )
-            time.sleep(0.2)  # let CONNACK/SUBACK land; then never read again
-            with MQTTClient("blaster", port=broker.port) as publisher:
-                # Each message alone exceeds the 16 KiB session buffer,
-                # so the first write that cannot flush to the kernel
-                # trips the policy; enough volume defeats kernel
-                # send-buffer auto-tuning on loopback.
-                payload = b"z" * 65536
-                for _ in range(400):
-                    publisher.publish("/big/data", payload)
-                    if broker.metrics.value("dcdb_broker_write_overflow_total"):
-                        break
-                assert wait_until(
-                    lambda: broker.metrics.value("dcdb_broker_write_overflow_total") >= 1,
-                    timeout=5.0,
-                )
-                assert wait_until(lambda: broker.connected_clients == 1, timeout=5.0)
-            sub_sock.close()
+    def test_broker_severs_slow_reader_end_to_end(self):
+        """A client that floods PINGREQs and never reads its PINGRESPs
+        fills its session buffer; the broker counts the overflow and
+        closes the session instead of buffering without bound."""
+        with MQTTBroker("127.0.0.1", 0, max_write_buffer=16384) as broker:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", broker.port))
+            sock.sendall(pkt.Connect(client_id="slow-reader", keepalive=0).encode())
+            assert wait_until(lambda: broker.connected_clients == 1)
+            # Small kernel buffers on both ends, so the acks back up
+            # into the session's write buffer within a few KiB.
+            (session,) = broker._sessions.values()
+            session.conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            overflowed = "dcdb_broker_write_overflow_total"
+            pings = pkt.PingReq().encode() * 1024
+            deadline = time.monotonic() + 10.0
+            try:
+                while not broker.metrics.value(overflowed) and time.monotonic() < deadline:
+                    sock.sendall(pings)
+            except OSError:
+                pass  # the broker closed the session mid-flood
+            assert wait_until(lambda: broker.metrics.value(overflowed) == 1)
+            assert wait_until(lambda: broker.connected_clients == 0)
+            sock.close()
 
 
 class TestClientReconnect:
@@ -356,32 +342,6 @@ class TestClientReconnect:
         finally:
             broker.stop()
 
-    def test_resubscribes_after_reconnect(self):
-        broker = MQTTBroker("127.0.0.1", 0)
-        broker.start()
-        port = broker.port
-        got = []
-        event = threading.Event()
-        sub = MQTTClient("resub", port=port, reconnect_min_delay_s=0.05, keepalive=0)
-        sub.connect()
-        try:
-            sub.subscribe("/re/#", lambda t, p: (got.append((t, p)), event.set()))
-            broker.stop()
-            assert wait_until(lambda: not sub.connected, timeout=5.0)
-            broker2 = MQTTBroker("127.0.0.1", port)
-            broker2.start()
-            try:
-                assert wait_until(lambda: sub.connected, timeout=10.0)
-                with MQTTClient("fresh-pub", port=port) as publisher:
-                    publisher.publish("/re/hello", b"back", qos=1, wait_ack=True)
-                assert event.wait(5.0)
-                assert got == [("/re/hello", b"back")]
-            finally:
-                sub.disconnect()
-                broker2.stop()
-        finally:
-            broker.stop()
-
     def test_qos0_during_outage_raises_and_counts_drop(self):
         broker = MQTTBroker("127.0.0.1", 0)
         broker.start()
@@ -413,29 +373,6 @@ class TestShutdownHygiene:
         assert not [r for r in caplog.records if "Bad file descriptor" in r.message]
         client.close()
 
-    def test_stop_suppresses_wills_deterministically(self):
-        """A broker shutting down is not a fleet of client crashes:
-        no session's last-will may fire, however many are connected."""
-        broker = MQTTBroker("127.0.0.1", 0)
-        broker.start()
-        fired = []
-        broker.add_publish_hook(lambda cid, ps: fired.extend(p.topic for p in ps))
-        socks = []
-        for i in range(10):
-            s = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
-            s.sendall(
-                pkt.Connect(
-                    client_id=f"w{i}", keepalive=0, will_topic=f"/dead/w{i}"
-                ).encode()
-            )
-            socks.append(s)
-        assert wait_until(lambda: broker.connected_clients == 10)
-        broker.stop()
-        time.sleep(0.2)
-        assert fired == []  # shutdown suppressed every will
-        for s in socks:
-            s.close()
-
     def test_restart_on_same_port_works(self):
         broker = MQTTBroker("127.0.0.1", 0)
         broker.start()
@@ -446,7 +383,7 @@ class TestShutdownHygiene:
         try:
             with MQTTClient("again", port=port) as client:
                 client.publish("/again", b"1", qos=1, wait_ack=True)
-            assert broker2.messages_received == 1
+            assert received(broker2) == 1
         finally:
             broker2.stop()
 
@@ -464,7 +401,7 @@ class TestInjectionSeam:
             client.publish("/st/2", b"b", qos=1, wait_ack=True, timeout=5.0)
             elapsed = time.monotonic() - start
             assert injector.stalls == 1
-            assert broker.messages_received == 2
+            assert received(broker) == 2
             assert elapsed < 5.0
 
     def test_injector_attaches_to_live_sessions(self, broker):

@@ -13,8 +13,13 @@ import pytest
 
 from repro.common.errors import TransportError
 from repro.mqtt import packets as pkt
-from repro.mqtt.broker import MQTTBroker, PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
+
+
+def received(broker):
+    """PUBLISH packets ``broker`` has accepted."""
+    return broker.metrics.value("dcdb_broker_messages_received_total")
 
 
 def wait_until(predicate, timeout=5.0):
@@ -30,19 +35,8 @@ class TestInProcHub:
     """The cases the retired function-call hub was held to, now on
     memory sessions of the real broker."""
 
-    def test_publish_reaches_subscriber(self):
-        broker = MQTTBroker(port=None)
-        sink = []
-        sub = MQTTClient("sub", broker=broker)
-        sub.connect()
-        sub.subscribe("/a/#", lambda t, p: sink.append((t, p)))
-        pub = MQTTClient("pub", broker=broker)
-        pub.connect()
-        pub.publish("/a/b", b"x")
-        assert sink == [("/a/b", b"x")]
-
     def test_publish_hooks(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         seen = []
         broker.add_publish_hook(
             lambda cid, ps: seen.extend((cid, p.topic, p.payload) for p in ps)
@@ -53,12 +47,13 @@ class TestInProcHub:
         assert seen == [("c1", "/s", b"v")]
 
     def test_publish_only_hub_rejects_subscribe(self):
-        broker = PublishOnlyBroker(port=None)
-        client = MQTTClient("c", broker=broker)
-        client.connect()
-        with pytest.raises(TransportError, match="rejected by broker"):
-            client.subscribe("/x/#")
-        assert client.connected  # a refused filter costs no session
+        broker = MQTTBroker(port=None)
+        got = []
+        conn = broker.open_memory_session(on_packets=lambda c, ps: got.extend(ps))
+        conn.write(pkt.Connect(client_id="c", keepalive=0).encode())
+        conn.write(pkt.Subscribe(packet_id=7, topics=(("/x/#", 0),)).encode())
+        assert got[1:] == [pkt.SubAck(7, (pkt.SUBACK_FAILURE,))]
+        assert not conn.closed  # a refused filter costs no session
 
     def test_disconnected_client_cannot_publish(self):
         broker = MQTTBroker(port=None)
@@ -72,32 +67,7 @@ class TestInProcHub:
         client.connect()
         with pytest.raises(TransportError):
             client.publish("/has/#/wildcard", b"")
-        assert broker.messages_received == 0
-
-    def test_disconnect_removes_subscriptions(self):
-        broker = MQTTBroker(port=None)
-        sink = []
-        sub = MQTTClient("sub", broker=broker)
-        sub.connect()
-        sub.subscribe("/a/#", lambda t, p: sink.append(t))
-        sub.disconnect()
-        pub = MQTTClient("pub", broker=broker)
-        pub.connect()
-        pub.publish("/a/b", b"")
-        assert sink == []
-        assert broker.messages_delivered == 0
-
-    def test_unsubscribe(self):
-        broker = MQTTBroker(port=None)
-        sink = []
-        sub = MQTTClient("sub", broker=broker)
-        sub.connect()
-        sub.subscribe("/a/#", lambda t, p: sink.append(t))
-        sub.unsubscribe("/a/#")
-        pub = MQTTClient("pub", broker=broker)
-        pub.connect()
-        pub.publish("/a/b", b"")
-        assert sink == []
+        assert received(broker) == 0
 
     def test_counters(self):
         """Both byte counters count what crossed the pipe: the CONNECT
@@ -109,10 +79,10 @@ class TestInProcHub:
         wire = len(pkt.Connect(client_id="pub", keepalive=0).encode()) + len(
             pkt.Publish(topic="/a", payload=b"1234").encode()
         )
-        assert broker.messages_received == 1
+        assert received(broker) == 1
         assert pub.messages_sent == 1
         assert pub.bytes_sent == wire
-        assert broker.bytes_received == wire
+        assert broker.metrics.value("dcdb_broker_bytes_received_total") == wire
 
     def test_connected_clients(self):
         broker = MQTTBroker(port=None)
@@ -123,18 +93,6 @@ class TestInProcHub:
         assert broker.connected_clients == 2
         a.disconnect()
         assert broker.connected_clients == 1
-
-    def test_on_message_fallback(self):
-        broker = MQTTBroker(port=None)
-        sink = []
-        sub = MQTTClient("sub", broker=broker)
-        sub.connect()
-        sub.subscribe("/a/#")  # no callback registered
-        sub.on_message = lambda t, p: sink.append(t)
-        pub = MQTTClient("pub", broker=broker)
-        pub.connect()
-        pub.publish("/a/b", b"")
-        assert sink == ["/a/b"]
 
     def test_context_manager(self):
         broker = MQTTBroker(port=None)
@@ -156,9 +114,9 @@ class TestInProcHub:
 
 class TestInProcConcurrency:
     def test_parallel_publishers_counted_exactly(self):
-        broker = PublishOnlyBroker(port=None)
-        received = []
-        broker.add_publish_hook(lambda cid, ps: received.extend(p.topic for p in ps))
+        broker = MQTTBroker(port=None)
+        topics = []
+        broker.add_publish_hook(lambda cid, ps: topics.extend(p.topic for p in ps))
         clients = [MQTTClient(f"c{i}", broker=broker) for i in range(8)]
         for client in clients:
             client.connect()
@@ -175,10 +133,10 @@ class TestInProcConcurrency:
             t.start()
         for t in threads:
             t.join()
-        assert broker.messages_received == 8 * 500
-        assert len(received) == 8 * 500
+        assert received(broker) == 8 * 500
+        assert len(topics) == 8 * 500
 
-    def test_subscribe_while_publishing(self):
+    def test_sessions_come_and_go_while_publishing(self):
         broker = MQTTBroker(port=None)
         stop = threading.Event()
         pub = MQTTClient("pub", broker=broker)
@@ -198,10 +156,10 @@ class TestInProcConcurrency:
         thread.start()
         try:
             for i in range(50):
-                sub = MQTTClient(f"sub{i}", broker=broker)
-                sub.connect()
-                sub.subscribe("/live/#", lambda t, p: None)
-                sub.disconnect()
+                other = MQTTClient(f"other{i}", broker=broker)
+                other.connect()
+                other.publish("/live/other", b"")
+                other.disconnect()
         finally:
             stop.set()
             thread.join()
@@ -228,13 +186,13 @@ class TestMemorySession:
             refused.append(sorted(client.publish_many(TestMemorySession.BATCH, qos=qos)))
             # One batch per read on both wires: wait before the next.
             assert wait_until(
-                lambda: broker.messages_received == 3 * (qos + 1) and not client._inflight
+                lambda: received(broker) == 3 * (qos + 1) and not client._inflight
             )
         counters = (
             client.messages_sent,
             client.bytes_sent,
-            broker.messages_received,
-            broker.bytes_received,
+            received(broker),
+            broker.metrics.value("dcdb_broker_bytes_received_total"),
         )
         client.disconnect()
         return refused, calls, counters
@@ -255,7 +213,7 @@ class TestMemorySession:
 
     def test_short_body_publish_is_a_protocol_error_that_closes_the_session(self):
         """A complete PUBLISH frame shorter than its own topic field."""
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         seen = []
         broker.add_publish_hook(lambda cid, ps: seen.extend(ps))
         client = MQTTClient("broken", broker=broker)
@@ -269,7 +227,7 @@ class TestMemorySession:
             client.publish("/after", b"x")
 
     def test_hook_error_reaches_the_publisher_and_keeps_the_session(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         failing = {"/boom"}
 
         def hook(cid, packets):
@@ -283,10 +241,10 @@ class TestMemorySession:
             client.publish("/boom", b"x")
         client.publish("/fine", b"y")
         assert client.connected
-        assert broker.messages_received == 2
+        assert received(broker) == 2
 
     def test_qos1_hook_errors_do_not_leak_the_inflight_window(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
 
         def hook(cid, packets):
             raise RuntimeError("storage said no")
@@ -300,22 +258,35 @@ class TestMemorySession:
         assert not client._inflight
         assert client.connected
 
-    def test_subscriber_callback_may_publish(self):
+    def test_publish_hook_may_publish(self):
+        """A hook runs with no feed lock held, so it may publish through
+        a second memory session, whose hook call publishes back through
+        the first session while that one's hook call is still running."""
         broker = MQTTBroker(port=None)
-        echoed = []
-        relay = MQTTClient("relay", broker=broker)
-        relay.connect()
-        relay.subscribe("/in/#", lambda t, p: relay.publish("/out" + t[3:], p))
-        sink = MQTTClient("sink", broker=broker)
-        sink.connect()
-        sink.subscribe("/out/#", lambda t, p: echoed.append((t, p)))
         pub = MQTTClient("pub", broker=broker)
+        relay = MQTTClient("relay", broker=broker)
+        seen = []
+
+        def hook(cid, packets):
+            for p in packets:
+                seen.append((cid, p.topic, p.payload))
+                if p.topic.startswith("/in/"):
+                    relay.publish("/out" + p.topic[3:], p.payload)
+                elif p.topic.startswith("/out/"):
+                    pub.publish("/done" + p.topic[4:], p.payload)
+
+        broker.add_publish_hook(hook)
         pub.connect()
+        relay.connect()
         pub.publish("/in/a", b"1")
-        assert echoed == [("/out/a", b"1")]
+        assert seen == [
+            ("pub", "/in/a", b"1"),
+            ("relay", "/out/a", b"1"),
+            ("pub", "/done/a", b"1"),
+        ]
 
     def test_listenerless_broker_runs_no_thread(self):
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         before = threading.active_count()
         broker.start()
         assert broker.port is None

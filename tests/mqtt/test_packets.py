@@ -168,11 +168,10 @@ class TestOtherPackets:
         assert round_trip(pkt.PubAck(packet_id=999)) == pkt.PubAck(packet_id=999)
 
     def test_unsubscribe(self):
-        packet = pkt.Unsubscribe(packet_id=3, topics=("/a", "/b/#"))
-        assert round_trip(packet) == packet
-
-    def test_unsuback(self):
-        assert round_trip(pkt.UnsubAck(packet_id=3)) == pkt.UnsubAck(packet_id=3)
+        """UNSUBSCRIBE is not decoded: the publish-only broker has no
+        subscriptions to drop."""
+        with pytest.raises(TransportError, match="unsupported packet type 10"):
+            pkt.decode_packet(b"\xa2\x04\x00\x03\x00\x00")
 
     def test_ping_round_trips(self):
         assert round_trip(pkt.PingReq()) == pkt.PingReq()

@@ -62,7 +62,7 @@ class TestBrokerSurvivesGarbage:
         sock.sendall(frame)
         time.sleep(0.15)
         sock.close()
-        assert broker.messages_received == 0
+        assert broker.metrics.value("dcdb_broker_messages_received_total") == 0
         assert broker_still_works(broker)
 
     def test_half_packet_then_disconnect(self, broker):
@@ -142,25 +142,13 @@ class TestDecoderFuzz:
 
 
 class TestKeepaliveEnforcement:
-    def test_silent_client_dropped_and_will_fired(self, broker):
-        sink = []
-        import threading as _threading
-
-        event = _threading.Event()
-        watcher = MQTTClient("watch", port=broker.port)
-        watcher.connect()
-        watcher.subscribe("/dead/#", lambda t, p: (sink.append(t), event.set()))
+    def test_silent_client_dropped(self, broker):
         sock = raw_connection(broker)
-        sock.sendall(
-            pkt.Connect(
-                client_id="silent", keepalive=1, will_topic="/dead/silent"
-            ).encode()
-        )
-        # No PINGREQ: the broker must drop us within ~1.5 s and fire
-        # the will.
-        assert event.wait(5.0)
-        assert sink == ["/dead/silent"]
-        watcher.disconnect()
+        sock.settimeout(5.0)
+        sock.sendall(pkt.Connect(client_id="silent", keepalive=1).encode())
+        assert isinstance(pkt.decode_packet(sock.recv(4))[0], pkt.ConnAck)
+        # No PINGREQ: the broker must drop us within ~1.5 s.
+        assert sock.recv(16) == b""
         sock.close()
 
     def test_pinging_client_survives_keepalive(self, broker):

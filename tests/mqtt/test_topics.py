@@ -1,16 +1,9 @@
-"""Tests for topic validation, matching, and the subscription trie."""
+"""Tests for topic validation and filter matching."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.common.errors import TransportError
-from repro.mqtt.topics import (
-    SubscriptionTree,
-    iter_matching,
-    topic_matches,
-    validate_filter,
-    validate_topic,
-)
+from repro.mqtt.topics import topic_matches, validate_filter, validate_topic
 
 
 class TestValidateTopic:
@@ -70,118 +63,3 @@ class TestTopicMatches:
         assert not topic_matches("#", "$SYS/broker/load")
         assert not topic_matches("+/broker/load", "$SYS/broker/load")
         assert topic_matches("$SYS/#", "$SYS/broker/load")
-
-    def test_iter_matching(self):
-        patterns = ["/a/#", "/b/#", "/a/b"]
-        assert list(iter_matching(patterns, "/a/b")) == ["/a/#", "/a/b"]
-
-
-_levels = st.text(
-    alphabet=st.characters(whitelist_categories=("Ll", "Nd")), min_size=1, max_size=5
-)
-_topics = st.lists(_levels, min_size=1, max_size=5).map(lambda ls: "/" + "/".join(ls))
-
-
-@st.composite
-def _filters(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    levels = []
-    for i in range(n):
-        kind = draw(st.sampled_from(["literal", "plus", "hash"]))
-        if kind == "hash" and i == n - 1:
-            levels.append("#")
-        elif kind == "plus":
-            levels.append("+")
-        else:
-            levels.append(draw(_levels))
-    return "/" + "/".join(levels)
-
-
-class TestSubscriptionTree:
-    def test_exact_subscription(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/b", "sub1")
-        assert tree.match("/a/b") == {"sub1": 0}
-        assert tree.match("/a/c") == {}
-
-    def test_wildcard_subscription(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/#", "sub1", qos=1)
-        assert tree.match("/a/b/c") == {"sub1": 1}
-
-    def test_overlapping_filters_max_qos(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/#", "sub1", qos=0)
-        tree.subscribe("/a/b", "sub1", qos=1)
-        assert tree.match("/a/b") == {"sub1": 1}
-
-    def test_multiple_subscribers(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/+", "s1")
-        tree.subscribe("/a/b", "s2", qos=1)
-        assert tree.match("/a/b") == {"s1": 0, "s2": 1}
-
-    def test_unsubscribe(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/b", "s1")
-        assert tree.unsubscribe("/a/b", "s1") is True
-        assert tree.match("/a/b") == {}
-        assert tree.unsubscribe("/a/b", "s1") is False
-
-    def test_unsubscribe_prunes_empty_branches(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/b/c/d", "s1")
-        tree.unsubscribe("/a/b/c/d", "s1")
-        assert len(tree) == 0
-        assert tree._root.children == {}
-
-    def test_remove_subscriber(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/#", "s1")
-        tree.subscribe("/b/#", "s1")
-        tree.subscribe("/a/#", "s2")
-        assert tree.remove_subscriber("s1") == 2
-        assert tree.match("/a/x") == {"s2": 0}
-
-    def test_hash_matches_parent_level(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/#", "s1")
-        assert tree.match("/a") == {"s1": 0}
-
-    def test_filters_of(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a/#", "s1")
-        tree.subscribe("/b/+", "s1")
-        assert sorted(tree.filters_of("s1")) == ["/a/#", "/b/+"]
-
-    def test_invalid_filter_rejected(self):
-        tree = SubscriptionTree()
-        with pytest.raises(TransportError):
-            tree.subscribe("/a/#/b", "s1")
-
-    def test_len_counts_registrations(self):
-        tree = SubscriptionTree()
-        tree.subscribe("/a", "s1")
-        tree.subscribe("/a", "s2")
-        tree.subscribe("/b", "s1")
-        assert len(tree) == 3
-        tree.subscribe("/a", "s1", qos=1)  # re-subscribe updates, no new count
-        assert len(tree) == 3
-
-    @given(pattern=_filters(), topic=_topics)
-    def test_tree_agrees_with_topic_matches(self, pattern, topic):
-        tree = SubscriptionTree()
-        tree.subscribe(pattern, "s")
-        assert ("s" in tree.match(topic)) == topic_matches(pattern, topic)
-
-    @given(
-        patterns=st.lists(_filters(), min_size=1, max_size=6, unique=True),
-        topic=_topics,
-    )
-    def test_multi_filter_consistency(self, patterns, topic):
-        tree = SubscriptionTree()
-        for i, pattern in enumerate(patterns):
-            tree.subscribe(pattern, f"s{i}")
-        matched = set(tree.match(topic))
-        expected = {f"s{i}" for i, p in enumerate(patterns) if topic_matches(p, topic)}
-        assert matched == expected

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.plugins.appinstr import Counter, Gauge, InstrumentRegistry
 
@@ -20,7 +20,7 @@ def registry():
 
 
 def make_pusher():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/app/job42"),
         client=MQTTClient("p", broker=broker),
@@ -160,7 +160,7 @@ class TestAppInstrPlugin:
         from repro.libdcdb.api import DCDBClient
         from repro.storage import MemoryBackend
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(backend, broker=broker)
         clock = SimClock(0)

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.plugins.perfevents import SyntheticPerfSource, parse_cpu_list
 from repro.plugins.procfs import parse_meminfo, parse_procstat, parse_vmstat
@@ -40,7 +40,7 @@ GPFS_STATS = "_n_ 10.1.1.1 _fs_ work _br_ 1048576 _bw_ 2097152 _oc_ 12 _cc_ 10 _
 
 
 def make_pusher(prefix="/ib/h0"):
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     clock = SimClock(0)
     pusher = Pusher(
         PusherConfig(mqtt_prefix=prefix), client=MQTTClient("p", broker=broker), clock=clock

@@ -5,13 +5,13 @@ import pytest
 from repro.common.errors import ConfigError, PluginError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.plugins.nvml import METRICS, SyntheticNvmlSource
 
 
 def make_pusher():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/gpu/h0"),
         client=MQTTClient("p", broker=broker),

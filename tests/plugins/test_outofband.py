@@ -15,7 +15,7 @@ from repro.devices import (
 )
 from repro.devices.bacnet_device import AnalogInput
 from repro.devices.bmc import SdrRecord
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 
 
@@ -29,7 +29,7 @@ def model():
 
 
 def make_pusher():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/oob/h0"),
         client=MQTTClient("p", broker=broker),

@@ -13,7 +13,7 @@ import pytest
 
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core.pusher import Pusher, PusherConfig
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 
 pytestmark = pytest.mark.skipif(
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def make_pusher():
-    broker = PublishOnlyBroker(port=None)
+    broker = MQTTBroker(port=None)
     pusher = Pusher(
         PusherConfig(mqtt_prefix="/live/host"),
         client=MQTTClient("p", broker=broker),

@@ -27,7 +27,7 @@ from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
 from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
-from repro.mqtt.broker import PublishOnlyBroker
+from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.storage import (
     DurableNode,
@@ -256,7 +256,7 @@ class TestAgentCache:
     def test_burst_message_answers_like_one_reading_at_a_time(self):
         agents, clients = [], []
         for name in ("burst", "single"):
-            broker = PublishOnlyBroker(port=None)
+            broker = MQTTBroker(port=None)
             agents.append(CollectAgent(StorageNode(name), broker=broker, cache_maxage_ns=30 * NS))
             clients.append(MQTTClient(name, broker=broker))
             clients[-1].connect()

@@ -93,3 +93,11 @@ def test_stack_still_assembles_from_every_constructor():
 def test_every_keyword_the_stack_passes_is_accepted(callee, positional, keywords):
     signature = inspect.signature(ASSEMBLED[callee])
     signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+@pytest.mark.parametrize("callee", sorted(ASSEMBLED))
+def test_no_assembled_callee_swallows_unknown_keywords(callee):
+    """A ``**kwargs`` binds any keyword, so the check above would stay
+    green while the constructor behind it rejects what the stack passes."""
+    kinds = {p.kind for p in inspect.signature(ASSEMBLED[callee]).parameters.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds

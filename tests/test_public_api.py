@@ -74,13 +74,13 @@ class TestPublicApi:
             MemoryBackend,
             MQTTClient,
             NS_PER_SEC,
-            PublishOnlyBroker,
+            MQTTBroker,
             Pusher,
             PusherConfig,
             SimClock,
         )
 
-        broker = PublishOnlyBroker(port=None)
+        broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         CollectAgent(backend, broker=broker)
         pusher = Pusher(
