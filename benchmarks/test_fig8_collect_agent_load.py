@@ -68,10 +68,10 @@ def test_fig8_real_agent_ingests_50_host_pattern(benchmark):
         "Figure 8 pipeline check: real agent, 50 hosts x 1000 sensors x 5 s",
         [
             f"readings stored: {stored} (expected {expected})",
-            f"decode errors:   {sim.agent.decode_errors}",
+            f"decode errors:   {int(sim.agent.metrics.value('dcdb_agent_decode_errors_total'))}",
             f"distinct topics: {len(sim.agent.sid_mapper)}",
         ],
     )
     assert stored == expected == 250_000
-    assert sim.agent.decode_errors == 0
+    assert sim.agent.metrics.value("dcdb_agent_decode_errors_total") == 0
     assert len(sim.agent.sid_mapper) == 50_000

@@ -155,7 +155,7 @@ def build_and_run():
     _, heat = dcdb.query("/virtual/heat_removed", start, end)
     _, ratio = dcdb.query("/virtual/heat_efficiency", start, end)
     _, inlet = dcdb.query("/coolmuc3/cooling/inlet_temp", start, end)
-    return power, heat, ratio, inlet, agent.readings_stored
+    return power, heat, ratio, inlet, agent.metrics.value("dcdb_agent_readings_stored_total")
 
 
 def test_fig9_shape(benchmark):

@@ -216,8 +216,8 @@ def transport_us_per_msg(messages: int, per_message: int, topics: int = 500) -> 
 
 def _wait_stored(agent: CollectAgent, readings: int, timeout_s: float = 60.0) -> None:
     deadline = time.monotonic() + timeout_s
-    while agent.readings_stored < readings:
-        assert time.monotonic() < deadline, f"{agent.readings_stored}/{readings} stored"
+    while agent.metrics.value("dcdb_agent_readings_stored_total") < readings:
+        assert time.monotonic() < deadline, f"{int(agent.metrics.value('dcdb_agent_readings_stored_total'))}/{readings} stored"
         time.sleep(0.001)
 
 

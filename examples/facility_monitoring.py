@@ -81,7 +81,7 @@ def main() -> None:
         t = min(t + 1800 * NS_PER_SEC, end_ns)
         clock.set(t)
         pusher.advance_to(t)
-    print(f"collected {agent.readings_stored} readings over {DURATION_H:.0f} simulated hours")
+    print(f"collected {int(agent.metrics.value('dcdb_agent_readings_stored_total'))} readings over {DURATION_H:.0f} simulated hours")
 
     # --- analysis via virtual sensors ---------------------------------
     dcdb = DCDBClient(backend)

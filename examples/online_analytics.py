@@ -96,7 +96,7 @@ def main() -> None:
     for t, v in zip(ts.tolist(), total_mw.tolist()):
         band.process("/x", SensorReading(int(t), int(v)))
 
-    print(f"monitored {agent.readings_stored} raw readings over {MINUTES} simulated minutes")
+    print(f"monitored {int(agent.metrics.value('dcdb_agent_readings_stored_total'))} raw readings over {MINUTES} simulated minutes")
     print(f"derived series points: {ts.size}, total GPU power {total_mw.min()/1e6:.2f}..{total_mw.max()/1e6:.2f} kW")
     print(f"power-band transitions (hysteresis 800/880 W): {band.transitions}")
     print(f"thermal anomalies flagged: {len(manager.alarms)}")

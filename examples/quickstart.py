@@ -56,7 +56,7 @@ def main() -> None:
     time.sleep(3.0)
     pusher.stop()
     agent.stop()
-    print(f"readings stored: {agent.readings_stored}")
+    print(f"readings stored: {int(agent.metrics.value('dcdb_agent_readings_stored_total'))}")
 
     # 3. Query through libDCDB.
     dcdb = DCDBClient(backend)

@@ -88,7 +88,7 @@ def main() -> None:
     for pusher in pushers:
         pusher.advance_to(end)
     clock.set(end)
-    stored = sum(agent.readings_stored for agent in agents)
+    stored = sum(int(agent.metrics.value("dcdb_agent_readings_stored_total")) for agent in agents)
     print(f"stored {stored} readings in {MINUTES} simulated minutes")
 
     # --- placement: each cluster's subtree on one storage node --------

@@ -10,9 +10,9 @@ Wires together three pieces:
   storage keys (1:1, hierarchical, paper section 4.2);
 * a :class:`~repro.storage.backend.StorageBackend` receiving the
   readings through a
-  :class:`~repro.core.collectagent.writer.BatchingWriter` — the one
-  ingest path, whether it coalesces on one writer thread or writes each
-  message on the broker's thread (``writers=0``).
+  :class:`~repro.core.collectagent.writer.BatchingWriter`, which
+  flushes on the broker's event loop (elsewhere before the hook
+  returns); a QoS 1 PUBACK waits for the flush that commits its read.
 
 The agent's sensor cache ("gives access to the most recent readings of
 all Pushers connected", paper section 5.3) is the store itself:
@@ -31,7 +31,7 @@ from itertools import accumulate
 from repro.common.errors import BackpressureError, TransportError
 from repro.common.timeutil import NS_PER_SEC, now_ns
 from repro.core import payload as payload_mod
-from repro.core.collectagent.writer import BatchingWriter, WriterConfig
+from repro.core.collectagent.writer import Acks, BatchingWriter, WriterConfig
 from repro.core.sensor import SensorReading
 from repro.core.sid import PersistentSidMapper, SensorId
 from repro.mqtt.broker import MQTTBroker
@@ -63,13 +63,9 @@ class CollectAgent:
     writer_config:
         Configuration of the
         :class:`~repro.core.collectagent.writer.BatchingWriter` every
-        reading is staged in.  With its writer thread it coalesces writes
-        across MQTT messages off the dispatch thread (paper section
-        5.3: Cassandra inserts happen in large asynchronous batches).
-        ``None`` (the default) builds ``WriterConfig(writers=0)``: each
-        message is written on the dispatch thread before the hook
-        returns, and a failed write stays staged for the next message
-        to retry.
+        reading is staged in (``None``: ``WriterConfig()``); it
+        coalesces writes across MQTT messages (paper section 5.3:
+        Cassandra inserts happen in large asynchronous batches).
     rollup_config:
         When given, a :class:`~repro.storage.rollup.RollupEngine`
         continuously maintains 10s/1m/1h min/max/sum/count rollup
@@ -133,11 +129,12 @@ class CollectAgent:
         )
         self.writer = BatchingWriter(
             backend,
-            writer_config if writer_config is not None else WriterConfig(writers=0),
+            writer_config if writer_config is not None else WriterConfig(),
             metrics=self.metrics,
             clock=clock,
             tracer=self.tracer,
             rollup=self.rollup,
+            loop=self.broker,
         )
         self._backpressure_drops = self.metrics.counter(
             "dcdb_agent_backpressure_drops_total",
@@ -145,37 +142,23 @@ class CollectAgent:
         )
         self.broker.add_publish_hook(self._on_publish)
 
-    # Backward-compatible counter views over the registry.
-
-    @property
-    def readings_stored(self) -> int:
-        return int(self._readings_stored.value)
-
-    @property
-    def decode_errors(self) -> int:
-        return int(self._decode_errors.value)
-
-    @property
-    def metadata_announcements(self) -> int:
-        return int(self._metadata_announcements.value)
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        self.writer.start()
         self.broker.start()
 
     def stop(self) -> None:
-        # Drain the staging queue BEFORE flushing the backend: every
-        # accepted reading must reach the backend's write path first,
-        # or flush() would freeze a memtable that is still missing them.
+        # Stop the broker, so nothing more is staged, then drain the
+        # staging queue on this thread BEFORE flushing the backend:
+        # every accepted reading must reach the backend's write path
+        # first, or flush() would freeze a memtable still missing them.
+        self.broker.stop()
         self.writer.stop()
         if self.rollup is not None:
             # One last pass so every sealable bucket (and any batch a
             # transient fault left pending) lands before shutdown.
             self.rollup.flush()
         self.backend.flush()
-        self.broker.stop()
 
     def __enter__(self) -> "CollectAgent":
         self.start()
@@ -193,12 +176,14 @@ class CollectAgent:
     #: Must match Pusher.METADATA_PREFIX.
     METADATA_PREFIX = "$DCDB/metadata"
 
-    def _on_publish(self, client_id: str, packets: list[Publish]) -> None:
+    def _on_publish(self, client_id: str, packets: list[Publish]) -> Acks | None:
         """Ingest one socket read's PUBLISHes: per message only the
         metadata, frame check, trace sampling and SID; one
         ``decode_message`` and one ``writer.put`` (a run per message)
-        for them all.  A message that raises has those before it staged."""
+        for them all.  A message that raises has those before it staged.
+        Returns the read's :class:`Acks` (its held PUBACKs), or None."""
         topics, sids, lengths, frames, traces = [], [], [], [], []
+        acks = None
         try:
             for packet in packets:
                 topic, payload = packet.topic, packet.payload
@@ -235,9 +220,10 @@ class CollectAgent:
                 frames.append(payload)
         finally:
             if sids:
-                self._stage(topics, sids, lengths, frames, traces)
+                acks = self._stage(topics, sids, lengths, frames, traces)
+        return acks
 
-    def _stage(self, topics, sids, lengths, frames, traces) -> None:
+    def _stage(self, topics, sids, lengths, frames, traces) -> Acks:
         timestamps, values, _ = payload_mod.decode_message(b"".join(frames))
         batch = ReadingBatch(sids, lengths, timestamps, values, [self.default_ttl_s] * len(sids))
         starts = [0, *accumulate(lengths)]
@@ -247,18 +233,18 @@ class CollectAgent:
             self.tracer.hop("insert", "agent", trace_id, origin_ns, start_ns,
                             topic=topics[run], readings=lengths[run])
             hops.append((run, trace_id, origin_ns))
-        # Stage and return: the writer records "commit" once a message
-        # is durable, whether on its own thread or (writers=0) on this
-        # one before put() returns.
+        # The writer records "commit" once a message is durable.
+        acks = Acks(self.writer)
         refused: set[int] = set()
         try:
-            self.writer.put(batch, hops)
+            self.writer.put(batch, hops, acks)
         except BackpressureError as exc:
             refused = set(exc.refused)
             for run in exc.refused:
                 self._backpressure_drops.inc(lengths[run])
                 logger.warning("backpressure on %s: %s", topics[run], exc)
         self._readings_stored.inc(len(batch) - sum(lengths[run] for run in refused))
+        return acks
 
     def _on_metadata(self, client_id: str, packet: Publish) -> None:
         """Persist a Pusher's sensor-metadata announcement.
@@ -339,8 +325,7 @@ class CollectAgent:
 
         Components: the broker (ready while its loop thread runs, or
         always when it has no listener), the writer (queue below
-        its high watermark, running — a zero-thread writer runs until
-        stopped) and storage (live replica count when the backend is a
+        its high watermark, running until stopped) and storage (live replica count when the backend is a
         cluster).
         """
         checks: dict[str, tuple[bool, dict]] = {}
@@ -385,8 +370,8 @@ class CollectAgent:
             "traceSampleEvery": self.tracer.sample_every,
             "cacheMaxAgeNs": self.cache_maxage_ns,
             "defaultTtlSeconds": self.default_ttl_s,
-            "readingsStored": self.readings_stored,
-            "decodeErrors": self.decode_errors,
+            "readingsStored": int(self._readings_stored.value),
+            "decodeErrors": int(self._decode_errors.value),
             "knownSensors": len(self.sid_mapper),
             "connectedClients": int(
                 self.metrics.value("dcdb_broker_connected_clients")
@@ -398,8 +383,7 @@ class CollectAgent:
                 hop: self.tracer.percentiles(hop)
                 for hop in ("dispatch", "insert", "commit")
             },
-            # Queue/flush statistics of the ingest path (writers: 0 when
-            # the agent writes synchronously).
+            # Queue/flush statistics of the ingest path.
             "writer": self.writer.status(),
             # None when continuous aggregation is disabled.
             "rollup": self.rollup.status() if self.rollup is not None else None,

@@ -4,61 +4,40 @@ The paper's Collect Agent sustains millions of inserts per second
 because readings are staged and written to Cassandra in large
 asynchronous batches (section 5.3, Figure 8) instead of one storage
 round-trip per MQTT message.  :class:`BatchingWriter` reproduces that
-decoupling for any :class:`~repro.storage.backend.StorageBackend`:
+for any :class:`~repro.storage.backend.StorageBackend` with no thread
+of its own: one flush routine runs on whichever thread delivered the
+data.  A put on the writer's event loop (the agent's broker loop)
+flushes at once only on the **size** trigger and otherwise leaves the
+flush to one loop timer, armed at the **idle** or **age** deadline (see
+:class:`WriterConfig`); any other put flushes before it returns, and
+:meth:`~BatchingWriter.drain` and :meth:`~BatchingWriter.stop` flush
+on the caller, so a clean shutdown loses no accepted reading.
 
-* ``put()`` stages messages (one run each) in a bounded queue and
-  returns immediately — the broker's dispatch thread never waits on
-  storage;
-* one writer thread coalesces staged messages *across* MQTT
-  publishes into batches of up to ``max_batch`` readings and hand them
-  to ``backend.insert_batch`` in one call;
-* a flush is triggered by batch **size** (``max_batch`` readings
-  staged), **idle** (nothing new staged for ``poll_interval_s`` on the
-  injected clock, so a burst commits once it ends), batch **age** (the
-  oldest staged reading exceeds ``max_delay_ns``: the cap a continuous
-  stream coalesces up to), or **shutdown** — :meth:`stop` drains every
-  accepted reading before returning, so enabling batching never loses
-  data on a clean shutdown.
+One flush runs at a time (the flush lock is held from taking entries
+to ``commit_durable``), so flushes leave in staging order and
+last-write-wins keeps the newer of two values of a
+``(sensor, timestamp)``.  A failed flush re-queues its entries at the
+head of the queue, retried up to ``flush_retries`` times after a
+capped-exponential pause, so transient storage faults cost latency,
+not data.  A put may carry :class:`Acks` (the agent's QoS 1 PUBACKs),
+sent once everything the put staged has committed.
 
-``writers=0`` is the synchronous agent: no thread, and ``put()`` runs
-the same flush routine on the calling thread, one message per write
-(no coalescing, no sleep, no wait for capacity).  There is never more
-than one writer thread: flushes leave in staging order, so a newer
-reading of a ``(sensor, timestamp)`` always lands after an older one
-and last-write-wins keeps the newer value.  A write that fails
-stays staged and is retried first by the next ``put()``, ``drain()``
-or ``stop()``.
-
-Backpressure when the queue is full is explicit policy, not an
-accident of buffer growth, and applies to each message as if it had
-been put alone:
+Backpressure when the queue is full is explicit policy, applied to
+each message as if it had been put alone:
 
 ``block``
-    ``put()`` waits until the writer thread frees capacity (lossless,
-    propagates storage slowness to producers); with ``writers=0`` it
-    raises like ``error``, as no thread would free capacity.
+    ``put()`` flushes on its own thread until the message fits (on the
+    broker loop that stops socket reads: TCP flow control back to the
+    Pushers).
 ``drop-oldest``
     evict the oldest staged messages to make room, counting them in
-    ``dcdb_writer_readings_dropped_total`` (freshest-data-wins, the
-    right default for monitoring feeds).
+    ``dcdb_writer_readings_dropped_total`` (freshest-data-wins).
 ``error``
     raise :class:`~repro.common.errors.BackpressureError` and leave
     the queue untouched (producer decides).
 
-A failed flush does **not** drop its batch: the entries are re-queued
-at the head of the staging queue (order preserved) and retried up to
-``flush_retries`` times (the writer thread pauses, capped-exponentially,
-between attempts), so transient storage faults — a replica
-restarting, a flaky disk — cost latency, not data.  Storage backends
-deduplicate re-applied timestamps (last-write-wins), making a retry
-that races a partial success safe.
-
-Observability: queue depth gauge, batch-size and flush-latency
-histograms, dropped/requeued/lost/flushed counters, and — when a
-:class:`~repro.observability.PipelineTracer` is attached — the
-``commit`` hop of every traced message, recorded at *flush
-completion*, i.e. when the batch is really durable in the backend, not
-when it was enqueued.
+A traced message's ``commit`` hop is recorded at flush completion,
+when the batch is durable in the backend, not when it was enqueued.
 """
 
 from __future__ import annotations
@@ -78,7 +57,7 @@ from repro.storage.backend import ReadingBatch, StorageBackend
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["BACKPRESSURE_POLICIES", "BATCH_SIZE_BUCKETS", "BatchingWriter", "WriterConfig"]
+__all__ = ["Acks", "BACKPRESSURE_POLICIES", "BATCH_SIZE_BUCKETS", "BatchingWriter", "WriterConfig"]
 
 #: Valid ``WriterConfig.policy`` values.
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "error")
@@ -95,39 +74,25 @@ class WriterConfig:
     """Tuning knobs of the batched ingest path.
 
     ``max_batch``
-        flush once this many readings are staged (size trigger).
+        size trigger: flush once this many readings are staged.
     ``max_delay_ns``
-        flush once the oldest staged reading is this old on the
-        writer's clock (age trigger; caps visibility lag under a
-        continuous stream).
+        age trigger: flush once the oldest staged reading is this old
+        on the writer's clock (caps visibility lag under a stream).
     ``queue_capacity``
-        bound on staged readings; beyond it the backpressure
-        ``policy`` applies.
+        bound on staged readings; beyond it ``policy`` applies.
     ``policy``
         one of :data:`BACKPRESSURE_POLICIES`.
-    ``writers``
-        1 for one writer thread; 0 runs every flush on the thread that
-        calls ``put()`` (the synchronous agent).  A second thread could
-        finish a newer flush before an older one and so let an older
-        value of a ``(sensor, timestamp)`` win; it is refused.
     ``poll_interval_s``
-        idle window: flush once nothing new has been staged for this
-        long on the writer's clock.  It is also the real-time period at
-        which the writer thread with readings staged re-checks the idle
-        and age triggers, so an injected
-        :class:`~repro.common.timeutil.SimClock` drives both
-        deterministically; with nothing staged the thread sleeps until
-        a put.
+        idle trigger: flush once nothing new was staged for this long
+        on the writer's clock.  The loop timer waits at most this long,
+        so an injected :class:`~repro.common.timeutil.SimClock` drives
+        both timed triggers.
     ``flush_retries``
-        how many times a batch whose flush failed is re-queued and
-        retried before its readings are abandoned (counted in
-        ``dcdb_writer_readings_lost_total``).  The cap keeps
-        :meth:`BatchingWriter.stop` from spinning forever against a
-        permanently dead backend.
+        retries of a failed batch before its readings are abandoned
+        (``dcdb_writer_readings_lost_total``), so
+        :meth:`BatchingWriter.stop` ends against a dead backend.
     ``retry_backoff_s``
-        base of the capped exponential pause the writer thread takes
-        after a failed flush, so a down backend is probed rather than
-        hammered.
+        base of the capped exponential pause after a failed flush.
     ``slow_flush_s``
         flushes slower than this (wall seconds) are logged at WARNING
         with their trace ID and batch size; 0 disables the slow-op log.
@@ -137,7 +102,6 @@ class WriterConfig:
     max_delay_ns: int = 50_000_000  # 50 ms
     queue_capacity: int = 65_536
     policy: str = "block"
-    writers: int = 1
     poll_interval_s: float = 0.005
     flush_retries: int = 4
     retry_backoff_s: float = 0.002
@@ -158,8 +122,6 @@ class WriterConfig:
                 f"unknown backpressure policy {self.policy!r}; "
                 f"choose one of {BACKPRESSURE_POLICIES}"
             )
-        if self.writers not in (0, 1):
-            raise ConfigError(f"writers must be 0 or 1, got {self.writers}")
         if self.poll_interval_s <= 0:
             raise ConfigError("poll_interval_s must be positive")
         if self.flush_retries < 0:
@@ -170,15 +132,37 @@ class WriterConfig:
             raise ConfigError("slow_flush_s must be >= 0 (0 disables the slow-op log)")
 
 
-class BatchingWriter:
-    """Bounded staging queue + at most one writer thread in front of a
-    backend.
+class Acks:
+    """Sends one put holds back (the agent's QoS 1 PUBACKs): called
+    with a send, it runs it once every entry the put staged has
+    committed (at once if none is left), never if one was lost."""
 
-    Queue entries are the :class:`ReadingBatch` es exactly as the agent
-    decoded them, one run per message (no per-reading copies);
-    coalescing concatenates their columns only when a flush spans
-    several entries, and a flush covering a single entry passes that
-    batch through untouched.
+    __slots__ = ("_lock", "pending", "sends")
+
+    def __init__(self, writer: "BatchingWriter") -> None:
+        self._lock = writer._lock
+        self.pending: int | None = 0  # entries not yet committed; None once one is lost
+        self.sends: list = []
+
+    def __call__(self, send) -> None:
+        with self._lock:
+            if self.pending != 0:
+                if self.pending:
+                    self.sends.append(send)
+                return
+        send()
+
+
+class BatchingWriter:
+    """Bounded staging queue in front of a backend, flushed on the
+    thread that delivered the data.
+
+    ``loop`` is where flushes are left to: any object with
+    ``call_later(delay_s, callback)`` and ``on_loop_thread()`` (the
+    agent passes its broker, which answers for the loop it runs now).
+    Without one every put flushes before it returns.  Queue entries are
+    the agent's :class:`ReadingBatch` es, one run per message; a flush
+    concatenates them only when it spans several.
     """
 
     def __init__(
@@ -189,6 +173,7 @@ class BatchingWriter:
         clock=None,
         tracer=None,
         rollup=None,
+        loop=None,
     ) -> None:
         from repro.common.timeutil import now_ns
 
@@ -200,23 +185,25 @@ class BatchingWriter:
         self.config = config if config is not None else WriterConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
+        self.loop = loop
         self._clock = clock if clock is not None else now_ns
         self._idle_ns = int(self.config.poll_interval_s * 1e9)
-        # Entries are (batch, enqueued_ns, flush_attempts, traces), with
-        # traces a list of (run, trace_id, origin_ns) for the entry's
-        # traced messages.  attempts > 0 marks a batch re-queued after a
-        # failed flush; it keeps its place at the queue head so the
-        # original arrival order is preserved across retries.
-        self._entries: deque[tuple[ReadingBatch, int, int, list]] = deque()
-        self._depth = 0  # readings staged (not yet taken by a writer)
+        # Entries are (batch, enqueued_ns, flush_attempts, traces, acks),
+        # with traces a list of (run, trace_id, origin_ns) for the
+        # entry's traced messages and acks the put's Acks or None.
+        # attempts > 0 marks a batch re-queued after a failed flush; it
+        # keeps its place at the queue head so the original arrival
+        # order is preserved across retries.
+        self._entries: deque[tuple[ReadingBatch, int, int, list, Acks | None]] = deque()
+        self._depth = 0  # readings staged (not yet taken by a flush)
         self._inflight = 0  # readings taken but not yet durable
         self._stopping = False
-        self._force_flush = False
+        self._timer = None  # the loop timer, armed while anything is staged
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
-        self._thread: threading.Thread | None = None
+        # Held from taking entries to commit_durable: one flush at a
+        # time, so flushes leave in staging order.
+        self._flush_lock = threading.Lock()
 
         self.metrics.gauge(
             "dcdb_writer_queue_depth", "Readings staged in the batching writer"
@@ -260,60 +247,42 @@ class BatchingWriter:
         self._flush_duration = self.metrics.histogram(
             "dcdb_writer_flush_duration_seconds", "Wall time of one backend flush"
         )
-        self.start()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> None:
-        """(Re)start the writer thread; idempotent while running."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return
-            self._stopping = False
-            if self.config.writers:
-                self._thread = threading.Thread(
-                    target=self._run, name="dcdb-writer", daemon=True
-                )
-                self._thread.start()
 
     def stop(self) -> None:
-        """Drain every accepted reading, then stop the writer thread.
-
-        Readings staged before ``stop()`` is called are flushed to the
-        backend before this method returns; producers blocked in
-        ``put()`` are woken with :class:`BackpressureError`.
-        """
+        """Refuse further puts, then flush every staged reading on the
+        caller before returning."""
         with self._lock:
             self._stopping = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-        thread = self._thread
-        if thread is not None:
-            thread.join()
-        self._thread = None
-        # The writer thread exits only once the queue is empty, so this
-        # retries what is left only when there is none.
-        self._drain_inline()
+        self.drain()
 
-    # -- producer side ------------------------------------------------------
-
-    def put(self, batch: ReadingBatch, traces: list | tuple = ()) -> int:
+    def put(self, batch: ReadingBatch, traces: list | tuple = (), acks: Acks | None = None) -> int:
         """Stage a batch with one run per message, each admitted as if
         put alone; returns the readings accepted.  Refused runs raise
         :class:`BackpressureError` naming them, once the rest are
         staged.  ``traces``: ``(run, trace_id, origin_ns)`` per traced
-        message, whose ``commit`` hop its flush records.  With
-        ``writers=0`` the write happens before this returns."""
+        message, whose ``commit`` hop its flush records; ``acks`` wait
+        for the entries this put stages.  Off the loop thread the write
+        happens before this returns."""
         if not len(batch):
             return 0
         refused: list[int] = []
         accepted = run = 0
         while run < len(batch.lengths):
             with self._lock:
-                run, staged = self._stage_locked(batch, traces, run, refused)
-            accepted += staged
-            if not self.config.writers:
-                self._flush_inline()
+                staged = self._stage_locked(batch, traces, run, refused, acks)
+            if staged is None:  # block: make room on this thread
+                if not self._flush():
+                    time.sleep(self._backoff_s())
+                continue
+            run, count = staged
+            accepted += count
+        if self.loop is not None and self.loop.on_loop_thread():
+            while self._depth >= self.config.max_batch and self._flush():
+                pass
+            self._arm()
+        else:
+            while self._entries and self._flush():
+                pass
         if refused:
             raise BackpressureError(
                 f"staging queue refused {len(refused)} of {len(batch.lengths)} messages "
@@ -322,10 +291,10 @@ class BatchingWriter:
             )
         return accepted
 
-    def _stage_locked(self, batch: ReadingBatch, traces, run: int, refused: list[int]) -> tuple:
+    def _stage_locked(self, batch: ReadingBatch, traces, run: int, refused: list[int], acks):
         """Stage runs from ``run`` on: every run that fits, or else the
         policy's outcome for the first one.  Returns ``(next run,
-        readings staged)``."""
+        readings staged)``, or None while ``block`` must make room."""
         lengths, capacity = batch.lengths, self.config.queue_capacity
         if self._stopping:
             refused.extend(range(run, len(lengths)))
@@ -337,23 +306,24 @@ class BatchingWriter:
         if end == run:
             count, end = lengths[run], run + 1
             policy = self.config.policy
-            if policy == "error" or (policy == "block" and not self.config.writers):
+            if policy == "error":
                 refused.append(run)
                 return end, 0
-            if policy == "block":
-                while self._depth + count > capacity and not self._stopping:
-                    self._not_full.wait()
-                return self._stage_locked(batch, traces, run, refused)
-            # drop-oldest: evict whole staged messages, oldest first.
+            if policy == "block" and self._entries:
+                return None
+            # drop-oldest (or a message too large for an empty queue):
+            # evict whole staged messages, oldest first.
             need = self._depth + count - capacity
             while need > 0 and self._entries:
-                old, enqueued_ns, attempts, old_traces = self._entries.popleft()
+                old, enqueued_ns, attempts, old_traces, old_acks = self._entries.popleft()
+                if old_acks is not None:
+                    old_acks.pending = None
                 runs = bisect_left(list(accumulate(old.lengths)), need) + 1
                 drop = sum(old.lengths[:runs])
                 if runs < len(old.lengths):
                     kept = [(r - runs, t, o) for r, t, o in old_traces if r >= runs]
                     old = old.tail(len(old) - drop)
-                    self._entries.appendleft((old, enqueued_ns, attempts, kept))
+                    self._entries.appendleft((old, enqueued_ns, attempts, kept, old_acks))
                 self._depth -= drop
                 self._dropped.inc(drop)
                 need -= drop
@@ -363,101 +333,84 @@ class BatchingWriter:
             # freshest tail, consistent with drop-oldest.
             self._dropped.inc(count - capacity)
             piece, count = piece.tail(capacity), capacity
+            if acks is not None:
+                acks.pending = None
+        if acks is not None and acks.pending is not None:
+            acks.pending += 1
         traces = [(r - run, t, o) for r, t, o in traces if run <= r < end]
-        self._entries.append((piece, self._clock(), 0, traces))
+        self._entries.append((piece, self._clock(), 0, traces, acks))
         self._depth += count
         if self._depth > self._queue_hwm:
             self._queue_hwm = self._depth
         self._enqueued.inc(count)
-        self._not_empty.notify()
         return end, count
 
-    # -- consumer side ------------------------------------------------------
+    # -- the loop timer -----------------------------------------------------
 
-    def _run(self) -> None:
-        poll = self.config.poll_interval_s
-        backoff = self.config.retry_backoff_s
-        while True:
+    def _arm(self, delay_s: float | None = None) -> None:
+        """Arm the loop timer while anything is staged (loop thread):
+        at the idle or age deadline, or after ``delay_s``."""
+        with self._lock:
+            if self._timer is not None or not self._entries:
+                return
+            if delay_s is None:
+                # At most one poll interval, so an injected SimClock
+                # still drives both triggers.
+                delay_s = min(max(self._due_in_ns_locked(), 0) / 1e9, self.config.poll_interval_s)
+            self._timer = self.loop.call_later(delay_s, self._tick)
+
+    def _tick(self) -> None:
+        """Flush once the idle or age trigger is due; re-arm while
+        anything is staged, after the retry pause if the flush failed."""
+        self._timer = None
+        with self._lock:
+            due = bool(self._entries) and self._due_in_ns_locked() <= 0
+        self._arm(self._backoff_s() if due and not self._flush() else None)
+
+    def _due_in_ns_locked(self) -> int:
+        """Nanoseconds until the idle or age trigger (<= 0: due)."""
+        newest, oldest = self._entries[-1][1], self._entries[0][1]
+        return min(newest + self._idle_ns, oldest + self.config.max_delay_ns) - self._clock()
+
+    def _backoff_s(self) -> float:
+        """Capped-exponential pause after consecutive failed flushes, so
+        a dead backend is probed rather than busy-looped on."""
+        failures = self._consecutive_failures
+        return min(0.1, self.config.retry_backoff_s * (2.0 ** min(failures - 1, 6)))
+
+    # -- the flush ----------------------------------------------------------
+
+    def _flush(self) -> bool:
+        """Write up to ``max_batch`` staged readings, oldest first, under
+        the flush lock; False if the write failed.  The sends it releases
+        run after the lock (a memory-pipe PUBACK runs the client here)."""
+        sends: list = []
+        taken, count = [], 0
+        with self._flush_lock:
             with self._lock:
-                while not self._flush_due_locked():
-                    if self._entries:
-                        # Timed wait so the idle and age triggers are
-                        # re-evaluated on the injected clock even when
-                        # no new puts arrive.
-                        self._not_empty.wait(timeout=poll)
-                    elif self._stopping:
-                        return
-                    else:
-                        self._not_empty.wait()
-                taken, count = self._take_locked()
-                self._inflight += count
-                self._not_full.notify_all()
-            if not self._write(taken, count) and backoff > 0:
-                # Capped-exponential pause after consecutive failures,
-                # so the writer thread probes a dead backend rather than
-                # busy-looping on it.
-                failures = self._consecutive_failures
-                time.sleep(min(0.1, backoff * (2.0 ** min(failures - 1, 6))))
-            self._settle(count)
-
-    def _flush_inline(self) -> None:
-        """Write staged entries on the calling thread (``writers=0``).
-
-        One entry per write, oldest first, so a write that failed
-        earlier is retried before anything staged after it.  The first
-        failure ends the pass; its entry stays staged for the next
-        ``put()``, ``drain()`` or ``stop()``.
-        """
-        while True:
-            with self._lock:
-                if not self._entries:
-                    return
-                entry = self._entries.popleft()
-                count = len(entry[0])
+                while self._entries and count < self.config.max_batch:
+                    taken.append(self._entries.popleft())
+                    count += len(taken[-1][0])
                 self._depth -= count
                 self._inflight += count
-            written = self._write([entry], count)
-            self._settle(count)
-            if not written:
-                return
-
-    def _drain_inline(self) -> None:
-        """Flush inline until nothing is staged; each failed entry is
-        retried up to ``flush_retries`` times, then counted lost."""
-        while self._entries:
-            self._flush_inline()
-
-    def _settle(self, count: int) -> None:
-        with self._lock:
-            self._inflight -= count
-            if not self._entries and self._inflight == 0:
-                self._idle.notify_all()
-
-    def _flush_due_locked(self) -> bool:
-        if not self._entries:
-            return False
-        if self._stopping or self._force_flush:
-            return True
-        if self._depth >= self.config.max_batch:
-            return True
-        now = self._clock()
-        return (
-            now - self._entries[-1][1] >= self._idle_ns
-            or now - self._entries[0][1] >= self.config.max_delay_ns
-        )
-
-    def _take_locked(self) -> tuple[list[tuple[ReadingBatch, int, int, list]], int]:
-        taken: list[tuple[ReadingBatch, int, int, list]] = []
-        count = 0
-        max_batch = self.config.max_batch
-        while self._entries and count < max_batch:
-            entry = self._entries.popleft()
-            taken.append(entry)
-            count += len(entry[0])
-        self._depth -= count
-        if not self._entries:
-            self._force_flush = False
-        return taken, count
+            written = False
+            try:
+                written = not taken or self._write(taken, count)
+            finally:
+                with self._lock:
+                    self._inflight -= count
+                    if written:
+                        self._consecutive_failures = 0
+                        for *_, acks in taken:
+                            if acks is not None and acks.pending:
+                                acks.pending -= 1
+                                if not acks.pending:
+                                    sends += acks.sends
+                    if not self._entries and not self._inflight:
+                        self._idle.notify_all()
+        for send in sends:
+            send()
+        return written
 
     def _write(self, taken, count: int) -> bool:
         """Flush ``taken`` entries as one batch; False if it failed (the
@@ -483,8 +436,6 @@ class BatchingWriter:
             logger.exception("batch flush of %d readings failed", count)
             self._requeue(taken)
             return False
-        with self._lock:
-            self._consecutive_failures = 0
         duration = time.perf_counter() - started
         self._flush_duration.observe(duration)
         self._batch_size.observe(count)
@@ -496,7 +447,7 @@ class BatchingWriter:
             # raises (a rollup failure costs freshness, not raw data).
             self.rollup.observe(batch)
         if first_trace is not None and self.tracer is not None:
-            for _, _, attempts, traces in taken:
+            for _, _, attempts, traces, _ in taken:
                 for _, trace_id, origin_ns in traces:
                     self.tracer.hop(
                         "commit",
@@ -525,19 +476,20 @@ class BatchingWriter:
     def _requeue(self, taken) -> None:
         """Re-stage a failed batch at the queue head, oldest first.
 
-        Entries keep their enqueue timestamps and trace IDs, so the age
-        trigger still sees the true staleness and a traced reading
-        still gets its ``commit`` hop once the retry lands.  Entries
-        that have exhausted ``flush_retries`` are abandoned (the only
-        point in the writer where accepted readings can be lost, and
-        only after the backend refused them flush_retries + 1 times).
+        Entries keep their enqueue timestamps, trace IDs and held acks
+        (the age trigger sees the true staleness; a traced reading gets
+        its ``commit`` hop once the retry lands).  Entries past
+        ``flush_retries`` are abandoned with their acks: the only point
+        where accepted readings can be lost.
         """
         retries = self.config.flush_retries
         with self._lock:
             requeued = 0
-            for batch, enqueued_ns, attempts, traces in reversed(taken):
+            for batch, enqueued_ns, attempts, traces, acks in reversed(taken):
                 if attempts >= retries:
                     self._lost.inc(len(batch))
+                    if acks is not None:
+                        acks.pending = None
                     logger.error(
                         "abandoning %d readings after %d failed flushes",
                         len(batch),
@@ -545,27 +497,21 @@ class BatchingWriter:
                         extra={"trace_id": traces[0][1] if traces else None},
                     )
                     continue
-                self._entries.appendleft((batch, enqueued_ns, attempts + 1, traces))
+                self._entries.appendleft((batch, enqueued_ns, attempts + 1, traces, acks))
                 requeued += len(batch)
             self._depth += requeued
             if requeued:
                 self._requeued.inc(requeued)
-                self._not_empty.notify()
             self._consecutive_failures += 1
 
     # -- synchronization helpers -------------------------------------------
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Force-flush everything staged and wait until it is durable.
-
-        Without a writer thread the flush runs here, on the caller.
-        """
-        if self.config.writers:
-            with self._lock:
-                self._force_flush = True
-                self._not_empty.notify_all()
-        else:
-            self._drain_inline()
+        """Flush everything staged on the caller, then wait until no
+        flush is in flight."""
+        while self._entries:
+            if not self._flush():
+                time.sleep(self._backoff_s())
         return self.wait_idle(timeout)
 
     def wait_idle(self, timeout: float = 10.0) -> bool:
@@ -600,11 +546,7 @@ class BatchingWriter:
     def status(self) -> dict:
         """JSON-friendly snapshot for the REST ``/status`` document."""
         with self._lock:
-            depth = self._depth
-            inflight = self._inflight
-            # A zero-thread writer runs until stopped.
-            thread = self._thread
-            running = thread.is_alive() if thread is not None else not self._stopping
+            depth, inflight, running = self._depth, self._inflight, not self._stopping
         return {
             "running": running,
             "policy": self.config.policy,
@@ -615,7 +557,6 @@ class BatchingWriter:
             "queueCapacity": self.config.queue_capacity,
             "maxBatch": self.config.max_batch,
             "maxDelayMs": self.config.max_delay_ns / 1e6,
-            "writers": self.config.writers,
             "enqueued": int(self._enqueued.value),
             "flushed": int(self._flushed.value),
             "dropped": int(self._dropped.value),

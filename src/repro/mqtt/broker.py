@@ -52,10 +52,11 @@ logger = logging.getLogger(__name__)
 
 #: Callback for accepted PUBLISHes, ``(client_id, packets)``: every
 #: PUBLISH one read (a socket chunk or a memory-pipe write) brought
-#: from that client, in order.  QoS 1 PUBACKs follow
-#: the hooks; a hook that raises should first stage the messages
-#: before the failing one.
-PublishHook = Callable[[str, list[pkt.Publish]], None]
+#: from that client, in order.  QoS 1 PUBACKs follow the hooks, or a
+#: hook returns a callable that takes the send and runs it once the
+#: read is committed.  A hook that raises should first stage the
+#: messages before the failing one.
+PublishHook = Callable[[str, list[pkt.Publish]], Callable | None]
 
 
 #: How often the keepalive sweep runs.  Bounded below the smallest
@@ -283,6 +284,15 @@ class MQTTBroker:
         for session in sessions:
             self._wire_filter(session)
 
+    def on_loop_thread(self) -> bool:
+        """Whether the caller runs on the broker's event loop."""
+        loop = self._loop
+        return loop is not None and loop.on_loop_thread()
+
+    def call_later(self, delay_s: float, callback: Callable[[], None]):
+        """Run ``callback`` on the broker's event loop after ``delay_s``."""
+        return self._loop.call_later(delay_s, callback)
+
     @property
     def connected_clients(self) -> int:
         with self._sessions_lock:
@@ -496,14 +506,16 @@ class MQTTBroker:
                             client=client_id,
                         )
         self._messages_received.inc(len(packets))
+        hold = None
         for hook in self._hooks:
-            hook(client_id, packets)
-        # Ack after the hooks: a QoS 1 PUBACK means the reading was
-        # staged for storage (the agent's writer holds it), not merely
-        # parsed.
-        acks = [pkt.PubAck(p.packet_id).encode() for p in packets if p.qos == 1]
+            hold = hook(client_id, packets) or hold
+        # A QoS 1 PUBACK means the reading is committed, not parsed.
+        acks = b"".join(pkt.PubAck(p.packet_id).encode() for p in packets if p.qos == 1)
         if acks:
-            session.send(b"".join(acks))
+            if hold is None:
+                session.send(acks)
+            else:
+                hold(lambda: session.send(acks))
 
     def _on_conn_close(self, conn: Connection) -> None:
         session = getattr(conn, "owner", None)

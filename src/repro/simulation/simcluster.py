@@ -47,8 +47,9 @@ class SimClusterConfig:
     topic_prefix: str = "/sim/cluster"
     use_memory_backend: bool = field(default=False)
     #: The agent's :class:`~repro.core.collectagent.writer.BatchingWriter`
-    #: configuration; None means ``writers=0`` (each MQTT message is
-    #: written on the publishing thread before ``run()`` moves on).
+    #: configuration (None: ``WriterConfig()``).  The broker serves
+    #: memory pipes and has no loop thread, so each read is written on
+    #: the publishing thread before ``run()`` moves on.
     writer_config: WriterConfig | None = None
     #: When set, the agent maintains continuous-aggregation rollup
     #: tiers (stored as ordinary series, so replication and hinted
@@ -276,7 +277,7 @@ class SimulatedCluster:
         on the clock, so the same stepping always reproduces the same
         interleaving.
         """
-        before = self.agent.readings_stored
+        before = self._stored()
         self.apply_due_faults()
         self.probe_liveness()
         target = self.clock() + int(seconds * NS_PER_SEC)
@@ -286,12 +287,15 @@ class SimulatedCluster:
         self.apply_due_faults()
         self.probe_liveness()
         self.drain()
-        return self.agent.readings_stored - before
+        return self._stored() - before
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Force-flush the agent's staging queue (with ``writers=0`` it
-        holds only writes that failed, retried here)."""
+        """Flush the agent's staging queue on this thread; it holds
+        only writes that failed, retried here."""
         return self.agent.writer.drain(timeout)
+
+    def _stored(self) -> int:
+        return int(self.agent.metrics.value("dcdb_agent_readings_stored_total"))
 
     def expected_readings(self, seconds: float) -> int:
         cycles = int(seconds * 1000 / self.config.interval_ms)

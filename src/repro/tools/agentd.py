@@ -12,9 +12,6 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
                                  ; (WAL + segments, docs/durability.md)
         ttl        0             ; seconds, 0 = keep forever
         cacheInterval 120000     ; ms
-        batching      false      ; true: coalesce on one writer thread;
-                                 ; false: write each message on the
-                                 ; broker thread (writers=0)
         batchSize     4096       ; readings per coalesced flush
         batchDelayMs  50         ; max staging age (a quiet queue flushes sooner)
         queueCapacity 65536      ; staging queue bound (readings)
@@ -26,6 +23,10 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
         rawHorizon    0          ; seconds before raw rows demote to rollups
         tierHorizons  0,0,0      ; per-tier horizons, finest first
     }
+
+The writer flushes on the broker's event loop, and a QoS 1 PUBACK
+leaves once its reading is committed.  An old ``batching`` key is
+ignored: there is one ingest path.
 
 Runs until interrupted; drains the staging queue and flushes storage
 on shutdown.
@@ -61,14 +62,12 @@ def agent_from_config(tree: PropertyTree) -> tuple[CollectAgent, CollectAgentRes
         global_cfg = PropertyTree()
     configure_logging(global_cfg, "collectagent")
     backend = open_backend(global_cfg.get("db", "memory:"))
-    writer_config = None  # the agent's default: writers=0
-    if global_cfg.get_bool("batching", False):
-        writer_config = WriterConfig(
-            max_batch=global_cfg.get_int("batchSize", 4096),
-            max_delay_ns=global_cfg.get_int("batchDelayMs", 50) * NS_PER_MS,
-            queue_capacity=global_cfg.get_int("queueCapacity", 65_536),
-            policy=global_cfg.get("backpressure", "block"),
-        )
+    writer_config = WriterConfig(
+        max_batch=global_cfg.get_int("batchSize", 4096),
+        max_delay_ns=global_cfg.get_int("batchDelayMs", 50) * NS_PER_MS,
+        queue_capacity=global_cfg.get_int("queueCapacity", 65_536),
+        policy=global_cfg.get("backpressure", "block"),
+    )
     rollup_config = None
     if global_cfg.get_bool("rollups", False):
         horizons = tuple(

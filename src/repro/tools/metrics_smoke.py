@@ -325,7 +325,7 @@ def _run(data_dir: str) -> int:
 
     failures: list[str] = []
     _check(pusher.readings_collected > 0, "pusher collected readings", failures)
-    _check(agent.readings_stored > 0, "agent accepted readings", failures)
+    _check(agent.metrics.value("dcdb_agent_readings_stored_total") > 0, "agent accepted readings", failures)
     _check(agent.writer.drain(), "staging queue drained", failures)
     # Rollup series ride along in the same store; the durability check
     # is about the raw readings the agent accepted.
@@ -335,9 +335,9 @@ def _run(data_dir: str) -> int:
         if not is_rollup_sid(sid)
     )
     _check(
-        stored == agent.readings_stored,
+        stored == agent.metrics.value("dcdb_agent_readings_stored_total"),
         "every accepted reading is durable after drain "
-        f"({stored}/{agent.readings_stored})",
+        f"({stored}/{int(agent.metrics.value('dcdb_agent_readings_stored_total'))})",
         failures,
     )
     # Exercise the libDCDB read path on the shared registry: libDCDB

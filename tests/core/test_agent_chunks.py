@@ -91,9 +91,9 @@ def hops(agent: CollectAgent) -> Counter:
 def outcome(agent: CollectAgent) -> tuple:
     return (
         agent.backend.state_fingerprint(),
-        agent.readings_stored,
-        agent.decode_errors,
-        agent.metadata_announcements,
+        agent.metrics.value("dcdb_agent_readings_stored_total"),
+        agent.metrics.value("dcdb_agent_decode_errors_total"),
+        agent.metrics.value("dcdb_agent_metadata_announcements_total"),
         int(agent._backpressure_drops.value),
         agent.writer.dropped,
         {topic: agent.recent(topic) for topic in agent.topics()},
@@ -125,20 +125,20 @@ def test_one_chunk_equals_one_message_at_a_time(stream):
 @settings(max_examples=40, deadline=None)
 @given(streams, st.sampled_from(["block", "error", "drop-oldest"]), st.integers(8, 150))
 def test_backpressure_equivalence(stream, policy, capacity):
-    """With the inline flush held back, the queue fills: a chunk must
-    accept, refuse and evict exactly what its messages put one at a
-    time would, under each policy."""
+    """With the flush held back, the queue fills: a chunk must accept,
+    refuse and evict exactly what its messages put one at a time would,
+    under each policy.  ``block`` makes room by writing, so it keeps
+    its flush and must store the same as one message at a time."""
     packets = build(stream)
     outcomes = []
     for chunked in (True, False):
-        agent = make_agent(
-            WriterConfig(max_batch=8, queue_capacity=capacity, policy=policy, writers=0)
-        )
+        agent = make_agent(WriterConfig(max_batch=8, queue_capacity=capacity, policy=policy))
         writer = agent.writer
-        writer._flush_inline = lambda: None  # stage without writing
+        if policy != "block":
+            writer._flush = lambda: False  # stage without writing
         deliver(agent, packets, chunked)
         staged = ([row for entry in writer._entries for row in entry[0]], writer.depth)
-        del writer._flush_inline
+        writer.__dict__.pop("_flush", None)
         writer.drain()
         outcomes.append((staged, *outcome(agent)))
     assert outcomes[0] == outcomes[1]
@@ -164,6 +164,6 @@ def test_a_raising_message_stages_the_ones_before_it():
     broken, after = message("/r9/broken/temp", 7), message("/r1/n9/power", 9)
     with pytest.raises(StorageError):
         agent._on_publish("pusher", [*before, broken, after])
-    assert agent.readings_stored == 3
+    assert agent.metrics.value("dcdb_agent_readings_stored_total") == 3
     assert agent.topics() == [p.topic for p in before]
     assert sum(len(agent.backend.query(agent.sid_of(p.topic), 0, 2 * T0)[0]) for p in before) == 3

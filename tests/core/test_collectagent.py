@@ -38,7 +38,7 @@ class TestIngest:
         agent, backend, client = make_agent()
         readings = [SensorReading(i, i * 2) for i in range(1, 6)]
         client.publish("/s/a", payload_mod.encode_readings(readings))
-        assert agent.readings_stored == 5
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 5
 
     def test_topic_sid_mapping_persisted(self):
         agent, backend, client = make_agent()
@@ -76,26 +76,26 @@ class TestIngest:
         with pytest.raises(StorageError):
             agent._on_publish("pusher", [Publish("/a/b/c", payload_mod.encode_reading(1, 1))])
         publish_reading(client, "/a/b/c", 2, 2)
-        assert agent.readings_stored == 1
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 1
         assert backend.get_metadata("sidmap/a/b/c") == agent.sid_of("/a/b/c").hex()
 
     def test_malformed_payload_counted(self):
         agent, backend, client = make_agent()
         client.publish("/s/bad", b"\x01\x02\x03")  # not a 16-byte multiple
-        assert agent.decode_errors == 1
-        assert agent.readings_stored == 0
+        assert agent.metrics.value("dcdb_agent_decode_errors_total") == 1
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 0
 
     def test_empty_payload_ignored(self):
         agent, backend, client = make_agent()
         client.publish("/s/empty", b"")
-        assert agent.readings_stored == 0
-        assert agent.decode_errors == 0
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 0
+        assert agent.metrics.value("dcdb_agent_decode_errors_total") == 0
 
     def test_too_deep_topic_counted_as_error(self):
         agent, backend, client = make_agent()
         deep = "/" + "/".join(f"l{i}" for i in range(9))
         client.publish(deep, payload_mod.encode_reading(1, 1))
-        assert agent.decode_errors == 1
+        assert agent.metrics.value("dcdb_agent_decode_errors_total") == 1
 
     def test_ttl_applied(self):
         broker = MQTTBroker(port=None)

@@ -45,7 +45,7 @@ class TestAnnouncement:
         pusher.client.connect()
         sent = pusher.announce_metadata()
         assert sent == 1
-        assert agent.metadata_announcements == 1
+        assert agent.metrics.value("dcdb_agent_metadata_announcements_total") == 1
         config = DCDBClient(backend).sensor_config("/md/n0/g/s0")
         assert config.topic == "/md/n0/g/s0"
 
@@ -86,22 +86,22 @@ class TestAnnouncement:
         pusher.load_plugin("tester", "group g { interval 1000\n numSensors 2 }")
         pusher.client.connect()
         pusher.announce_metadata()
-        assert agent.readings_stored == 0
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 0
         assert backend.sids() == []
 
     def test_malformed_announcement_counted(self):
         pusher, agent, backend = make_stack()
         pusher.client.connect()
         pusher.client.publish("$DCDB/metadata/x", b"this is not json")
-        assert agent.decode_errors == 1
+        assert agent.metrics.value("dcdb_agent_decode_errors_total") == 1
 
     def test_topic_mismatch_rejected(self):
         pusher, agent, backend = make_stack()
         pusher.client.connect()
         document = json.dumps({"topic": "/somewhere/else"}).encode()
         pusher.client.publish("$DCDB/metadata/md/n0/s", document)
-        assert agent.decode_errors == 1
-        assert agent.metadata_announcements == 0
+        assert agent.metrics.value("dcdb_agent_decode_errors_total") == 1
+        assert agent.metrics.value("dcdb_agent_metadata_announcements_total") == 0
 
     def test_wildcard_consumers_do_not_see_system_topics(self):
         # Metadata travels on a $-prefixed topic, which MQTT excludes
@@ -125,8 +125,8 @@ class TestAnnouncement:
         pusher.start()
         try:
             deadline = time.monotonic() + 5
-            while agent.metadata_announcements < 3 and time.monotonic() < deadline:
+            while agent.metrics.value("dcdb_agent_metadata_announcements_total") < 3 and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert agent.metadata_announcements == 3
+            assert agent.metrics.value("dcdb_agent_metadata_announcements_total") == 3
         finally:
             pusher.stop()

@@ -136,7 +136,7 @@ class TestOldNewMixThroughAgent:
             "/mix/new/s0",
             encode_readings([SensorReading(2_000, 2)], trace_id=0xABC),
         )
-        assert agent.readings_stored == 2
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 2
         sids = backend.sids()
         assert len(sids) == 2
         values = sorted(

@@ -140,7 +140,7 @@ class TestMultiAgentDeployment:
             pusher.start_plugin("tester")
             pusher.advance_to(10 * NS_PER_SEC)
         # 2 clusters x 5 sensors x 10 cycles, all distinct SIDs.
-        assert sum(a.readings_stored for a in agents) == 100
+        assert sum(a.metrics.value("dcdb_agent_readings_stored_total") for a in agents) == 100
         assert len(backend.sids()) == 10
         # Cross-agent resolution: agent 0 resolves agent 1's topics.
         sid_via_0 = agents[0].sid_mapper.sid_for_topic("/cluster1/n0/g/s0")

@@ -1,8 +1,12 @@
-"""Edge cases of the asynchronous batching writer (ingest staging)."""
+"""Edge cases of the batching writer (ingest staging).
 
-import sys
+The writer has no thread of its own: a put on its event loop leaves the
+flush to a loop timer, any other put flushes before it returns.  These
+tests drive the loop path with :class:`SteppedLoop` and a
+:class:`SimClock`, so every outcome is fixed by the test's own steps.
+"""
+
 import threading
-import time
 
 import pytest
 
@@ -18,23 +22,58 @@ from repro.storage import MemoryBackend, ReadingBatch
 
 SID = SensorId.from_codes([1, 2, 3])
 FOREVER_NS = 3600 * NS_PER_SEC
+POLL_NS = 1_000_000  # poll_interval_s=0.001 on the writer's clock
 
 
 def items(*values, base_ts=0):
     return ReadingBatch.from_items([(SID, base_ts + i, v, 0) for i, v in enumerate(values)])
 
 
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.002)
-    return predicate()
+class SteppedLoop:
+    """The writer's event loop, stepped by the test: every caller is on
+    the loop thread, and ``call_later`` only records the timer, which
+    :meth:`fire` runs (the writer arms at most one)."""
+
+    def __init__(self):
+        self.timers = []
+
+    def on_loop_thread(self):
+        return True
+
+    def call_later(self, delay_s, callback):
+        self.timers.append((delay_s, callback))
+
+    @property
+    def delay_ns(self):
+        """The armed timer's delay on the writer's clock."""
+        (delay_s, _), = self.timers
+        return round(delay_s * 1e9)
+
+    def fire(self):
+        _, callback = self.timers.pop(0)
+        callback()
+
+
+def loop_writer(backend=None, clock=None, **config):
+    """A writer on a :class:`SteppedLoop` and a SimClock at 0."""
+    config.setdefault("poll_interval_s", 0.001)
+    clock = clock if clock is not None else SimClock(0)
+    loop = SteppedLoop()
+    writer = BatchingWriter(
+        backend if backend is not None else MemoryBackend(),
+        WriterConfig(**config),
+        clock=clock,
+        loop=loop,
+    )
+    return writer, loop, clock
+
+
+def flushes(writer):
+    return writer.metrics.value("dcdb_writer_flushes_total")
 
 
 class BlockingBackend(MemoryBackend):
-    """A backend whose insert_batch parks until released."""
+    """A backend whose first insert_batch parks until released."""
 
     def __init__(self):
         super().__init__()
@@ -42,57 +81,47 @@ class BlockingBackend(MemoryBackend):
         self.entered = threading.Event()
 
     def insert_batch(self, batch):
-        self.entered.set()
-        assert self.release.wait(timeout=10.0), "test never released the backend"
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10.0), "test never released the backend"
         return super().insert_batch(batch)
 
 
 class TestFlushTriggers:
     def test_flush_by_size(self):
-        backend = MemoryBackend()
-        writer = BatchingWriter(
-            backend, WriterConfig(max_batch=10, max_delay_ns=FOREVER_NS)
-        )
-        writer.put(items(*range(10)))
-        assert wait_for(lambda: backend.count(SID, 0, 100) == 10)
-        writer.stop()
+        writer, loop, _ = loop_writer(max_batch=10, max_delay_ns=FOREVER_NS)
+        writer.put(items(*range(9)))
+        assert writer.flushed == 0
+        writer.put(items(9, base_ts=9))  # the size trigger flushes inside put
+        assert writer.flushed == 10 and writer.depth == 0
+        assert writer.backend.count(SID, 0, 100) == 10
 
     def test_no_flush_below_size_and_age(self):
-        backend = MemoryBackend()
-        clock = SimClock(0)
-        writer = BatchingWriter(
-            backend,
-            WriterConfig(max_batch=100, max_delay_ns=NS_PER_SEC, poll_interval_s=0.001),
-            clock=clock,
-        )
+        writer, loop, _ = loop_writer(max_batch=100, max_delay_ns=NS_PER_SEC)
         writer.put(items(1, 2, 3))
-        time.sleep(0.05)  # many poll cycles; sim clock never advanced
-        assert backend.count(SID, 0, 100) == 0
+        for _ in range(50):  # many timer turns; the sim clock never moves
+            loop.fire()
+        assert writer.backend.count(SID, 0, 100) == 0
         assert writer.depth == 3
         writer.stop()
+        assert writer.flushed == 3
 
     def test_flush_by_age_with_simclock(self):
-        backend = MemoryBackend()
-        clock = SimClock(0)
-        writer = BatchingWriter(
-            backend,
-            WriterConfig(max_batch=100, max_delay_ns=NS_PER_SEC, poll_interval_s=0.001),
-            clock=clock,
-        )
+        writer, loop, clock = loop_writer(max_batch=100, max_delay_ns=NS_PER_SEC, poll_interval_s=10.0)
         writer.put(items(1, 2, 3))
+        assert loop.delay_ns == NS_PER_SEC  # armed at the age deadline
         clock.advance(2 * NS_PER_SEC)  # oldest entry is now over-age
-        assert wait_for(lambda: backend.count(SID, 0, 100) == 3)
-        writer.stop()
+        loop.fire()
+        assert writer.backend.count(SID, 0, 100) == 3
+        assert not loop.timers  # nothing staged, nothing armed
 
     def test_drain_on_stop_persists_everything(self):
-        backend = MemoryBackend()
-        writer = BatchingWriter(
-            backend, WriterConfig(max_batch=1_000, max_delay_ns=FOREVER_NS)
-        )
+        writer, _, _ = loop_writer(max_batch=1_000, max_delay_ns=FOREVER_NS)
         for i in range(50):
             writer.put(items(i, base_ts=i * 10))
+        assert writer.flushed == 0
         writer.stop()
-        assert backend.count(SID, 0, 10_000) == 50
+        assert writer.backend.count(SID, 0, 10_000) == 50
         assert writer.flushed == 50
 
     def test_put_after_stop_raises(self):
@@ -102,162 +131,173 @@ class TestFlushTriggers:
             writer.put(items(1))
 
     def test_drain_forces_partial_batch(self):
-        backend = MemoryBackend()
-        writer = BatchingWriter(
-            backend, WriterConfig(max_batch=1_000, max_delay_ns=FOREVER_NS)
-        )
+        writer, _, _ = loop_writer(max_batch=1_000, max_delay_ns=FOREVER_NS)
         writer.put(items(1, 2))
         assert writer.drain()
-        assert backend.count(SID, 0, 100) == 2
-        writer.stop()
-
-
-POLL_NS = 1_000_000  # poll_interval_s=0.001 on the writer's clock
+        assert writer.backend.count(SID, 0, 100) == 2
 
 
 class TestIdleFlush:
     """The idle trigger on a :class:`SimClock`: a flush waits for one
-    poll interval without a new put, or for the size or age cap.  The
-    writer sees time only through the clock the test advances, so every
-    outcome below is fixed however the writer thread is scheduled."""
-
-    def make(self, max_batch=1_000, max_delay_ns=NS_PER_SEC, writers=1):
-        backend, clock = MemoryBackend(), SimClock(0)
-        config = WriterConfig(
-            max_batch=max_batch, max_delay_ns=max_delay_ns, writers=writers, poll_interval_s=0.001
-        )
-        return BatchingWriter(backend, config, clock=clock), backend, clock
-
-    def flushes(self, writer):
-        return writer.metrics.value("dcdb_writer_flushes_total")
+    poll interval without a new put, or for the size or age cap."""
 
     def test_lone_put_flushes_after_one_quiet_poll_interval(self):
-        writer, backend, clock = self.make()
+        writer, loop, clock = loop_writer(max_delay_ns=NS_PER_SEC)
         writer.put(items(1, 2, 3))
+        assert loop.delay_ns == POLL_NS  # armed at the idle deadline
         clock.advance(POLL_NS - 1)
+        loop.fire()
         assert writer.depth == 3
         clock.advance(1)  # 1 ms quiet, 999 ms before the age cap
-        assert wait_for(lambda: writer.flushed == 3)
-        assert self.flushes(writer) == 1 and backend.count(SID, 0, 100) == 3
-        writer.stop()
+        loop.fire()
+        assert writer.flushed == 3
+        assert flushes(writer) == 1 and writer.backend.count(SID, 0, 100) == 3
 
     def test_puts_closer_than_the_interval_coalesce_up_to_max_batch(self):
-        writer, _backend, clock = self.make(max_batch=100)
+        writer, loop, clock = loop_writer(max_batch=100, max_delay_ns=NS_PER_SEC)
         for i in range(10):
             writer.put(items(*range(10), base_ts=10 * i))
             if i < 9:
                 assert writer.depth == 10 * (i + 1)
-            clock.advance(POLL_NS // 2)
-        assert wait_for(lambda: writer.flushed == 100)
-        assert self.flushes(writer) == 1
-        writer.stop()
+                clock.advance(POLL_NS // 2)
+                loop.fire()
+        assert writer.flushed == 100
+        assert flushes(writer) == 1
 
     def test_age_cap_fires_under_continuous_arrivals(self):
-        writer, _backend, clock = self.make(max_delay_ns=5 * POLL_NS)
+        writer, loop, clock = loop_writer(max_delay_ns=5 * POLL_NS)
         for i in range(10):
             writer.put(items(i, base_ts=i))
             clock.advance(POLL_NS // 2)
+            loop.fire()
         # The queue was never quiet for a whole interval; the oldest
         # put has now waited max_delay_ns, so all ten flush together.
-        assert wait_for(lambda: writer.flushed == 10)
-        assert self.flushes(writer) == 1
+        assert writer.flushed == 10
+        assert flushes(writer) == 1
         writer.put(items(99, base_ts=99))
         assert writer.depth == 1
-        writer.stop()
 
     def test_synchronous_writer_ignores_the_clock(self):
-        writer, backend, _clock = self.make(writers=0)
+        """Without a loop (or off its thread) every put writes before
+        it returns."""
+        clock = SimClock(0)
+        writer = BatchingWriter(MemoryBackend(), WriterConfig(poll_interval_s=0.001), clock=clock)
         for i in range(3):
             writer.put(items(i, i, base_ts=2 * i))
             assert writer.flushed == 2 * (i + 1) and writer.depth == 0
-        assert self.flushes(writer) == 3 and backend.count(SID, 0, 100) == 6
-        writer.stop()
+        assert flushes(writer) == 3 and writer.backend.count(SID, 0, 100) == 6
+
+    def test_failed_flush_rearms_after_the_backoff(self):
+        backend = FaultyBackend(MemoryBackend())
+        writer, loop, clock = loop_writer(backend, retry_backoff_s=0.004)
+        writer.put(items(1))
+        backend.fail_next(1)
+        clock.advance(POLL_NS)
+        loop.fire()
+        assert writer.depth == 1 and writer.requeued == 1
+        assert loop.delay_ns == 4_000_000  # re-armed after the pause, not the poll
+        loop.fire()
+        assert writer.flushed == 1 and not loop.timers
 
     def test_wait_idle_times_out_while_a_flush_is_stuck(self):
         backend = BlockingBackend()
-        writer = BatchingWriter(backend, WriterConfig(max_delay_ns=0))
-        writer.put(items(1))
+        writer = BatchingWriter(backend, WriterConfig())
+        producer = threading.Thread(target=writer.put, args=(items(1),))
+        producer.start()
         assert backend.entered.wait(timeout=5.0)
         assert not writer.wait_idle(timeout=0.05)
         threading.Timer(0.05, backend.release.set).start()
         assert writer.wait_idle(timeout=5.0)
-        writer.stop()
+        producer.join(timeout=5.0)
+
+
+class TestFlushOrder:
+    def test_flushes_keep_staging_order_across_publishing_threads(self):
+        """Two Pushers publish ``(sid, 10)``: 1, then 2.  While the
+        flush of 1 is held inside ``insert_batch``, the flush of 2 must
+        wait for it, or the older value lands last and last-write-wins
+        keeps 1."""
+        backend = BlockingBackend()
+        broker = MQTTBroker(port=None)
+        agent = CollectAgent(backend, broker=broker)
+        sid = agent.sid_mapper.sid_for_topic("/d/a")
+        first, second = MQTTClient("a", broker=broker), MQTTClient("b", broker=broker)
+        first.connect()
+        second.connect()
+        older = threading.Thread(
+            target=first.publish, args=("/d/a", payload_mod.encode_reading(10, 1))
+        )
+        older.start()
+        assert backend.entered.wait(timeout=5.0)
+        threading.Timer(0.1, backend.release.set).start()
+        second.publish("/d/a", payload_mod.encode_reading(10, 2))
+        older.join(timeout=5.0)
+        assert backend.query(sid, 0, 100)[1].tolist() == [2]
+        agent.stop()
 
 
 class TestBackpressure:
-    def make_blocked_writer(self, policy, capacity=10):
-        backend = BlockingBackend()
-        writer = BatchingWriter(
-            backend,
-            WriterConfig(
-                max_batch=5,
-                max_delay_ns=0,
-                queue_capacity=capacity,
-                policy=policy,
-                poll_interval_s=0.001,
-            ),
-        )
-        # Occupy the writer thread inside a flush, then fill the queue.
-        writer.put(items(0))
-        assert backend.entered.wait(timeout=5.0)
-        return writer, backend
-
     def test_block_policy_waits_for_capacity(self):
-        writer, backend = self.make_blocked_writer("block")
-        writer.put(items(*range(10), base_ts=100))  # exactly at capacity
-        unblocked = threading.Event()
+        """``block`` makes room by flushing on the putting thread."""
+        writer, loop, _ = loop_writer(max_batch=5, max_delay_ns=FOREVER_NS, queue_capacity=10)
+        writer.put(items(*range(4)))  # staged: below max_batch
+        writer.put(items(*range(8), base_ts=100))  # 4 + 8 > 10: flush, then stage
+        assert writer.dropped == 0 and writer.lost == 0
+        assert writer.backend.count(SID, 0, 10_000) == 12  # and 8 >= max_batch flushed
+        assert flushes(writer) == 2
 
-        def producer():
-            writer.put(items(99, base_ts=900))
-            unblocked.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not unblocked.is_set(), "put returned despite a full queue"
-        backend.release.set()
-        assert unblocked.wait(timeout=5.0)
-        writer.stop()
-        thread.join(timeout=5.0)
-        assert backend.count(SID, 0, 10_000) == 12
-        assert writer.dropped == 0
+    def test_block_loses_only_past_flush_retries(self):
+        backend = FaultyBackend(MemoryBackend())
+        backend.kill()
+        writer, loop, _ = loop_writer(
+            backend, max_batch=5, max_delay_ns=FOREVER_NS, queue_capacity=10,
+            flush_retries=1, retry_backoff_s=0.0,
+        )
+        writer.put(items(*range(4)))
+        writer.put(items(*range(8), base_ts=100))
+        # The first entry failed twice and was abandoned to make room.
+        assert writer.lost == 4 and writer.dropped == 0
+        assert writer.depth == 8
 
     def test_drop_oldest_evicts_and_counts(self):
-        writer, backend = self.make_blocked_writer("drop-oldest")
-        writer.put(items(*range(10), base_ts=100))
+        backend = FaultyBackend(MemoryBackend())
+        backend.kill()
+        writer, _, _ = loop_writer(
+            backend, max_batch=5, max_delay_ns=0, queue_capacity=10,
+            policy="drop-oldest", flush_retries=100,
+        )
+        writer.put(items(*range(10), base_ts=100))  # its flush fails: stays staged
         writer.put(items(7, 8, base_ts=900))  # evicts the 10-reading entry
         assert writer.dropped == 10
-        backend.release.set()
+        backend.restart()
         writer.stop()
         ts, _ = backend.query(SID, 0, 10_000)
-        assert ts.tolist() == [0, 900, 901]  # in-flight + freshest survive
+        assert ts.tolist() == [900, 901]  # the freshest survive
 
     def test_error_policy_raises_and_keeps_queue(self):
-        writer, backend = self.make_blocked_writer("error")
+        backend = FaultyBackend(MemoryBackend())
+        backend.kill()
+        writer, _, _ = loop_writer(
+            backend, max_batch=5, max_delay_ns=0, queue_capacity=10,
+            policy="error", flush_retries=100,
+        )
         writer.put(items(*range(10), base_ts=100))
         with pytest.raises(BackpressureError):
             writer.put(items(5, base_ts=900))
         assert writer.dropped == 0
-        backend.release.set()
+        backend.restart()
         writer.stop()
-        assert backend.count(SID, 0, 10_000) == 11
+        assert backend.count(SID, 0, 10_000) == 10
 
     def test_oversized_message_keeps_freshest_tail(self):
-        backend = BlockingBackend()
         writer = BatchingWriter(
-            backend,
-            WriterConfig(
-                max_batch=4, max_delay_ns=0, queue_capacity=4,
-                policy="drop-oldest", poll_interval_s=0.001,
-            ),
+            MemoryBackend(),
+            WriterConfig(max_batch=4, queue_capacity=4, policy="drop-oldest"),
         )
         writer.put(items(0))
-        assert backend.entered.wait(timeout=5.0)
         writer.put(items(*range(10), base_ts=100))
         assert writer.dropped == 6
-        backend.release.set()
-        writer.stop()
-        ts, _ = backend.query(SID, 0, 10_000)
+        ts, _ = writer.backend.query(SID, 0, 10_000)
         assert ts.tolist() == [0, 106, 107, 108, 109]
 
 
@@ -289,7 +329,6 @@ class TestFlushFailure:
                 max_delay_ns=0,
                 queue_capacity=100,
                 policy=policy,
-                poll_interval_s=0.001,
                 flush_retries=retries,
                 retry_backoff_s=0.0,
             ),
@@ -301,9 +340,10 @@ class TestFlushFailure:
         backend = FaultyBackend(inner)
         backend.fail_next(1)
         writer = self.make_writer(backend, policy=policy)
-        writer.put(items(*range(10)))
-        assert wait_for(lambda: inner.count(SID, 0, 100) == 10)
+        writer.put(items(*range(10)))  # fails: stays staged for the next flush
+        assert inner.count(SID, 0, 100) == 0 and writer.depth == 10
         writer.stop()
+        assert inner.count(SID, 0, 100) == 10
         assert writer.requeued > 0
         assert writer.lost == 0
         assert writer.dropped == 0
@@ -314,8 +354,7 @@ class TestFlushFailure:
         writer = self.make_writer(backend)
         writer.put(items(*range(5)))  # this flush fails and re-queues
         writer.put(items(*range(5), base_ts=100))
-        assert wait_for(lambda: backend.count(SID, 0, 1000) == 10)
-        writer.stop()
+        assert backend.count(SID, 0, 1000) == 10
         flat = [t for batch in backend.batches for t in batch]
         # The re-queued batch goes back to the queue head: its readings
         # reach the backend before anything staged after the failure.
@@ -327,7 +366,8 @@ class TestFlushFailure:
         backend.kill()
         writer = self.make_writer(backend, retries=2)
         writer.put(items(*range(5)))
-        assert wait_for(lambda: writer.lost == 5)
+        writer.drain()
+        assert writer.lost == 5
         backend.restart()
         writer.stop()
         assert inner.count(SID, 0, 100) == 0  # abandoned after the cap
@@ -340,15 +380,7 @@ class TestFlushFailure:
     def test_drain_on_stop_survives_transient_failure(self):
         inner = MemoryBackend()
         backend = FaultyBackend(inner)
-        writer = BatchingWriter(
-            backend,
-            WriterConfig(
-                max_batch=1_000,
-                max_delay_ns=FOREVER_NS,
-                poll_interval_s=0.001,
-                retry_backoff_s=0.0,
-            ),
-        )
+        writer, _, _ = loop_writer(backend, max_batch=1_000, max_delay_ns=FOREVER_NS, retry_backoff_s=0.0)
         for i in range(50):
             writer.put(items(i, base_ts=i * 10))
         backend.fail_next(1)  # the shutdown flush itself fails once
@@ -372,19 +404,14 @@ class TestWriterMetrics:
         }
         collected = {family.name for family in writer.metrics.collect()}
         assert names <= collected
-        writer.stop()
 
     def test_batch_size_histogram_observes_coalesced_batches(self):
-        backend = MemoryBackend()
-        writer = BatchingWriter(
-            backend, WriterConfig(max_batch=1_000, max_delay_ns=FOREVER_NS)
-        )
+        writer, _, _ = loop_writer(max_batch=1_000, max_delay_ns=FOREVER_NS)
         for i in range(20):
             writer.put(items(i, base_ts=i))
         writer.stop()
-        # Drain coalesced all 20 staged messages into few flushes.
-        flushes = writer.metrics.value("dcdb_writer_flushes_total")
-        assert 1 <= flushes < 20
+        # Drain coalesced all 20 staged messages into one flush.
+        assert writer.metrics.value("dcdb_writer_flushes_total") == 1
         hist = writer.metrics.get("dcdb_writer_batch_size")
         assert hist.percentile(0.99) > 1
 
@@ -397,7 +424,7 @@ class TestWriterMetrics:
         assert status["enqueued"] == 3
         assert status["flushed"] == 3
         assert status["queueDepth"] == 0
-        writer.stop()
+        assert "writers" not in status
 
 
 class TestConfigValidation:
@@ -409,23 +436,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             WriterConfig(max_batch=100, queue_capacity=10)
 
-    def test_second_writer_thread_rejected(self):
-        """Two flush threads break last-write-wins: while the first
-        holds a flush of ``(sid, ts=5, value=1)`` inside
-        ``insert_batch``, the second takes a later put of ``(sid, 5, 2)``
-        and commits it first, so the older value lands last and the
-        store keeps 1."""
-        with pytest.raises(ConfigError, match="0 or 1"):
-            WriterConfig(writers=2)
-
 
 class TestAgentIntegration:
     def make_agent(self, **writer_kwargs):
+        """An agent on a memory broker whose writer runs on a stepped
+        loop, as if the publishes arrived on the broker's loop."""
         broker = MQTTBroker(port=None)
         backend = MemoryBackend()
         agent = CollectAgent(
             backend, broker=broker, writer_config=WriterConfig(**writer_kwargs)
         )
+        agent.writer.loop = SteppedLoop()
         client = MQTTClient("p", broker=broker)
         client.connect()
         return agent, backend, client
@@ -436,7 +457,8 @@ class TestAgentIntegration:
         )
         for i in range(500):
             client.publish(f"/d/s{i % 20}", payload_mod.encode_reading(i * 1000, i))
-        assert agent.readings_stored == 500
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 500
+        assert agent.writer.flushed == 0
         agent.stop()
         stored = sum(backend.count(s, 0, 1 << 62) for s in backend.sids())
         assert stored == 500
@@ -471,6 +493,38 @@ class TestAgentIntegration:
         ) == 1
         agent.stop()
 
+    def test_qos1_puback_waits_for_the_commit(self):
+        agent, backend, client = self.make_agent(max_batch=10_000, max_delay_ns=FOREVER_NS)
+        client.publish("/d/a", payload_mod.encode_reading(1, 1), qos=1)
+        client.publish("/d/b", payload_mod.encode_reading(1, 2), qos=1)
+        assert len(client._inflight) == 2  # staged, not committed: no PUBACK
+        agent.writer.drain()
+        assert len(client._inflight) == 0
+
+    def test_qos1_puback_of_a_lost_read_is_never_sent(self):
+        broker = MQTTBroker(port=None)
+        backend = FaultyBackend(MemoryBackend())
+        agent = CollectAgent(
+            backend, broker=broker, writer_config=WriterConfig(flush_retries=0, retry_backoff_s=0.0)
+        )
+        client = MQTTClient("p", broker=broker)
+        client.connect()
+        agent.sid_mapper.sid_for_topic("/d/a")
+        backend.fail_next(1)
+        client.publish("/d/a", payload_mod.encode_reading(1, 1), qos=1)  # fails once: lost
+        assert agent.writer.lost == 1
+        client.publish("/d/a", payload_mod.encode_reading(2, 2), qos=1)  # committed
+        assert list(client._inflight) == [1]  # only the lost message waits
+        agent.stop()
+
+    def test_metadata_only_read_is_acked_at_once(self):
+        agent, backend, client = self.make_agent(max_batch=10_000, max_delay_ns=FOREVER_NS)
+        client.publish("/d/a", payload_mod.encode_reading(1, 1), qos=1)
+        doc = '{"topic": "/d/a", "unit": "W"}'
+        client.publish(CollectAgent.METADATA_PREFIX + "/d/a", doc.encode(), qos=1)
+        assert len(client._inflight) == 1  # the reading still waits for its flush
+        agent.stop()
+
     def test_status_includes_writer_block(self):
         agent, backend, client = self.make_agent()
         client.publish("/d/a", payload_mod.encode_reading(1, 1))
@@ -481,13 +535,14 @@ class TestAgentIntegration:
         assert status["writer"]["dropped"] == 0
 
     def test_synchronous_agent_status_has_zero_thread_writer(self):
+        """A broker without a loop thread: the agent writes each read
+        before the publish returns."""
         broker = MQTTBroker(port=None)
         agent = CollectAgent(MemoryBackend(), broker=broker)
         client = MQTTClient("p", broker=broker)
         client.connect()
         client.publish("/d/a", payload_mod.encode_reading(1, 1))
         writer = agent.status()["writer"]
-        assert writer["writers"] == 0
         assert writer["running"] is True
         # Written before the publish returned: nothing staged or in flight.
         assert (writer["enqueued"], writer["flushed"], writer["flushes"]) == (1, 1, 1)
@@ -496,9 +551,39 @@ class TestAgentIntegration:
         assert agent.status()["writer"]["running"] is False
 
 
+class RecordingThreads(MemoryBackend):
+    """Records the thread of every insert_batch."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+    def insert_batch(self, batch):
+        self.threads.append(threading.current_thread().name)
+        return super().insert_batch(batch)
+
+
+def test_tcp_agent_flushes_on_the_broker_loop():
+    """Over TCP the flush runs on the broker's event loop thread, and
+    the QoS 1 PUBACK follows it; no writer thread is started."""
+    backend = RecordingThreads()
+    agent = CollectAgent(backend, port=0)
+    agent.start()
+    try:
+        client = MQTTClient("p", port=agent.port)
+        client.connect()
+        client.publish("/d/a", payload_mod.encode_reading(1, 1), qos=1, wait_ack=True)
+        client.disconnect()
+        assert backend.threads == [f"mqtt-broker-{agent.port}"]
+        assert not any(t.name.startswith("dcdb-writer") for t in threading.enumerate())
+    finally:
+        agent.stop()
+
+
 class TestZeroThreadWriter:
-    """``writers=0``: the synchronous agent writes through the writer's
-    own flush routine, so a failed write is kept and retried, not lost."""
+    """A broker without a loop thread: the agent writes through the
+    writer's own flush routine, so a failed write is kept and retried,
+    not lost."""
 
     def make_agent(self):
         broker = MQTTBroker(port=None)
@@ -553,7 +638,7 @@ class TestZeroThreadWriter:
 
     def test_retries_exhausted_counts_lost(self):
         backend = FaultyBackend(MemoryBackend())
-        writer = BatchingWriter(backend, WriterConfig(writers=0, flush_retries=2))
+        writer = BatchingWriter(backend, WriterConfig(flush_retries=2))
         backend.kill()
         writer.put(items(1))
         assert writer.depth == 1 and writer.lost == 0
@@ -563,9 +648,11 @@ class TestZeroThreadWriter:
         assert writer.depth == 0
 
     def test_concurrent_publishers_through_flaky_backend_lose_nothing(self):
+        import sys
+
         inner = MemoryBackend()
         backend = FaultyBackend(inner, plan=FaultPlan(3), fault_rate=0.2)
-        writer = BatchingWriter(backend, WriterConfig(writers=0, flush_retries=1000))
+        writer = BatchingWriter(backend, WriterConfig(flush_retries=1000))
         producers, per_producer = 8, 150
 
         def produce(k):
@@ -591,12 +678,19 @@ class TestZeroThreadWriter:
         assert (status["queueDepth"], status["inFlight"], status["lost"]) == (0, 0, 0)
         assert inner.count(SID, 0, total) == total
 
-    def test_full_queue_raises_instead_of_blocking(self):
+    def test_full_queue_blocks_by_flushing_on_the_caller(self):
         backend = FaultyBackend(MemoryBackend())
         writer = BatchingWriter(
-            backend, WriterConfig(writers=0, max_batch=2, queue_capacity=2, policy="block")
+            backend,
+            WriterConfig(
+                max_batch=2, queue_capacity=2, policy="block",
+                flush_retries=1, retry_backoff_s=0.0,
+            ),
         )
         backend.kill()
         writer.put(items(1, 2))  # fails and stays staged: the queue is full
-        with pytest.raises(BackpressureError):
-            writer.put(items(3))
+        writer.put(items(3, base_ts=2))  # flushes until it fits: 1, 2 lost
+        assert (writer.lost, writer.dropped, writer.depth) == (2, 0, 1)
+        backend.restart()
+        writer.drain()
+        assert backend.query(SID, 0, 100)[0].tolist() == [2]

@@ -74,7 +74,7 @@ class TestKillRestartMidIngest:
         cluster = sim.backend
         expected = sim.expected_readings(50)
         assert expected == 10_000
-        assert sim.agent.readings_stored == expected
+        assert sim.agent.metrics.value("dcdb_agent_readings_stored_total") == expected
         assert sim.agent.writer.lost == 0
 
         # Hints were queued for the dead replica and replayed on rejoin.
@@ -129,7 +129,7 @@ class TestKillRestartMidIngest:
             sim = ingest_with_node_outage(seed, seconds=35)
             cluster = sim.backend
             return (
-                sim.agent.readings_stored,
+                sim.agent.metrics.value("dcdb_agent_readings_stored_total"),
                 sim.agent.writer.lost,
                 cluster.metrics.value("dcdb_storage_hints_queued_total"),
                 cluster.metrics.value("dcdb_storage_hints_replayed_total"),

@@ -19,7 +19,9 @@ hard way and seeded like the rest of the chaos suite
 import gc
 import os
 import random
+import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -28,7 +30,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import payload as payload_mod
 from repro.core.collectagent import WriterConfig
+from repro.mqtt import packets as pkt
 from repro.core.sid import SensorId
 from repro.simulation.simcluster import SimClusterConfig, SimulatedCluster
 from repro.storage.durable import DurableNode
@@ -253,6 +257,77 @@ class TestKillNineMidIngest:
         fp = recovered.state_fingerprint()
         recovered.close()
         assert fp == reference_fingerprint(tmp_path, seed, n)
+
+
+def publish_until_acked(port: int, target: int) -> tuple[list, socket.socket]:
+    """A raw-socket QoS 1 publisher: keeps 64 PUBLISHes unacknowledged
+    until ``target`` PUBACKs have arrived.  Returns the acknowledged
+    ``(topic, ts)`` and the socket, with publishes still in flight."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(pkt.Connect(client_id="kill9", keepalive=0).encode())
+    decoder = pkt.StreamDecoder()
+    while not any(isinstance(p, pkt.ConnAck) for p in decoder.feed(sock.recv(4096))):
+        pass
+    sent, acked, packet_id = {}, [], 0
+    while len(acked) < target:
+        while len(sent) < 64:
+            packet_id += 1
+            topic, ts = f"/kill/n{packet_id % 8}/power", 1_000_000 + packet_id
+            sent[packet_id] = (topic, ts)
+            payload = payload_mod.encode_reading(ts, packet_id)
+            sock.sendall(pkt.Publish(topic, payload, qos=1, packet_id=packet_id).encode())
+        for packet in decoder.feed(sock.recv(65536)):
+            if isinstance(packet, pkt.PubAck):
+                acked.append(sent.pop(packet.packet_id))
+    return acked, sock
+
+
+class TestKillNineAgentMidIngest:
+    """A PUBACK means committed, through a real process: ``agentd`` on
+    TCP over a ``fsync=always`` durable store with its default writer
+    is SIGKILLed while a QoS 1 publisher has messages in flight, and
+    every reading it acknowledged is in the reopened store."""
+
+    @pytest.mark.slow
+    def test_every_acked_reading_is_stored(self, tmp_path):
+        data_dir = tmp_path / "agent"
+        conf = tmp_path / "agent.conf"
+        conf.write_text(
+            f"global {{\n mqttPort 0\n restPort 0\n db durable:{data_dir}?fsync=always\n}}\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        agent = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools.agentd", str(conf)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        sock = None
+        try:
+            port = None
+            for line in agent.stderr:
+                match = re.search(rb"MQTT port (\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port, "agentd never reported its MQTT port"
+            acked, sock = publish_until_acked(port, 1000)
+            os.kill(agent.pid, signal.SIGKILL)
+        finally:
+            agent.kill()
+            agent.wait()
+            agent.stderr.close()
+            if sock is not None:
+                sock.close()
+
+        node = DurableNode("durable0", data_dir=data_dir, fsync="always")
+        missing = []
+        for topic, ts in acked:
+            stored = node.get_metadata(f"sidmap{topic}")
+            if stored is None or not node.query(SensorId.from_hex(stored), ts, ts)[0].size:
+                missing.append((topic, ts))
+        node.close()
+        assert not missing, f"{len(missing)} of {len(acked)} acknowledged readings lost"
 
 
 class TestPipelineDurability:

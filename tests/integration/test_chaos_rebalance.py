@@ -136,7 +136,7 @@ class TestGrowClusterMidIngest:
 
         # Zero acked loss: everything the agent acked is readable.
         expected = sim.expected_readings(total_seconds)
-        assert sim.agent.readings_stored == expected
+        assert sim.agent.metrics.value("dcdb_agent_readings_stored_total") == expected
         assert sim.agent.writer.lost == 0
         stored = sum(
             cluster.query(s, 0, FAR)[0].size for s in cluster.sids()
@@ -199,7 +199,7 @@ class TestRemoveNodeDrains:
         total_seconds = 13
 
         expected = sim.expected_readings(total_seconds)
-        assert sim.agent.readings_stored == expected
+        assert sim.agent.metrics.value("dcdb_agent_readings_stored_total") == expected
         assert sim.agent.writer.lost == 0
         stored = sum(cluster.query(s, 0, FAR)[0].size for s in cluster.sids())
         assert stored == expected

@@ -19,6 +19,13 @@ class TestAgentFromConfig:
         assert agent.port > 0
         agent.stop()
 
+    @pytest.mark.parametrize("batching", ["true", "false"])
+    def test_old_batching_key_is_ignored(self, batching):
+        tree = parse_info(f"global {{ mqttPort 0\n batching {batching}\n batchSize 512 }}")
+        agent, _ = agent_from_config(tree)
+        assert agent.writer.config.max_batch == 512
+        assert agent.writer.loop is agent.broker
+
     def test_rest_api_enabled(self):
         tree = parse_info("global { mqttPort 0\n restPort 0 }")
         agent, rest = agent_from_config(tree)
@@ -118,9 +125,9 @@ class TestDaemonsTogether:
             pusher.start()
             try:
                 deadline = time.monotonic() + 10.0
-                while agent.readings_stored < 6 and time.monotonic() < deadline:
+                while agent.metrics.value("dcdb_agent_readings_stored_total") < 6 and time.monotonic() < deadline:
                     time.sleep(0.05)
-                assert agent.readings_stored >= 6
+                assert agent.metrics.value("dcdb_agent_readings_stored_total") >= 6
             finally:
                 pusher.stop()
         finally:

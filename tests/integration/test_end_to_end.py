@@ -36,9 +36,9 @@ class TestTcpPipeline:
             pusher.start()
             try:
                 deadline = time.monotonic() + 10.0
-                while agent.readings_stored < 20 and time.monotonic() < deadline:
+                while agent.metrics.value("dcdb_agent_readings_stored_total") < 20 and time.monotonic() < deadline:
                     time.sleep(0.05)
-                assert agent.readings_stored >= 20
+                assert agent.metrics.value("dcdb_agent_readings_stored_total") >= 20
             finally:
                 pusher.stop()
             # Query what was collected through libDCDB.
@@ -93,9 +93,9 @@ class TestClusterPipeline:
             pushers.append(pusher)
         for pusher in pushers:
             pusher.advance_to(30 * NS_PER_SEC)
-        assert agent.readings_stored == 3 * 10 * 30
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 3 * 10 * 30
         # Replication: every reading lives on both nodes.
-        assert nodes[0].row_count + nodes[1].row_count == 2 * agent.readings_stored
+        assert nodes[0].row_count + nodes[1].row_count == 2 * agent.metrics.value("dcdb_agent_readings_stored_total")
         # Every sensor readable with full history.
         dcdb = DCDBClient(cluster)
         for rack in range(3):
@@ -176,10 +176,10 @@ class TestRuntimeReconfiguration:
         pusher.start_plugin("tester")
         pusher.advance_to(5 * NS_PER_SEC)
         clock.set(5 * NS_PER_SEC)
-        assert agent.readings_stored == 10
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 10
         # Seamless reload to a larger configuration (paper section 5.3);
         # the restarted groups schedule after the current time.
         pusher.reload_plugin("tester", "group g { interval 1000\n numSensors 6 }")
         pusher.advance_to(10 * NS_PER_SEC)
-        assert agent.readings_stored == 10 + 5 * 6
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == 10 + 5 * 6
         assert len(agent.topics()) == 6

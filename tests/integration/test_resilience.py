@@ -30,9 +30,9 @@ class TestAgentRestart:
         pusher.start()
         try:
             deadline = time.monotonic() + 10
-            while agent.readings_stored < 4 and time.monotonic() < deadline:
+            while agent.metrics.value("dcdb_agent_readings_stored_total") < 4 and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert agent.readings_stored >= 4
+            assert agent.metrics.value("dcdb_agent_readings_stored_total") >= 4
 
             # --- outage -------------------------------------------------
             agent.stop()
@@ -49,12 +49,12 @@ class TestAgentRestart:
             agent2.start()
             try:
                 deadline = time.monotonic() + 15
-                while agent2.readings_stored < 4 and time.monotonic() < deadline:
+                while agent2.metrics.value("dcdb_agent_readings_stored_total") < 4 and time.monotonic() < deadline:
                     time.sleep(0.05)
-                assert agent2.readings_stored >= 4
+                assert agent2.metrics.value("dcdb_agent_readings_stored_total") >= 4
                 assert pusher.reconnects >= 1
                 # Metadata was re-announced on reconnect.
-                assert agent2.metadata_announcements >= 2
+                assert agent2.metrics.value("dcdb_agent_metadata_announcements_total") >= 2
             finally:
                 agent2.stop()
         finally:

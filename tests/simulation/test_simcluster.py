@@ -22,7 +22,7 @@ class TestSimulatedCluster:
         sim = SimulatedCluster(SimClusterConfig(hosts=1, sensors_per_host=3))
         sim.run(5)
         sim.run(5)
-        assert sim.agent.readings_stored == 30
+        assert sim.agent.metrics.value("dcdb_agent_readings_stored_total") == 30
 
     def test_multi_node_storage_with_replication(self):
         sim = SimulatedCluster(
@@ -34,7 +34,7 @@ class TestSimulatedCluster:
         assert isinstance(sim.backend, StorageCluster)
         assert len(sim.backend.nodes) == 2
         # Replication 2 over 2 nodes: every reading twice.
-        assert sim.backend.row_count == 2 * sim.agent.readings_stored
+        assert sim.backend.row_count == 2 * sim.agent.metrics.value("dcdb_agent_readings_stored_total")
 
     def test_memory_backend_flag(self):
         sim = SimulatedCluster(

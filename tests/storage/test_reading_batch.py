@@ -230,7 +230,7 @@ class TestWriterTrim:
     def test_drop_oldest_keeps_the_freshest_tail(self):
         backend = MemoryBackend()
         writer = BatchingWriter(
-            backend, WriterConfig(max_batch=4, queue_capacity=5, policy="drop-oldest", writers=0)
+            backend, WriterConfig(max_batch=4, queue_capacity=5, policy="drop-oldest")
         )
         # One message (one run) larger than the whole queue.
         items = [(SIDS[0], i, 100 + i, 0) for i in range(9)]
