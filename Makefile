@@ -6,12 +6,12 @@ PYTHON ?= python
 # failing schedule: make chaos CHAOS_SEEDS=42
 CHAOS_SEEDS ?= 101,202,303,404,505
 
-.PHONY: install test metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench bench-query bench-tracing bench-rollup bench-transport bench-durability bench-rebalance bench-baseline bench-compare bench-check experiments examples loc all
+.PHONY: install test metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench bench-query bench-tracing bench-rollup bench-transport bench-qos1 bench-durability bench-rebalance bench-baseline bench-compare bench-check experiments examples loc all
 
 install:
 	pip install -e .
 
-test: metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench-query bench-tracing bench-rollup bench-transport bench-durability bench-rebalance bench-check
+test: metrics-smoke trace-smoke e2e-smoke chaos chaos-durability chaos-rebalance bench-query bench-tracing bench-rollup bench-transport bench-qos1 bench-durability bench-rebalance bench-check
 	$(PYTHON) -m pytest tests/
 
 # Boot an in-process pusher->agent pipeline and validate the /metrics
@@ -85,6 +85,13 @@ bench-tracing:
 # the in-test thread-per-client reference arms under `make bench`).
 bench-transport:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_transport.py \
+		--benchmark-disable
+
+# Single-round smoke over the one-QoS-1-publisher benchmark: every
+# message stored and acked; the >= 1.5x gate of the end-of-turn flush
+# over the idle deadline arms under `make bench`.
+bench-qos1:
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_qos1_ack.py \
 		--benchmark-disable
 
 # Single-round smoke over the rollup-tier dashboard-burst benchmark

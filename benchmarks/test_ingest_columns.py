@@ -259,12 +259,13 @@ def pusher_us_per_msg(
         pusher.start_plugin("tester")
         step = interval_ms * 1_000_000
         pusher.advance_to(min_values * step)  # SIDs allocated before the clock starts
-        sent0 = pusher.messages_published
+        published = pusher.metrics.get("dcdb_pusher_messages_published_total")
+        sent0 = published.value
         start = time.thread_time()
         pusher.advance_to((min_values + cycles) * step)
         cpu = time.thread_time() - start
-        messages = pusher.messages_published - sent0
-        _wait_stored(agent, pusher.messages_published * min_values)
+        messages = published.value - sent0
+        _wait_stored(agent, published.value * min_values)
         return cpu / messages * 1e6, cpu / (messages * min_values) * 1e6
     finally:
         pusher.client.disconnect()

@@ -108,7 +108,8 @@ def test_table1_production_pipeline_sensor_scale(benchmark):
         pusher.advance_to(2 * NS_PER_SEC)
         # Delta (perf) sensors skip the first cycle; everything else
         # publishes both cycles.
-        return pusher.readings_collected, remaining, len(events) * cpus
+        collected = pusher.metrics.value("dcdb_pusher_readings_collected_total")
+        return collected, remaining, len(events) * cpus
 
     collected, remaining, perf_sensors = benchmark.pedantic(run, rounds=1, iterations=1)
     assert collected == 2 * remaining + perf_sensors

@@ -50,22 +50,6 @@ class FaultInjectedError(StorageError):
     """
 
 
-class BackpressureError(StorageError):
-    """Raised when a bounded ingest queue rejects new readings.
-
-    Emitted by the Collect Agent's batching writer under the ``error``
-    backpressure policy (and by ``put`` after the writer was stopped),
-    so producers can distinguish "the pipeline is full" from a storage
-    failure and apply their own shedding or retry policy.  ``refused``
-    lists the runs of the put batch that were turned away; the others
-    were staged.
-    """
-
-    def __init__(self, message: str, refused: list[int] | tuple = ()) -> None:
-        super().__init__(message)
-        self.refused = refused
-
-
 class QueryError(DCDBError):
     """Raised by libDCDB for invalid queries (unknown sensors, bad
     time ranges, malformed virtual-sensor expressions)."""

@@ -28,7 +28,7 @@ import logging
 import time
 from itertools import accumulate
 
-from repro.common.errors import BackpressureError, TransportError
+from repro.common.errors import StorageError, TransportError
 from repro.common.timeutil import NS_PER_SEC, now_ns
 from repro.core import payload as payload_mod
 from repro.core.collectagent.writer import Acks, BatchingWriter, WriterConfig
@@ -136,10 +136,6 @@ class CollectAgent:
             rollup=self.rollup,
             loop=self.broker,
         )
-        self._backpressure_drops = self.metrics.counter(
-            "dcdb_agent_backpressure_drops_total",
-            "Readings rejected because the staging queue was full",
-        )
         self.broker.add_publish_hook(self._on_publish)
 
     # -- lifecycle ----------------------------------------------------------
@@ -181,7 +177,8 @@ class CollectAgent:
         metadata, frame check, trace sampling and SID; one
         ``decode_message`` and one ``writer.put`` (a run per message)
         for them all.  A message that raises has those before it staged.
-        Returns the read's :class:`Acks` (its held PUBACKs), or None."""
+        Returns the :class:`Acks` holding the read's QoS 1 PUBACKs, or
+        None when it staged nothing or has no QoS 1 message."""
         topics, sids, lengths, frames, traces = [], [], [], [], []
         acks = None
         try:
@@ -220,10 +217,15 @@ class CollectAgent:
                 frames.append(payload)
         finally:
             if sids:
-                acks = self._stage(topics, sids, lengths, frames, traces)
+                if any(packet.qos for packet in packets):
+                    acks = Acks(self.writer)
+                try:
+                    self._stage(topics, sids, lengths, frames, traces, acks)
+                except StorageError as exc:  # a put after stop(): never acked
+                    logger.warning("read from %s refused: %s", client_id, exc)
         return acks
 
-    def _stage(self, topics, sids, lengths, frames, traces) -> Acks:
+    def _stage(self, topics, sids, lengths, frames, traces, acks: Acks | None) -> None:
         timestamps, values, _ = payload_mod.decode_message(b"".join(frames))
         batch = ReadingBatch(sids, lengths, timestamps, values, [self.default_ttl_s] * len(sids))
         starts = [0, *accumulate(lengths)]
@@ -234,17 +236,8 @@ class CollectAgent:
                             topic=topics[run], readings=lengths[run])
             hops.append((run, trace_id, origin_ns))
         # The writer records "commit" once a message is durable.
-        acks = Acks(self.writer)
-        refused: set[int] = set()
-        try:
-            self.writer.put(batch, hops, acks)
-        except BackpressureError as exc:
-            refused = set(exc.refused)
-            for run in exc.refused:
-                self._backpressure_drops.inc(lengths[run])
-                logger.warning("backpressure on %s: %s", topics[run], exc)
-        self._readings_stored.inc(len(batch) - sum(lengths[run] for run in refused))
-        return acks
+        self.writer.put(batch, hops, acks)
+        self._readings_stored.inc(len(batch))
 
     def _on_metadata(self, client_id: str, packet: Publish) -> None:
         """Persist a Pusher's sensor-metadata announcement.

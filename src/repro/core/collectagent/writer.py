@@ -20,21 +20,16 @@ last-write-wins keeps the newer of two values of a
 head of the queue, retried up to ``flush_retries`` times after a
 capped-exponential pause, so transient storage faults cost latency,
 not data.  A put may carry :class:`Acks` (the agent's QoS 1 PUBACKs),
-sent once everything the put staged has committed.
+sent once everything the put staged has committed; on the loop such a
+put flushes at the end of the loop turn rather than at the idle
+deadline.
 
-Backpressure when the queue is full is explicit policy, applied to
-each message as if it had been put alone:
-
-``block``
-    ``put()`` flushes on its own thread until the message fits (on the
-    broker loop that stops socket reads: TCP flow control back to the
-    Pushers).
-``drop-oldest``
-    evict the oldest staged messages to make room, counting them in
-    ``dcdb_writer_readings_dropped_total`` (freshest-data-wins).
-``error``
-    raise :class:`~repro.common.errors.BackpressureError` and leave
-    the queue untouched (producer decides).
+When the queue is full, ``put()`` blocks: it flushes on its own thread
+until the message fits (on the broker loop that stops socket reads:
+TCP flow control back to the Pushers).  A message larger than the
+whole queue is admitted whole once the queue is empty and flushed
+within the same put.  So an accepted reading is lost only past
+``flush_retries``, and a PUBACK never covers an unstored reading.
 
 A traced message's ``commit`` hop is recorded at flush completion,
 when the batch is durable in the backend, not when it was enqueued.
@@ -45,22 +40,21 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 
-from repro.common.errors import BackpressureError, ConfigError
+from repro.common.errors import ConfigError, StorageError
 from repro.observability import MetricsRegistry
 from repro.observability.spans import trace_context
 from repro.storage.backend import ReadingBatch, StorageBackend
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["Acks", "BACKPRESSURE_POLICIES", "BATCH_SIZE_BUCKETS", "BatchingWriter", "WriterConfig"]
+__all__ = ["Acks", "BATCH_SIZE_BUCKETS", "BatchingWriter", "WriterConfig"]
 
-#: Valid ``WriterConfig.policy`` values.
-BACKPRESSURE_POLICIES = ("block", "drop-oldest", "error")
+#: Flushes slower than this (wall seconds) are logged at WARNING with
+#: their trace ID and batch size.
+SLOW_FLUSH_S = 1.0
 
 #: Readings-per-flush histogram buckets (1 .. 50k readings).
 BATCH_SIZE_BUCKETS = (
@@ -79,9 +73,8 @@ class WriterConfig:
         age trigger: flush once the oldest staged reading is this old
         on the writer's clock (caps visibility lag under a stream).
     ``queue_capacity``
-        bound on staged readings; beyond it ``policy`` applies.
-    ``policy``
-        one of :data:`BACKPRESSURE_POLICIES`.
+        bound on staged readings; beyond it ``put()`` blocks until a
+        flush makes room.
     ``poll_interval_s``
         idle trigger: flush once nothing new was staged for this long
         on the writer's clock.  The loop timer waits at most this long,
@@ -93,19 +86,14 @@ class WriterConfig:
         :meth:`BatchingWriter.stop` ends against a dead backend.
     ``retry_backoff_s``
         base of the capped exponential pause after a failed flush.
-    ``slow_flush_s``
-        flushes slower than this (wall seconds) are logged at WARNING
-        with their trace ID and batch size; 0 disables the slow-op log.
     """
 
     max_batch: int = 4096
     max_delay_ns: int = 50_000_000  # 50 ms
     queue_capacity: int = 65_536
-    policy: str = "block"
     poll_interval_s: float = 0.005
     flush_retries: int = 4
     retry_backoff_s: float = 0.002
-    slow_flush_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -117,19 +105,12 @@ class WriterConfig:
                 f"queue_capacity ({self.queue_capacity}) must be >= "
                 f"max_batch ({self.max_batch})"
             )
-        if self.policy not in BACKPRESSURE_POLICIES:
-            raise ConfigError(
-                f"unknown backpressure policy {self.policy!r}; "
-                f"choose one of {BACKPRESSURE_POLICIES}"
-            )
         if self.poll_interval_s <= 0:
             raise ConfigError("poll_interval_s must be positive")
         if self.flush_retries < 0:
             raise ConfigError(f"flush_retries must be >= 0, got {self.flush_retries}")
         if self.retry_backoff_s < 0:
             raise ConfigError("retry_backoff_s must be >= 0")
-        if self.slow_flush_s < 0:
-            raise ConfigError("slow_flush_s must be >= 0 (0 disables the slow-op log)")
 
 
 class Acks:
@@ -199,6 +180,7 @@ class BatchingWriter:
         self._inflight = 0  # readings taken but not yet durable
         self._stopping = False
         self._timer = None  # the loop timer, armed while anything is staged
+        self._flush_now = False  # the timer was armed for held acks
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         # Held from taking entries to commit_durable: one flush at a
@@ -221,10 +203,6 @@ class BatchingWriter:
         )
         self._flushed = self.metrics.counter(
             "dcdb_writer_readings_flushed_total", "Readings durably written by flushes"
-        )
-        self._dropped = self.metrics.counter(
-            "dcdb_writer_readings_dropped_total",
-            "Readings evicted by the drop-oldest backpressure policy",
         )
         self._flushes = self.metrics.counter(
             "dcdb_writer_flushes_total", "Batches handed to the storage backend"
@@ -255,116 +233,94 @@ class BatchingWriter:
             self._stopping = True
         self.drain()
 
-    def put(self, batch: ReadingBatch, traces: list | tuple = (), acks: Acks | None = None) -> int:
+    def put(self, batch: ReadingBatch, traces: list | tuple = (), acks: Acks | None = None) -> None:
         """Stage a batch with one run per message, each admitted as if
-        put alone; returns the readings accepted.  Refused runs raise
-        :class:`BackpressureError` naming them, once the rest are
-        staged.  ``traces``: ``(run, trace_id, origin_ns)`` per traced
-        message, whose ``commit`` hop its flush records; ``acks`` wait
-        for the entries this put stages.  Off the loop thread the write
-        happens before this returns."""
+        put alone.  A full queue blocks: the put flushes on its own
+        thread until the message fits.  ``traces``: ``(run, trace_id,
+        origin_ns)`` per traced message, whose ``commit`` hop its flush
+        records; ``acks`` wait for the entries this put stages, and on
+        the loop thread flush them at the end of the loop turn.  Off the
+        loop thread the write happens before this returns.  Once
+        stopped, raises :class:`StorageError`: no further run is staged
+        and ``acks`` are never sent."""
         if not len(batch):
-            return 0
-        refused: list[int] = []
-        accepted = run = 0
+            return
+        run = 0
         while run < len(batch.lengths):
             with self._lock:
-                staged = self._stage_locked(batch, traces, run, refused, acks)
-            if staged is None:  # block: make room on this thread
+                staged = self._stage_locked(batch, traces, run, acks)
+            if staged == run:  # full: make room on this thread
                 if not self._flush():
                     time.sleep(self._backoff_s())
-                continue
-            run, count = staged
-            accepted += count
+            run = staged
         if self.loop is not None and self.loop.on_loop_thread():
             while self._depth >= self.config.max_batch and self._flush():
                 pass
-            self._arm()
+            self._arm(now=acks is not None)
         else:
             while self._entries and self._flush():
                 pass
-        if refused:
-            raise BackpressureError(
-                f"staging queue refused {len(refused)} of {len(batch.lengths)} messages "
-                f"({self._depth}/{self.config.queue_capacity} readings staged)",
-                refused,
-            )
-        return accepted
 
-    def _stage_locked(self, batch: ReadingBatch, traces, run: int, refused: list[int], acks):
-        """Stage runs from ``run`` on: every run that fits, or else the
-        policy's outcome for the first one.  Returns ``(next run,
-        readings staged)``, or None while ``block`` must make room."""
-        lengths, capacity = batch.lengths, self.config.queue_capacity
+    def _stage_locked(self, batch: ReadingBatch, traces, run: int, acks) -> int:
+        """Stage the runs from ``run`` on that fit; returns the next run
+        (``run`` itself while the put must make room).  A run larger
+        than the whole queue is staged alone, whole, once it is empty."""
         if self._stopping:
-            refused.extend(range(run, len(lengths)))
-            return len(lengths), 0
+            if acks is not None:
+                acks.pending = None  # a run is refused: never ack the read
+            raise StorageError("batching writer stopped: put refused")
+        lengths = batch.lengths
+        room = self.config.queue_capacity - self._depth
         end, count = run, 0
-        while end < len(lengths) and self._depth + count + lengths[end] <= capacity:
+        while end < len(lengths) and count + lengths[end] <= room:
             count += lengths[end]
             end += 1
         if end == run:
+            if self._entries:
+                return run
             count, end = lengths[run], run + 1
-            policy = self.config.policy
-            if policy == "error":
-                refused.append(run)
-                return end, 0
-            if policy == "block" and self._entries:
-                return None
-            # drop-oldest (or a message too large for an empty queue):
-            # evict whole staged messages, oldest first.
-            need = self._depth + count - capacity
-            while need > 0 and self._entries:
-                old, enqueued_ns, attempts, old_traces, old_acks = self._entries.popleft()
-                if old_acks is not None:
-                    old_acks.pending = None
-                runs = bisect_left(list(accumulate(old.lengths)), need) + 1
-                drop = sum(old.lengths[:runs])
-                if runs < len(old.lengths):
-                    kept = [(r - runs, t, o) for r, t, o in old_traces if r >= runs]
-                    old = old.tail(len(old) - drop)
-                    self._entries.appendleft((old, enqueued_ns, attempts, kept, old_acks))
-                self._depth -= drop
-                self._dropped.inc(drop)
-                need -= drop
-        piece = batch.select(list(range(run, end)))
-        if count > capacity:
-            # A single message larger than the whole queue: keep its
-            # freshest tail, consistent with drop-oldest.
-            self._dropped.inc(count - capacity)
-            piece, count = piece.tail(capacity), capacity
-            if acks is not None:
-                acks.pending = None
         if acks is not None and acks.pending is not None:
             acks.pending += 1
         traces = [(r - run, t, o) for r, t, o in traces if run <= r < end]
-        self._entries.append((piece, self._clock(), 0, traces, acks))
+        self._entries.append((batch.select(list(range(run, end))), self._clock(), 0, traces, acks))
         self._depth += count
         if self._depth > self._queue_hwm:
             self._queue_hwm = self._depth
         self._enqueued.inc(count)
-        return end, count
+        return end
 
     # -- the loop timer -----------------------------------------------------
 
-    def _arm(self, delay_s: float | None = None) -> None:
+    def _arm(self, delay_s: float | None = None, now: bool = False) -> None:
         """Arm the loop timer while anything is staged (loop thread):
-        at the idle or age deadline, or after ``delay_s``."""
+        at the idle or age deadline, after ``delay_s``, or with ``now``
+        at the end of this loop turn, replacing a later timer.  After a
+        failed flush ``now`` keeps the retry pause: held acks wait for
+        the paced retry, which then flushes whether or not it is due."""
         with self._lock:
-            if self._timer is not None or not self._entries:
+            if not self._entries or self._timer is not None and not now:
                 return
-            if delay_s is None:
+            if now:
+                paused = self._consecutive_failures > 0
+                if self._timer is not None:
+                    if self._flush_now or paused:
+                        self._flush_now = True
+                        return
+                    self._timer.cancel()
+                delay_s = self._backoff_s() if paused else 0.0
+            elif delay_s is None:
                 # At most one poll interval, so an injected SimClock
                 # still drives both triggers.
                 delay_s = min(max(self._due_in_ns_locked(), 0) / 1e9, self.config.poll_interval_s)
+            self._flush_now = now
             self._timer = self.loop.call_later(delay_s, self._tick)
 
     def _tick(self) -> None:
-        """Flush once the idle or age trigger is due; re-arm while
+        """Flush once a trigger is due (or held acks wait); re-arm while
         anything is staged, after the retry pause if the flush failed."""
         self._timer = None
         with self._lock:
-            due = bool(self._entries) and self._due_in_ns_locked() <= 0
+            due = bool(self._entries) and (self._flush_now or self._due_in_ns_locked() <= 0)
         self._arm(self._backoff_s() if due and not self._flush() else None)
 
     def _due_in_ns_locked(self) -> int:
@@ -459,8 +415,7 @@ class BatchingWriter:
                         attempts=attempts,
                         flushSeconds=round(duration, 6),
                     )
-        slow = self.config.slow_flush_s
-        if slow > 0 and duration >= slow:
+        if duration >= SLOW_FLUSH_S:
             logger.warning(
                 "slow flush: %d readings took %.3fs",
                 count,
@@ -528,10 +483,6 @@ class BatchingWriter:
             return self._depth
 
     @property
-    def dropped(self) -> int:
-        return int(self._dropped.value)
-
-    @property
     def flushed(self) -> int:
         return int(self._flushed.value)
 
@@ -549,17 +500,15 @@ class BatchingWriter:
             depth, inflight, running = self._depth, self._inflight, not self._stopping
         return {
             "running": running,
-            "policy": self.config.policy,
             "queueDepth": depth,
             "inFlight": inflight,
             "queueHighWatermark": self._queue_hwm,
-            "slowFlushSeconds": self.config.slow_flush_s,
+            "slowFlushSeconds": SLOW_FLUSH_S,
             "queueCapacity": self.config.queue_capacity,
             "maxBatch": self.config.max_batch,
             "maxDelayMs": self.config.max_delay_ns / 1e6,
             "enqueued": int(self._enqueued.value),
             "flushed": int(self._flushed.value),
-            "dropped": int(self._dropped.value),
             "flushes": int(self._flushes.value),
             "flushErrors": int(self._flush_errors.value),
             "requeued": int(self._requeued.value),

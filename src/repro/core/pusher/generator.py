@@ -122,7 +122,7 @@ def test_{name}_collects_readings():
     pusher.start_plugin("{name}")
     pusher.advance_to(3 * NS_PER_SEC)
     # TODO: once read_raw is implemented, assert on collected readings:
-    # assert pusher.readings_collected == 3
+    # assert pusher.metrics.value("dcdb_pusher_readings_collected_total") == 3
 '''
 
 

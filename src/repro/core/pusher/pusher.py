@@ -166,24 +166,6 @@ class Pusher:
         with self._pending_lock:
             return sum(int(queue.counts.sum()) for queue in self._pending.values())
 
-    # Backward-compatible counter views over the registry.
-
-    @property
-    def readings_collected(self) -> int:
-        return int(self._readings_collected.value)
-
-    @property
-    def messages_published(self) -> int:
-        return int(self._messages_published.value)
-
-    @property
-    def publish_failures(self) -> int:
-        return int(self._publish_failures.value)
-
-    @property
-    def reconnects(self) -> int:
-        return int(self._reconnects.value)
-
     # -- plugin lifecycle --------------------------------------------------
 
     def load_plugin(self, name: str, config_source, plugin_alias: str | None = None) -> Plugin:
@@ -621,7 +603,7 @@ class Pusher:
             ),
             "transport": (
                 connected,
-                {"connected": connected, "reconnects": self.reconnects},
+                {"connected": connected, "reconnects": int(self._reconnects.value)},
             ),
             "plugins": (
                 not self.running or plugins_running == plugins_total,
@@ -643,10 +625,10 @@ class Pusher:
                 "uptimeSeconds": round(time.monotonic() - self._started_monotonic, 3),
                 "qos": self.config.qos,
                 "traceSampleEvery": self.config.trace_sample_every,
-                "readingsCollected": self.readings_collected,
-                "messagesPublished": self.messages_published,
-                "publishFailures": self.publish_failures,
-                "reconnects": self.reconnects,
+                "readingsCollected": int(self._readings_collected.value),
+                "messagesPublished": int(self._messages_published.value),
+                "publishFailures": int(self._publish_failures.value),
+                "reconnects": int(self._reconnects.value),
                 # Staging-queue depth of the publish path, mirroring the
                 # Collect Agent status' writer queue on the ingest side.
                 "pendingReadings": self._pending_count(),

@@ -163,19 +163,6 @@ class ReadingBatch:
             [self.ttls[r] for r in runs],
         )
 
-    def tail(self, count: int) -> "ReadingBatch":
-        """The freshest ``count`` readings (the last rows)."""
-        drop = len(self) - count
-        if drop <= 0:
-            return self
-        ends = np.cumsum(self.lengths)
-        run = int(np.searchsorted(ends, drop, side="right"))  # first run left
-        lengths = self.lengths[run:]
-        lengths[0] = int(ends[run]) - drop
-        return ReadingBatch(
-            self.sids[run:], lengths, self.timestamps[drop:], self.values[drop:], self.ttls[run:]
-        )
-
     def expiries(self) -> np.ndarray | None:
         """Per-row expiry in ns (int64 max: never), or None when no run
         has a TTL; saturates at int64 max instead of wrapping."""

@@ -15,7 +15,6 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
         batchSize     4096       ; readings per coalesced flush
         batchDelayMs  50         ; max staging age (a quiet queue flushes sooner)
         queueCapacity 65536      ; staging queue bound (readings)
-        backpressure  block      ; block | drop-oldest | error
         traceSampleEvery 1       ; trace 1-in-N headerless messages (0 = off)
         logFormat     plain      ; plain | json (structured one-line JSON)
         rollups       false      ; continuous aggregation tiers
@@ -25,8 +24,10 @@ Runs a Collect Agent from a configuration file, mirroring DCDB's
     }
 
 The writer flushes on the broker's event loop, and a QoS 1 PUBACK
-leaves once its reading is committed.  An old ``batching`` key is
-ignored: there is one ingest path.
+leaves once its reading is committed.  A full staging queue blocks
+the broker loop until a flush makes room.  Old ``batching`` and
+``backpressure`` keys are ignored: there is one ingest path and one
+answer to a full queue.
 
 Runs until interrupted; drains the staging queue and flushes storage
 on shutdown.
@@ -66,7 +67,6 @@ def agent_from_config(tree: PropertyTree) -> tuple[CollectAgent, CollectAgentRes
         max_batch=global_cfg.get_int("batchSize", 4096),
         max_delay_ns=global_cfg.get_int("batchDelayMs", 50) * NS_PER_MS,
         queue_capacity=global_cfg.get_int("queueCapacity", 65_536),
-        policy=global_cfg.get("backpressure", "block"),
     )
     rollup_config = None
     if global_cfg.get_bool("rollups", False):

@@ -51,7 +51,6 @@ WRITER_METRICS = (
     "dcdb_writer_queue_depth",
     "dcdb_writer_batch_size",
     "dcdb_writer_flush_duration_seconds",
-    "dcdb_writer_readings_dropped_total",
 )
 
 #: libDCDB query-path instruments that must be visible on every scrape.
@@ -324,7 +323,7 @@ def _run(data_dir: str) -> int:
     pusher.advance_to(SIM_SECONDS * NS_PER_SEC)
 
     failures: list[str] = []
-    _check(pusher.readings_collected > 0, "pusher collected readings", failures)
+    _check(pusher.metrics.value("dcdb_pusher_readings_collected_total") > 0, "pusher collected readings", failures)
     _check(agent.metrics.value("dcdb_agent_readings_stored_total") > 0, "agent accepted readings", failures)
     _check(agent.writer.drain(), "staging queue drained", failures)
     # Rollup series ride along in the same store; the durability check

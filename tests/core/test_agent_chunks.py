@@ -6,7 +6,7 @@ agent decodes them with one call and stages them with one
 trace-headered, metadata, wrong-length and first-seen-topic messages
 are delivered twice — as one chunk and one message at a time — and
 must leave the same store, counters, caches and trace hops, also when
-a small staging queue applies each backpressure policy.
+a small staging queue fills and blocks.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def make_agent(writer_config: WriterConfig | None = None) -> CollectAgent:
     )
 
 
+def decoded(stream: list[tuple[str, int]]) -> int:
+    """Readings in the stream's well-formed reading messages."""
+    sizes = {"one": 1, "burst": 100, "new_topic": 3}
+    return sum(1 + pick if kind == "traced" else sizes.get(kind, 0) for kind, pick in stream)
+
+
 def deliver(agent: CollectAgent, packets: list[Publish], chunked: bool) -> None:
     if chunked:
         agent._on_publish("pusher", packets)
@@ -94,8 +100,6 @@ def outcome(agent: CollectAgent) -> tuple:
         agent.metrics.value("dcdb_agent_readings_stored_total"),
         agent.metrics.value("dcdb_agent_decode_errors_total"),
         agent.metrics.value("dcdb_agent_metadata_announcements_total"),
-        int(agent._backpressure_drops.value),
-        agent.writer.dropped,
         {topic: agent.recent(topic) for topic in agent.topics()},
         hops(agent),
     )
@@ -123,24 +127,21 @@ def test_one_chunk_equals_one_message_at_a_time(stream):
 
 
 @settings(max_examples=40, deadline=None)
-@given(streams, st.sampled_from(["block", "error", "drop-oldest"]), st.integers(8, 150))
-def test_backpressure_equivalence(stream, policy, capacity):
-    """With the flush held back, the queue fills: a chunk must accept,
-    refuse and evict exactly what its messages put one at a time would,
-    under each policy.  ``block`` makes room by writing, so it keeps
-    its flush and must store the same as one message at a time."""
+@given(streams, st.integers(8, 150))
+def test_backpressure_equivalence(stream, capacity):
+    """A small queue fills and ``block`` makes room by writing: a chunk
+    must store what its messages put one at a time would, and every
+    decoded reading is stored."""
     packets = build(stream)
     outcomes = []
     for chunked in (True, False):
-        agent = make_agent(WriterConfig(max_batch=8, queue_capacity=capacity, policy=policy))
-        writer = agent.writer
-        if policy != "block":
-            writer._flush = lambda: False  # stage without writing
+        agent = make_agent(WriterConfig(max_batch=8, queue_capacity=capacity))
         deliver(agent, packets, chunked)
-        staged = ([row for entry in writer._entries for row in entry[0]], writer.depth)
-        writer.__dict__.pop("_flush", None)
-        writer.drain()
-        outcomes.append((staged, *outcome(agent)))
+        agent.writer.drain()
+        outcomes.append(outcome(agent))
+        stored = sum(len(agent.backend.query(agent.sid_of(t), 0, 2 * T0)[0]) for t in agent.topics())
+        assert stored == agent.writer.flushed == decoded(stream)
+        assert agent.metrics.value("dcdb_agent_readings_stored_total") == stored
     assert outcomes[0] == outcomes[1]
 
 

@@ -18,6 +18,11 @@ def received(broker):
     return broker.metrics.value("dcdb_broker_messages_received_total")
 
 
+def collected(pusher):
+    """Readings ``pusher`` has collected."""
+    return pusher.metrics.value("dcdb_pusher_readings_collected_total")
+
+
 def make_pusher(broker=None, clock=None, **config_kwargs):
     broker = broker if broker is not None else MQTTBroker(port=None)
     clock = clock if clock is not None else SimClock(0)
@@ -65,10 +70,10 @@ class TestPluginLifecycle:
         pusher.client.connect()
         pusher.start_plugin("tester")
         pusher.advance_to(3 * NS_PER_SEC)
-        collected = pusher.readings_collected
+        before = collected(pusher)
         pusher.stop_plugin("tester")
         pusher.advance_to(6 * NS_PER_SEC)
-        assert pusher.readings_collected == collected
+        assert collected(pusher) == before
 
     def test_reload_swaps_configuration(self):
         pusher, _, _ = make_pusher()
@@ -79,7 +84,7 @@ class TestPluginLifecycle:
         assert plugin.sensor_count == 9
         assert plugin.running  # was running, stays running
         pusher.advance_to(NS_PER_SEC)
-        assert pusher.readings_collected == 9
+        assert collected(pusher) == 9
 
     @pytest.mark.parametrize("send_mode", ["continuous", "burst"])
     def test_reload_sends_pending_readings(self, send_mode):
@@ -93,14 +98,14 @@ class TestPluginLifecycle:
         pusher.client.connect()
         pusher.start_plugin("tester")
         pusher.advance_to(3 * NS_PER_SEC)
-        assert (pusher.readings_collected, pusher.status()["pendingReadings"]) == (6, 6)
+        assert (collected(pusher), pusher.status()["pendingReadings"]) == (6, 6)
         pusher.reload_plugin("tester", config)
         pusher.flush()
         assert pusher.status()["pendingReadings"] == 0
         assert [m.topic for m in messages] == ["/t/h0/g0/s0", "/t/h0/g0/s1"]
         published = sum(len(m.payload) // 16 for m in messages)
-        assert pusher.readings_collected == published + pusher.publish_failures
-        assert pusher.publish_failures == 0
+        assert collected(pusher) == published
+        assert pusher.status()["publishFailures"] == 0
 
     def test_unknown_plugin_name(self):
         pusher, _, _ = make_pusher()
@@ -116,7 +121,7 @@ class TestSteppedSampling:
         pusher.start_plugin("tester")
         cycles = pusher.advance_to(10 * NS_PER_SEC)
         assert cycles == 10
-        assert pusher.readings_collected == 50
+        assert collected(pusher) == 50
         assert received(broker) == 50
 
     def test_topics_carry_prefix(self):

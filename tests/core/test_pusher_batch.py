@@ -74,6 +74,12 @@ groups = st.lists(
 )
 
 
+def counts(pusher):
+    """(readings collected, messages published, publish failures)."""
+    names = ("readings_collected", "messages_published", "publish_failures")
+    return tuple(int(pusher.metrics.value(f"dcdb_pusher_{name}_total")) for name in names)
+
+
 def plugin_config(specs):
     blocks = []
     for i, spec in enumerate(specs):
@@ -235,9 +241,7 @@ class TestBatchedEqualsPerMessage:
                 got[topic].append(payload)
         assert got == expected
         messages = sum(len(payloads) for payloads in expected.values())
-        assert pusher.readings_collected == len(samples)
-        assert pusher.messages_published == messages
-        assert pusher.publish_failures == failed
+        assert counts(pusher) == (len(samples), messages, failed)
         assert pusher.status()["pendingReadings"] == 0
         # One batch per group cycle at most, plus one per flush.
         assert client.calls <= len(events)
@@ -257,9 +261,7 @@ class TestFailureAccounting:
         drive(pusher, events, [(2000, False)])
         attempted = sum(len(event[3]) for event in events if event[0] == "read")
         assert attempted == 24
-        assert pusher.publish_failures == attempted
-        assert pusher.messages_published == 0
-        assert pusher.readings_collected == pusher.messages_published + pusher.publish_failures
+        assert counts(pusher) == (attempted, 0, attempted)
 
     @settings(max_examples=40, deadline=None)
     @given(specs=groups, steps=steps, fail=st.sets(st.integers(1, 40), max_size=20))
@@ -269,10 +271,11 @@ class TestFailureAccounting:
         client = CapturingClient(fail=fail)
         pusher, events, _ = instrumented_pusher(specs, client)
         drive(pusher, events, steps)
-        assert pusher.readings_collected == pusher.messages_published + pusher.publish_failures
+        collected, published, failures = counts(pusher)
+        assert collected == published + failures
         # A failure's reconnect re-announces metadata: not a reading.
         readings = [t for batch in client.batches for t, _ in batch if not t.startswith("$DCDB")]
-        assert pusher.messages_published == len(readings)
+        assert published == len(readings)
 
     def test_an_invalid_topic_fails_alone(self):
         client = CapturingClient()
@@ -282,8 +285,7 @@ class TestFailureAccounting:
         pusher.load_plugin("tester", wild, plugin_alias="wild")
         pusher.start_plugin("wild")
         pusher.advance_to(3 * 10**9)
-        assert pusher.publish_failures == 3
-        assert pusher.messages_published == 6
+        assert counts(pusher)[1:] == (6, 3)
         assert [t for batch in client.batches for t, _ in batch].count("/b/h0/g0/s0") == 3
         assert pusher.status()["reconnects"] == 0
 
@@ -293,8 +295,7 @@ class TestFailureAccounting:
         pusher, events, _ = instrumented_pusher(specs, client)
         out_of_range_first_sensor(pusher.plugins["tester"].groups[0])
         pusher.advance_to(3 * NS_PER_SEC)
-        assert pusher.publish_failures == 3
-        assert pusher.messages_published == 3
+        assert counts(pusher)[1:] == (3, 3)
         assert [t for batch in client.batches for t, _ in batch].count("/b/h0/g0/s1") == 3
         # Not a transport failure: no reconnect.
         assert pusher.status()["reconnects"] == 0
@@ -306,8 +307,7 @@ class TestFailureAccounting:
         out_of_range_first_sensor(pusher.plugins["tester"].groups[0])
         pusher.advance_to(3 * NS_PER_SEC)
         pusher.flush()
-        assert pusher.publish_failures == 1
-        assert pusher.messages_published == 1
+        assert counts(pusher)[1:] == (1, 1)
         # One message carrying all three readings (16 bytes each).
         assert [len(p) // 16 for b in client.batches for t, p in b if t == "/b/h0/g0/s1"] == [3]
 
@@ -320,10 +320,11 @@ class TestFailureAccounting:
         pusher.start()
         try:
             deadline = time.monotonic() + 5.0
-            while pusher.publish_failures < 3 and time.monotonic() < deadline:
+            while counts(pusher)[2] < 3 and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             pusher.stop()
-        assert pusher.publish_failures >= 3
-        assert pusher.readings_collected == pusher.messages_published + pusher.publish_failures
+        collected, published, failures = counts(pusher)
+        assert failures >= 3
+        assert collected == published + failures
         assert client.disconnected

@@ -10,14 +10,17 @@ import threading
 
 import pytest
 
-from repro.common.errors import BackpressureError, ConfigError, StorageError
+from repro.common.errors import ConfigError, StorageError
 from repro.common.timeutil import NS_PER_SEC, SimClock
 from repro.core import payload as payload_mod
 from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
+from repro.core.collectagent.writer import Acks
+from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId
 from repro.faults import FaultPlan, FaultyBackend
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
+from repro.mqtt.packets import Publish
 from repro.storage import MemoryBackend, ReadingBatch
 
 SID = SensorId.from_codes([1, 2, 3])
@@ -27,6 +30,14 @@ POLL_NS = 1_000_000  # poll_interval_s=0.001 on the writer's clock
 
 def items(*values, base_ts=0):
     return ReadingBatch.from_items([(SID, base_ts + i, v, 0) for i, v in enumerate(values)])
+
+
+class SteppedTimer:
+    def __init__(self, timers, delay_s, callback):
+        self.timers, self.delay_s, self.callback = timers, delay_s, callback
+
+    def cancel(self):
+        self.timers.remove(self)
 
 
 class SteppedLoop:
@@ -41,17 +52,17 @@ class SteppedLoop:
         return True
 
     def call_later(self, delay_s, callback):
-        self.timers.append((delay_s, callback))
+        self.timers.append(SteppedTimer(self.timers, delay_s, callback))
+        return self.timers[-1]
 
     @property
     def delay_ns(self):
         """The armed timer's delay on the writer's clock."""
-        (delay_s, _), = self.timers
-        return round(delay_s * 1e9)
+        (timer,) = self.timers
+        return round(timer.delay_s * 1e9)
 
     def fire(self):
-        _, callback = self.timers.pop(0)
-        callback()
+        self.timers.pop(0).callback()
 
 
 def loop_writer(backend=None, clock=None, **config):
@@ -127,8 +138,12 @@ class TestFlushTriggers:
     def test_put_after_stop_raises(self):
         writer = BatchingWriter(MemoryBackend(), WriterConfig())
         writer.stop()
-        with pytest.raises(BackpressureError):
-            writer.put(items(1))
+        acks = Acks(writer)
+        with pytest.raises(StorageError):
+            writer.put(items(1), acks=acks)
+        sent = []
+        acks(lambda: sent.append("puback"))
+        assert writer.status()["enqueued"] == 0 and not sent  # refused: never acked
 
     def test_drain_forces_partial_batch(self):
         writer, _, _ = loop_writer(max_batch=1_000, max_delay_ns=FOREVER_NS)
@@ -199,6 +214,49 @@ class TestIdleFlush:
         loop.fire()
         assert writer.flushed == 1 and not loop.timers
 
+    def test_a_put_holding_acks_flushes_at_the_end_of_the_turn(self):
+        """A put with acks (a QoS 1 read) re-arms the timer at 0,
+        replacing the idle timer of the put before it; the flush needs
+        no trigger to be due."""
+        writer, loop, _ = loop_writer(max_delay_ns=NS_PER_SEC)
+        writer.put(items(1))
+        assert loop.delay_ns == POLL_NS
+        acks, sent = Acks(writer), []
+        writer.put(items(2, base_ts=1), acks=acks)
+        acks(lambda: sent.append("puback"))
+        assert loop.delay_ns == 0 and not sent
+        writer.put(items(3, base_ts=2), acks=Acks(writer))
+        assert loop.delay_ns == 0  # still the one timer
+        loop.fire()  # the sim clock never moved
+        assert writer.flushed == 3 and sent == ["puback"] and not loop.timers
+
+    def test_held_acks_wait_for_the_retry_pause(self):
+        """Against a failing backend a put with acks does not pre-empt
+        the retry pause: the paced retry flushes it, and each pause
+        costs the head entry one attempt."""
+        backend = FaultyBackend(MemoryBackend())
+        writer, loop, _ = loop_writer(backend, retry_backoff_s=0.004, max_delay_ns=NS_PER_SEC)
+        backend.kill()
+        writer.put(items(1), acks=Acks(writer))
+        assert loop.delay_ns == 0
+        loop.fire()  # the flush fails
+        assert writer.requeued == 1 and loop.delay_ns == 4_000_000
+        acks, sent = Acks(writer), []
+        writer.put(items(2, base_ts=1), acks=acks)
+        acks(lambda: sent.append("puback"))
+        assert loop.delay_ns == 4_000_000  # still the retry pause
+        assert [entry[2] for entry in writer._entries] == [1, 0]
+        backend.restart()
+        loop.fire()  # the sim clock never moved: the retry flushes anyway
+        assert writer.flushed == 2 and sent == ["puback"] and not loop.timers
+
+    def test_held_acks_after_a_failed_size_flush_wait_for_the_pause(self):
+        backend = FaultyBackend(MemoryBackend())
+        writer, loop, _ = loop_writer(backend, max_batch=1, retry_backoff_s=0.004)
+        backend.kill()
+        writer.put(items(1), acks=Acks(writer))  # the size trigger's flush fails
+        assert writer.requeued == 1 and loop.delay_ns == 4_000_000
+
     def test_wait_idle_times_out_while_a_flush_is_stuck(self):
         backend = BlockingBackend()
         writer = BatchingWriter(backend, WriterConfig())
@@ -242,7 +300,7 @@ class TestBackpressure:
         writer, loop, _ = loop_writer(max_batch=5, max_delay_ns=FOREVER_NS, queue_capacity=10)
         writer.put(items(*range(4)))  # staged: below max_batch
         writer.put(items(*range(8), base_ts=100))  # 4 + 8 > 10: flush, then stage
-        assert writer.dropped == 0 and writer.lost == 0
+        assert writer.lost == 0
         assert writer.backend.count(SID, 0, 10_000) == 12  # and 8 >= max_batch flushed
         assert flushes(writer) == 2
 
@@ -256,49 +314,18 @@ class TestBackpressure:
         writer.put(items(*range(4)))
         writer.put(items(*range(8), base_ts=100))
         # The first entry failed twice and was abandoned to make room.
-        assert writer.lost == 4 and writer.dropped == 0
-        assert writer.depth == 8
+        assert writer.lost == 4 and writer.depth == 8
 
-    def test_drop_oldest_evicts_and_counts(self):
-        backend = FaultyBackend(MemoryBackend())
-        backend.kill()
-        writer, _, _ = loop_writer(
-            backend, max_batch=5, max_delay_ns=0, queue_capacity=10,
-            policy="drop-oldest", flush_retries=100,
-        )
-        writer.put(items(*range(10), base_ts=100))  # its flush fails: stays staged
-        writer.put(items(7, 8, base_ts=900))  # evicts the 10-reading entry
-        assert writer.dropped == 10
-        backend.restart()
-        writer.stop()
-        ts, _ = backend.query(SID, 0, 10_000)
-        assert ts.tolist() == [900, 901]  # the freshest survive
-
-    def test_error_policy_raises_and_keeps_queue(self):
-        backend = FaultyBackend(MemoryBackend())
-        backend.kill()
-        writer, _, _ = loop_writer(
-            backend, max_batch=5, max_delay_ns=0, queue_capacity=10,
-            policy="error", flush_retries=100,
-        )
-        writer.put(items(*range(10), base_ts=100))
-        with pytest.raises(BackpressureError):
-            writer.put(items(5, base_ts=900))
-        assert writer.dropped == 0
-        backend.restart()
-        writer.stop()
-        assert backend.count(SID, 0, 10_000) == 10
-
-    def test_oversized_message_keeps_freshest_tail(self):
-        writer = BatchingWriter(
-            MemoryBackend(),
-            WriterConfig(max_batch=4, queue_capacity=4, policy="drop-oldest"),
-        )
+    def test_oversized_message_is_stored_whole(self):
+        """A message larger than the whole queue waits for it to empty,
+        then is staged whole and written within the same put."""
+        writer, _, _ = loop_writer(max_batch=4, queue_capacity=4, max_delay_ns=FOREVER_NS)
         writer.put(items(0))
         writer.put(items(*range(10), base_ts=100))
-        assert writer.dropped == 6
+        assert writer.depth == 0 and writer.lost == 0
+        assert writer.status()["queueHighWatermark"] == 10
         ts, _ = writer.backend.query(SID, 0, 10_000)
-        assert ts.tolist() == [0, 106, 107, 108, 109]
+        assert ts.tolist() == [0, *range(100, 110)]
 
 
 class FailOnceRecordingBackend(MemoryBackend):
@@ -321,32 +348,29 @@ class FailOnceRecordingBackend(MemoryBackend):
 class TestFlushFailure:
     """A failed flush re-queues its batch instead of dropping it."""
 
-    def make_writer(self, backend, policy="block", retries=4):
+    def make_writer(self, backend, retries=4):
         return BatchingWriter(
             backend,
             WriterConfig(
                 max_batch=5,
                 max_delay_ns=0,
                 queue_capacity=100,
-                policy=policy,
                 flush_retries=retries,
                 retry_backoff_s=0.0,
             ),
         )
 
-    @pytest.mark.parametrize("policy", ["block", "drop-oldest", "error"])
-    def test_failed_flush_requeued_under_every_policy(self, policy):
+    def test_failed_flush_is_requeued(self):
         inner = MemoryBackend()
         backend = FaultyBackend(inner)
         backend.fail_next(1)
-        writer = self.make_writer(backend, policy=policy)
+        writer = self.make_writer(backend)
         writer.put(items(*range(10)))  # fails: stays staged for the next flush
         assert inner.count(SID, 0, 100) == 0 and writer.depth == 10
         writer.stop()
         assert inner.count(SID, 0, 100) == 10
         assert writer.requeued > 0
         assert writer.lost == 0
-        assert writer.dropped == 0
         assert writer.status()["flushErrors"] == 1
 
     def test_requeue_preserves_reading_order(self):
@@ -397,7 +421,6 @@ class TestWriterMetrics:
             "dcdb_writer_queue_capacity",
             "dcdb_writer_batch_size",
             "dcdb_writer_flush_duration_seconds",
-            "dcdb_writer_readings_dropped_total",
             "dcdb_writer_readings_enqueued_total",
             "dcdb_writer_readings_flushed_total",
             "dcdb_writer_flushes_total",
@@ -416,33 +439,29 @@ class TestWriterMetrics:
         assert hist.percentile(0.99) > 1
 
     def test_status_document(self):
-        writer = BatchingWriter(MemoryBackend(), WriterConfig(policy="drop-oldest"))
+        writer = BatchingWriter(MemoryBackend(), WriterConfig())
         writer.put(items(1, 2, 3))
         writer.drain()
         status = writer.status()
-        assert status["policy"] == "drop-oldest"
+        assert status["slowFlushSeconds"] == 1.0
         assert status["enqueued"] == 3
         assert status["flushed"] == 3
         assert status["queueDepth"] == 0
-        assert "writers" not in status
+        assert not {"writers", "policy", "dropped"} & set(status)
 
 
 class TestConfigValidation:
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            WriterConfig(policy="panic")
-
     def test_capacity_below_batch_rejected(self):
         with pytest.raises(ConfigError):
             WriterConfig(max_batch=100, queue_capacity=10)
 
 
 class TestAgentIntegration:
-    def make_agent(self, **writer_kwargs):
+    def make_agent(self, backend=None, **writer_kwargs):
         """An agent on a memory broker whose writer runs on a stepped
         loop, as if the publishes arrived on the broker's loop."""
         broker = MQTTBroker(port=None)
-        backend = MemoryBackend()
+        backend = backend if backend is not None else MemoryBackend()
         agent = CollectAgent(
             backend, broker=broker, writer_config=WriterConfig(**writer_kwargs)
         )
@@ -501,6 +520,39 @@ class TestAgentIntegration:
         agent.writer.drain()
         assert len(client._inflight) == 0
 
+    def test_qos1_read_flushes_at_the_end_of_the_loop_turn(self):
+        """Only a read with a QoS 1 message holds acks, and it flushes
+        when the loop turn ends instead of at the idle deadline."""
+        agent, backend, client = self.make_agent(
+            max_batch=10_000, max_delay_ns=FOREVER_NS, poll_interval_s=3600.0
+        )
+        loop = agent.writer.loop
+        assert agent._on_publish("p", [Publish("/d/a", payload_mod.encode_reading(1, 1))]) is None
+        (timer,) = loop.timers
+        assert timer.delay_s > 3000  # a QoS 0 read waits for the idle deadline
+        client.publish("/d/b", payload_mod.encode_reading(1, 2), qos=1)
+        assert loop.delay_ns == 0 and len(client._inflight) == 1
+        loop.fire()
+        assert agent.writer.flushed == 2 and not client._inflight
+        agent.stop()
+
+    def test_oversized_qos1_message_is_stored_whole_then_acked(self):
+        """A message larger than the queue is staged whole; its PUBACK
+        waits for the flush that commits all of it."""
+        agent, backend, client = self.make_agent(
+            FaultyBackend(MemoryBackend()),
+            max_batch=8, queue_capacity=8, max_delay_ns=FOREVER_NS, retry_backoff_s=0.0,
+        )
+        sid = agent.sid_mapper.sid_for_topic("/d/a")
+        backend.kill()
+        readings = [SensorReading(t, t) for t in range(10)]
+        client.publish("/d/a", payload_mod.encode_readings(readings), qos=1)
+        assert len(client._inflight) == 1  # its flush failed: no PUBACK
+        backend.restart()
+        agent.writer.loop.fire()
+        assert backend.count(sid, 0, 100) == 10 and not client._inflight
+        agent.stop()
+
     def test_qos1_puback_of_a_lost_read_is_never_sent(self):
         broker = MQTTBroker(port=None)
         backend = FaultyBackend(MemoryBackend())
@@ -515,6 +567,14 @@ class TestAgentIntegration:
         assert agent.writer.lost == 1
         client.publish("/d/a", payload_mod.encode_reading(2, 2), qos=1)  # committed
         assert list(client._inflight) == [1]  # only the lost message waits
+        agent.stop()
+
+    def test_qos1_read_after_the_writer_stopped_is_refused_not_acked(self, caplog):
+        agent, backend, client = self.make_agent()
+        agent.writer.stop()
+        client.publish("/d/a", payload_mod.encode_reading(1, 1), qos=1)
+        assert len(client._inflight) == 1 and agent.writer.status()["enqueued"] == 0
+        assert "refused" in caplog.text
         agent.stop()
 
     def test_metadata_only_read_is_acked_at_once(self):
@@ -532,7 +592,6 @@ class TestAgentIntegration:
         status = agent.status()
         assert status["writer"]["enqueued"] == 1
         assert status["writer"]["flushed"] == 1
-        assert status["writer"]["dropped"] == 0
 
     def test_synchronous_agent_status_has_zero_thread_writer(self):
         """A broker without a loop thread: the agent writes each read
@@ -683,14 +742,14 @@ class TestZeroThreadWriter:
         writer = BatchingWriter(
             backend,
             WriterConfig(
-                max_batch=2, queue_capacity=2, policy="block",
+                max_batch=2, queue_capacity=2,
                 flush_retries=1, retry_backoff_s=0.0,
             ),
         )
         backend.kill()
         writer.put(items(1, 2))  # fails and stays staged: the queue is full
         writer.put(items(3, base_ts=2))  # flushes until it fits: 1, 2 lost
-        assert (writer.lost, writer.dropped, writer.depth) == (2, 0, 1)
+        assert (writer.lost, writer.depth) == (2, 1)
         backend.restart()
         writer.drain()
         assert backend.query(SID, 0, 100)[0].tolist() == [2]

@@ -19,12 +19,22 @@ class TestAgentFromConfig:
         assert agent.port > 0
         agent.stop()
 
-    @pytest.mark.parametrize("batching", ["true", "false"])
-    def test_old_batching_key_is_ignored(self, batching):
-        tree = parse_info(f"global {{ mqttPort 0\n batching {batching}\n batchSize 512 }}")
+    @pytest.mark.parametrize(
+        "old",
+        [
+            "true",
+            "false",
+            pytest.param("true\n backpressure drop-oldest", id="backpressure-drop-oldest"),
+            pytest.param("false\n backpressure error", id="backpressure-error"),
+        ],
+    )
+    def test_old_batching_key_is_ignored(self, old):
+        """Old ``batching`` and ``backpressure`` keys are ignored."""
+        tree = parse_info(f"global {{ mqttPort 0\n batching {old}\n batchSize 512 }}")
         agent, _ = agent_from_config(tree)
         assert agent.writer.config.max_batch == 512
         assert agent.writer.loop is agent.broker
+        assert "policy" not in agent.writer.status()
 
     def test_rest_api_enabled(self):
         tree = parse_info("global { mqttPort 0\n restPort 0 }")

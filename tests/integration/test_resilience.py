@@ -37,11 +37,12 @@ class TestAgentRestart:
             # --- outage -------------------------------------------------
             agent.stop()
             time.sleep(0.6)
-            collected_during_outage = pusher.readings_collected
+            collected = pusher.metrics.get("dcdb_pusher_readings_collected_total")
+            collected_during_outage = collected.value
             time.sleep(0.4)
             # Sampling continued throughout the outage.
-            assert pusher.readings_collected > collected_during_outage
-            assert pusher.publish_failures > 0
+            assert collected.value > collected_during_outage
+            assert pusher.metrics.value("dcdb_pusher_publish_failures_total") > 0
 
             # --- recovery: new agent on the same port -------------------
             backend2 = MemoryBackend()
@@ -52,7 +53,7 @@ class TestAgentRestart:
                 while agent2.metrics.value("dcdb_agent_readings_stored_total") < 4 and time.monotonic() < deadline:
                     time.sleep(0.05)
                 assert agent2.metrics.value("dcdb_agent_readings_stored_total") >= 4
-                assert pusher.reconnects >= 1
+                assert pusher.metrics.value("dcdb_pusher_reconnects_total") >= 1
                 # Metadata was re-announced on reconnect.
                 assert agent2.metrics.value("dcdb_agent_metadata_announcements_total") >= 2
             finally:
@@ -71,7 +72,7 @@ class TestAgentRestart:
         # cycles of the one-sensor group, one message each.
         group = pusher.plugins["tester"].groups[0]
         assert pusher.advance_to(group.next_due_ns + 9 * group.interval_ns) == 10
-        assert pusher.publish_failures == 10
+        assert pusher.metrics.value("dcdb_pusher_publish_failures_total") == 10
         # Only the first failure triggered a connect attempt (which
         # itself failed against port 1); the rest were suppressed.
-        assert pusher.reconnects == 0
+        assert pusher.metrics.value("dcdb_pusher_reconnects_total") == 0

@@ -152,9 +152,9 @@ class TestProcfsPlugin:
         pusher.start_plugin("procfs")
         pusher.advance_to(NS_PER_SEC)
         # First delta cycle emits nothing.
-        assert pusher.readings_collected == 0
+        assert pusher.metrics.value("dcdb_pusher_readings_collected_total") == 0
         pusher.advance_to(2 * NS_PER_SEC)
-        assert pusher.readings_collected == 3
+        assert pusher.metrics.value("dcdb_pusher_readings_collected_total") == 3
 
     def test_procstat_metrics(self, proc_dir):
         pusher, _ = make_pusher()

@@ -115,7 +115,7 @@ class TestIpmiPlugin:
         )
         pusher.start_plugin("ipmi")
         pusher.advance_to(NS_PER_SEC)
-        assert pusher.readings_collected == 1
+        assert pusher.metrics.value("dcdb_pusher_readings_collected_total") == 1
         server.stop()
         pusher.advance_to(3 * NS_PER_SEC)
         # Sampling continued, errors counted, no crash.

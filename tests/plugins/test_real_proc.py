@@ -96,4 +96,4 @@ class TestLiveProc:
         pusher.start_plugin("procfs")
         pusher.advance_to(2 * NS_PER_SEC)
         assert all(g.read_errors == 0 for g in plugin.groups)
-        assert pusher.readings_collected > 0
+        assert pusher.metrics.value("dcdb_pusher_readings_collected_total") > 0

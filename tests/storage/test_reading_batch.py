@@ -6,7 +6,7 @@ tuples (the edge adapter, converted once per call) and a
 does.  These tests write the same rows both ways and require the same
 state everywhere the batch travels: the engine, the durable node across
 a reopen, a replicated cluster with a replica killed mid-stream, the
-rollup tiers, the writer's drop-oldest trim and the agent's cache.
+rollup tiers and the agent's cache.
 They also pin the WAL's DATA frame to the bytes the tuple encoder wrote
 and the int64 contract the adapter enforces.
 """
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
 from repro.core import payload as payload_mod
-from repro.core.collectagent import BatchingWriter, CollectAgent, WriterConfig
+from repro.core.collectagent import CollectAgent
 from repro.core.sensor import SensorReading
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
@@ -224,32 +224,6 @@ class TestEquivalence:
             coverage = [engine.coverage(sid, k) for sid in SIDS for k in range(len(ROLLUP_TIERS))]
             outcomes.append((backend.state_fingerprint(), coverage))
         assert outcomes[0] == outcomes[1]
-
-
-class TestWriterTrim:
-    def test_drop_oldest_keeps_the_freshest_tail(self):
-        backend = MemoryBackend()
-        writer = BatchingWriter(
-            backend, WriterConfig(max_batch=4, queue_capacity=5, policy="drop-oldest")
-        )
-        # One message (one run) larger than the whole queue.
-        items = [(SIDS[0], i, 100 + i, 0) for i in range(9)]
-        batch = columnar(items)
-        assert len(batch.sids) == 1
-        assert writer.put(batch) == 5
-        writer.stop()
-        assert writer.dropped == 4
-        stored = {
-            (sid, int(t), int(v))
-            for sid in SIDS
-            for t, v in zip(*backend.query(sid, 0, 100))
-        }
-        assert stored == {(sid, t, v) for sid, t, v, _ in items[4:]}
-
-    @given(st.integers(1, 12), st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    def test_tail_matches_the_rows(self, count, lengths):
-        items = [(SIDS[r % len(SIDS)], i, i, r) for r, n in enumerate(lengths) for i in range(n)]
-        assert list(columnar(items).tail(count)) == items[-count:]
 
 
 class TestAgentCache:
