@@ -6,7 +6,8 @@ level" (paper section 9):
 
 * :meth:`AnalyticsManager.attach_to_agent` hooks the Collect Agent's
   broker, seeing every reading the moment it is ingested.  Operator
-  outputs are stored in the same backend under
+  outputs go through the agent's writer (batched, committed and
+  rolled up like ingested readings) into the same backend under
   ``/analytics/<operator>/<suffix>`` topics (resolvable via libDCDB
   like any sensor).
 * :meth:`AnalyticsManager.attach_to_pusher` hooks the Pusher's collect
@@ -25,8 +26,10 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
+from repro.common.errors import StorageError
 from repro.core import payload as payload_mod
 from repro.core.sensor import SensorReading
+from repro.storage.backend import ReadingBatch
 from repro.analytics.operator import OutputReading, StreamOperator
 
 logger = logging.getLogger(__name__)
@@ -127,12 +130,15 @@ class AnalyticsManager:
     # -- daemon integration ----------------------------------------------------
 
     def attach_to_agent(self, agent) -> None:
-        """Run at the Collect Agent: see every ingested reading, store
-        derived readings in the agent's backend."""
+        """Run at the Collect Agent: see every ingested reading, stage
+        derived readings on the agent's writer like ingested ones."""
 
         def sink(topic: str, reading: SensorReading) -> None:
             sid = agent.sid_mapper.sid_for_topic(topic)
-            agent.backend.insert(sid, reading.timestamp, reading.value)
+            try:
+                agent.writer.put(ReadingBatch.from_items([(sid, reading.timestamp, reading.value, 0)]))
+            except StorageError as exc:  # a put after stop()
+                logger.warning("derived reading on %s refused: %s", topic, exc)
 
         self._sink = sink
 

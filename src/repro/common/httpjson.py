@@ -43,6 +43,35 @@ class RawResponse:
         self.content_type = content_type
 
 
+class BadRequest(ValueError):
+    """Malformed client input: answered 400, the message naming the field."""
+
+
+def number_param(params: dict, name: str, default, kind=int):
+    """``params[name]`` (a query parameter or a JSON field) converted by
+    ``kind``, or ``default`` when absent or null; :class:`BadRequest`
+    when it does not convert."""
+    raw = params.get(name)
+    if raw is None:
+        return default
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise BadRequest(f"{name}: expected a number, got {raw!r}") from None
+
+
+def json_body(body: bytes) -> dict:
+    """A request body as a JSON object (``{}`` when empty);
+    :class:`BadRequest` when it is anything else."""
+    try:
+        payload = json.loads(body or b"{}")
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise BadRequest(f"body: not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise BadRequest("body: expected a JSON object")
+    return payload
+
+
 class JsonHttpServer:
     """A route-table HTTP server speaking JSON.
 
@@ -52,9 +81,10 @@ class JsonHttpServer:
         server.route("GET", "/plugins", list_plugins)
         server.route("POST", "/plugins/:name/start", start_plugin)
 
-    Handlers return ``(status_code, json_serializable)``.  Exceptions
-    become 500s with the error message in the body; this API is for
-    trusted management networks, matching DCDB's deployment model.
+    Handlers return ``(status_code, json_serializable)``.  A
+    :class:`BadRequest` becomes a 400 and any other exception a 500,
+    with the error message in the body; this API is for trusted
+    management networks, matching DCDB's deployment model.
     """
 
     def __init__(
@@ -106,6 +136,8 @@ class JsonHttpServer:
             if matched:
                 try:
                     status, payload = handler(params, query, body)
+                except BadRequest as exc:
+                    status, payload = 400, {"error": str(exc)}
                 except Exception as exc:  # noqa: BLE001 - surfaced as HTTP 500
                     status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
                 self._durations.labels(route=route_label).observe(

@@ -26,7 +26,7 @@ Endpoints
 
 from __future__ import annotations
 
-from repro.common.httpjson import JsonHttpServer, RawResponse
+from repro.common.httpjson import JsonHttpServer, RawResponse, number_param
 from repro.core.collectagent.agent import CollectAgent
 from repro.observability import (
     PROMETHEUS_CONTENT_TYPE,
@@ -90,8 +90,8 @@ class CollectAgentRestApi:
         return render_health(self.agent.health())
 
     def _traces(self, params: dict, query: dict, body: bytes):
-        limit = int(query.get("limit", "50"))
-        min_latency_ms = float(query.get("minLatencyMs", "0"))
+        limit = number_param(query, "limit", 50)
+        min_latency_ms = number_param(query, "minLatencyMs", 0.0, float)
         return 200, self.agent.spans.traces(
             limit=limit,
             sid=query.get("sid"),
@@ -126,8 +126,8 @@ class CollectAgentRestApi:
         sid = self.agent.sid_of(topic)
         if sid is None:
             return 404, {"error": f"unknown topic {topic!r}"}
-        start = int(query.get("start", "0"))
-        end = int(query.get("end", str((1 << 63) - 1)))
+        start = number_param(query, "start", 0)
+        end = number_param(query, "end", (1 << 63) - 1)
         timestamps, values = self.agent.backend.query(sid, start, end)
         return 200, {
             "topic": topic,
@@ -148,7 +148,7 @@ class CollectAgentRestApi:
         manager = self._manager()
         if manager is None:
             return 404, {"error": "no analytics manager attached"}
-        limit = int(query.get("limit", "100"))
+        limit = number_param(query, "limit", 100)
         events = list(manager.alarms)[-limit:]
         return 200, [
             {

@@ -24,7 +24,7 @@ Endpoints
 
 from __future__ import annotations
 
-from repro.common.httpjson import JsonHttpServer, RawResponse
+from repro.common.httpjson import JsonHttpServer, RawResponse, number_param
 from repro.core.pusher.pusher import Pusher
 from repro.observability import (
     PROMETHEUS_CONTENT_TYPE,
@@ -89,8 +89,8 @@ class PusherRestApi:
         return render_health(self.pusher.health())
 
     def _traces(self, params: dict, query: dict, body: bytes):
-        limit = int(query.get("limit", "50"))
-        min_latency_ms = float(query.get("minLatencyMs", "0"))
+        limit = number_param(query, "limit", 50)
+        min_latency_ms = number_param(query, "minLatencyMs", 0.0, float)
         return 200, self.pusher.spans.traces(
             limit=limit,
             sid=query.get("sid"),
@@ -169,8 +169,8 @@ class PusherRestApi:
         sensor, error = self._find_cache(query)
         if error is not None:
             return error
-        window_ms = query.get("window_ms")
-        window_ns = int(window_ms) * 1_000_000 if window_ms else None
+        window_ms = number_param(query, "window_ms", None)
+        window_ns = window_ms * 1_000_000 if window_ms else None
         avg = sensor.cache.average(window_ns)
         if avg is None:
             return 404, {"error": "no cached readings"}

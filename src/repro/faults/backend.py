@@ -44,7 +44,7 @@ __all__ = ["FaultyBackend"]
 #: Operations subject to probabilistic faults by default.  Metadata and
 #: maintenance ops stay clean unless explicitly listed, so chaos tests
 #: target the data plane without breaking topic->SID bookkeeping.
-DEFAULT_FAIL_OPS = ("insert", "insert_batch", "query", "query_many", "query_prefix")
+DEFAULT_FAIL_OPS = ("insert", "insert_batch", "query_many", "query_prefix")
 
 #: Every guarded operation: ``fail_ops=ALL_OPS`` makes a cluster member
 #: flaky across its whole surface (a bad disk or NIC spares nothing).
@@ -168,10 +168,6 @@ class FaultyBackend(StorageBackend):
     def insert_batch(self, items: ReadingBatch | Iterable[InsertItem]) -> int:
         self._guard("insert_batch")
         return self.backend.insert_batch(items)
-
-    def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        self._guard("query")
-        return self.backend.query(sid, start, end)
 
     def query_many(
         self, sids, start: int, end: int

@@ -31,12 +31,10 @@ them like any topic.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from repro.common.errors import DCDBError
-from repro.common.httpjson import JsonHttpServer
+from repro.common.httpjson import JsonHttpServer, json_body, number_param
 from repro.libdcdb.api import DCDBClient
 from repro.libdcdb.interpolation import downsample_mean
 
@@ -116,18 +114,18 @@ class GrafanaDataSource:
         return 200, {"status": "ok", **details}
 
     def _search(self, params: dict, query: dict, body: bytes):
-        payload = json.loads(body or b"{}")
+        payload = json_body(body)
         prefix = payload.get("target", "")
         topics = self.client.topics(prefix)
         virtuals = [v.topic for v in self.client.virtual_sensors()]
         return 200, sorted(set(topics) | {v for v in virtuals if v.startswith(prefix)})
 
     def _query(self, params: dict, query: dict, body: bytes):
-        payload = json.loads(body or b"{}")
+        payload = json_body(body)
         time_range = payload.get("range", {})
-        start = int(time_range.get("from_ns", 0))
-        end = int(time_range.get("to_ns", (1 << 62)))
-        max_points = int(payload.get("maxDataPoints", 1000) or 1000)
+        start = number_param(time_range, "from_ns", 0)
+        end = number_param(time_range, "to_ns", 1 << 62)
+        max_points = number_param(payload, "maxDataPoints", 1000) or 1000
         targets = [t for t in payload.get("targets", []) if t.get("target")]
         results: dict[str, tuple] = {}
         errors: dict[str, str] = {}
@@ -201,12 +199,12 @@ class GrafanaDataSource:
         return 200, self.client.hierarchy_children(prefix)
 
     def _annotations(self, params: dict, query: dict, body: bytes):
+        payload = json_body(body)
         if self.analytics is None:
             return 200, []
-        payload = json.loads(body or b"{}")
         time_range = payload.get("range", {})
-        start = int(time_range.get("from_ns", 0))
-        end = int(time_range.get("to_ns", (1 << 62)))
+        start = number_param(time_range, "from_ns", 0)
+        end = number_param(time_range, "to_ns", 1 << 62)
         return 200, [
             {
                 "time": event.timestamp // 1_000_000,  # ms epochs

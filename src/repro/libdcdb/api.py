@@ -191,20 +191,17 @@ class DCDBClient:
     # -- queries ---------------------------------------------------------------
 
     def query_raw(self, topic: str, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored integer readings of a concrete sensor."""
-        started = perf_counter()
-        result = self.backend.query(self.sid_of(topic), start, end)
-        self._query_latency.labels(op="query_raw").observe(perf_counter() - started)
-        return result
+        """Stored integer readings of a concrete sensor: the one-topic
+        :meth:`query_raw_many`."""
+        return self.query_raw_many([topic], start, end)[topic]
 
     def query_raw_many(
         self, topics, start: int, end: int
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Bulk :meth:`query_raw`: every topic in one
-        :meth:`~repro.storage.backend.StorageBackend.query_many` call,
-        which the cluster backend splits into one read per node.  Raises
-        :class:`QueryError` on the first unknown topic, like
-        ``query_raw`` would.
+        """Stored integer readings of concrete sensors: every topic in
+        one :meth:`~repro.storage.backend.StorageBackend.query_many`
+        call, which the cluster backend splits into one read per node.
+        Raises :class:`QueryError` on the first unknown topic.
         """
         started = perf_counter()
         sids = {topic: self.sid_of(topic) for topic in topics}
@@ -251,7 +248,7 @@ class DCDBClient:
         returns at most ~``max_points`` bucketed aggregates, served
         from the coarsest rollup tier that satisfies the resolution
         and falling back to raw for uncovered spans (see
-        :meth:`query_aggregate`).
+        :meth:`query_aggregate_many`).
         """
         if aggregation is not None:
             return self.query_aggregate(
@@ -261,13 +258,12 @@ class DCDBClient:
         vdef = self._virtual_def_for(topic)
         if vdef is not None:
             result = self._query_virtual(vdef, start, end, unit)
-            self._query_latency.labels(op="query").observe(perf_counter() - started)
-            return result
-        config = self.sensor_config(topic)
-        timestamps, raw = self.query_raw(topic, start, end)
-        values = _physical(raw, config.scale, config.unit, unit)
+        else:
+            config = self.sensor_config(topic)
+            timestamps, raw = self.query_raw_many([topic], start, end)[topic]
+            result = timestamps, _physical(raw, config.scale, config.unit, unit)
         self._query_latency.labels(op="query").observe(perf_counter() - started)
-        return timestamps, values
+        return result
 
     # -- tier-aware aggregate planner -----------------------------------------
 
@@ -347,33 +343,11 @@ class DCDBClient:
         max_points: int = 1000,
         unit: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Bucketed aggregate series of ``topic`` over ``[start, end]``.
-
-        Returns ``(bucket_start_timestamps, values)`` with at most
-        ~``max_points`` buckets on the absolute ``ts // bucket_ns``
-        grid (empty buckets omitted).  Served from a rollup tier when
-        :meth:`plan_aggregate` finds one — dashboard-scale windows read
-        hundreds of pre-aggregated rows instead of millions of raw
-        ones — and otherwise from a raw scan.  Either path runs the
-        identical aggregation arithmetic on the identical stored
-        integers, so results are bit-identical regardless of the tier
-        chosen.
-        """
-        if aggregation not in AGGREGATIONS:
-            raise QueryError(
-                f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}"
-            )
-        started = perf_counter()
-        plan = self.plan_aggregate(topic, start, end, max_points)
-        if plan.tier_index is None:
-            result = self._aggregate_raw(plan, start, end, aggregation, unit)
-        else:
-            result = self._aggregate_tiered(plan, start, end, aggregation, unit)
-        self._tier_selected.labels(tier=plan.tier_label).inc()
-        self._query_latency.labels(op="query_aggregate").observe(
-            perf_counter() - started
-        )
-        return result
+        """Bucketed aggregate series of ``topic`` over ``[start, end]``:
+        the one-topic :meth:`query_aggregate_many`."""
+        return self.query_aggregate_many(
+            [topic], start, end, aggregation, max_points, unit
+        )[topic]
 
     def query_aggregate_many(
         self,
@@ -382,14 +356,26 @@ class DCDBClient:
         end: int,
         aggregation: str = "avg",
         max_points: int = 1000,
+        unit: str | None = None,
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Bulk :meth:`query_aggregate` with batched storage reads.
+        """Bucketed aggregate series of every topic over ``[start, end]``.
+
+        Each result is ``(bucket_start_timestamps, values)`` with at
+        most ~``max_points`` buckets on the absolute ``ts // bucket_ns``
+        grid (empty buckets omitted), converted into ``unit`` when one
+        is given.  A topic is served from a rollup tier when
+        :meth:`plan_aggregate` finds one — dashboard-scale windows read
+        hundreds of pre-aggregated rows instead of millions of raw ones
+        — and otherwise from a raw scan.  Either path runs the
+        identical aggregation arithmetic on the identical stored
+        integers, so results are bit-identical regardless of the tier
+        chosen.
 
         Topics sharing plan geometry (same tier, bucket and head/tail
         split — the common case for a dashboard of co-sampled sensors)
         have their rollup middles fetched in one ``query_many`` call;
         raw-planned topics share one bulk raw read.  Virtual topics
-        fall back to per-topic evaluation.
+        are evaluated one by one and bucketed from their series.
         """
         if aggregation not in AGGREGATIONS:
             raise QueryError(
@@ -401,23 +387,25 @@ class DCDBClient:
         plans: dict[str, AggregatePlan] = {}
         raw_topics: list[str] = []
         for topic in unique:
-            if self._virtual_def_for(topic) is not None:
-                out[topic] = self.query_aggregate(
-                    topic, start, end, aggregation, max_points
-                )
+            plan = plans[topic] = self.plan_aggregate(topic, start, end, max_points)
+            if plan.tier_index is not None:
                 continue
-            plan = self.plan_aggregate(topic, start, end, max_points)
-            plans[topic] = plan
-            if plan.tier_index is None:
+            vdef = self._virtual_def_for(topic)
+            if vdef is None:
                 raw_topics.append(topic)
+                continue
+            # Virtual series are already physical-valued (and unit
+            # converted); bucket the floats directly.
+            timestamps, values = self._query_virtual(vdef, start, end, unit)
+            stats = aggregate_buckets(timestamps, values, plan.bucket_ns)
+            out[topic] = self._decode_stats(None, aggregation, stats, None)
         if raw_topics:
             raw = self.query_raw_many(raw_topics, start, end)
             for topic in raw_topics:
                 stats = aggregate_buckets(*raw[topic], plans[topic].bucket_ns)
                 out[topic] = self._decode_stats(
-                    self.sensor_config(topic), aggregation, stats, None
+                    self.sensor_config(topic), aggregation, stats, unit
                 )
-                self._tier_selected.labels(tier="raw").inc()
         groups: dict[tuple[int, int, int, int], list[str]] = {}
         for topic, plan in plans.items():
             if plan.tier_index is not None:
@@ -440,15 +428,15 @@ class DCDBClient:
                 else {}
             )
             for topic in group:
-                plan = plans[topic]
                 field_rows = [fetched[fsid] for fsid in fsids_by_topic[topic]]
                 stats = self._assemble_tier_stats(
-                    plan, field_rows, heads.get(topic), tails.get(topic)
+                    plans[topic], field_rows, heads.get(topic), tails.get(topic)
                 )
                 out[topic] = self._decode_stats(
-                    self.sensor_config(topic), aggregation, stats, None
+                    self.sensor_config(topic), aggregation, stats, unit
                 )
-                self._tier_selected.labels(tier=plan.tier_label).inc()
+        for plan in plans.values():
+            self._tier_selected.labels(tier=plan.tier_label).inc()
         self._query_latency.labels(op="query_aggregate_many").observe(
             perf_counter() - started
         )
@@ -473,51 +461,6 @@ class DCDBClient:
             # the engine had a spare level to derive rollup SIDs from.
             raise QueryError(f"sensor {topic!r} cannot carry rollup series")
         return fsids  # type: ignore[return-value]
-
-    def _aggregate_raw(
-        self,
-        plan: AggregatePlan,
-        start: int,
-        end: int,
-        aggregation: str,
-        unit: str | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Raw fallback: scan + bucket with the shared kernel."""
-        vdef = self._virtual_def_for(plan.topic)
-        if vdef is not None:
-            # Virtual series are already physical-valued (and unit
-            # converted by query); bucket the floats directly.
-            timestamps, values = self.query(plan.topic, start, end, unit)
-            stats = aggregate_buckets(timestamps, values, plan.bucket_ns)
-            return self._decode_stats(None, aggregation, stats, None)
-        timestamps, raw = self.query_raw(plan.topic, start, end)
-        stats = aggregate_buckets(timestamps, raw, plan.bucket_ns)
-        return self._decode_stats(self.sensor_config(plan.topic), aggregation, stats, unit)
-
-    def _aggregate_tiered(
-        self,
-        plan: AggregatePlan,
-        start: int,
-        end: int,
-        aggregation: str,
-        unit: str | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve the sealed middle from rollup rows, head/tail from raw."""
-        field_sids = self._field_sids(plan.topic, plan.tier_index)
-        fetched = self.backend.query_many(field_sids, plan.head_end, plan.tail_start - 1)
-        field_rows = [fetched[fsid] for fsid in field_sids]
-        head = (
-            self.query_raw(plan.topic, start, plan.head_end - 1)
-            if start < plan.head_end
-            else None
-        )
-        tail = (
-            self.query_raw(plan.topic, plan.tail_start, end)
-            if plan.tail_start <= end
-            else None
-        )
-        stats = self._assemble_tier_stats(plan, field_rows, head, tail)
-        return self._decode_stats(self.sensor_config(plan.topic), aggregation, stats, unit)
 
     @staticmethod
     def _assemble_tier_stats(plan: AggregatePlan, field_rows, head, tail):
@@ -658,7 +601,8 @@ class DCDBClient:
         cached = self._cached_intervals(vdef.name)
         if not _covers(cached, start, end):
             self._evaluate_and_store(vdef, start, end)
-        timestamps, raw = self.backend.query(self._virtual_sid(vdef), start, end)
+        sid = self._virtual_sid(vdef)
+        timestamps, raw = self.backend.query_many([sid], start, end)[sid]
         return timestamps, _physical(raw, vdef.scale, vdef.unit, unit)
 
     def evaluate_virtual(
@@ -773,7 +717,9 @@ class _Resolver:
             return timestamps, values, vdef.unit
         config = self.client.sensor_config(topic)
         raw = self.raw.get(topic)
-        timestamps, stored = raw if raw is not None else self.client.query_raw(topic, start, end)
+        if raw is None:
+            raw = self.client.query_raw_many([topic], start, end)[topic]
+        timestamps, stored = raw
         return timestamps, _physical(stored, config.scale, config.unit), config.unit
 
     def series_many(self, topics, start: int, end: int, max_points: int | None = None):

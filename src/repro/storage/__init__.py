@@ -11,7 +11,8 @@ DCDB relies on:
 * :mod:`repro.storage.backend` — the backend-independent API
   (libDCDB's storage abstraction, paper section 5.1); every store
   below implements it, so any of them can stand behind the Collect
-  Agent — or inside a cluster — unchanged.
+  Agent — or inside a cluster — unchanged.  Its one window read is
+  ``query_many``; a one-sensor ``query`` is that read of one SID.
 * :mod:`repro.storage.node` — one storage server: an append-optimized
   memtable flushed into immutable sorted segments (SSTable analogue),
   compaction, TTL expiry and range scans; also the home of the one

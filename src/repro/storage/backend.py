@@ -211,29 +211,24 @@ class StorageBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def query(
-        self, sid: SensorId, start: int, end: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Readings of ``sid`` with start <= t <= end, time-ordered.
-
-        Returns ``(timestamps, values)`` as int64 arrays (possibly
-        empty).  Expired (TTL) entries are excluded.
-        """
-
     def query_many(
         self, sids: Iterable[SensorId], start: int, end: int
     ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:
-        """Bulk read: the series of every SID in ``sids`` over one range.
+        """The one window read: the series of every SID in ``sids`` with
+        start <= t <= end, time-ordered.
 
-        Semantically identical to calling :meth:`query` once per SID —
-        same ordering, TTL filtering and last-write-wins dedup — but
-        backends override it with a batched path (one lock/transaction,
-        one read per replica node).  Returns an entry for *every*
-        requested SID; sensors without data in range map to empty
-        arrays.  This default loops over :meth:`query` so third-party
-        backends keep working unchanged.
+        Returns ``(timestamps, values)`` int64 arrays for *every*
+        requested SID (empty where a sensor has no data in range), with
+        last-write-wins dedup and expired (TTL) entries excluded.  A
+        store pays its per-read cost (a lock, a transaction, one read
+        per replica node) once for the whole list.  A third-party
+        backend implements this read; :meth:`query`,
+        :meth:`query_prefix` and the conveniences derive from it.
         """
-        return {sid: self.query(sid, start, end) for sid in sids}
+
+    def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """One sensor's series: the one-element :meth:`query_many`."""
+        return self.query_many([sid], start, end)[sid]
 
     def query_prefix(
         self, prefix: int, levels: int, start: int, end: int

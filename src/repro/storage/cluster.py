@@ -519,13 +519,6 @@ class StorageCluster(StorageBackend):
                     ) from cause
         return len(batch)
 
-    def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """One sensor's series through the cluster read (:meth:`_read`)."""
-        t0 = time.perf_counter()
-        result = self._read([sid], _window(start, end))[sid]
-        self._observe_query("query", t0, detail=str(sid))
-        return result
-
     def latest(self, sid: SensorId) -> tuple[int, int] | None:
         """One sensor's newest row through the cluster read (:meth:`_read`)."""
         return self._read([sid], lambda node, group: {s: node.latest(s) for s in group})[sid]

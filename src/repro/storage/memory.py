@@ -16,8 +16,6 @@ import numpy as np
 from repro.core.sid import SensorId
 from repro.storage.backend import StorageBackend, as_batch
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 class MemoryBackend(StorageBackend):
     """Dictionary-of-lists storage with TTL support."""
@@ -38,51 +36,25 @@ class MemoryBackend(StorageBackend):
                 self._data.setdefault(sid, []).append((timestamp, value, expiry))
         return len(batch)
 
-    def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        now = self._clock()
-        with self._lock:
-            rows = self._data.get(sid)
-            if not rows:
-                return _EMPTY, _EMPTY
-            # Last write wins on duplicate timestamps: iterate in
-            # insertion order so a later insert overwrites an earlier
-            # one in the dict (sorting (t, v) tuples here would order
-            # equal timestamps by value instead and corrupt LWW).
-            deduped: dict[int, int] = {
-                t: v for t, v, e in rows if start <= t <= end and e > now
-            }
-        if not deduped:
-            return _EMPTY, _EMPTY
-        ts = np.fromiter(deduped.keys(), dtype=np.int64, count=len(deduped))
-        vals = np.fromiter(deduped.values(), dtype=np.int64, count=len(deduped))
-        order = np.argsort(ts)
-        return ts[order], vals[order]
-
     def query_many(
         self, sids, start: int, end: int
     ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:
         """Batched read: one lock acquisition for the whole SID list."""
         now = self._clock()
-        if not isinstance(sids, (list, tuple)):
-            sids = list(sids)
-        deduped_per_sid: list[dict[int, int]] = []
+        out: dict[SensorId, tuple[np.ndarray, np.ndarray]] = {}
         with self._lock:
             for sid in sids:
-                rows = self._data.get(sid)
-                deduped_per_sid.append(
-                    {t: v for t, v, e in rows if start <= t <= end and e > now}
-                    if rows
-                    else {}
-                )
-        out: dict[SensorId, tuple[np.ndarray, np.ndarray]] = {}
-        for sid, deduped in zip(sids, deduped_per_sid):
-            if not deduped:
-                out[sid] = (_EMPTY, _EMPTY)
-                continue
-            ts = np.fromiter(deduped.keys(), dtype=np.int64, count=len(deduped))
-            vals = np.fromiter(deduped.values(), dtype=np.int64, count=len(deduped))
-            order = np.argsort(ts)
-            out[sid] = (ts[order], vals[order])
+                # Last write wins on duplicate timestamps: in insertion
+                # order a later insert overwrites an earlier one in the
+                # dict (sorting (t, v) tuples would order equal
+                # timestamps by value instead and corrupt LWW).
+                deduped = {
+                    t: v for t, v, e in self._data.get(sid, ()) if start <= t <= end and e > now
+                }
+                ts = np.fromiter(deduped.keys(), dtype=np.int64, count=len(deduped))
+                vals = np.fromiter(deduped.values(), dtype=np.int64, count=len(deduped))
+                order = np.argsort(ts)
+                out[sid] = (ts[order], vals[order])
         return out
 
     def sids(self) -> list[SensorId]:

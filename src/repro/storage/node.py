@@ -596,29 +596,15 @@ class StorageNode(StorageBackend):
         # back untouched; memtable rows are in arrival order.
         return merge_lww(parts, ascending=not mem_contributed)
 
-    def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Time-ordered readings of ``sid`` in [start, end]."""
-        t0 = perf_counter()
-        now = self._clock()
-        with self._lock:
-            data = self._data.get(sid)
-            if data is None:
-                return _EMPTY, _EMPTY
-            runs, mem = self._stage_locked(sid, data, start, end)
-        result = self._merge_staged(runs, mem, start, end, now)
-        self._query_latency.observe(perf_counter() - t0)
-        return result
-
     def query_many(
         self, sids, start: int, end: int
     ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:
         """Bulk read: the series of every SID in ``sids`` over one range.
 
-        Semantically identical to calling :meth:`query` per SID, but
-        amortizes a single lock acquisition across the whole batch:
-        inputs for all sensors are staged under the lock, then sliced
-        and merged outside it.  Returns an entry for *every* requested
-        SID, with empty arrays for sensors without data in range.
+        One lock acquisition for the whole batch: inputs for all
+        sensors are staged under the lock, then sliced and merged
+        outside it.  Returns an entry for *every* requested SID, with
+        empty arrays for sensors without data in range.
         """
         t0 = perf_counter()
         now = self._clock()

@@ -71,20 +71,6 @@ class SqliteBackend(StorageBackend):
             )
         return len(rows)
 
-    def query(self, sid: SensorId, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        now = self._clock()
-        with self._lock:
-            cursor = self._conn.execute(
-                "SELECT ts, value FROM readings "
-                "WHERE sid = ? AND ts BETWEEN ? AND ? AND expiry > ? ORDER BY ts",
-                (sid.hex(), start, end, now),
-            )
-            rows = cursor.fetchall()
-        if not rows:
-            return _EMPTY, _EMPTY
-        arr = np.asarray(rows, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
-
     def query_many(
         self, sids, start: int, end: int
     ) -> dict[SensorId, tuple[np.ndarray, np.ndarray]]:

@@ -29,6 +29,9 @@ up as a reviewable diff.  This tool closes the loop in CI:
   than the metric's ``BENCHMARK.json`` bound, or a run fails.  Every
   pair is also kept as one ``@pair {json}`` line (workload, seed,
   which side ran first, both sides' metrics) as soon as it finishes.
+  Both checkouts' ``src/`` and ``benchmarks/`` are byte-compiled
+  before the first pair, so neither side's ``setup_s`` carries the
+  compile time.
 
 Exit status is non-zero on any regression or staleness, with one
 ``[FAIL]`` line per finding.
@@ -37,6 +40,7 @@ Exit status is non-zero on any regression or staleness, with one
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -223,6 +227,9 @@ def pairs(parent: Path, change: Path, workloads: list[str] | None, count: int) -
     contract = _load(change / "BENCHMARK.json")
     seconds = contract["run_seconds"]  # the run length the benchmark fixes
     roots = {"parent": parent, "change": change}
+    for root in roots.values():
+        for tree in ("src", "benchmarks"):
+            compileall.compile_dir(root / tree, quiet=1)
     failures: list[str] = []
     for workload in workloads or [w["name"] for w in contract["workloads"]]:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}

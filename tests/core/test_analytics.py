@@ -283,6 +283,43 @@ class TestDaemonIntegration:
         assert ts.size == 9  # buckets close when the next one opens
         assert values.tolist() == [400.0] * 9
 
+    def test_derived_readings_take_the_writer_path(self):
+        """Derived readings are staged on the agent's writer, so they
+        are counted, committed and rolled up like ingested ones."""
+        from repro.core.collectagent import CollectAgent
+        from repro.core.pusher import Pusher, PusherConfig
+        from repro.mqtt.broker import MQTTBroker
+        from repro.mqtt.client import MQTTClient
+        from repro.storage import MemoryBackend, RollupConfig
+
+        broker = MQTTBroker(port=None)
+        agent = CollectAgent(MemoryBackend(), broker=broker, rollup_config=RollupConfig())
+        manager = AnalyticsManager()
+        manager.add_operator(
+            Aggregator("nodepower", ["/an/n0/g/#"], output="total", func="sum")
+        )
+        manager.attach_to_agent(agent)
+        pusher = Pusher(
+            PusherConfig(mqtt_prefix="/an/n0"),
+            client=MQTTClient("p", broker=broker),
+            clock=SimClock(0),
+        )
+        pusher.load_plugin(
+            "tester",
+            "group g { interval 1000\n numSensors 4\n generator constant\n startValue 100 }",
+        )
+        pusher.client.connect()
+        pusher.start_plugin("tester")
+        pusher.advance_to(30 * NS_PER_SEC)
+        derived = agent.sid_mapper.lookup_topic("/analytics/nodepower/total")
+        lo, hi = agent.rollup.coverage(derived, 0)
+        assert hi > lo  # the 10 s tier sealed buckets of the derived series
+        ingested = pusher.metrics.value("dcdb_pusher_readings_collected_total")
+        assert manager.outputs_emitted > 0
+        assert agent.metrics.value("dcdb_writer_readings_enqueued_total") == (
+            ingested + manager.outputs_emitted
+        )
+
     def test_attached_to_pusher_publishes_derived_sensors(self):
         from repro.core.collectagent import CollectAgent
         from repro.core.pusher import Pusher, PusherConfig

@@ -76,6 +76,20 @@ class TestPusherApi:
         status, _ = http_json("GET", url(papi, "/cache"))
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            ("/traces?limit=ten", "limit"),
+            ("/traces?minLatencyMs=slow", "minLatencyMs"),
+            ("/average?topic=/api/h0/g0/s0&window_ms=1s", "window_ms"),
+        ],
+    )
+    def test_non_numeric_parameter_is_400(self, stack, path, field):
+        _, _, papi, _ = stack
+        status, body = http_json("GET", url(papi, path))
+        assert status == 400
+        assert body["error"].startswith(f"{field}:")
+
     def test_average_endpoint(self, stack):
         _, _, papi, _ = stack
         status, body = http_json(
@@ -158,6 +172,26 @@ class TestAgentApi:
         _, _, _, aapi = stack
         status, body = http_json("GET", url(aapi, "/cache?topic=/api/h0/g0/s2"))
         assert status == 200 and len(body) == 5
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            ("/query?topic=/api/h0/g0/s0&start=yesterday", "start"),
+            ("/query?topic=/api/h0/g0/s0&end=1e9", "end"),
+            ("/traces?limit=all", "limit"),
+            ("/traces?minLatencyMs=x", "minLatencyMs"),
+            ("/alarms?limit=-", "limit"),
+        ],
+    )
+    def test_non_numeric_parameter_is_400(self, stack, path, field):
+        _, agent, _, aapi = stack
+        if path.startswith("/alarms"):
+            from repro.analytics import AnalyticsManager
+
+            agent.analytics = AnalyticsManager()
+        status, body = http_json("GET", url(aapi, path))
+        assert status == 400
+        assert body["error"].startswith(f"{field}:")
 
 
 class TestAgentAnalyticsEndpoints:

@@ -1,6 +1,7 @@
 """Tests for the Grafana JSON data source."""
 
 import json
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -126,6 +127,25 @@ class TestDataSource:
         )
         assert body[0]["datapoints"] == []
         assert "error" in body[0]
+
+    @pytest.mark.parametrize("path", ["/search", "/query", "/annotations"])
+    def test_non_json_body_is_400(self, datasource, path):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{datasource.port}{path}", data=b"{not json", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request)
+        assert caught.value.code == 400
+        assert json.loads(caught.value.read())["error"].startswith("body:")
+
+    def test_non_numeric_range_is_400(self, datasource):
+        status, body = http_json(
+            "POST",
+            f"http://127.0.0.1:{datasource.port}/query",
+            {"range": {"from_ns": "now-1h"}, "targets": [{"target": "/g"}]},
+        )
+        assert status == 400
+        assert body["error"].startswith("from_ns:")
 
     def test_multiple_targets(self, datasource):
         _, body = post(

@@ -9,14 +9,20 @@ node *is* a backend), a quiescent :class:`~repro.faults.FaultyBackend`
 over the memory store and over a node (proving the fault-injection
 proxy is fully transparent when no faults fire) — and the durable
 WAL+segment node, both live and through a reopen-between-write-and-
-read proxy that forces every read to come off the on-disk files.
+read proxy that forces every read to come off the on-disk files — and
+a minimal third-party store that implements only the abstract methods,
+so ``query``, ``latest``, ``oldest``, ``count`` and ``query_prefix``
+come from the base class.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.sid import SensorId
 from repro.faults import FaultyBackend
+from repro.storage.backend import StorageBackend, as_batch
 from repro.storage.cluster import StorageCluster
 from repro.storage.durable import DurableNode
 from repro.storage.memory import MemoryBackend
@@ -69,6 +75,57 @@ class ReopeningDurable:
         self._backend.close()
 
 
+class MinimalBackend(StorageBackend):
+    """The least a backend implements: ``insert_batch``, ``query_many``,
+    ``sids``, ``delete_before`` and the metadata methods."""
+
+    def __init__(self):
+        self.rows: dict[SensorId, dict[int, tuple[int, int]]] = {}
+        self.meta: dict[str, str] = {}
+
+    def insert_batch(self, items):
+        batch = as_batch(items)
+        for sid, t, value, ttl_s in batch:
+            expiry = t + ttl_s * 1_000_000_000 if ttl_s > 0 else (1 << 63) - 1
+            self.rows.setdefault(sid, {})[t] = (value, expiry)  # last write wins
+        return len(batch)
+
+    def query_many(self, sids, start, end):
+        now = time.time_ns()
+        out = {}
+        for sid in sids:
+            live = sorted(
+                (t, value)
+                for t, (value, expiry) in self.rows.get(sid, {}).items()
+                if start <= t <= end and expiry > now
+            )
+            columns = np.array(live, dtype=np.int64).reshape(-1, 2)
+            out[sid] = (columns[:, 0].copy(), columns[:, 1].copy())
+        return out
+
+    def sids(self):
+        return sorted(self.rows)
+
+    def delete_before(self, sid, cutoff):
+        rows = self.rows.get(sid, {})
+        old = [t for t in rows if t < cutoff]
+        for t in old:
+            del rows[t]
+        return len(old)
+
+    def put_metadata(self, key, value):
+        if value == "":
+            self.meta.pop(key, None)
+        else:
+            self.meta[key] = value
+
+    def get_metadata(self, key):
+        return self.meta.get(key)
+
+    def metadata_keys(self, prefix=""):
+        return sorted(k for k in self.meta if k.startswith(prefix))
+
+
 @pytest.fixture(
     params=[
         "cluster",
@@ -79,6 +136,7 @@ class ReopeningDurable:
         "faulty_node",
         "durable",
         "durable_reopen",
+        "minimal",
     ]
 )
 def backend(request):
@@ -98,6 +156,8 @@ def backend(request):
     elif request.param == "durable_reopen":
         tmp_path = request.getfixturevalue("tmp_path")
         b = ReopeningDurable(tmp_path / "durable")
+    elif request.param == "minimal":
+        b = MinimalBackend()
     else:
         b = SqliteBackend(":memory:")
     yield b

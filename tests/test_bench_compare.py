@@ -1,4 +1,5 @@
-"""``bench_compare pairs`` keeps every run as an ``@pair`` line."""
+"""``bench_compare pairs`` byte-compiles both checkouts first and keeps
+every run as an ``@pair`` line."""
 
 import json
 
@@ -14,9 +15,17 @@ def test_pairs_prints_one_line_per_pair(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(contract))
     parent, change = tmp_path / "parent", tmp_path
 
+    for root in (parent, change):
+        for tree in ("src", "benchmarks"):
+            (root / tree).mkdir(parents=True)
+            (root / tree / "mod.py").write_text("X = 1\n")
     calls = []
 
     def fake_run(root, workload, seed, seconds):
+        # Both checkouts are byte-compiled before the first run.
+        for compiled in (parent, change):
+            for tree in ("src", "benchmarks"):
+                assert list((compiled / tree / "__pycache__").glob("mod.*.pyc"))
         calls.append("parent" if root == parent else "change")
         return {"failed": 0, "metrics": {"cpu": seed * (10.0 if root == parent else 9.0)}}
 
